@@ -116,9 +116,12 @@ def _merge_config(args) -> dict:
     return merged
 
 
+def _out_path(cfg) -> Path:
+    return Path(cfg.get("out") or os.environ.get(OUT_ENV) or "marketclear-out")
+
+
 def _out_dir(cfg) -> Path:
-    out = cfg.get("out") or os.environ.get(OUT_ENV) or "marketclear-out"
-    path = Path(out)
+    path = _out_path(cfg)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -309,8 +312,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         write_manifest(_out_dir(cfg), cfg, cfg.get("seed", 0), started)
-    except OSError:
-        pass
+    except OSError as exc:
+        print(f"warning: could not write {_out_path(cfg) / 'manifest.json'}: {exc}",
+              file=sys.stderr)
     return code
 
 

@@ -13,8 +13,13 @@ states through uB~ and forward states at the current node; this is the exact
 first-order-condition structure of the discretized control problems, which is
 what lets the clearing identity and the optimality checks hold to round-off.
 
-Two solution paths: a single global sparse solve for affine systems, and a
-damped fixed-point iteration of forward/backward sweeps for the general case.
+Two solution paths.  Affine systems are solved exactly by a backward sweep of
+their affine decoupling field u_B(v) = P(v) u_F(v) + p(v), the discrete
+four-step scheme for linear FBSDEs: one matrix pass from the leaves computes
+P level by level, batched over each level's nodes, and vector passes then
+carry the constants back and recover every state forward (``DirectSolver``).
+The general case uses a damped fixed-point iteration of forward/backward
+sweeps (``solve_picard``).
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError, ValidationError
 from .scenario import NoiseLattice
@@ -139,28 +142,24 @@ class NodeSolution:
         return out
 
 
-def backward_step(lattice: NoiseLattice, node: int, child_values: np.ndarray,
-                  driver_value: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One conditional-expectation step of a backward state at a single node.
-
-    Returns the node value  sum_c p_c * child_c + dt * driver  and the
-    child-wise deviations from the conditional mean (probability-weighted
-    mean zero).
-    """
-    child_values = np.asarray(child_values, dtype=float)
-    probs = lattice.child_probs
-    if child_values.shape[0] != len(probs):
-        raise ValidationError("child_values must cover every child of the node")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise SolverError("lattice corruption: child probabilities do not sum to 1")
-    mean = np.tensordot(probs, child_values, axes=(0, 0))
-    value = mean + dt * np.asarray(driver_value, dtype=float)
-    return value, child_values - mean
-
-
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """(m|1, p, q) x (m, q) -> (m, p), broadcasting the leading axis."""
     return np.matmul(mat, vec[..., None])[..., 0]
+
+
+def _noise(lat: NoiseLattice, k: int, S: np.ndarray) -> np.ndarray:
+    """S(v) dW on every child edge of level k, in child layout."""
+    clo, chi = lat.level_range(k + 1)
+    m = lat.nodes_at(k)
+    S_child = np.repeat(np.broadcast_to(S, (m,) + S.shape[1:]), lat.fanout, axis=0)
+    return _apply(S_child, lat.dW[clo:chi])
+
+
+def _step(lat: NoiseLattice, uf: np.ndarray, ubt: np.ndarray, Aff, Afb, af,
+          noise: np.ndarray) -> np.ndarray:
+    """Forward states on the children of one level."""
+    drift = _apply(Aff, uf) + _apply(Afb, ubt) + af
+    return lat.repeat_to_children(uf + lat.dt * drift) + noise
 
 
 def _forward_sweep(system: FbsdeSystem, ub: np.ndarray) -> np.ndarray:
@@ -172,64 +171,45 @@ def _forward_sweep(system: FbsdeSystem, ub: np.ndarray) -> np.ndarray:
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
         c = system.coeffs(k)
-        drift = _apply(c.Aff, uf[lo:hi]) + _apply(c.Afb, ubt) + c.af
-        base = lat.repeat_to_children(uf[lo:hi] + lat.dt * drift)
-        m = hi - lo
-        S = np.broadcast_to(c.S, (m,) + c.S.shape[1:])
-        S_child = np.repeat(S, lat.fanout, axis=0)
-        uf[clo:chi] = base + _apply(S_child, lat.dW[clo:chi])
+        uf[clo:chi] = _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af, _noise(lat, k, c.S))
     return uf
 
 
-def _backward_sweep(system: FbsdeSystem, uf: np.ndarray):
+def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
     lat = system.lattice
-    mb = system.mb
-    ub = np.zeros((lat.num_nodes, mb))
-    pre = np.zeros((lat.num_nodes, mb))
+    ub = np.zeros((lat.num_nodes, system.mb))
     tsl = lat.terminal_slice
     if system.terminal_fn is not None:
         ub[tsl] = system.terminal_fn(uf[tsl])
     else:
         G, g = system.terminal()
         ub[tsl] = _apply(G, uf[tsl]) + g
-    pre[tsl] = ub[tsl]
     for k in range(lat.steps - 1, -1, -1):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
-        pre[lo:hi] = ubt
         if system.driver_fn is not None:
             driver = system.driver_fn(k, uf[lo:hi], ubt)
         else:
             c = system.coeffs(k)
             driver = _apply(c.Bbf, uf[lo:hi]) + _apply(c.Bbb, ubt) + c.bb
         ub[lo:hi] = ubt + lat.dt * driver
-    return ub, pre
-
-
-def _deviations(system: FbsdeSystem, ub: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    lat = system.lattice
-    dev = np.zeros_like(ub)
-    for k in range(1, lat.steps + 1):
-        lo, hi = lat.level_range(k)
-        dev[lo:hi] = ub[lo:hi] - lat.repeat_to_children(pre[lat.level_slice(k - 1)])
-    return dev
+    return ub
 
 
 def _package(system: FbsdeSystem, uf, ub, diagnostics) -> NodeSolution:
-    _, pre = _backward_sweep_pre_only(system, ub)
-    dev = _deviations(system, ub, pre)
-    return NodeSolution(system=system, forward=uf, backward=ub,
-                        backward_pre=pre, deviations=dev, diagnostics=diagnostics)
-
-
-def _backward_sweep_pre_only(system: FbsdeSystem, ub: np.ndarray):
+    """Attach the pre-driver values uB~ and the martingale increments."""
     lat = system.lattice
     pre = np.zeros_like(ub)
+    dev = np.zeros_like(ub)
     pre[lat.terminal_slice] = ub[lat.terminal_slice]
-    for k in range(lat.steps - 1, -1, -1):
-        pre[lat.level_slice(k)] = lat.cond_expect(ub[lat.level_slice(k + 1)], k)
-    return ub, pre
+    for k in range(lat.steps):
+        lo, hi = lat.level_range(k)
+        clo, chi = lat.level_range(k + 1)
+        pre[lo:hi] = lat.cond_expect(ub[clo:chi], k)
+        dev[clo:chi] = ub[clo:chi] - lat.repeat_to_children(pre[lo:hi])
+    return NodeSolution(system=system, forward=uf, backward=ub,
+                        backward_pre=pre, deviations=dev, diagnostics=diagnostics)
 
 
 # -- residual ---------------------------------------------------------------
@@ -245,12 +225,8 @@ def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
         c = system.coeffs(k)
-        drift = _apply(c.Aff, uf[lo:hi]) + _apply(c.Afb, ubt) + c.af
-        base = lat.repeat_to_children(uf[lo:hi] + lat.dt * drift)
-        m = hi - lo
-        S = np.broadcast_to(c.S, (m,) + c.S.shape[1:])
-        S_child = np.repeat(S, lat.fanout, axis=0)
-        fwd_gap = uf[clo:chi] - base - _apply(S_child, lat.dW[clo:chi])
+        fwd_gap = uf[clo:chi] - _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af,
+                                      _noise(lat, k, c.S))
         if system.driver_fn is not None:
             driver = system.driver_fn(k, uf[lo:hi], ubt)
         else:
@@ -273,151 +249,99 @@ def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
                             converged=diag.converged and worst <= max(DEFAULT_TOL, 1e-9))
 
 
-# -- direct (global sparse) solve ------------------------------------------
+# -- direct (decoupling-field) solve ------------------------------------------
+
+
+@dataclass
+class _LevelFactors:
+    """Matrix-pass results of one level; leading axis 1 (shared) or m (per node)."""
+
+    E: np.ndarray      # (I - dt Pbar Afb)^-1       (m|1, mb, mb)
+    EPbar: np.ndarray  # E Pbar                      (m|1, mb, mf)
+    Q: np.ndarray      # uB~ = Q u_F + r             (m|1, mb, mf)
+    IBbb: np.ndarray   # I + dt Bbb                  (m|1, mb, mb)
+    Aff: np.ndarray
+    Afb: np.ndarray
 
 
 class DirectSolver:
-    """Assembles the global sparse system once; re-solves for new constant terms.
+    """Exact affine solve by a backward sweep of the decoupling field.
 
-    The matrix depends only on the affine blocks (Aff, Afb, Bbf, Bbb, G) and
-    the tree; the constant parts (af, bb, g, initial, S dW) live in the right
-    hand side, so families of systems differing only in those (e.g. the
-    clearing system across candidate major flows) share one factorization.
+    Every affine system on the tree has u_B(v) = P(v) u_F(v) + p(v).  The
+    matrix pass in ``__init__`` runs from the leaves (P = G) to the root,
+    batched over each level's nodes:
+
+        Pbar = sum_b q_b P(child_b),   E = (I - dt Pbar Afb)^-1,
+        Q    = E Pbar (I + dt Aff),    P(v) = (I + dt Bbb) Q + dt Bbf.
+
+    It depends only on the blocks (Aff, Afb, Bbf, Bbb, G) and the tree.  The
+    constants (af, bb, g, initial, S dW) enter only the vector passes of
+    ``solve``, so families of systems differing only in those (e.g. the
+    clearing system across candidate major flows) share one matrix pass.
+    Blocks shared by a whole level keep P shared too.
     """
 
     def __init__(self, system: FbsdeSystem):
         if not system.affine:
             raise SolverError("direct solve requires an affine system")
         self.system = system
-        self._matrix = self._assemble_matrix()
-        try:
-            self._lu = spla.splu(self._matrix.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(
-                f"global system is singular ({exc}); this signals violated "
-                f"monotonicity of the discretized model", None)
-
-    def _assemble_matrix(self) -> sp.csr_matrix:
-        sys_, lat = self.system, self.system.lattice
-        mf, mb = sys_.mf, sys_.mb
-        M = mf + mb
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(r.reshape(-1))
-            cols.append(c.reshape(-1))
-            vals.append(v.reshape(-1))
-
-        # initial rows
-        r0 = np.arange(mf)
-        add(r0, r0, np.ones(mf))
-
-        dt = lat.dt
-        q = lat.child_probs
-        B = lat.fanout
-        for k in range(lat.steps + 1):
-            lo, hi = lat.level_range(k)
-            m = hi - lo
-            nodes = np.arange(lo, hi)
-            ub_base = nodes * M + mf
-            if k < lat.steps:
-                c = self.system.coeffs(k)
-                clo, chi = lat.level_range(k + 1)
-                children = np.arange(clo, chi).reshape(m, B)
-                # backward rows at level k (row index == ub unknown index)
-                rr = ub_base[:, None] + np.arange(mb)[None, :]              # (m, mb)
-                add(rr, rr, np.ones((m, mb)))
-                # minus conditional expectation of children, and -dt*Bbb*cond
-                Bbb = np.broadcast_to(c.Bbb, (m, mb, mb))
-                coef = -(np.eye(mb)[None, :, :] + dt * Bbb)                  # (m, mb, mb)
-                child_ub = children[:, :, None] * M + mf + np.arange(mb)[None, None, :]
-                # entries: row (v, j) , col (child b, j2), value coef[v,j,j2]*q[b]
-                r_idx = np.broadcast_to(rr[:, None, :, None], (m, B, mb, mb))
-                c_idx = np.broadcast_to(child_ub[:, :, None, :], (m, B, mb, mb))
-                v_idx = coef[:, None, :, :] * q[None, :, None, None]
-                add(r_idx, c_idx, np.broadcast_to(v_idx, (m, B, mb, mb)))
-                # -dt * Bbf on uf(v)
-                Bbf = np.broadcast_to(c.Bbf, (m, mb, mf))
-                uf_cols = nodes[:, None] * M + np.arange(mf)[None, :]
-                add(np.broadcast_to(rr[:, :, None], (m, mb, mf)),
-                    np.broadcast_to(uf_cols[:, None, :], (m, mb, mf)),
-                    -dt * Bbf)
-
-                # forward rows for each child
-                Aff = np.broadcast_to(c.Aff, (m, mf, mf))
-                Afb = np.broadcast_to(c.Afb, (m, mf, mb))
-                child_uf = children[:, :, None] * M + np.arange(mf)[None, None, :]  # (m,B,mf)
-                r_fwd = child_uf                                             # rows
-                add(r_fwd, child_uf, np.ones((m, B, mf)))
-                # -(I + dt Aff) on parent uf
-                pcoef = -(np.eye(mf)[None, :, :] + dt * Aff)                 # (m, mf, mf)
-                add(np.broadcast_to(child_uf[:, :, :, None], (m, B, mf, mf)),
-                    np.broadcast_to(uf_cols[:, None, None, :], (m, B, mf, mf)),
-                    np.broadcast_to(pcoef[:, None, :, :], (m, B, mf, mf)))
-                # -dt * Afb * q_b on sibling ub
-                scoef = -dt * Afb[:, None, None, :, :] * q[None, None, :, None, None]
-                add(np.broadcast_to(child_uf[:, :, None, :, None], (m, B, B, mf, mb)),
-                    np.broadcast_to(child_ub[:, None, :, None, :], (m, B, B, mf, mb)),
-                    np.broadcast_to(scoef, (m, B, B, mf, mb)))
-            else:
-                # terminal rows
-                G, _ = self.system.terminal()
-                Gb = np.broadcast_to(G, (m, mb, mf))
-                rr = ub_base[:, None] + np.arange(mb)[None, :]
-                add(rr, rr, np.ones((m, mb)))
-                uf_cols = nodes[:, None] * M + np.arange(mf)[None, :]
-                add(np.broadcast_to(rr[:, :, None], (m, mb, mf)),
-                    np.broadcast_to(uf_cols[:, None, :], (m, mb, mf)),
-                    -Gb)
-
-        n = self.system.n_unknowns()
-        return sp.csr_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n, n))
-
-    def _assemble_rhs(self, system: FbsdeSystem) -> np.ndarray:
         lat = system.lattice
-        mf, mb = system.mf, system.mb
-        M = mf + mb
-        rhs = np.zeros(system.n_unknowns())
-        rhs[:mf] = system.initial
         dt = lat.dt
-        for k in range(lat.steps):
-            lo, hi = lat.level_range(k)
-            m = hi - lo
+        mf, mb = system.mf, system.mb
+        G, _ = system.terminal()
+        P = np.asarray(G, dtype=float).reshape(-1, mb, mf)
+        self._P = [None] * lat.steps + [P]
+        self._levels: list[_LevelFactors] = [None] * lat.steps
+        for k in range(lat.steps - 1, -1, -1):
             c = system.coeffs(k)
-            nodes = np.arange(lo, hi)
-            # backward rows
-            bb = np.broadcast_to(c.bb, (m, mb))
-            idx = (nodes[:, None] * M + mf + np.arange(mb)[None, :]).reshape(-1)
-            rhs[idx] = dt * bb.reshape(-1)
-            # forward rows of children
-            clo, chi = lat.level_range(k + 1)
-            af = np.broadcast_to(c.af, (m, mf))
-            S = np.broadcast_to(c.S, (m,) + c.S.shape[1:])
-            S_child = np.repeat(S, lat.fanout, axis=0)
-            contrib = lat.repeat_to_children(dt * af) + _apply(S_child, lat.dW[clo:chi])
-            idx = (np.arange(clo, chi)[:, None] * M + np.arange(mf)[None, :]).reshape(-1)
-            rhs[idx] = contrib.reshape(-1)
-        tsl = lat.terminal_slice
-        _, g = system.terminal()
-        tlo, thi = lat.level_range(lat.steps)
-        gb = np.broadcast_to(g, (thi - tlo, mb))
-        idx = (np.arange(tlo, thi)[:, None] * M + mf + np.arange(mb)[None, :]).reshape(-1)
-        rhs[idx] = gb.reshape(-1)
-        return rhs
+            Pbar = P if P.shape[0] == 1 else lat.cond_expect(P, k)
+            try:
+                E = np.linalg.inv(np.eye(mb) - dt * (Pbar @ c.Afb))
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(
+                    f"level {k} system I - dt*Pbar*Afb is singular ({exc}); this "
+                    f"signals violated monotonicity of the discretized model", None)
+            EPbar = E @ Pbar
+            Q = EPbar @ (np.eye(mf) + dt * c.Aff)
+            IBbb = np.eye(mb) + dt * c.Bbb
+            P = IBbb @ Q + dt * c.Bbf
+            self._levels[k] = _LevelFactors(E=E, EPbar=EPbar, Q=Q, IBbb=IBbb,
+                                            Aff=c.Aff, Afb=c.Afb)
+            self._P[k] = P
 
     def solve(self, system: FbsdeSystem | None = None) -> NodeSolution:
-        """Solve; pass a sibling system (same matrices, new constants) to reuse the LU."""
+        """Solve; pass a sibling system (same blocks, new constants) to reuse the matrix pass."""
         system = system if system is not None else self.system
-        rhs = self._assemble_rhs(system)
-        x = self._lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
-            raise SolverError("direct solve produced non-finite values (singular pivot)")
+        lat = system.lattice
+        dt = lat.dt
         mf, mb = system.mf, system.mb
-        M = mf + mb
-        per_node = x.reshape(system.lattice.num_nodes, M)
-        uf, ub = per_node[:, :mf].copy(), per_node[:, mf:].copy()
+        K = lat.steps
+        # backward vector pass: p(v), and r(v) with uB~ = Q u_F + r
+        _, g = system.terminal()
+        p = np.asarray(g, dtype=float).reshape(-1, mb)
+        ps, rs, afs, noises = [None] * K + [p], [None] * K, [None] * K, [None] * K
+        for k in range(K - 1, -1, -1):
+            c = system.coeffs(k)
+            lv = self._levels[k]
+            noise = _noise(lat, k, c.S)
+            pbar = lat.cond_expect(p + _apply(self._P[k + 1], noise), k)
+            r = _apply(lv.E, pbar) + dt * _apply(lv.EPbar, c.af)
+            p = _apply(lv.IBbb, r) + dt * c.bb
+            ps[k], rs[k], afs[k], noises[k] = p, r, c.af, noise
+        # forward pass
+        uf = np.zeros((lat.num_nodes, mf))
+        ub = np.zeros((lat.num_nodes, mb))
+        uf[0] = system.initial
+        for k in range(K + 1):
+            lo, hi = lat.level_range(k)
+            ub[lo:hi] = _apply(self._P[k], uf[lo:hi]) + ps[k]
+            if k < K:
+                lv = self._levels[k]
+                clo, chi = lat.level_range(k + 1)
+                ubt = _apply(lv.Q, uf[lo:hi]) + rs[k]
+                uf[clo:chi] = _step(lat, uf[lo:hi], ubt, lv.Aff, lv.Afb, afs[k], noises[k])
+        if not (np.all(np.isfinite(uf)) and np.all(np.isfinite(ub))):
+            raise SolverError("direct solve produced non-finite values (near-singular level system)")
         diag = SolveDiagnostics(method="direct", iterations=1,
                                 max_equation_residual=0.0, terminal_mismatch=0.0,
                                 converged=True)
@@ -435,7 +359,7 @@ class DirectSolver:
 
 
 def solve_direct(system: FbsdeSystem) -> NodeSolution:
-    """Exact solve of an affine system via one global sparse factorization."""
+    """Exact solve of an affine system by one decoupling-field sweep."""
     return DirectSolver(system).solve()
 
 
@@ -457,7 +381,7 @@ def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
     iterations = 0
     for iterations in range(1, max_iter + 1):
         uf_new = _forward_sweep(system, ub)
-        ub_new, _ = _backward_sweep(system, uf_new)
+        ub_new = _backward_sweep(system, uf_new)
         uf_next = damping * uf_new + (1.0 - damping) * uf
         ub_next = damping * ub_new + (1.0 - damping) * ub
         dist = max(float(np.max(np.abs(uf_next - uf), initial=0.0)),
@@ -473,7 +397,7 @@ def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
             f"monotonicity margins",
             SolveDiagnostics("picard", iterations, dist, np.nan, False))
     uf = _forward_sweep(system, ub)
-    ub, _ = _backward_sweep(system, uf)
+    ub = _backward_sweep(system, uf)
     diag = SolveDiagnostics(method="picard", iterations=iterations,
                             max_equation_residual=dist, terminal_mismatch=0.0,
                             converged=True)

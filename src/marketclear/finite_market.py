@@ -297,7 +297,7 @@ def build_clearing_system(ctx: MarketContext, pop: AgentPopulation,
     """The minor-clearing system with a given per-capita major flow b = beta/N.
 
     The flow enters only the constant drift terms, so systems for different
-    flows share their matrix blocks (and hence one factorization).
+    flows share their matrix blocks (and hence one solver matrix pass).
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
@@ -625,8 +625,8 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
 class ClearingOperator:
     """Re-solves the minor clearing system across candidate major flows.
 
-    Assembles and factorizes the clearing system once; each call integrates a
-    new flow through the shared factorization and returns the induced price
+    Runs the solver's matrix pass on the clearing system once; each call
+    integrates a new flow by vector passes only and returns the induced price
     field alongside the solved minor states.
     """
 

@@ -293,7 +293,7 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
 
 
 class MeanClearingOperator:
-    """Mean minor blocks (xbar, ybar) for a given per-capita flow, LU shared.
+    """Mean minor blocks (xbar, ybar) for a given per-capita flow, matrix pass shared.
 
     Used by the population-limit cost functional: for each candidate flow the
     induced price is -ybar~ + lam b with ybar from this small system.

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolationError, UnsupportedModelError, ValidationError
+from .errors import (AssumptionViolationError, MarketClearError, UnsupportedModelError,
+                     ValidationError)
 from .finite_market import (AgentPopulation, ClearingOperator, MarketContext,
                             integrate_major_state, make_population,
                             solve_full_equilibrium)
@@ -258,7 +259,7 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
         try:
             for j, e in enumerate(eps):
                 dj[d, j] = 0.0 if e == 0.0 else evaluate(base_ctrl + e * eta) - base_j
-        except Exception:
+        except (MarketClearError, np.linalg.LinAlgError):
             dj[d, :] = np.nan
             failed.append(d)
     fits = np.full((directions, 3), np.nan)

@@ -86,6 +86,20 @@ def test_check_passes_on_benchmark(good_model, tmp_path) -> None:
     assert (out / "manifest.json").exists()
 
 
+def test_failed_manifest_write_is_reported(good_model, tmp_path, monkeypatch, capsys) -> None:
+    import marketclear.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_manifest", refuse)
+    out = tmp_path / "out"
+    assert run(["check", "--model", good_model, "--out", out]) == 0
+    err = capsys.readouterr().err
+    assert str(out / "manifest.json") in err
+    assert "disk full" in err
+
+
 def test_check_fails_on_spread_curvatures(tmp_path) -> None:
     model = tmp_path / "bad.model"
     model.write_text(BAD_MODEL)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from marketclear.errors import SolverError
-from marketclear.fbsde import (backward_step, residual, solve_direct,
-                               solve_picard)
+from marketclear.fbsde import (DirectSolver, FbsdeSystem, LevelCoeffs, residual,
+                               solve_direct, solve_picard)
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_minor_clearing)
 from marketclear.scenario import TimeGrid, build_lattice, constant_field
@@ -19,27 +19,46 @@ def full_system(spec, lattice, seed=0, assignments=None):
     return build_full_system(ctx, pop)
 
 
-# -- backward_step -------------------------------------------------------------
+def one_step_system(g_leaves, bb=0.0, horizon=1.0, Afb=0.0, G=0.0):
+    """Scalar one-step binary-tree system with per-leaf terminal constants."""
+    lat = build_lattice(TimeGrid(horizon, 1), d0=1)
+
+    def coeffs(k):
+        zero = np.zeros((1, 1, 1))
+        return LevelCoeffs(Aff=zero, Afb=np.full((1, 1, 1), Afb), af=np.zeros((1, 1)),
+                           S=zero, Bbf=zero, Bbb=zero, bb=np.full((1, 1), bb))
+
+    def terminal():
+        return np.full((1, 1, 1), G), np.asarray(g_leaves, dtype=float).reshape(-1, 1)
+
+    return FbsdeSystem(lattice=lat, forward_slices={"x": slice(0, 1)},
+                       backward_slices={"y": slice(0, 1)}, initial=np.zeros(1),
+                       coeffs=coeffs, terminal=terminal)
 
 
-def test_backward_step_martingale_identity() -> None:
+# -- conditional expectation and martingale increments ---------------------------
+
+
+def test_cond_expect_martingale_identity() -> None:
     lat = build_lattice(TimeGrid(1.0, 1), d0=1)
-    value, dev = backward_step(lat, 0, np.array([[3.0], [3.0]]), np.zeros(1), lat.dt)
-    assert value[0] == pytest.approx(3.0)
-    assert np.allclose(dev, 0.0)
+    assert lat.cond_expect(np.array([[3.0], [3.0]]), 0)[0, 0] == pytest.approx(3.0)
+    sol = solve_direct(one_step_system([3.0, 3.0]))
+    assert sol.backward[0, 0] == pytest.approx(3.0)
+    assert np.allclose(sol.deviations, 0.0)
 
 
-def test_backward_step_two_point_mean() -> None:
+def test_cond_expect_two_point_mean() -> None:
     lat = build_lattice(TimeGrid(1.0, 1), d0=1)
-    value, dev = backward_step(lat, 0, np.array([[2.0], [0.0]]), np.zeros(1), lat.dt)
-    assert value[0] == pytest.approx(1.0)
-    assert dev[:, 0] == pytest.approx([1.0, -1.0])
+    assert lat.cond_expect(np.array([[2.0], [0.0]]), 0)[0, 0] == pytest.approx(1.0)
+    sol = solve_direct(one_step_system([2.0, 0.0]))
+    assert sol.pre("y")[0, 0] == pytest.approx(1.0)
+    assert sol.deviations[1:, 0] == pytest.approx([1.0, -1.0])
+    assert lat.cond_expect(sol.deviations[1:], 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_backward_step_driver_contribution() -> None:
-    lat = build_lattice(TimeGrid(1.0, 1), d0=1)
-    value, _ = backward_step(lat, 0, np.array([[2.0], [0.0]]), np.array([3.0]), 0.1)
-    assert value[0] == pytest.approx(1.3)
+def test_direct_driver_contribution() -> None:
+    sol = solve_direct(one_step_system([2.0, 0.0], bb=3.0, horizon=0.1))
+    assert sol.backward[0, 0] == pytest.approx(1.3)
 
 
 # -- direct solve ---------------------------------------------------------------
@@ -104,6 +123,33 @@ def test_residual_detects_tampering() -> None:
     assert residual(system, sol).max_equation_residual == pytest.approx(0.0, abs=1e-14)
     sol.backward[3, system.backward_slices["Y0"]] += 1.0
     assert residual(system, sol).max_equation_residual >= 0.5
+
+
+def test_singular_level_system_raises_solver_error() -> None:
+    # Pbar = G = 1 and dt*Afb = 1, so I - dt*Pbar*Afb is exactly zero at level 0
+    system = one_step_system([0.0, 0.0], Afb=1.0, G=1.0)
+    with pytest.raises(SolverError, match="level 0"):
+        DirectSolver(system)
+
+
+def test_coefficient_calls_per_level() -> None:
+    # fresh solve: matrix pass, vector pass, residual; re-solve: the last two
+    spec = scalar_market_spec()
+    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
+    system = full_system(spec, lat, assignments=[0, 1])
+    calls, coeffs = [], system.coeffs
+
+    def counted(k):
+        calls.append(k)
+        return coeffs(k)
+
+    system.coeffs = counted
+    solver = DirectSolver(system)
+    solver.solve()
+    assert sorted(calls) == sorted(3 * list(range(lat.steps)))
+    calls.clear()
+    solver.solve(system)
+    assert sorted(calls) == sorted(2 * list(range(lat.steps)))
 
 
 # -- fixed-point solve -----------------------------------------------------------

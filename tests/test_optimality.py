@@ -159,6 +159,33 @@ def test_eps_grid_validation() -> None:
         perturbation_test(spec, lat, "major-N", eps_grid=(-0.1, 0.1))
 
 
+def failing_after_base(monkeypatch, exc):
+    """Let the base cost evaluation through, then raise ``exc`` on every direction."""
+    import marketclear.optimality as optimality
+    real, calls = optimality.cost_major, []
+
+    def cost(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimality, "cost_major", cost)
+
+
+def test_perturbation_counts_solver_failures_as_failed_directions(monkeypatch) -> None:
+    from marketclear.errors import SolverError
+    failing_after_base(monkeypatch, SolverError("singular"))
+    rep = perturbation_test(scalar_market_spec(), tree(2), "major-N", directions=2, seed=0)
+    assert rep.failed == [0, 1]
+
+
+def test_perturbation_propagates_programming_errors(monkeypatch) -> None:
+    failing_after_base(monkeypatch, TypeError("bad operand"))
+    with pytest.raises(TypeError, match="bad operand"):
+        perturbation_test(scalar_market_spec(), tree(2), "major-N", directions=2, seed=0)
+
+
 # -- Hamiltonians ---------------------------------------------------------------
 
 
