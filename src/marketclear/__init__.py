@@ -17,16 +17,14 @@ from .finite_market import (AgentGroup, AgentPopulation, ClearingOperator,
                             EquilibriumSolution, MarketContext, clearing_residual,
                             make_population, minor_best_response,
                             solve_full_equilibrium, solve_minor_clearing)
-from .mean_field import (MfgSolution, mfg_maturity_override,
-                         reduce_conditional_means, solve_mfg)
+from .mean_field import MfgSolution, reduce_conditional_means, solve_mfg
 from .metrics import (ConvergenceReport, EmpiricalMeasure, StabilityReport,
                       convergence_study, epsilon_rate, price_gap, stability_gap,
                       wasserstein1_1d, wasserstein2)
 from .model import (AssumptionReport, CallableMajorCost, CoefficientSpec,
                     Dimensions, DiscreteLaw, MajorFlow, MinorBundle, ModelSpec,
                     QuadraticMajorCost, check_all_assumptions,
-                    check_major_assumptions, check_minor_assumptions, make_spec,
-                    scale_major)
+                    check_major_assumptions, check_minor_assumptions, make_spec)
 from .modelfile import load_model, loads_model
 from .optimality import (PerturbationReport, cost_major, cost_mfg, cost_minor,
                          hamiltonian_mfg, hamiltonian_minor, hamiltonian_system,

@@ -61,7 +61,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--model", required=True, help="model file (text or JSON)")
         sp.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./marketclear-out)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="accepted for compatibility; has no effect")
         sp.add_argument("--force", action="store_true", help="solve even if assumption checks fail")
         sp.add_argument("--maturity", action="store_true", help="switch the model to maturity mode")
         sp.add_argument("--config", default=None, help="JSON config supplying the same options")
@@ -215,7 +216,7 @@ def cmd_converge(cfg) -> int:
     def solve(spec, lattice):
         n_list = [int(tok) for tok in str(cfg.get("n_list", "8,16,32,64")).split(",")]
         return convergence_study(spec, lattice, n_list, int(cfg.get("resamples", 64)),
-                                 cfg["seed"], threads=cfg.get("threads"))
+                                 cfg["seed"])
 
     code, spec, lattice, report = _checked_solve(cfg, solve)
     if code != EXIT_OK:

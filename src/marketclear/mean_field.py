@@ -187,26 +187,6 @@ def build_deviation_system(ctx: MarketContext, atom_index: int,
                        initial=initial, coeffs=coeffs, terminal=terminal, affine=True)
 
 
-def mfg_maturity_override(spec: ModelSpec, lattice: NoiseLattice,
-                          ctx: MarketContext | None = None):
-    """Terminal blocks of the reduced system when the securities pay c0 at T.
-
-    The backward means are pinned to (p0, ybar, pbar)(T) = (-c0, -c0, 0), so
-    the horizon price -ybar(T) equals the payoff exactly.
-    """
-    if not spec.maturity_mode:
-        raise ValidationError("maturity override applies to maturity-mode specs only")
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    n = spec.dims.n
-    tsl = lattice.terminal_slice
-    mK = lattice.nodes_at(lattice.steps)
-    Gm = np.zeros((mK, 3 * n, 3 * n))
-    gv = np.zeros((mK, 3 * n))
-    gv[:, 0:n] = -ctx.exo.c0[tsl]
-    gv[:, n:2 * n] = -ctx.exo.c0[tsl]
-    return Gm, gv
-
-
 @dataclass
 class MfgSolution:
     """Mean-field equilibrium: common mean fields plus per-atom deviations."""

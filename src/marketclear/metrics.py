@@ -3,17 +3,17 @@
 The reference side of every distance is the exact atom law carried by the
 population-limit solution, so only the finite-population empirical side
 fluctuates.  One-dimensional distances use the exact quantile coupling (any
-weights); multi-dimensional ones use an exact assignment between equal-count
-uniform clouds.
+weights), evaluated for every node of a field at once from merged
+cumulative-weight breakpoints; multi-dimensional ones use an exact assignment
+between equal-count uniform clouds.  Convergence rows run serially and are
+memoized on the atom multiplicities of their draw.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import BudgetError, UnsupportedModelError, ValidationError
 from .finite_market import (MarketContext, make_population,
@@ -25,6 +25,7 @@ from .scenario import NodeField, NoiseLattice, sample_idiosyncratic, _splitmix64
 ATOM_BUDGET = 4096
 AGENT_BUDGET = 4096
 ZERO_GAP = 1e-14
+_COUPLING_BLOCK = 1 << 16  # work-array elements per block of coupled columns
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -68,30 +69,51 @@ class EmpiricalMeasure:
         return self.weights @ self.atoms
 
 
-def _quantile_coupling_cost(xa, wa, xb, wb, power: int) -> float:
-    """Exact cost of the monotone coupling of two 1-d discrete laws."""
-    oa, ob = np.argsort(xa, kind="stable"), np.argsort(xb, kind="stable")
-    xa, wa = xa[oa], wa[oa]
-    xb, wb = xb[ob], wb[ob]
-    ia = ib = 0
-    ra, rb = wa[0], wb[0]
-    cost = 0.0
-    while True:
-        step = min(ra, rb)
-        cost += step * abs(xa[ia] - xb[ib]) ** power
-        ra -= step
-        rb -= step
-        if ra <= 1e-15:
-            ia += 1
-            if ia == len(xa):
-                break
-            ra = wa[ia]
-        if rb <= 1e-15:
-            ib += 1
-            if ib == len(xb):
-                break
-            rb = wb[ib]
-    return cost
+def _quantile_coupling_cost(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray,
+                            wb: np.ndarray, power: int) -> np.ndarray:
+    """Exact cost of the monotone coupling of two 1-d discrete laws, per column.
+
+    ``xa`` (Aa, m) and ``xb`` (Ab, m) hold m pairs of atom clouds weighted by
+    ``wa`` (Aa,) and ``wb`` (Ab,).  Columns are processed in blocks that keep
+    the (Aa + Ab, columns) work arrays near ``_COUPLING_BLOCK`` elements.
+    """
+    Aa, m = xa.shape
+    out = np.empty(m)
+    block = max(1, _COUPLING_BLOCK // (Aa + xb.shape[0]))
+    for lo in range(0, m, block):
+        cols = slice(lo, lo + block)
+        out[cols] = _coupling_block(xa[:, cols], wa, xb[:, cols], wb, power)
+    return out
+
+
+def _coupling_block(xa, wa, xb, wb, power):
+    """Quantile coupling through merged cumulative-weight breakpoints.
+
+    Per column each side is sorted and its cumulative weights are the
+    breakpoints where it moves to its next atom.  Between consecutive merged
+    breakpoints both sides hold one atom each, the index being the count of
+    that side's breakpoints already passed; the interval costs its width
+    times |xa - xb|^power.
+    """
+    Aa, Ab = xa.shape[0], xb.shape[0]
+    oa = np.argsort(xa, axis=0, kind="stable")
+    ob = np.argsort(xb, axis=0, kind="stable")
+    breaks = np.concatenate([np.cumsum(wa[oa], axis=0), np.cumsum(wb[ob], axis=0)])
+    order = np.argsort(breaks, axis=0, kind="stable")
+    widths = np.diff(np.take_along_axis(breaks, order, axis=0), axis=0, prepend=0.0)
+    from_a = order < Aa
+    ia = np.cumsum(from_a, axis=0) - from_a
+    ib = np.arange(Aa + Ab)[:, None] - ia
+    # round-off can leave the last breakpoints of the two sides apart; the
+    # sliver between them stays on each side's last atom
+    np.minimum(ia, Aa - 1, out=ia)
+    np.minimum(ib, Ab - 1, out=ib)
+    xa = np.take_along_axis(xa, np.take_along_axis(oa, ia, axis=0), axis=0)
+    xb = np.take_along_axis(xb, np.take_along_axis(ob, ib, axis=0), axis=0)
+    terms = widths * np.abs(xa - xb) ** power
+    # accumulated in interval order, so a column's cost does not depend on
+    # how many columns share its block
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def _canonical_order(a: EmpiricalMeasure, b: EmpiricalMeasure):
@@ -113,11 +135,13 @@ def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     a, b = _canonical_order(a, b)
     if a.dim == 1:
         return float(np.sqrt(_quantile_coupling_cost(
-            a.atoms[:, 0], a.weights, b.atoms[:, 0], b.weights, 2)))
+            a.atoms, a.weights, b.atoms, b.weights, 2)[0]))
     if not (a.uniform and b.uniform):
         raise UnsupportedModelError("weighted clouds are supported in one dimension only")
     if a.atoms.shape[0] != b.atoms.shape[0]:
         raise UnsupportedModelError("assignment path needs equal atom counts")
+    from scipy.optimize import linear_sum_assignment  # slow import, n > 1 only
+
     diff = a.atoms[:, None, :] - b.atoms[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
     rows, cols = linear_sum_assignment(cost)
@@ -128,8 +152,7 @@ def wasserstein1_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """First-order transport distance, one-dimensional clouds only."""
     if a.dim != 1 or b.dim != 1:
         raise UnsupportedModelError("first-order distance is provided in one dimension only")
-    return float(_quantile_coupling_cost(a.atoms[:, 0], a.weights,
-                                         b.atoms[:, 0], b.weights, 1))
+    return float(_quantile_coupling_cost(a.atoms, a.weights, b.atoms, b.weights, 1)[0])
 
 
 def epsilon_rate(N: int, n: int) -> float:
@@ -147,10 +170,8 @@ def price_gap(phi_a: NodeField, phi_b: NodeField, lattice: NoiseLattice) -> floa
             raise ValidationError("price fields live on an incompatible lattice")
         if not np.array_equal(f.lattice.path_prob, lattice.path_prob):
             raise ValidationError("price fields live on an incompatible lattice")
-    cutoff = lattice.level_range(lattice.steps)[0]
-    diff = phi_a.values[:cutoff] - phi_b.values[:cutoff]
-    sq = np.einsum("vi,vi->v", diff, diff)
-    return lattice.dt * float(np.dot(lattice.path_prob[:cutoff], sq))
+    diff = phi_a.values - phi_b.values
+    return lattice.running_expectation(np.einsum("vi,vi->v", diff, diff))
 
 
 def fit_loglog(ns, values, exclude=(4,), drop_below=ZERO_GAP):
@@ -229,8 +250,8 @@ def _cloud_distance_sq(values: np.ndarray, ref_weights: np.ndarray,
     """W2^2 between the empirical reweighting and the exact law, per node.
 
     ``values`` has shape (A, m, n): the same atom values carry both measures,
-    only the weights differ, so for n = 1 the quantile coupling applies
-    node-wise.  For n > 1 both laws are expanded into ``scale`` equal-weight
+    only the weights differ, so for n = 1 one batched quantile coupling covers
+    all m nodes.  For n > 1 both laws are expanded into ``scale`` equal-weight
     atoms, which is exact when the weights are multiples of 1/scale.
     """
     A, m, n = values.shape
@@ -249,34 +270,20 @@ def _cloud_distance_sq(values: np.ndarray, ref_weights: np.ndarray,
             out[v] = wasserstein2(emp, ref) ** 2
         return out
     active = emp_weights > 0
-    out = np.empty(m)
-    for v in range(m):
-        out[v] = _quantile_coupling_cost(values[active, v, 0], emp_weights[active],
-                                         values[:, v, 0], ref_weights, 2)
-    return out
-
-
-def _lattice_time_weight(lattice: NoiseLattice, per_node: np.ndarray) -> float:
-    cutoff = lattice.level_range(lattice.steps)[0]
-    return lattice.dt * float(np.dot(lattice.path_prob[:cutoff], per_node[:cutoff]))
-
-
-def _terminal_weight(lattice: NoiseLattice, per_leaf: np.ndarray) -> float:
-    tsl = lattice.terminal_slice
-    return float(np.dot(lattice.path_prob[tsl], per_leaf))
+    return _quantile_coupling_cost(values[active, :, 0], emp_weights[active],
+                                   values[:, :, 0], ref_weights, 2)
 
 
 def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
-                      resamples: int, seed: int, *, ctx: MarketContext | None = None,
-                      threads: int | None = None) -> ConvergenceReport:
+                      resamples: int, seed: int, *,
+                      ctx: MarketContext | None = None) -> ConvergenceReport:
     """Measure the finite-population price gap and its distance-term bound.
 
     For each population size and resample the initial positions are redrawn,
     the homogeneous finite market is solved, and the squared price gap to the
     population limit is recorded next to the empirical-vs-limit distance
     terms.  A row depends on the draw only through the atom multiplicities,
-    so rows are memoized on them; results are bit-identical for any thread
-    count.
+    so rows are memoized on them and the canonical representative is solved.
     """
     if not spec.homogeneous:
         raise UnsupportedModelError("the convergence study needs a homogeneous population")
@@ -293,13 +300,11 @@ def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
              for N in n_list for r in range(resamples)}
 
     cache: dict[tuple, dict] = {}
-    lock = threading.Lock()
 
     def row_for(N: int, assignments: np.ndarray) -> dict:
         counts = np.bincount(assignments, minlength=A)
         key = (N,) + tuple(counts)
-        with lock:
-            hit = cache.get(key)
+        hit = cache.get(key)
         if hit is not None:
             return hit
         # a row depends on the draw only through the multiplicities; solve the
@@ -309,29 +314,20 @@ def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
         eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
         gap = price_gap(eq.price, mf.price_mfg, lattice)
         emp_w = counts / N
-        w2_y = _lattice_time_weight(lattice, _cloud_distance_sq(ref.y, ref.weights, emp_w, N))
-        w2_p = _lattice_time_weight(lattice, _cloud_distance_sq(ref.p, ref.weights, emp_w, N))
+        w2_y = lattice.running_expectation(_cloud_distance_sq(ref.y, ref.weights, emp_w, N))
+        w2_p = lattice.running_expectation(_cloud_distance_sq(ref.p, ref.weights, emp_w, N))
         tsl = lattice.terminal_slice
-        w2_r = _terminal_weight(lattice, _cloud_distance_sq(
+        w2_r = lattice.terminal_expectation(_cloud_distance_sq(
             ref.r[:, tsl, :], ref.weights, emp_w, N))
-        w2_g = _terminal_weight(lattice, _cloud_distance_sq(ref.g, ref.weights, emp_w, N))
+        w2_g = lattice.terminal_expectation(_cloud_distance_sq(ref.g, ref.weights, emp_w, N))
         row = {"price_gap": gap, "w2_g": w2_g, "w2_rT": w2_r,
                "int_w2_y": w2_y, "int_w2_p": w2_p}
-        with lock:
-            cache[key] = row
+        cache[key] = row
         return row
 
-    tasks = [(N, r) for N in n_list for r in range(resamples)]
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: row_for(t[0], draws[t]), tasks))
-    else:
-        results = [row_for(N, draws[(N, r)]) for (N, r) in tasks]
-
-    rows = []
-    for (N, r), res in zip(tasks, results):
-        rows.append({"N": N, "resample": r, **res, "epsilon_N": epsilon_rate(N, n)})
+    rows = [{"N": N, "resample": r, **row_for(N, draws[(N, r)]),
+             "epsilon_N": epsilon_rate(N, n)}
+            for N in n_list for r in range(resamples)]
 
     per_n = {}
     for N in n_list:
@@ -427,6 +423,7 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
     terms = {"dl": 0.0, "dsig0": 0.0, "ddfdx": 0.0, "dcf_r": 0.0,
              "dg_terminal": 0.0, "dcg_r_terminal": 0.0}
     groups_of = pop_ho.agent_group
+    running, terminal = lattice.running_expectation, lattice.terminal_expectation
     mean_R_T = sum(grp.count * eq_ho.group_field("R", g)[tsl]
                    for g, grp in enumerate(pop_ho.groups)) / N
     for i in range(N):
@@ -441,32 +438,25 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
         dsig = het.sig0 - hom.sig0
         ddf = np.matmul(het.cf - hom.cf, X[..., None])[..., 0] + (het.hf - hom.hf)
         dcf_r = np.matmul(het.cf - hom.cf, R[..., None])[..., 0]
-        terms["dl"] += _lattice_time_weight(lattice, np.einsum("vi,vi->v", dl, dl)) / N
-        terms["dsig0"] += _lattice_time_weight(
-            lattice, np.einsum("vij,vij->v", dsig, dsig)) / N
-        terms["ddfdx"] += _lattice_time_weight(
-            lattice, np.einsum("vi,vi->v", ddf, ddf)) / N
-        terms["dcf_r"] += _lattice_time_weight(
-            lattice, np.einsum("vi,vi->v", dcf_r, dcf_r)) / N
+        terms["dl"] += running(np.einsum("vi,vi->v", dl, dl)) / N
+        terms["dsig0"] += running(np.einsum("vij,vij->v", dsig, dsig)) / N
+        terms["ddfdx"] += running(np.einsum("vi,vi->v", ddf, ddf)) / N
+        terms["dcf_r"] += running(np.einsum("vi,vi->v", dcf_r, dcf_r)) / N
         dcg = het.cg_T - hom.cg_T
         dg = np.matmul(dcg, X[tsl][..., None])[..., 0] + (het.hg_T - hom.hg_T)
         dcg_r = np.matmul(dcg, (R[tsl] + ratio * mean_R_T)[..., None])[..., 0]
-        terms["dg_terminal"] += _terminal_weight(
-            lattice, np.einsum("vi,vi->v", dg, dg)) / N
-        terms["dcg_r_terminal"] += _terminal_weight(
-            lattice, np.einsum("vi,vi->v", dcg_r, dcg_r)) / N
+        terms["dg_terminal"] += terminal(np.einsum("vi,vi->v", dg, dg)) / N
+        terms["dcg_r_terminal"] += terminal(np.einsum("vi,vi->v", dcg_r, dcg_r)) / N
 
     ref = _ReferenceClouds(mf)
     counts = np.bincount(assignments, minlength=ctx_ho.atoms.count)
     emp_w = counts / N
     w2 = {
-        "w2_g": _terminal_weight(lattice, _cloud_distance_sq(ref.g, ref.weights, emp_w, N)),
-        "w2_rT": _terminal_weight(lattice, _cloud_distance_sq(
+        "w2_g": terminal(_cloud_distance_sq(ref.g, ref.weights, emp_w, N)),
+        "w2_rT": terminal(_cloud_distance_sq(
             ref.r[:, tsl, :], ref.weights, emp_w, N)),
-        "int_w2_y": _lattice_time_weight(lattice, _cloud_distance_sq(
-            ref.y, ref.weights, emp_w, N)),
-        "int_w2_p": _lattice_time_weight(lattice, _cloud_distance_sq(
-            ref.p, ref.weights, emp_w, N)),
+        "int_w2_y": running(_cloud_distance_sq(ref.y, ref.weights, emp_w, N)),
+        "int_w2_p": running(_cloud_distance_sq(ref.p, ref.weights, emp_w, N)),
     }
     return StabilityReport(lhs_hetero=lhs_he, lhs_homogeneous=lhs_ho,
                            delta_terms=terms, w2_terms=w2)

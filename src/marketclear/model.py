@@ -1,4 +1,4 @@
-"""Market model declaration, standing-assumption checks, and major-agent scaling.
+"""Market model declaration and standing-assumption checks.
 
 A model bundles the dimensions, the discount, the trading-fee processes, the
 per-minor coefficient functions, the major trader's flow and cost gradients,
@@ -547,50 +547,3 @@ def check_all_assumptions(spec: ModelSpec, candidate_c=None, sample_points=None)
         if not spec.maturity_mode:
             rep.mu1 = min(rep.gamma0_g / N, rep.gamma_g - rep.a_const)
     return rep
-
-
-# -- major-agent scaling ----------------------------------------------------
-
-
-@dataclass
-class ScaledMajor:
-    """Unnormalized major coefficient accessors for a population of size N.
-
-    Flows scale linearly with N; cost gradients are evaluated at x/N, so the
-    unnormalized gradients coincide with the normalized ones along x = N*xnorm.
-    """
-
-    spec: ModelSpec
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValidationError("N must be at least 1")
-
-    def l0(self, t: float, c0: np.ndarray) -> np.ndarray:
-        return self.N * self.spec.major_flow.l0.eval_point(t, c0, None)
-
-    def s0(self, t: float, c0: np.ndarray) -> np.ndarray:
-        return self.N * self.spec.major_flow.s0.eval_point(t, c0, None)
-
-    def dfdx(self, t: float, x: np.ndarray, c0: np.ndarray) -> np.ndarray:
-        xn = np.asarray(x, dtype=float) / self.N
-        cost = self.spec.major_cost
-        if cost.affine:
-            return cost.c0f @ xn + cost.h0f.eval_point(t, c0, None)
-        return cost.dfdx(t, xn, c0)
-
-    def dgdx(self, x: np.ndarray, c0: np.ndarray) -> np.ndarray:
-        xn = np.asarray(x, dtype=float) / self.N
-        cost = self.spec.major_cost
-        if cost.affine:
-            return cost.c0g @ xn + cost.h0g.eval_point(None, c0, None)
-        return cost.dgdx(xn, c0)
-
-    def rescale(self, M: int) -> "ScaledMajor":
-        return ScaledMajor(self.spec, self.N * M)
-
-
-def scale_major(spec: ModelSpec, N: int) -> ScaledMajor:
-    """Accessors for the population-size-N market (flows x N, gradients at x/N)."""
-    return ScaledMajor(spec, N)

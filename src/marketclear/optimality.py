@@ -27,17 +27,6 @@ from .scenario import NodeField, NoiseLattice, stream_rng
 DEFAULT_EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
 
 
-def _running_expectation(lattice: NoiseLattice, integrand: np.ndarray) -> float:
-    """Probability- and dt-weighted sum over non-terminal nodes."""
-    cutoff = lattice.level_range(lattice.steps)[0]
-    return lattice.dt * float(np.dot(lattice.path_prob[:cutoff], integrand[:cutoff]))
-
-
-def _terminal_expectation(lattice: NoiseLattice, values: np.ndarray) -> float:
-    tsl = lattice.terminal_slice
-    return float(np.dot(lattice.path_prob[tsl], values))
-
-
 def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...i,...ij,...j->...", x, mat, x)
 
@@ -80,7 +69,7 @@ def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
         terminal = (-spec.delta * np.einsum("vi,vi->v", phi[tsl], x[tsl])
                     + _quad(x[tsl], tab.cg_T)
                     + np.einsum("vi,vi->v", tab.hg_T, x[tsl]))
-    return _running_expectation(lat, running) + _terminal_expectation(lat, terminal)
+    return lat.running_expectation(running) + lat.terminal_expectation(terminal)
 
 
 def _major_running_terminal(spec, ctx, lattice, b, phi):
@@ -103,7 +92,7 @@ def _major_running_terminal(spec, ctx, lattice, b, phi):
         terminal = _quad(x0[tsl], np.broadcast_to(
             spec.major_cost.c0g, (tsl.stop - tsl.start,) + spec.major_cost.c0g.shape)) \
             + np.einsum("vi,vi->v", ctx.h0g_T, x0[tsl])
-    return _running_expectation(lat, running) + _terminal_expectation(lat, terminal)
+    return lat.running_expectation(running) + lat.terminal_expectation(terminal)
 
 
 def cost_major(spec: ModelSpec, lattice: NoiseLattice, population: AgentPopulation,
@@ -139,14 +128,12 @@ def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
 def perturbation_directions(lattice: NoiseLattice, n: int, count: int,
                             seed: int) -> list[np.ndarray]:
     """Adapted i.i.d.-node directions, terminal values zeroed, unit lattice-L2 norm."""
-    cutoff = lattice.level_range(lattice.steps)[0]
     out = []
     for d in range(count):
         rng = stream_rng(seed, d)
         eta = rng.standard_normal((lattice.num_nodes, n))
         eta[lattice.terminal_slice] = 0.0
-        norm2 = lattice.dt * float(
-            np.dot(lattice.path_prob[:cutoff], np.einsum("vi,vi->v", eta, eta)[:cutoff]))
+        norm2 = lattice.running_expectation(np.einsum("vi,vi->v", eta, eta))
         if norm2 <= 0:
             raise ValidationError("degenerate perturbation direction")
         out.append(eta / np.sqrt(norm2))

@@ -190,18 +190,6 @@ class NoiseLattice:
     def terminal_slice(self) -> slice:
         return self.level_slice(self.steps)
 
-    def node_time(self, v: int) -> float:
-        return self.level_of[v] * self.dt
-
-    def children_of(self, v: int) -> np.ndarray:
-        k = int(self.level_of[v])
-        if k == self.steps:
-            return np.empty(0, dtype=np.int64)
-        lo, _ = self.level_range(k)
-        clo, _ = self.level_range(k + 1)
-        i = v - lo
-        return np.arange(clo + i * self.fanout, clo + (i + 1) * self.fanout)
-
     # -- field algebra ---------------------------------------------------
 
     def cond_expect(self, child_values: np.ndarray, k: int) -> np.ndarray:
@@ -217,6 +205,15 @@ class NoiseLattice:
 
     def repeat_to_children(self, parent_values: np.ndarray) -> np.ndarray:
         return np.repeat(parent_values, self.fanout, axis=0)
+
+    def running_expectation(self, per_node: np.ndarray) -> float:
+        """Probability- and dt-weighted sum over the non-terminal nodes."""
+        cutoff = self.level_range(self.steps)[0]
+        return self.dt * float(np.dot(self.path_prob[:cutoff], per_node[:cutoff]))
+
+    def terminal_expectation(self, per_leaf: np.ndarray) -> float:
+        """Probability-weighted sum of values given on the terminal level only."""
+        return float(np.dot(self.path_prob[self.terminal_slice], per_leaf))
 
     def signature(self) -> tuple:
         return (self.grid.horizon, self.grid.steps, self.d0, self.branching)

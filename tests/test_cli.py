@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import marketclear
 from marketclear.cli import main
 
 GOOD_MODEL = """
@@ -263,7 +268,6 @@ def test_thread_count_does_not_change_bytes(good_model, tmp_path) -> None:
 
 
 def test_shipped_models_drive_the_cli(tmp_path) -> None:
-    from pathlib import Path
     models = Path(__file__).resolve().parent.parent / "models"
     assert run(["check", "--model", models / "benchmark.model",
                 "--out", tmp_path / "a"]) == 0
@@ -271,3 +275,17 @@ def test_shipped_models_drive_the_cli(tmp_path) -> None:
                 "--out", tmp_path / "b", "--steps", 3]) == 0
     assert run(["solve-mfg", "--model", models / "maturity.model",
                 "--out", tmp_path / "c", "--steps", 3]) == 0
+
+
+def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded() -> None:
+    # the assignment solver is imported on first use, so commands that never
+    # need it do not pay for scipy.optimize (which pulls in scipy.sparse)
+    src = str(Path(marketclear.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = ("import sys, marketclear.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'])))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from marketclear.errors import UnsupportedModelError, ValidationError
+from marketclear.errors import UnsupportedModelError
 from marketclear.finite_market import MarketContext, make_population, solve_full_equilibrium
-from marketclear.mean_field import (MeanClearingOperator, mfg_maturity_override,
-                                    reduce_conditional_means, solve_mfg)
+from marketclear.mean_field import (MeanClearingOperator, reduce_conditional_means,
+                                    solve_mfg)
 from marketclear.metrics import price_gap
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw,
                                MinorBundle, make_spec)
@@ -170,14 +170,15 @@ def test_maturity_discount_is_inert(small_tree) -> None:
 
 
 def test_maturity_override_blocks(small_tree) -> None:
+    # the maturity branch of the mean system's terminal() pins the backward
+    # means to (p0, ybar, pbar)(T) = (-c0, -c0, 0) with no feedback on x
     spec = maturity_spec(("constant", [5.0]))
-    G, g = mfg_maturity_override(spec, small_tree)
-    assert np.allclose(G, 0.0)
-    assert np.allclose(g[:, 0], -5.0)   # p0 block
-    assert np.allclose(g[:, 1], -5.0)   # ybar block
-    assert np.allclose(g[:, 2], 0.0)    # pbar block
-    with pytest.raises(ValidationError):
-        mfg_maturity_override(homogeneous_study_spec(), small_tree)
+    system = reduce_conditional_means(spec, small_tree)
+    G, g = system.terminal()
+    assert np.all(G == 0.0)
+    assert np.allclose(g[:, system.backward_slices["p0"]], -5.0)
+    assert np.allclose(g[:, system.backward_slices["ybar"]], -5.0)
+    assert np.allclose(g[:, system.backward_slices["pbar"]], 0.0)
 
 
 def test_mean_clearing_operator_matches_full_limit(small_tree) -> None:

@@ -9,7 +9,7 @@ from marketclear.errors import ValidationError
 from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions,
                                DiscreteLaw, MinorBundle, QuadraticMajorCost,
                                check_all_assumptions, check_major_assumptions,
-                               check_minor_assumptions, make_spec, scale_major)
+                               check_minor_assumptions, make_spec)
 from marketclear.modelfile import loads_model
 
 from conftest import scalar_market_spec
@@ -128,34 +128,6 @@ def test_maturity_mode_skips_terminal_convexity() -> None:
     rep = check_all_assumptions(spec)
     assert rep.all_passed
     assert rep.skipped
-
-
-# -- scaling -------------------------------------------------------------------
-
-
-def test_flow_scales_linearly() -> None:
-    from marketclear.model import MajorFlow
-    spec = make_spec(unit_dims(), major_flow=MajorFlow.build(unit_dims(), l0=3.0))
-    sm = scale_major(spec, 5)
-    assert sm.l0(0.0, np.zeros(1))[0] == pytest.approx(15.0)
-
-
-def test_gradient_scaling_identity() -> None:
-    # d_x fbar0(x) = x normalized; population 4 at raw position 8 sees gradient 2
-    spec = make_spec(unit_dims(),
-                     major_cost=QuadraticMajorCost.build(unit_dims(), c0f=1.0, h0f=0.0))
-    sm = scale_major(spec, 4)
-    assert sm.dfdx(0.0, np.array([8.0]), np.zeros(1))[0] == pytest.approx(2.0)
-
-
-def test_scaling_idempotent_at_unit_population() -> None:
-    spec = make_spec(unit_dims())
-    once = scale_major(spec, 1)
-    twice = once.rescale(1)
-    x, c0 = np.array([0.7]), np.zeros(1)
-    assert twice.l0(0.3, c0) == pytest.approx(once.l0(0.3, c0))
-    assert twice.dfdx(0.3, x, c0) == pytest.approx(once.dfdx(0.3, x, c0))
-    assert twice.dgdx(x, c0) == pytest.approx(once.dgdx(x, c0))
 
 
 # -- coefficient specs ---------------------------------------------------------
