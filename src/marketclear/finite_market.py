@@ -50,9 +50,6 @@ class AgentPopulation:
     def size(self) -> int:
         return len(self.groups)
 
-    def multiplicity_key(self) -> tuple:
-        return tuple((g.bundle_index, g.atom_index, g.count) for g in self.groups)
-
 
 def make_population(spec: ModelSpec, atoms: IdiosyncraticAtoms, N: int | None = None,
                     seed: int = 0, assignments: np.ndarray | None = None) -> AgentPopulation:
@@ -96,6 +93,7 @@ class MinorTables:
     hf: np.ndarray      # (num_nodes, n)
     cg_T: np.ndarray    # (terminal_nodes, n, n)
     hg_T: np.ndarray    # (terminal_nodes, n)
+    xi: np.ndarray      # (n,) initial position
 
 
 class MarketContext:
@@ -149,6 +147,7 @@ class MarketContext:
                 hf=self._eval_levels(b.hf, atom_index, (n,)),
                 cg_T=b.cg.eval_nodes(T, self.exo.c0[tsl], ci_T).reshape(-1, n, n),
                 hg_T=b.hg.eval_nodes(T, self.exo.c0[tsl], ci_T).reshape(-1, n),
+                xi=self.atoms.xi[atom_index],
             )
         return self._minor_cache[key]
 
@@ -167,18 +166,18 @@ def _slices(names_dims: list[tuple[str, int]]) -> dict:
     return out
 
 
-def build_full_system(ctx: MarketContext, pop: AgentPopulation) -> FbsdeSystem:
+def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
+                      w: np.ndarray) -> FbsdeSystem:
     """The six-block equilibrium system with the major flow eliminated inline.
 
     States per node: forward (x0, X_g, R_g), backward (p0, Y_g, P_g) for each
-    agent group g.  The flow rule b = V0bar(-p0~ + m(Y~) + m(P~)) and the
+    agent group g with coefficient tables ``tabs[g]`` and population weight
+    ``w[g]``.  The flow rule b = V0bar(-p0~ + m(Y~) + m(P~)) and the
     cross-group means are folded into the coefficient blocks.
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
-    G = pop.size
-    w = pop.weights
-    tabs = ctx.group_tables(pop)
+    G = len(tabs)
 
     fsl = _slices([("x0", n)] + [(f"X{g}", n) for g in range(G)]
                   + [(f"R{g}", n) for g in range(G)])
@@ -189,8 +188,8 @@ def build_full_system(ctx: MarketContext, pop: AgentPopulation) -> FbsdeSystem:
 
     initial = np.zeros(mf)
     initial[fsl["x0"]] = spec.chi0
-    for g, grp in enumerate(pop.groups):
-        initial[fsl[f"X{g}"]] = ctx.atoms.xi[grp.atom_index]
+    for g in range(G):
+        initial[fsl[f"X{g}"]] = tabs[g].xi
 
     affine_cost = spec.major_cost.affine
 
@@ -292,7 +291,7 @@ def build_full_system(ctx: MarketContext, pop: AgentPopulation) -> FbsdeSystem:
                        affine=affine_cost, driver_fn=driver_fn, terminal_fn=terminal_fn)
 
 
-def build_clearing_system(ctx: MarketContext, pop: AgentPopulation,
+def build_clearing_system(ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray,
                           beta_norm: np.ndarray) -> FbsdeSystem:
     """The minor-clearing system with a given per-capita major flow b = beta/N.
 
@@ -301,13 +300,11 @@ def build_clearing_system(ctx: MarketContext, pop: AgentPopulation,
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
-    G = pop.size
-    w = pop.weights
-    tabs = ctx.group_tables(pop)
+    G = len(tabs)
     fsl = _slices([(f"X{g}", n) for g in range(G)])
     bsl = _slices([(f"Y{g}", n) for g in range(G)])
     mf = mb = G * n
-    initial = np.concatenate([ctx.atoms.xi[g.atom_index] for g in pop.groups])
+    initial = np.concatenate([t.xi for t in tabs])
 
     def coeffs(k: int) -> LevelCoeffs:
         sl = lat.level_slice(k)
@@ -352,17 +349,16 @@ def build_clearing_system(ctx: MarketContext, pop: AgentPopulation,
                        initial=initial, coeffs=coeffs, terminal=terminal, affine=True)
 
 
-def build_best_response_system(ctx: MarketContext, pop: AgentPopulation,
+def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
                                price: np.ndarray) -> FbsdeSystem:
     """Independent per-group best responses to an exogenous adapted price field."""
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
-    G = pop.size
-    tabs = ctx.group_tables(pop)
+    G = len(tabs)
     fsl = _slices([(f"X{g}", n) for g in range(G)])
     bsl = _slices([(f"Y{g}", n) for g in range(G)])
     mf = mb = G * n
-    initial = np.concatenate([ctx.atoms.xi[g.atom_index] for g in pop.groups])
+    initial = np.concatenate([t.xi for t in tabs])
 
     def coeffs(k: int) -> LevelCoeffs:
         sl = lat.level_slice(k)
@@ -441,24 +437,35 @@ class EquilibriumSolution:
         return "p0" in self.solution.system.backward_slices
 
 
-def _group_means(sol: NodeSolution, pop: AgentPopulation, prefix: str,
+def _group_means(sol: NodeSolution, w: np.ndarray, prefix: str,
                  pre: bool = False) -> np.ndarray:
-    w = pop.weights
     acc = None
-    for g in range(pop.size):
+    for g in range(len(w)):
         vals = sol.pre(f"{prefix}{g}") if pre else sol.field(f"{prefix}{g}")
         acc = w[g] * vals if acc is None else acc + w[g] * vals
     return acc
 
 
-def _price_from_clearing(ctx: MarketContext, pop: AgentPopulation, sol: NodeSolution,
+def _price_from_clearing(ctx: MarketContext, w: np.ndarray, sol: NodeSolution,
                          beta_norm: np.ndarray) -> np.ndarray:
     lat = ctx.lattice
-    mean_pre = _group_means(sol, pop, "Y", pre=True)
+    mean_pre = _group_means(sol, w, "Y", pre=True)
     phi = -mean_pre + np.matmul(ctx.exo.lam, beta_norm[..., None])[..., 0]
     tsl = lat.terminal_slice
-    phi[tsl] = -_group_means(sol, pop, "Y")[tsl]
+    phi[tsl] = -_group_means(sol, w, "Y")[tsl]
     return phi
+
+
+def _flow_and_price(ctx: MarketContext, w: np.ndarray, sol: NodeSolution):
+    """Per-capita optimal flow b and clearing price of a solved full system.
+
+    See ``solve_full_equilibrium`` for the read-off formulas.
+    """
+    mean_y_pre = _group_means(sol, w, "Y", pre=True)
+    mean_p_pre = _group_means(sol, w, "P", pre=True)
+    b = np.matmul(ctx.exo.v0bar, (-sol.pre("p0") + mean_y_pre + mean_p_pre)[..., None])[..., 0]
+    b[ctx.lattice.terminal_slice] = 0.0
+    return b, _price_from_clearing(ctx, w, sol, b)
 
 
 def _alpha_hats(ctx: MarketContext, pop: AgentPopulation, sol: NodeSolution,
@@ -483,19 +490,18 @@ def clearing_residual(solution: EquilibriumSolution) -> float:
     return float(np.max(np.abs(interior), initial=0.0))
 
 
-def integrate_major_state(ctx: MarketContext, beta_norm: np.ndarray) -> np.ndarray:
-    """Forward-integrate the normalized major position under a given flow."""
-    lat = ctx.lattice
-    x0 = np.zeros((lat.num_nodes, ctx.spec.dims.n))
-    x0[0] = ctx.spec.chi0
-    for k in range(lat.steps):
-        sl = lat.level_slice(k)
-        csl = lat.level_slice(k + 1)
-        drift = beta_norm[sl] + ctx.l0[sl]
-        base = lat.repeat_to_children(x0[sl] + lat.dt * drift)
-        S_child = np.repeat(ctx.s0[sl], lat.fanout, axis=0)
-        x0[csl] = base + np.matmul(S_child, lat.dW[csl][..., None])[..., 0]
-    return x0
+def integrate_forward(lattice: NoiseLattice, x0, drift: np.ndarray,
+                      loading: np.ndarray) -> np.ndarray:
+    """Forward-integrate a position from ``x0`` under a given drift and noise loading."""
+    x = np.zeros((lattice.num_nodes, len(x0)))
+    x[0] = x0
+    for k in range(lattice.steps):
+        sl = lattice.level_slice(k)
+        csl = lattice.level_slice(k + 1)
+        base = lattice.repeat_to_children(x[sl] + lattice.dt * drift[sl])
+        S_child = np.repeat(loading[sl], lattice.fanout, axis=0)
+        x[csl] = base + np.matmul(S_child, lattice.dW[csl][..., None])[..., 0]
+    return x
 
 
 def _run_checks(spec, force, minor_only=False):
@@ -506,6 +512,15 @@ def _run_checks(spec, force, minor_only=False):
         raise AssumptionViolationError(
             "standing assumptions fail: " + "; ".join(report.failures))
     return report
+
+
+def _solve_system(system: FbsdeSystem, method: str, **solver_kw) -> NodeSolution:
+    if method == "direct":
+        if not system.affine:
+            raise UnsupportedModelError(
+                "general (non-affine) major cost gradients need method='picard'")
+        return solve_direct(system)
+    return solve_picard(system, **solver_kw)
 
 
 def _validate_beta(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField):
@@ -528,7 +543,7 @@ def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField
     """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     pop = population if population is not None else make_population(spec, ctx.atoms)
-    system = build_best_response_system(ctx, pop, price.values)
+    system = build_best_response_system(ctx, ctx.group_tables(pop), price.values)
     sol = solve_direct(system) if method == "direct" else solve_picard(system, **solver_kw)
     alpha = _alpha_hats(ctx, pop, sol, price.values)
     return BestResponse(spec=spec, lattice=lattice, population=pop, solution=sol,
@@ -564,9 +579,9 @@ def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField
     if check:
         _run_checks(spec, force, minor_only=True)
     beta_norm = beta.values / pop.N
-    system = build_clearing_system(ctx, pop, beta_norm)
+    system = build_clearing_system(ctx, ctx.group_tables(pop), pop.weights, beta_norm)
     sol = solve_direct(system) if method == "direct" else solve_picard(system, **solver_kw)
-    phi = _price_from_clearing(ctx, pop, sol, beta_norm)
+    phi = _price_from_clearing(ctx, pop.weights, sol, beta_norm)
     alpha = _alpha_hats(ctx, pop, sol, phi)
     eq = EquilibriumSolution(
         spec=spec, lattice=lattice, population=pop, solution=sol,
@@ -574,7 +589,7 @@ def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField
         beta_hat=NodeField(lattice, beta.values.copy()),
         beta_norm=NodeField(lattice, beta_norm.copy()),
         alpha_hat=alpha, clearing_residual=0.0,
-        x0=integrate_major_state(ctx, beta_norm))
+        x0=integrate_forward(lattice, spec.chi0, beta_norm + ctx.l0, ctx.s0))
     eq.clearing_residual = clearing_residual(eq)
     return eq
 
@@ -596,21 +611,9 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
     pop = population if population is not None else make_population(spec, ctx.atoms)
     if check:
         _run_checks(spec, force)
-    system = build_full_system(ctx, pop)
-    if method == "direct":
-        if not system.affine:
-            raise UnsupportedModelError(
-                "general (non-affine) major cost gradients need method='picard'")
-        sol = solve_direct(system)
-    else:
-        sol = solve_picard(system, **solver_kw)
-    lat = lattice
-    mean_y_pre = _group_means(sol, pop, "Y", pre=True)
-    mean_p_pre = _group_means(sol, pop, "P", pre=True)
-    p0_pre = sol.pre("p0")
-    b = np.matmul(ctx.exo.v0bar, (-p0_pre + mean_y_pre + mean_p_pre)[..., None])[..., 0]
-    b[lat.terminal_slice] = 0.0
-    phi = _price_from_clearing(ctx, pop, sol, b)
+    sol = _solve_system(build_full_system(ctx, ctx.group_tables(pop), pop.weights),
+                        method, **solver_kw)
+    b, phi = _flow_and_price(ctx, pop.weights, sol)
     alpha = _alpha_hats(ctx, pop, sol, phi)
     eq = EquilibriumSolution(
         spec=spec, lattice=lattice, population=pop, solution=sol,
@@ -625,22 +628,19 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
 class ClearingOperator:
     """Re-solves the minor clearing system across candidate major flows.
 
-    Runs the solver's matrix pass on the clearing system once; each call
-    integrates a new flow by vector passes only and returns the induced price
-    field alongside the solved minor states.
+    The groups are given by their coefficient tables and population weights,
+    as for ``build_clearing_system``.  Runs the solver's matrix pass on the
+    clearing system once; each call integrates a new flow by vector passes
+    only and returns the induced price field alongside the solved minor states.
     """
 
-    def __init__(self, spec: ModelSpec, lattice: NoiseLattice,
-                 population: AgentPopulation | None = None,
-                 ctx: MarketContext | None = None):
-        self.ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-        self.pop = population if population is not None else make_population(spec, self.ctx.atoms)
-        self.spec, self.lattice = spec, lattice
-        zero = np.zeros((lattice.num_nodes, spec.dims.n))
-        self._solver = DirectSolver(build_clearing_system(self.ctx, self.pop, zero))
+    def __init__(self, ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray):
+        self.ctx, self.tabs, self.w = ctx, tabs, w
+        zero = np.zeros((ctx.lattice.num_nodes, ctx.spec.dims.n))
+        self._solver = DirectSolver(build_clearing_system(ctx, tabs, w, zero))
 
     def solve(self, beta_norm: np.ndarray):
-        system = build_clearing_system(self.ctx, self.pop, beta_norm)
+        system = build_clearing_system(self.ctx, self.tabs, self.w, beta_norm)
         sol = self._solver.solve(system)
-        phi = _price_from_clearing(self.ctx, self.pop, sol, beta_norm)
+        phi = _price_from_clearing(self.ctx, self.w, sol, beta_norm)
         return sol, phi

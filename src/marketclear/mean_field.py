@@ -2,11 +2,14 @@
 
 The population limit of the homogeneous market closes into an affine system
 for the conditional means (x0, xbar, rbar, p0, ybar, pbar) on the common
-tree, because the minor cost gradients are affine in the state.  Per-atom
-idiosyncratic deviations then solve small linear side systems whose drift and
-terminal conditions lose every mean coupling.  The flow costate pair
-(rbar, pbar) has no idiosyncratic source, so its deviations vanish
-identically and the per-atom flow fields equal the means.
+tree, because the minor cost gradients are affine in the state.  That system
+is the finite market's own: one agent group of weight 1 carrying the
+atom-averaged coefficient tables, built by ``build_full_system`` and, for a
+given flow, cleared by ``ClearingOperator``.  Per-atom idiosyncratic
+deviations then solve small linear side systems whose drift and terminal
+conditions lose every mean coupling.  The flow costate pair (rbar, pbar) has
+no idiosyncratic source, so its deviations vanish identically and the
+per-atom flow fields equal the means.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedModelError, ValidationError
-from .fbsde import (DirectSolver, FbsdeSystem, LevelCoeffs, NodeSolution,
-                    solve_direct, solve_picard)
-from .finite_market import MarketContext, _run_checks, _slices
+from .fbsde import FbsdeSystem, LevelCoeffs, NodeSolution, solve_direct
+from .finite_market import (MarketContext, MinorTables, _flow_and_price, _run_checks,
+                            _solve_system, build_full_system)
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice
 
@@ -36,135 +39,57 @@ def _require_closure(spec: ModelSpec):
                 f"for such models")
 
 
-@dataclass
-class MeanTables:
-    """Atom-weighted means of the minor coefficient tables."""
-
-    l: np.ndarray
-    sig0: np.ndarray
-    cf: np.ndarray
-    hf: np.ndarray
-    cg_T: np.ndarray
-    hg_T: np.ndarray
-    xi: np.ndarray
-
-
-def _mean_tables(ctx: MarketContext) -> MeanTables:
+def _mean_tables(ctx: MarketContext) -> MinorTables:
+    """Atom-weighted means of the minor coefficient tables and initial positions."""
     atoms = ctx.atoms
     w = atoms.weights
     tabs = [ctx.minor_tables(0, a) for a in range(atoms.count)]
     mix = lambda pick: sum(w[a] * pick(tabs[a]) for a in range(atoms.count))
-    return MeanTables(
+    return MinorTables(
         l=mix(lambda t: t.l), sig0=mix(lambda t: t.sig0),
         cf=tabs[0].cf, hf=mix(lambda t: t.hf),
         cg_T=tabs[0].cg_T, hg_T=mix(lambda t: t.hg_T),
         xi=(w[:, None] * atoms.xi).sum(axis=0))
 
 
+def mean_group(ctx: MarketContext) -> tuple[list[MinorTables], np.ndarray]:
+    """The population limit as one agent group of weight 1 with the mean tables.
+
+    The finite-market builders and ``ClearingOperator`` take it in place of a
+    population's group tables and weights.
+    """
+    _require_closure(ctx.spec)
+    return [_mean_tables(ctx)], np.ones(1)
+
+
 def reduce_conditional_means(spec: ModelSpec, lattice: NoiseLattice,
                              ctx: MarketContext | None = None) -> FbsdeSystem:
     """Close the population limit into the affine mean system on the common tree.
 
-    Six n-dimensional blocks per node: forward (x0, xbar, rbar) and backward
-    (p0, ybar, pbar), with the flow rule b = V0bar(-p0~ + ybar~ + pbar~)
-    eliminated into the drift blocks and the terminal means carrying the
-    1/(1-delta) amplification of the terminal coupling.
+    This is the full market system of the mean group: forward (x0, X0, R0)
+    and backward (p0, Y0, P0) hold the means (x0, xbar, rbar) and
+    (p0, ybar, pbar).  With one group of weight 1 the fee-inverse deviation
+    blocks vanish, and the terminal means carry the 1/(1-delta)
+    amplification of the terminal coupling.
     """
-    _require_closure(spec)
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    lat = lattice
-    n = spec.dims.n
-    mean = _mean_tables(ctx)
-    fsl = _slices([("x0", n), ("xbar", n), ("rbar", n)])
-    bsl = _slices([("p0", n), ("ybar", n), ("pbar", n)])
-    mf = mb = 3 * n
-    initial = np.zeros(mf)
-    initial[fsl["x0"]] = spec.chi0
-    initial[fsl["xbar"]] = mean.xi
-    affine_cost = spec.major_cost.affine
-
-    def coeffs(k: int) -> LevelCoeffs:
-        sl = lat.level_slice(k)
-        m = sl.stop - sl.start
-        v0 = ctx.exo.v0bar[sl]
-        Afb = np.zeros((m, mf, mb))
-        af = np.zeros((m, mf))
-        S = np.zeros((m, mf, lat.d0))
-        for name, sign in (("x0", 1.0), ("xbar", -1.0), ("rbar", 1.0)):
-            Afb[:, fsl[name], bsl["p0"]] = -sign * v0
-            Afb[:, fsl[name], bsl["ybar"]] = sign * v0
-            Afb[:, fsl[name], bsl["pbar"]] = sign * v0
-        af[:, fsl["x0"]] = ctx.l0[sl]
-        af[:, fsl["xbar"]] = mean.l[sl]
-        S[:, fsl["x0"], :] = ctx.s0[sl]
-        S[:, fsl["xbar"], :] = mean.sig0[sl]
-        Bbf = np.zeros((m, mb, mf))
-        bb = np.zeros((m, mb))
-        Bbf[:, bsl["ybar"], fsl["xbar"]] = mean.cf[sl]
-        bb[:, bsl["ybar"]] = mean.hf[sl]
-        Bbf[:, bsl["pbar"], fsl["rbar"]] = -mean.cf[sl]
-        if affine_cost:
-            Bbf[:, bsl["p0"], fsl["x0"]] = spec.major_cost.c0f
-            bb[:, bsl["p0"]] = ctx.h0f[sl]
-        return LevelCoeffs(Aff=np.zeros((1, mf, mf)), Afb=Afb, af=af, S=S,
-                           Bbf=Bbf, Bbb=np.zeros((1, mb, mb)), bb=bb)
-
-    def terminal():
-        tsl = lat.terminal_slice
-        mK = lat.nodes_at(lat.steps)
-        Gm = np.zeros((mK, mb, mf))
-        gv = np.zeros((mK, mb))
-        if spec.maturity_mode:
-            gv[:, bsl["p0"]] = -ctx.exo.c0[tsl]
-            gv[:, bsl["ybar"]] = -ctx.exo.c0[tsl]
-            return Gm, gv
-        amp = 1.0 / (1.0 - spec.delta)
-        if affine_cost:
-            Gm[:, bsl["p0"], fsl["x0"]] = spec.major_cost.c0g
-            gv[:, bsl["p0"]] = ctx.h0g_T
-        Gm[:, bsl["ybar"], fsl["xbar"]] = amp * mean.cg_T
-        gv[:, bsl["ybar"]] = amp * mean.hg_T
-        Gm[:, bsl["pbar"], fsl["rbar"]] = -amp * mean.cg_T
-        return Gm, gv
-
-    driver_fn = terminal_fn = None
-    if not affine_cost:
-        def driver_fn(k, uf, ubt):
-            c = coeffs(k)
-            base = (np.matmul(c.Bbf, uf[..., None])[..., 0]
-                    + np.matmul(c.Bbb, ubt[..., None])[..., 0] + c.bb)
-            sl = lat.level_slice(k)
-            x0 = uf[:, fsl["x0"]]
-            base[:, bsl["p0"]] = np.stack([
-                spec.major_cost.dfdx(k * lat.dt, x0[i], ctx.exo.c0[sl][i])
-                for i in range(x0.shape[0])])
-            return base
-
-        def terminal_fn(ufK):
-            Gm, gv = terminal()
-            out = np.matmul(Gm, ufK[..., None])[..., 0] + gv
-            tsl = lat.terminal_slice
-            x0 = ufK[:, fsl["x0"]]
-            out[:, bsl["p0"]] = np.stack([
-                spec.major_cost.dgdx(x0[i], ctx.exo.c0[tsl][i])
-                for i in range(x0.shape[0])])
-            return out
-
-    return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
-                       initial=initial, coeffs=coeffs, terminal=terminal,
-                       affine=affine_cost, driver_fn=driver_fn, terminal_fn=terminal_fn)
+    return build_full_system(ctx, *mean_group(ctx))
 
 
 def build_deviation_system(ctx: MarketContext, atom_index: int,
-                           mean: MeanTables | None = None) -> FbsdeSystem:
-    """Linear per-atom deviation system: drift -lam^{-1} dy~ + dl, terminal cg dx + dhg."""
+                           mean: MinorTables | None = None) -> FbsdeSystem:
+    """Linear per-atom deviation system: drift -lam^{-1} dy~ + dl, terminal cg dx + dhg.
+
+    Not a best-response system: in maturity mode its terminal map is zero,
+    where the best response pins y(T) = -c0.
+    """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
     mean = mean if mean is not None else _mean_tables(ctx)
     tab = ctx.minor_tables(0, atom_index)
     fsl = {"dx": slice(0, n)}
     bsl = {"dy": slice(0, n)}
-    initial = ctx.atoms.xi[atom_index] - mean.xi
+    initial = tab.xi - mean.xi
 
     def coeffs(k: int) -> LevelCoeffs:
         sl = lat.level_slice(k)
@@ -187,6 +112,11 @@ def build_deviation_system(ctx: MarketContext, atom_index: int,
                        initial=initial, coeffs=coeffs, terminal=terminal, affine=True)
 
 
+# population-limit names of the mean group's fields in the full system
+_MEAN_FIELDS = {"x0": "x0", "p0": "p0", "xbar": "X0", "ybar": "Y0",
+                "pbar": "P0", "rbar": "R0"}
+
+
 @dataclass
 class MfgSolution:
     """Mean-field equilibrium: common mean fields plus per-atom deviations."""
@@ -194,7 +124,7 @@ class MfgSolution:
     spec: ModelSpec
     lattice: NoiseLattice
     ctx: MarketContext
-    solution: NodeSolution                 # reduced mean system
+    solution: NodeSolution                 # full system of the mean group
     deviations: list[NodeSolution]         # one per (xi, ci) atom
     beta_hat: NodeField                    # per-capita flow, zero on terminal nodes
     price_mfg: NodeField
@@ -208,18 +138,19 @@ class MfgSolution:
         return self.ctx.atoms.weights
 
     def common_field(self, name: str) -> np.ndarray:
-        return self.solution.field(name)
+        """A mean field by its population-limit name (x0, p0, xbar, ybar, pbar, rbar)."""
+        return self.solution.field(_MEAN_FIELDS[name])
 
     def atom_field(self, name: str, a: int) -> np.ndarray:
         """Per-atom field: mean plus deviation for x/y, the mean itself for r/p."""
         if name == "x":
-            return self.solution.field("xbar") + self.deviations[a].field("dx")
+            return self.common_field("xbar") + self.deviations[a].field("dx")
         if name == "y":
-            return self.solution.field("ybar") + self.deviations[a].field("dy")
+            return self.common_field("ybar") + self.deviations[a].field("dy")
         if name == "r":
-            return self.solution.field("rbar")
+            return self.common_field("rbar")
         if name == "p":
-            return self.solution.field("pbar")
+            return self.common_field("pbar")
         raise ValidationError(f"unknown per-atom field {name!r}")
 
     def terminal_gain_samples(self) -> np.ndarray:
@@ -239,7 +170,8 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
               check: bool = True, force: bool = False, **solver_kw) -> MfgSolution:
     """Solve the population-limit equilibrium: means first, then atom deviations.
 
-    The flow and the price are common-lattice fields,
+    The flow and the price are those of the full market system on the mean
+    group, common-lattice fields
 
         b   = V0bar (-p0~ + ybar~ + pbar~),        b(T) = 0
         phi = -ybar~ + lam b                        (and -ybar at the horizon),
@@ -249,73 +181,12 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     if check:
         _run_checks(spec, force)
-    system = reduce_conditional_means(spec, lattice, ctx)
-    if method == "direct":
-        if not system.affine:
-            raise UnsupportedModelError(
-                "general (non-affine) major cost gradients need method='picard'")
-        sol = solve_direct(system)
-    else:
-        sol = solve_picard(system, **solver_kw)
-    mean = _mean_tables(ctx)
+    sol = _solve_system(reduce_conditional_means(spec, lattice, ctx), method, **solver_kw)
+    (mean,), w = mean_group(ctx)
     devs = [solve_direct(build_deviation_system(ctx, a, mean))
             for a in range(ctx.atoms.count)]
-    lat = lattice
-    b = np.matmul(ctx.exo.v0bar,
-                  (-sol.pre("p0") + sol.pre("ybar") + sol.pre("pbar"))[..., None])[..., 0]
-    b[lat.terminal_slice] = 0.0
-    phi = -sol.pre("ybar") + np.matmul(ctx.exo.lam, b[..., None])[..., 0]
-    phi[lat.terminal_slice] = -sol.field("ybar")[lat.terminal_slice]
+    b, phi = _flow_and_price(ctx, w, sol)
     return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=sol,
                        deviations=devs,
                        beta_hat=NodeField(lattice, b),
                        price_mfg=NodeField(lattice, phi))
-
-
-class MeanClearingOperator:
-    """Mean minor blocks (xbar, ybar) for a given per-capita flow, matrix pass shared.
-
-    Used by the population-limit cost functional: for each candidate flow the
-    induced price is -ybar~ + lam b with ybar from this small system.
-    """
-
-    def __init__(self, spec: ModelSpec, lattice: NoiseLattice,
-                 ctx: MarketContext | None = None):
-        _require_closure(spec)
-        self.ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-        self.spec, self.lattice = spec, lattice
-        self.mean = _mean_tables(self.ctx)
-        zero = np.zeros((lattice.num_nodes, spec.dims.n))
-        self._solver = DirectSolver(self._system(zero))
-
-    def _system(self, beta: np.ndarray) -> FbsdeSystem:
-        spec, lat, mean = self.spec, self.lattice, self.mean
-        n = spec.dims.n
-        fsl = {"xbar": slice(0, n)}
-        bsl = {"ybar": slice(0, n)}
-
-        def coeffs(k: int) -> LevelCoeffs:
-            sl = lat.level_slice(k)
-            m = sl.stop - sl.start
-            return LevelCoeffs(
-                Aff=np.zeros((1, n, n)), Afb=np.zeros((1, n, n)),
-                af=mean.l[sl] - beta[sl], S=mean.sig0[sl],
-                Bbf=mean.cf[sl], Bbb=np.zeros((1, n, n)), bb=mean.hf[sl])
-
-        def terminal():
-            mK = lat.nodes_at(lat.steps)
-            if spec.maturity_mode:
-                return np.zeros((mK, n, n)), -self.ctx.exo.c0[lat.terminal_slice]
-            amp = 1.0 / (1.0 - spec.delta)
-            return amp * mean.cg_T, amp * mean.hg_T
-
-        return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
-                           initial=mean.xi.copy(), coeffs=coeffs, terminal=terminal,
-                           affine=True)
-
-    def solve(self, beta: np.ndarray):
-        sol = self._solver.solve(self._system(beta))
-        lat = self.lattice
-        phi = -sol.pre("ybar") + np.matmul(self.ctx.exo.lam[...], beta[..., None])[..., 0]
-        phi[lat.terminal_slice] = -sol.field("ybar")[lat.terminal_slice]
-        return sol, phi

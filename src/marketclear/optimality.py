@@ -18,9 +18,9 @@ import numpy as np
 from .errors import (AssumptionViolationError, MarketClearError, UnsupportedModelError,
                      ValidationError)
 from .finite_market import (AgentPopulation, ClearingOperator, MarketContext,
-                            integrate_major_state, make_population,
+                            integrate_forward, make_population,
                             solve_full_equilibrium)
-from .mean_field import MeanClearingOperator, solve_mfg
+from .mean_field import mean_group, solve_mfg
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, stream_rng
 
@@ -29,18 +29,6 @@ DEFAULT_EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
 
 def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...i,...ij,...j->...", x, mat, x)
-
-
-def _integrate_forward(lattice: NoiseLattice, x0, drift, loading) -> np.ndarray:
-    x = np.zeros((lattice.num_nodes, len(x0)))
-    x[0] = x0
-    for k in range(lattice.steps):
-        sl = lattice.level_slice(k)
-        csl = lattice.level_slice(k + 1)
-        base = lattice.repeat_to_children(x[sl] + lattice.dt * drift[sl])
-        S_child = np.repeat(loading[sl], lattice.fanout, axis=0)
-        x[csl] = base + np.matmul(S_child, lattice.dW[csl][..., None])[..., 0]
-    return x
 
 
 def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
@@ -56,7 +44,7 @@ def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
     tab = ctx.minor_tables(bundle_index, atom_index)
     lat = lattice
     alpha = np.asarray(alpha, dtype=float)
-    x = _integrate_forward(lat, ctx.atoms.xi[atom_index], alpha + tab.l, tab.sig0)
+    x = integrate_forward(lat, tab.xi, alpha + tab.l, tab.sig0)
     phi = price.values
     running = (np.einsum("vi,vi->v", phi, alpha)
                + _quad(alpha, ctx.exo.lam)
@@ -78,7 +66,7 @@ def _major_running_terminal(spec, ctx, lattice, b, phi):
         raise UnsupportedModelError(
             "cost evaluation needs the quadratic major cost primitives")
     lat = lattice
-    x0 = integrate_major_state(ctx, b)
+    x0 = integrate_forward(lat, spec.chi0, b + ctx.l0, ctx.s0)
     fbar = _quad(x0, np.broadcast_to(spec.major_cost.c0f,
                                      (lat.num_nodes,) + spec.major_cost.c0f.shape)) \
         + np.einsum("vi,vi->v", ctx.h0f, x0)
@@ -105,18 +93,21 @@ def cost_major(spec: ModelSpec, lattice: NoiseLattice, population: AgentPopulati
     """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     op = operator if operator is not None else ClearingOperator(
-        spec, lattice, population, ctx=ctx)
+        ctx, ctx.group_tables(population), population.weights)
     b = beta.values / population.N
     _, phi = op.solve(b)
     return _major_running_terminal(spec, ctx, lattice, b, phi)
 
 
 def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
-             operator: MeanClearingOperator | None = None,
+             operator: ClearingOperator | None = None,
              ctx: MarketContext | None = None) -> float:
-    """Population-limit major cost for a per-capita flow, clearing re-solved."""
+    """Population-limit major cost for a per-capita flow, clearing re-solved.
+
+    The clearing feedback is that of the mean group (``mean_group``).
+    """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    op = operator if operator is not None else MeanClearingOperator(spec, lattice, ctx=ctx)
+    op = operator if operator is not None else ClearingOperator(ctx, *mean_group(ctx))
     b = beta.values
     _, phi = op.solve(b)
     return _major_running_terminal(spec, ctx, lattice, b, phi)
@@ -222,7 +213,7 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
         pop = population if population is not None else make_population(spec, ctx.atoms)
         eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
         base_ctrl = eq.beta_hat.values
-        op = ClearingOperator(spec, lattice, pop, ctx=ctx)
+        op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
 
         def evaluate(ctrl):
             return cost_major(spec, lattice, pop, NodeField(lattice, ctrl),
@@ -230,7 +221,7 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     elif level == "major-mfg":
         mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
         base_ctrl = mf.beta_hat.values
-        op = MeanClearingOperator(spec, lattice, ctx=ctx)
+        op = ClearingOperator(ctx, *mean_group(ctx))
 
         def evaluate(ctrl):
             return cost_mfg(spec, lattice, NodeField(lattice, ctrl),

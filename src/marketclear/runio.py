@@ -23,22 +23,27 @@ def _writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
+def _field_emitter(w, lat):
+    """emit(owner, name, values): one CSV row per (node, component) of a node field."""
+    times = lat.level_of * lat.dt
+
+    def emit(owner, name, values):
+        for v in range(lat.num_nodes):
+            for c in range(values.shape[1]):
+                w.writerow([v, _fmt(times[v]), owner, name, c, _fmt(values[v, c])])
+
+    return emit
+
+
 def write_equilibrium_csv(eq, path) -> None:
     """One row per (node, owner, field, component): finite-market solution dump."""
     lat = eq.lattice
     pop = eq.population
-    n = eq.spec.dims.n
     with open(path, "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["node_id", "t", "agent_id", "field_name", "component_index", "value"])
-        times = lat.level_of * lat.dt
+        emit = _field_emitter(w, lat)
         has_major = eq.has_major()
-
-        def emit(owner, name, values):
-            for v in range(lat.num_nodes):
-                for c in range(values.shape[1]):
-                    w.writerow([v, _fmt(times[v]), owner, name, c, _fmt(values[v, c])])
-
         for agent, g in enumerate(pop.agent_group):
             g = int(g)
             emit(str(agent), "X", eq.group_field("X", g))
@@ -63,13 +68,7 @@ def write_mfg_csv(mf, path) -> None:
     with open(path, "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(["node_id", "t", "atom_id", "field_name", "component_index", "value"])
-        times = lat.level_of * lat.dt
-
-        def emit(owner, name, values):
-            for v in range(lat.num_nodes):
-                for c in range(values.shape[1]):
-                    w.writerow([v, _fmt(times[v]), owner, name, c, _fmt(values[v, c])])
-
+        emit = _field_emitter(w, lat)
         for name in ("x0", "p0", "xbar", "ybar", "pbar", "rbar"):
             emit("MEAN", name, mf.common_field(name))
         for a in range(mf.ctx.atoms.count):

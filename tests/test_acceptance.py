@@ -78,7 +78,7 @@ def solved_case(n, N, K):
         ctx = MarketContext(spec, lattice)
         pop = make_population(spec, ctx.atoms, N=N,
                               assignments=[i % 2 for i in range(N)])
-        system = build_full_system(ctx, pop)
+        system = build_full_system(ctx, ctx.group_tables(pop), pop.weights)
         direct = solve_direct(system)
         eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
         _solved[key] = (spec, lattice, ctx, pop, system, direct, eq)

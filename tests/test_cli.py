@@ -191,6 +191,19 @@ def test_solve_mfg_maturity_terminal_rows(tmp_path) -> None:
             terminal_prices.append(float(parts["value"]))
     assert terminal_prices
     assert all(p == 5.0 for p in terminal_prices)
+    # row layout: one run of (node, component) rows per (atom_id, field_name)
+    runs = []
+    for line in rows[1:]:
+        owner, name = line.split(",")[2:4]
+        if runs and runs[-1][0] == (owner, name):
+            runs[-1][1] += 1
+        else:
+            runs.append([(owner, name), 1])
+    assert [key for key, _ in runs] == (
+        [("MEAN", f) for f in ("x0", "p0", "xbar", "ybar", "pbar", "rbar")]
+        + [("0", "x"), ("0", "y"), ("1", "x"), ("1", "y")]
+        + [("MAJOR", "beta"), ("PRICE", "phi")])
+    assert {count for _, count in runs} == {15}  # 1 + 2 + 4 + 8 nodes, n = 1
 
 
 def test_solve_blocked_by_failing_assumptions_unless_forced(tmp_path) -> None:

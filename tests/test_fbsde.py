@@ -16,7 +16,7 @@ from conftest import noiseless_unit_spec, scalar_market_spec
 def full_system(spec, lattice, seed=0, assignments=None):
     ctx = MarketContext(spec, lattice)
     pop = make_population(spec, ctx.atoms, seed=seed, assignments=assignments)
-    return build_full_system(ctx, pop)
+    return build_full_system(ctx, ctx.group_tables(pop), pop.weights)
 
 
 def one_step_system(g_leaves, bb=0.0, horizon=1.0, Afb=0.0, G=0.0):

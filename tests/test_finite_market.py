@@ -40,7 +40,8 @@ def test_terminal_condition_mean_amplification() -> None:
     lat = build_lattice(TimeGrid(1.0, 1), d0=0)
     ctx = MarketContext(spec, lat)
     pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    system = build_clearing_system(ctx, pop, np.zeros((lat.num_nodes, 1)))
+    system = build_clearing_system(ctx, ctx.group_tables(pop), pop.weights,
+                                   np.zeros((lat.num_nodes, 1)))
     G, g = system.terminal()
     x_T = np.array([1.0, 3.0])
     y_T = np.matmul(G, x_T[None, :, None])[..., 0][0] + g[0]
@@ -284,7 +285,7 @@ def test_clearing_operator_reuses_factorization() -> None:
     lat = tree(3)
     ctx = MarketContext(spec, lat)
     pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    op = ClearingOperator(spec, lat, pop, ctx=ctx)
+    op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     b = np.full((lat.num_nodes, 1), 0.25)
     b[lat.terminal_slice] = 0.0
     sol_op, phi_op = op.solve(b)

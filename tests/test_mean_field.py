@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from marketclear.errors import UnsupportedModelError
-from marketclear.finite_market import MarketContext, make_population, solve_full_equilibrium
-from marketclear.mean_field import (MeanClearingOperator, reduce_conditional_means,
-                                    solve_mfg)
+from marketclear.finite_market import (ClearingOperator, MarketContext, make_population,
+                                       solve_full_equilibrium)
+from marketclear.mean_field import mean_group, reduce_conditional_means, solve_mfg
 from marketclear.metrics import price_gap
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw,
                                MinorBundle, make_spec)
@@ -20,12 +20,14 @@ def tree(K=4, T=1.0):
 
 
 def test_reduced_system_has_six_blocks() -> None:
+    # the mean system is the full system of one group: (x0, xbar, rbar) and
+    # (p0, ybar, pbar) sit in the slices of group 0
     spec = homogeneous_study_spec()
     lat = tree(2)
     system = reduce_conditional_means(spec, lat)
     assert system.mf == 3 and system.mb == 3
-    assert set(system.forward_slices) == {"x0", "xbar", "rbar"}
-    assert set(system.backward_slices) == {"p0", "ybar", "pbar"}
+    assert set(system.forward_slices) == {"x0", "X0", "R0"}
+    assert set(system.backward_slices) == {"p0", "Y0", "P0"}
 
 
 def test_point_mass_law_collapses_to_finite_population() -> None:
@@ -67,8 +69,8 @@ def test_zero_discount_terminal_mean_has_no_amplification() -> None:
     lat = tree(2)
     system = reduce_conditional_means(spec, lat)
     G, g = system.terminal()
-    ysl = system.backward_slices["ybar"]
-    xsl = system.forward_slices["xbar"]
+    ysl = system.backward_slices["Y0"]
+    xsl = system.forward_slices["X0"]
     assert np.allclose(G[:, ysl, xsl], 1.0)
     assert np.allclose(g[:, ysl], 0.0)
 
@@ -177,14 +179,14 @@ def test_maturity_override_blocks(small_tree) -> None:
     G, g = system.terminal()
     assert np.all(G == 0.0)
     assert np.allclose(g[:, system.backward_slices["p0"]], -5.0)
-    assert np.allclose(g[:, system.backward_slices["ybar"]], -5.0)
-    assert np.allclose(g[:, system.backward_slices["pbar"]], 0.0)
+    assert np.allclose(g[:, system.backward_slices["Y0"]], -5.0)
+    assert np.allclose(g[:, system.backward_slices["P0"]], 0.0)
 
 
 def test_mean_clearing_operator_matches_full_limit(small_tree) -> None:
     spec = homogeneous_study_spec()
     mf = solve_mfg(spec, small_tree)
-    op = MeanClearingOperator(spec, small_tree)
+    op = ClearingOperator(mf.ctx, *mean_group(mf.ctx))
     sol, phi = op.solve(mf.beta_hat.values)
     assert np.max(np.abs(phi - mf.price_mfg.values)) <= 1e-11
-    assert np.max(np.abs(sol.field("ybar") - mf.common_field("ybar"))) <= 1e-11
+    assert np.max(np.abs(sol.field("Y0") - mf.common_field("ybar"))) <= 1e-11

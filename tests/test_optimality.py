@@ -108,7 +108,7 @@ def test_cost_at_equilibrium_flow_matches_reports() -> None:
     ctx = MarketContext(spec, lat)
     pop = make_population(spec, ctx.atoms, assignments=[0, 1])
     eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
-    op = ClearingOperator(spec, lat, pop, ctx=ctx)
+    op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     # the re-solve path must reproduce the coupled solve's own fields
     sol, phi = op.solve(eq.beta_norm.values)
     assert np.max(np.abs(phi - eq.price.values)) <= 1e-8
