@@ -30,7 +30,7 @@ from .optimality import (PerturbationReport, cost_major, cost_mfg, cost_minor,
                          hamiltonian_mfg, hamiltonian_minor, hamiltonian_system,
                          minimizer_alpha, minimizer_beta, minimizer_beta_mfg,
                          perturbation_test)
+from .runio import write_lattice_csv
 from .scenario import (IdiosyncraticAtoms, NodeField, NoiseLattice, TimeGrid,
                        build_lattice, constant_field, evaluate_exogenous,
-                       idiosyncratic_atoms, sample_idiosyncratic, stream_rng,
-                       write_lattice_csv)
+                       idiosyncratic_atoms, sample_idiosyncratic, stream_rng)

@@ -26,9 +26,9 @@ from .model import check_all_assumptions
 from .modelfile import load_model
 from .optimality import perturbation_test
 from .runio import (equilibrium_summary, mfg_summary, write_convergence_csv,
-                    write_equilibrium_csv, write_json, write_manifest,
-                    write_mfg_csv, write_perturbation_csv)
-from .scenario import TimeGrid, build_lattice, write_lattice_csv
+                    write_equilibrium_csv, write_json, write_lattice_csv,
+                    write_manifest, write_mfg_csv, write_perturbation_csv)
+from .scenario import TimeGrid, build_lattice
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -29,12 +29,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import BudgetError, SolverError, ValidationError
 from .scenario import NoiseLattice
 
 DEFAULT_DAMPING = 0.5
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
+# cap on the per-level factors a DirectSolver stores, in bytes
+FACTOR_BUDGET_BYTES = 2 * 2**30
 
 
 @dataclass
@@ -264,6 +266,16 @@ class _LevelFactors:
     Afb: np.ndarray
 
 
+def check_factor_budget(floats: int) -> None:
+    """Raise ``BudgetError`` if ``floats`` stored float64s exceed ``FACTOR_BUDGET_BYTES``."""
+    need = floats * 8
+    if need > FACTOR_BUDGET_BYTES:
+        raise BudgetError(
+            f"the decoupling sweep would store about {need / 2**20:.0f} MiB of "
+            f"per-level factors, budget is {FACTOR_BUDGET_BYTES / 2**20:.0f} MiB; "
+            f"lower the steps, the branching or the number of agent groups")
+
+
 class DirectSolver:
     """Exact affine solve by a backward sweep of the decoupling field.
 
@@ -279,6 +291,11 @@ class DirectSolver:
     ``solve``, so families of systems differing only in those (e.g. the
     clearing system across candidate major flows) share one matrix pass.
     Blocks shared by a whole level keep P shared too.
+
+    What it stores takes up to ``nodes * (mb^2 + 4 mb mf) * 8`` bytes
+    (``E``, ``E Pbar``, ``Q``, ``P`` and the kept ``Afb`` per node; level-shared
+    ``Aff`` and ``Bbb`` are not counted); a system whose estimate exceeds
+    ``FACTOR_BUDGET_BYTES`` raises ``BudgetError`` before any coefficient call.
     """
 
     def __init__(self, system: FbsdeSystem):
@@ -288,6 +305,7 @@ class DirectSolver:
         lat = system.lattice
         dt = lat.dt
         mf, mb = system.mf, system.mb
+        check_factor_budget(lat.num_nodes * (mb * mb + 4 * mb * mf))
         G, _ = system.terminal()
         P = np.asarray(G, dtype=float).reshape(-1, mb, mf)
         self._P = [None] * lat.steps + [P]

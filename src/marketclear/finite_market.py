@@ -9,12 +9,12 @@ satisfy identical equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import AssumptionViolationError, UnsupportedModelError, ValidationError
 from .fbsde import (DirectSolver, FbsdeSystem, LevelCoeffs, NodeSolution,
-                    solve_direct, solve_picard)
+                    check_factor_budget, solve_direct, solve_picard)
 from .model import ModelSpec, check_all_assumptions
 from .scenario import (ExogenousFields, IdiosyncraticAtoms, NodeField,
                        NoiseLattice, evaluate_exogenous, idiosyncratic_atoms,
@@ -311,19 +311,18 @@ def build_clearing_system(ctx: MarketContext, tabs: list[MinorTables], w: np.nda
         m = sl.stop - sl.start
         lam_inv = ctx.exo.lam_inv[sl]
         Afb = np.zeros((m, mf, mb))
-        af = np.zeros((m, mf))
         S = np.zeros((m, mf, lat.d0))
         for g in range(G):
             for h in range(G):
                 Afb[:, fsl[f"X{g}"], bsl[f"Y{h}"]] = -lam_inv * ((1.0 if g == h else 0.0) - w[h])
-            af[:, fsl[f"X{g}"]] = tabs[g].l[sl] - beta_norm[sl]
             S[:, fsl[f"X{g}"], :] = tabs[g].sig0[sl]
         Bbf = np.zeros((m, mb, mf))
         bb = np.zeros((m, mb))
         for g in range(G):
             Bbf[:, bsl[f"Y{g}"], fsl[f"X{g}"]] = tabs[g].cf[sl]
             bb[:, bsl[f"Y{g}"]] = tabs[g].hf[sl]
-        return LevelCoeffs(Aff=np.zeros((1, mf, mf)), Afb=Afb, af=af, S=S,
+        return LevelCoeffs(Aff=np.zeros((1, mf, mf)), Afb=Afb,
+                           af=_clearing_drift(tabs, beta_norm, sl), S=S,
                            Bbf=Bbf, Bbb=np.zeros((1, mb, mb)), bb=bb)
 
     def terminal():
@@ -347,6 +346,11 @@ def build_clearing_system(ctx: MarketContext, tabs: list[MinorTables], w: np.nda
 
     return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
                        initial=initial, coeffs=coeffs, terminal=terminal, affine=True)
+
+
+def _clearing_drift(tabs: list[MinorTables], beta_norm: np.ndarray, sl) -> np.ndarray:
+    """The clearing system's constant forward drift on nodes ``sl``: l_g - b per group."""
+    return np.concatenate([t.l[sl] - beta_norm[sl] for t in tabs], axis=1)
 
 
 def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
@@ -629,18 +633,37 @@ class ClearingOperator:
     """Re-solves the minor clearing system across candidate major flows.
 
     The groups are given by their coefficient tables and population weights,
-    as for ``build_clearing_system``.  Runs the solver's matrix pass on the
-    clearing system once; each call integrates a new flow by vector passes
-    only and returns the induced price field alongside the solved minor states.
+    as for ``build_clearing_system``.  The flow enters the clearing system
+    only through its forward drift ``af = l - b``, so the other level blocks
+    and the terminal map are built once, made read-only, and shared by every
+    flow, as is the solver's matrix pass; each call makes only the new ``af``,
+    integrates it by vector passes (residual check included) and returns the
+    induced price field alongside the solved minor states.
     """
 
     def __init__(self, ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray):
         self.ctx, self.tabs, self.w = ctx, tabs, w
-        zero = np.zeros((ctx.lattice.num_nodes, ctx.spec.dims.n))
-        self._solver = DirectSolver(build_clearing_system(ctx, tabs, w, zero))
+        lat = ctx.lattice
+        base = build_clearing_system(ctx, tabs, w, np.zeros((lat.num_nodes, ctx.spec.dims.n)))
+        mf, mb = base.mf, base.mb
+        # the solver's factors plus the kept Bbf, S, bb and af, before any block is built
+        check_factor_budget(lat.num_nodes * (mb * mb + 5 * mb * mf + mf * (lat.d0 + 1) + mb))
+        levels = [base.coeffs(k) for k in range(lat.steps)]
+        terminal = base.terminal()
+        for arr in (*terminal, *(getattr(c, f.name) for c in levels for f in fields(c))):
+            arr.flags.writeable = False
+        self._base = replace(base, coeffs=levels.__getitem__, terminal=lambda: terminal)
+        self._levels = levels
+        self._solver = DirectSolver(self._base)
+
+    def system(self, beta_norm: np.ndarray) -> FbsdeSystem:
+        """The clearing system for flow ``beta_norm`` on the shared blocks."""
+        lat = self.ctx.lattice
+        af = _clearing_drift(self.tabs, beta_norm, slice(None))
+        levels = [replace(c, af=af[lat.level_slice(k)]) for k, c in enumerate(self._levels)]
+        return replace(self._base, coeffs=levels.__getitem__)
 
     def solve(self, beta_norm: np.ndarray):
-        system = build_clearing_system(self.ctx, self.tabs, self.w, beta_norm)
-        sol = self._solver.solve(system)
+        sol = self._solver.solve(self.system(beta_norm))
         phi = _price_from_clearing(self.ctx, self.w, sol, beta_norm)
         return sol, phi

@@ -2,56 +2,80 @@
 
 Floats are written with repr(), the shortest representation that round-trips,
 so golden files are stable across runs and platforms.
+
+CSV lines are built as plain strings (``csv_line``), not through the ``csv``
+module; the fields never need quoting, so the bytes are the same.  Node
+fields are written column-wise: the ``node_id,t,`` prefixes are formatted
+once per lattice, each field's values are converted with one ``tolist`` and
+formatted in one comprehension, and the field goes out in a single write.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
 import numpy as np
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def csv_line(fields) -> str:
+    """One CSV record: the fields, ``str``-ed, joined by commas, newline-terminated.
+
+    This is byte-identical to ``csv.writer(fh, lineterminator="\\n")`` with its
+    default ``QUOTE_MINIMAL`` as long as no field contains a comma, a double
+    quote, a carriage return or a newline, which would need quoting.  That
+    holds for everything this package writes, here and in the node-field lines
+    below: integers, fixed identifiers and ``repr`` of floats (digits, sign,
+    ``.``, ``e``, ``nan``, ``inf``).
+    """
+    return ",".join(map(str, fields)) + "\n"
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _node_prefixes(lat) -> list[str]:
+    """The ``node_id,t,`` start of every node's lines, formatted once per lattice."""
+    return [f"{v},{t!r}," for v, t in enumerate((lat.level_of * lat.dt).tolist())]
 
 
-def _field_emitter(w, lat):
-    """emit(owner, name, values): one CSV row per (node, component) of a node field."""
-    times = lat.level_of * lat.dt
+def _field_emitter(fh, prefixes: list[str]):
+    """emit(owner, name, values): write every line of a node field in one write.
+
+    Lines run node by node, components within a node; each component column is
+    formatted in one comprehension and slotted into its stride of the lines.
+    """
 
     def emit(owner, name, values):
-        for v in range(lat.num_nodes):
-            for c in range(values.shape[1]):
-                w.writerow([v, _fmt(times[v]), owner, name, c, _fmt(values[v, c])])
+        values = np.asarray(values, dtype=float)
+        comps = values.shape[1]
+        lines = [""] * (len(prefixes) * comps)
+        for c, column in enumerate(values.T.tolist()):
+            head = f"{owner},{name},{c},"
+            lines[c::comps] = [f"{p}{head}{x!r}\n" for p, x in zip(prefixes, column)]
+        fh.write("".join(lines))
 
     return emit
 
 
+def _field_header(owner_column: str) -> str:
+    return csv_line(["node_id", "t", owner_column, "field_name", "component_index", "value"])
+
+
 def write_equilibrium_csv(eq, path) -> None:
     """One row per (node, owner, field, component): finite-market solution dump."""
-    lat = eq.lattice
-    pop = eq.population
+    has_major = eq.has_major()
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["node_id", "t", "agent_id", "field_name", "component_index", "value"])
-        emit = _field_emitter(w, lat)
-        has_major = eq.has_major()
-        for agent, g in enumerate(pop.agent_group):
-            g = int(g)
-            emit(str(agent), "X", eq.group_field("X", g))
-            emit(str(agent), "Y", eq.group_field("Y", g))
-            emit(str(agent), "alpha", eq.alpha_hat[g])
+        fh.write(_field_header("agent_id"))
+        emit = _field_emitter(fh, _node_prefixes(eq.lattice))
+        for agent, g in enumerate(eq.population.agent_group.tolist()):
+            owner = str(agent)
+            emit(owner, "X", eq.group_field("X", g))
+            emit(owner, "Y", eq.group_field("Y", g))
+            emit(owner, "alpha", eq.alpha_hat[g])
             if has_major:
-                emit(str(agent), "R", eq.group_field("R", g))
-                emit(str(agent), "P", eq.group_field("P", g))
+                emit(owner, "R", eq.group_field("R", g))
+                emit(owner, "P", eq.group_field("P", g))
         x0 = eq.major_field("x0")
         if x0 is not None:
             emit("MAJOR", "x0", x0)
@@ -64,11 +88,9 @@ def write_equilibrium_csv(eq, path) -> None:
 
 def write_mfg_csv(mf, path) -> None:
     """Population-limit dump: common mean fields plus per-atom fields."""
-    lat = mf.lattice
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["node_id", "t", "atom_id", "field_name", "component_index", "value"])
-        emit = _field_emitter(w, lat)
+        fh.write(_field_header("atom_id"))
+        emit = _field_emitter(fh, _node_prefixes(mf.lattice))
         for name in ("x0", "p0", "xbar", "ybar", "pbar", "rbar"):
             emit("MEAN", name, mf.common_field(name))
         for a in range(mf.ctx.atoms.count):
@@ -99,25 +121,32 @@ def mfg_summary(mf) -> dict:
 
 
 def write_convergence_csv(report, path) -> None:
+    floats = ("price_gap", "w2_g", "w2_rT", "int_w2_y", "int_w2_p", "epsilon_N")
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["N", "resample", "price_gap", "w2_g", "w2_rT",
-                    "int_w2_y", "int_w2_p", "epsilon_N"])
+        fh.write(csv_line(("N", "resample") + floats))
         for row in report.rows:
-            w.writerow([row["N"], row["resample"], _fmt(row["price_gap"]),
-                        _fmt(row["w2_g"]), _fmt(row["w2_rT"]),
-                        _fmt(row["int_w2_y"]), _fmt(row["int_w2_p"]),
-                        _fmt(row["epsilon_N"])])
+            fh.write(csv_line([row["N"], row["resample"]]
+                              + [repr(float(row[key])) for key in floats]))
 
 
 def write_perturbation_csv(report, path) -> None:
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["direction_id", "eps", "delta_J"])
-        for d in range(report.directions):
-            for j, e in enumerate(report.eps_grid):
-                val = report.delta_j[d, j]
-                w.writerow([d, _fmt(e), "failed" if np.isnan(val) else _fmt(val)])
+        fh.write(csv_line(["direction_id", "eps", "delta_J"]))
+        eps = [repr(float(e)) for e in report.eps_grid]
+        for d, row in enumerate(report.delta_j[:report.directions].tolist()):
+            for e, val in zip(eps, row):
+                fh.write(csv_line([d, e, "failed" if math.isnan(val) else repr(val)]))
+
+
+def write_lattice_csv(lattice, path) -> None:
+    """One row per node: id, parent, level, common increments, path probability."""
+    rows = zip(lattice.parent.tolist(), lattice.level_of.tolist(),
+               lattice.dW.tolist(), lattice.path_prob.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(csv_line(["node_id", "parent_id", "level"]
+                          + [f"dW{j}" for j in range(lattice.d0)] + ["probability"]))
+        fh.writelines(csv_line([v, parent, level, *map(repr, dw), repr(prob)])
+                      for v, (parent, level, dw, prob) in enumerate(rows))
 
 
 def write_json(payload: dict, path) -> None:

@@ -13,7 +13,6 @@ and forward propagation are plain reshapes.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -359,16 +358,3 @@ def sample_idiosyncratic(law: IdiosyncraticAtoms, count: int, seed: int) -> np.n
         u = stream_rng(seed, i).random()
         out[i] = int(np.searchsorted(cdf, u, side="right"))
     return out
-
-
-def write_lattice_csv(lattice: NoiseLattice, path) -> None:
-    """One row per node: id, parent, level, common increments, path probability."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "parent_id", "level"]
-                        + [f"dW{j}" for j in range(lattice.d0)]
-                        + ["probability"])
-        for v in range(lattice.num_nodes):
-            writer.writerow([v, int(lattice.parent[v]), int(lattice.level_of[v])]
-                            + [repr(float(x)) for x in lattice.dW[v]]
-                            + [repr(float(lattice.path_prob[v]))])

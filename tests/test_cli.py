@@ -280,6 +280,16 @@ def test_thread_count_does_not_change_bytes(good_model, tmp_path) -> None:
     assert outs[0] == outs[1]
 
 
+def test_factor_budget_is_a_solver_failure(good_model, tmp_path, monkeypatch) -> None:
+    from marketclear import fbsde
+    monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", 1024)
+    out = tmp_path / "out"
+    assert run(["solve-n", "--model", good_model, "--out", out, "--steps", 3]) == 3
+    failure = json.loads((out / "solver_failure.json").read_text())
+    assert "per-level factors" in failure["error"]
+    assert not (out / "equilibrium.csv").exists()
+
+
 def test_shipped_models_drive_the_cli(tmp_path) -> None:
     models = Path(__file__).resolve().parent.parent / "models"
     assert run(["check", "--model", models / "benchmark.model",

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from marketclear.errors import SolverError
+from marketclear import fbsde
+from marketclear.errors import BudgetError, SolverError
 from marketclear.fbsde import (DirectSolver, FbsdeSystem, LevelCoeffs, residual,
                                solve_direct, solve_picard)
 from marketclear.finite_market import (MarketContext, build_full_system,
@@ -130,6 +131,21 @@ def test_singular_level_system_raises_solver_error() -> None:
     system = one_step_system([0.0, 0.0], Afb=1.0, G=1.0)
     with pytest.raises(SolverError, match="level 0"):
         DirectSolver(system)
+
+
+def test_factor_budget_raises_before_the_matrix_pass(monkeypatch) -> None:
+    system = full_system(scalar_market_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
+    mf, mb = system.mf, system.mb
+    need = system.lattice.num_nodes * (mb * mb + 4 * mb * mf) * 8
+    monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need)
+    DirectSolver(system)
+    monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need - 1)
+    calls = []
+    coeffs = system.coeffs
+    system.coeffs = lambda k: calls.append(k) or coeffs(k)
+    with pytest.raises(BudgetError):
+        DirectSolver(system)
+    assert calls == []
 
 
 def test_coefficient_calls_per_level() -> None:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from marketclear.errors import AssumptionViolationError, ValidationError
+from marketclear.errors import AssumptionViolationError, BudgetError, ValidationError
+from marketclear.fbsde import solve_direct
 from marketclear.finite_market import (ClearingOperator, MarketContext,
+                                       build_clearing_system,
                                        clearing_residual, make_population,
                                        minor_best_response,
                                        solve_full_equilibrium,
@@ -292,6 +294,69 @@ def test_clearing_operator_reuses_factorization() -> None:
     eq = solve_minor_clearing(spec, lat, NodeField(lat, 2 * b), pop, ctx=ctx)
     assert np.max(np.abs(phi_op - eq.price.values)) <= 1e-11
     assert np.max(np.abs(sol_op.field("Y0") - eq.group_field("Y", 0))) <= 1e-11
+
+
+@pytest.mark.parametrize("spec, K, assignments", [
+    (scalar_market_spec(delta=0.4), 3, [0, 1]),
+    (scalar_market_spec(delta=0.3, N=5), 4, [1, 0, 1, 1, 0]),
+    (homogeneous_study_spec(N=3), 3, None),
+])
+def test_clearing_operator_bit_equal_to_fresh_solve(spec, K, assignments) -> None:
+    # the shared blocks and matrix pass change nothing: every re-solve on one
+    # operator is bit-equal to a fresh solve of the freshly built system
+    lat = tree(K)
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, seed=2, assignments=assignments)
+    tabs = ctx.group_tables(pop)
+    op = ClearingOperator(ctx, tabs, pop.weights)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        b = rng.normal(size=(lat.num_nodes, spec.dims.n))
+        b[lat.terminal_slice] = 0.0
+        sol, _ = op.solve(b)
+        fresh = solve_direct(build_clearing_system(ctx, tabs, pop.weights, b))
+        assert np.array_equal(sol.forward, fresh.forward)
+        assert np.array_equal(sol.backward, fresh.backward)
+        assert np.array_equal(sol.backward_pre, fresh.backward_pre)
+        assert sol.diagnostics.to_dict() == fresh.diagnostics.to_dict()
+
+
+def test_clearing_operator_shares_read_only_blocks() -> None:
+    spec = scalar_market_spec(delta=0.4)
+    lat = tree(3)
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
+    op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
+    b = np.zeros((lat.num_nodes, 1))
+    c1, c2 = op.system(b).coeffs(1), op.system(b + 1.0).coeffs(1)
+    assert c1.Afb is c2.Afb and c1.Bbf is c2.Bbf and c1.S is c2.S
+    assert not np.array_equal(c1.af, c2.af)
+    G, _ = op.system(b).terminal()
+    with pytest.raises(ValueError):
+        c1.Afb[...] = 0.0
+    with pytest.raises(ValueError):
+        G[...] = 0.0
+
+
+def test_clearing_operator_checks_the_budget_before_building_blocks(monkeypatch) -> None:
+    from marketclear import fbsde, finite_market
+    spec = scalar_market_spec(delta=0.4)
+    lat = tree(3)
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
+    calls, build = [], finite_market.build_clearing_system
+
+    def counted(*args):
+        system = build(*args)
+        coeffs = system.coeffs
+        system.coeffs = lambda k: calls.append(k) or coeffs(k)
+        return system
+
+    monkeypatch.setattr(finite_market, "build_clearing_system", counted)
+    monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", 1024)
+    with pytest.raises(BudgetError):
+        ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
+    assert calls == []
 
 
 def test_group_collapse_matches_ungrouped_per_agent_solve() -> None:

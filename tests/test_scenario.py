@@ -8,8 +8,8 @@ from marketclear.model import Dimensions, DiscreteLaw, make_spec
 from marketclear.scenario import (IdiosyncraticAtoms, NodeField, TimeGrid,
                                   build_lattice, constant_field,
                                   evaluate_exogenous, idiosyncratic_atoms,
-                                  sample_idiosyncratic, stream_rng,
-                                  write_lattice_csv)
+                                  sample_idiosyncratic, stream_rng)
+from marketclear.runio import write_lattice_csv
 
 # frozen draw statistics for the shipped generator (seed 0, two equal atoms)
 FROZEN_MEAN_10K = 0.5003
