@@ -2,10 +2,14 @@
 
 Systems are described per time level by small dense blocks:
 
-    forward   u_F(child) = u_F(v) + dt*(Aff(v) u_F(v) + Afb(v) uB~(v) + af(v))
+    forward   u_F(child) = u_F(v) + dt*(Aff_k u_F(v) + Afb_k uB~(v) + af(v))
                            + S(v) dW(child-edge)
-    backward  u_B(v)     = uB~(v) + dt*(Bbf(v) u_F(v) + Bbb(v) uB~(v) + bb(v))
-    terminal  u_B(leaf)  = G(leaf) u_F(leaf) + g(leaf)
+    backward  u_B(v)     = uB~(v) + dt*(Bbf_k u_F(v) + Bbb_k uB~(v) + bb(v))
+    terminal  u_B(leaf)  = G u_F(leaf) + g(leaf)
+
+for every node v of level k.  The matrix blocks (Aff, Afb, Bbf, Bbb, G) are
+one per level, as the model's matrix coefficients depend on time only; the
+constants (af, S, bb, g) are given per node or shared.
 
 where uB~(v) denotes the conditional expectation of the next-level backward
 values (the "pre-driver" value).  Every drift and driver reads backward
@@ -14,17 +18,17 @@ first-order-condition structure of the discretized control problems, which is
 what lets the clearing identity and the optimality checks hold to round-off.
 
 Two solution paths.  Affine systems are solved exactly by a backward sweep of
-their affine decoupling field u_B(v) = P(v) u_F(v) + p(v), the discrete
+their affine decoupling field u_B(v) = P_k u_F(v) + p(v), the discrete
 four-step scheme for linear FBSDEs: one matrix pass from the leaves computes
-P level by level, batched over each level's nodes, and vector passes then
-carry the constants back and recover every state forward (``DirectSolver``).
+one P per level, and vector passes then carry the constants back and recover
+every state forward, batched over each level's nodes (``DirectSolver``).
 The general case uses a damped fixed-point iteration of forward/backward
 sweeps (``solve_picard``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -35,20 +39,20 @@ from .scenario import NoiseLattice
 DEFAULT_DAMPING = 0.5
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
-# cap on the per-level factors a DirectSolver stores, in bytes
+# cap on what a DirectSolver stores for one solve, in bytes
 FACTOR_BUDGET_BYTES = 2 * 2**30
 
 
 @dataclass
 class LevelCoeffs:
-    """Affine blocks of one time level; leading axis is 1 (shared) or m (per node)."""
+    """Affine blocks of one time level: one matrix each, constants shared or per node."""
 
-    Aff: np.ndarray   # (m|1, mf, mf)
-    Afb: np.ndarray   # (m|1, mf, mb)
+    Aff: np.ndarray   # (1, mf, mf)
+    Afb: np.ndarray   # (1, mf, mb)
     af: np.ndarray    # (m|1, mf)
     S: np.ndarray     # (m|1, mf, d0)
-    Bbf: np.ndarray   # (m|1, mb, mf)
-    Bbb: np.ndarray   # (m|1, mb, mb)
+    Bbf: np.ndarray   # (1, mb, mf)
+    Bbb: np.ndarray   # (1, mb, mb)
     bb: np.ndarray    # (m|1, mb)
 
 
@@ -57,9 +61,9 @@ class FbsdeSystem:
     """A coupled forward-backward system laid out on a noise lattice.
 
     ``coeffs(k)`` returns the level-k blocks; ``terminal()`` the terminal map
-    (G, g) on the leaves.  ``driver_fn``/``terminal_fn`` override the affine
-    backward parts for non-affine models (fixed-point path only); ``affine``
-    must then be False.
+    (G, g) on the leaves, G of shape (1, mb, mf) and g of shape (mK|1, mb).
+    ``driver_fn``/``terminal_fn`` override the affine backward parts for
+    non-affine models (fixed-point path only); ``affine`` must then be False.
     """
 
     lattice: NoiseLattice
@@ -164,6 +168,14 @@ def _step(lat: NoiseLattice, uf: np.ndarray, ubt: np.ndarray, Aff, Afb, af,
     return lat.repeat_to_children(uf + lat.dt * drift) + noise
 
 
+def _driver(system: FbsdeSystem, k: int, c: LevelCoeffs | None, uf, ubt) -> np.ndarray:
+    """The backward driver on level k; ``c`` is the level's blocks if already at hand."""
+    if system.driver_fn is not None:
+        return system.driver_fn(k, uf, ubt)
+    c = c if c is not None else system.coeffs(k)
+    return _apply(c.Bbf, uf) + _apply(c.Bbb, ubt) + c.bb
+
+
 def _forward_sweep(system: FbsdeSystem, ub: np.ndarray) -> np.ndarray:
     lat = system.lattice
     uf = np.zeros((lat.num_nodes, system.mf))
@@ -190,12 +202,7 @@ def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
-        if system.driver_fn is not None:
-            driver = system.driver_fn(k, uf[lo:hi], ubt)
-        else:
-            c = system.coeffs(k)
-            driver = _apply(c.Bbf, uf[lo:hi]) + _apply(c.Bbb, ubt) + c.bb
-        ub[lo:hi] = ubt + lat.dt * driver
+        ub[lo:hi] = ubt + lat.dt * _driver(system, k, None, uf[lo:hi], ubt)
     return ub
 
 
@@ -229,11 +236,7 @@ def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
         c = system.coeffs(k)
         fwd_gap = uf[clo:chi] - _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af,
                                       _noise(lat, k, c.S))
-        if system.driver_fn is not None:
-            driver = system.driver_fn(k, uf[lo:hi], ubt)
-        else:
-            driver = _apply(c.Bbf, uf[lo:hi]) + _apply(c.Bbb, ubt) + c.bb
-        bwd_gap = ub[lo:hi] - ubt - lat.dt * driver
+        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, c, uf[lo:hi], ubt)
         worst = max(worst, float(np.max(np.abs(fwd_gap), initial=0.0)),
                     float(np.max(np.abs(bwd_gap), initial=0.0)))
     tsl = lat.terminal_slice
@@ -256,14 +259,23 @@ def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
 
 @dataclass
 class _LevelFactors:
-    """Matrix-pass results of one level; leading axis 1 (shared) or m (per node)."""
+    """Matrix-pass results of one level, each shared by the level's nodes."""
 
-    E: np.ndarray      # (I - dt Pbar Afb)^-1       (m|1, mb, mb)
-    EPbar: np.ndarray  # E Pbar                      (m|1, mb, mf)
-    Q: np.ndarray      # uB~ = Q u_F + r             (m|1, mb, mf)
-    IBbb: np.ndarray   # I + dt Bbb                  (m|1, mb, mb)
+    E: np.ndarray      # (I - dt Pbar Afb)^-1       (1, mb, mb)
+    EPbar: np.ndarray  # E Pbar                      (1, mb, mf)
+    Q: np.ndarray      # uB~ = Q u_F + r             (1, mb, mf)
+    IBbb: np.ndarray   # I + dt Bbb                  (1, mb, mb)
     Aff: np.ndarray
     Afb: np.ndarray
+
+
+def sweep_floats(lat: NoiseLattice, mf: int, mb: int) -> int:
+    """Float64s a ``DirectSolver`` keeps for one solve.
+
+    Per level E, E Pbar, Q, P and Afb; per node p, r, af, S dW and the
+    solution's u_F, u_B, uB~ and increments.
+    """
+    return lat.steps * (mb * mb + 4 * mb * mf) + lat.num_nodes * (3 * mf + 5 * mb)
 
 
 def check_factor_budget(floats: int) -> None:
@@ -272,29 +284,39 @@ def check_factor_budget(floats: int) -> None:
     if need > FACTOR_BUDGET_BYTES:
         raise BudgetError(
             f"the decoupling sweep would store about {need / 2**20:.0f} MiB of "
-            f"per-level factors, budget is {FACTOR_BUDGET_BYTES / 2**20:.0f} MiB; "
-            f"lower the steps, the branching or the number of agent groups")
+            f"per-level factors and node vectors, budget is "
+            f"{FACTOR_BUDGET_BYTES / 2**20:.0f} MiB; lower the steps, the branching "
+            f"or the number of agent groups")
+
+
+def _require_shared(blocks: dict) -> None:
+    """Refuse a matrix block that is not one matrix for its whole level."""
+    for name, (block, shape) in blocks.items():
+        if block.shape != (1,) + shape:
+            raise ValidationError(
+                f"{name} has shape {block.shape}; the direct solve takes one matrix "
+                f"per level, shape {(1,) + shape}")
 
 
 class DirectSolver:
     """Exact affine solve by a backward sweep of the decoupling field.
 
-    Every affine system on the tree has u_B(v) = P(v) u_F(v) + p(v).  The
-    matrix pass in ``__init__`` runs from the leaves (P = G) to the root,
-    batched over each level's nodes:
+    Every affine system on the tree has u_B(v) = P_k u_F(v) + p(v) on level
+    k.  The matrix pass in ``__init__`` runs from the leaves (P = G) to the
+    root, one set of small matrices per level:
 
-        Pbar = sum_b q_b P(child_b),   E = (I - dt Pbar Afb)^-1,
-        Q    = E Pbar (I + dt Aff),    P(v) = (I + dt Bbb) Q + dt Bbf.
+        Pbar = sum_b q_b P_{k+1},   E = (I - dt Pbar Afb)^-1,
+        Q    = E Pbar (I + dt Aff),   P_k = (I + dt Bbb) Q + dt Bbf.
 
-    It depends only on the blocks (Aff, Afb, Bbf, Bbb, G) and the tree.  The
-    constants (af, bb, g, initial, S dW) enter only the vector passes of
-    ``solve``, so families of systems differing only in those (e.g. the
-    clearing system across candidate major flows) share one matrix pass.
-    Blocks shared by a whole level keep P shared too.
+    It depends only on the blocks (Aff, Afb, Bbf, Bbb, G) and the tree, and
+    takes them level-shared only: any other leading axis raises
+    ``ValidationError``.  The constants (af, bb, g, initial, S dW) enter only
+    the vector passes of ``solve``, so families of systems differing only in
+    those (e.g. the clearing system across candidate major flows) share one
+    matrix pass.
 
-    What it stores takes up to ``nodes * (mb^2 + 4 mb mf) * 8`` bytes
-    (``E``, ``E Pbar``, ``Q``, ``P`` and the kept ``Afb`` per node; level-shared
-    ``Aff`` and ``Bbb`` are not counted); a system whose estimate exceeds
+    A system whose storage (``sweep_floats``: ``K (mb^2 + 4 mb mf)`` floats
+    of factors plus ``nodes (3 mf + 5 mb)`` of node vectors) would exceed
     ``FACTOR_BUDGET_BYTES`` raises ``BudgetError`` before any coefficient call.
     """
 
@@ -305,14 +327,17 @@ class DirectSolver:
         lat = system.lattice
         dt = lat.dt
         mf, mb = system.mf, system.mb
-        check_factor_budget(lat.num_nodes * (mb * mb + 4 * mb * mf))
-        G, _ = system.terminal()
-        P = np.asarray(G, dtype=float).reshape(-1, mb, mf)
+        check_factor_budget(sweep_floats(lat, mf, mb))
+        P = np.asarray(system.terminal()[0], dtype=float)
+        _require_shared({"G": (P, (mb, mf))})
         self._P = [None] * lat.steps + [P]
         self._levels: list[_LevelFactors] = [None] * lat.steps
         for k in range(lat.steps - 1, -1, -1):
             c = system.coeffs(k)
-            Pbar = P if P.shape[0] == 1 else lat.cond_expect(P, k)
+            _require_shared({"Aff": (c.Aff, (mf, mf)), "Afb": (c.Afb, (mf, mb)),
+                             "Bbf": (c.Bbf, (mb, mf)), "Bbb": (c.Bbb, (mb, mb))})
+            # sum_b q_b P over one node's children, reduced as cond_expect does
+            Pbar = lat.cond_expect(np.broadcast_to(P, (lat.fanout,) + P.shape[1:]), 0)
             try:
                 E = np.linalg.inv(np.eye(mb) - dt * (Pbar @ c.Afb))
             except np.linalg.LinAlgError as exc:
@@ -360,15 +385,9 @@ class DirectSolver:
                 uf[clo:chi] = _step(lat, uf[lo:hi], ubt, lv.Aff, lv.Afb, afs[k], noises[k])
         if not (np.all(np.isfinite(uf)) and np.all(np.isfinite(ub))):
             raise SolverError("direct solve produced non-finite values (near-singular level system)")
-        diag = SolveDiagnostics(method="direct", iterations=1,
-                                max_equation_residual=0.0, terminal_mismatch=0.0,
-                                converged=True)
-        sol = _package(system, uf, ub, diag)
+        sol = _package(system, uf, ub, SolveDiagnostics("direct", 1, 0.0, 0.0, True))
         check = residual(system, sol)
-        sol.diagnostics = SolveDiagnostics(method="direct", iterations=1,
-                                           max_equation_residual=check.max_equation_residual,
-                                           terminal_mismatch=check.terminal_mismatch,
-                                           converged=check.max_equation_residual <= 1e-10)
+        sol.diagnostics = replace(check, converged=check.max_equation_residual <= 1e-10)
         if not sol.diagnostics.converged:
             raise SolverError(
                 f"direct solve residual {check.max_equation_residual:.3e} exceeds 1e-10; "
@@ -416,13 +435,6 @@ def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
             SolveDiagnostics("picard", iterations, dist, np.nan, False))
     uf = _forward_sweep(system, ub)
     ub = _backward_sweep(system, uf)
-    diag = SolveDiagnostics(method="picard", iterations=iterations,
-                            max_equation_residual=dist, terminal_mismatch=0.0,
-                            converged=True)
-    sol = _package(system, uf, ub, diag)
-    check = residual(system, sol)
-    sol.diagnostics = SolveDiagnostics(method="picard", iterations=iterations,
-                                       max_equation_residual=check.max_equation_residual,
-                                       terminal_mismatch=check.terminal_mismatch,
-                                       converged=True)
+    sol = _package(system, uf, ub, SolveDiagnostics("picard", iterations, dist, 0.0, True))
+    sol.diagnostics = replace(residual(system, sol), converged=True)
     return sol

@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import AssumptionViolationError, UnsupportedModelError, ValidationError
 from .fbsde import (DirectSolver, FbsdeSystem, LevelCoeffs, NodeSolution,
-                    check_factor_budget, solve_direct, solve_picard)
+                    check_factor_budget, solve_direct, solve_picard, sweep_floats)
 from .model import ModelSpec, check_all_assumptions
 from .scenario import (ExogenousFields, IdiosyncraticAtoms, NodeField,
                        NoiseLattice, evaluate_exogenous, idiosyncratic_atoms,
-                       sample_idiosyncratic)
+                       level_table, sample_idiosyncratic)
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,13 @@ def make_population(spec: ModelSpec, atoms: IdiosyncraticAtoms, N: int | None = 
 
 @dataclass
 class MinorTables:
+    """One group's coefficients: vectors per node, matrices per time level."""
+
     l: np.ndarray       # (num_nodes, n)
     sig0: np.ndarray    # (num_nodes, n, d0)
-    cf: np.ndarray      # (num_nodes, n, n)
+    cf: np.ndarray      # (K+1, n, n)
     hf: np.ndarray      # (num_nodes, n)
-    cg_T: np.ndarray    # (terminal_nodes, n, n)
+    cg_T: np.ndarray    # (n, n)
     hg_T: np.ndarray    # (terminal_nodes, n)
     xi: np.ndarray      # (n,) initial position
 
@@ -143,9 +145,9 @@ class MarketContext:
             self._minor_cache[key] = MinorTables(
                 l=self._eval_levels(b.l, atom_index, (n,)),
                 sig0=self._eval_levels(b.sigma0, atom_index, (n, d0)),
-                cf=self._eval_levels(b.cf, atom_index, (n, n)),
+                cf=level_table(lat, b.cf),
                 hf=self._eval_levels(b.hf, atom_index, (n,)),
-                cg_T=b.cg.eval_nodes(T, self.exo.c0[tsl], ci_T).reshape(-1, n, n),
+                cg_T=np.array(b.cg.value_at_time(T), dtype=float),
                 hg_T=b.hg.eval_nodes(T, self.exo.c0[tsl], ci_T).reshape(-1, n),
                 xi=self.atoms.xi[atom_index],
             )
@@ -166,6 +168,44 @@ def _slices(names_dims: list[tuple[str, int]]) -> dict:
     return out
 
 
+def _kron(a: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Per-level Kronecker products: (A, B) x (L, n, n) -> (L, A n, B n)."""
+    L, n, _ = blocks.shape
+    return (a[None, :, None, :, None] * blocks[:, None, :, None, :]).reshape(L, len(a) * n, -1)
+
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Group blocks (..., G, n, n) -> block-diagonal matrices (..., G n, G n)."""
+    *lead, G, n, _ = blocks.shape
+    out = np.zeros((*lead, G, n, G, n))
+    for g in range(G):
+        out[..., g, :, g, :] = blocks[..., g, :, :]
+    return out.reshape(*lead, G * n, G * n)
+
+
+def _terminal_coupling(tabs: list[MinorTables], w: np.ndarray, ratio: float):
+    """The clearing terminal map of the Y_g rows: cg_g X_g + ratio m(cg X) + hg_g + ratio m(hg).
+
+    Returns its (G n, G n) block on the X columns and its constants on the leaves.
+    """
+    G = len(tabs)
+    cg = np.stack([t.cg_T for t in tabs])
+    n = cg.shape[1]
+    block = np.zeros((G, n, G, n))
+    block += ((ratio * w)[:, None, None] * cg).transpose(1, 0, 2)
+    block = block.reshape(G * n, G * n)
+    block += _block_diag(cg)
+    mean_hg = ratio * sum(w[h] * t.hg_T for h, t in enumerate(tabs))
+    return block, np.concatenate([t.hg_T + mean_hg for t in tabs], axis=1)
+
+
+def _level_coeffs(Afb: np.ndarray, Bbf: np.ndarray, af, S, bb) -> LevelCoeffs:
+    """One level's blocks with zero Aff and Bbb."""
+    mf, mb = Afb.shape[1], Afb.shape[2]
+    return LevelCoeffs(Aff=np.zeros((1, mf, mf)), Afb=Afb, af=af, S=S,
+                       Bbf=Bbf, Bbb=np.zeros((1, mb, mb)), bb=bb)
+
+
 def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
                       w: np.ndarray) -> FbsdeSystem:
     """The six-block equilibrium system with the major flow eliminated inline.
@@ -173,92 +213,72 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     States per node: forward (x0, X_g, R_g), backward (p0, Y_g, P_g) for each
     agent group g with coefficient tables ``tabs[g]`` and population weight
     ``w[g]``.  The flow rule b = V0bar(-p0~ + m(Y~) + m(P~)) and the
-    cross-group means are folded into the coefficient blocks.
+    cross-group means are folded into the level-shared matrix blocks: b
+    enters x0, X_g and R_g with signs (1, -1, 1), so
+
+        Afb = kron(outer([1, -1_G, 1_G], [-1, w, w]), V0bar)
+              -/+ kron(I - 1 w^T, lam^{-1})   on the X/Y and R/P blocks.
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
     G = len(tabs)
+    K = lat.steps
 
     fsl = _slices([("x0", n)] + [(f"X{g}", n) for g in range(G)]
                   + [(f"R{g}", n) for g in range(G)])
     bsl = _slices([("p0", n)] + [(f"Y{g}", n) for g in range(G)]
                   + [(f"P{g}", n) for g in range(G)])
-    mf = (1 + 2 * G) * n
-    mb = (1 + 2 * G) * n
+    mf = mb = (1 + 2 * G) * n
+    # the X_g / Y_g and R_g / P_g states share their offsets
+    XY, RP, top = slice(n, (1 + G) * n), slice((1 + G) * n, mf), slice(0, n)
 
     initial = np.zeros(mf)
-    initial[fsl["x0"]] = spec.chi0
-    for g in range(G):
-        initial[fsl[f"X{g}"]] = tabs[g].xi
+    initial[top] = spec.chi0
+    initial[XY] = np.concatenate([t.xi for t in tabs])
 
     affine_cost = spec.major_cost.affine
+
+    signs = np.concatenate([[1.0], -np.ones(G), np.ones(G)])
+    means = np.concatenate([[-1.0], w, w])
+    Afb = np.zeros((K, mf, mb))  # summing onto +0.0 keeps zero entries unsigned
+    Afb += _kron(np.outer(signs, means), ctx.exo.v0bar[:K])
+    dev = _kron(np.eye(G) - w[None, :], ctx.exo.lam_inv[:K])
+    Afb[:, XY, XY] -= dev
+    Afb[:, RP, RP] += dev
+    cf = np.stack([t.cf[:K] for t in tabs], axis=1)
+    Bbf = np.zeros((K, mb, mf))
+    Bbf[:, XY, XY] = _block_diag(cf)
+    Bbf[:, RP, RP] = _block_diag(-cf)
+    if affine_cost:
+        Bbf[:, top, top] = spec.major_cost.c0f
 
     def coeffs(k: int) -> LevelCoeffs:
         sl = lat.level_slice(k)
         m = sl.stop - sl.start
-        lam = ctx.exo.lam[sl]
-        lam_inv = ctx.exo.lam_inv[sl]
-        v0 = ctx.exo.v0bar[sl]
-        Afb = np.zeros((m, mf, mb))
-        af = np.zeros((m, mf))
-        S = np.zeros((m, mf, lat.d0))
-        # flow rule blocks (b enters x0, every X_g, every R_g)
-        bcoef = {"p0": -v0}
-        for h in range(G):
-            bcoef[f"Y{h}"] = v0 * w[h]
-            bcoef[f"P{h}"] = v0 * w[h]
-        for name, c in bcoef.items():
-            Afb[:, fsl["x0"], bsl[name]] += c
-            for g in range(G):
-                Afb[:, fsl[f"X{g}"], bsl[name]] -= c
-                Afb[:, fsl[f"R{g}"], bsl[name]] += c
-        # fee-inverse deviations from the group mean
-        for g in range(G):
-            for h in range(G):
-                dev = lam_inv * ((1.0 if g == h else 0.0) - w[h])
-                Afb[:, fsl[f"X{g}"], bsl[f"Y{h}"]] -= dev
-                Afb[:, fsl[f"R{g}"], bsl[f"P{h}"]] += dev
-        af[:, fsl["x0"]] = ctx.l0[sl]
-        S[:, fsl["x0"], :] = ctx.s0[sl]
-        for g in range(G):
-            af[:, fsl[f"X{g}"]] = tabs[g].l[sl]
-            S[:, fsl[f"X{g}"], :] = tabs[g].sig0[sl]
-
-        Bbf = np.zeros((m, mb, mf))
-        bb = np.zeros((m, mb))
-        for g in range(G):
-            Bbf[:, bsl[f"Y{g}"], fsl[f"X{g}"]] = tabs[g].cf[sl]
-            bb[:, bsl[f"Y{g}"]] = tabs[g].hf[sl]
-            Bbf[:, bsl[f"P{g}"], fsl[f"R{g}"]] = -tabs[g].cf[sl]
-        if affine_cost:
-            Bbf[:, bsl["p0"], fsl["x0"]] = spec.major_cost.c0f
-            bb[:, bsl["p0"]] = ctx.h0f[sl]
-        return LevelCoeffs(Aff=np.zeros((1, mf, mf)), Afb=Afb, af=af, S=S,
-                           Bbf=Bbf, Bbb=np.zeros((1, mb, mb)), bb=bb)
+        zero = np.zeros((m, G * n))
+        af = np.concatenate([ctx.l0[sl], *(t.l[sl] for t in tabs), zero], axis=1)
+        S = np.concatenate([ctx.s0[sl], *(t.sig0[sl] for t in tabs),
+                            np.zeros((m, G * n, lat.d0))], axis=1)
+        h0f = ctx.h0f[sl] if affine_cost else np.zeros((m, n))
+        bb = np.concatenate([h0f, *(t.hf[sl] for t in tabs), zero], axis=1)
+        return _level_coeffs(Afb[k:k + 1], Bbf[k:k + 1], af, S, bb)
 
     def terminal():
         tsl = lat.terminal_slice
-        mK = lat.nodes_at(lat.steps)
-        Gm = np.zeros((mK, mb, mf))
-        gv = np.zeros((mK, mb))
+        Gm = np.zeros((1, mb, mf))
+        gv = np.zeros((lat.nodes_at(K), mb))
         if spec.maturity_mode:
-            gv[:, bsl["p0"]] = -ctx.exo.c0[tsl]
-            for g in range(G):
-                gv[:, bsl[f"Y{g}"]] = -ctx.exo.c0[tsl]
+            gv[:, top] = -ctx.exo.c0[tsl]
+            gv[:, XY] = np.tile(-ctx.exo.c0[tsl], G)
             return Gm, gv
         ratio = spec.delta / (1.0 - spec.delta)
         if affine_cost:
-            Gm[:, bsl["p0"], fsl["x0"]] = spec.major_cost.c0g
-            gv[:, bsl["p0"]] = ctx.h0g_T
-        for g in range(G):
-            for h in range(G):
-                Gm[:, bsl[f"Y{g}"], fsl[f"X{h}"]] += ratio * w[h] * tabs[h].cg_T
-                if g == h:
-                    Gm[:, bsl[f"Y{g}"], fsl[f"X{h}"]] += tabs[g].cg_T
-                Gm[:, bsl[f"P{g}"], fsl[f"R{h}"]] -= tabs[g].cg_T * (
-                    (1.0 if g == h else 0.0) + ratio * w[h])
-            gv[:, bsl[f"Y{g}"]] = tabs[g].hg_T + ratio * sum(
-                w[h] * tabs[h].hg_T for h in range(G))
+            Gm[0, top, top] = spec.major_cost.c0g
+            gv[:, top] = ctx.h0g_T
+        Gm[0, XY, XY], gv[:, XY] = _terminal_coupling(tabs, w, ratio)
+        cg = np.stack([t.cg_T for t in tabs])
+        own = np.eye(G) + ratio * w[None, :]
+        Gm[0, RP, RP] -= (own[:, None, :, None] * cg[:, :, None, :]).reshape(G * n, G * n)
         return Gm, gv
 
     driver_fn = terminal_fn = None
@@ -270,18 +290,18 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
             base = (np.matmul(c.Bbf, uf[..., None])[..., 0]
                     + np.matmul(c.Bbb, ubt[..., None])[..., 0] + c.bb)
             t = k * lat.dt
-            x0 = uf[:, fsl["x0"]]
+            x0 = uf[:, top]
             grad = np.stack([spec.major_cost.dfdx(t, x0[i], ctx.exo.c0[sl][i])
                              for i in range(m)])
-            base[:, bsl["p0"]] = grad
+            base[:, top] = grad
             return base
 
         def terminal_fn(ufK):
             Gm, gv = terminal()
             out = np.matmul(Gm, ufK[..., None])[..., 0] + gv
             tsl = lat.terminal_slice
-            x0 = ufK[:, fsl["x0"]]
-            out[:, bsl["p0"]] = np.stack([
+            x0 = ufK[:, top]
+            out[:, top] = np.stack([
                 spec.major_cost.dgdx(x0[i], ctx.exo.c0[tsl][i])
                 for i in range(x0.shape[0])])
             return out
@@ -291,61 +311,53 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
                        affine=affine_cost, driver_fn=driver_fn, terminal_fn=terminal_fn)
 
 
+def _minor_system(ctx: MarketContext, tabs: list[MinorTables], Afb: np.ndarray,
+                  af, terminal) -> FbsdeSystem:
+    """A system of the groups' minor states (X_g forward, Y_g backward).
+
+    ``Afb`` holds the level-shared fee blocks, ``af(sl)`` the forward drift on
+    nodes ``sl`` and ``terminal()`` the terminal map outside maturity mode,
+    where Y_g(T) = -c0(T); the running cost blocks cf_g sit on the Bbf diagonal.
+    """
+    lat, n = ctx.lattice, ctx.spec.dims.n
+    G = len(tabs)
+    Bbf = _block_diag(np.stack([t.cf[:lat.steps] for t in tabs], axis=1))
+
+    def coeffs(k: int) -> LevelCoeffs:
+        sl = lat.level_slice(k)
+        S = np.concatenate([t.sig0[sl] for t in tabs], axis=1)
+        bb = np.concatenate([t.hf[sl] for t in tabs], axis=1)
+        return _level_coeffs(Afb[k:k + 1], Bbf[k:k + 1], af(sl), S, bb)
+
+    def terminal_map():
+        if ctx.spec.maturity_mode:
+            return np.zeros((1, G * n, G * n)), np.tile(-ctx.exo.c0[lat.terminal_slice], G)
+        return terminal()
+
+    return FbsdeSystem(lattice=lat, forward_slices=_slices([(f"X{g}", n) for g in range(G)]),
+                       backward_slices=_slices([(f"Y{g}", n) for g in range(G)]),
+                       initial=np.concatenate([t.xi for t in tabs]),
+                       coeffs=coeffs, terminal=terminal_map, affine=True)
+
+
 def build_clearing_system(ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray,
                           beta_norm: np.ndarray) -> FbsdeSystem:
     """The minor-clearing system with a given per-capita major flow b = beta/N.
 
     The flow enters only the constant drift terms, so systems for different
-    flows share their matrix blocks (and hence one solver matrix pass).
+    flows share their matrix blocks (and hence one solver matrix pass).  The
+    fee block is kron(I - 1 w^T, -lam^{-1}).
     """
     spec, lat = ctx.spec, ctx.lattice
-    n = spec.dims.n
     G = len(tabs)
-    fsl = _slices([(f"X{g}", n) for g in range(G)])
-    bsl = _slices([(f"Y{g}", n) for g in range(G)])
-    mf = mb = G * n
-    initial = np.concatenate([t.xi for t in tabs])
-
-    def coeffs(k: int) -> LevelCoeffs:
-        sl = lat.level_slice(k)
-        m = sl.stop - sl.start
-        lam_inv = ctx.exo.lam_inv[sl]
-        Afb = np.zeros((m, mf, mb))
-        S = np.zeros((m, mf, lat.d0))
-        for g in range(G):
-            for h in range(G):
-                Afb[:, fsl[f"X{g}"], bsl[f"Y{h}"]] = -lam_inv * ((1.0 if g == h else 0.0) - w[h])
-            S[:, fsl[f"X{g}"], :] = tabs[g].sig0[sl]
-        Bbf = np.zeros((m, mb, mf))
-        bb = np.zeros((m, mb))
-        for g in range(G):
-            Bbf[:, bsl[f"Y{g}"], fsl[f"X{g}"]] = tabs[g].cf[sl]
-            bb[:, bsl[f"Y{g}"]] = tabs[g].hf[sl]
-        return LevelCoeffs(Aff=np.zeros((1, mf, mf)), Afb=Afb,
-                           af=_clearing_drift(tabs, beta_norm, sl), S=S,
-                           Bbf=Bbf, Bbb=np.zeros((1, mb, mb)), bb=bb)
+    Afb = _kron(np.eye(G) - w[None, :], -ctx.exo.lam_inv[:lat.steps])
 
     def terminal():
-        tsl = lat.terminal_slice
-        mK = lat.nodes_at(lat.steps)
-        Gm = np.zeros((mK, mb, mf))
-        gv = np.zeros((mK, mb))
-        if spec.maturity_mode:
-            for g in range(G):
-                gv[:, bsl[f"Y{g}"]] = -ctx.exo.c0[tsl]
-            return Gm, gv
-        ratio = spec.delta / (1.0 - spec.delta)
-        for g in range(G):
-            for h in range(G):
-                Gm[:, bsl[f"Y{g}"], fsl[f"X{h}"]] += ratio * w[h] * tabs[h].cg_T
-                if g == h:
-                    Gm[:, bsl[f"Y{g}"], fsl[f"X{h}"]] += tabs[g].cg_T
-            gv[:, bsl[f"Y{g}"]] = tabs[g].hg_T + ratio * sum(
-                w[h] * tabs[h].hg_T for h in range(G))
-        return Gm, gv
+        block, gv = _terminal_coupling(tabs, w, spec.delta / (1.0 - spec.delta))
+        return block[None], gv
 
-    return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
-                       initial=initial, coeffs=coeffs, terminal=terminal, affine=True)
+    return _minor_system(ctx, tabs, Afb, lambda sl: _clearing_drift(tabs, beta_norm, sl),
+                         terminal)
 
 
 def _clearing_drift(tabs: list[MinorTables], beta_norm: np.ndarray, sl) -> np.ndarray:
@@ -359,48 +371,19 @@ def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
     G = len(tabs)
-    fsl = _slices([(f"X{g}", n) for g in range(G)])
-    bsl = _slices([(f"Y{g}", n) for g in range(G)])
-    mf = mb = G * n
-    initial = np.concatenate([t.xi for t in tabs])
+    K = lat.steps
+    Afb = _block_diag(np.broadcast_to(-ctx.exo.lam_inv[:K, None], (K, G, n, n)))
+    lam_phi = np.matmul(ctx.exo.lam_inv[lat.level_of], price[..., None])[..., 0]
 
-    def coeffs(k: int) -> LevelCoeffs:
-        sl = lat.level_slice(k)
-        m = sl.stop - sl.start
-        lam_inv = ctx.exo.lam_inv[sl]
-        phi = price[sl]
-        Afb = np.zeros((m, mf, mb))
-        af = np.zeros((m, mf))
-        S = np.zeros((m, mf, lat.d0))
-        lam_phi = np.matmul(lam_inv, phi[..., None])[..., 0]
-        for g in range(G):
-            Afb[:, fsl[f"X{g}"], bsl[f"Y{g}"]] = -lam_inv
-            af[:, fsl[f"X{g}"]] = tabs[g].l[sl] - lam_phi
-            S[:, fsl[f"X{g}"], :] = tabs[g].sig0[sl]
-        Bbf = np.zeros((m, mb, mf))
-        bb = np.zeros((m, mb))
-        for g in range(G):
-            Bbf[:, bsl[f"Y{g}"], fsl[f"X{g}"]] = tabs[g].cf[sl]
-            bb[:, bsl[f"Y{g}"]] = tabs[g].hf[sl]
-        return LevelCoeffs(Aff=np.zeros((1, mf, mf)), Afb=Afb, af=af, S=S,
-                           Bbf=Bbf, Bbb=np.zeros((1, mb, mb)), bb=bb)
+    def af(sl):
+        return np.concatenate([t.l[sl] - lam_phi[sl] for t in tabs], axis=1)
 
     def terminal():
         tsl = lat.terminal_slice
-        mK = lat.nodes_at(lat.steps)
-        Gm = np.zeros((mK, mb, mf))
-        gv = np.zeros((mK, mb))
-        if spec.maturity_mode:
-            for g in range(G):
-                gv[:, bsl[f"Y{g}"]] = -ctx.exo.c0[tsl]
-            return Gm, gv
-        for g in range(G):
-            Gm[:, bsl[f"Y{g}"], fsl[f"X{g}"]] = tabs[g].cg_T
-            gv[:, bsl[f"Y{g}"]] = tabs[g].hg_T - spec.delta * price[tsl]
-        return Gm, gv
+        return (_block_diag(np.stack([t.cg_T for t in tabs]))[None],
+                np.concatenate([t.hg_T - spec.delta * price[tsl] for t in tabs], axis=1))
 
-    return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
-                       initial=initial, coeffs=coeffs, terminal=terminal, affine=True)
+    return _minor_system(ctx, tabs, Afb, af, terminal)
 
 
 # -- solution containers ----------------------------------------------------
@@ -454,7 +437,7 @@ def _price_from_clearing(ctx: MarketContext, w: np.ndarray, sol: NodeSolution,
                          beta_norm: np.ndarray) -> np.ndarray:
     lat = ctx.lattice
     mean_pre = _group_means(sol, w, "Y", pre=True)
-    phi = -mean_pre + np.matmul(ctx.exo.lam, beta_norm[..., None])[..., 0]
+    phi = -mean_pre + np.matmul(ctx.exo.lam[lat.level_of], beta_norm[..., None])[..., 0]
     tsl = lat.terminal_slice
     phi[tsl] = -_group_means(sol, w, "Y")[tsl]
     return phi
@@ -467,7 +450,8 @@ def _flow_and_price(ctx: MarketContext, w: np.ndarray, sol: NodeSolution):
     """
     mean_y_pre = _group_means(sol, w, "Y", pre=True)
     mean_p_pre = _group_means(sol, w, "P", pre=True)
-    b = np.matmul(ctx.exo.v0bar, (-sol.pre("p0") + mean_y_pre + mean_p_pre)[..., None])[..., 0]
+    v0bar = ctx.exo.v0bar[ctx.lattice.level_of]
+    b = np.matmul(v0bar, (-sol.pre("p0") + mean_y_pre + mean_p_pre)[..., None])[..., 0]
     b[ctx.lattice.terminal_slice] = 0.0
     return b, _price_from_clearing(ctx, w, sol, b)
 
@@ -475,12 +459,13 @@ def _flow_and_price(ctx: MarketContext, w: np.ndarray, sol: NodeSolution):
 def _alpha_hats(ctx: MarketContext, pop: AgentPopulation, sol: NodeSolution,
                 phi: np.ndarray) -> list[np.ndarray]:
     lat = ctx.lattice
+    lam_inv = ctx.exo.lam_inv[lat.level_of]
     out = []
     for g in range(pop.size):
         ypre = sol.pre(f"Y{g}").copy()
         tsl = lat.terminal_slice
         ypre[tsl] = sol.field(f"Y{g}")[tsl]
-        out.append(-np.matmul(ctx.exo.lam_inv, (ypre + phi)[..., None])[..., 0])
+        out.append(-np.matmul(lam_inv, (ypre + phi)[..., None])[..., 0])
     return out
 
 
@@ -548,7 +533,7 @@ def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     pop = population if population is not None else make_population(spec, ctx.atoms)
     system = build_best_response_system(ctx, ctx.group_tables(pop), price.values)
-    sol = solve_direct(system) if method == "direct" else solve_picard(system, **solver_kw)
+    sol = _solve_system(system, method, **solver_kw)
     alpha = _alpha_hats(ctx, pop, sol, price.values)
     return BestResponse(spec=spec, lattice=lattice, population=pop, solution=sol,
                         price=price, alpha_hat=alpha)
@@ -584,7 +569,7 @@ def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField
         _run_checks(spec, force, minor_only=True)
     beta_norm = beta.values / pop.N
     system = build_clearing_system(ctx, ctx.group_tables(pop), pop.weights, beta_norm)
-    sol = solve_direct(system) if method == "direct" else solve_picard(system, **solver_kw)
+    sol = _solve_system(system, method, **solver_kw)
     phi = _price_from_clearing(ctx, pop.weights, sol, beta_norm)
     alpha = _alpha_hats(ctx, pop, sol, phi)
     eq = EquilibriumSolution(
@@ -646,8 +631,9 @@ class ClearingOperator:
         lat = ctx.lattice
         base = build_clearing_system(ctx, tabs, w, np.zeros((lat.num_nodes, ctx.spec.dims.n)))
         mf, mb = base.mf, base.mb
-        # the solver's factors plus the kept Bbf, S, bb and af, before any block is built
-        check_factor_budget(lat.num_nodes * (mb * mb + 5 * mb * mf + mf * (lat.d0 + 1) + mb))
+        # the sweep's storage plus the kept level Bbf and node S and bb, before any level is built
+        check_factor_budget(sweep_floats(lat, mf, mb) + lat.steps * mb * mf
+                            + lat.num_nodes * (mf * lat.d0 + mb))
         levels = [base.coeffs(k) for k in range(lat.steps)]
         terminal = base.terminal()
         for arr in (*terminal, *(getattr(c, f.name) for c in levels for f in fields(c))):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedModelError, ValidationError
-from .fbsde import FbsdeSystem, LevelCoeffs, NodeSolution, solve_direct
+from .fbsde import DirectSolver, FbsdeSystem, LevelCoeffs, NodeSolution
 from .finite_market import (MarketContext, MinorTables, _flow_and_price, _run_checks,
                             _solve_system, build_full_system)
 from .model import ModelSpec
@@ -27,16 +27,10 @@ from .scenario import NodeField, NoiseLattice
 
 
 def _require_closure(spec: ModelSpec):
+    """The means close for a homogeneous population: ``ModelSpec`` keeps cf, cg atom-free."""
     if not spec.homogeneous:
         raise UnsupportedModelError(
             "conditional-mean reduction needs a homogeneous minor population")
-    bundle = spec.minor[0]
-    for name in ("cf", "cg"):
-        if getattr(bundle, name).depends_on_ci():
-            raise UnsupportedModelError(
-                f"minor coefficient {name} depends on the idiosyncratic state, so the "
-                f"conditional means do not close; use the exhaustive tiny-tree oracle "
-                f"for such models")
 
 
 def _mean_tables(ctx: MarketContext) -> MinorTables:
@@ -80,8 +74,10 @@ def build_deviation_system(ctx: MarketContext, atom_index: int,
                            mean: MinorTables | None = None) -> FbsdeSystem:
     """Linear per-atom deviation system: drift -lam^{-1} dy~ + dl, terminal cg dx + dhg.
 
-    Not a best-response system: in maturity mode its terminal map is zero,
-    where the best response pins y(T) = -c0.
+    Its matrix blocks (-lam^{-1}, cf, cg) are the same for every atom, so one
+    ``DirectSolver`` matrix pass serves all atoms.  Not a best-response
+    system: in maturity mode its terminal map is zero, where the best
+    response pins y(T) = -c0.
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
@@ -93,20 +89,15 @@ def build_deviation_system(ctx: MarketContext, atom_index: int,
 
     def coeffs(k: int) -> LevelCoeffs:
         sl = lat.level_slice(k)
-        m = sl.stop - sl.start
-        Afb = -ctx.exo.lam_inv[sl]
-        af = tab.l[sl] - mean.l[sl]
-        S = tab.sig0[sl] - mean.sig0[sl]
-        Bbf = tab.cf[sl]
-        bb = tab.hf[sl] - mean.hf[sl]
-        return LevelCoeffs(Aff=np.zeros((1, n, n)), Afb=Afb, af=af, S=S,
-                           Bbf=Bbf, Bbb=np.zeros((1, n, n)), bb=bb)
+        return LevelCoeffs(Aff=np.zeros((1, n, n)), Afb=-ctx.exo.lam_inv[k:k + 1],
+                           af=tab.l[sl] - mean.l[sl], S=tab.sig0[sl] - mean.sig0[sl],
+                           Bbf=tab.cf[k:k + 1], Bbb=np.zeros((1, n, n)),
+                           bb=tab.hf[sl] - mean.hf[sl])
 
     def terminal():
-        mK = lat.nodes_at(lat.steps)
         if spec.maturity_mode:
-            return np.zeros((mK, n, n)), np.zeros((mK, n))
-        return tab.cg_T, tab.hg_T - mean.hg_T
+            return np.zeros((1, n, n)), np.zeros((lat.nodes_at(lat.steps), n))
+        return tab.cg_T[None], tab.hg_T - mean.hg_T
 
     return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
                        initial=initial, coeffs=coeffs, terminal=terminal, affine=True)
@@ -161,7 +152,8 @@ class MfgSolution:
         for a in range(self.ctx.atoms.count):
             tab = self.ctx.minor_tables(0, a)
             xT = self.atom_field("x", a)[tsl]
-            out.append(np.matmul(tab.cg_T, xT[..., None])[..., 0] + tab.hg_T)
+            cg = np.tile(tab.cg_T, (len(xT), 1, 1))
+            out.append(np.matmul(cg, xT[..., None])[..., 0] + tab.hg_T)
         return np.stack(out)
 
 
@@ -183,7 +175,8 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
         _run_checks(spec, force)
     sol = _solve_system(reduce_conditional_means(spec, lattice, ctx), method, **solver_kw)
     (mean,), w = mean_group(ctx)
-    devs = [solve_direct(build_deviation_system(ctx, a, mean))
+    solver = DirectSolver(build_deviation_system(ctx, 0, mean))
+    devs = [solver.solve(build_deviation_system(ctx, a, mean))
             for a in range(ctx.atoms.count)]
     b, phi = _flow_and_price(ctx, w, sol)
     return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=sol,

@@ -436,13 +436,14 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
         R = eq_ho.group_field("R", g_ho)
         dl = het.l - hom.l
         dsig = het.sig0 - hom.sig0
-        ddf = np.matmul(het.cf - hom.cf, X[..., None])[..., 0] + (het.hf - hom.hf)
-        dcf_r = np.matmul(het.cf - hom.cf, R[..., None])[..., 0]
+        dcf = (het.cf - hom.cf)[lattice.level_of]
+        ddf = np.matmul(dcf, X[..., None])[..., 0] + (het.hf - hom.hf)
+        dcf_r = np.matmul(dcf, R[..., None])[..., 0]
         terms["dl"] += running(np.einsum("vi,vi->v", dl, dl)) / N
         terms["dsig0"] += running(np.einsum("vij,vij->v", dsig, dsig)) / N
         terms["ddfdx"] += running(np.einsum("vi,vi->v", ddf, ddf)) / N
         terms["dcf_r"] += running(np.einsum("vi,vi->v", dcf_r, dcf_r)) / N
-        dcg = het.cg_T - hom.cg_T
+        dcg = np.tile(het.cg_T - hom.cg_T, (lattice.nodes_at(lattice.steps), 1, 1))
         dg = np.matmul(dcg, X[tsl][..., None])[..., 0] + (het.hg_T - hom.hg_T)
         dcg_r = np.matmul(dcg, (R[tsl] + ratio * mean_R_T)[..., None])[..., 0]
         terms["dg_terminal"] += terminal(np.einsum("vi,vi->v", dg, dg)) / N

@@ -111,9 +111,6 @@ class CoefficientSpec:
             out += self.ci_mat @ np.asarray(ci, dtype=float)
         return out
 
-    def depends_on_ci(self) -> bool:
-        return self.kind == "affine" and self.ci_mat is not None and np.any(self.ci_mat != 0.0)
-
 
 def _shaped(value, shape, name):
     arr = np.asarray(value, dtype=float)
@@ -265,6 +262,15 @@ class ModelSpec:
             raise ValidationError("ci law atoms must be n-vectors")
         if self.c0_law[0] not in ("constant", "gaussian_walk"):
             raise ValidationError(f"unsupported c0 law {self.c0_law[0]!r}")
+        # time-only matrix coefficients make every system block one per time level
+        matrices = [("lambda", self.lambda_minor), ("lambda0", self.lambda_major)] + [
+            (f"minor bundle {i}: {name}", getattr(b, name))
+            for i, b in enumerate(self.minor) for name in ("cf", "cg")]
+        for name, c in matrices:
+            if c.kind not in ("constant", "time") or c.shape != (n, n):
+                raise ValidationError(
+                    f"{name}: a matrix coefficient must be constant or time-dependent "
+                    f"with shape ({n}, {n})")
 
     @property
     def homogeneous(self) -> bool:

@@ -47,15 +47,15 @@ def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
     x = integrate_forward(lat, tab.xi, alpha + tab.l, tab.sig0)
     phi = price.values
     running = (np.einsum("vi,vi->v", phi, alpha)
-               + _quad(alpha, ctx.exo.lam)
-               + _quad(x, tab.cf)
+               + _quad(alpha, ctx.exo.lam[lat.level_of])
+               + _quad(x, tab.cf[lat.level_of])
                + np.einsum("vi,vi->v", tab.hf, x))
     tsl = lat.terminal_slice
     if spec.maturity_mode:
         terminal = -np.einsum("vi,vi->v", ctx.exo.c0[tsl], x[tsl])
     else:
         terminal = (-spec.delta * np.einsum("vi,vi->v", phi[tsl], x[tsl])
-                    + _quad(x[tsl], tab.cg_T)
+                    + _quad(x[tsl], np.tile(tab.cg_T, (lat.nodes_at(lat.steps), 1, 1)))
                     + np.einsum("vi,vi->v", tab.hg_T, x[tsl]))
     return lat.running_expectation(running) + lat.terminal_expectation(terminal)
 
@@ -71,7 +71,7 @@ def _major_running_terminal(spec, ctx, lattice, b, phi):
                                      (lat.num_nodes,) + spec.major_cost.c0f.shape)) \
         + np.einsum("vi,vi->v", ctx.h0f, x0)
     running = (np.einsum("vi,vi->v", b, phi)
-               + _quad(b, ctx.exo.lam0)
+               + _quad(b, ctx.exo.lam0[lat.level_of])
                + fbar)
     tsl = lat.terminal_slice
     if spec.maturity_mode:

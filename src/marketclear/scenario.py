@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import AssumptionViolationError, BudgetError, ValidationError
 
 DEFAULT_NODE_BUDGET = 2**20
 
@@ -261,32 +261,27 @@ def constant_field(lattice: NoiseLattice, value) -> NodeField:
 
 @dataclass
 class ExogenousFields:
-    """Common exogenous symbols materialized node by node."""
+    """Common exogenous symbols: c0 node by node, the fee matrices per time level."""
 
     c0: np.ndarray      # (num_nodes, n)
-    lam: np.ndarray     # (num_nodes, n, n)  minor trading-fee matrix, SPD
-    lam0: np.ndarray    # (num_nodes, n, n)  major trading-fee matrix, PSD
-    lam_inv: np.ndarray
-    v0bar: np.ndarray   # (lam0 + 2 lam)^{-1}
+    lam: np.ndarray     # (K+1, n, n)  minor trading-fee matrix, SPD
+    lam0: np.ndarray    # (K+1, n, n)  major trading-fee matrix, PSD
+    lam_inv: np.ndarray  # (K+1, n, n)
+    v0bar: np.ndarray   # (K+1, n, n)  (lam0 + 2 lam)^{-1}
 
 
-def _materialize_matrix(lattice: NoiseLattice, spec, n: int, name: str) -> np.ndarray:
-    out = np.zeros((lattice.num_nodes, n, n))
-    if spec.kind == "constant":
-        out[:] = spec.value
-    elif spec.kind == "time":
-        for k in range(lattice.steps + 1):
-            out[lattice.level_slice(k)] = spec.value_at_time(k * lattice.dt)
-    else:
-        raise ValidationError(f"{name}: unsupported kind {spec.kind!r} for a market-wide matrix")
-    return out
+def level_table(lattice: NoiseLattice, coefficient) -> np.ndarray:
+    """A constant or time-dependent coefficient at every grid time: (K+1, *shape)."""
+    return np.stack([coefficient.value_at_time(k * lattice.dt)
+                     for k in range(lattice.steps + 1)])
 
 
 def evaluate_exogenous(lattice: NoiseLattice, spec) -> ExogenousFields:
-    """Materialize c0 and the fee matrices on every node of the tree.
+    """Materialize c0 on every node of the tree and the fee matrices per level.
 
     The c0 law is either constant or a Gaussian walk driven by the common
-    increments; the fee matrices may be constant or deterministic in time.
+    increments; the fee matrices are constant or deterministic in time, so
+    one matrix per time level serves all of its nodes.
     """
     n = spec.dims.n
     c0 = np.zeros((lattice.num_nodes, n))
@@ -306,21 +301,20 @@ def evaluate_exogenous(lattice: NoiseLattice, spec) -> ExogenousFields:
     else:
         raise ValidationError(f"unsupported c0 law kind {law[0]!r}")
 
-    lam = _materialize_matrix(lattice, spec.lambda_minor, n, "lambda")
-    lam0 = _materialize_matrix(lattice, spec.lambda_major, n, "lambda0")
+    lam = level_table(lattice, spec.lambda_minor)
+    lam0 = level_table(lattice, spec.lambda_major)
 
-    from .errors import AssumptionViolationError
     try:
         np.linalg.cholesky(0.5 * (lam + lam.transpose(0, 2, 1)))
     except np.linalg.LinAlgError:
         raise AssumptionViolationError(
-            "lambda loses positive definiteness at a lattice node")
+            "lambda loses positive definiteness at a time level")
     lam_inv = np.linalg.inv(lam)
     combo = lam0 + 2.0 * lam
     try:
         v0bar = np.linalg.inv(combo)
     except np.linalg.LinAlgError:
-        raise AssumptionViolationError("lambda0 + 2*lambda is singular at a node")
+        raise AssumptionViolationError("lambda0 + 2*lambda is singular at a time level")
     return ExogenousFields(c0=c0, lam=lam, lam0=lam0, lam_inv=lam_inv, v0bar=v0bar)
 
 

@@ -89,9 +89,10 @@ def test_time_dependent_fee_schedule() -> None:
     spec = make_spec(dims, lam=lam)
     lat = build_lattice(TimeGrid(1.0, 4), d0=1)
     exo = evaluate_exogenous(lat, spec)
-    assert np.allclose(exo.lam[lat.level_slice(1)], 1.0)
-    assert np.allclose(exo.lam[lat.level_slice(2)], 2.0)
-    assert np.allclose(exo.lam_inv[lat.level_slice(3)], 0.5)
+    assert exo.lam.shape == exo.lam_inv.shape == (lat.steps + 1, 1, 1)
+    assert np.allclose(exo.lam[1], 1.0)
+    assert np.allclose(exo.lam[2], 2.0)
+    assert np.allclose(exo.lam_inv[3], 0.5)
 
 
 def test_idiosyncratic_process_coupling_exact_at_matching_weights() -> None:

@@ -136,7 +136,8 @@ def test_singular_level_system_raises_solver_error() -> None:
 def test_factor_budget_raises_before_the_matrix_pass(monkeypatch) -> None:
     system = full_system(scalar_market_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
     mf, mb = system.mf, system.mb
-    need = system.lattice.num_nodes * (mb * mb + 4 * mb * mf) * 8
+    lat = system.lattice
+    need = (lat.steps * (mb * mb + 4 * mb * mf) + lat.num_nodes * (3 * mf + 5 * mb)) * 8
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need)
     DirectSolver(system)
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need - 1)

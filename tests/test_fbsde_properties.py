@@ -1,18 +1,21 @@
 """Property tests of the decoupling-field sweep on random small affine systems.
 
 Each example draws a lattice (binary or trinomial, d0 in {0,1,2}, K <= 3),
-state dimensions mf, mb in {1,2,3}, and affine blocks that are either shared
-by a level or given per node.  The sweep must agree with a dense solve of the
-node-by-node equations written out below, and a re-solve of a sibling system
-(same blocks, new constants) must equal a fresh solve of that sibling.
+state dimensions mf, mb in {1,2,3}, level-shared matrix blocks, and constants
+that are either shared by a level or given per node.  The sweep must agree
+with a dense solve of the node-by-node equations written out below, and a
+re-solve of a sibling system (same blocks, new constants) must equal a fresh
+solve of that sibling.  A matrix block given per node is refused.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from marketclear.errors import ValidationError
 from marketclear.fbsde import DirectSolver, FbsdeSystem, LevelCoeffs, solve_direct
 from marketclear.scenario import TimeGrid, build_lattice
 
@@ -24,17 +27,16 @@ def draw(rng, share: bool, m: int, shape: tuple, scale: float) -> np.ndarray:
     return rng.uniform(-scale, scale, ((1 if share else m),) + shape)
 
 
-def random_blocks(rng, lat, mf, mb, shared):
+def random_blocks(rng, lat, mf, mb):
     levels = []
     for k in range(lat.steps):
-        m = lat.nodes_at(k)
         levels.append({
-            "Aff": draw(rng, shared["Aff"], m, (mf, mf), 0.5),
-            "Afb": draw(rng, shared["Afb"], m, (mf, mb), 0.2),
-            "Bbf": draw(rng, shared["Bbf"], m, (mb, mf), 0.5),
-            "Bbb": draw(rng, shared["Bbb"], m, (mb, mb), 0.5),
+            "Aff": draw(rng, True, 1, (mf, mf), 0.5),
+            "Afb": draw(rng, True, 1, (mf, mb), 0.2),
+            "Bbf": draw(rng, True, 1, (mb, mf), 0.5),
+            "Bbb": draw(rng, True, 1, (mb, mb), 0.5),
         })
-    G = draw(rng, shared["G"], lat.nodes_at(lat.steps), (mb, mf), 0.5)
+    G = draw(rng, True, 1, (mb, mf), 0.5)
     return levels, G
 
 
@@ -47,7 +49,7 @@ def random_constants(rng, lat, mf, mb, shared):
             "S": draw(rng, shared["S"], m, (mf, lat.d0), 1.0),
             "bb": draw(rng, shared["bb"], m, (mb,), 1.0),
         })
-    g = draw(rng, False, lat.nodes_at(lat.steps), (mb,), 1.0)
+    g = draw(rng, shared["g"], lat.nodes_at(lat.steps), (mb,), 1.0)
     return levels, g, rng.uniform(-1.0, 1.0, mf)
 
 
@@ -104,15 +106,14 @@ def dense_solve(system: FbsdeSystem):
     G, g = system.terminal()
     lo, hi = lat.level_range(lat.steps)
     for v in range(lo, hi):
-        Gv = G[0] if G.shape[0] == 1 else G[v - lo]
         A[bwd(v), bwd(v)] += np.eye(mb)
-        A[bwd(v), fwd(v)] -= Gv
-        rhs[bwd(v)] = g[v - lo]
+        A[bwd(v), fwd(v)] -= G[0]
+        rhs[bwd(v)] = g[0] if g.shape[0] == 1 else g[v - lo]
     x = np.linalg.solve(A, rhs).reshape(lat.num_nodes, M)
     return x[:, :mf], x[:, mf:]
 
 
-BLOCK_NAMES = ("Aff", "Afb", "Bbf", "Bbb", "G", "af", "S", "bb")
+CONSTANT_NAMES = ("af", "S", "bb", "g")
 
 cases = st.fixed_dictionaries({
     "mf": st.integers(1, 3),
@@ -120,7 +121,7 @@ cases = st.fixed_dictionaries({
     "d0": st.integers(0, 2),
     "branching": st.sampled_from([2, 3]),
     "K": st.integers(1, 3),
-    "shared": st.fixed_dictionaries({name: st.booleans() for name in BLOCK_NAMES}),
+    "shared": st.fixed_dictionaries({name: st.booleans() for name in CONSTANT_NAMES}),
     "seed": st.integers(0, 2**32 - 1),
 })
 
@@ -129,7 +130,7 @@ def lattice_and_blocks(case):
     lat = build_lattice(TimeGrid(0.5, case["K"]), d0=case["d0"], branching=case["branching"])
     assume(lat.num_nodes <= MAX_NODES)
     rng = np.random.default_rng(case["seed"])
-    blocks = random_blocks(rng, lat, case["mf"], case["mb"], case["shared"])
+    blocks = random_blocks(rng, lat, case["mf"], case["mb"])
     return lat, rng, blocks
 
 
@@ -157,3 +158,18 @@ def test_resolve_of_sibling_equals_fresh_solve(case) -> None:
     fresh = solve_direct(sibling)
     assert np.array_equal(resolved.forward, fresh.forward)
     assert np.array_equal(resolved.backward, fresh.backward)
+
+
+@SETTINGS
+@given(cases, st.sampled_from(["Aff", "Afb", "Bbf", "Bbb", "G"]))
+def test_per_node_matrix_block_is_refused(case, name) -> None:
+    lat, rng, (levels, G) = lattice_and_blocks(case)
+    assume(lat.nodes_at(lat.steps - 1) > 1)  # some level has more than one node
+    constants = random_constants(rng, lat, case["mf"], case["mb"], case["shared"])
+    if name == "G":
+        G = np.repeat(G, lat.nodes_at(lat.steps), axis=0)
+    else:
+        for k, blocks in enumerate(levels):
+            blocks[name] = np.repeat(blocks[name], lat.nodes_at(k), axis=0)
+    with pytest.raises(ValidationError, match=name):
+        DirectSolver(make_system(lat, (levels, G), constants))

@@ -109,7 +109,7 @@ def test_clearing_residual_responds_linearly_to_price_shift() -> None:
     lam_inv = ctx.exo.lam_inv[0, 0, 0]
     eq.price.values[0, 0] += 1.0
     eq.alpha_hat[:] = [
-        -np.matmul(ctx.exo.lam_inv, (np.where(
+        -np.matmul(ctx.exo.lam_inv[lat.level_of], (np.where(
             (np.arange(lat.num_nodes) >= lat.level_range(lat.steps)[0])[:, None],
             eq.solution.field(f"Y{g}"), eq.solution.pre(f"Y{g}"))
             + eq.price.values)[..., None])[..., 0]
@@ -353,10 +353,16 @@ def test_clearing_operator_checks_the_budget_before_building_blocks(monkeypatch)
         return system
 
     monkeypatch.setattr(finite_market, "build_clearing_system", counted)
-    monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", 1024)
+    # solver factors and node vectors, plus the kept Bbf per level and S, bb per node
+    mf = mb = 2
+    need = 8 * (lat.steps * (mb * mb + 5 * mb * mf)
+                + lat.num_nodes * (3 * mf + 5 * mb + mf * lat.d0 + mb))
+    monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need - 1)
     with pytest.raises(BudgetError):
         ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     assert calls == []
+    monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need)
+    ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
 
 
 def test_group_collapse_matches_ungrouped_per_agent_solve() -> None:

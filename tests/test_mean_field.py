@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from marketclear.errors import UnsupportedModelError
+from marketclear.errors import UnsupportedModelError, ValidationError
 from marketclear.finite_market import (ClearingOperator, MarketContext, make_population,
                                        solve_full_equilibrium)
 from marketclear.mean_field import mean_group, reduce_conditional_means, solve_mfg
@@ -117,16 +117,18 @@ def test_flow_rule_direct_substitution() -> None:
     assert -2.0 + 1.0 * beta == pytest.approx(-1.0)
 
 
-def test_non_closing_coefficients_rejected(small_tree) -> None:
-    dims = Dimensions(1, 1, 0, 2)
-    bundle = MinorBundle.build(dims)
-    bundle.cf = CoefficientSpec("affine", (1,), const=[1.0], ci_mat=[[1.0]], name="cf")
-    # affine vector payloads cannot be used for matrix coefficients, so mimic
-    # ci dependence through a shaped affine cf directly
-    spec = make_spec(dims, minor=bundle,
-                     ci_law=DiscreteLaw(np.array([[0.0], [1.0]]), np.array([0.5, 0.5])))
-    with pytest.raises(UnsupportedModelError):
-        reduce_conditional_means(spec, small_tree)
+def test_non_closing_coefficients_rejected() -> None:
+    # a cost curvature that depends on the idiosyncratic state would break the
+    # closure of the means; matrix coefficients are refused unless constant or
+    # time-dependent, at n = 1 as at n = 2
+    for n in (1, 2):
+        dims = Dimensions(n, 1, 0, 2)
+        bundle = MinorBundle.build(dims)
+        bundle.cf = CoefficientSpec("affine", (n,), const=np.ones(n), ci_mat=np.eye(n),
+                                    name="cf")
+        law = DiscreteLaw(np.array([np.zeros(n), np.ones(n)]), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="cf"):
+            make_spec(dims, minor=bundle, ci_law=law)
 
 
 def test_heterogeneous_population_rejected(small_tree) -> None:

@@ -139,7 +139,6 @@ def test_affine_coefficient_evaluates_both_channels() -> None:
                            ci_mat=[[0.0, 0.0], [0.0, 2.0]])
     out = spec.eval_point(0.0, np.array([3.0, 9.0]), np.array([0.0, 1.5]))
     assert out == pytest.approx([4.0, 3.0])
-    assert spec.depends_on_ci()
 
 
 def test_time_table_is_left_continuous() -> None:
@@ -147,6 +146,23 @@ def test_time_table_is_left_continuous() -> None:
     assert spec.value_at_time(0.25)[0] == 1.0
     assert spec.value_at_time(0.5)[0] == 2.0
     assert spec.value_at_time(0.9)[0] == 2.0
+
+
+def test_matrix_coefficients_validated_at_the_boundary() -> None:
+    dims = Dimensions(2, 1, 0, 2)
+    affine = CoefficientSpec("affine", (2,), const=[1.0, 1.0], c0_mat=np.eye(2), name="x")
+    wrong_shape = CoefficientSpec("time", (1, 1), times=[0.0], values=[[[1.0]]], name="x")
+    with pytest.raises(ValidationError, match="lambda0"):
+        make_spec(dims, lam0=affine)
+    with pytest.raises(ValidationError, match="lambda"):
+        make_spec(dims, lam=wrong_shape)
+    bundle = MinorBundle.build(dims)
+    bundle.cg = wrong_shape
+    with pytest.raises(ValidationError, match="minor bundle 1: cg"):
+        make_spec(dims, minor=[MinorBundle.build(dims), bundle])
+    timed = CoefficientSpec("time", (2, 2), times=[0.0, 0.5],
+                            values=[np.eye(2), 2 * np.eye(2)], name="cf")
+    make_spec(dims, lam=timed, minor=MinorBundle.build(dims, cf=timed, cg=timed))
 
 
 # -- model files ---------------------------------------------------------------
