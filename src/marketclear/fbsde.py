@@ -22,14 +22,16 @@ their affine decoupling field u_B(v) = P_k u_F(v) + p(v), the discrete
 four-step scheme for linear FBSDEs: one matrix pass from the leaves computes
 one P per level, and vector passes then carry the constants back and recover
 every state forward, batched over each level's nodes (``DirectSolver``).
-The general case uses a damped fixed-point iteration of forward/backward
-sweeps (``solve_picard``).
+Sibling systems (same blocks, new constants) share the matrix pass, and a
+family of them shares one vector pass: their states are stacked after the
+node axis, (nodes, B, dim).  The general case uses a damped fixed-point
+iteration of forward/backward sweeps (``solve_picard``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,11 +43,20 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
 # cap on what a DirectSolver stores for one solve, in bytes
 FACTOR_BUDGET_BYTES = 2 * 2**30
+# absolute gate on every equation row of a direct solve, per flow
+DIRECT_RESIDUAL_GATE = 1e-10
 
 
 @dataclass
 class LevelCoeffs:
-    """Affine blocks of one time level: one matrix each, constants shared or per node."""
+    """Affine blocks of one time level: one matrix each, constants shared or per node.
+
+    A system's ``coeffs(k)`` gives the constants without a batch axis.  The
+    direct solver stacks those of a family of sibling systems right after
+    the node axis, so inside a solve ``af`` is (m|1, B|1, mf), ``S`` is
+    (m|1, B|1, mf, d0) and ``bb`` is (m|1, B|1, mb); a batch axis of length
+    1 is shared by every flow.
+    """
 
     Aff: np.ndarray   # (1, mf, mf)
     Afb: np.ndarray   # (1, mf, mb)
@@ -148,9 +159,63 @@ class NodeSolution:
         return out
 
 
+# -- families of sibling systems ----------------------------------------------
+#
+# Every state and constant below carries a batch axis right after the node
+# axis, one entry per flow of a family of sibling systems; a single system is
+# the family of one.
+
+
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """(m|1, p, q) x (m, q) -> (m, p), broadcasting the leading axis."""
+    """(m|1, [B,] p, q) x (m, B, q) -> (m, B, p), broadcasting the leading axes."""
     return np.matmul(mat, vec[..., None])[..., 0]
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """Sibling constants, each (m|1, ...), as one (m|1, B|1, ...) array.
+
+    An array shared by every sibling keeps a batch axis of length 1 and is
+    not copied.
+    """
+    first = arrays[0]
+    if all(a is first for a in arrays[1:]):
+        return first[:, None]
+    return np.stack(np.broadcast_arrays(*arrays), axis=1)
+
+
+def _require_same(name: str, blocks: list) -> None:
+    """Refuse a family whose systems do not share a matrix block."""
+    first = blocks[0]
+    for block in blocks[1:]:
+        if block is not first and not np.array_equal(block, first):
+            raise ValidationError(
+                f"{name} differs between systems solved together; only sibling "
+                f"systems (same blocks, new constants) share a solve")
+
+
+def _family_level(family: Sequence[FbsdeSystem], k: int) -> LevelCoeffs:
+    """Level-k blocks of a family, constants stacked after the node axis."""
+    cs = [s.coeffs(k) for s in family]
+    for name in ("Aff", "Afb", "Bbf", "Bbb"):
+        _require_same(f"level {k} {name}", [getattr(c, name) for c in cs])
+    return replace(cs[0], af=_stack([c.af for c in cs]), S=_stack([c.S for c in cs]),
+                   bb=_stack([c.bb for c in cs]))
+
+
+def _family_terminal(family: Sequence[FbsdeSystem]) -> tuple:
+    """Terminal map of a family: the shared G and g stacked as (mK|1, B|1, mb)."""
+    maps = [s.terminal() for s in family]
+    _require_same("terminal G", [G for G, _ in maps])
+    return maps[0][0], _stack([np.atleast_2d(np.asarray(g, dtype=float)) for _, g in maps])
+
+
+def _family_initial(family: Sequence[FbsdeSystem]) -> np.ndarray:
+    return np.array([s.initial for s in family], dtype=float)
+
+
+def _flow_max(gap: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each flow of a (m, B, ...) array."""
+    return np.max(np.abs(gap), axis=(0,) + tuple(range(2, gap.ndim)), initial=0.0)
 
 
 def _noise(lat: NoiseLattice, k: int, S: np.ndarray) -> np.ndarray:
@@ -158,7 +223,7 @@ def _noise(lat: NoiseLattice, k: int, S: np.ndarray) -> np.ndarray:
     clo, chi = lat.level_range(k + 1)
     m = lat.nodes_at(k)
     S_child = np.repeat(np.broadcast_to(S, (m,) + S.shape[1:]), lat.fanout, axis=0)
-    return _apply(S_child, lat.dW[clo:chi])
+    return _apply(S_child, lat.dW[clo:chi, None])
 
 
 def _step(lat: NoiseLattice, uf: np.ndarray, ubt: np.ndarray, Aff, Afb, af,
@@ -169,34 +234,34 @@ def _step(lat: NoiseLattice, uf: np.ndarray, ubt: np.ndarray, Aff, Afb, af,
 
 
 def _driver(system: FbsdeSystem, k: int, c: LevelCoeffs | None, uf, ubt) -> np.ndarray:
-    """The backward driver on level k; ``c`` is the level's blocks if already at hand."""
-    if system.driver_fn is not None:
-        return system.driver_fn(k, uf, ubt)
-    c = c if c is not None else system.coeffs(k)
+    """The backward driver on level k; ``c`` is the level's stacked blocks if already at hand."""
+    if system.driver_fn is not None:  # non-affine systems are solved alone
+        return system.driver_fn(k, uf[:, 0], ubt[:, 0])[:, None]
+    c = c if c is not None else _family_level([system], k)
     return _apply(c.Bbf, uf) + _apply(c.Bbb, ubt) + c.bb
 
 
 def _forward_sweep(system: FbsdeSystem, ub: np.ndarray) -> np.ndarray:
     lat = system.lattice
-    uf = np.zeros((lat.num_nodes, system.mf))
+    uf = np.zeros((lat.num_nodes, 1, system.mf))
     uf[0] = system.initial
     for k in range(lat.steps):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
-        c = system.coeffs(k)
+        c = _family_level([system], k)
         uf[clo:chi] = _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af, _noise(lat, k, c.S))
     return uf
 
 
 def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
     lat = system.lattice
-    ub = np.zeros((lat.num_nodes, system.mb))
+    ub = np.zeros((lat.num_nodes, 1, system.mb))
     tsl = lat.terminal_slice
     if system.terminal_fn is not None:
-        ub[tsl] = system.terminal_fn(uf[tsl])
+        ub[tsl] = system.terminal_fn(uf[tsl, 0])[:, None]
     else:
-        G, g = system.terminal()
+        G, g = _family_terminal([system])
         ub[tsl] = _apply(G, uf[tsl]) + g
     for k in range(lat.steps - 1, -1, -1):
         lo, hi = lat.level_range(k)
@@ -206,9 +271,8 @@ def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
     return ub
 
 
-def _package(system: FbsdeSystem, uf, ub, diagnostics) -> NodeSolution:
-    """Attach the pre-driver values uB~ and the martingale increments."""
-    lat = system.lattice
+def _pre_and_deviations(lat: NoiseLattice, ub: np.ndarray) -> tuple:
+    """The pre-driver values uB~ and the martingale increments of backward states."""
     pre = np.zeros_like(ub)
     dev = np.zeros_like(ub)
     pre[lat.terminal_slice] = ub[lat.terminal_slice]
@@ -217,41 +281,58 @@ def _package(system: FbsdeSystem, uf, ub, diagnostics) -> NodeSolution:
         clo, chi = lat.level_range(k + 1)
         pre[lo:hi] = lat.cond_expect(ub[clo:chi], k)
         dev[clo:chi] = ub[clo:chi] - lat.repeat_to_children(pre[lo:hi])
-    return NodeSolution(system=system, forward=uf, backward=ub,
-                        backward_pre=pre, deviations=dev, diagnostics=diagnostics)
+    return pre, dev
+
+
+def _flow_solution(system: FbsdeSystem, b: int, uf, ub, pre, dev,
+                   diagnostics: SolveDiagnostics) -> NodeSolution:
+    """Flow ``b`` of stacked states as a solution with contiguous (nodes, dim) arrays.
+
+    States stored flows-first give views; any other layout is copied.
+    """
+    flow = lambda a: np.ascontiguousarray(a[:, b])
+    return NodeSolution(system=system, forward=flow(uf), backward=flow(ub),
+                        backward_pre=flow(pre), deviations=flow(dev), diagnostics=diagnostics)
 
 
 # -- residual ---------------------------------------------------------------
 
 
-def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
-    """Recompute every discrete equation row and report the worst violation."""
+def _equation_gaps(family: Sequence[FbsdeSystem], uf, ub, pre) -> tuple:
+    """Worst violation per flow of every discrete equation row, and of the terminal rows.
+
+    Rows are recomputed from the stacked states and the systems' own
+    coefficients; uB~ is read from ``pre``.
+    """
+    system = family[0]
     lat = system.lattice
-    uf, ub = solution.forward, solution.backward
-    worst = float(np.max(np.abs(uf[0] - system.initial), initial=0.0))
+    worst = _flow_max((uf[0] - _family_initial(family))[None])
     for k in range(lat.steps):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
-        ubt = lat.cond_expect(ub[clo:chi], k)
-        c = system.coeffs(k)
+        ubt = pre[lo:hi]
+        c = _family_level(family, k)
         fwd_gap = uf[clo:chi] - _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af,
                                       _noise(lat, k, c.S))
         bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, c, uf[lo:hi], ubt)
-        worst = max(worst, float(np.max(np.abs(fwd_gap), initial=0.0)),
-                    float(np.max(np.abs(bwd_gap), initial=0.0)))
+        worst = np.maximum(worst, np.maximum(_flow_max(fwd_gap), _flow_max(bwd_gap)))
     tsl = lat.terminal_slice
     if system.terminal_fn is not None:
-        term_gap = ub[tsl] - system.terminal_fn(uf[tsl])
+        term_gap = ub[tsl] - system.terminal_fn(uf[tsl, 0])[:, None]
     else:
-        G, g = system.terminal()
+        G, g = _family_terminal(family)
         term_gap = ub[tsl] - _apply(G, uf[tsl]) - g
-    terminal_mismatch = float(np.max(np.abs(term_gap), initial=0.0))
-    worst = max(worst, terminal_mismatch)
-    diag = solution.diagnostics
-    return SolveDiagnostics(method=diag.method, iterations=diag.iterations,
-                            max_equation_residual=worst,
-                            terminal_mismatch=terminal_mismatch,
-                            converged=diag.converged and worst <= max(DEFAULT_TOL, 1e-9))
+    terminal_mismatch = _flow_max(term_gap)
+    return np.maximum(worst, terminal_mismatch), terminal_mismatch
+
+
+def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
+    """Recompute every discrete equation row and report the worst violation."""
+    worst, terminal_mismatch = _equation_gaps(
+        [system], solution.forward[:, None], solution.backward[:, None],
+        solution.backward_pre[:, None])
+    return replace(solution.diagnostics, max_equation_residual=float(worst[0]),
+                   terminal_mismatch=float(terminal_mismatch[0]))
 
 
 # -- direct (decoupling-field) solve ------------------------------------------
@@ -269,13 +350,13 @@ class _LevelFactors:
     Afb: np.ndarray
 
 
-def sweep_floats(lat: NoiseLattice, mf: int, mb: int) -> int:
-    """Float64s a ``DirectSolver`` keeps for one solve.
+def sweep_floats(lat: NoiseLattice, mf: int, mb: int, flows: int = 1) -> int:
+    """Float64s a ``DirectSolver`` keeps for one solve of ``flows`` sibling systems.
 
-    Per level E, E Pbar, Q, P and Afb; per node p, r, af, S dW and the
-    solution's u_F, u_B, uB~ and increments.
+    Per level E, E Pbar, Q, P and Afb; per node and flow p, r, af, S dW and
+    the solution's u_F, u_B, uB~ and increments.
     """
-    return lat.steps * (mb * mb + 4 * mb * mf) + lat.num_nodes * (3 * mf + 5 * mb)
+    return lat.steps * (mb * mb + 4 * mb * mf) + flows * lat.num_nodes * (3 * mf + 5 * mb)
 
 
 def check_factor_budget(floats: int) -> None:
@@ -313,11 +394,12 @@ class DirectSolver:
     ``ValidationError``.  The constants (af, bb, g, initial, S dW) enter only
     the vector passes of ``solve``, so families of systems differing only in
     those (e.g. the clearing system across candidate major flows) share one
-    matrix pass.
+    matrix pass, and ``solve`` takes a whole family in one vector pass.
 
     A system whose storage (``sweep_floats``: ``K (mb^2 + 4 mb mf)`` floats
-    of factors plus ``nodes (3 mf + 5 mb)`` of node vectors) would exceed
-    ``FACTOR_BUDGET_BYTES`` raises ``BudgetError`` before any coefficient call.
+    of factors plus ``nodes (3 mf + 5 mb)`` of node vectors per flow) would
+    exceed ``FACTOR_BUDGET_BYTES`` raises ``BudgetError`` before any
+    coefficient call.
     """
 
     def __init__(self, system: FbsdeSystem):
@@ -352,29 +434,47 @@ class DirectSolver:
                                             Aff=c.Aff, Afb=c.Afb)
             self._P[k] = P
 
-    def solve(self, system: FbsdeSystem | None = None) -> NodeSolution:
-        """Solve; pass a sibling system (same blocks, new constants) to reuse the matrix pass."""
-        system = system if system is not None else self.system
+    def solve(self, systems: FbsdeSystem | Sequence[FbsdeSystem] | None = None):
+        """Solve by one vector pass on the shared matrix pass.
+
+        ``systems`` is this solver's own system (the default), one sibling
+        system (same blocks, new constants), or a sequence of siblings, the
+        flows of one batch.  One system gives its ``NodeSolution``; a
+        sequence gives a list with one solution per flow, in order.
+
+        Every flow's states are checked to be finite and every equation row
+        of every flow is recomputed (``_equation_gaps``) against the absolute
+        ``DIRECT_RESIDUAL_GATE``; the first flow that fails raises
+        ``SolverError`` naming it.
+        """
+        single = systems is None or isinstance(systems, FbsdeSystem)
+        family = [self.system if systems is None else systems] if single else list(systems)
+        if not family:
+            raise ValidationError("no system to solve")
+        system = family[0]
         lat = system.lattice
         dt = lat.dt
         mf, mb = system.mf, system.mb
         K = lat.steps
+        B = len(family)
+        check_factor_budget(sweep_floats(lat, mf, mb, B))
         # backward vector pass: p(v), and r(v) with uB~ = Q u_F + r
-        _, g = system.terminal()
-        p = np.asarray(g, dtype=float).reshape(-1, mb)
+        p = _family_terminal(family)[1]
         ps, rs, afs, noises = [None] * K + [p], [None] * K, [None] * K, [None] * K
         for k in range(K - 1, -1, -1):
-            c = system.coeffs(k)
+            c = _family_level(family, k)
             lv = self._levels[k]
             noise = _noise(lat, k, c.S)
             pbar = lat.cond_expect(p + _apply(self._P[k + 1], noise), k)
             r = _apply(lv.E, pbar) + dt * _apply(lv.EPbar, c.af)
             p = _apply(lv.IBbb, r) + dt * c.bb
             ps[k], rs[k], afs[k], noises[k] = p, r, c.af, noise
-        # forward pass
-        uf = np.zeros((lat.num_nodes, mf))
-        ub = np.zeros((lat.num_nodes, mb))
-        uf[0] = system.initial
+        # forward pass; the states are flows-first in memory, so that each
+        # flow's solution (and its uB~ and increments, laid out alike) is a
+        # contiguous view
+        uf = np.zeros((B, lat.num_nodes, mf)).transpose(1, 0, 2)
+        ub = np.zeros((B, lat.num_nodes, mb)).transpose(1, 0, 2)
+        uf[0] = _family_initial(family)
         for k in range(K + 1):
             lo, hi = lat.level_range(k)
             ub[lo:hi] = _apply(self._P[k], uf[lo:hi]) + ps[k]
@@ -383,16 +483,25 @@ class DirectSolver:
                 clo, chi = lat.level_range(k + 1)
                 ubt = _apply(lv.Q, uf[lo:hi]) + rs[k]
                 uf[clo:chi] = _step(lat, uf[lo:hi], ubt, lv.Aff, lv.Afb, afs[k], noises[k])
-        if not (np.all(np.isfinite(uf)) and np.all(np.isfinite(ub))):
-            raise SolverError("direct solve produced non-finite values (near-singular level system)")
-        sol = _package(system, uf, ub, SolveDiagnostics("direct", 1, 0.0, 0.0, True))
-        check = residual(system, sol)
-        sol.diagnostics = replace(check, converged=check.max_equation_residual <= 1e-10)
-        if not sol.diagnostics.converged:
+        del ps, rs, afs, noises  # a batch's sweep vectors, freed before the residual's
+        finite = np.isfinite(uf).all(axis=(0, 2)) & np.isfinite(ub).all(axis=(0, 2))
+        if not finite.all():
             raise SolverError(
-                f"direct solve residual {check.max_equation_residual:.3e} exceeds 1e-10; "
-                f"the discrete system is ill-conditioned", sol.diagnostics)
-        return sol
+                f"direct solve produced non-finite values in flow "
+                f"{int(np.flatnonzero(~finite)[0])} (near-singular level system)")
+        pre, dev = _pre_and_deviations(lat, ub)
+        worst, terminal_mismatch = _equation_gaps(family, uf, ub, pre)
+        sols = [_flow_solution(s, b, uf, ub, pre, dev, SolveDiagnostics(
+                    "direct", 1, float(worst[b]), float(terminal_mismatch[b]),
+                    bool(worst[b] <= DIRECT_RESIDUAL_GATE)))
+                for b, s in enumerate(family)]
+        for b, sol in enumerate(sols):
+            if not sol.diagnostics.converged:
+                raise SolverError(
+                    f"direct solve residual {worst[b]:.3e} in flow {b} exceeds "
+                    f"{DIRECT_RESIDUAL_GATE:g}; the discrete system is ill-conditioned",
+                    sol.diagnostics)
+        return sols[0] if single else sols
 
 
 def solve_direct(system: FbsdeSystem) -> NodeSolution:
@@ -412,7 +521,7 @@ def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be positive and max_iter at least 1")
     lat = system.lattice
-    ub = np.zeros((lat.num_nodes, system.mb))
+    ub = np.zeros((lat.num_nodes, 1, system.mb))
     uf = _forward_sweep(system, ub)
     dist = np.inf
     iterations = 0
@@ -435,6 +544,7 @@ def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
             SolveDiagnostics("picard", iterations, dist, np.nan, False))
     uf = _forward_sweep(system, ub)
     ub = _backward_sweep(system, uf)
-    sol = _package(system, uf, ub, SolveDiagnostics("picard", iterations, dist, 0.0, True))
-    sol.diagnostics = replace(residual(system, sol), converged=True)
+    sol = _flow_solution(system, 0, uf, ub, *_pre_and_deviations(lat, ub),
+                         SolveDiagnostics("picard", iterations, dist, 0.0, True))
+    sol.diagnostics = residual(system, sol)
     return sol

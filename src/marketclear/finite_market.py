@@ -481,15 +481,21 @@ def clearing_residual(solution: EquilibriumSolution) -> float:
 
 def integrate_forward(lattice: NoiseLattice, x0, drift: np.ndarray,
                       loading: np.ndarray) -> np.ndarray:
-    """Forward-integrate a position from ``x0`` under a given drift and noise loading."""
-    x = np.zeros((lattice.num_nodes, len(x0)))
+    """Forward-integrate a position from ``x0`` under a given drift and noise loading.
+
+    ``drift`` is (nodes, n), or (nodes, B, n) for B flows sharing ``x0`` and
+    the (nodes, n, d0) ``loading``; the result has the drift's shape.
+    """
+    x = np.zeros(drift.shape)
     x[0] = x0
     for k in range(lattice.steps):
         sl = lattice.level_slice(k)
         csl = lattice.level_slice(k + 1)
         base = lattice.repeat_to_children(x[sl] + lattice.dt * drift[sl])
         S_child = np.repeat(loading[sl], lattice.fanout, axis=0)
-        x[csl] = base + np.matmul(S_child, lattice.dW[csl][..., None])[..., 0]
+        noise = np.matmul(S_child, lattice.dW[csl][..., None])[..., 0]
+        x[csl] = base + noise.reshape(noise.shape[:1] + (1,) * (drift.ndim - 2)
+                                      + noise.shape[1:])
     return x
 
 
@@ -621,9 +627,9 @@ class ClearingOperator:
     as for ``build_clearing_system``.  The flow enters the clearing system
     only through its forward drift ``af = l - b``, so the other level blocks
     and the terminal map are built once, made read-only, and shared by every
-    flow, as is the solver's matrix pass; each call makes only the new ``af``,
-    integrates it by vector passes (residual check included) and returns the
-    induced price field alongside the solved minor states.
+    flow, as is the solver's matrix pass.  ``solve`` takes a stack of flows
+    and clears all of them in one batched vector pass (residual check
+    included, per flow); each flow only makes its new ``af``.
     """
 
     def __init__(self, ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray):
@@ -649,7 +655,13 @@ class ClearingOperator:
         levels = [replace(c, af=af[lat.level_slice(k)]) for k, c in enumerate(self._levels)]
         return replace(self._base, coeffs=levels.__getitem__)
 
-    def solve(self, beta_norm: np.ndarray):
-        sol = self._solver.solve(self.system(beta_norm))
-        phi = _price_from_clearing(self.ctx, self.w, sol, beta_norm)
-        return sol, phi
+    def solve(self, beta_norms: np.ndarray) -> tuple[list[NodeSolution], np.ndarray]:
+        """Clear a (B, nodes, n) stack of per-capita flows in one vector pass.
+
+        Returns the B solved clearing systems and the (B, nodes, n) stack of
+        induced prices.  If any flow fails, the ``SolverError`` names it.
+        """
+        sols = self._solver.solve([self.system(b) for b in beta_norms])
+        phi = np.stack([_price_from_clearing(self.ctx, self.w, sol, b)
+                        for sol, b in zip(sols, beta_norms)])
+        return sols, phi

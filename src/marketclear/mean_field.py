@@ -75,9 +75,10 @@ def build_deviation_system(ctx: MarketContext, atom_index: int,
     """Linear per-atom deviation system: drift -lam^{-1} dy~ + dl, terminal cg dx + dhg.
 
     Its matrix blocks (-lam^{-1}, cf, cg) are the same for every atom, so one
-    ``DirectSolver`` matrix pass serves all atoms.  Not a best-response
-    system: in maturity mode its terminal map is zero, where the best
-    response pins y(T) = -c0.
+    ``DirectSolver`` matrix pass serves all atoms, and ``solve_mfg`` solves
+    the atoms' systems together in one batched vector pass.  Not a
+    best-response system: in maturity mode its terminal map is zero, where
+    the best response pins y(T) = -c0.
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
@@ -176,8 +177,8 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
     sol = _solve_system(reduce_conditional_means(spec, lattice, ctx), method, **solver_kw)
     (mean,), w = mean_group(ctx)
     solver = DirectSolver(build_deviation_system(ctx, 0, mean))
-    devs = [solver.solve(build_deviation_system(ctx, a, mean))
-            for a in range(ctx.atoms.count)]
+    devs = solver.solve([build_deviation_system(ctx, a, mean)
+                         for a in range(ctx.atoms.count)])
     b, phi = _flow_and_price(ctx, w, sol)
     return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=sol,
                        deviations=devs,

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (AssumptionViolationError, MarketClearError, UnsupportedModelError,
                      ValidationError)
 from .finite_market import (AgentPopulation, ClearingOperator, MarketContext,
-                            integrate_forward, make_population,
+                            MinorTables, integrate_forward, make_population,
                             solve_full_equilibrium)
 from .mean_field import mean_group, solve_mfg
 from .model import ModelSpec
@@ -29,6 +29,43 @@ DEFAULT_EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
 
 def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...i,...ij,...j->...", x, mat, x)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _expected_costs(lat: NoiseLattice, running: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    """Expected cost of each flow from (B, nodes) running and (B, leaves) terminal integrands."""
+    return np.array([lat.running_expectation(np.ascontiguousarray(r))
+                     + lat.terminal_expectation(np.ascontiguousarray(t))
+                     for r, t in zip(running, terminal)])
+
+
+def _flows_first(x: np.ndarray) -> np.ndarray:
+    """(nodes, B, n) -> (B, nodes, n)."""
+    return np.ascontiguousarray(np.moveaxis(x, 1, 0))
+
+
+def _minor_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
+                 price: np.ndarray, alphas: np.ndarray, tab: MinorTables) -> np.ndarray:
+    """``cost_minor`` of a (B, nodes, n) stack of trading rates against one price field."""
+    lat = lattice
+    x = _flows_first(integrate_forward(lat, tab.xi, np.moveaxis(alphas + tab.l, 0, 1),
+                                       tab.sig0))
+    running = (_dot(price, alphas)
+               + _quad(alphas, ctx.exo.lam[lat.level_of])
+               + _quad(x, tab.cf[lat.level_of])
+               + _dot(tab.hf, x))
+    tsl = lat.terminal_slice
+    xT = x[:, tsl]
+    if spec.maturity_mode:
+        terminal = -_dot(ctx.exo.c0[tsl], xT)
+    else:
+        terminal = (-spec.delta * _dot(price[tsl], xT)
+                    + _quad(xT, np.tile(tab.cg_T, (lat.nodes_at(lat.steps), 1, 1)))
+                    + _dot(tab.hg_T, xT))
+    return _expected_costs(lat, running, terminal)
 
 
 def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
@@ -42,45 +79,39 @@ def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
     """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     tab = ctx.minor_tables(bundle_index, atom_index)
-    lat = lattice
-    alpha = np.asarray(alpha, dtype=float)
-    x = integrate_forward(lat, tab.xi, alpha + tab.l, tab.sig0)
-    phi = price.values
-    running = (np.einsum("vi,vi->v", phi, alpha)
-               + _quad(alpha, ctx.exo.lam[lat.level_of])
-               + _quad(x, tab.cf[lat.level_of])
-               + np.einsum("vi,vi->v", tab.hf, x))
-    tsl = lat.terminal_slice
-    if spec.maturity_mode:
-        terminal = -np.einsum("vi,vi->v", ctx.exo.c0[tsl], x[tsl])
-    else:
-        terminal = (-spec.delta * np.einsum("vi,vi->v", phi[tsl], x[tsl])
-                    + _quad(x[tsl], np.tile(tab.cg_T, (lat.nodes_at(lat.steps), 1, 1)))
-                    + np.einsum("vi,vi->v", tab.hg_T, x[tsl]))
-    return lat.running_expectation(running) + lat.terminal_expectation(terminal)
+    alphas = np.asarray(alpha, dtype=float)[None]
+    return float(_minor_costs(spec, ctx, lattice, price.values, alphas, tab)[0])
 
 
-def _major_running_terminal(spec, ctx, lattice, b, phi):
-    """Normalized major integrands given the per-capita flow and induced price."""
+def _major_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
+                 operator: ClearingOperator, b: np.ndarray) -> np.ndarray:
+    """Normalized major costs of a (B, nodes, n) stack of per-capita flows.
+
+    The flows are cleared in one batched re-solve of ``operator``, and each
+    induced price enters its flow's running cost.
+    """
     if not spec.major_cost.affine:
         raise UnsupportedModelError(
             "cost evaluation needs the quadratic major cost primitives")
+    _, phi = operator.solve(b)
     lat = lattice
-    x0 = integrate_forward(lat, spec.chi0, b + ctx.l0, ctx.s0)
+    x0 = _flows_first(integrate_forward(lat, spec.chi0, np.moveaxis(b + ctx.l0, 0, 1),
+                                        ctx.s0))
     fbar = _quad(x0, np.broadcast_to(spec.major_cost.c0f,
                                      (lat.num_nodes,) + spec.major_cost.c0f.shape)) \
-        + np.einsum("vi,vi->v", ctx.h0f, x0)
-    running = (np.einsum("vi,vi->v", b, phi)
+        + _dot(ctx.h0f, x0)
+    running = (_dot(b, phi)
                + _quad(b, ctx.exo.lam0[lat.level_of])
                + fbar)
     tsl = lat.terminal_slice
+    xT = x0[:, tsl]
     if spec.maturity_mode:
-        terminal = -np.einsum("vi,vi->v", ctx.exo.c0[tsl], x0[tsl])
+        terminal = -_dot(ctx.exo.c0[tsl], xT)
     else:
-        terminal = _quad(x0[tsl], np.broadcast_to(
+        terminal = _quad(xT, np.broadcast_to(
             spec.major_cost.c0g, (tsl.stop - tsl.start,) + spec.major_cost.c0g.shape)) \
-            + np.einsum("vi,vi->v", ctx.h0g_T, x0[tsl])
-    return lat.running_expectation(running) + lat.terminal_expectation(terminal)
+            + _dot(ctx.h0g_T, xT)
+    return _expected_costs(lat, running, terminal)
 
 
 def cost_major(spec: ModelSpec, lattice: NoiseLattice, population: AgentPopulation,
@@ -94,9 +125,7 @@ def cost_major(spec: ModelSpec, lattice: NoiseLattice, population: AgentPopulati
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     op = operator if operator is not None else ClearingOperator(
         ctx, ctx.group_tables(population), population.weights)
-    b = beta.values / population.N
-    _, phi = op.solve(b)
-    return _major_running_terminal(spec, ctx, lattice, b, phi)
+    return float(_major_costs(spec, ctx, lattice, op, beta.values[None] / population.N)[0])
 
 
 def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
@@ -108,9 +137,7 @@ def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
     """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     op = operator if operator is not None else ClearingOperator(ctx, *mean_group(ctx))
-    b = beta.values
-    _, phi = op.solve(b)
-    return _major_running_terminal(spec, ctx, lattice, b, phi)
+    return float(_major_costs(spec, ctx, lattice, op, beta.values[None])[0])
 
 
 # -- perturbation verification ----------------------------------------------
@@ -188,6 +215,12 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
       "minor"     perturb one agent's trading rate, price held fixed;
       "major-N"   perturb the major flow, finite-population clearing feedback;
       "major-mfg" perturb the major flow in the population limit.
+
+    The nonzero amplitudes of one direction are evaluated as one batch: one
+    cost call for all of them, which on the major levels clears every
+    perturbed flow in one batched re-solve.  A direction fails, and its row
+    of ``delta_j`` and its fit read NaN, iff its batch raises a market or
+    linear-algebra error, that is iff any of its amplitudes fails.
     """
     eps = np.asarray(sorted(set(float(e) for e in eps_grid)))
     if 0.0 not in eps:
@@ -203,40 +236,37 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
         eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
         grp = pop.groups[0]
         base_ctrl = eq.alpha_hat[0]
-        price = eq.price
+        tab = ctx.minor_tables(grp.bundle_index, grp.atom_index)
 
-        def evaluate(ctrl):
-            return cost_minor(spec, lattice, price, ctrl,
-                              bundle_index=grp.bundle_index,
-                              atom_index=grp.atom_index, ctx=ctx)
+        def evaluate(ctrls):
+            return _minor_costs(spec, ctx, lattice, eq.price.values, ctrls, tab)
     elif level == "major-N":
         pop = population if population is not None else make_population(spec, ctx.atoms)
         eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
         base_ctrl = eq.beta_hat.values
         op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
 
-        def evaluate(ctrl):
-            return cost_major(spec, lattice, pop, NodeField(lattice, ctrl),
-                              operator=op, ctx=ctx)
+        def evaluate(ctrls):
+            return _major_costs(spec, ctx, lattice, op, ctrls / pop.N)
     elif level == "major-mfg":
         mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
         base_ctrl = mf.beta_hat.values
         op = ClearingOperator(ctx, *mean_group(ctx))
 
-        def evaluate(ctrl):
-            return cost_mfg(spec, lattice, NodeField(lattice, ctrl),
-                            operator=op, ctx=ctx)
+        def evaluate(ctrls):
+            return _major_costs(spec, ctx, lattice, op, ctrls)
     else:
         raise ValidationError(f"unknown perturbation level {level!r}")
 
-    base_j = evaluate(base_ctrl)
+    base_j = evaluate(base_ctrl[None])[0]
     etas = perturbation_directions(lattice, n, directions, seed)
+    nonzero = eps != 0.0
     dj = np.zeros((directions, len(eps)))
     failed = []
     for d, eta in enumerate(etas):
+        # the direction's nonzero amplitudes are one batch: any failure fails them all
         try:
-            for j, e in enumerate(eps):
-                dj[d, j] = 0.0 if e == 0.0 else evaluate(base_ctrl + e * eta) - base_j
+            dj[d, nonzero] = evaluate(base_ctrl + eps[nonzero, None, None] * eta) - base_j
         except (MarketClearError, np.linalg.LinAlgError):
             dj[d, :] = np.nan
             failed.append(d)

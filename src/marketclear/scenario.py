@@ -33,6 +33,14 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _stream_key(seed: int, stream: tuple) -> list[int]:
+    """The Philox key of a named substream of ``seed``."""
+    lane = 0
+    for part in stream:
+        lane = _splitmix64(lane ^ (int(part) & 0xFFFFFFFFFFFFFFFF))
+    return [int(seed) & 0xFFFFFFFFFFFFFFFF, lane]
+
+
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator for a named substream of ``seed``.
 
@@ -40,10 +48,7 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     independent, and the draw for a given tuple does not depend on how many
     other streams exist or in which order they are consumed.
     """
-    lane = 0
-    for part in stream:
-        lane = _splitmix64(lane ^ (int(part) & 0xFFFFFFFFFFFFFFFF))
-    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, lane], dtype=np.uint64)
+    key = np.array(_stream_key(seed, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -195,12 +200,19 @@ class NoiseLattice:
         """Conditional expectation at level ``k`` of values on level ``k+1``.
 
         ``child_values`` covers level k+1 in layout order; the result covers
-        level k.  Reduction order is fixed, so results are worker-independent.
+        level k; trailing axes (a field's width, a batch of flows) ride along.
+        Reduction order is fixed: the weighted children are added one by one
+        in layout order, so a node's result depends neither on the worker nor
+        on the trailing shape of the array it sits in.
         """
         m = self.nodes_at(k)
         vals = child_values.reshape((m, self.fanout) + child_values.shape[1:])
         w = self.child_probs.reshape((1, self.fanout) + (1,) * (vals.ndim - 2))
-        return (vals * w).sum(axis=1)
+        weighted = vals * w
+        out = weighted[:, 0]
+        for j in range(1, self.fanout):
+            out = out + weighted[:, j]
+        return out
 
     def repeat_to_children(self, parent_values: np.ndarray) -> np.ndarray:
         return np.repeat(parent_values, self.fanout, axis=0)
@@ -340,15 +352,23 @@ def idiosyncratic_atoms(spec, grid: TimeGrid) -> IdiosyncraticAtoms:
 def sample_idiosyncratic(law: IdiosyncraticAtoms, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` i.i.d. atom indices, one independent stream per draw.
 
-    Draw ``i`` depends only on (seed, i): adding or removing other agents, or
-    reordering the loop, never changes it.
+    Draw ``i`` is the first ``stream_rng(seed, i).random()`` value: adding or
+    removing other agents, or reordering the loop, never changes it.  One
+    Philox generator serves every draw; it is reset through its documented
+    ``state`` to the stream's key with a zero counter and an empty buffer,
+    and its first 64-bit output is mapped to [0, 1) as ``Generator.random``
+    does, ``(raw >> 11) * 2**-53``.
     """
     if law.count == 0:
         raise ValidationError("empty idiosyncratic law")
     cdf = np.cumsum(law.weights)
     cdf[-1] = 1.0
-    out = np.empty(count, dtype=np.int64)
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bitgen.state
+    key = state["state"]["key"]
+    u = np.empty(count)
     for i in range(count):
-        u = stream_rng(seed, i).random()
-        out[i] = int(np.searchsorted(cdf, u, side="right"))
-    return out
+        key[:] = _stream_key(seed, (i,))
+        bitgen.state = state
+        u[i] = (bitgen.random_raw() >> 11) * 2.0**-53
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)

@@ -1,0 +1,108 @@
+"""Per-system vector pass of the decoupling sweep, one system at a time.
+
+This is the direct solver's vector pass, packaging and residual as they were
+before families of sibling systems were stacked into one batched pass: every
+state is a (nodes, dim) array of one system, and the residual recomputes uB~
+from the backward states.  It reuses a ``DirectSolver``'s matrix pass
+(``_P`` and ``_levels``) and the lattice's ``cond_expect``; everything else
+is its own, so a batched solve can be compared with it flow by flow.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(m|1, p, q) x (m, q) -> (m, p), broadcasting the leading axis."""
+    return np.matmul(mat, vec[..., None])[..., 0]
+
+
+def _noise(lat, k: int, S: np.ndarray) -> np.ndarray:
+    """S(v) dW on every child edge of level k, in child layout."""
+    clo, chi = lat.level_range(k + 1)
+    m = lat.nodes_at(k)
+    S_child = np.repeat(np.broadcast_to(S, (m,) + S.shape[1:]), lat.fanout, axis=0)
+    return _apply(S_child, lat.dW[clo:chi])
+
+
+def _step(lat, uf, ubt, Aff, Afb, af, noise):
+    """Forward states on the children of one level."""
+    drift = _apply(Aff, uf) + _apply(Afb, ubt) + af
+    return lat.repeat_to_children(uf + lat.dt * drift) + noise
+
+
+def _driver(system, k, c, uf, ubt):
+    c = c if c is not None else system.coeffs(k)
+    return _apply(c.Bbf, uf) + _apply(c.Bbb, ubt) + c.bb
+
+
+def _package(system, uf, ub):
+    """The pre-driver values uB~ and the martingale increments."""
+    lat = system.lattice
+    pre = np.zeros_like(ub)
+    dev = np.zeros_like(ub)
+    pre[lat.terminal_slice] = ub[lat.terminal_slice]
+    for k in range(lat.steps):
+        lo, hi = lat.level_range(k)
+        clo, chi = lat.level_range(k + 1)
+        pre[lo:hi] = lat.cond_expect(ub[clo:chi], k)
+        dev[clo:chi] = ub[clo:chi] - lat.repeat_to_children(pre[lo:hi])
+    return pre, dev
+
+
+def residual(system, uf, ub) -> tuple[float, float]:
+    """Worst violation of every discrete equation row, and of the terminal rows."""
+    lat = system.lattice
+    worst = float(np.max(np.abs(uf[0] - system.initial), initial=0.0))
+    for k in range(lat.steps):
+        lo, hi = lat.level_range(k)
+        clo, chi = lat.level_range(k + 1)
+        ubt = lat.cond_expect(ub[clo:chi], k)
+        c = system.coeffs(k)
+        fwd_gap = uf[clo:chi] - _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af,
+                                      _noise(lat, k, c.S))
+        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, c, uf[lo:hi], ubt)
+        worst = max(worst, float(np.max(np.abs(fwd_gap), initial=0.0)),
+                    float(np.max(np.abs(bwd_gap), initial=0.0)))
+    tsl = lat.terminal_slice
+    G, g = system.terminal()
+    term_gap = ub[tsl] - _apply(G, uf[tsl]) - g
+    terminal_mismatch = float(np.max(np.abs(term_gap), initial=0.0))
+    return max(worst, terminal_mismatch), terminal_mismatch
+
+
+def solve(solver, system) -> dict:
+    """One sibling system through ``solver``'s matrix pass, by the per-system vector pass."""
+    lat = system.lattice
+    dt = lat.dt
+    mf, mb = system.mf, system.mb
+    K = lat.steps
+    # backward vector pass: p(v), and r(v) with uB~ = Q u_F + r
+    _, g = system.terminal()
+    p = np.asarray(g, dtype=float).reshape(-1, mb)
+    ps, rs, afs, noises = [None] * K + [p], [None] * K, [None] * K, [None] * K
+    for k in range(K - 1, -1, -1):
+        c = system.coeffs(k)
+        lv = solver._levels[k]
+        noise = _noise(lat, k, c.S)
+        pbar = lat.cond_expect(p + _apply(solver._P[k + 1], noise), k)
+        r = _apply(lv.E, pbar) + dt * _apply(lv.EPbar, c.af)
+        p = _apply(lv.IBbb, r) + dt * c.bb
+        ps[k], rs[k], afs[k], noises[k] = p, r, c.af, noise
+    # forward pass
+    uf = np.zeros((lat.num_nodes, mf))
+    ub = np.zeros((lat.num_nodes, mb))
+    uf[0] = system.initial
+    for k in range(K + 1):
+        lo, hi = lat.level_range(k)
+        ub[lo:hi] = _apply(solver._P[k], uf[lo:hi]) + ps[k]
+        if k < K:
+            lv = solver._levels[k]
+            clo, chi = lat.level_range(k + 1)
+            ubt = _apply(lv.Q, uf[lo:hi]) + rs[k]
+            uf[clo:chi] = _step(lat, uf[lo:hi], ubt, lv.Aff, lv.Afb, afs[k], noises[k])
+    pre, dev = _package(system, uf, ub)
+    worst, terminal_mismatch = residual(system, uf, ub)
+    return {"forward": uf, "backward": ub, "backward_pre": pre, "deviations": dev,
+            "max_equation_residual": worst, "terminal_mismatch": terminal_mismatch}

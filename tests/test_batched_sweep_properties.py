@@ -1,0 +1,152 @@
+"""Property test: a batched solve equals the per-system vector pass, flow by flow.
+
+Every corner of n in {1, 2}, d0 in {0, 1, 2}, a binary or trinomial tree, a
+batch of B in {1, 2, 6} flows and a family kind runs, with maturity on or
+off, the depth and the model drawn by hypothesis.  The kinds are clearing
+systems for random major flows on one ``ClearingOperator``,
+per-atom deviation systems of the population limit, or full market systems
+whose groups draw different atoms.  The model's drift, cost gradients and
+terminal gains depend on the atoms' idiosyncratic values and on the common
+news, so the flows of a family differ in every constant.  Every flow of one
+``DirectSolver.solve`` call must equal ``sweep_oracle.solve`` exactly: its
+forward, backward, pre-driver and increment arrays and its residuals.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sweep_oracle as oracle
+from marketclear.errors import SolverError, ValidationError
+from marketclear.fbsde import DirectSolver
+from marketclear.finite_market import ClearingOperator, MarketContext, build_full_system
+from marketclear.mean_field import build_deviation_system, mean_group
+from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MajorFlow,
+                               MinorBundle, QuadraticMajorCost, make_spec)
+from marketclear.scenario import TimeGrid, build_lattice
+
+SETTINGS = settings(max_examples=3, deadline=None, derandomize=True, database=None)
+MAX_NODES = 200
+
+# every corner of the shape space is run; hypothesis draws the model within it
+corners = pytest.mark.parametrize("n, d0, branching, B, kind", [
+    (n, d0, branching, B, kind)
+    for n in (1, 2) for d0 in (0, 1, 2) for branching in (2, 3) for B in (1, 2, 6)
+    for kind in ("clearing", "deviation", "full")])
+draws = st.fixed_dictionaries({
+    "maturity": st.booleans(),
+    "K": st.integers(1, 3),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def _sym(rng, n, shift):
+    a = rng.uniform(-0.3, 0.3, (n, n))
+    return shift * np.eye(n) + 0.5 * (a + a.T)
+
+
+def _affine(rng, n, name):
+    """A vector coefficient affine in the common news c0 and the idiosyncratic ci."""
+    return CoefficientSpec("affine", (n,), const=rng.uniform(-1, 1, n),
+                           c0_mat=rng.uniform(-0.5, 0.5, (n, n)),
+                           ci_mat=rng.uniform(-0.5, 0.5, (n, n)), name=name)
+
+
+def random_context(case):
+    rng = np.random.default_rng(case["seed"])
+    n, d0 = case["n"], case["d0"]
+    dims = Dimensions(n, d0, 0, 2)
+    bundle = MinorBundle.build(dims, l=_affine(rng, n, "l"), sigma0=rng.uniform(-0.5, 0.5, (n, d0)),
+                               cf=_sym(rng, n, 1.0), hf=_affine(rng, n, "hf"),
+                               cg=_sym(rng, n, 1.0), hg=_affine(rng, n, "hg"))
+    c0_law = (("gaussian_walk", rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
+               rng.uniform(-0.5, 0.5, (n, d0))) if d0 else ("constant", rng.uniform(-1, 1, n)))
+    spec = make_spec(
+        dims, delta=rng.uniform(0.0, 0.6), lam=_sym(rng, n, 1.5), lam0=_sym(rng, n, 1.0),
+        minor=bundle,
+        major_flow=MajorFlow.build(dims, l0=rng.uniform(-1, 1, n),
+                                   s0=rng.uniform(-0.5, 0.5, (n, d0))),
+        major_cost=QuadraticMajorCost.build(dims, c0f=_sym(rng, n, 1.0), c0g=_sym(rng, n, 1.0),
+                                            h0f=rng.uniform(-1, 1, n), h0g=rng.uniform(-1, 1, n)),
+        chi0=rng.uniform(-1, 1, n),
+        xi_law=DiscreteLaw(rng.uniform(-1, 1, (3, n)), np.full(3, 1 / 3)),
+        ci_law=DiscreteLaw(rng.uniform(-1, 1, (2, n)), np.array([0.4, 0.6])),
+        c0_law=c0_law, maturity_mode=case["maturity"])
+    fanout = case["branching"] ** d0
+    K = case["K"]
+    while K > 1 and sum(fanout**k for k in range(K + 1)) > MAX_NODES:
+        K -= 1
+    lat = build_lattice(TimeGrid(1.0, K), d0=d0, branching=case["branching"])
+    return MarketContext(spec, lat), rng
+
+
+def family(case):
+    """B sibling systems of the case's kind and the solver of their shared matrix pass."""
+    ctx, rng = random_context(case)
+    lat, n, B = ctx.lattice, ctx.spec.dims.n, case["B"]
+    A = ctx.atoms.count
+    if case["kind"] == "clearing":
+        tabs = [ctx.minor_tables(0, a) for a in rng.integers(A, size=2)]
+        w = rng.uniform(0.2, 1.0, 2)
+        op = ClearingOperator(ctx, tabs, w / w.sum())
+        flows = rng.uniform(-1, 1, (B, lat.num_nodes, n))
+        flows[:, lat.terminal_slice] = 0.0
+        systems = [op.system(b) for b in flows]
+    elif case["kind"] == "deviation":
+        (mean,), _ = mean_group(ctx)
+        systems = [build_deviation_system(ctx, int(a), mean) for a in rng.integers(A, size=B)]
+    else:
+        w = rng.uniform(0.2, 1.0, 2)
+        systems = [build_full_system(ctx, [ctx.minor_tables(0, int(a)) for a in atoms],
+                                     w / w.sum())
+                   for atoms in rng.integers(A, size=(B, 2))]
+    return DirectSolver(systems[0]), systems
+
+
+@corners
+@SETTINGS
+@given(draws)
+def test_batched_solve_equals_the_per_system_oracle(n, d0, branching, B, kind, draw) -> None:
+    solver, systems = family(dict(draw, n=n, d0=d0, branching=branching, B=B, kind=kind))
+    sols = solver.solve(systems)
+    assert len(sols) == len(systems)
+    for system, sol in zip(systems, sols):
+        want = oracle.solve(solver, system)
+        assert sol.system is system
+        for name in ("forward", "backward", "backward_pre", "deviations"):
+            got = getattr(sol, name)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want[name]), name
+        assert sol.diagnostics.max_equation_residual == want["max_equation_residual"]
+        assert sol.diagnostics.terminal_mismatch == want["terminal_mismatch"]
+        assert sol.diagnostics.converged
+
+
+def test_non_finite_flow_is_named() -> None:
+    case = {"n": 2, "d0": 1, "branching": 3, "maturity": False, "B": 6,
+            "kind": "clearing", "K": 2, "seed": 7}
+    ctx, rng = random_context(case)
+    lat = ctx.lattice
+    op = ClearingOperator(ctx, [ctx.minor_tables(0, 0), ctx.minor_tables(0, 1)],
+                          np.array([0.5, 0.5]))
+    flows = rng.uniform(-1, 1, (3, lat.num_nodes, 2))
+    flows[:, lat.terminal_slice] = 0.0
+    flows[2, 1, 0] = np.nan
+    with pytest.raises(SolverError, match="non-finite values in flow 2"):
+        op.solve(flows)
+    flows[2, 1, 0] = 0.0
+    assert len(op.solve(flows)[0]) == 3
+
+
+def test_systems_with_different_blocks_are_refused() -> None:
+    case = {"n": 1, "d0": 1, "branching": 2, "maturity": False, "B": 2,
+            "kind": "full", "K": 2, "seed": 3}
+    ctx, _ = random_context(case)
+    tabs = [ctx.minor_tables(0, 0), ctx.minor_tables(0, 1)]
+    a = build_full_system(ctx, tabs, np.array([0.5, 0.5]))
+    b = build_full_system(ctx, tabs, np.array([0.3, 0.7]))
+    with pytest.raises(ValidationError, match="sibling"):
+        DirectSolver(a).solve([a, b])

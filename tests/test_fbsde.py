@@ -149,6 +149,17 @@ def test_factor_budget_raises_before_the_matrix_pass(monkeypatch) -> None:
     assert calls == []
 
 
+def test_factor_budget_counts_every_flow_of_a_batch(monkeypatch) -> None:
+    system = full_system(scalar_market_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
+    lat = system.lattice
+    monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES",
+                        fbsde.sweep_floats(lat, system.mf, system.mb, 2) * 8)
+    solver = DirectSolver(system)
+    assert len(solver.solve([system, system])) == 2
+    with pytest.raises(BudgetError):
+        solver.solve([system] * 3)
+
+
 def test_coefficient_calls_per_level() -> None:
     # fresh solve: matrix pass, vector pass, residual; re-solve: the last two
     spec = scalar_market_spec()

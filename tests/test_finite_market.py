@@ -290,7 +290,7 @@ def test_clearing_operator_reuses_factorization() -> None:
     op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     b = np.full((lat.num_nodes, 1), 0.25)
     b[lat.terminal_slice] = 0.0
-    sol_op, phi_op = op.solve(b)
+    (sol_op,), (phi_op,) = op.solve(b[None])
     eq = solve_minor_clearing(spec, lat, NodeField(lat, 2 * b), pop, ctx=ctx)
     assert np.max(np.abs(phi_op - eq.price.values)) <= 1e-11
     assert np.max(np.abs(sol_op.field("Y0") - eq.group_field("Y", 0))) <= 1e-11
@@ -302,18 +302,19 @@ def test_clearing_operator_reuses_factorization() -> None:
     (homogeneous_study_spec(N=3), 3, None),
 ])
 def test_clearing_operator_bit_equal_to_fresh_solve(spec, K, assignments) -> None:
-    # the shared blocks and matrix pass change nothing: every re-solve on one
-    # operator is bit-equal to a fresh solve of the freshly built system
+    # the shared blocks, matrix pass and batched vector pass change nothing:
+    # every flow of one batched re-solve is bit-equal to a fresh solve of the
+    # freshly built system
     lat = tree(K)
     ctx = MarketContext(spec, lat)
     pop = make_population(spec, ctx.atoms, seed=2, assignments=assignments)
     tabs = ctx.group_tables(pop)
     op = ClearingOperator(ctx, tabs, pop.weights)
     rng = np.random.default_rng(11)
-    for _ in range(4):
-        b = rng.normal(size=(lat.num_nodes, spec.dims.n))
-        b[lat.terminal_slice] = 0.0
-        sol, _ = op.solve(b)
+    flows = rng.normal(size=(4, lat.num_nodes, spec.dims.n))
+    flows[:, lat.terminal_slice] = 0.0
+    sols, _ = op.solve(flows)
+    for b, sol in zip(flows, sols):
         fresh = solve_direct(build_clearing_system(ctx, tabs, pop.weights, b))
         assert np.array_equal(sol.forward, fresh.forward)
         assert np.array_equal(sol.backward, fresh.backward)

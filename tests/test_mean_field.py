@@ -189,6 +189,6 @@ def test_mean_clearing_operator_matches_full_limit(small_tree) -> None:
     spec = homogeneous_study_spec()
     mf = solve_mfg(spec, small_tree)
     op = ClearingOperator(mf.ctx, *mean_group(mf.ctx))
-    sol, phi = op.solve(mf.beta_hat.values)
+    (sol,), (phi,) = op.solve(mf.beta_hat.values[None])
     assert np.max(np.abs(phi - mf.price_mfg.values)) <= 1e-11
     assert np.max(np.abs(sol.field("Y0") - mf.common_field("ybar"))) <= 1e-11

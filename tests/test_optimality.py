@@ -110,7 +110,7 @@ def test_cost_at_equilibrium_flow_matches_reports() -> None:
     eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
     op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     # the re-solve path must reproduce the coupled solve's own fields
-    sol, phi = op.solve(eq.beta_norm.values)
+    (sol,), (phi,) = op.solve(eq.beta_norm.values[None])
     assert np.max(np.abs(phi - eq.price.values)) <= 1e-8
     for g in range(pop.size):
         assert np.max(np.abs(sol.field(f"Y{g}") - eq.group_field("Y", g))) <= 1e-8
@@ -159,29 +159,47 @@ def test_eps_grid_validation() -> None:
         perturbation_test(spec, lat, "major-N", eps_grid=(-0.1, 0.1))
 
 
-def failing_after_base(monkeypatch, exc):
-    """Let the base cost evaluation through, then raise ``exc`` on every direction."""
-    import marketclear.optimality as optimality
-    real, calls = optimality.cost_major, []
+def failing_batches(monkeypatch, exc, fail=lambda call: call > 1):
+    """Raise ``exc`` from the major cost batches whose call number ``fail`` picks.
 
-    def cost(*args, **kwargs):
+    Call 1 is the base control; call d + 2 is the batch of direction d's
+    nonzero amplitudes.
+    """
+    import marketclear.optimality as optimality
+    real, calls = optimality._major_costs, []
+
+    def costs(*args, **kwargs):
         calls.append(1)
-        if len(calls) > 1:
+        if fail(len(calls)):
             raise exc
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(optimality, "cost_major", cost)
+    monkeypatch.setattr(optimality, "_major_costs", costs)
 
 
 def test_perturbation_counts_solver_failures_as_failed_directions(monkeypatch) -> None:
     from marketclear.errors import SolverError
-    failing_after_base(monkeypatch, SolverError("singular"))
+    failing_batches(monkeypatch, SolverError("singular"))
     rep = perturbation_test(scalar_market_spec(), tree(2), "major-N", directions=2, seed=0)
     assert rep.failed == [0, 1]
+    assert np.all(np.isnan(rep.delta_j)) and np.all(np.isnan(rep.quadratic_fit))
+
+
+def test_one_failed_batch_fails_only_its_direction(monkeypatch) -> None:
+    from marketclear.errors import SolverError
+    spec, lat = scalar_market_spec(), tree(2)
+    clean = perturbation_test(spec, lat, "major-N", directions=3, seed=0)
+    failing_batches(monkeypatch, SolverError("flow 2 singular"), fail=lambda call: call == 3)
+    rep = perturbation_test(spec, lat, "major-N", directions=3, seed=0)
+    assert rep.failed == [1]
+    assert np.all(np.isnan(rep.delta_j[1])) and np.all(np.isnan(rep.quadratic_fit[1]))
+    for d in (0, 2):
+        assert np.array_equal(rep.delta_j[d], clean.delta_j[d])
+        assert np.array_equal(rep.quadratic_fit[d], clean.quadratic_fit[d])
 
 
 def test_perturbation_propagates_programming_errors(monkeypatch) -> None:
-    failing_after_base(monkeypatch, TypeError("bad operand"))
+    failing_batches(monkeypatch, TypeError("bad operand"))
     with pytest.raises(TypeError, match="bad operand"):
         perturbation_test(scalar_market_spec(), tree(2), "major-N", directions=2, seed=0)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketclear.errors import BudgetError, ValidationError
 from marketclear.model import Dimensions, DiscreteLaw, make_spec
@@ -117,6 +119,22 @@ def test_sampling_reproducible_and_stream_stable() -> None:
     # draw i is independent of how many other agents exist
     c = sample_idiosyncratic(atoms, 12, seed=42)
     assert np.array_equal(c[:6], a)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 40),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
+def test_sampling_equals_one_stream_generator_per_draw(seed, count, weights) -> None:
+    # the reused, reset Philox draws what a fresh stream generator per agent draws
+    w = np.array(weights)
+    atoms = IdiosyncraticAtoms(xi=np.zeros((len(w), 1)), ci=np.zeros((len(w), 2, 1)),
+                               weights=w / w.sum())
+    cdf = np.cumsum(atoms.weights)
+    cdf[-1] = 1.0
+    want = [int(np.searchsorted(cdf, stream_rng(seed, i).random(), side="right"))
+            for i in range(count)]
+    got = sample_idiosyncratic(atoms, count, seed)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_sampling_mean_matches_frozen_regression() -> None:
