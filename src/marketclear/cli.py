@@ -179,11 +179,20 @@ def _checked_solve(cfg, solve):
     return EXIT_OK, spec, lattice, result
 
 
+def _n_agents(cfg, spec) -> int:
+    """``--n-agents`` if given, else the model's N."""
+    N = cfg.get("n_agents")
+    if N is None:
+        return spec.dims.N
+    if int(N) < 1:
+        raise UsageError(f"--n-agents must be at least 1, got {N}")
+    return int(N)
+
+
 def cmd_solve_n(cfg) -> int:
     def solve(spec, lattice):
         ctx = MarketContext(spec, lattice)
-        pop = make_population(spec, ctx.atoms, N=cfg.get("n_agents") or spec.dims.N,
-                              seed=cfg["seed"])
+        pop = make_population(spec, ctx.atoms, N=_n_agents(cfg, spec), seed=cfg["seed"])
         return solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
 
     code, spec, lattice, eq = _checked_solve(cfg, solve)
@@ -213,8 +222,13 @@ def cmd_solve_mfg(cfg) -> int:
 
 
 def cmd_converge(cfg) -> int:
+    text = str(cfg.get("n_list", "8,16,32,64"))
+    try:
+        n_list = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--n-list must be comma-separated integers, got {text!r}") from None
+
     def solve(spec, lattice):
-        n_list = [int(tok) for tok in str(cfg.get("n_list", "8,16,32,64")).split(",")]
         return convergence_study(spec, lattice, n_list, int(cfg.get("resamples", 64)),
                                  cfg["seed"])
 
@@ -239,8 +253,7 @@ def cmd_verify(cfg) -> int:
 
     def solve(spec, lattice):
         ctx = MarketContext(spec, lattice)
-        pop = make_population(spec, ctx.atoms, N=cfg.get("n_agents") or spec.dims.N,
-                              seed=cfg["seed"])
+        pop = make_population(spec, ctx.atoms, N=_n_agents(cfg, spec), seed=cfg["seed"])
         reports = {}
         for level in levels:
             reports[level] = perturbation_test(

@@ -5,8 +5,10 @@ population-limit solution, so only the finite-population empirical side
 fluctuates.  One-dimensional distances use the exact quantile coupling (any
 weights), evaluated for every node of a field at once from merged
 cumulative-weight breakpoints; multi-dimensional ones use an exact assignment
-between equal-count uniform clouds.  Convergence rows run serially and are
-memoized on the atom multiplicities of their draw.
+between equal-count uniform clouds.  The convergence study prices every row
+on one basis: a homogeneous finite market is the population limit on its
+empirical law, whose price is affine in the atom weights, so the A atom
+prices, solved together once, give every row's price gap.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, UnsupportedModelError, ValidationError
-from .finite_market import (MarketContext, make_population,
-                            solve_full_equilibrium)
+from .fbsde import DirectSolver
+from .finite_market import (MarketContext, _flow_and_price, build_full_system,
+                            make_population, solve_full_equilibrium)
 from .mean_field import MfgSolution, solve_mfg
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, sample_idiosyncratic, _splitmix64
@@ -238,11 +241,21 @@ class _ReferenceClouds:
     def __init__(self, mf: MfgSolution):
         atoms = mf.ctx.atoms
         A = atoms.count
+        self.lattice = mf.lattice
         self.weights = atoms.weights
         self.y = np.stack([mf.atom_field("y", a) for a in range(A)])   # (A, nodes, n)
         self.p = np.stack([mf.atom_field("p", a) for a in range(A)])
         self.r = np.stack([mf.atom_field("r", a) for a in range(A)])
         self.g = mf.terminal_gain_samples()                            # (A, leaves, n)
+
+    def distances(self, emp_weights: np.ndarray, N: int) -> dict:
+        """The four empirical-vs-limit W2^2 terms of the stability bound."""
+        lat = self.lattice
+        dist = lambda values: _cloud_distance_sq(values, self.weights, emp_weights, N)
+        return {"w2_g": lat.terminal_expectation(dist(self.g)),
+                "w2_rT": lat.terminal_expectation(dist(self.r[:, lat.terminal_slice, :])),
+                "int_w2_y": lat.running_expectation(dist(self.y)),
+                "int_w2_p": lat.running_expectation(dist(self.p))}
 
 
 def _cloud_distance_sq(values: np.ndarray, ref_weights: np.ndarray,
@@ -274,60 +287,76 @@ def _cloud_distance_sq(values: np.ndarray, ref_weights: np.ndarray,
                                    values[:, :, 0], ref_weights, 2)
 
 
+def _atom_prices(ctx: MarketContext) -> np.ndarray:
+    """Population-limit price of each atom's point law: (A, nodes, n).
+
+    Atom a's system is the mean system carrying a's own tables.  Under the
+    closure condition the A systems share every matrix block, so one matrix
+    pass and one batched vector pass solve them all.  The mean system's
+    constants are affine in the atom weights, so the price of any law on
+    these atoms is the weight-average of these prices; a homogeneous finite
+    market clears at the price of its empirical law.
+    """
+    w = np.ones(1)
+    systems = [build_full_system(ctx, [ctx.minor_tables(0, a)], w)
+               for a in range(ctx.atoms.count)]
+    sols = DirectSolver(systems[0]).solve(systems)
+    return np.stack([_flow_and_price(ctx, w, sol)[1] for sol in sols])
+
+
+def _weight_gap(prices: np.ndarray, dw: np.ndarray, lattice: NoiseLattice) -> float:
+    """Squared price gap between two laws on the atoms of ``prices``.
+
+    ``dw`` is the difference of their weights.  The difference field is
+    formed before it is squared, so close atom prices do not cancel, and
+    equal weights give exactly 0.
+    """
+    d = (dw[:, None, None] * prices).sum(axis=0)
+    return lattice.running_expectation(np.einsum("vi,vi->v", d, d))
+
+
 def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
                       resamples: int, seed: int, *,
                       ctx: MarketContext | None = None) -> ConvergenceReport:
     """Measure the finite-population price gap and its distance-term bound.
 
-    For each population size and resample the initial positions are redrawn,
-    the homogeneous finite market is solved, and the squared price gap to the
+    For each population size and resample the initial positions are redrawn
+    and the squared price gap of the homogeneous finite market to the
     population limit is recorded next to the empirical-vs-limit distance
-    terms.  A row depends on the draw only through the atom multiplicities,
-    so rows are memoized on them and the canonical representative is solved.
+    terms.  The finite market is the population limit on its empirical law,
+    so its price is the count-weighted average of the atom prices of
+    ``_atom_prices``, and the study solves A systems whatever its size.
+    ``expected_price_gap`` is the exact multinomial mean of the gap,
+    ``sum_a w_a gap(price_a, price_mfg) / N``.
     """
     if not spec.homogeneous:
         raise UnsupportedModelError("the convergence study needs a homogeneous population")
     n_list = [int(N) for N in n_list]
-    if any(N > AGENT_BUDGET for N in n_list):
+    if not n_list or min(n_list) < 1:
+        raise ValidationError("population sizes must be at least 1")
+    if resamples < 1:
+        raise ValidationError("the study needs at least one resample")
+    if max(n_list) > AGENT_BUDGET:
         raise BudgetError(f"population sizes beyond {AGENT_BUDGET} are not supported")
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
     ref = _ReferenceClouds(mf)
+    prices = _atom_prices(ctx)
     A = ctx.atoms.count
     n = spec.dims.n
+    spread = sum(ref.weights[a] * price_gap(NodeField(lattice, prices[a]), mf.price_mfg,
+                                            lattice) for a in range(A))
 
-    draws = {(N, r): sample_idiosyncratic(ctx.atoms, N, derive_seed(seed, N, r))
-             for N in n_list for r in range(resamples)}
-
-    cache: dict[tuple, dict] = {}
-
-    def row_for(N: int, assignments: np.ndarray) -> dict:
-        counts = np.bincount(assignments, minlength=A)
-        key = (N,) + tuple(counts)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        # a row depends on the draw only through the multiplicities; solve the
-        # canonical representative so cached values are order-independent
-        canonical = np.repeat(np.arange(A), counts)
-        pop = make_population(spec, ctx.atoms, N=N, assignments=canonical)
-        eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
-        gap = price_gap(eq.price, mf.price_mfg, lattice)
-        emp_w = counts / N
-        w2_y = lattice.running_expectation(_cloud_distance_sq(ref.y, ref.weights, emp_w, N))
-        w2_p = lattice.running_expectation(_cloud_distance_sq(ref.p, ref.weights, emp_w, N))
-        tsl = lattice.terminal_slice
-        w2_r = lattice.terminal_expectation(_cloud_distance_sq(
-            ref.r[:, tsl, :], ref.weights, emp_w, N))
-        w2_g = lattice.terminal_expectation(_cloud_distance_sq(ref.g, ref.weights, emp_w, N))
-        row = {"price_gap": gap, "w2_g": w2_g, "w2_rT": w2_r,
-               "int_w2_y": w2_y, "int_w2_p": w2_p}
-        cache[key] = row
-        return row
-
-    rows = [{"N": N, "resample": r, **row_for(N, draws[(N, r)]),
-             "epsilon_N": epsilon_rate(N, n)}
-            for N in n_list for r in range(resamples)]
+    rows = []
+    for N in n_list:
+        counts = np.array([np.bincount(sample_idiosyncratic(
+            ctx.atoms, N, derive_seed(seed, N, r)), minlength=A) for r in range(resamples)])
+        # resamples with equal atom counts share every term
+        distinct, which = np.unique(counts, axis=0, return_inverse=True)
+        terms = [{"price_gap": _weight_gap(prices, c / N - ref.weights, lattice),
+                  **ref.distances(c / N, N)} for c in distinct]
+        rows += [{"N": N, "resample": r, **terms[i], "epsilon_N": epsilon_rate(N, n)}
+                 for r, i in enumerate(which.reshape(-1))]
 
     per_n = {}
     for N in n_list:
@@ -338,6 +367,7 @@ def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
         std = float(gaps.std(ddof=1)) if len(gaps) > 1 else 0.0
         per_n[N] = {
             "mean_price_gap": float(gaps.mean()),
+            "expected_price_gap": float(spread / N),
             "std_price_gap": std,
             "stderr_price_gap": float(std / np.sqrt(len(gaps))),
             "mean_rhs": float(rhs.mean()),
@@ -449,15 +479,6 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
         terms["dg_terminal"] += terminal(np.einsum("vi,vi->v", dg, dg)) / N
         terms["dcg_r_terminal"] += terminal(np.einsum("vi,vi->v", dcg_r, dcg_r)) / N
 
-    ref = _ReferenceClouds(mf)
-    counts = np.bincount(assignments, minlength=ctx_ho.atoms.count)
-    emp_w = counts / N
-    w2 = {
-        "w2_g": terminal(_cloud_distance_sq(ref.g, ref.weights, emp_w, N)),
-        "w2_rT": terminal(_cloud_distance_sq(
-            ref.r[:, tsl, :], ref.weights, emp_w, N)),
-        "int_w2_y": running(_cloud_distance_sq(ref.y, ref.weights, emp_w, N)),
-        "int_w2_p": running(_cloud_distance_sq(ref.p, ref.weights, emp_w, N)),
-    }
-    return StabilityReport(lhs_hetero=lhs_he, lhs_homogeneous=lhs_ho,
-                           delta_terms=terms, w2_terms=w2)
+    emp_w = np.bincount(assignments, minlength=ctx_ho.atoms.count) / N
+    return StabilityReport(lhs_hetero=lhs_he, lhs_homogeneous=lhs_ho, delta_terms=terms,
+                           w2_terms=_ReferenceClouds(mf).distances(emp_w, N))

@@ -222,6 +222,8 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     of ``delta_j`` and its fit read NaN, iff its batch raises a market or
     linear-algebra error, that is iff any of its amplitudes fails.
     """
+    if directions < 1:
+        raise ValidationError("at least one perturbation direction is required")
     eps = np.asarray(sorted(set(float(e) for e in eps_grid)))
     if 0.0 not in eps:
         raise ValidationError("eps grid must include 0")

@@ -124,6 +124,23 @@ def test_unknown_flag_is_usage_error(good_model, tmp_path) -> None:
     assert run(["check", "--model", good_model, "--bogus"]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["converge", "--n-list", "0,8,16"],
+    ["converge", "--n-list", "8,16,x"],
+    ["converge", "--n-list=-4,8,16"],
+    ["converge", "--resamples", 0],
+    ["converge", "--resamples", -2],
+    ["solve-n", "--n-agents", -3],
+    ["solve-n", "--n-agents", 0],
+    ["verify", "--directions", 0],
+])
+def test_bad_sizes_are_usage_errors(good_model, tmp_path, capsys, args) -> None:
+    out = tmp_path / "out"
+    assert run([*args, "--model", good_model, "--out", out, "--steps", 2]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_solve_n_writes_outputs(good_model, tmp_path, capsys) -> None:
     out = tmp_path / "out"
     code = run(["solve-n", "--model", good_model, "--out", out,

@@ -6,6 +6,8 @@ price of the population limit whose law puts weight ``counts/N`` on the same
 atoms, and the major trader's per-capita flows agree.  The two sides run
 independent solver paths: ``solve_full_equilibrium`` builds one block per
 agent group, ``solve_mfg`` one mean group plus per-atom deviation systems.
+The same price is also the count-weighted average of the atom prices that
+the convergence study uses as its basis.
 
 Each example draws n in {1, 2}, d0 in {0, 1}, a binary or trinomial tree with
 K <= 3 steps, maturity mode on or off, and 2-3 atoms whose weights are
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from marketclear.finite_market import (MarketContext, make_population,
                                        solve_full_equilibrium)
 from marketclear.mean_field import solve_mfg
+from marketclear.metrics import _atom_prices
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MajorFlow,
                                MinorBundle, QuadraticMajorCost, make_spec)
 from marketclear.scenario import TimeGrid, build_lattice
@@ -98,3 +101,5 @@ def test_finite_market_on_its_empirical_law_is_the_population_limit(case) -> Non
     mf = solve_mfg(spec, lat, ctx=ctx, check=False)
     assert rel_gap(eq.price.values, mf.price_mfg.values) <= TOL
     assert rel_gap(eq.beta_norm.values, mf.beta_hat.values) <= TOL
+    basis = ((counts / counts.sum())[:, None, None] * _atom_prices(ctx)).sum(axis=0)
+    assert rel_gap(basis, eq.price.values) <= TOL

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 import pytest
 
+import marketclear.finite_market as finite_market
+import marketclear.metrics as metrics
 from marketclear.errors import UnsupportedModelError, ValidationError
-from marketclear.metrics import (EmpiricalMeasure, convergence_study, epsilon_rate,
+from marketclear.fbsde import DirectSolver
+from marketclear.finite_market import (MarketContext, make_population,
+                                       solve_full_equilibrium)
+from marketclear.mean_field import solve_mfg
+from marketclear.metrics import (EmpiricalMeasure, _cloud_distance_sq, _ReferenceClouds,
+                                 convergence_study, derive_seed, epsilon_rate,
                                  fit_loglog, price_gap, stability_gap,
                                  wasserstein1_1d, wasserstein2)
-from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
-from marketclear.scenario import TimeGrid, build_lattice, constant_field
+from marketclear.model import (CallableMajorCost, Dimensions, DiscreteLaw, MinorBundle,
+                               make_spec)
+from marketclear.scenario import (TimeGrid, build_lattice, constant_field,
+                                  sample_idiosyncratic)
 
 from conftest import homogeneous_study_spec
 
@@ -158,6 +169,103 @@ def test_study_requires_homogeneous_population() -> None:
     lat = build_lattice(TimeGrid(1.0, 2), d0=1)
     with pytest.raises(UnsupportedModelError):
         convergence_study(spec, lat, [2], resamples=1, seed=0)
+
+
+def three_atom_spec():
+    """Scalar model with common noise and a three-atom law of unequal weights."""
+    dims = Dimensions(n=1, d0=1, d=0, N=5)
+    return make_spec(dims, delta=0.3, lam=1.3, lam0=0.7, chi0=[0.3],
+                     xi_law=DiscreteLaw(np.array([[0.0], [1.0], [2.5]]),
+                                        np.array([0.2, 0.3, 0.5])),
+                     c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
+
+
+def test_study_rows_match_full_finite_solves() -> None:
+    spec = three_atom_spec()
+    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
+    ctx = MarketContext(spec, lat)
+    report = convergence_study(spec, lat, [2, 5, 10], resamples=4, seed=1, ctx=ctx)
+    mf = solve_mfg(spec, lat, ctx=ctx, check=False)
+    ref = _ReferenceClouds(mf)
+    tsl = lat.terminal_slice
+    for row in report.rows:
+        N = row["N"]
+        draw = sample_idiosyncratic(ctx.atoms, N, derive_seed(1, N, row["resample"]))
+        pop = make_population(spec, ctx.atoms, N=N, assignments=draw)
+        eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+        assert row["price_gap"] == pytest.approx(price_gap(eq.price, mf.price_mfg, lat),
+                                                 rel=1e-12, abs=1e-14)
+        emp_w = np.bincount(draw, minlength=3) / N
+        dist = lambda values: _cloud_distance_sq(values, ref.weights, emp_w, N)
+        assert row["w2_g"] == lat.terminal_expectation(dist(ref.g))
+        assert row["w2_rT"] == lat.terminal_expectation(dist(ref.r[:, tsl, :]))
+        assert row["int_w2_y"] == lat.running_expectation(dist(ref.y))
+        assert row["int_w2_p"] == lat.running_expectation(dist(ref.p))
+        assert row["epsilon_N"] == epsilon_rate(N, 1)
+
+
+def test_expected_gap_is_the_multinomial_mean() -> None:
+    spec = three_atom_spec()
+    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
+    ctx = MarketContext(spec, lat)
+    N = 5
+    report = convergence_study(spec, lat, [N], resamples=1, seed=0, ctx=ctx)
+    mf = solve_mfg(spec, lat, ctx=ctx, check=False)
+    w = ctx.atoms.weights
+    mean = 0.0
+    for c0 in range(N + 1):
+        for c1 in range(N + 1 - c0):
+            counts = np.array([c0, c1, N - c0 - c1])
+            prob = factorial(N) * np.prod(w ** counts) / np.prod(
+                [factorial(int(c)) for c in counts])
+            pop = make_population(spec, ctx.atoms, N=N,
+                                  assignments=np.repeat(np.arange(3), counts))
+            eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+            mean += prob * price_gap(eq.price, mf.price_mfg, lat)
+    assert report.per_n[N]["expected_price_gap"] == pytest.approx(mean, rel=1e-12)
+
+
+def test_study_solves_the_atom_basis_once(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study must not solve a finite market")
+
+    for module in (finite_market, metrics):
+        monkeypatch.setattr(module, "solve_full_equilibrium", refuse)
+        monkeypatch.setattr(module, "make_population", refuse)
+    passes, batches = [], []
+    init, solve = DirectSolver.__init__, DirectSolver.solve
+    monkeypatch.setattr(DirectSolver, "__init__",
+                        lambda self, system: (passes.append(1), init(self, system))[1])
+    monkeypatch.setattr(DirectSolver, "solve",
+                        lambda self, systems=None: (batches.append(systems),
+                                                    solve(self, systems))[1])
+    spec = three_atom_spec()
+    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
+    solve_mfg(spec, lat, check=False)
+    mfg_passes, mfg_batches = len(passes), len(batches)
+    convergence_study(spec, lat, [2, 4, 8, 16], resamples=8, seed=3)
+    # the limit's own solves plus one matrix pass and one batch of A = 3 systems
+    assert len(passes) - mfg_passes == mfg_passes + 1
+    assert len(batches) - mfg_batches == mfg_batches + 1
+    assert len(batches[-1]) == 3
+
+
+def test_study_needs_an_affine_major_cost() -> None:
+    dims = Dimensions(1, 1, 0, 4)
+    spec = make_spec(dims, major_cost=CallableMajorCost(
+        dfdx=lambda t, x, c0: x + 0.1 * np.tanh(x), dgdx=lambda x, c0: x),
+        xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])))
+    lat = build_lattice(TimeGrid(1.0, 2), d0=1)
+    with pytest.raises(UnsupportedModelError):
+        convergence_study(spec, lat, [2, 4], resamples=2, seed=0)
+
+
+@pytest.mark.parametrize("n_list, resamples", [([0, 8], 2), ([-4, 8], 2), ([], 2),
+                                               ([8], 0), ([8], -2)])
+def test_study_rejects_empty_sizes_and_resamples(n_list, resamples) -> None:
+    lat = build_lattice(TimeGrid(1.0, 2), d0=1)
+    with pytest.raises(ValidationError):
+        convergence_study(homogeneous_study_spec(), lat, n_list, resamples, seed=0)
 
 
 # -- stability ----------------------------------------------------------------------

@@ -1,0 +1,142 @@
+"""Compare two marketclear output trees file by file.
+
+    python tools/outdiff.py DIR_A DIR_B
+
+Walks both directories, skipping every ``manifest.json`` (it holds paths
+and wall times).  Files that are byte-identical are listed as such.  For a
+differing CSV, each column reports the largest relative difference
+``|b - a| / |a|`` over the cells where ``|a| > 1e-14`` and the largest
+absolute difference over all cells; for a differing JSON file, each numeric
+leaf does the same, keyed by its path.  Non-numeric cells or leaves that
+differ, and files or keys present on one side only, are listed.  Exit code
+0 means every compared file is identical, 1 that something differs.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+SKIP = {"manifest.json"}
+FLOOR = 1e-14
+
+
+def _files(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*")
+            if p.is_file() and p.name not in SKIP}
+
+
+def _number(value):
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _compare(pairs) -> dict:
+    """Largest relative and absolute difference over (a, b) pairs of cells."""
+    rel = absd = 0.0
+    text = 0
+    for a, b in pairs:
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            text += 1
+            continue
+        if math.isnan(x) and math.isnan(y):
+            continue
+        diff = abs(y - x)
+        absd = max(absd, diff)
+        if abs(x) > FLOOR:
+            rel = max(rel, diff / abs(x))
+    return {"max_rel": rel, "max_abs": absd, "text_cells": text}
+
+
+def _csv_report(a: Path, b: Path) -> list[str]:
+    ra = list(csv.reader(a.read_text().splitlines()))
+    rb = list(csv.reader(b.read_text().splitlines()))
+    if not ra or not rb or ra[0] != rb[0]:
+        return ["  headers differ"]
+    lines = []
+    if len(ra) != len(rb):
+        lines.append(f"  row counts differ: {len(ra) - 1} vs {len(rb) - 1}")
+    for j, name in enumerate(ra[0]):
+        stats = _compare((x[j], y[j]) for x, y in zip(ra[1:], rb[1:])
+                         if j < len(x) and j < len(y))
+        if stats["max_abs"] or stats["text_cells"]:
+            lines.append(f"  column {name}: " + _format(stats))
+    return lines
+
+
+def _leaves(obj, prefix=""):
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _leaves(val, f"{prefix}.{key}" if prefix else str(key))
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from _leaves(val, f"{prefix}[{i}]")
+    else:
+        yield prefix, obj
+
+
+def _json_report(a: Path, b: Path) -> list[str]:
+    la = dict(_leaves(json.loads(a.read_text())))
+    lb = dict(_leaves(json.loads(b.read_text())))
+    lines = [f"  key only in A: {k}" for k in la if k not in lb]
+    lines += [f"  key only in B: {k}" for k in lb if k not in la]
+    for key in la:
+        if key in lb and la[key] != lb[key]:
+            lines.append(f"  key {key}: " + _format(_compare([(la[key], lb[key])])))
+    return lines
+
+
+def _format(stats: dict) -> str:
+    out = f"max rel {stats['max_rel']:.3g}, max abs {stats['max_abs']:.3g}"
+    if stats["text_cells"]:
+        out += f", {stats['text_cells']} non-numeric cells differ"
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python tools/outdiff.py DIR_A DIR_B", file=sys.stderr)
+        return 2
+    root_a, root_b = Path(argv[0]), Path(argv[1])
+    fa, fb = _files(root_a), _files(root_b)
+    same = True
+    for name in sorted(fa - fb):
+        print(f"only in A: {name}")
+        same = False
+    for name in sorted(fb - fa):
+        print(f"only in B: {name}")
+        same = False
+    identical = 0
+    for name in sorted(fa & fb):
+        a, b = root_a / name, root_b / name
+        if a.read_bytes() == b.read_bytes():
+            identical += 1
+            print(f"identical: {name}")
+            continue
+        same = False
+        print(f"differs: {name}")
+        if name.endswith(".csv"):
+            report = _csv_report(a, b)
+        elif name.endswith(".json"):
+            report = _json_report(a, b)
+        else:
+            report = []
+        for line in report:
+            print(line)
+    print(f"{identical} of {len(fa & fb)} common files byte-identical")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
