@@ -1,13 +1,20 @@
 """CSV/JSON emitters shared by the solvers, the studies, and the CLI.
 
-Floats are written with repr(), the shortest representation that round-trips,
-so golden files are stable across runs and platforms.
+Every float is written as its ``repr``: the shortest text that round-trips,
+so golden files are stable across runs and platforms.  Node-sized columns
+(node fields, the lattice dump) get that text from ``float_texts``, which
+takes the Ryu digits of a whole column from one ``orjson`` call and falls
+back to ``repr`` only for the values whose ``repr`` uses another notation
+(non-finite values, ``0 < |x| < 1e-4`` and ``|x| >= 1e16``).  The small row
+writers (convergence, perturbation) call ``repr`` directly, so the study
+commands never load ``orjson``.
 
 CSV lines are built as plain strings (``csv_line``), not through the ``csv``
 module; the fields never need quoting, so the bytes are the same.  Node
 fields are written column-wise: the ``node_id,t,`` prefixes are formatted
-once per lattice, each field's values are converted with one ``tolist`` and
-formatted in one comprehension, and the field goes out in a single write.
+once per lattice, each component column is formatted by one ``float_texts``
+call and slotted into its stride of the lines, and the field goes out in a
+single write.
 """
 
 from __future__ import annotations
@@ -34,25 +41,49 @@ def csv_line(fields) -> str:
     return ",".join(map(str, fields)) + "\n"
 
 
+def float_texts(column) -> list[str]:
+    """The ``repr`` of every value of a 1-d float64 column, as a list of str.
+
+    One ``orjson`` call writes the shortest round-trip (Ryu) digits of the
+    whole column.  They equal ``repr`` wherever ``repr`` uses positional
+    notation; ``repr`` itself fills in the rest: nan and inf (which ``orjson``
+    writes as ``null``), ``0 < |x| < 1e-4`` and ``|x| >= 1e16``, where
+    ``repr`` switches to the ``1e-05`` / ``1e+16`` exponent form.
+    """
+    import orjson
+
+    column = np.ascontiguousarray(column, dtype=np.float64)
+    if column.size == 0:
+        return []
+    texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(column)
+    where = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (column != 0.0))
+    for i, x in zip(where.tolist(), column[where].tolist()):
+        texts[i] = repr(x)
+    return texts
+
+
 def _node_prefixes(lat) -> list[str]:
     """The ``node_id,t,`` start of every node's lines, formatted once per lattice."""
-    return [f"{v},{t!r}," for v, t in enumerate((lat.level_of * lat.dt).tolist())]
+    return [f"{v},{t}," for v, t in enumerate(float_texts(lat.level_of * lat.dt))]
 
 
 def _field_emitter(fh, prefixes: list[str]):
     """emit(owner, name, values): write every line of a node field in one write.
 
     Lines run node by node, components within a node; each component column is
-    formatted in one comprehension and slotted into its stride of the lines.
+    formatted by one ``float_texts`` call and slotted into its stride of the
+    lines.
     """
 
     def emit(owner, name, values):
         values = np.asarray(values, dtype=float)
         comps = values.shape[1]
         lines = [""] * (len(prefixes) * comps)
-        for c, column in enumerate(values.T.tolist()):
+        for c in range(comps):
             head = f"{owner},{name},{c},"
-            lines[c::comps] = [f"{p}{head}{x!r}\n" for p, x in zip(prefixes, column)]
+            texts = float_texts(values[:, c])
+            lines[c::comps] = [f"{p}{head}{x}\n" for p, x in zip(prefixes, texts)]
         fh.write("".join(lines))
 
     return emit
@@ -140,13 +171,14 @@ def write_perturbation_csv(report, path) -> None:
 
 def write_lattice_csv(lattice, path) -> None:
     """One row per node: id, parent, level, common increments, path probability."""
-    rows = zip(lattice.parent.tolist(), lattice.level_of.tolist(),
-               lattice.dW.tolist(), lattice.path_prob.tolist())
+    columns = [map(str, range(lattice.num_nodes)), map(str, lattice.parent.tolist()),
+               map(str, lattice.level_of.tolist())]
+    columns += [float_texts(lattice.dW[:, j]) for j in range(lattice.d0)]
+    columns.append(float_texts(lattice.path_prob))
     with open(path, "w", newline="") as fh:
         fh.write(csv_line(["node_id", "parent_id", "level"]
                           + [f"dW{j}" for j in range(lattice.d0)] + ["probability"]))
-        fh.writelines(csv_line([v, parent, level, *map(repr, dw), repr(prob)])
-                      for v, (parent, level, dw, prob) in enumerate(rows))
+        fh.writelines(csv_line(row) for row in zip(*columns))
 
 
 def write_json(payload: dict, path) -> None:

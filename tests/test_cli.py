@@ -317,15 +317,36 @@ def test_shipped_models_drive_the_cli(tmp_path) -> None:
                 "--out", tmp_path / "c", "--steps", 3]) == 0
 
 
-def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded() -> None:
-    # the assignment solver is imported on first use, so commands that never
-    # need it do not pay for scipy.optimize (which pulls in scipy.sparse)
+def _run_probe(probe: str, *args) -> str:
+    """Run ``probe`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(marketclear.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", probe, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded() -> None:
+    # the assignment solver is imported on first use, so commands that never
+    # need it do not pay for scipy.optimize (which pulls in scipy.sparse)
     probe = ("import sys, marketclear.cli; "
              "print(sorted(m for m in sys.modules "
              "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'])))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _run_probe(probe) == "[]"
+
+
+def test_only_node_sized_writers_load_orjson(good_model, tmp_path) -> None:
+    # the column formatter imports orjson on first use; importing the CLI and
+    # the study commands (which write tens of values through repr) must not
+    probe = ("import sys, marketclear.cli as cli; before = 'orjson' in sys.modules; "
+             "args = sys.argv[1:]; cut = args.index('--then'); "
+             "codes = [cli.main(a) for a in (args[:cut], args[cut + 1:])]; "
+             "print(before, codes, 'orjson' in sys.modules)")
+    converge = ["converge", "--model", good_model, "--out", tmp_path / "c", "--steps", 3,
+                "--n-list", "8,16,32", "--resamples", 24, "--seed", 7]
+    verify = ["verify", "--model", good_model, "--out", tmp_path / "v", "--steps", 3,
+              "--n-agents", 2, "--directions", 2]
+    assert _run_probe(probe, *converge, "--then", *verify) == "False [0, 0] False"
+    solve = ["solve-n", "--model", good_model, "--out", tmp_path / "s", "--steps", 3]
+    assert _run_probe(probe, *solve, "--then", *solve, "--force") == "False [0, 0] True"

@@ -2,7 +2,10 @@
 
 Every writer must produce the same bytes as ``csv_oracle`` (one
 ``csv.writer`` row and ``repr(float(x))`` per cell) on every shipped model,
-and the node-field emitter must do so for arbitrary float64 fields.
+and the node-field emitter must do so for arbitrary float64 fields.  The
+column formatter ``float_texts`` must equal ``repr`` value for value at the
+edges of ``repr``'s notation ranges, on every power of two, on the special
+values and on a bulk of random doubles.
 """
 
 from __future__ import annotations
@@ -121,6 +124,48 @@ def test_field_emitter_matches_oracle(values, horizon, owner, name) -> None:
     csv_oracle.field_emitter(csv.writer(want, lineterminator="\n"), lat)(owner, name, values)
     runio._field_emitter(got, runio._node_prefixes(lat))(owner, name, values)
     assert got.getvalue() == want.getvalue()
+
+
+# -- the column formatter ---------------------------------------------------------
+
+def assert_repr_texts(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    assert runio.float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_float_texts_at_the_notation_edges() -> None:
+    # repr writes 0 < |x| < 1e-4 and |x| >= 1e16 in exponent form
+    edges = np.array([1e-4, -1e-4, 1e16, -1e16])
+    below, above = edges.copy(), edges.copy()
+    sides = [edges]
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 2 * above)
+        sides += [below, above]
+    assert_repr_texts(np.concatenate(sides))
+
+
+def test_float_texts_on_powers_of_two() -> None:
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    both = np.concatenate([powers, np.nextafter(powers, 0.0)])
+    assert_repr_texts(np.concatenate([both, -both]))
+
+
+def test_float_texts_on_special_values() -> None:
+    tiny = np.finfo(np.float64).smallest_subnormal
+    subnormals = np.array([tiny, 3 * tiny, 2.2250738585072009e-308, 1e-310, 4.9e-320])
+    assert_repr_texts(np.concatenate([[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf],
+                                      subnormals, -subnormals]))
+    assert runio.float_texts(np.empty(0)) == []
+
+
+def test_float_texts_on_random_doubles() -> None:
+    rng = np.random.default_rng(20180618)
+    n, chunk = 10**6, 2 * 10**5
+    for _ in range(n // chunk):
+        bits = rng.integers(0, 2**64, size=chunk, dtype=np.uint64).view(np.float64)
+        assert_repr_texts(bits)
+        signs = rng.choice([-1.0, 1.0], size=chunk)
+        assert_repr_texts(signs * 10.0 ** rng.uniform(-6.0, 18.0, size=chunk))
 
 
 @SETTINGS
