@@ -48,6 +48,24 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` and keeps option defaults out of the parsed namespace.
+
+    Every option's default and value type go to ``defaults`` and ``types``,
+    so the namespace holds only the options given on the command line.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.defaults, self.types = {}, {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.default is not argparse.SUPPRESS:
+            self.defaults[action.dest] = action.default
+            self.types[action.dest] = bool if action.nargs == 0 else (action.type or str)
+            action.default = argparse.SUPPRESS
+        return action
+
     def error(self, message):
         raise UsageError(message)
 
@@ -94,26 +112,40 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("lattice-dump", help="write the scenario tree as CSV")
     common(sp)
+    p.commands = sub.choices
     return p
 
 
-def _merge_config(args) -> dict:
-    """Layer: defaults < --config file < explicit flags (flags always win)."""
-    config = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+def _read_config(path: str, types: dict) -> dict:
+    """A --config file: a JSON object whose options have their flags' value types."""
+    path = Path(path)
+    if not path.exists():
+        raise UsageError(f"config file not found: {path}")
+    try:
         config = json.loads(path.read_text())
-        if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object")
-    merged = dict(config)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
+    except ValueError as exc:
+        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError("config file must hold a JSON object")
+    for key, value in config.items():
+        want = types.get(key)
+        if want is None or value is None:
             continue
-        if value is not None:
-            merged[key] = value
-    merged["command"] = args.command
+        ok = (int, float) if want is float else want
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, ok):
+            raise UsageError(f"config file option {key!r} must be of type {want.__name__}, "
+                             f"got {value!r}")
+    return config
+
+
+def _merge_config(args, command: _Parser) -> dict:
+    """Layer: defaults < --config file < explicit flags (flags always win)."""
+    given = vars(args)
+    name = given.pop("command")
+    config = _read_config(given.pop("config"), command.types) if "config" in given else {}
+    merged = {key: value for key, value in {**command.defaults, **config, **given}.items()
+              if value is not None and key != "config"}
+    merged["command"] = name
     return merged
 
 
@@ -299,8 +331,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     started = time.time()
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _merge_config(args)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        cfg = _merge_config(args, parser.commands[args.command])
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

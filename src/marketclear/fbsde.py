@@ -7,9 +7,10 @@ Systems are described per time level by small dense blocks:
     backward  u_B(v)     = uB~(v) + dt*(Bbf_k u_F(v) + Bbb_k uB~(v) + bb(v))
     terminal  u_B(leaf)  = G u_F(leaf) + g(leaf)
 
-for every node v of level k.  The matrix blocks (Aff, Afb, Bbf, Bbb, G) are
-one per level, as the model's matrix coefficients depend on time only; the
-constants (af, S, bb, g) are given per node or shared.
+for every node v of level k.  The matrix blocks (Aff, Afb, Bbf, Bbb) are
+level tables, one matrix per level, as the model's matrix coefficients depend
+on time only, and G is one matrix; the constants (af, S, bb, g) are given per
+node or shared.
 
 where uB~(v) denotes the conditional expectation of the next-level backward
 values (the "pre-driver" value).  Every drift and driver reads backward
@@ -17,21 +18,21 @@ states through uB~ and forward states at the current node; this is the exact
 first-order-condition structure of the discretized control problems, which is
 what lets the clearing identity and the optimality checks hold to round-off.
 
-Two solution paths.  Affine systems are solved exactly by a backward sweep of
-their affine decoupling field u_B(v) = P_k u_F(v) + p(v), the discrete
-four-step scheme for linear FBSDEs: one matrix pass from the leaves computes
-one P per level, and vector passes then carry the constants back and recover
-every state forward, batched over each level's nodes (``DirectSolver``).
-Sibling systems (same blocks, new constants) share the matrix pass, and a
-family of them shares one vector pass: their states are stacked after the
-node axis, (nodes, B, dim).  The general case uses a damped fixed-point
-iteration of forward/backward sweeps (``solve_picard``).
+A family of sibling systems (same blocks, new constants) is one system:
+every constant carries a flow axis right after its node axis, and a single
+system is the family of one.  Two solution paths.  Affine systems are solved
+exactly by a backward sweep of their affine decoupling field
+u_B(v) = P_k u_F(v) + p(v), the discrete four-step scheme for linear FBSDEs:
+one matrix pass from the leaves computes one P per level, and a vector pass
+then carries every flow's constants back and recovers its states forward,
+batched over each level's nodes (``DirectSolver``).  The general case uses a
+damped fixed-point iteration of forward/backward sweeps (``solve_picard``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -46,54 +47,79 @@ FACTOR_BUDGET_BYTES = 2 * 2**30
 # absolute gate on every equation row of a direct solve, per flow
 DIRECT_RESIDUAL_GATE = 1e-10
 
-
-@dataclass
-class LevelCoeffs:
-    """Affine blocks of one time level: one matrix each, constants shared or per node.
-
-    A system's ``coeffs(k)`` gives the constants without a batch axis.  The
-    direct solver stacks those of a family of sibling systems right after
-    the node axis, so inside a solve ``af`` is (m|1, B|1, mf), ``S`` is
-    (m|1, B|1, mf, d0) and ``bb`` is (m|1, B|1, mb); a batch axis of length
-    1 is shared by every flow.
-    """
-
-    Aff: np.ndarray   # (1, mf, mf)
-    Afb: np.ndarray   # (1, mf, mb)
-    af: np.ndarray    # (m|1, mf)
-    S: np.ndarray     # (m|1, mf, d0)
-    Bbf: np.ndarray   # (1, mb, mf)
-    Bbb: np.ndarray   # (1, mb, mb)
-    bb: np.ndarray    # (m|1, mb)
+CONSTANTS = ("initial", "af", "S", "bb", "g")
 
 
 @dataclass
 class FbsdeSystem:
-    """A coupled forward-backward system laid out on a noise lattice.
+    """A family of B coupled forward-backward systems sharing their matrix blocks.
 
-    ``coeffs(k)`` returns the level-k blocks; ``terminal()`` the terminal map
-    (G, g) on the leaves, G of shape (1, mb, mf) and g of shape (mK|1, mb).
-    ``driver_fn``/``terminal_fn`` override the affine backward parts for
-    non-affine models (fixed-point path only); ``affine`` must then be False.
+    The matrix blocks are level tables, ``Aff`` (K, mf, mf), ``Afb``
+    (K, mf, mb), ``Bbf`` (K, mb, mf) and ``Bbb`` (K, mb, mb), plus the
+    terminal matrix ``G`` (mb, mf).  The constants are node arrays with a
+    flow axis right after the node axis; either axis has length 1 where the
+    value is shared:
+
+        initial (1, B|1, mf)                   on the root
+        af (I|1, B|1, mf), S (I|1, B|1, mf, d0),
+        bb (I|1, B|1, mb)                      on the I non-terminal nodes
+        g (L|1, B|1, mb)                       on the L leaves
+
+    Every shape is checked here (``ValidationError``).  ``driver_fn`` and
+    ``terminal_fn`` override the affine backward parts for non-affine
+    models (fixed-point path only, B = 1); ``affine`` must then be False.
     """
 
     lattice: NoiseLattice
     forward_slices: dict
     backward_slices: dict
+    Aff: np.ndarray
+    Afb: np.ndarray
+    Bbf: np.ndarray
+    Bbb: np.ndarray
+    G: np.ndarray
     initial: np.ndarray
-    coeffs: Callable[[int], LevelCoeffs]
-    terminal: Callable[[], tuple]
+    af: np.ndarray
+    S: np.ndarray
+    bb: np.ndarray
+    g: np.ndarray
     affine: bool = True
     driver_fn: Callable | None = None
     terminal_fn: Callable | None = None
 
+    def __post_init__(self):
+        lat = self.lattice
+        for name in CONSTANTS:
+            if np.ndim(getattr(self, name)) < 3:
+                raise ValidationError(f"{name} has shape {np.shape(getattr(self, name))}; "
+                                      f"a constant has a node, a flow and a state axis")
+        K, mf, mb, B = lat.steps, self.mf, self.mb, self.flows
+        I, L = lat.level_range(K)[0], lat.nodes_at(K)
+        expected = {
+            "Aff": ((K,), (mf,), (mf,)), "Afb": ((K,), (mf,), (mb,)),
+            "Bbf": ((K,), (mb,), (mf,)), "Bbb": ((K,), (mb,), (mb,)), "G": ((mb,), (mf,)),
+            "initial": ((1,), (B, 1), (mf,)), "af": ((I, 1), (B, 1), (mf,)),
+            "S": ((I, 1), (B, 1), (mf,), (lat.d0,)), "bb": ((I, 1), (B, 1), (mb,)),
+            "g": ((L, 1), (B, 1), (mb,)),
+        }
+        for name, axes in expected.items():
+            shape = np.shape(getattr(self, name))
+            if len(shape) != len(axes) or any(n not in ok for n, ok in zip(shape, axes)):
+                want = ", ".join("|".join(map(str, ok)) for ok in axes)
+                raise ValidationError(f"{name} has shape {shape}; expected ({want})")
+
     @property
     def mf(self) -> int:
-        return len(self.initial)
+        return self.initial.shape[-1]
 
     @property
     def mb(self) -> int:
-        return max(s.stop for s in self.backward_slices.values())
+        return self.g.shape[-1]
+
+    @property
+    def flows(self) -> int:
+        """The number B of systems in the family."""
+        return max(getattr(self, name).shape[1] for name in CONSTANTS)
 
     def n_unknowns(self) -> int:
         return self.lattice.num_nodes * (self.mf + self.mb)
@@ -121,9 +147,10 @@ class SolveDiagnostics:
 class NodeSolution:
     """All forward/backward node values plus the discrete martingale increments.
 
-    ``backward_pre`` holds uB~ (at terminal nodes it repeats the terminal
-    values); ``deviations`` holds, per node, the difference between its
-    backward value and its parent's uB~ (zero at the root); the
+    ``system`` is the solved family and ``flow`` this solution's index in
+    it.  ``backward_pre`` holds uB~ (at terminal nodes it repeats the
+    terminal values); ``deviations`` holds, per node, the difference between
+    its backward value and its parent's uB~ (zero at the root); the
     probability-weighted sum over siblings vanishes by construction.
     """
 
@@ -133,6 +160,7 @@ class NodeSolution:
     backward_pre: np.ndarray
     deviations: np.ndarray
     diagnostics: SolveDiagnostics
+    flow: int = 0
 
     def field(self, name: str) -> np.ndarray:
         if name in self.system.forward_slices:
@@ -159,11 +187,12 @@ class NodeSolution:
         return out
 
 
-# -- families of sibling systems ----------------------------------------------
+# -- sweeps -------------------------------------------------------------------
 #
-# Every state and constant below carries a batch axis right after the node
-# axis, one entry per flow of a family of sibling systems; a single system is
-# the family of one.
+# Every state below is a (nodes, B, dim) array, one entry per flow of the
+# family right after the node axis, as the system's constants are.  A level
+# block enters ``_apply`` as its (1, p, q) slice ``table[k:k+1]``, broadcast
+# over the level's nodes and flows.
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -171,46 +200,9 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.matmul(mat, vec[..., None])[..., 0]
 
 
-def _stack(arrays: list) -> np.ndarray:
-    """Sibling constants, each (m|1, ...), as one (m|1, B|1, ...) array.
-
-    An array shared by every sibling keeps a batch axis of length 1 and is
-    not copied.
-    """
-    first = arrays[0]
-    if all(a is first for a in arrays[1:]):
-        return first[:, None]
-    return np.stack(np.broadcast_arrays(*arrays), axis=1)
-
-
-def _require_same(name: str, blocks: list) -> None:
-    """Refuse a family whose systems do not share a matrix block."""
-    first = blocks[0]
-    for block in blocks[1:]:
-        if block is not first and not np.array_equal(block, first):
-            raise ValidationError(
-                f"{name} differs between systems solved together; only sibling "
-                f"systems (same blocks, new constants) share a solve")
-
-
-def _family_level(family: Sequence[FbsdeSystem], k: int) -> LevelCoeffs:
-    """Level-k blocks of a family, constants stacked after the node axis."""
-    cs = [s.coeffs(k) for s in family]
-    for name in ("Aff", "Afb", "Bbf", "Bbb"):
-        _require_same(f"level {k} {name}", [getattr(c, name) for c in cs])
-    return replace(cs[0], af=_stack([c.af for c in cs]), S=_stack([c.S for c in cs]),
-                   bb=_stack([c.bb for c in cs]))
-
-
-def _family_terminal(family: Sequence[FbsdeSystem]) -> tuple:
-    """Terminal map of a family: the shared G and g stacked as (mK|1, B|1, mb)."""
-    maps = [s.terminal() for s in family]
-    _require_same("terminal G", [G for G, _ in maps])
-    return maps[0][0], _stack([np.atleast_2d(np.asarray(g, dtype=float)) for _, g in maps])
-
-
-def _family_initial(family: Sequence[FbsdeSystem]) -> np.ndarray:
-    return np.array([s.initial for s in family], dtype=float)
+def _rows(const: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Nodes lo:hi of a node array, or the whole array if it is shared by every node."""
+    return const if const.shape[0] == 1 else const[lo:hi]
 
 
 def _flow_max(gap: np.ndarray) -> np.ndarray:
@@ -218,39 +210,44 @@ def _flow_max(gap: np.ndarray) -> np.ndarray:
     return np.max(np.abs(gap), axis=(0,) + tuple(range(2, gap.ndim)), initial=0.0)
 
 
-def _noise(lat: NoiseLattice, k: int, S: np.ndarray) -> np.ndarray:
+def _noise(system: FbsdeSystem, k: int) -> np.ndarray:
     """S(v) dW on every child edge of level k, in child layout."""
+    lat = system.lattice
+    lo, hi = lat.level_range(k)
     clo, chi = lat.level_range(k + 1)
-    m = lat.nodes_at(k)
-    S_child = np.repeat(np.broadcast_to(S, (m,) + S.shape[1:]), lat.fanout, axis=0)
+    S = _rows(system.S, lo, hi)
+    S_child = np.repeat(np.broadcast_to(S, (hi - lo,) + S.shape[1:]), lat.fanout, axis=0)
     return _apply(S_child, lat.dW[clo:chi, None])
 
 
-def _step(lat: NoiseLattice, uf: np.ndarray, ubt: np.ndarray, Aff, Afb, af,
+def _step(system: FbsdeSystem, k: int, uf: np.ndarray, ubt: np.ndarray,
           noise: np.ndarray) -> np.ndarray:
-    """Forward states on the children of one level."""
-    drift = _apply(Aff, uf) + _apply(Afb, ubt) + af
+    """Forward states on the children of level k."""
+    lat = system.lattice
+    lo, hi = lat.level_range(k)
+    drift = (_apply(system.Aff[k:k + 1], uf) + _apply(system.Afb[k:k + 1], ubt)
+             + _rows(system.af, lo, hi))
     return lat.repeat_to_children(uf + lat.dt * drift) + noise
 
 
-def _driver(system: FbsdeSystem, k: int, c: LevelCoeffs | None, uf, ubt) -> np.ndarray:
-    """The backward driver on level k; ``c`` is the level's stacked blocks if already at hand."""
+def _driver(system: FbsdeSystem, k: int, uf, ubt) -> np.ndarray:
+    """The backward driver on level k."""
     if system.driver_fn is not None:  # non-affine systems are solved alone
         return system.driver_fn(k, uf[:, 0], ubt[:, 0])[:, None]
-    c = c if c is not None else _family_level([system], k)
-    return _apply(c.Bbf, uf) + _apply(c.Bbb, ubt) + c.bb
+    lo, hi = system.lattice.level_range(k)
+    return (_apply(system.Bbf[k:k + 1], uf) + _apply(system.Bbb[k:k + 1], ubt)
+            + _rows(system.bb, lo, hi))
 
 
 def _forward_sweep(system: FbsdeSystem, ub: np.ndarray) -> np.ndarray:
     lat = system.lattice
     uf = np.zeros((lat.num_nodes, 1, system.mf))
-    uf[0] = system.initial
+    uf[0] = system.initial[0]
     for k in range(lat.steps):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
-        c = _family_level([system], k)
-        uf[clo:chi] = _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af, _noise(lat, k, c.S))
+        uf[clo:chi] = _step(system, k, uf[lo:hi], ubt, _noise(system, k))
     return uf
 
 
@@ -261,13 +258,12 @@ def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
     if system.terminal_fn is not None:
         ub[tsl] = system.terminal_fn(uf[tsl, 0])[:, None]
     else:
-        G, g = _family_terminal([system])
-        ub[tsl] = _apply(G, uf[tsl]) + g
+        ub[tsl] = _apply(system.G[None], uf[tsl]) + system.g
     for k in range(lat.steps - 1, -1, -1):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
-        ub[lo:hi] = ubt + lat.dt * _driver(system, k, None, uf[lo:hi], ubt)
+        ub[lo:hi] = ubt + lat.dt * _driver(system, k, uf[lo:hi], ubt)
     return ub
 
 
@@ -292,47 +288,45 @@ def _flow_solution(system: FbsdeSystem, b: int, uf, ub, pre, dev,
     """
     flow = lambda a: np.ascontiguousarray(a[:, b])
     return NodeSolution(system=system, forward=flow(uf), backward=flow(ub),
-                        backward_pre=flow(pre), deviations=flow(dev), diagnostics=diagnostics)
+                        backward_pre=flow(pre), deviations=flow(dev),
+                        diagnostics=diagnostics, flow=b)
 
 
 # -- residual ---------------------------------------------------------------
 
 
-def _equation_gaps(family: Sequence[FbsdeSystem], uf, ub, pre) -> tuple:
+def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
     """Worst violation per flow of every discrete equation row, and of the terminal rows.
 
-    Rows are recomputed from the stacked states and the systems' own
-    coefficients; uB~ is read from ``pre``.
+    Rows are recomputed from the stacked states and the system's blocks and
+    constants; uB~ is read from ``pre``.
     """
-    system = family[0]
     lat = system.lattice
-    worst = _flow_max((uf[0] - _family_initial(family))[None])
+    worst = _flow_max((uf[0] - system.initial[0])[None])
     for k in range(lat.steps):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = pre[lo:hi]
-        c = _family_level(family, k)
-        fwd_gap = uf[clo:chi] - _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af,
-                                      _noise(lat, k, c.S))
-        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, c, uf[lo:hi], ubt)
+        fwd_gap = uf[clo:chi] - _step(system, k, uf[lo:hi], ubt, _noise(system, k))
+        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, uf[lo:hi], ubt)
         worst = np.maximum(worst, np.maximum(_flow_max(fwd_gap), _flow_max(bwd_gap)))
     tsl = lat.terminal_slice
     if system.terminal_fn is not None:
         term_gap = ub[tsl] - system.terminal_fn(uf[tsl, 0])[:, None]
     else:
-        G, g = _family_terminal(family)
-        term_gap = ub[tsl] - _apply(G, uf[tsl]) - g
+        term_gap = ub[tsl] - _apply(system.G[None], uf[tsl]) - system.g
     terminal_mismatch = _flow_max(term_gap)
     return np.maximum(worst, terminal_mismatch), terminal_mismatch
 
 
 def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
-    """Recompute every discrete equation row and report the worst violation."""
+    """Recompute every equation row of the solution's flow and report the worst violation."""
     worst, terminal_mismatch = _equation_gaps(
-        [system], solution.forward[:, None], solution.backward[:, None],
+        system, solution.forward[:, None], solution.backward[:, None],
         solution.backward_pre[:, None])
-    return replace(solution.diagnostics, max_equation_residual=float(worst[0]),
-                   terminal_mismatch=float(terminal_mismatch[0]))
+    b = solution.flow if system.flows > 1 else 0
+    return replace(solution.diagnostics, max_equation_residual=float(worst[b]),
+                   terminal_mismatch=float(terminal_mismatch[b]))
 
 
 # -- direct (decoupling-field) solve ------------------------------------------
@@ -346,15 +340,13 @@ class _LevelFactors:
     EPbar: np.ndarray  # E Pbar                      (1, mb, mf)
     Q: np.ndarray      # uB~ = Q u_F + r             (1, mb, mf)
     IBbb: np.ndarray   # I + dt Bbb                  (1, mb, mb)
-    Aff: np.ndarray
-    Afb: np.ndarray
 
 
 def sweep_floats(lat: NoiseLattice, mf: int, mb: int, flows: int = 1) -> int:
     """Float64s a ``DirectSolver`` keeps for one solve of ``flows`` sibling systems.
 
-    Per level E, E Pbar, Q, P and Afb; per node and flow p, r, af, S dW and
-    the solution's u_F, u_B, uB~ and increments.
+    Per level E, E Pbar, Q, P and the system's Afb; per node and flow p, r,
+    the system's af, S dW and the solution's u_F, u_B, uB~ and increments.
     """
     return lat.steps * (mb * mb + 4 * mb * mf) + flows * lat.num_nodes * (3 * mf + 5 * mb)
 
@@ -370,15 +362,6 @@ def check_factor_budget(floats: int) -> None:
             f"or the number of agent groups")
 
 
-def _require_shared(blocks: dict) -> None:
-    """Refuse a matrix block that is not one matrix for its whole level."""
-    for name, (block, shape) in blocks.items():
-        if block.shape != (1,) + shape:
-            raise ValidationError(
-                f"{name} has shape {block.shape}; the direct solve takes one matrix "
-                f"per level, shape {(1,) + shape}")
-
-
 class DirectSolver:
     """Exact affine solve by a backward sweep of the decoupling field.
 
@@ -389,17 +372,16 @@ class DirectSolver:
         Pbar = sum_b q_b P_{k+1},   E = (I - dt Pbar Afb)^-1,
         Q    = E Pbar (I + dt Aff),   P_k = (I + dt Bbb) Q + dt Bbf.
 
-    It depends only on the blocks (Aff, Afb, Bbf, Bbb, G) and the tree, and
-    takes them level-shared only: any other leading axis raises
-    ``ValidationError``.  The constants (af, bb, g, initial, S dW) enter only
-    the vector passes of ``solve``, so families of systems differing only in
-    those (e.g. the clearing system across candidate major flows) share one
-    matrix pass, and ``solve`` takes a whole family in one vector pass.
+    It reads only the system's level tables (Aff, Afb, Bbf, Bbb), G and the
+    tree.  The constants (af, bb, g, initial, S dW) enter only the vector
+    pass of ``solve``, which takes every flow of the family at once; a
+    re-solve with new constants (e.g. the clearing system across candidate
+    major flows) shares the matrix pass.
 
     A system whose storage (``sweep_floats``: ``K (mb^2 + 4 mb mf)`` floats
     of factors plus ``nodes (3 mf + 5 mb)`` of node vectors per flow) would
-    exceed ``FACTOR_BUDGET_BYTES`` raises ``BudgetError`` before any
-    coefficient call.
+    exceed ``FACTOR_BUDGET_BYTES`` raises ``BudgetError`` before the matrix
+    pass.
     """
 
     def __init__(self, system: FbsdeSystem):
@@ -410,108 +392,111 @@ class DirectSolver:
         dt = lat.dt
         mf, mb = system.mf, system.mb
         check_factor_budget(sweep_floats(lat, mf, mb))
-        P = np.asarray(system.terminal()[0], dtype=float)
-        _require_shared({"G": (P, (mb, mf))})
+        P = system.G[None]
         self._P = [None] * lat.steps + [P]
         self._levels: list[_LevelFactors] = [None] * lat.steps
         for k in range(lat.steps - 1, -1, -1):
-            c = system.coeffs(k)
-            _require_shared({"Aff": (c.Aff, (mf, mf)), "Afb": (c.Afb, (mf, mb)),
-                             "Bbf": (c.Bbf, (mb, mf)), "Bbb": (c.Bbb, (mb, mb))})
+            Aff, Afb, Bbf, Bbb = (t[k:k + 1] for t in (system.Aff, system.Afb,
+                                                      system.Bbf, system.Bbb))
             # sum_b q_b P over one node's children, reduced as cond_expect does
             Pbar = lat.cond_expect(np.broadcast_to(P, (lat.fanout,) + P.shape[1:]), 0)
             try:
-                E = np.linalg.inv(np.eye(mb) - dt * (Pbar @ c.Afb))
+                E = np.linalg.inv(np.eye(mb) - dt * (Pbar @ Afb))
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     f"level {k} system I - dt*Pbar*Afb is singular ({exc}); this "
                     f"signals violated monotonicity of the discretized model", None)
             EPbar = E @ Pbar
-            Q = EPbar @ (np.eye(mf) + dt * c.Aff)
-            IBbb = np.eye(mb) + dt * c.Bbb
-            P = IBbb @ Q + dt * c.Bbf
-            self._levels[k] = _LevelFactors(E=E, EPbar=EPbar, Q=Q, IBbb=IBbb,
-                                            Aff=c.Aff, Afb=c.Afb)
+            Q = EPbar @ (np.eye(mf) + dt * Aff)
+            IBbb = np.eye(mb) + dt * Bbb
+            P = IBbb @ Q + dt * Bbf
+            self._levels[k] = _LevelFactors(E=E, EPbar=EPbar, Q=Q, IBbb=IBbb)
             self._P[k] = P
 
-    def solve(self, systems: FbsdeSystem | Sequence[FbsdeSystem] | None = None):
-        """Solve by one vector pass on the shared matrix pass.
+    def solve(self, **constants) -> list[NodeSolution]:
+        """Solve every flow of the system by one vector pass on the shared matrix pass.
 
-        ``systems`` is this solver's own system (the default), one sibling
-        system (same blocks, new constants), or a sequence of siblings, the
-        flows of one batch.  One system gives its ``NodeSolution``; a
-        sequence gives a list with one solution per flow, in order.
+        ``constants`` replaces any of the system's ``initial``, ``af``,
+        ``S``, ``bb`` and ``g`` (a sibling family, of any number of flows);
+        the blocks stay the solver's own.  Returns one solution per flow, in
+        order.
 
         Every flow's states are checked to be finite and every equation row
         of every flow is recomputed (``_equation_gaps``) against the absolute
         ``DIRECT_RESIDUAL_GATE``; the first flow that fails raises
         ``SolverError`` naming it.
         """
-        single = systems is None or isinstance(systems, FbsdeSystem)
-        family = [self.system if systems is None else systems] if single else list(systems)
-        if not family:
-            raise ValidationError("no system to solve")
-        system = family[0]
+        unknown = set(constants) - set(CONSTANTS)
+        if unknown:
+            raise ValidationError(f"only the constants {CONSTANTS} change between "
+                                  f"solves, not {sorted(unknown)}")
+        system = replace(self.system, **constants) if constants else self.system
         lat = system.lattice
         dt = lat.dt
         mf, mb = system.mf, system.mb
         K = lat.steps
-        B = len(family)
+        B = system.flows
         check_factor_budget(sweep_floats(lat, mf, mb, B))
         # backward vector pass: p(v), and r(v) with uB~ = Q u_F + r
-        p = _family_terminal(family)[1]
-        ps, rs, afs, noises = [None] * K + [p], [None] * K, [None] * K, [None] * K
+        p = system.g
+        ps, rs, noises = [None] * K + [p], [None] * K, [None] * K
         for k in range(K - 1, -1, -1):
-            c = _family_level(family, k)
+            lo, hi = lat.level_range(k)
             lv = self._levels[k]
-            noise = _noise(lat, k, c.S)
+            noise = _noise(system, k)
             pbar = lat.cond_expect(p + _apply(self._P[k + 1], noise), k)
-            r = _apply(lv.E, pbar) + dt * _apply(lv.EPbar, c.af)
-            p = _apply(lv.IBbb, r) + dt * c.bb
-            ps[k], rs[k], afs[k], noises[k] = p, r, c.af, noise
+            r = _apply(lv.E, pbar) + dt * _apply(lv.EPbar, _rows(system.af, lo, hi))
+            p = _apply(lv.IBbb, r) + dt * _rows(system.bb, lo, hi)
+            ps[k], rs[k], noises[k] = p, r, noise
         # forward pass; the states are flows-first in memory, so that each
         # flow's solution (and its uB~ and increments, laid out alike) is a
         # contiguous view
         uf = np.zeros((B, lat.num_nodes, mf)).transpose(1, 0, 2)
         ub = np.zeros((B, lat.num_nodes, mb)).transpose(1, 0, 2)
-        uf[0] = _family_initial(family)
+        uf[0] = system.initial[0]
         for k in range(K + 1):
             lo, hi = lat.level_range(k)
             ub[lo:hi] = _apply(self._P[k], uf[lo:hi]) + ps[k]
             if k < K:
-                lv = self._levels[k]
                 clo, chi = lat.level_range(k + 1)
-                ubt = _apply(lv.Q, uf[lo:hi]) + rs[k]
-                uf[clo:chi] = _step(lat, uf[lo:hi], ubt, lv.Aff, lv.Afb, afs[k], noises[k])
-        del ps, rs, afs, noises  # a batch's sweep vectors, freed before the residual's
+                ubt = _apply(self._levels[k].Q, uf[lo:hi]) + rs[k]
+                uf[clo:chi] = _step(system, k, uf[lo:hi], ubt, noises[k])
+        del ps, rs, noises  # a batch's sweep vectors, freed before the residual's
         finite = np.isfinite(uf).all(axis=(0, 2)) & np.isfinite(ub).all(axis=(0, 2))
         if not finite.all():
             raise SolverError(
                 f"direct solve produced non-finite values in flow "
                 f"{int(np.flatnonzero(~finite)[0])} (near-singular level system)")
         pre, dev = _pre_and_deviations(lat, ub)
-        worst, terminal_mismatch = _equation_gaps(family, uf, ub, pre)
-        sols = [_flow_solution(s, b, uf, ub, pre, dev, SolveDiagnostics(
+        worst, terminal_mismatch = _equation_gaps(system, uf, ub, pre)
+        sols = [_flow_solution(system, b, uf, ub, pre, dev, SolveDiagnostics(
                     "direct", 1, float(worst[b]), float(terminal_mismatch[b]),
                     bool(worst[b] <= DIRECT_RESIDUAL_GATE)))
-                for b, s in enumerate(family)]
+                for b in range(B)]
         for b, sol in enumerate(sols):
             if not sol.diagnostics.converged:
                 raise SolverError(
                     f"direct solve residual {worst[b]:.3e} in flow {b} exceeds "
                     f"{DIRECT_RESIDUAL_GATE:g}; the discrete system is ill-conditioned",
                     sol.diagnostics)
-        return sols[0] if single else sols
+        return sols
+
+
+def _require_single(system: FbsdeSystem) -> None:
+    if system.flows != 1:
+        raise ValidationError(f"a family of {system.flows} systems is solved by "
+                              f"DirectSolver(system).solve(), not one at a time")
 
 
 def solve_direct(system: FbsdeSystem) -> NodeSolution:
-    """Exact solve of an affine system by one decoupling-field sweep."""
-    return DirectSolver(system).solve()
+    """Exact solve of a single affine system by one decoupling-field sweep."""
+    _require_single(system)
+    return DirectSolver(system).solve()[0]
 
 
 def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> NodeSolution:
-    """Damped alternation of forward and backward sweeps.
+    """Damped alternation of forward and backward sweeps on a single system.
 
     Stops when the successive-iterate max-norm distance drops below ``tol``;
     a final plain sweep restores the exact sweep relations before packaging.
@@ -520,6 +505,7 @@ def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
         raise ValidationError("damping must lie in (0, 1]")
     if tol <= 0 or max_iter < 1:
         raise ValidationError("tol must be positive and max_iter at least 1")
+    _require_single(system)
     lat = system.lattice
     ub = np.zeros((lat.num_nodes, 1, system.mb))
     uf = _forward_sweep(system, ub)

@@ -9,12 +9,12 @@ satisfy identical equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError, UnsupportedModelError, ValidationError
-from .fbsde import (DirectSolver, FbsdeSystem, LevelCoeffs, NodeSolution,
-                    check_factor_budget, solve_direct, solve_picard, sweep_floats)
+from .fbsde import (DirectSolver, FbsdeSystem, NodeSolution, check_factor_budget,
+                    solve_direct, solve_picard, sweep_floats)
 from .model import ModelSpec, check_all_assumptions
 from .scenario import (ExogenousFields, IdiosyncraticAtoms, NodeField,
                        NoiseLattice, evaluate_exogenous, idiosyncratic_atoms,
@@ -87,7 +87,11 @@ def make_population(spec: ModelSpec, atoms: IdiosyncraticAtoms, N: int | None = 
 
 @dataclass
 class MinorTables:
-    """One group's coefficients: vectors per node, matrices per time level."""
+    """One group's coefficients: vectors per node, matrices per time level.
+
+    ``stack_tables`` makes the tables of a group across several flows: its
+    node tables carry a flow axis after the node axis and ``xi`` is (B, n).
+    """
 
     l: np.ndarray       # (num_nodes, n)
     sig0: np.ndarray    # (num_nodes, n, d0)
@@ -186,7 +190,8 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 def _terminal_coupling(tabs: list[MinorTables], w: np.ndarray, ratio: float):
     """The clearing terminal map of the Y_g rows: cg_g X_g + ratio m(cg X) + hg_g + ratio m(hg).
 
-    Returns its (G n, G n) block on the X columns and its constants on the leaves.
+    Returns its (G n, G n) block on the X columns and its constants on the
+    leaves, (L, B|1, G n).
     """
     G = len(tabs)
     cg = np.stack([t.cg_T for t in tabs])
@@ -196,14 +201,34 @@ def _terminal_coupling(tabs: list[MinorTables], w: np.ndarray, ratio: float):
     block = block.reshape(G * n, G * n)
     block += _block_diag(cg)
     mean_hg = ratio * sum(w[h] * t.hg_T for h, t in enumerate(tabs))
-    return block, np.concatenate([t.hg_T + mean_hg for t in tabs], axis=1)
+    return block, _columns([t.hg_T + mean_hg for t in tabs])
 
 
-def _level_coeffs(Afb: np.ndarray, Bbf: np.ndarray, af, S, bb) -> LevelCoeffs:
-    """One level's blocks with zero Aff and Bbb."""
-    mf, mb = Afb.shape[1], Afb.shape[2]
-    return LevelCoeffs(Aff=np.zeros((1, mf, mf)), Afb=Afb, af=af, S=S,
-                       Bbf=Bbf, Bbb=np.zeros((1, mb, mb)), bb=bb)
+def _columns(parts: list, trailing: tuple = ()) -> np.ndarray:
+    """Node-array parts side by side on the state axis, with a flow axis after the node axis.
+
+    Each part is (nodes, d, *trailing), shared by every flow, or
+    (nodes, B, d, *trailing); the result is (nodes, B|1, sum d, *trailing).
+    """
+    parts = [p[:, None] if p.ndim == 2 + len(trailing) else p for p in parts]
+    B = max(p.shape[1] for p in parts)
+    return np.concatenate([np.broadcast_to(p, p.shape[:1] + (B,) + p.shape[2:])
+                           for p in parts], axis=2)
+
+
+def stack_tables(tabs: list[MinorTables]) -> MinorTables:
+    """One group's tables across B flows, one flow per entry of ``tabs``.
+
+    The node tables (``l``, ``sig0``, ``hf``, ``hg_T``) gain a flow axis
+    after the node axis and ``xi`` becomes (B, n); the matrix tables ``cf``
+    and ``cg_T`` are the first entry's, so the entries must share them, as
+    every atom of one coefficient bundle does.  The system builders take
+    such a group and build one system per flow, as one family.
+    """
+    stack = lambda pick: np.stack([pick(t) for t in tabs], axis=1)
+    return MinorTables(l=stack(lambda t: t.l), sig0=stack(lambda t: t.sig0), cf=tabs[0].cf,
+                       hf=stack(lambda t: t.hf), cg_T=tabs[0].cg_T,
+                       hg_T=stack(lambda t: t.hg_T), xi=np.stack([t.xi for t in tabs]))
 
 
 def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
@@ -213,16 +238,20 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     States per node: forward (x0, X_g, R_g), backward (p0, Y_g, P_g) for each
     agent group g with coefficient tables ``tabs[g]`` and population weight
     ``w[g]``.  The flow rule b = V0bar(-p0~ + m(Y~) + m(P~)) and the
-    cross-group means are folded into the level-shared matrix blocks: b
-    enters x0, X_g and R_g with signs (1, -1, 1), so
+    cross-group means are folded into the level tables: b enters x0, X_g
+    and R_g with signs (1, -1, 1), so
 
         Afb = kron(outer([1, -1_G, 1_G], [-1, w, w]), V0bar)
               -/+ kron(I - 1 w^T, lam^{-1})   on the X/Y and R/P blocks.
+
+    Groups whose tables carry a flow axis (``stack_tables``) make a family.
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
     G = len(tabs)
     K = lat.steps
+    I, tsl = lat.level_range(K)[0], lat.terminal_slice
+    L = lat.nodes_at(K)
 
     fsl = _slices([("x0", n)] + [(f"X{g}", n) for g in range(G)]
                   + [(f"R{g}", n) for g in range(G)])
@@ -231,10 +260,6 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     mf = mb = (1 + 2 * G) * n
     # the X_g / Y_g and R_g / P_g states share their offsets
     XY, RP, top = slice(n, (1 + G) * n), slice((1 + G) * n, mf), slice(0, n)
-
-    initial = np.zeros(mf)
-    initial[top] = spec.chi0
-    initial[XY] = np.concatenate([t.xi for t in tabs])
 
     affine_cost = spec.major_cost.affine
 
@@ -251,44 +276,38 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     Bbf[:, RP, RP] = _block_diag(-cf)
     if affine_cost:
         Bbf[:, top, top] = spec.major_cost.c0f
+    Bbb = np.zeros((K, mb, mb))
 
-    def coeffs(k: int) -> LevelCoeffs:
-        sl = lat.level_slice(k)
-        m = sl.stop - sl.start
-        zero = np.zeros((m, G * n))
-        af = np.concatenate([ctx.l0[sl], *(t.l[sl] for t in tabs), zero], axis=1)
-        S = np.concatenate([ctx.s0[sl], *(t.sig0[sl] for t in tabs),
-                            np.zeros((m, G * n, lat.d0))], axis=1)
-        h0f = ctx.h0f[sl] if affine_cost else np.zeros((m, n))
-        bb = np.concatenate([h0f, *(t.hf[sl] for t in tabs), zero], axis=1)
-        return _level_coeffs(Afb[k:k + 1], Bbf[k:k + 1], af, S, bb)
+    zero = np.zeros((I, G * n))
+    af = _columns([ctx.l0[:I], *(t.l[:I] for t in tabs), zero])
+    S = _columns([ctx.s0[:I], *(t.sig0[:I] for t in tabs), np.zeros((I, G * n, lat.d0))],
+                 (lat.d0,))
+    bb = _columns([ctx.h0f[:I] if affine_cost else np.zeros((I, n)),
+                   *(t.hf[:I] for t in tabs), zero])
+    initial = _columns([spec.chi0[None], *(t.xi[None] for t in tabs), np.zeros((1, G * n))])
 
-    def terminal():
-        tsl = lat.terminal_slice
-        Gm = np.zeros((1, mb, mf))
-        gv = np.zeros((lat.nodes_at(K), mb))
-        if spec.maturity_mode:
-            gv[:, top] = -ctx.exo.c0[tsl]
-            gv[:, XY] = np.tile(-ctx.exo.c0[tsl], G)
-            return Gm, gv
+    Gm = np.zeros((mb, mf))
+    if spec.maturity_mode:
+        c0T = -ctx.exo.c0[tsl]
+        gv = _columns([c0T, np.tile(c0T, G), np.zeros((L, G * n))])
+    else:
         ratio = spec.delta / (1.0 - spec.delta)
         if affine_cost:
-            Gm[0, top, top] = spec.major_cost.c0g
-            gv[:, top] = ctx.h0g_T
-        Gm[0, XY, XY], gv[:, XY] = _terminal_coupling(tabs, w, ratio)
+            Gm[top, top] = spec.major_cost.c0g
+        Gm[XY, XY], g_XY = _terminal_coupling(tabs, w, ratio)
         cg = np.stack([t.cg_T for t in tabs])
         own = np.eye(G) + ratio * w[None, :]
-        Gm[0, RP, RP] -= (own[:, None, :, None] * cg[:, :, None, :]).reshape(G * n, G * n)
-        return Gm, gv
+        Gm[RP, RP] -= (own[:, None, :, None] * cg[:, :, None, :]).reshape(G * n, G * n)
+        gv = _columns([ctx.h0g_T if affine_cost else np.zeros((L, n)), g_XY,
+                       np.zeros((L, G * n))])
 
     driver_fn = terminal_fn = None
     if not affine_cost:
         def driver_fn(k, uf, ubt):
             sl = lat.level_slice(k)
             m = sl.stop - sl.start
-            c = coeffs(k)
-            base = (np.matmul(c.Bbf, uf[..., None])[..., 0]
-                    + np.matmul(c.Bbb, ubt[..., None])[..., 0] + c.bb)
+            base = (np.matmul(Bbf[k:k + 1], uf[..., None])[..., 0]
+                    + np.matmul(Bbb[k:k + 1], ubt[..., None])[..., 0] + bb[sl, 0])
             t = k * lat.dt
             x0 = uf[:, top]
             grad = np.stack([spec.major_cost.dfdx(t, x0[i], ctx.exo.c0[sl][i])
@@ -297,9 +316,7 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
             return base
 
         def terminal_fn(ufK):
-            Gm, gv = terminal()
-            out = np.matmul(Gm, ufK[..., None])[..., 0] + gv
-            tsl = lat.terminal_slice
+            out = np.matmul(Gm[None], ufK[..., None])[..., 0] + gv[:, 0]
             x0 = ufK[:, top]
             out[:, top] = np.stack([
                 spec.major_cost.dgdx(x0[i], ctx.exo.c0[tsl][i])
@@ -307,62 +324,68 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
             return out
 
     return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
-                       initial=initial, coeffs=coeffs, terminal=terminal,
+                       Aff=np.zeros((K, mf, mf)), Afb=Afb, Bbf=Bbf, Bbb=Bbb, G=Gm,
+                       initial=initial, af=af, S=S, bb=bb, g=gv,
                        affine=affine_cost, driver_fn=driver_fn, terminal_fn=terminal_fn)
 
 
 def _minor_system(ctx: MarketContext, tabs: list[MinorTables], Afb: np.ndarray,
-                  af, terminal) -> FbsdeSystem:
+                  af: np.ndarray, terminal) -> FbsdeSystem:
     """A system of the groups' minor states (X_g forward, Y_g backward).
 
-    ``Afb`` holds the level-shared fee blocks, ``af(sl)`` the forward drift on
-    nodes ``sl`` and ``terminal()`` the terminal map outside maturity mode,
-    where Y_g(T) = -c0(T); the running cost blocks cf_g sit on the Bbf diagonal.
+    ``Afb`` holds the fee blocks per level, ``af`` the forward drift on the
+    non-terminal nodes and ``terminal()`` the terminal map outside maturity
+    mode, where Y_g(T) = -c0(T); the running cost blocks cf_g sit on the Bbf
+    diagonal.
     """
     lat, n = ctx.lattice, ctx.spec.dims.n
     G = len(tabs)
-    Bbf = _block_diag(np.stack([t.cf[:lat.steps] for t in tabs], axis=1))
-
-    def coeffs(k: int) -> LevelCoeffs:
-        sl = lat.level_slice(k)
-        S = np.concatenate([t.sig0[sl] for t in tabs], axis=1)
-        bb = np.concatenate([t.hf[sl] for t in tabs], axis=1)
-        return _level_coeffs(Afb[k:k + 1], Bbf[k:k + 1], af(sl), S, bb)
-
-    def terminal_map():
-        if ctx.spec.maturity_mode:
-            return np.zeros((1, G * n, G * n)), np.tile(-ctx.exo.c0[lat.terminal_slice], G)
-        return terminal()
-
+    K = lat.steps
+    I = lat.level_range(K)[0]
+    if ctx.spec.maturity_mode:
+        Gm, gv = np.zeros((G * n, G * n)), np.tile(-ctx.exo.c0[lat.terminal_slice], G)[:, None]
+    else:
+        Gm, gv = terminal()
     return FbsdeSystem(lattice=lat, forward_slices=_slices([(f"X{g}", n) for g in range(G)]),
                        backward_slices=_slices([(f"Y{g}", n) for g in range(G)]),
-                       initial=np.concatenate([t.xi for t in tabs]),
-                       coeffs=coeffs, terminal=terminal_map, affine=True)
+                       Aff=np.zeros((K, G * n, G * n)), Afb=Afb,
+                       Bbf=_block_diag(np.stack([t.cf[:K] for t in tabs], axis=1)),
+                       Bbb=np.zeros((K, G * n, G * n)), G=Gm,
+                       initial=_columns([t.xi[None] for t in tabs]), af=af,
+                       S=_columns([t.sig0[:I] for t in tabs], (lat.d0,)),
+                       bb=_columns([t.hf[:I] for t in tabs]), g=gv)
 
 
 def build_clearing_system(ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray,
                           beta_norm: np.ndarray) -> FbsdeSystem:
     """The minor-clearing system with a given per-capita major flow b = beta/N.
 
-    The flow enters only the constant drift terms, so systems for different
-    flows share their matrix blocks (and hence one solver matrix pass).  The
-    fee block is kron(I - 1 w^T, -lam^{-1}).
+    ``beta_norm`` is one (nodes, n) flow or a (B, nodes, n) stack, which
+    makes a family of B systems.  The flow enters only the forward drift
+    l_g - b, so the flows share every block (and hence one solver matrix
+    pass).  The fee block is kron(I - 1 w^T, -lam^{-1}).
     """
     spec, lat = ctx.spec, ctx.lattice
     G = len(tabs)
+    I = lat.level_range(lat.steps)[0]
     Afb = _kron(np.eye(G) - w[None, :], -ctx.exo.lam_inv[:lat.steps])
 
-    def terminal():
-        block, gv = _terminal_coupling(tabs, w, spec.delta / (1.0 - spec.delta))
-        return block[None], gv
-
-    return _minor_system(ctx, tabs, Afb, lambda sl: _clearing_drift(tabs, beta_norm, sl),
-                         terminal)
+    l = _columns([t.l[:I] for t in tabs])
+    return _minor_system(ctx, tabs, Afb, _minus_flow(l, beta_norm),
+                         lambda: _terminal_coupling(tabs, w, spec.delta / (1.0 - spec.delta)))
 
 
-def _clearing_drift(tabs: list[MinorTables], beta_norm: np.ndarray, sl) -> np.ndarray:
-    """The clearing system's constant forward drift on nodes ``sl``: l_g - b per group."""
-    return np.concatenate([t.l[sl] - beta_norm[sl] for t in tabs], axis=1)
+def _minus_flow(l: np.ndarray, beta_norm: np.ndarray) -> np.ndarray:
+    """The clearing drift l_g - b of every group and flow, in one broadcast.
+
+    ``l`` is the groups' (I, 1, G n) drift on the I non-terminal nodes and
+    ``beta_norm`` one (nodes, n) flow or a (B, nodes, n) stack; the result
+    is (I, B, G n).
+    """
+    I, _, Gn = l.shape
+    n = beta_norm.shape[-1]
+    b = np.moveaxis(beta_norm.reshape((-1,) + beta_norm.shape[-2:])[:, :I], 0, 1)
+    return (l.reshape(I, 1, Gn // n, n) - b[:, :, None, :]).reshape(I, b.shape[1], Gn)
 
 
 def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
@@ -372,18 +395,16 @@ def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
     n = spec.dims.n
     G = len(tabs)
     K = lat.steps
+    I, tsl = lat.level_range(K)[0], lat.terminal_slice
     Afb = _block_diag(np.broadcast_to(-ctx.exo.lam_inv[:K, None], (K, G, n, n)))
     lam_phi = np.matmul(ctx.exo.lam_inv[lat.level_of], price[..., None])[..., 0]
 
-    def af(sl):
-        return np.concatenate([t.l[sl] - lam_phi[sl] for t in tabs], axis=1)
-
     def terminal():
-        tsl = lat.terminal_slice
-        return (_block_diag(np.stack([t.cg_T for t in tabs]))[None],
-                np.concatenate([t.hg_T - spec.delta * price[tsl] for t in tabs], axis=1))
+        return (_block_diag(np.stack([t.cg_T for t in tabs])),
+                _columns([t.hg_T - spec.delta * price[tsl] for t in tabs]))
 
-    return _minor_system(ctx, tabs, Afb, af, terminal)
+    return _minor_system(ctx, tabs, Afb, _columns([t.l[:I] - lam_phi[:I] for t in tabs]),
+                         terminal)
 
 
 # -- solution containers ----------------------------------------------------
@@ -625,35 +646,22 @@ class ClearingOperator:
 
     The groups are given by their coefficient tables and population weights,
     as for ``build_clearing_system``.  The flow enters the clearing system
-    only through its forward drift ``af = l - b``, so the other level blocks
-    and the terminal map are built once, made read-only, and shared by every
-    flow, as is the solver's matrix pass.  ``solve`` takes a stack of flows
-    and clears all of them in one batched vector pass (residual check
-    included, per flow); each flow only makes its new ``af``.
+    only through its forward drift ``af = l - b``, so the system at zero
+    flow, whose drift is ``l``, gives every flow's blocks and other
+    constants, and the solver's matrix pass.  ``solve`` forms the drifts of
+    a whole stack of flows in one broadcast and clears them in one batched
+    vector pass (residual check included, per flow).
     """
 
     def __init__(self, ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray):
-        self.ctx, self.tabs, self.w = ctx, tabs, w
+        self.ctx, self.w = ctx, w
         lat = ctx.lattice
-        base = build_clearing_system(ctx, tabs, w, np.zeros((lat.num_nodes, ctx.spec.dims.n)))
-        mf, mb = base.mf, base.mb
-        # the sweep's storage plus the kept level Bbf and node S and bb, before any level is built
-        check_factor_budget(sweep_floats(lat, mf, mb) + lat.steps * mb * mf
-                            + lat.num_nodes * (mf * lat.d0 + mb))
-        levels = [base.coeffs(k) for k in range(lat.steps)]
-        terminal = base.terminal()
-        for arr in (*terminal, *(getattr(c, f.name) for c in levels for f in fields(c))):
-            arr.flags.writeable = False
-        self._base = replace(base, coeffs=levels.__getitem__, terminal=lambda: terminal)
-        self._levels = levels
-        self._solver = DirectSolver(self._base)
-
-    def system(self, beta_norm: np.ndarray) -> FbsdeSystem:
-        """The clearing system for flow ``beta_norm`` on the shared blocks."""
-        lat = self.ctx.lattice
-        af = _clearing_drift(self.tabs, beta_norm, slice(None))
-        levels = [replace(c, af=af[lat.level_slice(k)]) for k, c in enumerate(self._levels)]
-        return replace(self._base, coeffs=levels.__getitem__)
+        m = len(tabs) * ctx.spec.dims.n
+        # the sweep's storage plus the level Bbf and node S and bb, before any of it is built
+        check_factor_budget(sweep_floats(lat, m, m) + lat.steps * m * m
+                            + lat.num_nodes * (m * lat.d0 + m))
+        self._solver = DirectSolver(build_clearing_system(
+            ctx, tabs, w, np.zeros((lat.num_nodes, ctx.spec.dims.n))))
 
     def solve(self, beta_norms: np.ndarray) -> tuple[list[NodeSolution], np.ndarray]:
         """Clear a (B, nodes, n) stack of per-capita flows in one vector pass.
@@ -661,7 +669,7 @@ class ClearingOperator:
         Returns the B solved clearing systems and the (B, nodes, n) stack of
         induced prices.  If any flow fails, the ``SolverError`` names it.
         """
-        sols = self._solver.solve([self.system(b) for b in beta_norms])
+        sols = self._solver.solve(af=_minus_flow(self._solver.system.af, beta_norms))
         phi = np.stack([_price_from_clearing(self.ctx, self.w, sol, b)
                         for sol, b in zip(sols, beta_norms)])
         return sols, phi

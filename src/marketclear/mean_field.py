@@ -15,13 +15,14 @@ per-atom flow fields equal the means.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import UnsupportedModelError, ValidationError
-from .fbsde import DirectSolver, FbsdeSystem, LevelCoeffs, NodeSolution
+from .fbsde import DirectSolver, FbsdeSystem, NodeSolution
 from .finite_market import (MarketContext, MinorTables, _flow_and_price, _run_checks,
-                            _solve_system, build_full_system)
+                            _solve_system, build_full_system, stack_tables)
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice
 
@@ -70,38 +71,32 @@ def reduce_conditional_means(spec: ModelSpec, lattice: NoiseLattice,
     return build_full_system(ctx, *mean_group(ctx))
 
 
-def build_deviation_system(ctx: MarketContext, atom_index: int,
+def build_deviation_system(ctx: MarketContext, atoms: Iterable[int],
                            mean: MinorTables | None = None) -> FbsdeSystem:
-    """Linear per-atom deviation system: drift -lam^{-1} dy~ + dl, terminal cg dx + dhg.
+    """Linear deviation systems of the given atoms, one flow each.
 
-    Its matrix blocks (-lam^{-1}, cf, cg) are the same for every atom, so one
-    ``DirectSolver`` matrix pass serves all atoms, and ``solve_mfg`` solves
-    the atoms' systems together in one batched vector pass.  Not a
+    Atom a's deviation from the mean has drift -lam^{-1} dy~ + dl and
+    terminal map cg dx + dhg.  The matrix blocks (-lam^{-1}, cf, cg) are the
+    same for every atom, so the atoms are one family: one ``DirectSolver``
+    matrix pass and one batched vector pass solve them all.  Not a
     best-response system: in maturity mode its terminal map is zero, where
     the best response pins y(T) = -c0.
     """
     spec, lat = ctx.spec, ctx.lattice
-    n = spec.dims.n
+    n, K = spec.dims.n, lat.steps
+    I = lat.level_range(K)[0]
     mean = mean if mean is not None else _mean_tables(ctx)
-    tab = ctx.minor_tables(0, atom_index)
-    fsl = {"dx": slice(0, n)}
-    bsl = {"dy": slice(0, n)}
-    initial = tab.xi - mean.xi
-
-    def coeffs(k: int) -> LevelCoeffs:
-        sl = lat.level_slice(k)
-        return LevelCoeffs(Aff=np.zeros((1, n, n)), Afb=-ctx.exo.lam_inv[k:k + 1],
-                           af=tab.l[sl] - mean.l[sl], S=tab.sig0[sl] - mean.sig0[sl],
-                           Bbf=tab.cf[k:k + 1], Bbb=np.zeros((1, n, n)),
-                           bb=tab.hf[sl] - mean.hf[sl])
-
-    def terminal():
-        if spec.maturity_mode:
-            return np.zeros((1, n, n)), np.zeros((lat.nodes_at(lat.steps), n))
-        return tab.cg_T[None], tab.hg_T - mean.hg_T
-
-    return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
-                       initial=initial, coeffs=coeffs, terminal=terminal, affine=True)
+    tab = stack_tables([ctx.minor_tables(0, a) for a in atoms])
+    if spec.maturity_mode:
+        G, g = np.zeros((n, n)), np.zeros((1, 1, n))
+    else:
+        G, g = tab.cg_T, tab.hg_T - mean.hg_T[:, None]
+    return FbsdeSystem(lattice=lat, forward_slices={"dx": slice(0, n)},
+                       backward_slices={"dy": slice(0, n)},
+                       Aff=np.zeros((K, n, n)), Afb=-ctx.exo.lam_inv[:K], Bbf=tab.cf[:K],
+                       Bbb=np.zeros((K, n, n)), G=G, initial=(tab.xi - mean.xi)[None],
+                       af=tab.l[:I] - mean.l[:I, None], S=tab.sig0[:I] - mean.sig0[:I, None],
+                       bb=tab.hf[:I] - mean.hf[:I, None], g=g)
 
 
 # population-limit names of the mean group's fields in the full system
@@ -176,9 +171,7 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
         _run_checks(spec, force)
     sol = _solve_system(reduce_conditional_means(spec, lattice, ctx), method, **solver_kw)
     (mean,), w = mean_group(ctx)
-    solver = DirectSolver(build_deviation_system(ctx, 0, mean))
-    devs = solver.solve([build_deviation_system(ctx, a, mean)
-                         for a in range(ctx.atoms.count)])
+    devs = DirectSolver(build_deviation_system(ctx, range(ctx.atoms.count), mean)).solve()
     b, phi = _flow_and_price(ctx, w, sol)
     return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=sol,
                        deviations=devs,

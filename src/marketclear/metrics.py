@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BudgetError, UnsupportedModelError, ValidationError
 from .fbsde import DirectSolver
 from .finite_market import (MarketContext, _flow_and_price, build_full_system,
-                            make_population, solve_full_equilibrium)
+                            make_population, solve_full_equilibrium, stack_tables)
 from .mean_field import MfgSolution, solve_mfg
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, sample_idiosyncratic, _splitmix64
@@ -291,16 +291,16 @@ def _atom_prices(ctx: MarketContext) -> np.ndarray:
     """Population-limit price of each atom's point law: (A, nodes, n).
 
     Atom a's system is the mean system carrying a's own tables.  Under the
-    closure condition the A systems share every matrix block, so one matrix
-    pass and one batched vector pass solve them all.  The mean system's
+    closure condition the A systems share every matrix block, so they are
+    one family (``stack_tables``): one matrix pass and one batched vector
+    pass solve them all.  The mean system's
     constants are affine in the atom weights, so the price of any law on
     these atoms is the weight-average of these prices; a homogeneous finite
     market clears at the price of its empirical law.
     """
     w = np.ones(1)
-    systems = [build_full_system(ctx, [ctx.minor_tables(0, a)], w)
-               for a in range(ctx.atoms.count)]
-    sols = DirectSolver(systems[0]).solve(systems)
+    group = stack_tables([ctx.minor_tables(0, a) for a in range(ctx.atoms.count)])
+    sols = DirectSolver(build_full_system(ctx, [group], w)).solve()
     return np.stack([_flow_and_price(ctx, w, sol)[1] for sol in sols])
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -201,18 +202,20 @@ def config_hash(config: dict) -> str:
 
 
 def write_manifest(out_dir, config: dict, seed: int, started: float) -> None:
-    import scipy
+    """The run's config, its hash, the seed, the package versions and the wall time.
 
+    ``scipy`` and ``orjson`` are listed when the run loaded them; importing
+    them only to read a version would cost a fresh process about 0.1 s.
+    """
     from . import __version__
+    versions = {"marketclear": __version__, "numpy": np.__version__}
+    versions.update((name, sys.modules[name].__version__) for name in ("scipy", "orjson")
+                    if name in sys.modules)
     payload = {
         "config": config,
         "config_hash": config_hash(config),
         "seed": seed,
-        "versions": {
-            "marketclear": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": versions,
         "wall_time_seconds": time.time() - started,
     }
     write_json(payload, Path(out_dir) / "manifest.json")

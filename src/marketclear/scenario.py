@@ -110,8 +110,7 @@ class NoiseLattice:
     """
 
     def __init__(self, grid: TimeGrid, d0: int, branching: int = 2,
-                 node_budget: int = DEFAULT_NODE_BUDGET,
-                 atoms: IdiosyncraticAtoms | None = None):
+                 node_budget: int = DEFAULT_NODE_BUDGET):
         if branching not in (2, 3):
             raise ValidationError("branching must be 2 or 3")
         if d0 < 0:
@@ -130,7 +129,6 @@ class NoiseLattice:
         self.branching = branching
         self.fanout = fanout
         self.num_nodes = total
-        self.atoms = atoms
         self._level_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
         dt = grid.dt
@@ -231,10 +229,9 @@ class NoiseLattice:
 
 
 def build_lattice(grid: TimeGrid, d0: int, branching: int = 2,
-                  node_budget: int = DEFAULT_NODE_BUDGET,
-                  atoms: IdiosyncraticAtoms | None = None) -> NoiseLattice:
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> NoiseLattice:
     """Build the common-noise tree with exact two- or three-point increments."""
-    return NoiseLattice(grid, d0, branching, node_budget, atoms)
+    return NoiseLattice(grid, d0, branching, node_budget)
 
 
 @dataclass

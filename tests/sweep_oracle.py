@@ -3,14 +3,37 @@
 This is the direct solver's vector pass, packaging and residual as they were
 before families of sibling systems were stacked into one batched pass: every
 state is a (nodes, dim) array of one system, and the residual recomputes uB~
-from the backward states.  It reuses a ``DirectSolver``'s matrix pass
-(``_P`` and ``_levels``) and the lattice's ``cond_expect``; everything else
-is its own, so a batched solve can be compared with it flow by flow.
+from the backward states.  ``level`` and ``terminal`` read one flow of a
+family the way a single system's level callbacks gave it: the level's
+(1, p, q) blocks and its constants without a flow axis.  The oracle reuses a
+``DirectSolver``'s matrix pass (``_P`` and ``_levels``) and the lattice's
+``cond_expect``; everything else is its own, so a batched solve can be
+compared with it flow by flow.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
+
+
+def level(system, k: int, b: int = 0) -> SimpleNamespace:
+    """Flow ``b``'s level-k blocks, (1, p, q), and constants, (m|1, ...)."""
+    lo, hi = system.lattice.level_range(k)
+    const = lambda a: (a if a.shape[0] == 1 else a[lo:hi])[:, b if a.shape[1] > 1 else 0]
+    return SimpleNamespace(Aff=system.Aff[k:k + 1], Afb=system.Afb[k:k + 1],
+                           Bbf=system.Bbf[k:k + 1], Bbb=system.Bbb[k:k + 1],
+                           af=const(system.af), S=const(system.S), bb=const(system.bb))
+
+
+def terminal(system, b: int = 0) -> tuple:
+    """Flow ``b``'s terminal map: G (1, mb, mf) and g (mK|1, mb)."""
+    return system.G[None], system.g[:, b if system.g.shape[1] > 1 else 0]
+
+
+def initial(system, b: int = 0) -> np.ndarray:
+    return system.initial[0, b if system.initial.shape[1] > 1 else 0]
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -32,8 +55,7 @@ def _step(lat, uf, ubt, Aff, Afb, af, noise):
     return lat.repeat_to_children(uf + lat.dt * drift) + noise
 
 
-def _driver(system, k, c, uf, ubt):
-    c = c if c is not None else system.coeffs(k)
+def _driver(c, uf, ubt):
     return _apply(c.Bbf, uf) + _apply(c.Bbb, ubt) + c.bb
 
 
@@ -51,58 +73,58 @@ def _package(system, uf, ub):
     return pre, dev
 
 
-def residual(system, uf, ub) -> tuple[float, float]:
-    """Worst violation of every discrete equation row, and of the terminal rows."""
+def residual(system, uf, ub, b: int = 0) -> tuple[float, float]:
+    """Worst violation of every discrete equation row of flow ``b``, and of its terminal rows."""
     lat = system.lattice
-    worst = float(np.max(np.abs(uf[0] - system.initial), initial=0.0))
+    worst = float(np.max(np.abs(uf[0] - initial(system, b)), initial=0.0))
     for k in range(lat.steps):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
-        c = system.coeffs(k)
+        c = level(system, k, b)
         fwd_gap = uf[clo:chi] - _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af,
                                       _noise(lat, k, c.S))
-        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, c, uf[lo:hi], ubt)
+        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(c, uf[lo:hi], ubt)
         worst = max(worst, float(np.max(np.abs(fwd_gap), initial=0.0)),
                     float(np.max(np.abs(bwd_gap), initial=0.0)))
     tsl = lat.terminal_slice
-    G, g = system.terminal()
+    G, g = terminal(system, b)
     term_gap = ub[tsl] - _apply(G, uf[tsl]) - g
     terminal_mismatch = float(np.max(np.abs(term_gap), initial=0.0))
     return max(worst, terminal_mismatch), terminal_mismatch
 
 
-def solve(solver, system) -> dict:
-    """One sibling system through ``solver``'s matrix pass, by the per-system vector pass."""
+def solve(solver, system, b: int = 0) -> dict:
+    """Flow ``b`` of a family through ``solver``'s matrix pass, by the per-system vector pass."""
     lat = system.lattice
     dt = lat.dt
     mf, mb = system.mf, system.mb
     K = lat.steps
     # backward vector pass: p(v), and r(v) with uB~ = Q u_F + r
-    _, g = system.terminal()
+    _, g = terminal(system, b)
     p = np.asarray(g, dtype=float).reshape(-1, mb)
-    ps, rs, afs, noises = [None] * K + [p], [None] * K, [None] * K, [None] * K
+    ps, rs, levels, noises = [None] * K + [p], [None] * K, [None] * K, [None] * K
     for k in range(K - 1, -1, -1):
-        c = system.coeffs(k)
+        c = level(system, k, b)
         lv = solver._levels[k]
         noise = _noise(lat, k, c.S)
         pbar = lat.cond_expect(p + _apply(solver._P[k + 1], noise), k)
         r = _apply(lv.E, pbar) + dt * _apply(lv.EPbar, c.af)
         p = _apply(lv.IBbb, r) + dt * c.bb
-        ps[k], rs[k], afs[k], noises[k] = p, r, c.af, noise
+        ps[k], rs[k], levels[k], noises[k] = p, r, c, noise
     # forward pass
     uf = np.zeros((lat.num_nodes, mf))
     ub = np.zeros((lat.num_nodes, mb))
-    uf[0] = system.initial
+    uf[0] = initial(system, b)
     for k in range(K + 1):
         lo, hi = lat.level_range(k)
         ub[lo:hi] = _apply(solver._P[k], uf[lo:hi]) + ps[k]
         if k < K:
-            lv = solver._levels[k]
+            c = levels[k]
             clo, chi = lat.level_range(k + 1)
-            ubt = _apply(lv.Q, uf[lo:hi]) + rs[k]
-            uf[clo:chi] = _step(lat, uf[lo:hi], ubt, lv.Aff, lv.Afb, afs[k], noises[k])
+            ubt = _apply(solver._levels[k].Q, uf[lo:hi]) + rs[k]
+            uf[clo:chi] = _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af, noises[k])
     pre, dev = _package(system, uf, ub)
-    worst, terminal_mismatch = residual(system, uf, ub)
+    worst, terminal_mismatch = residual(system, uf, ub, b)
     return {"forward": uf, "backward": ub, "backward_pre": pre, "deviations": dev,
             "max_equation_residual": worst, "terminal_mismatch": terminal_mismatch}

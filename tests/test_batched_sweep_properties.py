@@ -2,14 +2,15 @@
 
 Every corner of n in {1, 2}, d0 in {0, 1, 2}, a binary or trinomial tree, a
 batch of B in {1, 2, 6} flows and a family kind runs, with maturity on or
-off, the depth and the model drawn by hypothesis.  The kinds are clearing
-systems for random major flows on one ``ClearingOperator``,
-per-atom deviation systems of the population limit, or full market systems
-whose groups draw different atoms.  The model's drift, cost gradients and
-terminal gains depend on the atoms' idiosyncratic values and on the common
-news, so the flows of a family differ in every constant.  Every flow of one
-``DirectSolver.solve`` call must equal ``sweep_oracle.solve`` exactly: its
-forward, backward, pre-driver and increment arrays and its residuals.
+off, the depth and the model drawn by hypothesis.  The kinds are the
+clearing system for a stack of random major flows, the per-atom deviation
+systems of the population limit, or the full market system whose groups
+draw different atoms per flow (``stack_tables``).  The model's drift, cost
+gradients and terminal gains depend on the atoms' idiosyncratic values and
+on the common news, so the flows of a family differ in every constant.
+Every flow of one ``DirectSolver.solve`` call must equal
+``sweep_oracle.solve`` exactly: its forward, backward, pre-driver and
+increment arrays and its residuals.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sweep_oracle as oracle
-from marketclear.errors import SolverError, ValidationError
+from marketclear.errors import SolverError
 from marketclear.fbsde import DirectSolver
-from marketclear.finite_market import ClearingOperator, MarketContext, build_full_system
+from marketclear.finite_market import (ClearingOperator, MarketContext, build_clearing_system,
+                                       build_full_system, stack_tables)
 from marketclear.mean_field import build_deviation_system, mean_group
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MajorFlow,
                                MinorBundle, QuadraticMajorCost, make_spec)
@@ -84,38 +86,38 @@ def random_context(case):
 
 
 def family(case):
-    """B sibling systems of the case's kind and the solver of their shared matrix pass."""
+    """A family of B sibling systems of the case's kind and the solver of its matrix pass."""
     ctx, rng = random_context(case)
     lat, n, B = ctx.lattice, ctx.spec.dims.n, case["B"]
     A = ctx.atoms.count
     if case["kind"] == "clearing":
         tabs = [ctx.minor_tables(0, a) for a in rng.integers(A, size=2)]
         w = rng.uniform(0.2, 1.0, 2)
-        op = ClearingOperator(ctx, tabs, w / w.sum())
         flows = rng.uniform(-1, 1, (B, lat.num_nodes, n))
         flows[:, lat.terminal_slice] = 0.0
-        systems = [op.system(b) for b in flows]
+        system = build_clearing_system(ctx, tabs, w / w.sum(), flows)
     elif case["kind"] == "deviation":
         (mean,), _ = mean_group(ctx)
-        systems = [build_deviation_system(ctx, int(a), mean) for a in rng.integers(A, size=B)]
+        system = build_deviation_system(ctx, [int(a) for a in rng.integers(A, size=B)], mean)
     else:
         w = rng.uniform(0.2, 1.0, 2)
-        systems = [build_full_system(ctx, [ctx.minor_tables(0, int(a)) for a in atoms],
-                                     w / w.sum())
-                   for atoms in rng.integers(A, size=(B, 2))]
-    return DirectSolver(systems[0]), systems
+        atoms = rng.integers(A, size=(B, 2))
+        groups = [stack_tables([ctx.minor_tables(0, int(a)) for a in atoms[:, g]])
+                  for g in range(2)]
+        system = build_full_system(ctx, groups, w / w.sum())
+    return DirectSolver(system), system
 
 
 @corners
 @SETTINGS
 @given(draws)
 def test_batched_solve_equals_the_per_system_oracle(n, d0, branching, B, kind, draw) -> None:
-    solver, systems = family(dict(draw, n=n, d0=d0, branching=branching, B=B, kind=kind))
-    sols = solver.solve(systems)
-    assert len(sols) == len(systems)
-    for system, sol in zip(systems, sols):
-        want = oracle.solve(solver, system)
-        assert sol.system is system
+    solver, system = family(dict(draw, n=n, d0=d0, branching=branching, B=B, kind=kind))
+    sols = solver.solve()
+    assert len(sols) == system.flows == B
+    for b, sol in enumerate(sols):
+        want = oracle.solve(solver, system, b)
+        assert sol.system is system and sol.flow == b
         for name in ("forward", "backward", "backward_pre", "deviations"):
             got = getattr(sol, name)
             assert got.flags.c_contiguous
@@ -139,14 +141,3 @@ def test_non_finite_flow_is_named() -> None:
         op.solve(flows)
     flows[2, 1, 0] = 0.0
     assert len(op.solve(flows)[0]) == 3
-
-
-def test_systems_with_different_blocks_are_refused() -> None:
-    case = {"n": 1, "d0": 1, "branching": 2, "maturity": False, "B": 2,
-            "kind": "full", "K": 2, "seed": 3}
-    ctx, _ = random_context(case)
-    tabs = [ctx.minor_tables(0, 0), ctx.minor_tables(0, 1)]
-    a = build_full_system(ctx, tabs, np.array([0.5, 0.5]))
-    b = build_full_system(ctx, tabs, np.array([0.3, 0.7]))
-    with pytest.raises(ValidationError, match="sibling"):
-        DirectSolver(a).solve([a, b])

@@ -1,9 +1,9 @@
-"""Property test: the builders' level-shared blocks equal the per-group loop oracle.
+"""Property test: the builders' level tables equal the per-group loop oracle.
 
 Each example draws G in 1..5 agent groups with their own time-dependent cost
 curvatures cf and cg, n in {1, 2}, time-dependent fee matrices, random
 population weights, maturity on or off and a small lattice.  Every level
-block and the terminal map of the full, clearing, best-response and
+table and the terminal map of the full, clearing, best-response and
 deviation systems must equal ``block_oracle`` entry for entry.
 """
 
@@ -70,21 +70,20 @@ def random_market(case):
 
 def assert_blocks(system, level, terminal) -> None:
     lat = system.lattice
-    mf, mb = system.mf, system.mb
-    for k in range(lat.steps):
-        c = system.coeffs(k)
+    K, mf, mb = lat.steps, system.mf, system.mb
+    assert system.Afb.shape == (K, mf, mb) and system.Bbf.shape == (K, mb, mf)
+    for k in range(K):
         Afb, Bbf = level(k)
-        assert c.Afb.shape == (1, mf, mb) and c.Bbf.shape == (1, mb, mf)
-        assert np.array_equal(c.Afb[0], Afb)
-        assert np.array_equal(c.Bbf[0], Bbf)
-        assert np.array_equal(c.Aff, np.zeros((1, mf, mf)))
-        assert np.array_equal(c.Bbb, np.zeros((1, mb, mb)))
-    G, g = system.terminal()
+        assert np.array_equal(system.Afb[k], Afb)
+        assert np.array_equal(system.Bbf[k], Bbf)
+    assert np.array_equal(system.Aff, np.zeros((K, mf, mf)))
+    assert np.array_equal(system.Bbb, np.zeros((K, mb, mb)))
     G_oracle, g_oracle = terminal()
-    assert G.shape == (1, mb, mf)
-    assert np.array_equal(G[0], G_oracle)
+    assert system.G.shape == (mb, mf)
+    assert np.array_equal(system.G, G_oracle)
     if g_oracle is not None:
-        assert np.array_equal(g, g_oracle)
+        assert system.g.shape[1] == 1
+        assert np.array_equal(system.g[:, 0], g_oracle)
 
 
 @SETTINGS
@@ -103,6 +102,6 @@ def test_builder_blocks_equal_the_per_group_oracle(case) -> None:
                   lambda k: oracle.best_response_level(ctx, tabs, k),
                   lambda: oracle.best_response_terminal(ctx, tabs, price))
     tab = ctx.minor_tables(0, 1)
-    assert_blocks(build_deviation_system(ctx, 1),
+    assert_blocks(build_deviation_system(ctx, [1]),
                   lambda k: oracle.deviation_level(ctx, tab, k),
                   lambda: (oracle.deviation_terminal(ctx, tab), None))

@@ -285,6 +285,26 @@ def test_config_file_supplies_options(good_model, tmp_path) -> None:
     assert "config_hash" in manifest and "versions" in manifest
 
 
+def test_config_file_overrides_defaults_and_flags_override_it(good_model, tmp_path) -> None:
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"steps": 3, "branching": 3}))
+    for flags, nodes in (([], 40), (["--steps", 2], 13), (["--branching", 2], 15)):
+        out = tmp_path / f"out{len(flags)}{nodes}"
+        assert run(["lattice-dump", "--model", good_model, "--out", out,
+                    "--config", cfg, *flags]) == 0
+        assert len((out / "lattice.csv").read_text().splitlines()) == 1 + nodes
+
+
+@pytest.mark.parametrize("text", ['{"steps": 3,', '[3]', '{"steps": "3"}', '{"steps": 2.5}',
+                                  '{"force": 1}', '{"horizon": true}', '{"out": 7}'])
+def test_malformed_config_file_is_usage_error(good_model, tmp_path, capsys, text) -> None:
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert run(["lattice-dump", "--model", good_model, "--out", tmp_path / "out",
+                "--config", cfg]) == 1
+    assert "usage error: config file" in capsys.readouterr().err
+
+
 def test_thread_count_does_not_change_bytes(good_model, tmp_path) -> None:
     outs = []
     for threads in (1, 3):
@@ -350,3 +370,19 @@ def test_only_node_sized_writers_load_orjson(good_model, tmp_path) -> None:
     assert _run_probe(probe, *converge, "--then", *verify) == "False [0, 0] False"
     solve = ["solve-n", "--model", good_model, "--out", tmp_path / "s", "--steps", 3]
     assert _run_probe(probe, *solve, "--then", *solve, "--force") == "False [0, 0] True"
+
+
+def test_manifest_versions_leave_scipy_unloaded(good_model, tmp_path) -> None:
+    # the manifest lists scipy and orjson only when the run loaded them, so
+    # writing it never imports scipy
+    probe = ("import sys, marketclear.cli as cli; args = sys.argv[1:]; cut = args.index('--then'); "
+             "codes = [cli.main(a) for a in (args[:cut], args[cut + 1:])]; "
+             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    solve = ["solve-n", "--model", good_model, "--out", tmp_path / "s", "--steps", 3]
+    verify = ["verify", "--model", good_model, "--out", tmp_path / "v", "--steps", 3,
+              "--n-agents", 2, "--directions", 2]
+    assert _run_probe(probe, *verify, "--then", *solve) == "[0, 0] []"
+    versions = json.loads((tmp_path / "v" / "manifest.json").read_text())["versions"]
+    assert sorted(versions) == ["marketclear", "numpy"]
+    versions = json.loads((tmp_path / "s" / "manifest.json").read_text())["versions"]
+    assert sorted(versions) == ["marketclear", "numpy", "orjson"]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from marketclear import fbsde
-from marketclear.errors import BudgetError, SolverError
-from marketclear.fbsde import (DirectSolver, FbsdeSystem, LevelCoeffs, residual,
-                               solve_direct, solve_picard)
+from marketclear.errors import BudgetError, SolverError, ValidationError
+from marketclear.fbsde import (DirectSolver, FbsdeSystem, residual, solve_direct,
+                               solve_picard)
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_minor_clearing)
 from marketclear.scenario import TimeGrid, build_lattice, constant_field
@@ -23,18 +25,13 @@ def full_system(spec, lattice, seed=0, assignments=None):
 def one_step_system(g_leaves, bb=0.0, horizon=1.0, Afb=0.0, G=0.0):
     """Scalar one-step binary-tree system with per-leaf terminal constants."""
     lat = build_lattice(TimeGrid(horizon, 1), d0=1)
-
-    def coeffs(k):
-        zero = np.zeros((1, 1, 1))
-        return LevelCoeffs(Aff=zero, Afb=np.full((1, 1, 1), Afb), af=np.zeros((1, 1)),
-                           S=zero, Bbf=zero, Bbb=zero, bb=np.full((1, 1), bb))
-
-    def terminal():
-        return np.full((1, 1, 1), G), np.asarray(g_leaves, dtype=float).reshape(-1, 1)
-
+    zero = np.zeros((1, 1, 1))
     return FbsdeSystem(lattice=lat, forward_slices={"x": slice(0, 1)},
-                       backward_slices={"y": slice(0, 1)}, initial=np.zeros(1),
-                       coeffs=coeffs, terminal=terminal)
+                       backward_slices={"y": slice(0, 1)},
+                       Aff=zero, Afb=np.full((1, 1, 1), Afb), Bbf=zero, Bbb=zero,
+                       G=np.full((1, 1), G), initial=zero, af=zero, S=np.zeros((1, 1, 1, 1)),
+                       bb=np.full((1, 1, 1), bb),
+                       g=np.asarray(g_leaves, dtype=float).reshape(-1, 1, 1))
 
 
 # -- conditional expectation and martingale increments ---------------------------
@@ -133,6 +130,13 @@ def test_singular_level_system_raises_solver_error() -> None:
         DirectSolver(system)
 
 
+def counted_inversions(monkeypatch) -> list:
+    """Record every matrix inversion, the matrix pass's one per level."""
+    calls, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+    return calls
+
+
 def test_factor_budget_raises_before_the_matrix_pass(monkeypatch) -> None:
     system = full_system(scalar_market_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
     mf, mb = system.mf, system.mb
@@ -141,9 +145,7 @@ def test_factor_budget_raises_before_the_matrix_pass(monkeypatch) -> None:
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need)
     DirectSolver(system)
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need - 1)
-    calls = []
-    coeffs = system.coeffs
-    system.coeffs = lambda k: calls.append(k) or coeffs(k)
+    calls = counted_inversions(monkeypatch)
     with pytest.raises(BudgetError):
         DirectSolver(system)
     assert calls == []
@@ -155,29 +157,39 @@ def test_factor_budget_counts_every_flow_of_a_batch(monkeypatch) -> None:
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES",
                         fbsde.sweep_floats(lat, system.mf, system.mb, 2) * 8)
     solver = DirectSolver(system)
-    assert len(solver.solve([system, system])) == 2
+    assert len(solver.solve(af=np.repeat(system.af, 2, axis=1))) == 2
     with pytest.raises(BudgetError):
-        solver.solve([system] * 3)
+        solver.solve(af=np.repeat(system.af, 3, axis=1))
 
 
-def test_coefficient_calls_per_level() -> None:
-    # fresh solve: matrix pass, vector pass, residual; re-solve: the last two
+def test_resolve_reuses_the_matrix_pass(monkeypatch) -> None:
+    # a fresh solver inverts one matrix per level; its solves, with the
+    # system's own constants or new ones, invert none
     spec = scalar_market_spec()
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     system = full_system(spec, lat, assignments=[0, 1])
-    calls, coeffs = [], system.coeffs
-
-    def counted(k):
-        calls.append(k)
-        return coeffs(k)
-
-    system.coeffs = counted
+    calls = counted_inversions(monkeypatch)
     solver = DirectSolver(system)
-    solver.solve()
-    assert sorted(calls) == sorted(3 * list(range(lat.steps)))
+    assert len(calls) == lat.steps
     calls.clear()
-    solver.solve(system)
-    assert sorted(calls) == sorted(2 * list(range(lat.steps)))
+    (own,) = solver.solve()
+    (shifted,) = solver.solve(af=system.af + 1.0)
+    assert calls == []
+    assert not np.array_equal(own.forward, shifted.forward)
+
+
+def test_solve_changes_constants_only() -> None:
+    system = one_step_system([0.0, 0.0])
+    with pytest.raises(ValidationError, match="Afb"):
+        DirectSolver(system).solve(Afb=system.Afb)
+
+
+def test_family_is_not_solved_one_system_at_a_time() -> None:
+    system = one_step_system([0.0, 0.0])
+    pair = replace(system, g=np.zeros((2, 2, 1)))
+    with pytest.raises(ValidationError, match="family of 2"):
+        solve_direct(pair)
+    assert len(DirectSolver(pair).solve()) == 2
 
 
 # -- fixed-point solve -----------------------------------------------------------

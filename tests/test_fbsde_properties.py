@@ -1,11 +1,12 @@
 """Property tests of the decoupling-field sweep on random small affine systems.
 
 Each example draws a lattice (binary or trinomial, d0 in {0,1,2}, K <= 3),
-state dimensions mf, mb in {1,2,3}, level-shared matrix blocks, and constants
-that are either shared by a level or given per node.  The sweep must agree
-with a dense solve of the node-by-node equations written out below, and a
-re-solve of a sibling system (same blocks, new constants) must equal a fresh
-solve of that sibling.  A matrix block given per node is refused.
+state dimensions mf, mb in {1,2,3}, level tables of matrix blocks, and
+constants that are either shared by every node or given per node.  The sweep
+must agree with a dense solve of the node-by-node equations written out
+below, and a re-solve with a sibling's constants (same blocks) must equal a
+fresh solve of that sibling.  A table or a constant of the wrong shape is
+refused when the system is built.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sweep_oracle
 from marketclear.errors import ValidationError
-from marketclear.fbsde import DirectSolver, FbsdeSystem, LevelCoeffs, solve_direct
+from marketclear.fbsde import DirectSolver, FbsdeSystem, solve_direct
 from marketclear.scenario import TimeGrid, build_lattice
 
 MAX_NODES = 100
@@ -27,43 +29,29 @@ def draw(rng, share: bool, m: int, shape: tuple, scale: float) -> np.ndarray:
     return rng.uniform(-scale, scale, ((1 if share else m),) + shape)
 
 
-def random_blocks(rng, lat, mf, mb):
-    levels = []
-    for k in range(lat.steps):
-        levels.append({
-            "Aff": draw(rng, True, 1, (mf, mf), 0.5),
-            "Afb": draw(rng, True, 1, (mf, mb), 0.2),
-            "Bbf": draw(rng, True, 1, (mb, mf), 0.5),
-            "Bbb": draw(rng, True, 1, (mb, mb), 0.5),
-        })
-    G = draw(rng, True, 1, (mb, mf), 0.5)
-    return levels, G
+def random_blocks(rng, lat, mf, mb) -> dict:
+    K = lat.steps
+    return {"Aff": rng.uniform(-0.5, 0.5, (K, mf, mf)),
+            "Afb": rng.uniform(-0.2, 0.2, (K, mf, mb)),
+            "Bbf": rng.uniform(-0.5, 0.5, (K, mb, mf)),
+            "Bbb": rng.uniform(-0.5, 0.5, (K, mb, mb)),
+            "G": rng.uniform(-0.5, 0.5, (mb, mf))}
 
 
-def random_constants(rng, lat, mf, mb, shared):
-    levels = []
-    for k in range(lat.steps):
-        m = lat.nodes_at(k)
-        levels.append({
-            "af": draw(rng, shared["af"], m, (mf,), 1.0),
-            "S": draw(rng, shared["S"], m, (mf, lat.d0), 1.0),
-            "bb": draw(rng, shared["bb"], m, (mb,), 1.0),
-        })
-    g = draw(rng, shared["g"], lat.nodes_at(lat.steps), (mb,), 1.0)
-    return levels, g, rng.uniform(-1.0, 1.0, mf)
+def random_constants(rng, lat, mf, mb, shared) -> dict:
+    """One system's constants, node axis first and a flow axis of length 1."""
+    I = lat.level_range(lat.steps)[0]
+    return {"af": draw(rng, shared["af"], I, (1, mf), 1.0),
+            "S": draw(rng, shared["S"], I, (1, mf, lat.d0), 1.0),
+            "bb": draw(rng, shared["bb"], I, (1, mb), 1.0),
+            "g": draw(rng, shared["g"], lat.nodes_at(lat.steps), (1, mb), 1.0),
+            "initial": rng.uniform(-1.0, 1.0, (1, 1, mf))}
 
 
 def make_system(lat, blocks, constants) -> FbsdeSystem:
-    block_levels, G = blocks
-    const_levels, g, initial = constants
-    mf, mb = len(initial), g.shape[1]
-
-    def coeffs(k):
-        return LevelCoeffs(**block_levels[k], **const_levels[k])
-
+    mf, mb = constants["initial"].shape[-1], constants["g"].shape[-1]
     return FbsdeSystem(lattice=lat, forward_slices={"x": slice(0, mf)},
-                       backward_slices={"y": slice(0, mb)}, initial=initial,
-                       coeffs=coeffs, terminal=lambda: (G, g))
+                       backward_slices={"y": slice(0, mb)}, **blocks, **constants)
 
 
 def dense_solve(system: FbsdeSystem):
@@ -82,9 +70,9 @@ def dense_solve(system: FbsdeSystem):
         return slice(v * M + mf, (v + 1) * M)
 
     A[fwd(0), fwd(0)] = np.eye(mf)
-    rhs[fwd(0)] = system.initial
+    rhs[fwd(0)] = sweep_oracle.initial(system)
     for k in range(lat.steps):
-        c = system.coeffs(k)
+        c = sweep_oracle.level(system, k)
         lo, hi = lat.level_range(k)
         for v in range(lo, hi):
             def at(arr):
@@ -103,7 +91,7 @@ def dense_solve(system: FbsdeSystem):
                 for j in kids:
                     A[fwd(child), bwd(j)] -= dt * lat.edge_prob[j] * at(c.Afb)
                 rhs[fwd(child)] = dt * at(c.af) + at(c.S) @ lat.dW[child]
-    G, g = system.terminal()
+    G, g = sweep_oracle.terminal(system)
     lo, hi = lat.level_range(lat.steps)
     for v in range(lo, hi):
         A[bwd(v), bwd(v)] += np.eye(mb)
@@ -153,23 +141,21 @@ def test_resolve_of_sibling_equals_fresh_solve(case) -> None:
     lat, rng, blocks = lattice_and_blocks(case)
     mf, mb, shared = case["mf"], case["mb"], case["shared"]
     solver = DirectSolver(make_system(lat, blocks, random_constants(rng, lat, mf, mb, shared)))
-    sibling = make_system(lat, blocks, random_constants(rng, lat, mf, mb, shared))
-    resolved = solver.solve(sibling)
-    fresh = solve_direct(sibling)
+    sibling = random_constants(rng, lat, mf, mb, shared)
+    (resolved,) = solver.solve(**sibling)
+    fresh = solve_direct(make_system(lat, blocks, sibling))
     assert np.array_equal(resolved.forward, fresh.forward)
     assert np.array_equal(resolved.backward, fresh.backward)
 
 
 @SETTINGS
-@given(cases, st.sampled_from(["Aff", "Afb", "Bbf", "Bbb", "G"]))
-def test_per_node_matrix_block_is_refused(case, name) -> None:
-    lat, rng, (levels, G) = lattice_and_blocks(case)
-    assume(lat.nodes_at(lat.steps - 1) > 1)  # some level has more than one node
+@given(cases, st.sampled_from(["Aff", "Afb", "Bbf", "Bbb", "G",
+                               "initial", "af", "S", "bb", "g"]))
+def test_wrong_shaped_table_is_refused(case, name) -> None:
+    # a leading axis longer than any level, node or state count of the case
+    lat, rng, blocks = lattice_and_blocks(case)
     constants = random_constants(rng, lat, case["mf"], case["mb"], case["shared"])
-    if name == "G":
-        G = np.repeat(G, lat.nodes_at(lat.steps), axis=0)
-    else:
-        for k, blocks in enumerate(levels):
-            blocks[name] = np.repeat(blocks[name], lat.nodes_at(k), axis=0)
+    wrong = {**blocks, **constants}
+    wrong[name] = np.zeros((lat.num_nodes + 4,) + wrong[name].shape[1:])
     with pytest.raises(ValidationError, match=name):
-        DirectSolver(make_system(lat, (levels, G), constants))
+        make_system(lat, {k: wrong[k] for k in blocks}, {k: wrong[k] for k in constants})

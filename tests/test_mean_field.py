@@ -68,11 +68,10 @@ def test_zero_discount_terminal_mean_has_no_amplification() -> None:
     spec = homogeneous_study_spec(delta=0.0)
     lat = tree(2)
     system = reduce_conditional_means(spec, lat)
-    G, g = system.terminal()
     ysl = system.backward_slices["Y0"]
     xsl = system.forward_slices["X0"]
-    assert np.allclose(G[:, ysl, xsl], 1.0)
-    assert np.allclose(g[:, ysl], 0.0)
+    assert np.allclose(system.G[ysl, xsl], 1.0)
+    assert np.allclose(system.g[:, :, ysl], 0.0)
 
 
 def test_deviation_fields_average_to_zero(small_tree) -> None:
@@ -174,11 +173,11 @@ def test_maturity_discount_is_inert(small_tree) -> None:
 
 
 def test_maturity_override_blocks(small_tree) -> None:
-    # the maturity branch of the mean system's terminal() pins the backward
-    # means to (p0, ybar, pbar)(T) = (-c0, -c0, 0) with no feedback on x
+    # the maturity terminal map of the mean system pins the backward means
+    # to (p0, ybar, pbar)(T) = (-c0, -c0, 0) with no feedback on x
     spec = maturity_spec(("constant", [5.0]))
     system = reduce_conditional_means(spec, small_tree)
-    G, g = system.terminal()
+    G, g = system.G, system.g[:, 0]
     assert np.all(G == 0.0)
     assert np.allclose(g[:, system.backward_slices["p0"]], -5.0)
     assert np.allclose(g[:, system.backward_slices["Y0"]], -5.0)

@@ -237,8 +237,8 @@ def test_study_solves_the_atom_basis_once(monkeypatch) -> None:
     monkeypatch.setattr(DirectSolver, "__init__",
                         lambda self, system: (passes.append(1), init(self, system))[1])
     monkeypatch.setattr(DirectSolver, "solve",
-                        lambda self, systems=None: (batches.append(systems),
-                                                    solve(self, systems))[1])
+                        lambda self, **constants: batches.append(solve(self, **constants))
+                        or batches[-1])
     spec = three_atom_spec()
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     solve_mfg(spec, lat, check=False)
