@@ -18,10 +18,15 @@ from types import SimpleNamespace
 import numpy as np
 
 
+def _flow(const: np.ndarray, b: int) -> np.ndarray:
+    """Flow ``b`` of a (nodes, B|1, ...) constant; a flow axis of length 1 is shared."""
+    return const[:, b if const.shape[1] > 1 else 0]
+
+
 def level(system, k: int, b: int = 0) -> SimpleNamespace:
     """Flow ``b``'s level-k blocks, (1, p, q), and constants, (m|1, ...)."""
     lo, hi = system.lattice.level_range(k)
-    const = lambda a: (a if a.shape[0] == 1 else a[lo:hi])[:, b if a.shape[1] > 1 else 0]
+    const = lambda a: _flow(a if a.shape[0] == 1 else a[lo:hi], b)
     return SimpleNamespace(Aff=system.Aff[k:k + 1], Afb=system.Afb[k:k + 1],
                            Bbf=system.Bbf[k:k + 1], Bbb=system.Bbb[k:k + 1],
                            af=const(system.af), S=const(system.S), bb=const(system.bb))
@@ -29,11 +34,12 @@ def level(system, k: int, b: int = 0) -> SimpleNamespace:
 
 def terminal(system, b: int = 0) -> tuple:
     """Flow ``b``'s terminal map: G (1, mb, mf) and g (mK|1, mb)."""
-    return system.G[None], system.g[:, b if system.g.shape[1] > 1 else 0]
+    return system.G[None], _flow(system.g, b)
 
 
 def initial(system, b: int = 0) -> np.ndarray:
-    return system.initial[0, b if system.initial.shape[1] > 1 else 0]
+    """Flow ``b``'s initial forward state, (mf,)."""
+    return _flow(system.initial, b)[0]
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -184,6 +184,12 @@ def test_solve_changes_constants_only() -> None:
         DirectSolver(system).solve(Afb=system.Afb)
 
 
+def test_flow_counts_must_agree() -> None:
+    system = one_step_system([0.0, 0.0])
+    with pytest.raises(ValidationError, match="af"):
+        replace(system, af=np.zeros((1, 2, 1)), g=np.zeros((2, 3, 1)))
+
+
 def test_family_is_not_solved_one_system_at_a_time() -> None:
     system = one_step_system([0.0, 0.0])
     pair = replace(system, g=np.zeros((2, 2, 1)))
