@@ -1,27 +1,26 @@
 """Coupled forward-backward solver on a scenario tree.
 
-Systems are described per time level by small dense blocks:
+Systems are described per time level by two small dense blocks:
 
-    forward   u_F(child) = u_F(v) + dt*(Aff_k u_F(v) + Afb_k uB~(v) + af(v))
-                           + S(v) dW(child-edge)
-    backward  u_B(v)     = uB~(v) + dt*(Bbf_k u_F(v) + Bbb_k uB~(v) + bb(v))
+    forward   u_F(child) = u_F(v) + dt*(Afb_k uB~(v) + af(v)) + S(v) dW(child-edge)
+    backward  u_B(v)     = uB~(v) + dt*(Bbf_k u_F(v) + bb(v))
     terminal  u_B(leaf)  = G u_F(leaf) + g(leaf)
 
-for every node v of level k.  The matrix blocks (Aff, Afb, Bbf, Bbb) are
+for every node v of level k, where uB~(v) denotes the conditional expectation
+of the next-level backward values (the "pre-driver" value).  Afb and Bbf are
 level tables, one matrix per level, as the model's matrix coefficients depend
 on time only, and G is one matrix; the constants (af, S, bb, g) are given per
-node or shared.
-
-where uB~(v) denotes the conditional expectation of the next-level backward
-values (the "pre-driver" value).  Every drift and driver reads backward
-states through uB~ and forward states at the current node; this is the exact
-first-order-condition structure of the discretized control problems, which is
-what lets the clearing identity and the optimality checks hold to round-off.
+node or shared.  Drifts read backward states only, through uB~, and drivers
+forward states only (trading rates are affine in the adjoints, drivers are
+cost gradients in the positions), so there are no forward-on-forward or
+backward-on-backward blocks.  This is the exact first-order-condition
+structure of the discretized control problems, which is what lets the
+clearing identity and the optimality checks hold to round-off.
 
 A family of sibling systems (same blocks, new constants) is one system:
 every constant carries a flow axis right after its node axis, and a single
-system is the family of one.  Two solution paths.  Affine systems are solved
-exactly by a backward sweep of their affine decoupling field
+system is the family of one.  Two solution paths.  An affine system is solved
+exactly by a backward sweep of its affine decoupling field
 u_B(v) = P_k u_F(v) + p(v), the discrete four-step scheme for linear FBSDEs:
 one matrix pass from the leaves computes one P per level, and a vector pass
 then carries every flow's constants back and recovers its states forward,
@@ -54,29 +53,27 @@ CONSTANTS = ("initial", "af", "S", "bb", "g")
 class FbsdeSystem:
     """A family of B coupled forward-backward systems sharing their matrix blocks.
 
-    The matrix blocks are level tables, ``Aff`` (K, mf, mf), ``Afb``
-    (K, mf, mb), ``Bbf`` (K, mb, mf) and ``Bbb`` (K, mb, mb), plus the
-    terminal matrix ``G`` (mb, mf).  The constants are node arrays with a
-    flow axis right after the node axis; either axis has length 1 where the
-    value is shared:
+    The matrix blocks are two level tables, ``Afb`` (K, mf, mb), the
+    forward drift's read of uB~, and ``Bbf`` (K, mb, mf), the backward
+    driver's read of u_F, plus the terminal matrix ``G`` (mb, mf).  The
+    constants are node arrays with a flow axis right after the node axis;
+    either axis has length 1 where the value is shared:
 
         initial (1, B|1, mf)                   on the root
         af (I|1, B|1, mf), S (I|1, B|1, mf, d0),
         bb (I|1, B|1, mb)                      on the I non-terminal nodes
         g (L|1, B|1, mb)                       on the L leaves
 
-    Every shape is checked here (``ValidationError``).  ``driver_fn`` and
-    ``terminal_fn`` override the affine backward parts for non-affine
-    models (fixed-point path only, B = 1); ``affine`` must then be False.
+    Every shape is checked here (``ValidationError``).  For non-affine models
+    ``driver_fn(k, u_F)`` and ``terminal_fn(u_F)`` override the affine
+    backward parts (fixed-point path only, B = 1); ``affine`` must then be False.
     """
 
     lattice: NoiseLattice
     forward_slices: dict
     backward_slices: dict
-    Aff: np.ndarray
     Afb: np.ndarray
     Bbf: np.ndarray
-    Bbb: np.ndarray
     G: np.ndarray
     initial: np.ndarray
     af: np.ndarray
@@ -96,8 +93,7 @@ class FbsdeSystem:
         K, mf, mb, B = lat.steps, self.mf, self.mb, self.flows
         I, L = lat.level_range(K)[0], lat.nodes_at(K)
         expected = {
-            "Aff": ((K,), (mf,), (mf,)), "Afb": ((K,), (mf,), (mb,)),
-            "Bbf": ((K,), (mb,), (mf,)), "Bbb": ((K,), (mb,), (mb,)), "G": ((mb,), (mf,)),
+            "Afb": ((K,), (mf,), (mb,)), "Bbf": ((K,), (mb,), (mf,)), "G": ((mb,), (mf,)),
             "initial": ((1,), (B, 1), (mf,)), "af": ((I, 1), (B, 1), (mf,)),
             "S": ((I, 1), (B, 1), (mf,), (lat.d0,)), "bb": ((I, 1), (B, 1), (mb,)),
             "g": ((L, 1), (B, 1), (mb,)),
@@ -225,18 +221,16 @@ def _step(system: FbsdeSystem, k: int, uf: np.ndarray, ubt: np.ndarray,
     """Forward states on the children of level k."""
     lat = system.lattice
     lo, hi = lat.level_range(k)
-    drift = (_apply(system.Aff[k:k + 1], uf) + _apply(system.Afb[k:k + 1], ubt)
-             + _rows(system.af, lo, hi))
+    drift = _apply(system.Afb[k:k + 1], ubt) + _rows(system.af, lo, hi)
     return lat.repeat_to_children(uf + lat.dt * drift) + noise
 
 
-def _driver(system: FbsdeSystem, k: int, uf, ubt) -> np.ndarray:
-    """The backward driver on level k."""
+def _driver(system: FbsdeSystem, k: int, uf) -> np.ndarray:
+    """The backward driver on level k, a function of the forward states."""
     if system.driver_fn is not None:  # non-affine systems are solved alone
-        return system.driver_fn(k, uf[:, 0], ubt[:, 0])[:, None]
+        return system.driver_fn(k, uf[:, 0])[:, None]
     lo, hi = system.lattice.level_range(k)
-    return (_apply(system.Bbf[k:k + 1], uf) + _apply(system.Bbb[k:k + 1], ubt)
-            + _rows(system.bb, lo, hi))
+    return _apply(system.Bbf[k:k + 1], uf) + _rows(system.bb, lo, hi)
 
 
 def _forward_sweep(system: FbsdeSystem, ub: np.ndarray) -> np.ndarray:
@@ -263,7 +257,7 @@ def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
-        ub[lo:hi] = ubt + lat.dt * _driver(system, k, uf[lo:hi], ubt)
+        ub[lo:hi] = ubt + lat.dt * _driver(system, k, uf[lo:hi])
     return ub
 
 
@@ -308,7 +302,7 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
         clo, chi = lat.level_range(k + 1)
         ubt = pre[lo:hi]
         fwd_gap = uf[clo:chi] - _step(system, k, uf[lo:hi], ubt, _noise(system, k))
-        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, uf[lo:hi], ubt)
+        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, uf[lo:hi])
         worst = np.maximum(worst, np.maximum(_flow_max(fwd_gap), _flow_max(bwd_gap)))
     tsl = lat.terminal_slice
     if system.terminal_fn is not None:
@@ -336,16 +330,14 @@ def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
 class _LevelFactors:
     """Matrix-pass results of one level, each shared by the level's nodes."""
 
-    E: np.ndarray      # (I - dt Pbar Afb)^-1       (1, mb, mb)
-    EPbar: np.ndarray  # E Pbar                      (1, mb, mf)
-    Q: np.ndarray      # uB~ = Q u_F + r             (1, mb, mf)
-    IBbb: np.ndarray   # I + dt Bbb                  (1, mb, mb)
+    E: np.ndarray  # (I - dt Pbar Afb)^-1       (1, mb, mb)
+    Q: np.ndarray  # E Pbar; uB~ = Q u_F + r    (1, mb, mf)
 
 
 def sweep_floats(lat: NoiseLattice, mf: int, mb: int, flows: int = 1) -> int:
     """Float64s a ``DirectSolver`` keeps for one solve of ``flows`` sibling systems.
 
-    Per level E, E Pbar, Q, P and the system's Afb; per node and flow p, r,
+    Per level E, Q, P and the system's Afb and Bbf; per node and flow p, r,
     the system's af, S dW and the solution's u_F, u_B, uB~ and increments.
     """
     return lat.steps * (mb * mb + 4 * mb * mf) + flows * lat.num_nodes * (3 * mf + 5 * mb)
@@ -370,13 +362,13 @@ class DirectSolver:
     root, one set of small matrices per level:
 
         Pbar = sum_b q_b P_{k+1},   E = (I - dt Pbar Afb)^-1,
-        Q    = E Pbar (I + dt Aff),   P_k = (I + dt Bbb) Q + dt Bbf.
+        Q    = E Pbar,                P_k = Q + dt Bbf.
 
-    It reads only the system's level tables (Aff, Afb, Bbf, Bbb), G and the
-    tree.  The constants (af, bb, g, initial, S dW) enter only the vector
-    pass of ``solve``, which takes every flow of the family at once; a
-    re-solve with new constants (e.g. the clearing system across candidate
-    major flows) shares the matrix pass.
+    It reads only the system's level tables (Afb, Bbf), G and the tree.  The
+    constants (af, bb, g, initial, S dW) enter only the vector pass of
+    ``solve``, r = E pbar + dt Q af and p = r + dt bb, which takes every flow
+    of the family at once; a re-solve with new constants (e.g. the clearing
+    system across candidate major flows) shares the matrix pass.
 
     A system whose storage (``sweep_floats``: ``K (mb^2 + 4 mb mf)`` floats
     of factors plus ``nodes (3 mf + 5 mb)`` of node vectors per flow) would
@@ -396,21 +388,17 @@ class DirectSolver:
         self._P = [None] * lat.steps + [P]
         self._levels: list[_LevelFactors] = [None] * lat.steps
         for k in range(lat.steps - 1, -1, -1):
-            Aff, Afb, Bbf, Bbb = (t[k:k + 1] for t in (system.Aff, system.Afb,
-                                                      system.Bbf, system.Bbb))
             # sum_b q_b P over one node's children, reduced as cond_expect does
             Pbar = lat.cond_expect(np.broadcast_to(P, (lat.fanout,) + P.shape[1:]), 0)
             try:
-                E = np.linalg.inv(np.eye(mb) - dt * (Pbar @ Afb))
+                E = np.linalg.inv(np.eye(mb) - dt * (Pbar @ system.Afb[k:k + 1]))
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     f"level {k} system I - dt*Pbar*Afb is singular ({exc}); this "
                     f"signals violated monotonicity of the discretized model", None)
-            EPbar = E @ Pbar
-            Q = EPbar @ (np.eye(mf) + dt * Aff)
-            IBbb = np.eye(mb) + dt * Bbb
-            P = IBbb @ Q + dt * Bbf
-            self._levels[k] = _LevelFactors(E=E, EPbar=EPbar, Q=Q, IBbb=IBbb)
+            Q = E @ Pbar
+            P = Q + dt * system.Bbf[k:k + 1]
+            self._levels[k] = _LevelFactors(E=E, Q=Q)
             self._P[k] = P
 
     def solve(self, **constants) -> list[NodeSolution]:
@@ -445,8 +433,8 @@ class DirectSolver:
             lv = self._levels[k]
             noise = _noise(system, k)
             pbar = lat.cond_expect(p + _apply(self._P[k + 1], noise), k)
-            r = _apply(lv.E, pbar) + dt * _apply(lv.EPbar, _rows(system.af, lo, hi))
-            p = _apply(lv.IBbb, r) + dt * _rows(system.bb, lo, hi)
+            r = _apply(lv.E, pbar) + dt * _apply(lv.Q, _rows(system.af, lo, hi))
+            p = r + dt * _rows(system.bb, lo, hi)
             ps[k], rs[k], noises[k] = p, r, noise
         # forward pass; the states are flows-first in memory, so that each
         # flow's solution (and its uB~ and increments, laid out alike) is a

@@ -276,7 +276,6 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     Bbf[:, RP, RP] = _block_diag(-cf)
     if affine_cost:
         Bbf[:, top, top] = spec.major_cost.c0f
-    Bbb = np.zeros((K, mb, mb))
 
     zero = np.zeros((I, G * n))
     af = _columns([ctx.l0[:I], *(t.l[:I] for t in tabs), zero])
@@ -303,11 +302,10 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
 
     driver_fn = terminal_fn = None
     if not affine_cost:
-        def driver_fn(k, uf, ubt):
+        def driver_fn(k, uf):
             sl = lat.level_slice(k)
             m = sl.stop - sl.start
-            base = (np.matmul(Bbf[k:k + 1], uf[..., None])[..., 0]
-                    + np.matmul(Bbb[k:k + 1], ubt[..., None])[..., 0] + bb[sl, 0])
+            base = np.matmul(Bbf[k:k + 1], uf[..., None])[..., 0] + bb[sl, 0]
             t = k * lat.dt
             x0 = uf[:, top]
             grad = np.stack([spec.major_cost.dfdx(t, x0[i], ctx.exo.c0[sl][i])
@@ -324,7 +322,7 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
             return out
 
     return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
-                       Aff=np.zeros((K, mf, mf)), Afb=Afb, Bbf=Bbf, Bbb=Bbb, G=Gm,
+                       Afb=Afb, Bbf=Bbf, G=Gm,
                        initial=initial, af=af, S=S, bb=bb, g=gv,
                        affine=affine_cost, driver_fn=driver_fn, terminal_fn=terminal_fn)
 
@@ -348,10 +346,8 @@ def _minor_system(ctx: MarketContext, tabs: list[MinorTables], Afb: np.ndarray,
         Gm, gv = terminal()
     return FbsdeSystem(lattice=lat, forward_slices=_slices([(f"X{g}", n) for g in range(G)]),
                        backward_slices=_slices([(f"Y{g}", n) for g in range(G)]),
-                       Aff=np.zeros((K, G * n, G * n)), Afb=Afb,
-                       Bbf=_block_diag(np.stack([t.cf[:K] for t in tabs], axis=1)),
-                       Bbb=np.zeros((K, G * n, G * n)), G=Gm,
-                       initial=_columns([t.xi[None] for t in tabs]), af=af,
+                       Afb=Afb, Bbf=_block_diag(np.stack([t.cf[:K] for t in tabs], axis=1)),
+                       G=Gm, initial=_columns([t.xi[None] for t in tabs]), af=af,
                        S=_columns([t.sig0[:I] for t in tabs], (lat.d0,)),
                        bb=_columns([t.hf[:I] for t in tabs]), g=gv)
 

@@ -93,8 +93,8 @@ def build_deviation_system(ctx: MarketContext, atoms: Iterable[int],
         G, g = tab.cg_T, tab.hg_T - mean.hg_T[:, None]
     return FbsdeSystem(lattice=lat, forward_slices={"dx": slice(0, n)},
                        backward_slices={"dy": slice(0, n)},
-                       Aff=np.zeros((K, n, n)), Afb=-ctx.exo.lam_inv[:K], Bbf=tab.cf[:K],
-                       Bbb=np.zeros((K, n, n)), G=G, initial=(tab.xi - mean.xi)[None],
+                       Afb=-ctx.exo.lam_inv[:K], Bbf=tab.cf[:K], G=G,
+                       initial=(tab.xi - mean.xi)[None],
                        af=tab.l[:I] - mean.l[:I, None], S=tab.sig0[:I] - mean.sig0[:I, None],
                        bb=tab.hf[:I] - mean.hf[:I, None], g=g)
 

@@ -198,7 +198,7 @@ class MajorFlow:
 
 @dataclass
 class QuadraticMajorCost:
-    """Affine cost gradients: d_x fbar0 = c0f x + h0f(t, c0), d_x g0 = c0g x + h0g(c0).
+    """Cost gradients affine in x: d_x fbar0 = c0f x + h0f(t, c0), d_x g0 = c0g x + h0g(c0).
 
     The cost primitives are fixed as the quadratics consistent with these
     gradients and zero constant term, which is what the cost evaluators use.

@@ -2,16 +2,17 @@
 
 Text files hold sections [dimensions], [constants], [minor], [major],
 [noise], [laws]; values are whitespace- or comma-separated numbers read
-row-major into the shape each key requires.  Unknown sections and keys are
-rejected.  A file whose first non-space character is '{' is parsed as JSON
-with the same section/key schema; JSON additionally accepts a list of minor
-bundles (heterogeneous agents) and structured coefficient payloads
-{"kind": "time"|"affine", ...}.
+row-major into the shape each key requires.  Unknown sections and keys, and
+numbers that are not finite, are rejected.  A file whose first non-space
+character is '{' is parsed as JSON with the same section/key schema; JSON
+additionally accepts a list of minor bundles (heterogeneous agents) and
+structured coefficient payloads {"kind": "time"|"affine", ...}.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,18 @@ _SECTION_KEYS = {
 }
 
 
+def _finite(token: str, where: str = "model file") -> float:
+    """A number of the model file; NaN, infinities and overflows such as 1e999 are refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: numbers must be finite, got {token}")
+    return value
+
+
 def _parse_numbers(raw: str, key: str) -> np.ndarray:
     toks = raw.replace(",", " ").split()
     try:
-        return np.array([float(t) for t in toks])
+        return np.array([_finite(t, key) for t in toks])
     except ValueError:
         raise ValidationError(f"{key}: expected numbers, got {raw!r}")
 
@@ -206,7 +215,10 @@ def _as_square(value, n, name):
 def loads_model(text: str) -> ModelSpec:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"model file is not valid JSON: {exc}") from None
         _check_json_keys(doc)
         return _build_spec(doc)
     return _build_spec(_parse_text(text))

@@ -14,6 +14,7 @@ and forward propagation are plain reshapes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError("time grid needs at least one step")
-        if self.horizon <= 0:
-            raise ValidationError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:  # also refuses nan
+            raise ValidationError(f"horizon must be finite and positive, got {self.horizon}")
 
     @property
     def dt(self) -> float:

@@ -27,8 +27,7 @@ def level(system, k: int, b: int = 0) -> SimpleNamespace:
     """Flow ``b``'s level-k blocks, (1, p, q), and constants, (m|1, ...)."""
     lo, hi = system.lattice.level_range(k)
     const = lambda a: _flow(a if a.shape[0] == 1 else a[lo:hi], b)
-    return SimpleNamespace(Aff=system.Aff[k:k + 1], Afb=system.Afb[k:k + 1],
-                           Bbf=system.Bbf[k:k + 1], Bbb=system.Bbb[k:k + 1],
+    return SimpleNamespace(Afb=system.Afb[k:k + 1], Bbf=system.Bbf[k:k + 1],
                            af=const(system.af), S=const(system.S), bb=const(system.bb))
 
 
@@ -55,14 +54,14 @@ def _noise(lat, k: int, S: np.ndarray) -> np.ndarray:
     return _apply(S_child, lat.dW[clo:chi])
 
 
-def _step(lat, uf, ubt, Aff, Afb, af, noise):
+def _step(lat, uf, ubt, Afb, af, noise):
     """Forward states on the children of one level."""
-    drift = _apply(Aff, uf) + _apply(Afb, ubt) + af
+    drift = _apply(Afb, ubt) + af
     return lat.repeat_to_children(uf + lat.dt * drift) + noise
 
 
-def _driver(c, uf, ubt):
-    return _apply(c.Bbf, uf) + _apply(c.Bbb, ubt) + c.bb
+def _driver(c, uf):
+    return _apply(c.Bbf, uf) + c.bb
 
 
 def _package(system, uf, ub):
@@ -88,9 +87,8 @@ def residual(system, uf, ub, b: int = 0) -> tuple[float, float]:
         clo, chi = lat.level_range(k + 1)
         ubt = lat.cond_expect(ub[clo:chi], k)
         c = level(system, k, b)
-        fwd_gap = uf[clo:chi] - _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af,
-                                      _noise(lat, k, c.S))
-        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(c, uf[lo:hi], ubt)
+        fwd_gap = uf[clo:chi] - _step(lat, uf[lo:hi], ubt, c.Afb, c.af, _noise(lat, k, c.S))
+        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(c, uf[lo:hi])
         worst = max(worst, float(np.max(np.abs(fwd_gap), initial=0.0)),
                     float(np.max(np.abs(bwd_gap), initial=0.0)))
     tsl = lat.terminal_slice
@@ -115,8 +113,8 @@ def solve(solver, system, b: int = 0) -> dict:
         lv = solver._levels[k]
         noise = _noise(lat, k, c.S)
         pbar = lat.cond_expect(p + _apply(solver._P[k + 1], noise), k)
-        r = _apply(lv.E, pbar) + dt * _apply(lv.EPbar, c.af)
-        p = _apply(lv.IBbb, r) + dt * c.bb
+        r = _apply(lv.E, pbar) + dt * _apply(lv.Q, c.af)
+        p = r + dt * c.bb
         ps[k], rs[k], levels[k], noises[k] = p, r, c, noise
     # forward pass
     uf = np.zeros((lat.num_nodes, mf))
@@ -129,7 +127,7 @@ def solve(solver, system, b: int = 0) -> dict:
             c = levels[k]
             clo, chi = lat.level_range(k + 1)
             ubt = _apply(solver._levels[k].Q, uf[lo:hi]) + rs[k]
-            uf[clo:chi] = _step(lat, uf[lo:hi], ubt, c.Aff, c.Afb, c.af, noises[k])
+            uf[clo:chi] = _step(lat, uf[lo:hi], ubt, c.Afb, c.af, noises[k])
     pre, dev = _package(system, uf, ub)
     worst, terminal_mismatch = residual(system, uf, ub, b)
     return {"forward": uf, "backward": ub, "backward_pre": pre, "deviations": dev,

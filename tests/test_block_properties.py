@@ -76,8 +76,6 @@ def assert_blocks(system, level, terminal) -> None:
         Afb, Bbf = level(k)
         assert np.array_equal(system.Afb[k], Afb)
         assert np.array_equal(system.Bbf[k], Bbf)
-    assert np.array_equal(system.Aff, np.zeros((K, mf, mf)))
-    assert np.array_equal(system.Bbb, np.zeros((K, mb, mb)))
     G_oracle, g_oracle = terminal()
     assert system.G.shape == (mb, mf)
     assert np.array_equal(system.G, G_oracle)

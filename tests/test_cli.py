@@ -11,6 +11,8 @@ import pytest
 import marketclear
 from marketclear.cli import main
 
+SHIPPED = Path(__file__).resolve().parent.parent / "models"
+
 GOOD_MODEL = """
 [dimensions]
 n = 1
@@ -305,6 +307,40 @@ def test_malformed_config_file_is_usage_error(good_model, tmp_path, capsys, text
     assert "usage error: config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, old, token", [
+    *(("benchmark.model", "lambda = 1.0", f"lambda = {t}")
+      for t in ("nan", "inf", "-Infinity", "1e999")),
+    *(("two_assets.json", '"delta": 0.25', f'"delta": {t}')
+      for t in ("NaN", "Infinity", "-Infinity", "1e999")),
+])
+def test_non_finite_model_number_is_usage_error(tmp_path, capsys, model, old, token) -> None:
+    text = (SHIPPED / model).read_text()
+    assert old in text
+    text = text.replace(old, token)
+    path = tmp_path / model
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run(["solve-n", "--model", path, "--out", out, "--steps", 3]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["check", "solve-n"])
+def test_non_finite_horizon_is_usage_error(good_model, tmp_path, capsys, command,
+                                           horizon) -> None:
+    out = tmp_path / "out"
+    assert run([command, "--model", good_model, "--out", out, "--steps", 2,
+                "--horizon", horizon]) == 1
+    assert "horizon must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(f'{{"horizon": {"NaN" if horizon == "nan" else "Infinity"}}}')
+    assert run([command, "--model", good_model, "--out", out, "--steps", 2,
+                "--config", cfg]) == 1
+    assert not out.exists()
+
+
 def test_thread_count_does_not_change_bytes(good_model, tmp_path) -> None:
     outs = []
     for threads in (1, 3):
@@ -328,12 +364,11 @@ def test_factor_budget_is_a_solver_failure(good_model, tmp_path, monkeypatch) ->
 
 
 def test_shipped_models_drive_the_cli(tmp_path) -> None:
-    models = Path(__file__).resolve().parent.parent / "models"
-    assert run(["check", "--model", models / "benchmark.model",
+    assert run(["check", "--model", SHIPPED / "benchmark.model",
                 "--out", tmp_path / "a"]) == 0
-    assert run(["solve-n", "--model", models / "two_assets.json",
+    assert run(["solve-n", "--model", SHIPPED / "two_assets.json",
                 "--out", tmp_path / "b", "--steps", 3]) == 0
-    assert run(["solve-mfg", "--model", models / "maturity.model",
+    assert run(["solve-mfg", "--model", SHIPPED / "maturity.model",
                 "--out", tmp_path / "c", "--steps", 3]) == 0
 
 

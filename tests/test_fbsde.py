@@ -28,7 +28,7 @@ def one_step_system(g_leaves, bb=0.0, horizon=1.0, Afb=0.0, G=0.0):
     zero = np.zeros((1, 1, 1))
     return FbsdeSystem(lattice=lat, forward_slices={"x": slice(0, 1)},
                        backward_slices={"y": slice(0, 1)},
-                       Aff=zero, Afb=np.full((1, 1, 1), Afb), Bbf=zero, Bbb=zero,
+                       Afb=np.full((1, 1, 1), Afb), Bbf=zero,
                        G=np.full((1, 1), G), initial=zero, af=zero, S=np.zeros((1, 1, 1, 1)),
                        bb=np.full((1, 1, 1), bb),
                        g=np.asarray(g_leaves, dtype=float).reshape(-1, 1, 1))

@@ -31,10 +31,8 @@ def draw(rng, share: bool, m: int, shape: tuple, scale: float) -> np.ndarray:
 
 def random_blocks(rng, lat, mf, mb) -> dict:
     K = lat.steps
-    return {"Aff": rng.uniform(-0.5, 0.5, (K, mf, mf)),
-            "Afb": rng.uniform(-0.2, 0.2, (K, mf, mb)),
+    return {"Afb": rng.uniform(-0.2, 0.2, (K, mf, mb)),
             "Bbf": rng.uniform(-0.5, 0.5, (K, mb, mf)),
-            "Bbb": rng.uniform(-0.5, 0.5, (K, mb, mb)),
             "G": rng.uniform(-0.5, 0.5, (mb, mf))}
 
 
@@ -78,16 +76,16 @@ def dense_solve(system: FbsdeSystem):
             def at(arr):
                 return arr[0] if arr.shape[0] == 1 else arr[v - lo]
             kids = np.flatnonzero(lat.parent == v)
-            # u_B(v) = sum_j q_j u_B(c_j) + dt (Bbf u_F(v) + Bbb sum_j q_j u_B(c_j) + bb)
+            # u_B(v) = sum_j q_j u_B(c_j) + dt (Bbf u_F(v) + bb)
             A[bwd(v), bwd(v)] += np.eye(mb)
             A[bwd(v), fwd(v)] -= dt * at(c.Bbf)
             for j in kids:
-                A[bwd(v), bwd(j)] -= lat.edge_prob[j] * (np.eye(mb) + dt * at(c.Bbb))
+                A[bwd(v), bwd(j)] -= lat.edge_prob[j] * np.eye(mb)
             rhs[bwd(v)] = dt * at(c.bb)
-            # u_F(c) = u_F(v) + dt (Aff u_F(v) + Afb sum_j q_j u_B(c_j) + af) + S dW(c)
+            # u_F(c) = u_F(v) + dt (Afb sum_j q_j u_B(c_j) + af) + S dW(c)
             for child in kids:
                 A[fwd(child), fwd(child)] += np.eye(mf)
-                A[fwd(child), fwd(v)] -= np.eye(mf) + dt * at(c.Aff)
+                A[fwd(child), fwd(v)] -= np.eye(mf)
                 for j in kids:
                     A[fwd(child), bwd(j)] -= dt * lat.edge_prob[j] * at(c.Afb)
                 rhs[fwd(child)] = dt * at(c.af) + at(c.S) @ lat.dW[child]
@@ -149,8 +147,7 @@ def test_resolve_of_sibling_equals_fresh_solve(case) -> None:
 
 
 @SETTINGS
-@given(cases, st.sampled_from(["Aff", "Afb", "Bbf", "Bbb", "G",
-                               "initial", "af", "S", "bb", "g"]))
+@given(cases, st.sampled_from(["Afb", "Bbf", "G", "initial", "af", "S", "bb", "g"]))
 def test_wrong_shaped_table_is_refused(case, name) -> None:
     # a leading axis longer than any level, node or state count of the case
     lat, rng, blocks = lattice_and_blocks(case)

@@ -4,7 +4,9 @@ Each command runs at ``--steps 3`` and every CSV and ``summary.json`` it
 writes must hash to the recorded sha256.  The hashes pin the exact bytes, so
 a change that moves any summation order, any rounding or any formatting
 fails here; a deliberate change of the numbers must record new hashes and
-say why.  ``tools/outdiff.py`` shows where two output trees differ.
+say why.  ``tools/outdiff.py`` shows where two output trees differ.  The CLI
+runs the direct solver only, so one more hash pins the fixed-point (Picard)
+path's states and prices on a model with a non-affine major cost.
 """
 
 from __future__ import annotations
@@ -12,9 +14,14 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from marketclear.cli import main
+from marketclear.finite_market import solve_full_equilibrium
+from marketclear.mean_field import solve_mfg
+from marketclear.model import CallableMajorCost, Dimensions, DiscreteLaw, make_spec
+from marketclear.scenario import TimeGrid, build_lattice
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -99,3 +106,24 @@ def test_outputs_match_the_recorded_hashes(model, command, tmp_path) -> None:
     assert written == set(GOLDEN[model, command])
     for name, digest in GOLDEN[model, command].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+PICARD = "75f5b5fe54905ff18420179b1efed2ca2bae0f475ea69f365bc8266b815fd681"
+
+
+def test_picard_path_matches_the_recorded_hash() -> None:
+    # the non-affine model of test_extra_surfaces' fixed-point test
+    spec = make_spec(Dimensions(1, 1, 0, 4), delta=0.2,
+                     major_cost=CallableMajorCost(
+                         dfdx=lambda t, x, c0: x + 0.1 * np.tanh(x),
+                         dgdx=lambda x, c0: x),
+                     xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])),
+                     c0_law=("constant", [0.1]))
+    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
+    eq = solve_full_equilibrium(spec, lat, method="picard", check=False)
+    mf = solve_mfg(spec, lat, method="picard", check=False)
+    digest = hashlib.sha256()
+    for arr in (eq.solution.forward, eq.solution.backward, eq.price.values,
+                mf.solution.forward, mf.solution.backward, mf.price_mfg.values):
+        digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == PICARD

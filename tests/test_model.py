@@ -248,6 +248,11 @@ def test_json_unknown_key_rejected() -> None:
         loads_model(json.dumps(doc))
 
 
+def test_malformed_json_model_is_a_validation_error() -> None:
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        loads_model('{"dimensions": {"n": 1,')
+
+
 def test_heterogeneous_bundles_via_json() -> None:
     doc = {
         "dimensions": {"n": 1, "d0": 1, "d": 0, "N": 2},

@@ -7,9 +7,11 @@ and wall times).  Files that are byte-identical are listed as such.  For a
 differing CSV, each column reports the largest relative difference
 ``|b - a| / |a|`` over the cells where ``|a| > 1e-14`` and the largest
 absolute difference over all cells; for a differing JSON file, each numeric
-leaf does the same, keyed by its path.  Non-numeric cells or leaves that
-differ, and files or keys present on one side only, are listed.  Exit code
-0 means every compared file is identical, 1 that something differs.
+leaf does the same, keyed by its path.  Cells or leaves that differ in text
+but not by a number are counted as text cells and listed: non-numeric ones,
+and equal numbers written apart, such as ``0.0`` and ``-0.0``.  Files or
+keys present on one side only are listed too.  Exit code 0 means every
+compared file is identical, 1 that something differs.
 """
 
 from __future__ import annotations
@@ -38,18 +40,25 @@ def _number(value):
         return None
 
 
+def _same(a, b) -> bool:
+    """Whether two cells or leaves read alike; ``repr`` tells ``-0.0`` from ``0.0``."""
+    return repr(a) == repr(b)
+
+
 def _compare(pairs) -> dict:
-    """Largest relative and absolute difference over (a, b) pairs of cells."""
+    """Largest relative and absolute difference over (a, b) pairs of cells.
+
+    Pairs that differ but not by a number, such as ``0.0`` and ``-0.0``, or
+    non-numeric cells, count as ``text_cells``.
+    """
     rel = absd = 0.0
     text = 0
     for a, b in pairs:
-        if a == b:
+        if _same(a, b):
             continue
         x, y = _number(a), _number(b)
-        if x is None or y is None:
+        if x is None or y is None or x == y or (math.isnan(x) and math.isnan(y)):
             text += 1
-            continue
-        if math.isnan(x) and math.isnan(y):
             continue
         diff = abs(y - x)
         absd = max(absd, diff)
@@ -91,7 +100,7 @@ def _json_report(a: Path, b: Path) -> list[str]:
     lines = [f"  key only in A: {k}" for k in la if k not in lb]
     lines += [f"  key only in B: {k}" for k in lb if k not in la]
     for key in la:
-        if key in lb and la[key] != lb[key]:
+        if key in lb and not _same(la[key], lb[key]):
             lines.append(f"  key {key}: " + _format(_compare([(la[key], lb[key])])))
     return lines
 
@@ -99,7 +108,8 @@ def _json_report(a: Path, b: Path) -> list[str]:
 def _format(stats: dict) -> str:
     out = f"max rel {stats['max_rel']:.3g}, max abs {stats['max_abs']:.3g}"
     if stats["text_cells"]:
-        out += f", {stats['text_cells']} non-numeric cells differ"
+        out += (f", {stats['text_cells']} text cells differ "
+                "(non-numeric, or equal numbers such as 0.0 and -0.0)")
     return out
 
 
