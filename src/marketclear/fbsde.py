@@ -24,8 +24,9 @@ exactly by a backward sweep of its affine decoupling field
 u_B(v) = P_k u_F(v) + p(v), the discrete four-step scheme for linear FBSDEs:
 one matrix pass from the leaves computes one P per level, and a vector pass
 then carries every flow's constants back and recovers its states forward,
-batched over each level's nodes (``DirectSolver``).  The general case uses a
-damped fixed-point iteration of forward/backward sweeps (``solve_picard``).
+each level block applied as one GEMM per flow over the level's nodes
+(``DirectSolver``).  The general case uses a damped fixed-point iteration of
+forward/backward sweeps (``solve_picard``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetError, SolverError, ValidationError
-from .scenario import NoiseLattice
+from .scenario import NoiseLattice, apply_block
 
 DEFAULT_DAMPING = 0.5
 DEFAULT_TOL = 1e-10
@@ -187,13 +188,10 @@ class NodeSolution:
 #
 # Every state below is a (nodes, B, dim) array, one entry per flow of the
 # family right after the node axis, as the system's constants are.  A level
-# block enters ``_apply`` as its (1, p, q) slice ``table[k:k+1]``, broadcast
-# over the level's nodes and flows.
-
-
-def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """(m|1, [B,] p, q) x (m, B, q) -> (m, B, p), broadcasting the leading axes."""
-    return np.matmul(mat, vec[..., None])[..., 0]
+# block enters ``apply_block`` as its (p, q) matrix ``table[k]`` and is applied
+# to a level's states as one GEMM per flow, on the flows-first view, so every
+# flow's rows go through a product of its own node count: a family equals
+# its flows solved alone, byte for byte.
 
 
 def _rows(const: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -208,21 +206,17 @@ def _flow_max(gap: np.ndarray) -> np.ndarray:
 
 def _noise(system: FbsdeSystem, k: int) -> np.ndarray:
     """S(v) dW on every child edge of level k, in child layout."""
-    lat = system.lattice
-    lo, hi = lat.level_range(k)
-    clo, chi = lat.level_range(k + 1)
-    S = _rows(system.S, lo, hi)
-    S_child = np.repeat(np.broadcast_to(S, (hi - lo,) + S.shape[1:]), lat.fanout, axis=0)
-    return _apply(S_child, lat.dW[clo:chi, None])
+    lo, hi = system.lattice.level_range(k)
+    return system.lattice.edge_noise(_rows(system.S, lo, hi), k)
 
 
 def _step(system: FbsdeSystem, k: int, uf: np.ndarray, ubt: np.ndarray,
-          noise: np.ndarray) -> np.ndarray:
-    """Forward states on the children of level k."""
+          noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward states on the children of level k, written to ``out`` if given."""
     lat = system.lattice
     lo, hi = lat.level_range(k)
-    drift = _apply(system.Afb[k:k + 1], ubt) + _rows(system.af, lo, hi)
-    return lat.repeat_to_children(uf + lat.dt * drift) + noise
+    drift = apply_block(system.Afb[k], ubt) + _rows(system.af, lo, hi)
+    return np.add(lat.repeat_to_children(uf + lat.dt * drift), noise, out=out)
 
 
 def _driver(system: FbsdeSystem, k: int, uf) -> np.ndarray:
@@ -230,7 +224,7 @@ def _driver(system: FbsdeSystem, k: int, uf) -> np.ndarray:
     if system.driver_fn is not None:  # non-affine systems are solved alone
         return system.driver_fn(k, uf[:, 0])[:, None]
     lo, hi = system.lattice.level_range(k)
-    return _apply(system.Bbf[k:k + 1], uf) + _rows(system.bb, lo, hi)
+    return apply_block(system.Bbf[k], uf) + _rows(system.bb, lo, hi)
 
 
 def _forward_sweep(system: FbsdeSystem, ub: np.ndarray) -> np.ndarray:
@@ -252,7 +246,7 @@ def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
     if system.terminal_fn is not None:
         ub[tsl] = system.terminal_fn(uf[tsl, 0])[:, None]
     else:
-        ub[tsl] = _apply(system.G[None], uf[tsl]) + system.g
+        ub[tsl] = apply_block(system.G, uf[tsl]) + system.g
     for k in range(lat.steps - 1, -1, -1):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
@@ -308,7 +302,7 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
     if system.terminal_fn is not None:
         term_gap = ub[tsl] - system.terminal_fn(uf[tsl, 0])[:, None]
     else:
-        term_gap = ub[tsl] - _apply(system.G[None], uf[tsl]) - system.g
+        term_gap = ub[tsl] - apply_block(system.G, uf[tsl]) - system.g
     terminal_mismatch = _flow_max(term_gap)
     return np.maximum(worst, terminal_mismatch), terminal_mismatch
 
@@ -330,8 +324,8 @@ def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
 class _LevelFactors:
     """Matrix-pass results of one level, each shared by the level's nodes."""
 
-    E: np.ndarray  # (I - dt Pbar Afb)^-1       (1, mb, mb)
-    Q: np.ndarray  # E Pbar; uB~ = Q u_F + r    (1, mb, mf)
+    E: np.ndarray  # (I - dt Pbar Afb)^-1       (mb, mb)
+    Q: np.ndarray  # E Pbar; uB~ = Q u_F + r    (mb, mf)
 
 
 def sweep_floats(lat: NoiseLattice, mf: int, mb: int, flows: int = 1) -> int:
@@ -384,20 +378,20 @@ class DirectSolver:
         dt = lat.dt
         mf, mb = system.mf, system.mb
         check_factor_budget(sweep_floats(lat, mf, mb))
-        P = system.G[None]
+        P = system.G
         self._P = [None] * lat.steps + [P]
         self._levels: list[_LevelFactors] = [None] * lat.steps
         for k in range(lat.steps - 1, -1, -1):
             # sum_b q_b P over one node's children, reduced as cond_expect does
-            Pbar = lat.cond_expect(np.broadcast_to(P, (lat.fanout,) + P.shape[1:]), 0)
+            Pbar = lat.cond_expect(np.broadcast_to(P, (lat.fanout,) + P.shape), 0)[0]
             try:
-                E = np.linalg.inv(np.eye(mb) - dt * (Pbar @ system.Afb[k:k + 1]))
+                E = np.linalg.inv(np.eye(mb) - dt * (Pbar @ system.Afb[k]))
             except np.linalg.LinAlgError as exc:
                 raise SolverError(
                     f"level {k} system I - dt*Pbar*Afb is singular ({exc}); this "
                     f"signals violated monotonicity of the discretized model", None)
             Q = E @ Pbar
-            P = Q + dt * system.Bbf[k:k + 1]
+            P = Q + dt * system.Bbf[k]
             self._levels[k] = _LevelFactors(E=E, Q=Q)
             self._P[k] = P
 
@@ -432,23 +426,25 @@ class DirectSolver:
             lo, hi = lat.level_range(k)
             lv = self._levels[k]
             noise = _noise(system, k)
-            pbar = lat.cond_expect(p + _apply(self._P[k + 1], noise), k)
-            r = _apply(lv.E, pbar) + dt * _apply(lv.Q, _rows(system.af, lo, hi))
+            pbar = lat.cond_expect(p + apply_block(self._P[k + 1], noise), k)
+            r = apply_block(lv.E, pbar) + dt * apply_block(lv.Q, _rows(system.af, lo, hi))
             p = r + dt * _rows(system.bb, lo, hi)
             ps[k], rs[k], noises[k] = p, r, noise
-        # forward pass; the states are flows-first in memory, so that each
-        # flow's solution (and its uB~ and increments, laid out alike) is a
-        # contiguous view
+        # forward pass, written into the states; they are flows-first in
+        # memory, so that each flow's solution (and its uB~ and increments,
+        # laid out alike) is a contiguous view
         uf = np.zeros((B, lat.num_nodes, mf)).transpose(1, 0, 2)
         ub = np.zeros((B, lat.num_nodes, mb)).transpose(1, 0, 2)
         uf[0] = system.initial[0]
         for k in range(K + 1):
             lo, hi = lat.level_range(k)
-            ub[lo:hi] = _apply(self._P[k], uf[lo:hi]) + ps[k]
+            apply_block(self._P[k], uf[lo:hi], out=ub[lo:hi])
+            ub[lo:hi] += ps[k]
             if k < K:
                 clo, chi = lat.level_range(k + 1)
-                ubt = _apply(self._levels[k].Q, uf[lo:hi]) + rs[k]
-                uf[clo:chi] = _step(system, k, uf[lo:hi], ubt, noises[k])
+                ubt = apply_block(self._levels[k].Q, uf[lo:hi])
+                ubt += rs[k]
+                _step(system, k, uf[lo:hi], ubt, noises[k], out=uf[clo:chi])
         del ps, rs, noises  # a batch's sweep vectors, freed before the residual's
         finite = np.isfinite(uf).all(axis=(0, 2)) & np.isfinite(ub).all(axis=(0, 2))
         if not finite.all():

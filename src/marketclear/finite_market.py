@@ -17,8 +17,8 @@ from .fbsde import (DirectSolver, FbsdeSystem, NodeSolution, check_factor_budget
                     solve_direct, solve_picard, sweep_floats)
 from .model import ModelSpec, check_all_assumptions
 from .scenario import (ExogenousFields, IdiosyncraticAtoms, NodeField,
-                       NoiseLattice, evaluate_exogenous, idiosyncratic_atoms,
-                       level_table, sample_idiosyncratic)
+                       NoiseLattice, apply_block, evaluate_exogenous,
+                       idiosyncratic_atoms, level_table, sample_idiosyncratic)
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
         def driver_fn(k, uf):
             sl = lat.level_slice(k)
             m = sl.stop - sl.start
-            base = np.matmul(Bbf[k:k + 1], uf[..., None])[..., 0] + bb[sl, 0]
+            base = apply_block(Bbf[k], uf) + bb[sl, 0]
             t = k * lat.dt
             x0 = uf[:, top]
             grad = np.stack([spec.major_cost.dfdx(t, x0[i], ctx.exo.c0[sl][i])
@@ -314,7 +314,7 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
             return base
 
         def terminal_fn(ufK):
-            out = np.matmul(Gm[None], ufK[..., None])[..., 0] + gv[:, 0]
+            out = apply_block(Gm, ufK) + gv[:, 0]
             x0 = ufK[:, top]
             out[:, top] = np.stack([
                 spec.major_cost.dgdx(x0[i], ctx.exo.c0[tsl][i])
@@ -393,7 +393,7 @@ def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
     K = lat.steps
     I, tsl = lat.level_range(K)[0], lat.terminal_slice
     Afb = _block_diag(np.broadcast_to(-ctx.exo.lam_inv[:K, None], (K, G, n, n)))
-    lam_phi = np.matmul(ctx.exo.lam_inv[lat.level_of], price[..., None])[..., 0]
+    lam_phi = lat.apply_levels(ctx.exo.lam_inv, price)
 
     def terminal():
         return (_block_diag(np.stack([t.cg_T for t in tabs])),
@@ -441,48 +441,50 @@ class EquilibriumSolution:
         return "p0" in self.solution.system.backward_slices
 
 
-def _group_means(sol: NodeSolution, w: np.ndarray, prefix: str,
-                 pre: bool = False) -> np.ndarray:
+def _group_means(sols: list[NodeSolution], w: np.ndarray, prefix: str, pre: bool = False,
+                 rows: slice = slice(None)) -> np.ndarray:
+    """sum_g w_g field_g over the agent groups, on ``rows``, for a family: (nodes, B, n)."""
     acc = None
     for g in range(len(w)):
-        vals = sol.pre(f"{prefix}{g}") if pre else sol.field(f"{prefix}{g}")
+        name = f"{prefix}{g}"
+        vals = np.stack([(s.pre(name) if pre else s.field(name))[rows] for s in sols], axis=1)
         acc = w[g] * vals if acc is None else acc + w[g] * vals
     return acc
 
 
-def _price_from_clearing(ctx: MarketContext, w: np.ndarray, sol: NodeSolution,
+def _price_from_clearing(ctx: MarketContext, w: np.ndarray, sols: list[NodeSolution],
                          beta_norm: np.ndarray) -> np.ndarray:
+    """Clearing prices of a family's B solutions under its (nodes, B, n) flows: (nodes, B, n)."""
     lat = ctx.lattice
-    mean_pre = _group_means(sol, w, "Y", pre=True)
-    phi = -mean_pre + np.matmul(ctx.exo.lam[lat.level_of], beta_norm[..., None])[..., 0]
+    phi = lat.apply_levels(ctx.exo.lam, beta_norm)
+    phi -= _group_means(sols, w, "Y", pre=True)
     tsl = lat.terminal_slice
-    phi[tsl] = -_group_means(sol, w, "Y")[tsl]
+    phi[tsl] = -_group_means(sols, w, "Y", rows=tsl)
     return phi
 
 
-def _flow_and_price(ctx: MarketContext, w: np.ndarray, sol: NodeSolution):
-    """Per-capita optimal flow b and clearing price of a solved full system.
+def _flow_and_price(ctx: MarketContext, w: np.ndarray, sols: list[NodeSolution]):
+    """Per-capita optimal flows b and clearing prices of a solved full family, (nodes, B, n) each.
 
     See ``solve_full_equilibrium`` for the read-off formulas.
     """
-    mean_y_pre = _group_means(sol, w, "Y", pre=True)
-    mean_p_pre = _group_means(sol, w, "P", pre=True)
-    v0bar = ctx.exo.v0bar[ctx.lattice.level_of]
-    b = np.matmul(v0bar, (-sol.pre("p0") + mean_y_pre + mean_p_pre)[..., None])[..., 0]
+    mean_y_pre = _group_means(sols, w, "Y", pre=True)
+    mean_p_pre = _group_means(sols, w, "P", pre=True)
+    p0_pre = np.stack([s.pre("p0") for s in sols], axis=1)
+    b = ctx.lattice.apply_levels(ctx.exo.v0bar, -p0_pre + mean_y_pre + mean_p_pre)
     b[ctx.lattice.terminal_slice] = 0.0
-    return b, _price_from_clearing(ctx, w, sol, b)
+    return b, _price_from_clearing(ctx, w, sols, b)
 
 
 def _alpha_hats(ctx: MarketContext, pop: AgentPopulation, sol: NodeSolution,
                 phi: np.ndarray) -> list[np.ndarray]:
     lat = ctx.lattice
-    lam_inv = ctx.exo.lam_inv[lat.level_of]
     out = []
     for g in range(pop.size):
         ypre = sol.pre(f"Y{g}").copy()
         tsl = lat.terminal_slice
         ypre[tsl] = sol.field(f"Y{g}")[tsl]
-        out.append(-np.matmul(lam_inv, (ypre + phi)[..., None])[..., 0])
+        out.append(-lat.apply_levels(ctx.exo.lam_inv, ypre + phi))
     return out
 
 
@@ -509,8 +511,7 @@ def integrate_forward(lattice: NoiseLattice, x0, drift: np.ndarray,
         sl = lattice.level_slice(k)
         csl = lattice.level_slice(k + 1)
         base = lattice.repeat_to_children(x[sl] + lattice.dt * drift[sl])
-        S_child = np.repeat(loading[sl], lattice.fanout, axis=0)
-        noise = np.matmul(S_child, lattice.dW[csl][..., None])[..., 0]
+        noise = lattice.edge_noise(loading[sl], k)
         x[csl] = base + noise.reshape(noise.shape[:1] + (1,) * (drift.ndim - 2)
                                       + noise.shape[1:])
     return x
@@ -593,7 +594,7 @@ def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField
     beta_norm = beta.values / pop.N
     system = build_clearing_system(ctx, ctx.group_tables(pop), pop.weights, beta_norm)
     sol = _solve_system(system, method, **solver_kw)
-    phi = _price_from_clearing(ctx, pop.weights, sol, beta_norm)
+    phi = _price_from_clearing(ctx, pop.weights, [sol], beta_norm[:, None])[:, 0]
     alpha = _alpha_hats(ctx, pop, sol, phi)
     eq = EquilibriumSolution(
         spec=spec, lattice=lattice, population=pop, solution=sol,
@@ -625,7 +626,8 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
         _run_checks(spec, force)
     sol = _solve_system(build_full_system(ctx, ctx.group_tables(pop), pop.weights),
                         method, **solver_kw)
-    b, phi = _flow_and_price(ctx, pop.weights, sol)
+    b, phi = _flow_and_price(ctx, pop.weights, [sol])
+    b, phi = b[:, 0], phi[:, 0]
     alpha = _alpha_hats(ctx, pop, sol, phi)
     eq = EquilibriumSolution(
         spec=spec, lattice=lattice, population=pop, solution=sol,
@@ -666,6 +668,5 @@ class ClearingOperator:
         induced prices.  If any flow fails, the ``SolverError`` names it.
         """
         sols = self._solver.solve(af=_minus_flow(self._solver.system.af, beta_norms))
-        phi = np.stack([_price_from_clearing(self.ctx, self.w, sol, b)
-                        for sol, b in zip(sols, beta_norms)])
-        return sols, phi
+        phi = _price_from_clearing(self.ctx, self.w, sols, np.moveaxis(beta_norms, 0, 1))
+        return sols, np.moveaxis(phi, 1, 0)

@@ -24,7 +24,7 @@ from .fbsde import DirectSolver, FbsdeSystem, NodeSolution
 from .finite_market import (MarketContext, MinorTables, _flow_and_price, _run_checks,
                             _solve_system, build_full_system, stack_tables)
 from .model import ModelSpec
-from .scenario import NodeField, NoiseLattice
+from .scenario import NodeField, NoiseLattice, apply_block
 
 
 def _require_closure(spec: ModelSpec):
@@ -148,8 +148,7 @@ class MfgSolution:
         for a in range(self.ctx.atoms.count):
             tab = self.ctx.minor_tables(0, a)
             xT = self.atom_field("x", a)[tsl]
-            cg = np.tile(tab.cg_T, (len(xT), 1, 1))
-            out.append(np.matmul(cg, xT[..., None])[..., 0] + tab.hg_T)
+            out.append(apply_block(tab.cg_T, xT) + tab.hg_T)
         return np.stack(out)
 
 
@@ -172,7 +171,8 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
     sol = _solve_system(reduce_conditional_means(spec, lattice, ctx), method, **solver_kw)
     (mean,), w = mean_group(ctx)
     devs = DirectSolver(build_deviation_system(ctx, range(ctx.atoms.count), mean)).solve()
-    b, phi = _flow_and_price(ctx, w, sol)
+    b, phi = _flow_and_price(ctx, w, [sol])
+    b, phi = b[:, 0], phi[:, 0]
     return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=sol,
                        deviations=devs,
                        beta_hat=NodeField(lattice, b),

@@ -23,7 +23,8 @@ from .finite_market import (MarketContext, _flow_and_price, build_full_system,
                             make_population, solve_full_equilibrium, stack_tables)
 from .mean_field import MfgSolution, solve_mfg
 from .model import ModelSpec
-from .scenario import NodeField, NoiseLattice, sample_idiosyncratic, _splitmix64
+from .scenario import (NodeField, NoiseLattice, apply_block, sample_idiosyncratic,
+                       _splitmix64)
 
 ATOM_BUDGET = 4096
 AGENT_BUDGET = 4096
@@ -301,7 +302,7 @@ def _atom_prices(ctx: MarketContext) -> np.ndarray:
     w = np.ones(1)
     group = stack_tables([ctx.minor_tables(0, a) for a in range(ctx.atoms.count)])
     sols = DirectSolver(build_full_system(ctx, [group], w)).solve()
-    return np.stack([_flow_and_price(ctx, w, sol)[1] for sol in sols])
+    return np.moveaxis(_flow_and_price(ctx, w, sols)[1], 1, 0)
 
 
 def _weight_gap(prices: np.ndarray, dw: np.ndarray, lattice: NoiseLattice) -> float:
@@ -466,16 +467,16 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
         R = eq_ho.group_field("R", g_ho)
         dl = het.l - hom.l
         dsig = het.sig0 - hom.sig0
-        dcf = (het.cf - hom.cf)[lattice.level_of]
-        ddf = np.matmul(dcf, X[..., None])[..., 0] + (het.hf - hom.hf)
-        dcf_r = np.matmul(dcf, R[..., None])[..., 0]
+        dcf = het.cf - hom.cf
+        ddf = lattice.apply_levels(dcf, X) + (het.hf - hom.hf)
+        dcf_r = lattice.apply_levels(dcf, R)
         terms["dl"] += running(np.einsum("vi,vi->v", dl, dl)) / N
         terms["dsig0"] += running(np.einsum("vij,vij->v", dsig, dsig)) / N
         terms["ddfdx"] += running(np.einsum("vi,vi->v", ddf, ddf)) / N
         terms["dcf_r"] += running(np.einsum("vi,vi->v", dcf_r, dcf_r)) / N
-        dcg = np.tile(het.cg_T - hom.cg_T, (lattice.nodes_at(lattice.steps), 1, 1))
-        dg = np.matmul(dcg, X[tsl][..., None])[..., 0] + (het.hg_T - hom.hg_T)
-        dcg_r = np.matmul(dcg, (R[tsl] + ratio * mean_R_T)[..., None])[..., 0]
+        dcg = het.cg_T - hom.cg_T
+        dg = apply_block(dcg, X[tsl]) + (het.hg_T - hom.hg_T)
+        dcg_r = apply_block(dcg, R[tsl] + ratio * mean_R_T)
         terms["dg_terminal"] += terminal(np.einsum("vi,vi->v", dg, dg)) / N
         terms["dcg_r_terminal"] += terminal(np.einsum("vi,vi->v", dcg_r, dcg_r)) / N
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import (AssumptionViolationError, MarketClearError, UnsupportedModelError,
                      ValidationError)
-from .finite_market import (AgentPopulation, ClearingOperator, MarketContext,
-                            MinorTables, integrate_forward, make_population,
-                            solve_full_equilibrium)
+from .finite_market import (AgentPopulation, ClearingOperator, EquilibriumSolution,
+                            MarketContext, MinorTables, integrate_forward,
+                            make_population, solve_full_equilibrium)
 from .mean_field import mean_group, solve_mfg
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, stream_rng
@@ -27,12 +27,20 @@ from .scenario import NodeField, NoiseLattice, stream_rng
 DEFAULT_EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
 
 
-def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("...i,...ij,...j->...", x, mat, x)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", a, b)
+    """<a, b> over the last axis, as a sum of component products in index order."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
+def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """0.5 <x, mat x> over the last axis, ``mat`` (..., n, n) broadcast against ``x`` (..., n)."""
+    out = x[..., 0] * _dot(mat[..., 0, :], x)
+    for i in range(1, x.shape[-1]):
+        out = out + x[..., i] * _dot(mat[..., i, :], x)
+    return 0.5 * out
 
 
 def _expected_costs(lat: NoiseLattice, running: np.ndarray, terminal: np.ndarray) -> np.ndarray:
@@ -63,7 +71,7 @@ def _minor_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
         terminal = -_dot(ctx.exo.c0[tsl], xT)
     else:
         terminal = (-spec.delta * _dot(price[tsl], xT)
-                    + _quad(xT, np.tile(tab.cg_T, (lat.nodes_at(lat.steps), 1, 1)))
+                    + _quad(xT, tab.cg_T)
                     + _dot(tab.hg_T, xT))
     return _expected_costs(lat, running, terminal)
 
@@ -97,9 +105,7 @@ def _major_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
     lat = lattice
     x0 = _flows_first(integrate_forward(lat, spec.chi0, np.moveaxis(b + ctx.l0, 0, 1),
                                         ctx.s0))
-    fbar = _quad(x0, np.broadcast_to(spec.major_cost.c0f,
-                                     (lat.num_nodes,) + spec.major_cost.c0f.shape)) \
-        + _dot(ctx.h0f, x0)
+    fbar = _quad(x0, spec.major_cost.c0f) + _dot(ctx.h0f, x0)
     running = (_dot(b, phi)
                + _quad(b, ctx.exo.lam0[lat.level_of])
                + fbar)
@@ -108,9 +114,7 @@ def _major_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
     if spec.maturity_mode:
         terminal = -_dot(ctx.exo.c0[tsl], xT)
     else:
-        terminal = _quad(xT, np.broadcast_to(
-            spec.major_cost.c0g, (tsl.stop - tsl.start,) + spec.major_cost.c0g.shape)) \
-            + _dot(ctx.h0g_T, xT)
+        terminal = _quad(xT, spec.major_cost.c0g) + _dot(ctx.h0g_T, xT)
     return _expected_costs(lat, running, terminal)
 
 
@@ -208,13 +212,21 @@ def _fit_quadratics(eps: np.ndarray, dj: np.ndarray) -> np.ndarray:
 def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
                       directions: int = 20, eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
                       population: AgentPopulation | None = None,
-                      ctx: MarketContext | None = None) -> PerturbationReport:
+                      ctx: MarketContext | None = None,
+                      equilibrium: EquilibriumSolution | None = None,
+                      etas: list[np.ndarray] | None = None) -> PerturbationReport:
     """Probe a solved optimum along random admissible directions.
 
     level:
       "minor"     perturb one agent's trading rate, price held fixed;
       "major-N"   perturb the major flow, finite-population clearing feedback;
       "major-mfg" perturb the major flow in the population limit.
+
+    Several levels on one market can share their work.  ``equilibrium`` is
+    a finite solve (``solve_full_equilibrium``): the finite levels perturb
+    it and use its population.  ``etas`` are the ``directions`` directions
+    of ``perturbation_directions(lattice, n, directions, seed)``.  Either
+    is computed here when not given.
 
     The nonzero amplitudes of one direction are evaluated as one batch: one
     cost call for all of them, which on the major levels clears every
@@ -230,12 +242,19 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     for e in eps:
         if e != 0.0 and -e not in eps:
             raise ValidationError("eps grid must come in +/- pairs")
+    if etas is not None and len(etas) != directions:
+        raise ValidationError(f"{len(etas)} directions given for a test of {directions}")
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     n = spec.dims.n
 
-    if level == "minor":
+    def finite_solve():
+        if equilibrium is not None:
+            return equilibrium.population, equilibrium
         pop = population if population is not None else make_population(spec, ctx.atoms)
-        eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+        return pop, solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+
+    if level == "minor":
+        pop, eq = finite_solve()
         grp = pop.groups[0]
         base_ctrl = eq.alpha_hat[0]
         tab = ctx.minor_tables(grp.bundle_index, grp.atom_index)
@@ -243,8 +262,7 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
         def evaluate(ctrls):
             return _minor_costs(spec, ctx, lattice, eq.price.values, ctrls, tab)
     elif level == "major-N":
-        pop = population if population is not None else make_population(spec, ctx.atoms)
-        eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+        pop, eq = finite_solve()
         base_ctrl = eq.beta_hat.values
         op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
 
@@ -261,7 +279,8 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
         raise ValidationError(f"unknown perturbation level {level!r}")
 
     base_j = evaluate(base_ctrl[None])[0]
-    etas = perturbation_directions(lattice, n, directions, seed)
+    if etas is None:
+        etas = perturbation_directions(lattice, n, directions, seed)
     nonzero = eps != 0.0
     dj = np.zeros((directions, len(eps)))
     failed = []

@@ -53,6 +53,20 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def apply_block(mat: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One (p, q) block applied to every node of an (m, q) or (m, B, q) array: (m, [B,] p).
+
+    The product is one GEMM per flow, ``values[:, b] @ mat.T`` on the
+    flows-first view, written to ``out`` if given.  A GEMM's rounding may
+    depend on its row count, and here that count is the flow's own node
+    count whatever the batch, so a flow of a batch gets the bytes it gets
+    alone.  When ``out`` is None the result is flows-first in memory.
+    """
+    res = np.matmul(values.swapaxes(0, -2), mat.T,
+                    out=None if out is None else out.swapaxes(0, -2))
+    return res.swapaxes(0, -2)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k*T/K on [0, T]."""
@@ -215,6 +229,39 @@ class NoiseLattice:
 
     def repeat_to_children(self, parent_values: np.ndarray) -> np.ndarray:
         return np.repeat(parent_values, self.fanout, axis=0)
+
+    def edge_noise(self, loading: np.ndarray, k: int) -> np.ndarray:
+        """``loading(v) dW`` on every child edge of level ``k``, in child layout.
+
+        ``loading`` is (m|1, ..., d0) on the level's m nodes, or shared by
+        them; the result is (m * fanout, ...).  Every parent's children carry
+        the rows of ``child_dw``, so the product is d0 elementwise terms,
+        added in component order.
+        """
+        m, d0 = self.nodes_at(k), self.d0
+        trail = loading.shape[1:-1]
+        if d0 == 0:
+            return np.zeros((m,) + trail)
+        dw = self.child_dw.reshape((1, self.fanout) + (1,) * len(trail) + (d0,))
+        S = loading[:, None]
+        out = S[..., 0] * dw[..., 0]
+        for c in range(1, d0):
+            out = out + S[..., c] * dw[..., c]
+        if out.shape[0] != m:  # a loading shared by the level's nodes
+            out = np.broadcast_to(out, (m,) + out.shape[1:])
+        return out.reshape((-1,) + trail)
+
+    def apply_levels(self, table: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``table[k] @ values(v)`` on every node v of every level k.
+
+        ``table`` is a (K+1, p, q) level table and ``values`` a (nodes, [B,] q)
+        node array; each level is one ``apply_block``.
+        """
+        out = np.empty(values.swapaxes(0, -2).shape[:-1] + table.shape[1:2]).swapaxes(0, -2)
+        for k in range(self.steps + 1):
+            sl = self.level_slice(k)
+            apply_block(table[k], values[sl], out=out[sl])
+        return out
 
     def running_expectation(self, per_node: np.ndarray) -> float:
         """Probability- and dt-weighted sum over the non-terminal nodes."""

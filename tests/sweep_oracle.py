@@ -3,9 +3,12 @@
 This is the direct solver's vector pass, packaging and residual as they were
 before families of sibling systems were stacked into one batched pass: every
 state is a (nodes, dim) array of one system, and the residual recomputes uB~
-from the backward states.  ``level`` and ``terminal`` read one flow of a
-family the way a single system's level callbacks gave it: the level's
-(1, p, q) blocks and its constants without a flow axis.  The oracle reuses a
+from the backward states.  A block multiplies a level's states as one
+product of that flow's rows, ``states @ block.T``, and S dW is summed over
+the noise components in order, the solver's arithmetic for a flow solved
+alone.  ``level`` and ``terminal`` read one flow of a family the way a
+single system's level callbacks gave it: the level's (1, p, q) blocks and
+its constants without a flow axis.  The oracle reuses a
 ``DirectSolver``'s matrix pass (``_P`` and ``_levels``) and the lattice's
 ``cond_expect``; everything else is its own, so a batched solve can be
 compared with it flow by flow.
@@ -42,16 +45,22 @@ def initial(system, b: int = 0) -> np.ndarray:
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """(m|1, p, q) x (m, q) -> (m, p), broadcasting the leading axis."""
-    return np.matmul(mat, vec[..., None])[..., 0]
+    """A (p, q) or (1, p, q) block x (m, q) -> (m, p): one product of the flow's m rows."""
+    return vec @ (mat[0] if mat.ndim == 3 else mat).T
 
 
 def _noise(lat, k: int, S: np.ndarray) -> np.ndarray:
-    """S(v) dW on every child edge of level k, in child layout."""
+    """S(v) dW on every child edge of level k, in child layout, summed over dW's components."""
     clo, chi = lat.level_range(k + 1)
     m = lat.nodes_at(k)
     S_child = np.repeat(np.broadcast_to(S, (m,) + S.shape[1:]), lat.fanout, axis=0)
-    return _apply(S_child, lat.dW[clo:chi])
+    dW = lat.dW[clo:chi]
+    if lat.d0 == 0:
+        return np.zeros(S_child.shape[:-1])
+    out = S_child[..., 0] * dW[:, None, 0]
+    for c in range(1, lat.d0):
+        out = out + S_child[..., c] * dW[:, None, c]
+    return out
 
 
 def _step(lat, uf, ubt, Afb, af, noise):

@@ -268,6 +268,27 @@ def test_verify_gates(good_model, tmp_path) -> None:
         assert (out / f"perturbation_{level}.csv").exists()
 
 
+def test_verify_all_shares_one_finite_solve(monkeypatch, tmp_path) -> None:
+    # --level all solves the finite market once and writes, byte for byte,
+    # what the three levels write when run one at a time
+    import marketclear.cli as cli
+    model = str(SHIPPED / "two_assets.json")
+    common = ["--model", model, "--steps", 3, "--directions", 3, "--branching", 3]
+    calls = []
+    solve = cli.solve_full_equilibrium
+    monkeypatch.setattr(cli, "solve_full_equilibrium",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    assert run(["verify", "--level", "all", "--out", tmp_path / "all", *common]) == 0
+    assert len(calls) == 1
+    for level in ("minor", "major-N", "major-mfg"):
+        out = tmp_path / level
+        assert run(["verify", "--level", level, "--out", out, *common]) == 0
+        name = f"perturbation_{level}.csv"
+        assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+        alone = json.loads((out / "summary.json").read_text())
+        assert alone[level] == json.loads((tmp_path / "all" / "summary.json").read_text())[level]
+
+
 def test_lattice_dump(good_model, tmp_path) -> None:
     out = tmp_path / "out"
     assert run(["lattice-dump", "--model", good_model, "--out", out,

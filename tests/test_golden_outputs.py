@@ -37,60 +37,60 @@ LATTICE = {"lattice.csv": "07795c834eaa797c992c1475408f03c0aa9ea4401706ed1cc3497
 
 GOLDEN = {
     ("benchmark.model", "solve-n"): {
-        "equilibrium.csv": "f1ada4128c320ecc34015d9207811687ba7c3fbc7405c9ba2f14ce8e24f8885b",
+        "equilibrium.csv": "3de633210a746b6182da39b251c5455cde3920860fb67a1621c50f67c1ad65ee",
         "summary.json": "a3f6e2031dbe35bcfaa560e4fdb3301c075367e43ea9e2408526309bed8b835e",
     },
     ("benchmark.model", "solve-mfg"): {
-        "equilibrium_mfg.csv": "8aa7e6841671d95a9cd689f1332bb4b394a928c11a452679ceaa2168d065c90c",
-        "summary.json": "8553e8afd9c40c1535900be54e33417bd2284d4996fca10786e746b6916e25c1",
+        "equilibrium_mfg.csv": "953238dba2f598dc9c228fce28a4aa6d234ac0e1a188847177ff8f380e51cc44",
+        "summary.json": "21d09196c5ccea3b1bf13c132bfd72f0cf518651df1cb754b7be24505f6de8a8",
     },
     ("benchmark.model", "converge"): {
         "convergence.csv": "5232b8944077de8a27ee31426fc52b94723c269ea561c8a4a239474055e8c29a",
         "summary.json": "cfd1bf9e8a0053d8f2e4036ff9869a2290ccf78112aaf4ffc78815d2efb92363",
     },
     ("benchmark.model", "verify"): {
-        "perturbation_major-N.csv": "ce9d9d2db2856e7eea58d0316b81b42a2db7f673fa0cf4fe88b24f9eca876721",
-        "perturbation_major-mfg.csv": "41f49e1d69f9a0d57d7da783008bd83af0c5987de470e50460ad28a333c8fe68",
+        "perturbation_major-N.csv": "cfd111ff5602e8b73f67bf6d0fbc151a4cee3e8c9b422c2caf80af20b0e81173",
+        "perturbation_major-mfg.csv": "090adf00d833bb8886cd028435dd075976b561313a04a7a3754f1875a0d5d46f",
         "perturbation_minor.csv": "cd11a9be14fc73e9664c8f532dc84c0e21d1f2a127bfc03747eae49f70e252b1",
-        "summary.json": "ccc08932f37cbfaf700b2efedeca264fc6bc347e8ef665243cd2058100d0793d",
+        "summary.json": "01617049ddcea2ee18b306496570eb913b60c13de5e373852710bfefd3fa9480",
     },
     ("benchmark.model", "lattice-dump"): LATTICE,
     ("maturity.model", "solve-n"): {
-        "equilibrium.csv": "72fdac95f2c7c0c9a49802757946cda45e1879746930f1e236e375720766c368",
-        "summary.json": "72bead510fb78cb613a3ed7bf00bb3eb4f04f228decd66f2a246807f9616cffd",
+        "equilibrium.csv": "b816d56549a3d3688cfebc0cb5508653968024280c4aa821114159eea3493950",
+        "summary.json": "f786235a91d833181da09b823b644eee898a8f9f541b835a7ef179d44952b7d5",
     },
     ("maturity.model", "solve-mfg"): {
-        "equilibrium_mfg.csv": "9db3c77ec32f9fdccc6f3cab0e1894d23a7c4fedbbee32af8c2503fbc815fbfe",
-        "summary.json": "d3fa757ac143d1ab650df665c7ac19af09f2ff9c713acd0d645a3e73c056b32f",
+        "equilibrium_mfg.csv": "709be96f7bbccc0c1f3b23579a1960483bdd2b13c07d88c105aa700deb2e30bf",
+        "summary.json": "35beed0e51d7d615d430a6b344bf09f5de2291ba228be890ef5634db559c7a8f",
     },
     ("maturity.model", "converge"): {
         "convergence.csv": "9d167ec0139ce3cfc574044fb4c1880523d589e956b5ceca45ee61782a54afd8",
         "summary.json": "b5889069076497be7cb822a2b0f5a8b488827b94cbfc76ea35b1157c7df5dda7",
     },
     ("maturity.model", "verify"): {
-        "perturbation_major-N.csv": "17b43d8224b1304b4f6cb8ffdc994bc59059520bfc8abe69cfd2fe1942616c09",
+        "perturbation_major-N.csv": "1122d784e184ddb71850d39ef4764588a0ba0bdfdbc6e70e8c3c9d42a00c87e6",
         "perturbation_major-mfg.csv": "0d7850708dc81b10c03bd2e7dd4478c75e6e4a49d50f14ea2cd4274811505cf0",
         "perturbation_minor.csv": "287e93387886c970a3d64a2df097a9d7f3c488faeeae294a4e6f84f8e7914374",
-        "summary.json": "f5d374e1dd6ff6ad1ad5982c4ce9ce1056895ffafbdee1a0eda67535edd9fbf3",
+        "summary.json": "0a824f44895794f20a329959761db644934ca5f983dca54950eb0d919377c1ad",
     },
     ("maturity.model", "lattice-dump"): LATTICE,
     ("two_assets.json", "solve-n"): {
-        "equilibrium.csv": "aad4d4d6309b7db52366c41012d9088edc52a3d3d59353e50e4bbbf4dbac2d05",
-        "summary.json": "53cf253dccad4314c3092adc7707a7c906db490ce6700b89fec10f30aac3025f",
+        "equilibrium.csv": "303503934e31b46b3736fc1be1a49fbc332d5b14e992a2c95999c37a4bea94c8",
+        "summary.json": "0460cede429e18012e609dde8bcd2366009d763e26ffc249a1c03d884f286fe0",
     },
     ("two_assets.json", "solve-mfg"): {
-        "equilibrium_mfg.csv": "065f7349310c8485c11ac4e0983d097ad5b28ac45a1f3e8be7f97dd139e07bd5",
-        "summary.json": "237024a2f5e234daacbedd13d468036ad432b8f02ea42037c0b9ddfa3376011d",
+        "equilibrium_mfg.csv": "03685b91604106261001dcdb3efb99549da63e836f21f1c734b5545eb0b68e28",
+        "summary.json": "a1dd7280eaf5b64f19680eca82fe0bea307ace42414a224e14349e2c57c6af99",
     },
     ("two_assets.json", "converge"): {
-        "convergence.csv": "b1ce1d121303c2e6d737b78ee43683dbe08aa1c5590c3c5c64578aa08c07e9b0",
-        "summary.json": "f891f00050943ed7fb2b4525fe78db2a74b2eefe8270ef674ff72cae015f11e4",
+        "convergence.csv": "008962315d84d4f0d2e778890e2a7d0c871ea1507487a26d863813962fd35bf0",
+        "summary.json": "eea683ca7916411c4d1efe39b5f86b48abe8cdeec703c231f31aa44346f66e9e",
     },
     ("two_assets.json", "verify"): {
-        "perturbation_major-N.csv": "11b895571f8694f5c4822cc81305e55f3ecdbe689f60a65456adf110037c4d0b",
-        "perturbation_major-mfg.csv": "5dd75fe660945c055cdd587c26fff77fe18a9e799c51197e0e1e5389d5e64ecd",
-        "perturbation_minor.csv": "5f85f3c7475008b7f8fb137d5a94917a7a8672c7346eb474e5260b00f11466d0",
-        "summary.json": "dc34458f34ca1dc87c5bd92a9906ee4888ae61e8c9d74ad7ecb55d317d7258db",
+        "perturbation_major-N.csv": "2639d399e40e5c7a1675a997f8f87948f23a8565b4d38085457dd6d29db2c11c",
+        "perturbation_major-mfg.csv": "60eb2f9a2b93f7a31a291b149c61e33bac24b7acf3d1d2fa2e09f9e46251837c",
+        "perturbation_minor.csv": "3a98ad0548dcc9e222d70dc34dcb753fb23fd702190a0f0f36e9378516cedd7b",
+        "summary.json": "fe343274f77ebea2fa12cf4d383b47a55fe77027e07cfe3bbc12582681f54100",
     },
     ("two_assets.json", "lattice-dump"): LATTICE,
 }
@@ -108,7 +108,7 @@ def test_outputs_match_the_recorded_hashes(model, command, tmp_path) -> None:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-PICARD = "75f5b5fe54905ff18420179b1efed2ca2bae0f475ea69f365bc8266b815fd681"
+PICARD = "995da5fbc9b59c4f06b940d3b498f3334bd1a0f9bde26d88160f04fd4428baf6"
 
 
 def test_picard_path_matches_the_recorded_hash() -> None:

@@ -3,13 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from marketclear.errors import ValidationError
 from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        make_population, solve_full_equilibrium)
 from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
 from marketclear.optimality import (cost_major, cost_minor,
                                     hamiltonian_mfg, hamiltonian_minor,
                                     hamiltonian_system, minimizer_alpha,
-                                    minimizer_beta, perturbation_test)
+                                    minimizer_beta, perturbation_directions,
+                                    perturbation_test)
 from marketclear.scenario import TimeGrid, build_lattice, constant_field
 
 from conftest import homogeneous_study_spec, noiseless_unit_spec, scalar_market_spec
@@ -148,6 +150,24 @@ def test_optimality_gates(level) -> None:
     assert rep.min_delta_j >= -1e-9
     assert rep.gradient_norm <= 1e-6
     assert rep.min_curvature > 0
+
+
+def test_shared_solve_and_directions_change_no_byte() -> None:
+    spec = scalar_market_spec(delta=0.3, N=3)
+    lat = tree(3)
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, seed=1)
+    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+    etas = perturbation_directions(lat, 1, 3, seed=4)
+    for level in ("minor", "major-N", "major-mfg"):
+        alone = perturbation_test(spec, lat, level, directions=3, seed=4, population=pop,
+                                  ctx=ctx)
+        shared = perturbation_test(spec, lat, level, directions=3, seed=4, ctx=ctx,
+                                   equilibrium=eq, etas=etas)
+        assert np.array_equal(alone.delta_j, shared.delta_j), level
+        assert np.array_equal(alone.quadratic_fit, shared.quadratic_fit), level
+    with pytest.raises(ValidationError, match="2 directions given for a test of 3"):
+        perturbation_test(spec, lat, "minor", directions=3, ctx=ctx, etas=etas[:2])
 
 
 def test_eps_grid_validation() -> None:

@@ -1,4 +1,4 @@
-"""``tools/outdiff.py`` on small output trees: identical trees and signed zeros."""
+"""``tools/outdiff.py`` on small output trees: identical trees, signed zeros, ``--max-rel``."""
 
 from __future__ import annotations
 
@@ -53,3 +53,40 @@ def test_numeric_difference_is_measured(tmp_path, capsys) -> None:
     out = capsys.readouterr().out.splitlines()
     assert "  column price: max rel 0.25, max abs 0.5" in out
     assert "identical: summary.json" in out
+
+
+def test_max_rel_passes_round_off_and_counts_what_exceeds_it(tmp_path, capsys) -> None:
+    a = write_tree(tmp_path / "a", "2.0", 1e-16)
+    # one ulp on the price; the residual moves but stays below the floor
+    b = write_tree(tmp_path / "b", "2.0000000000000004", 3e-16)
+    assert outdiff.main(["--max-rel", "1e-12", str(a), str(b)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "  column price: max rel 2.22e-16, max abs 4.44e-16" in out
+    assert out[-1] == "every difference within max rel 1e-12: yes"
+    assert outdiff.main(["--max-rel", "1e-16", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  column price: max rel 2.22e-16, max abs 4.44e-16, 1 beyond max rel 1e-16" in out
+    assert out[-1] == "every difference within max rel 1e-16: no"
+    assert outdiff.main([str(a), str(b)]) == 1  # without a tolerance any difference fails
+
+
+def test_max_rel_refuses_a_value_leaving_the_floor(tmp_path, capsys) -> None:
+    a = write_tree(tmp_path / "a", "2.0", 0.0)
+    b = write_tree(tmp_path / "b", "2.0", 1e-3)
+    assert outdiff.main(["--max-rel", "0.5", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  key solve.residual: max rel 0, max abs 0.001, 1 beyond max rel 0.5" in out
+
+
+def test_max_rel_passes_signed_zeros_but_not_text_or_missing_files(tmp_path, capsys) -> None:
+    a = write_tree(tmp_path / "a", "0.0", 0.0)
+    b = write_tree(tmp_path / "b", "-0.0", -0.0)
+    assert outdiff.main(["--max-rel", "1e-12", str(a), str(b)]) == 0
+    c = write_tree(tmp_path / "c", "nan", 0.0)
+    assert outdiff.main(["--max-rel", "1e-12", str(a), str(c)]) == 1
+    d = write_tree(tmp_path / "d", "n/a", 0.0)
+    assert outdiff.main(["--max-rel", "1e-12", str(a), str(d)]) == 1
+    (b / "extra.csv").write_text("x\n1\n")
+    capsys.readouterr()
+    assert outdiff.main(["--max-rel", "1e-12", str(a), str(b)]) == 1
+    assert "only in B: extra.csv" in capsys.readouterr().out.splitlines()
