@@ -29,7 +29,7 @@ from .modelfile import load_model, loads_model
 from .optimality import (PerturbationReport, cost_major, cost_mfg, cost_minor,
                          hamiltonian_mfg, hamiltonian_minor, hamiltonian_system,
                          minimizer_alpha, minimizer_beta, minimizer_beta_mfg,
-                         perturbation_test)
+                         perturbation_test, perturbation_tests)
 from .runio import write_lattice_csv
 from .scenario import (IdiosyncraticAtoms, NodeField, NoiseLattice, TimeGrid,
                        build_lattice, constant_field, evaluate_exogenous,

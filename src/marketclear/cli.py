@@ -24,7 +24,7 @@ from .mean_field import solve_mfg
 from .metrics import convergence_study
 from .model import check_all_assumptions
 from .modelfile import load_model
-from .optimality import perturbation_directions, perturbation_test
+from .optimality import perturbation_tests
 from .runio import (equilibrium_summary, mfg_summary, write_convergence_csv,
                     write_equilibrium_csv, write_json, write_lattice_csv,
                     write_manifest, write_mfg_csv, write_perturbation_csv)
@@ -284,17 +284,11 @@ def cmd_verify(cfg) -> int:
               else [cfg["level"]])
 
     def solve(spec, lattice):
-        # the levels share one finite solve and one draw of directions
         ctx = MarketContext(spec, lattice)
         pop = make_population(spec, ctx.atoms, N=_n_agents(cfg, spec), seed=cfg["seed"])
-        directions = int(cfg.get("directions", 20))
-        etas = perturbation_directions(lattice, spec.dims.n, directions, cfg["seed"])
-        eq = (solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
-              if {"minor", "major-N"} & set(levels) else None)
-        return {level: perturbation_test(spec, lattice, level, directions=directions,
-                                         seed=cfg["seed"], population=pop, ctx=ctx,
-                                         equilibrium=eq, etas=etas)
-                for level in levels}
+        return perturbation_tests(spec, lattice, levels,
+                                  directions=int(cfg.get("directions", 20)),
+                                  seed=cfg["seed"], population=pop, ctx=ctx)
 
     code, spec, lattice, reports = _checked_solve(cfg, solve)
     if code != EXIT_OK:

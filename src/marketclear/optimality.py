@@ -209,31 +209,15 @@ def _fit_quadratics(eps: np.ndarray, dj: np.ndarray) -> np.ndarray:
     return coef.T
 
 
-def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
-                      directions: int = 20, eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
-                      population: AgentPopulation | None = None,
-                      ctx: MarketContext | None = None,
-                      equilibrium: EquilibriumSolution | None = None,
-                      etas: list[np.ndarray] | None = None) -> PerturbationReport:
-    """Probe a solved optimum along random admissible directions.
+LEVELS = ("minor", "major-N", "major-mfg")
+_FINITE_LEVELS = ("minor", "major-N")
 
-    level:
-      "minor"     perturb one agent's trading rate, price held fixed;
-      "major-N"   perturb the major flow, finite-population clearing feedback;
-      "major-mfg" perturb the major flow in the population limit.
 
-    Several levels on one market can share their work.  ``equilibrium`` is
-    a finite solve (``solve_full_equilibrium``): the finite levels perturb
-    it and use its population.  ``etas`` are the ``directions`` directions
-    of ``perturbation_directions(lattice, n, directions, seed)``.  Either
-    is computed here when not given.
-
-    The nonzero amplitudes of one direction are evaluated as one batch: one
-    cost call for all of them, which on the major levels clears every
-    perturbed flow in one batched re-solve.  A direction fails, and its row
-    of ``delta_j`` and its fit read NaN, iff its batch raises a market or
-    linear-algebra error, that is iff any of its amplitudes fails.
-    """
+def _checked_eps_grid(levels, directions: int, eps_grid) -> np.ndarray:
+    """The sorted amplitude grid of a valid request; raises before any solve."""
+    for level in levels:
+        if level not in LEVELS:
+            raise ValidationError(f"unknown perturbation level {level!r}")
     if directions < 1:
         raise ValidationError("at least one perturbation direction is required")
     eps = np.asarray(sorted(set(float(e) for e in eps_grid)))
@@ -242,45 +226,90 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     for e in eps:
         if e != 0.0 and -e not in eps:
             raise ValidationError("eps grid must come in +/- pairs")
-    if etas is not None and len(etas) != directions:
-        raise ValidationError(f"{len(etas)} directions given for a test of {directions}")
+    return eps
+
+
+def _finite_equilibrium(spec, lattice, ctx, population) -> EquilibriumSolution:
+    pop = population if population is not None else make_population(spec, ctx.atoms)
+    return solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+
+
+def perturbation_tests(spec: ModelSpec, lattice: NoiseLattice, levels,
+                       directions: int = 20, eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
+                       population: AgentPopulation | None = None,
+                       ctx: MarketContext | None = None) -> dict[str, PerturbationReport]:
+    """``perturbation_test`` at each of ``levels``, keyed by level.
+
+    The finite levels share one finite solve; each report equals, byte for
+    byte, the one ``perturbation_test`` makes alone.
+    """
+    levels = list(levels)
+    _checked_eps_grid(levels, directions, eps_grid)
+    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
+    eq = (_finite_equilibrium(spec, lattice, ctx, population)
+          if any(level in _FINITE_LEVELS for level in levels) else None)
+    return {level: perturbation_test(spec, lattice, level, directions=directions,
+                                     eps_grid=eps_grid, seed=seed, ctx=ctx,
+                                     equilibrium=eq)
+            for level in levels}
+
+
+def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
+                      directions: int = 20, eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
+                      population: AgentPopulation | None = None,
+                      ctx: MarketContext | None = None,
+                      equilibrium: EquilibriumSolution | None = None) -> PerturbationReport:
+    """Probe a solved optimum along random admissible directions.
+
+    level:
+      "minor"     perturb one agent's trading rate, price held fixed;
+      "major-N"   perturb the major flow, finite-population clearing feedback;
+      "major-mfg" perturb the major flow in the population limit.
+
+    The finite levels perturb ``equilibrium``, a finite solve
+    (``solve_full_equilibrium``) of the market, or else solve ``population``
+    here; giving both is an error.  The directions are
+    ``perturbation_directions(lattice, n, directions, seed)``.
+
+    The nonzero amplitudes of one direction are evaluated as one batch: one
+    cost call for all of them, which on the major levels clears every
+    perturbed flow in one batched re-solve.  A direction fails, and its row
+    of ``delta_j`` and its fit read NaN, iff its batch raises a market or
+    linear-algebra error, that is iff any of its amplitudes fails.
+    """
+    eps = _checked_eps_grid([level], directions, eps_grid)
+    if equilibrium is not None and population is not None:
+        raise ValidationError("give a population or its equilibrium, not both")
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     n = spec.dims.n
-
-    def finite_solve():
-        if equilibrium is not None:
-            return equilibrium.population, equilibrium
-        pop = population if population is not None else make_population(spec, ctx.atoms)
-        return pop, solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+    if level in _FINITE_LEVELS and equilibrium is None:
+        equilibrium = _finite_equilibrium(spec, lattice, ctx, population)
 
     if level == "minor":
-        pop, eq = finite_solve()
-        grp = pop.groups[0]
+        eq = equilibrium
+        grp = eq.population.groups[0]
         base_ctrl = eq.alpha_hat[0]
         tab = ctx.minor_tables(grp.bundle_index, grp.atom_index)
 
         def evaluate(ctrls):
             return _minor_costs(spec, ctx, lattice, eq.price.values, ctrls, tab)
     elif level == "major-N":
-        pop, eq = finite_solve()
-        base_ctrl = eq.beta_hat.values
+        pop = equilibrium.population
+        base_ctrl = equilibrium.beta_hat.values
         op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
 
         def evaluate(ctrls):
             return _major_costs(spec, ctx, lattice, op, ctrls / pop.N)
-    elif level == "major-mfg":
+    else:
         mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
         base_ctrl = mf.beta_hat.values
         op = ClearingOperator(ctx, *mean_group(ctx))
 
         def evaluate(ctrls):
             return _major_costs(spec, ctx, lattice, op, ctrls)
-    else:
-        raise ValidationError(f"unknown perturbation level {level!r}")
 
     base_j = evaluate(base_ctrl[None])[0]
-    if etas is None:
-        etas = perturbation_directions(lattice, n, directions, seed)
+    etas = perturbation_directions(lattice, n, directions, seed)
     nonzero = eps != 0.0
     dj = np.zeros((directions, len(eps)))
     failed = []

@@ -271,12 +271,12 @@ def test_verify_gates(good_model, tmp_path) -> None:
 def test_verify_all_shares_one_finite_solve(monkeypatch, tmp_path) -> None:
     # --level all solves the finite market once and writes, byte for byte,
     # what the three levels write when run one at a time
-    import marketclear.cli as cli
+    import marketclear.optimality as optimality
     model = str(SHIPPED / "two_assets.json")
     common = ["--model", model, "--steps", 3, "--directions", 3, "--branching", 3]
     calls = []
-    solve = cli.solve_full_equilibrium
-    monkeypatch.setattr(cli, "solve_full_equilibrium",
+    solve = optimality.solve_full_equilibrium
+    monkeypatch.setattr(optimality, "solve_full_equilibrium",
                         lambda *a, **kw: calls.append(1) or solve(*a, **kw))
     assert run(["verify", "--level", "all", "--out", tmp_path / "all", *common]) == 0
     assert len(calls) == 1
@@ -287,6 +287,22 @@ def test_verify_all_shares_one_finite_solve(monkeypatch, tmp_path) -> None:
         assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
         alone = json.loads((out / "summary.json").read_text())
         assert alone[level] == json.loads((tmp_path / "all" / "summary.json").read_text())[level]
+
+
+def test_verify_rejects_zero_directions_before_solving(good_model, monkeypatch, tmp_path,
+                                                     capsys) -> None:
+    import marketclear.optimality as optimality
+    from marketclear.errors import SolverError
+
+    def failing(*args, **kwargs):
+        raise SolverError("singular")
+
+    monkeypatch.setattr(optimality, "solve_full_equilibrium", failing)
+    out = tmp_path / "out"
+    assert run(["verify", "--model", good_model, "--out", out, "--steps", 2,
+                "--directions", 0]) == 1
+    assert "at least one perturbation direction" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lattice_dump(good_model, tmp_path) -> None:

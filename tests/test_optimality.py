@@ -7,11 +7,11 @@ from marketclear.errors import ValidationError
 from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        make_population, solve_full_equilibrium)
 from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
-from marketclear.optimality import (cost_major, cost_minor,
+from marketclear.optimality import (LEVELS, cost_major, cost_minor,
                                     hamiltonian_mfg, hamiltonian_minor,
                                     hamiltonian_system, minimizer_alpha,
                                     minimizer_beta, perturbation_directions,
-                                    perturbation_test)
+                                    perturbation_test, perturbation_tests)
 from marketclear.scenario import TimeGrid, build_lattice, constant_field
 
 from conftest import homogeneous_study_spec, noiseless_unit_spec, scalar_market_spec
@@ -152,22 +152,48 @@ def test_optimality_gates(level) -> None:
     assert rep.min_curvature > 0
 
 
-def test_shared_solve_and_directions_change_no_byte() -> None:
+def test_shared_solve_changes_no_byte() -> None:
     spec = scalar_market_spec(delta=0.3, N=3)
     lat = tree(3)
     ctx = MarketContext(spec, lat)
     pop = make_population(spec, ctx.atoms, seed=1)
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
-    etas = perturbation_directions(lat, 1, 3, seed=4)
-    for level in ("minor", "major-N", "major-mfg"):
+    shared = perturbation_tests(spec, lat, LEVELS, directions=3, seed=4, population=pop,
+                                ctx=ctx)
+    assert list(shared) == list(LEVELS)
+    for level in LEVELS:
         alone = perturbation_test(spec, lat, level, directions=3, seed=4, population=pop,
                                   ctx=ctx)
-        shared = perturbation_test(spec, lat, level, directions=3, seed=4, ctx=ctx,
-                                   equilibrium=eq, etas=etas)
-        assert np.array_equal(alone.delta_j, shared.delta_j), level
-        assert np.array_equal(alone.quadratic_fit, shared.quadratic_fit), level
-    with pytest.raises(ValidationError, match="2 directions given for a test of 3"):
-        perturbation_test(spec, lat, "minor", directions=3, ctx=ctx, etas=etas[:2])
+        assert np.array_equal(alone.delta_j, shared[level].delta_j), level
+        assert np.array_equal(alone.quadratic_fit, shared[level].quadratic_fit), level
+
+
+def test_population_and_equilibrium_are_exclusive() -> None:
+    spec = scalar_market_spec(delta=0.3, N=3)
+    lat = tree(2)
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, seed=1)
+    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+    with pytest.raises(ValidationError, match="not both"):
+        perturbation_test(spec, lat, "minor", directions=2, population=pop, ctx=ctx,
+                          equilibrium=eq)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"directions": 0}, "at least one"),
+    ({"eps_grid": (0.0, 0.1)}, "must come in"),
+    ({"levels": ["minor", "major"]}, "unknown perturbation level"),
+])
+def test_bad_requests_fail_before_any_solve(monkeypatch, kwargs, match) -> None:
+    import marketclear.optimality as optimality
+
+    def no_solve(*args, **kw):
+        raise AssertionError("solved a request that is invalid")
+
+    monkeypatch.setattr(optimality, "solve_full_equilibrium", no_solve)
+    monkeypatch.setattr(optimality, "solve_mfg", no_solve)
+    args = {"levels": LEVELS, **kwargs}
+    with pytest.raises(ValidationError, match=match):
+        perturbation_tests(scalar_market_spec(), tree(2), **args)
 
 
 def test_eps_grid_validation() -> None:
