@@ -146,16 +146,14 @@ class NodeSolution:
 
     ``system`` is the solved family and ``flow`` this solution's index in
     it.  ``backward_pre`` holds uB~ (at terminal nodes it repeats the
-    terminal values); ``deviations`` holds, per node, the difference between
-    its backward value and its parent's uB~ (zero at the root); the
-    probability-weighted sum over siblings vanishes by construction.
+    terminal values); ``deviations`` derives the martingale increments from
+    them on demand.
     """
 
     system: FbsdeSystem
     forward: np.ndarray
     backward: np.ndarray
     backward_pre: np.ndarray
-    deviations: np.ndarray
     diagnostics: SolveDiagnostics
     flow: int = 0
 
@@ -168,16 +166,32 @@ class NodeSolution:
         """Pre-driver conditional expectation of a backward field."""
         return self.backward_pre[:, self.system.backward_slices[name]]
 
+    @property
+    def deviations(self) -> np.ndarray:
+        """Per node, its backward value minus its parent's uB~ (zero at the root).
+
+        The probability-weighted sum over siblings vanishes by construction.
+        """
+        lat = self.system.lattice
+        dev = np.zeros_like(self.backward)
+        for k in range(lat.steps):
+            lo, hi = lat.level_range(k)
+            clo, chi = lat.level_range(k + 1)
+            dev[clo:chi] = (self.backward[clo:chi]
+                            - lat.repeat_to_children(self.backward_pre[lo:hi]))
+        return dev
+
     def z_projection(self, name: str) -> np.ndarray:
         """Discrete martingale-representation diagnostic E[dev dW^T]/dt per node."""
         lat = self.system.lattice
         sl = self.system.backward_slices[name]
         dim = sl.stop - sl.start
         out = np.zeros((lat.num_nodes, dim, lat.d0))
+        deviations = self.deviations[:, sl]
         for k in range(lat.steps):
             lo, hi = lat.level_range(k)
             clo, chi = lat.level_range(k + 1)
-            dev = self.deviations[clo:chi, sl].reshape(hi - lo, lat.fanout, dim)
+            dev = deviations[clo:chi].reshape(hi - lo, lat.fanout, dim)
             dw = lat.dW[clo:chi].reshape(hi - lo, lat.fanout, lat.d0)
             w = lat.child_probs[None, :, None, None]
             out[lo:hi] = (w * dev[..., :, None] * dw[..., None, :]).sum(axis=1) / lat.dt
@@ -255,20 +269,18 @@ def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
     return ub
 
 
-def _pre_and_deviations(lat: NoiseLattice, ub: np.ndarray) -> tuple:
-    """The pre-driver values uB~ and the martingale increments of backward states."""
+def _pre(lat: NoiseLattice, ub: np.ndarray) -> np.ndarray:
+    """The pre-driver values uB~ of backward states (the terminal values at the leaves)."""
     pre = np.zeros_like(ub)
-    dev = np.zeros_like(ub)
     pre[lat.terminal_slice] = ub[lat.terminal_slice]
     for k in range(lat.steps):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         pre[lo:hi] = lat.cond_expect(ub[clo:chi], k)
-        dev[clo:chi] = ub[clo:chi] - lat.repeat_to_children(pre[lo:hi])
-    return pre, dev
+    return pre
 
 
-def _flow_solution(system: FbsdeSystem, b: int, uf, ub, pre, dev,
+def _flow_solution(system: FbsdeSystem, b: int, uf, ub, pre,
                    diagnostics: SolveDiagnostics) -> NodeSolution:
     """Flow ``b`` of stacked states as a solution with contiguous (nodes, dim) arrays.
 
@@ -276,7 +288,7 @@ def _flow_solution(system: FbsdeSystem, b: int, uf, ub, pre, dev,
     """
     flow = lambda a: np.ascontiguousarray(a[:, b])
     return NodeSolution(system=system, forward=flow(uf), backward=flow(ub),
-                        backward_pre=flow(pre), deviations=flow(dev),
+                        backward_pre=flow(pre),
                         diagnostics=diagnostics, flow=b)
 
 
@@ -332,9 +344,9 @@ def sweep_floats(lat: NoiseLattice, mf: int, mb: int, flows: int = 1) -> int:
     """Float64s a ``DirectSolver`` keeps for one solve of ``flows`` sibling systems.
 
     Per level E, Q, P and the system's Afb and Bbf; per node and flow p, r,
-    the system's af, S dW and the solution's u_F, u_B, uB~ and increments.
+    the system's af, S dW and the solution's u_F, u_B and uB~.
     """
-    return lat.steps * (mb * mb + 4 * mb * mf) + flows * lat.num_nodes * (3 * mf + 5 * mb)
+    return lat.steps * (mb * mb + 4 * mb * mf) + flows * lat.num_nodes * (3 * mf + 4 * mb)
 
 
 def check_factor_budget(floats: int) -> None:
@@ -365,7 +377,7 @@ class DirectSolver:
     system across candidate major flows) shares the matrix pass.
 
     A system whose storage (``sweep_floats``: ``K (mb^2 + 4 mb mf)`` floats
-    of factors plus ``nodes (3 mf + 5 mb)`` of node vectors per flow) would
+    of factors plus ``nodes (3 mf + 4 mb)`` of node vectors per flow) would
     exceed ``FACTOR_BUDGET_BYTES`` raises ``BudgetError`` before the matrix
     pass.
     """
@@ -431,8 +443,8 @@ class DirectSolver:
             p = r + dt * _rows(system.bb, lo, hi)
             ps[k], rs[k], noises[k] = p, r, noise
         # forward pass, written into the states; they are flows-first in
-        # memory, so that each flow's solution (and its uB~ and increments,
-        # laid out alike) is a contiguous view
+        # memory, so that each flow's solution (and its uB~, laid out
+        # alike) is a contiguous view
         uf = np.zeros((B, lat.num_nodes, mf)).transpose(1, 0, 2)
         ub = np.zeros((B, lat.num_nodes, mb)).transpose(1, 0, 2)
         uf[0] = system.initial[0]
@@ -451,9 +463,9 @@ class DirectSolver:
             raise SolverError(
                 f"direct solve produced non-finite values in flow "
                 f"{int(np.flatnonzero(~finite)[0])} (near-singular level system)")
-        pre, dev = _pre_and_deviations(lat, ub)
+        pre = _pre(lat, ub)
         worst, terminal_mismatch = _equation_gaps(system, uf, ub, pre)
-        sols = [_flow_solution(system, b, uf, ub, pre, dev, SolveDiagnostics(
+        sols = [_flow_solution(system, b, uf, ub, pre, SolveDiagnostics(
                     "direct", 1, float(worst[b]), float(terminal_mismatch[b]),
                     bool(worst[b] <= DIRECT_RESIDUAL_GATE)))
                 for b in range(B)]
@@ -514,7 +526,7 @@ def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
             SolveDiagnostics("picard", iterations, dist, np.nan, False))
     uf = _forward_sweep(system, ub)
     ub = _backward_sweep(system, uf)
-    sol = _flow_solution(system, 0, uf, ub, *_pre_and_deviations(lat, ub),
+    sol = _flow_solution(system, 0, uf, ub, _pre(lat, ub),
                          SolveDiagnostics("picard", iterations, dist, 0.0, True))
     sol.diagnostics = residual(system, sol)
     return sol

@@ -3,10 +3,20 @@
 The solved controls are verified empirically: random adapted directions with
 zero terminal value are added to the candidate optimum over a grid of
 amplitudes, the induced cost change is measured with the clearing feedback
-re-solved inside the functional, and the fitted first-order coefficient and
-the worst cost change are reported.  At a true optimum of these quadratic
-discrete functionals the first-order coefficient vanishes to round-off and
-every cost change is nonnegative.
+inside the functional, and the fitted first-order coefficient and the worst
+cost change are reported.  At a true optimum of these quadratic discrete
+functionals the first-order coefficient vanishes to round-off and every
+cost change is nonnegative.
+
+The public cost functions (``cost_minor``, ``cost_major``, ``cost_mfg``)
+integrate the position and re-solve the clearing system for the control
+they are given.  The perturbation check solves less: the clearing price is
+an affine function of the major flow (the flow enters the affine clearing
+system only through its forward drift, and the price is read off linearly)
+and a position is an affine function of the trading rate, so along one
+direction both lie on a line.  It solves the base control and each
+direction's end point once and reads every amplitude off that line, which
+is exact up to round-off.
 """
 
 from __future__ import annotations
@@ -55,12 +65,21 @@ def _flows_first(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, 1, 0))
 
 
+def _positions(lattice: NoiseLattice, x0, rates: np.ndarray, offset: np.ndarray,
+               loading: np.ndarray) -> np.ndarray:
+    """(B, nodes, n) positions from ``x0`` under a (B, nodes, n) stack of trading rates.
+
+    The drift is ``rates + offset``; the noise loading is shared by the flows.
+    """
+    return _flows_first(integrate_forward(lattice, x0, np.moveaxis(rates + offset, 0, 1),
+                                          loading))
+
+
 def _minor_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
-                 price: np.ndarray, alphas: np.ndarray, tab: MinorTables) -> np.ndarray:
-    """``cost_minor`` of a (B, nodes, n) stack of trading rates against one price field."""
+                 price: np.ndarray, alphas: np.ndarray, x: np.ndarray,
+                 tab: MinorTables) -> np.ndarray:
+    """``cost_minor`` of a (B, nodes, n) stack of trading rates and their positions ``x``."""
     lat = lattice
-    x = _flows_first(integrate_forward(lat, tab.xi, np.moveaxis(alphas + tab.l, 0, 1),
-                                       tab.sig0))
     running = (_dot(price, alphas)
                + _quad(alphas, ctx.exo.lam[lat.level_of])
                + _quad(x, tab.cf[lat.level_of])
@@ -88,23 +107,31 @@ def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     tab = ctx.minor_tables(bundle_index, atom_index)
     alphas = np.asarray(alpha, dtype=float)[None]
-    return float(_minor_costs(spec, ctx, lattice, price.values, alphas, tab)[0])
+    x = _positions(lattice, tab.xi, alphas, tab.l, tab.sig0)
+    return float(_minor_costs(spec, ctx, lattice, price.values, alphas, x, tab)[0])
 
 
-def _major_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
-                 operator: ClearingOperator, b: np.ndarray) -> np.ndarray:
-    """Normalized major costs of a (B, nodes, n) stack of per-capita flows.
+def _major_response(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
+                    operator: ClearingOperator, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clearing prices and major positions of a (B, nodes, n) stack of per-capita flows.
 
-    The flows are cleared in one batched re-solve of ``operator``, and each
-    induced price enters its flow's running cost.
+    The flows are cleared in one batched re-solve of ``operator``.
     """
     if not spec.major_cost.affine:
         raise UnsupportedModelError(
             "cost evaluation needs the quadratic major cost primitives")
     _, phi = operator.solve(b)
+    return phi, _positions(lattice, spec.chi0, b, ctx.l0, ctx.s0)
+
+
+def _major_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
+                 b: np.ndarray, phi: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Normalized major costs of a (B, nodes, n) stack of per-capita flows.
+
+    ``phi`` and ``x0`` are each flow's induced prices and major positions
+    (``_major_response``); the price enters the flow's running cost.
+    """
     lat = lattice
-    x0 = _flows_first(integrate_forward(lat, spec.chi0, np.moveaxis(b + ctx.l0, 0, 1),
-                                        ctx.s0))
     fbar = _quad(x0, spec.major_cost.c0f) + _dot(ctx.h0f, x0)
     running = (_dot(b, phi)
                + _quad(b, ctx.exo.lam0[lat.level_of])
@@ -129,7 +156,9 @@ def cost_major(spec: ModelSpec, lattice: NoiseLattice, population: AgentPopulati
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     op = operator if operator is not None else ClearingOperator(
         ctx, ctx.group_tables(population), population.weights)
-    return float(_major_costs(spec, ctx, lattice, op, beta.values[None] / population.N)[0])
+    b = beta.values[None] / population.N
+    return float(_major_costs(spec, ctx, lattice, b,
+                              *_major_response(spec, ctx, lattice, op, b))[0])
 
 
 def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
@@ -141,7 +170,9 @@ def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
     """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     op = operator if operator is not None else ClearingOperator(ctx, *mean_group(ctx))
-    return float(_major_costs(spec, ctx, lattice, op, beta.values[None])[0])
+    b = beta.values[None]
+    return float(_major_costs(spec, ctx, lattice, b,
+                              *_major_response(spec, ctx, lattice, op, b))[0])
 
 
 # -- perturbation verification ----------------------------------------------
@@ -254,6 +285,22 @@ def perturbation_tests(spec: ModelSpec, lattice: NoiseLattice, levels,
             for level in levels}
 
 
+def _responses(respond, ctrls: np.ndarray) -> list:
+    """``respond`` per flow of a (B, nodes, n) stack: one tuple of arrays, or None if it fails.
+
+    The stack is solved as one batch.  If the batch raises a market or
+    linear-algebra error, its flows are solved again one at a time, so that
+    exactly the failing flows read None.
+    """
+    try:
+        out = respond(ctrls)
+    except (MarketClearError, np.linalg.LinAlgError):
+        if len(ctrls) == 1:
+            return [None]
+        return [_responses(respond, c[None])[0] for c in ctrls]
+    return [tuple(r[i] for r in out) for i in range(len(ctrls))]
+
+
 def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
                       directions: int = 20, eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
                       population: AgentPopulation | None = None,
@@ -271,11 +318,20 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     here; giving both is an error.  The directions are
     ``perturbation_directions(lattice, n, directions, seed)``.
 
-    The nonzero amplitudes of one direction are evaluated as one batch: one
-    cost call for all of them, which on the major levels clears every
-    perturbed flow in one batched re-solve.  A direction fails, and its row
-    of ``delta_j`` and its fit read NaN, iff its batch raises a market or
-    linear-algebra error, that is iff any of its amplitudes fails.
+    Each direction is evaluated along its exact line.  The responses to a
+    control, the clearing price (major levels) and the position, are affine
+    in it: the clearing system is an affine FBSDE whose forward drift is
+    ``l - b``, and the position integrates the rate.  So the base control
+    ``u`` is solved once, each direction's end point ``u + eta`` once, and
+    every nonzero amplitude reads ``r(eps) = r(u) + eps (r(u + eta) - r(u))``
+    before its cost is taken at the control ``u + eps eta``; this equals a
+    solve at ``u + eps eta`` up to round-off.  The end points are cleared in
+    batches of at most as many directions as the grid has nonzero
+    amplitudes.  A direction fails, and its row of ``delta_j`` and its fit
+    read NaN, iff its end point raises a market or linear-algebra error; a
+    failing batch is solved again one direction at a time.  If the base
+    control fails, the error propagates, as no direction has a line
+    without it.
     """
     eps = _checked_eps_grid([level], directions, eps_grid)
     if equilibrium is not None and population is not None:
@@ -285,41 +341,54 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     if level in _FINITE_LEVELS and equilibrium is None:
         equilibrium = _finite_equilibrium(spec, lattice, ctx, population)
 
+    control = lambda ctrls: ctrls
     if level == "minor":
         eq = equilibrium
         grp = eq.population.groups[0]
         base_ctrl = eq.alpha_hat[0]
         tab = ctx.minor_tables(grp.bundle_index, grp.atom_index)
 
-        def evaluate(ctrls):
-            return _minor_costs(spec, ctx, lattice, eq.price.values, ctrls, tab)
-    elif level == "major-N":
-        pop = equilibrium.population
-        base_ctrl = equilibrium.beta_hat.values
-        op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
+        def respond(alphas):
+            return (_positions(lattice, tab.xi, alphas, tab.l, tab.sig0),)
 
-        def evaluate(ctrls):
-            return _major_costs(spec, ctx, lattice, op, ctrls / pop.N)
+        def costs(alphas, x):
+            return _minor_costs(spec, ctx, lattice, eq.price.values, alphas, x, tab)
     else:
-        mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
-        base_ctrl = mf.beta_hat.values
-        op = ClearingOperator(ctx, *mean_group(ctx))
+        if level == "major-N":
+            pop = equilibrium.population
+            base_ctrl = equilibrium.beta_hat.values
+            op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
+            control = lambda ctrls: ctrls / pop.N
+        else:
+            mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
+            base_ctrl = mf.beta_hat.values
+            op = ClearingOperator(ctx, *mean_group(ctx))
 
-        def evaluate(ctrls):
-            return _major_costs(spec, ctx, lattice, op, ctrls)
+        def respond(b):
+            return _major_response(spec, ctx, lattice, op, b)
 
-    base_j = evaluate(base_ctrl[None])[0]
+        def costs(b, phi, x0):
+            return _major_costs(spec, ctx, lattice, b, phi, x0)
+
+    base = control(base_ctrl[None])
+    base_resp = respond(base)
+    base_j = costs(base, *base_resp)[0]
     etas = perturbation_directions(lattice, n, directions, seed)
     nonzero = eps != 0.0
+    amps = eps[nonzero, None, None]
     dj = np.zeros((directions, len(eps)))
     failed = []
-    for d, eta in enumerate(etas):
-        # the direction's nonzero amplitudes are one batch: any failure fails them all
-        try:
-            dj[d, nonzero] = evaluate(base_ctrl + eps[nonzero, None, None] * eta) - base_j
-        except (MarketClearError, np.linalg.LinAlgError):
-            dj[d, :] = np.nan
-            failed.append(d)
+    batch = int(nonzero.sum())
+    for lo in range(0, directions, batch) if batch else ():
+        ends = _responses(respond, control(base_ctrl + np.stack(etas[lo:lo + batch])))
+        for d, end in enumerate(ends, start=lo):
+            if end is None:
+                dj[d, :] = np.nan
+                failed.append(d)
+                continue
+            line = (r0 + amps * (r1 - r0) for r0, r1 in zip(base_resp, end))
+            dj[d, nonzero] = costs(control(base_ctrl + amps * etas[d]), *line) - base_j
+        del ends, end  # views of the batch's end points, freed before the next solve
     fits = np.full((directions, 3), np.nan)
     ok = [d for d in range(directions) if d not in failed]
     if ok:

@@ -141,7 +141,7 @@ def test_factor_budget_raises_before_the_matrix_pass(monkeypatch) -> None:
     system = full_system(scalar_market_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
     mf, mb = system.mf, system.mb
     lat = system.lattice
-    need = (lat.steps * (mb * mb + 4 * mb * mf) + lat.num_nodes * (3 * mf + 5 * mb)) * 8
+    need = (lat.steps * (mb * mb + 4 * mb * mf) + lat.num_nodes * (3 * mf + 4 * mb)) * 8
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need)
     DirectSolver(system)
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need - 1)

@@ -352,7 +352,7 @@ def test_clearing_operator_checks_the_budget_before_building_blocks(monkeypatch)
     # solver factors and node vectors, plus the kept Bbf per level and S, bb per node
     mf = mb = 2
     need = 8 * (lat.steps * (mb * mb + 5 * mb * mf)
-                + lat.num_nodes * (3 * mf + 5 * mb + mf * lat.d0 + mb))
+                + lat.num_nodes * (3 * mf + 4 * mb + mf * lat.d0 + mb))
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need - 1)
     with pytest.raises(BudgetError):
         ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)

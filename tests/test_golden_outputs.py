@@ -49,10 +49,10 @@ GOLDEN = {
         "summary.json": "cfd1bf9e8a0053d8f2e4036ff9869a2290ccf78112aaf4ffc78815d2efb92363",
     },
     ("benchmark.model", "verify"): {
-        "perturbation_major-N.csv": "cfd111ff5602e8b73f67bf6d0fbc151a4cee3e8c9b422c2caf80af20b0e81173",
-        "perturbation_major-mfg.csv": "090adf00d833bb8886cd028435dd075976b561313a04a7a3754f1875a0d5d46f",
-        "perturbation_minor.csv": "cd11a9be14fc73e9664c8f532dc84c0e21d1f2a127bfc03747eae49f70e252b1",
-        "summary.json": "01617049ddcea2ee18b306496570eb913b60c13de5e373852710bfefd3fa9480",
+        "perturbation_major-N.csv": "c067718814c9316ad868beb6968165c4407be8ca64b03203bffc8fd52d9a1cb6",
+        "perturbation_major-mfg.csv": "491aa195b67e2d626fdb3508126c9d293e3c7a5643df8a96ef81c2d142cf0675",
+        "perturbation_minor.csv": "da822cccd62bb4f3c101202514ec0be3f3fcfe17f904ebd01de2d4f615272a31",
+        "summary.json": "ed1b849995389839ebf665550b589a72eda49e0773d496c1dddfb72a7eaa8810",
     },
     ("benchmark.model", "lattice-dump"): LATTICE,
     ("maturity.model", "solve-n"): {
@@ -68,10 +68,10 @@ GOLDEN = {
         "summary.json": "b5889069076497be7cb822a2b0f5a8b488827b94cbfc76ea35b1157c7df5dda7",
     },
     ("maturity.model", "verify"): {
-        "perturbation_major-N.csv": "1122d784e184ddb71850d39ef4764588a0ba0bdfdbc6e70e8c3c9d42a00c87e6",
-        "perturbation_major-mfg.csv": "0d7850708dc81b10c03bd2e7dd4478c75e6e4a49d50f14ea2cd4274811505cf0",
-        "perturbation_minor.csv": "287e93387886c970a3d64a2df097a9d7f3c488faeeae294a4e6f84f8e7914374",
-        "summary.json": "0a824f44895794f20a329959761db644934ca5f983dca54950eb0d919377c1ad",
+        "perturbation_major-N.csv": "7d531feccfa75903a07b23bde801fb121797ae7fb79a596a62fc056de960d1e0",
+        "perturbation_major-mfg.csv": "3c6aa0a51c512dc3e5c2f7d139be8d139844f9f439e2ca831b22a14294e86595",
+        "perturbation_minor.csv": "37a3255006b8c16652a0c9ff64d5f393433fa0d0bdc887e5a30d746b359637bf",
+        "summary.json": "74f1619527f33d6bf34477463e2a95bf81789efb31af394bb4be12374156d03e",
     },
     ("maturity.model", "lattice-dump"): LATTICE,
     ("two_assets.json", "solve-n"): {
@@ -87,10 +87,10 @@ GOLDEN = {
         "summary.json": "eea683ca7916411c4d1efe39b5f86b48abe8cdeec703c231f31aa44346f66e9e",
     },
     ("two_assets.json", "verify"): {
-        "perturbation_major-N.csv": "2639d399e40e5c7a1675a997f8f87948f23a8565b4d38085457dd6d29db2c11c",
-        "perturbation_major-mfg.csv": "60eb2f9a2b93f7a31a291b149c61e33bac24b7acf3d1d2fa2e09f9e46251837c",
-        "perturbation_minor.csv": "3a98ad0548dcc9e222d70dc34dcb753fb23fd702190a0f0f36e9378516cedd7b",
-        "summary.json": "fe343274f77ebea2fa12cf4d383b47a55fe77027e07cfe3bbc12582681f54100",
+        "perturbation_major-N.csv": "1d7ea102b83034e6814a601376562a5c5c00c6085bd99886f4844d6946cc346d",
+        "perturbation_major-mfg.csv": "558104c50a38a8ff2397ad8919ad33a019287b4feb1b5d2529d99eba34852ff0",
+        "perturbation_minor.csv": "59a546b91225eb84acd9800bb74d7491adf5b510cbb843cb0368a68f7e4250a2",
+        "summary.json": "8ad47ad238ea3c668adb9219ae869208f48ea64e89238a38ed46826a404067d5",
     },
     ("two_assets.json", "lattice-dump"): LATTICE,
 }

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from marketclear.errors import ValidationError
 from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        make_population, solve_full_equilibrium)
 from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
-from marketclear.optimality import (LEVELS, cost_major, cost_minor,
+from marketclear.optimality import (DEFAULT_EPS_GRID, LEVELS, cost_major, cost_minor,
                                     hamiltonian_mfg, hamiltonian_minor,
                                     hamiltonian_system, minimizer_alpha,
                                     minimizer_beta, perturbation_directions,
@@ -205,22 +207,46 @@ def test_eps_grid_validation() -> None:
         perturbation_test(spec, lat, "major-N", eps_grid=(-0.1, 0.1))
 
 
+def test_clearing_batches_stay_within_the_amplitude_count(monkeypatch) -> None:
+    # every clearing solve of a perturbation check takes at most as many flows
+    # as the grid has nonzero amplitudes, and a major level makes at most
+    # 1 + ceil(directions / amplitudes) of them: its base, then its end points
+    real, calls = ClearingOperator.solve, []
+
+    def solve(self, beta_norms):
+        calls.append((self, len(beta_norms)))
+        return real(self, beta_norms)
+
+    monkeypatch.setattr(ClearingOperator, "solve", solve)
+    directions = 13
+    amplitudes = sum(e != 0.0 for e in DEFAULT_EPS_GRID)
+    perturbation_tests(scalar_market_spec(delta=0.3, N=3), tree(3), LEVELS,
+                       directions=directions, seed=4)
+    assert max(flows for _, flows in calls) <= amplitudes
+    operators = {op for op, _ in calls}
+    assert len(operators) == 2  # major-N and major-mfg
+    for op in operators:
+        flows = [f for o, f in calls if o is op]
+        assert len(flows) <= 1 + math.ceil(directions / amplitudes)
+        assert sum(flows) == 1 + directions
+
+
 def failing_batches(monkeypatch, exc, fail=lambda call: call > 1):
-    """Raise ``exc`` from the major cost batches whose call number ``fail`` picks.
+    """Raise ``exc`` from the clearing solves whose call number ``fail`` picks.
 
-    Call 1 is the base control; call d + 2 is the batch of direction d's
-    nonzero amplitudes.
+    Call 1 clears the base control and call 2 the end points of the first
+    batch of directions (up to six, the grid's nonzero amplitudes).  After a
+    failed batch, the next calls clear its directions one at a time.
     """
-    import marketclear.optimality as optimality
-    real, calls = optimality._major_costs, []
+    real, calls = ClearingOperator.solve, []
 
-    def costs(*args, **kwargs):
+    def solve(self, beta_norms):
         calls.append(1)
         if fail(len(calls)):
             raise exc
-        return real(*args, **kwargs)
+        return real(self, beta_norms)
 
-    monkeypatch.setattr(optimality, "_major_costs", costs)
+    monkeypatch.setattr(ClearingOperator, "solve", solve)
 
 
 def test_perturbation_counts_solver_failures_as_failed_directions(monkeypatch) -> None:
@@ -231,17 +257,31 @@ def test_perturbation_counts_solver_failures_as_failed_directions(monkeypatch) -
     assert np.all(np.isnan(rep.delta_j)) and np.all(np.isnan(rep.quadratic_fit))
 
 
-def test_one_failed_batch_fails_only_its_direction(monkeypatch) -> None:
+def only_failed(monkeypatch, directions, failing, calls) -> None:
+    """Failing the clearing solves numbered ``calls`` fails direction ``failing`` alone."""
     from marketclear.errors import SolverError
     spec, lat = scalar_market_spec(), tree(2)
-    clean = perturbation_test(spec, lat, "major-N", directions=3, seed=0)
-    failing_batches(monkeypatch, SolverError("flow 2 singular"), fail=lambda call: call == 3)
-    rep = perturbation_test(spec, lat, "major-N", directions=3, seed=0)
-    assert rep.failed == [1]
-    assert np.all(np.isnan(rep.delta_j[1])) and np.all(np.isnan(rep.quadratic_fit[1]))
-    for d in (0, 2):
-        assert np.array_equal(rep.delta_j[d], clean.delta_j[d])
-        assert np.array_equal(rep.quadratic_fit[d], clean.quadratic_fit[d])
+    clean = perturbation_test(spec, lat, "major-N", directions=directions, seed=0)
+    failing_batches(monkeypatch, SolverError("flow singular"), fail=lambda call: call in calls)
+    rep = perturbation_test(spec, lat, "major-N", directions=directions, seed=0)
+    assert rep.failed == [failing]
+    assert np.all(np.isnan(rep.delta_j[failing]))
+    assert np.all(np.isnan(rep.quadratic_fit[failing]))
+    for d in range(directions):
+        if d != failing:
+            assert np.array_equal(rep.delta_j[d], clean.delta_j[d])
+            assert np.array_equal(rep.quadratic_fit[d], clean.quadratic_fit[d])
+
+
+def test_one_failed_batch_fails_only_its_direction(monkeypatch) -> None:
+    # call 2 is the batch of all three end points; calls 3-5 clear them alone
+    only_failed(monkeypatch, directions=3, failing=1, calls=(2, 4))
+
+
+def test_failure_in_the_middle_of_a_full_batch(monkeypatch) -> None:
+    # call 2 is the batch of directions 0-5; calls 3-8 clear them alone, and
+    # call 9 is the batch of directions 6 and 7
+    only_failed(monkeypatch, directions=8, failing=3, calls=(2, 6))
 
 
 def test_perturbation_propagates_programming_errors(monkeypatch) -> None:
