@@ -3,12 +3,19 @@
 The reference side of every distance is the exact atom law carried by the
 population-limit solution, so only the finite-population empirical side
 fluctuates.  One-dimensional distances use the exact quantile coupling (any
-weights), evaluated for every node of a field at once from merged
-cumulative-weight breakpoints; multi-dimensional ones use an exact assignment
-between equal-count uniform clouds.  The convergence study prices every row
-on one basis: a homogeneous finite market is the population limit on its
-empirical law, whose price is affine in the atom weights, so the A atom
-prices, solved together once, give every row's price gap.
+weights), split in two: the interval structure (sort orders, merged
+cumulative-weight breakpoints, widths and the atom held on each side of
+every interval) and the sum of ``width * |xa - xb| ** power`` in interval
+order.  Multi-dimensional ones use an exact assignment between equal-count
+uniform clouds.  The convergence study prices every row on one basis: a
+homogeneous finite market is the population limit on its empirical law,
+whose price is affine in the atom weights, so the A atom prices, solved
+together once, give every row's price gap.  Its distance terms compare two
+weightings of the same atom values at every node, so a node's interval
+structure depends on its values only through their sort order: the nodes
+are sorted and grouped by order once per study, and each count row builds
+one structure per order.  All agents' draws of all rows come from one
+vectorised pass over their Philox streams.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .finite_market import (MarketContext, _flow_and_price, build_full_system,
 from .mean_field import MfgSolution, solve_mfg
 from .model import ModelSpec
 from .scenario import (NodeField, NoiseLattice, apply_block, sample_idiosyncratic,
-                       _splitmix64)
+                       _draw_atoms, _splitmix64)
 
 ATOM_BUDGET = 4096
 AGENT_BUDGET = 4096
@@ -78,26 +85,30 @@ def _quantile_coupling_cost(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray,
     """Exact cost of the monotone coupling of two 1-d discrete laws, per column.
 
     ``xa`` (Aa, m) and ``xb`` (Ab, m) hold m pairs of atom clouds weighted by
-    ``wa`` (Aa,) and ``wb`` (Ab,).  Columns are processed in blocks that keep
-    the (Aa + Ab, columns) work arrays near ``_COUPLING_BLOCK`` elements.
+    ``wa`` (Aa,) and ``wb`` (Ab,).  Each column gets its own interval
+    structure.  Columns are processed in blocks that keep the (Aa + Ab,
+    columns) work arrays near ``_COUPLING_BLOCK`` elements.
     """
     Aa, m = xa.shape
     out = np.empty(m)
     block = max(1, _COUPLING_BLOCK // (Aa + xb.shape[0]))
     for lo in range(0, m, block):
         cols = slice(lo, lo + block)
-        out[cols] = _coupling_block(xa[:, cols], wa, xb[:, cols], wb, power)
+        widths, ja, jb = _interval_structure(xa[:, cols], wa, xb[:, cols], wb)
+        out[cols] = _interval_sum(widths, np.take_along_axis(xa[:, cols], ja, axis=0),
+                                  np.take_along_axis(xb[:, cols], jb, axis=0), power)
     return out
 
 
-def _coupling_block(xa, wa, xb, wb, power):
-    """Quantile coupling through merged cumulative-weight breakpoints.
+def _interval_structure(xa, wa, xb, wb):
+    """Intervals of the quantile coupling through merged cumulative-weight breakpoints.
 
     Per column each side is sorted and its cumulative weights are the
     breakpoints where it moves to its next atom.  Between consecutive merged
     breakpoints both sides hold one atom each, the index being the count of
-    that side's breakpoints already passed; the interval costs its width
-    times |xa - xb|^power.
+    that side's breakpoints already passed.  Returns the interval widths and
+    the row of ``xa`` and of ``xb`` held on each interval, all (Aa + Ab, m).
+    They depend on the values only through each column's sort orders.
     """
     Aa, Ab = xa.shape[0], xb.shape[0]
     oa = np.argsort(xa, axis=0, kind="stable")
@@ -112,12 +123,21 @@ def _coupling_block(xa, wa, xb, wb, power):
     # sliver between them stays on each side's last atom
     np.minimum(ia, Aa - 1, out=ia)
     np.minimum(ib, Ab - 1, out=ib)
-    xa = np.take_along_axis(xa, np.take_along_axis(oa, ia, axis=0), axis=0)
-    xb = np.take_along_axis(xb, np.take_along_axis(ob, ib, axis=0), axis=0)
-    terms = widths * np.abs(xa - xb) ** power
-    # accumulated in interval order, so a column's cost does not depend on
-    # how many columns share its block
-    return np.cumsum(terms, axis=0)[-1]
+    return widths, np.take_along_axis(oa, ia, axis=0), np.take_along_axis(ob, ib, axis=0)
+
+
+def _interval_sum(widths, xa, xb, power):
+    """Sum over intervals j of ``widths[j] * |xa[j] - xb[j]| ** power``.
+
+    ``xa`` and ``xb`` hold each side's atom value on every interval, with
+    the columns behind the interval axis.  The terms are added in interval
+    order, so a column's cost depends neither on its block nor on the other
+    columns it is computed with.
+    """
+    acc = widths[0] * np.abs(xa[0] - xb[0]) ** power
+    for j in range(1, len(widths)):
+        acc = acc + widths[j] * np.abs(xa[j] - xb[j]) ** power
+    return acc
 
 
 def _canonical_order(a: EmpiricalMeasure, b: EmpiricalMeasure):
@@ -237,7 +257,12 @@ class ConvergenceReport:
 
 
 class _ReferenceClouds:
-    """Per-node atom values of the limit fields used on both distance sides."""
+    """Per-node atom values of the limit fields used on both distance sides.
+
+    For scalar securities the node columns of all four fields are grouped
+    once, by sort order (``_OrderGroups``), and every empirical weighting
+    reuses the grouping.
+    """
 
     def __init__(self, mf: MfgSolution):
         atoms = mf.ctx.atoms
@@ -248,44 +273,129 @@ class _ReferenceClouds:
         self.p = np.stack([mf.atom_field("p", a) for a in range(A)])
         self.r = np.stack([mf.atom_field("r", a) for a in range(A)])
         self.g = mf.terminal_gain_samples()                            # (A, leaves, n)
+        # the clouds of w2_g, w2_rT, int_w2_y and int_w2_p
+        self._clouds = (self.g, self.r[:, self.lattice.terminal_slice], self.y, self.p)
+        self._groups = None
+        if self.y.shape[2] == 1:
+            self._groups = _OrderGroups(np.concatenate([c[:, :, 0] for c in self._clouds],
+                                                       axis=1))
+            self._splits = np.cumsum([c.shape[1] for c in self._clouds])[:-1]
 
     def distances(self, emp_weights: np.ndarray, N: int) -> dict:
         """The four empirical-vs-limit W2^2 terms of the stability bound."""
         lat = self.lattice
-        dist = lambda values: _cloud_distance_sq(values, self.weights, emp_weights, N)
-        return {"w2_g": lat.terminal_expectation(dist(self.g)),
-                "w2_rT": lat.terminal_expectation(dist(self.r[:, lat.terminal_slice, :])),
-                "int_w2_y": lat.running_expectation(dist(self.y)),
-                "int_w2_p": lat.running_expectation(dist(self.p))}
+        if self._groups is None:
+            g, rT, y, p = (_cloud_distance_sq(c, self.weights, emp_weights, N)
+                           for c in self._clouds)
+        else:
+            costs = self._groups.coupling_costs(emp_weights, self.weights)
+            g, rT, y, p = np.split(costs, self._splits)
+        return {"w2_g": lat.terminal_expectation(g),
+                "w2_rT": lat.terminal_expectation(rT),
+                "int_w2_y": lat.running_expectation(y),
+                "int_w2_p": lat.running_expectation(p)}
+
+
+def _order_codes(order: np.ndarray) -> np.ndarray:
+    """One integer per column of an (A, M) table of sort orders, equal where the orders are.
+
+    The code is the mixed-radix number of a column's first A - 1 entries (the
+    last one follows from them).  Where the next digit could overflow, the
+    codes so far are first renumbered densely.
+    """
+    A = order.shape[0]
+    code = np.zeros(order.shape[1], dtype=np.int64)
+    span = 1  # every code lies in [0, span)
+    for row in order[:-1]:
+        if span > np.iinfo(np.int64).max // A:
+            code = np.unique(code, return_inverse=True)[1]
+            span = int(code.max()) + 1
+        code = code * A + row
+        span *= A
+    return code
+
+
+class _OrderGroups:
+    """The columns of an (A, M) table of atom values, grouped by stable sort order.
+
+    The quantile coupling of two weightings of one column's atoms depends on
+    the values only through that order (``_interval_structure``).  So for
+    given weights one structure, computed on a representative column,
+    serves every column of its group.  The table is kept with its columns
+    in group order, so a group's rows are contiguous slices.
+    """
+
+    def __init__(self, values: np.ndarray):
+        code = _order_codes(np.argsort(values, axis=0, kind="stable"))
+        self.columns = np.argsort(code, kind="stable")
+        code = code[self.columns]
+        starts = np.flatnonzero(np.concatenate([[True], code[1:] != code[:-1]]))
+        self.bounds = list(zip(starts.tolist(), starts[1:].tolist() + [len(code)]))
+        self.values = values[:, self.columns]
+        self.representatives = self.values[:, starts]
+
+    def coupling_costs(self, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+        """Quadratic quantile-coupling cost of every column between weights ``wa`` and ``wb``.
+
+        Atoms of zero weight in ``wa`` are left out of its side.  Each group
+        runs ``_interval_structure`` once, then ``_interval_sum`` over its
+        columns in blocks of about ``_COUPLING_BLOCK`` work elements; every
+        cost equals that of ``_quantile_coupling_cost`` on its own column.
+        """
+        active = np.flatnonzero(wa > 0)
+        reps = self.representatives
+        widths, ja, jb = _interval_structure(reps[active], wa[active], reps, wb)
+        ja = active[ja]
+        costs = np.empty(self.values.shape[1])
+        block = max(1, _COUPLING_BLOCK // len(widths))
+        for g, (lo, hi) in enumerate(self.bounds):
+            for start in range(lo, hi, block):
+                cols = slice(start, min(start + block, hi))
+                x = self.values[:, cols]
+                costs[cols] = _interval_sum(widths[:, g], x[ja[:, g]], x[jb[:, g]], 2)
+        out = np.empty_like(costs)
+        out[self.columns] = costs
+        return out
 
 
 def _cloud_distance_sq(values: np.ndarray, ref_weights: np.ndarray,
                        emp_weights: np.ndarray, scale: int) -> np.ndarray:
-    """W2^2 between the empirical reweighting and the exact law, per node.
+    """W2^2 between the empirical reweighting and the exact law, per node (n > 1).
 
-    ``values`` has shape (A, m, n): the same atom values carry both measures,
-    only the weights differ, so for n = 1 one batched quantile coupling covers
-    all m nodes.  For n > 1 both laws are expanded into ``scale`` equal-weight
-    atoms, which is exact when the weights are multiples of 1/scale.
+    ``values`` has shape (A, m, n): the same atom values carry both measures.
+    Both laws are expanded into ``scale`` equal-weight atoms, which is exact
+    when the weights are multiples of 1/scale.  Every node's A x A costs come
+    from one ``einsum`` per block of nodes; a node's assignment problem is
+    those costs expanded by the two clouds' atom indices, in the argument
+    order ``wasserstein2`` would use, so each term equals ``wasserstein2`` of
+    the expanded clouds, squared.
     """
     A, m, n = values.shape
-    if n != 1:
-        emp_counts = np.round(emp_weights * scale).astype(int)
-        ref_counts = np.round(ref_weights * scale).astype(int)
-        if (np.max(np.abs(emp_counts - emp_weights * scale)) > 1e-9
-                or np.max(np.abs(ref_counts - ref_weights * scale)) > 1e-9):
-            raise UnsupportedModelError(
-                "multi-dimensional distance terms need atom weights that are "
-                "multiples of 1/N; re-quantize the law or use scalar securities")
-        out = np.empty(m)
-        for v in range(m):
-            emp = EmpiricalMeasure(np.repeat(values[:, v, :], emp_counts, axis=0))
-            ref = EmpiricalMeasure(np.repeat(values[:, v, :], ref_counts, axis=0))
-            out[v] = wasserstein2(emp, ref) ** 2
-        return out
-    active = emp_weights > 0
-    return _quantile_coupling_cost(values[active, :, 0], emp_weights[active],
-                                   values[:, :, 0], ref_weights, 2)
+    emp_counts = np.round(emp_weights * scale).astype(int)
+    ref_counts = np.round(ref_weights * scale).astype(int)
+    if (np.max(np.abs(emp_counts - emp_weights * scale)) > 1e-9
+            or np.max(np.abs(ref_counts - ref_weights * scale)) > 1e-9):
+        raise UnsupportedModelError(
+            "multi-dimensional distance terms need atom weights that are "
+            "multiples of 1/N; re-quantize the law or use scalar securities")
+    from scipy.optimize import linear_sum_assignment  # slow import, n > 1 only
+
+    emp_idx = np.repeat(np.arange(A), emp_counts)
+    ref_idx = np.repeat(np.arange(A), ref_counts)
+    expand = {True: (emp_idx[:, None], ref_idx), False: (ref_idx[:, None], emp_idx)}
+    nodes = np.ascontiguousarray(values.transpose(1, 0, 2))   # (m, A, n)
+    out = np.empty(m)
+    block = max(1, _COUPLING_BLOCK // (A * A * n))
+    for lo in range(0, m, block):
+        diff = nodes[lo:lo + block, :, None, :] - nodes[lo:lo + block, None, :, :]
+        costs = np.einsum("vijk,vijk->vij", diff, diff)
+        for v, atom_costs in enumerate(costs, start=lo):
+            emp_first = nodes[v][emp_idx].tobytes() <= nodes[v][ref_idx].tobytes()
+            cost = atom_costs[expand[emp_first]]
+            rows, cols = linear_sum_assignment(cost)
+            # sum / count is the arithmetic of ``mean`` without its dispatch
+            out[v] = float(np.sqrt(cost[rows, cols].sum() / len(rows))) ** 2
+    return out
 
 
 def _atom_prices(ctx: MarketContext) -> np.ndarray:
@@ -348,16 +458,24 @@ def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
     spread = sum(ref.weights[a] * price_gap(NodeField(lattice, prices[a]), mf.price_mfg,
                                             lattice) for a in range(A))
 
+    # row (N, r) draws sample_idiosyncratic(atoms, N, derive_seed(seed, N, r));
+    # every agent of every row is drawn in one pass
+    sizes = np.repeat(n_list, resamples)
+    seeds = np.array([derive_seed(seed, N, r) for N in n_list for r in range(resamples)],
+                     dtype=np.uint64)
+    draws = _draw_atoms(ctx.atoms, np.repeat(seeds, sizes),
+                        np.concatenate([np.arange(N) for N in sizes]))
+    counts = np.bincount(np.repeat(np.arange(len(sizes)), sizes) * A + draws,
+                         minlength=len(sizes) * A).reshape(-1, A)
     rows = []
-    for N in n_list:
-        counts = np.array([np.bincount(sample_idiosyncratic(
-            ctx.atoms, N, derive_seed(seed, N, r)), minlength=A) for r in range(resamples)])
-        # resamples with equal atom counts share every term
-        distinct, which = np.unique(counts, axis=0, return_inverse=True)
-        terms = [{"price_gap": _weight_gap(prices, c / N - ref.weights, lattice),
-                  **ref.distances(c / N, N)} for c in distinct]
-        rows += [{"N": N, "resample": r, **terms[i], "epsilon_N": epsilon_rate(N, n)}
-                 for r, i in enumerate(which.reshape(-1))]
+    terms = {}  # resamples with equal atom counts share every term
+    for i, c in enumerate(counts):
+        N, r = n_list[i // resamples], i % resamples
+        key = (N, c.tobytes())
+        if key not in terms:
+            terms[key] = {"price_gap": _weight_gap(prices, c / N - ref.weights, lattice),
+                          **ref.distances(c / N, N)}
+        rows.append({"N": N, "resample": r, **terms[key], "epsilon_N": epsilon_rate(N, n)})
 
     per_n = {}
     for N in n_list:

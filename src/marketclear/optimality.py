@@ -55,8 +55,7 @@ def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 def _expected_costs(lat: NoiseLattice, running: np.ndarray, terminal: np.ndarray) -> np.ndarray:
     """Expected cost of each flow from (B, nodes) running and (B, leaves) terminal integrands."""
-    return np.array([lat.running_expectation(np.ascontiguousarray(r))
-                     + lat.terminal_expectation(np.ascontiguousarray(t))
+    return np.array([lat.running_expectation(r) + lat.terminal_expectation(t)
                      for r, t in zip(running, terminal)])
 
 

@@ -11,10 +11,9 @@ commands never load ``orjson``.
 
 CSV lines are built as plain strings (``csv_line``), not through the ``csv``
 module; the fields never need quoting, so the bytes are the same.  Node
-fields are written column-wise: the ``node_id,t,`` prefixes are formatted
-once per lattice, each component column is formatted by one ``float_texts``
-call and slotted into its stride of the lines, and the field goes out in a
-single write.
+fields are written whole: the ``node_id,t,`` prefixes are formatted once
+per lattice, all of a field's values are formatted by one ``float_texts``
+call, and the field goes out in a single write.
 """
 
 from __future__ import annotations
@@ -72,20 +71,24 @@ def _node_prefixes(lat) -> list[str]:
 def _field_emitter(fh, prefixes: list[str]):
     """emit(owner, name, values): write every line of a node field in one write.
 
-    Lines run node by node, components within a node; each component column is
-    formatted by one ``float_texts`` call and slotted into its stride of the
-    lines.
+    Lines run node by node, components within a node, which is the order of
+    ``values.ravel()``, so one ``float_texts`` call formats the whole field.
+    A line is the four parts ``[prefix, head, text, "\n"]``.  One list of
+    those parts, with the prefixes in place, is kept per component count;
+    each field writes only its heads and texts into it and joins it once.
     """
+    parts_of = {}
 
     def emit(owner, name, values):
         values = np.asarray(values, dtype=float)
         comps = values.shape[1]
-        lines = [""] * (len(prefixes) * comps)
-        for c in range(comps):
-            head = f"{owner},{name},{c},"
-            texts = float_texts(values[:, c])
-            lines[c::comps] = [f"{p}{head}{x}\n" for p, x in zip(prefixes, texts)]
-        fh.write("".join(lines))
+        parts = parts_of.get(comps)
+        if parts is None:
+            parts = parts_of[comps] = [None, None, None, "\n"] * (len(prefixes) * comps)
+            parts[0::4] = [p for p in prefixes for _ in range(comps)]
+        parts[1::4] = [f"{owner},{name},{c}," for c in range(comps)] * len(prefixes)
+        parts[2::4] = float_texts(values.ravel())
+        fh.write("".join(parts))
 
     return emit
 

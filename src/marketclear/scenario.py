@@ -24,6 +24,11 @@ from .errors import AssumptionViolationError, BudgetError, ValidationError
 DEFAULT_NODE_BUDGET = 2**20
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))  # key bumps
+_DRAW_BLOCK = 1 << 10  # draws per block of Philox lanes; bounds their ~20 temporaries
 
 
 def _splitmix64(x: int) -> int:
@@ -34,12 +39,66 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _splitmix64_lanes(x: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` of every element of a uint64 array (wrapping arithmetic)."""
+    z = x + _U64(_SPLITMIX_GAMMA)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
 def _stream_key(seed: int, stream: tuple) -> list[int]:
     """The Philox key of a named substream of ``seed``."""
     lane = 0
     for part in stream:
         lane = _splitmix64(lane ^ (int(part) & 0xFFFFFFFFFFFFFFFF))
     return [int(seed) & 0xFFFFFFFFFFFFFFFF, lane]
+
+
+def _mulhilo64(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product of each element of ``a`` and ``m``."""
+    m_lo, m_hi = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
+    a_lo, a_hi = a & _LOW32, a >> _U64(32)
+    lo_lo, lo_hi, hi_lo = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    carry = (lo_lo >> _U64(32)) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    high = a_hi * m_hi + (lo_hi >> _U64(32)) + (hi_lo >> _U64(32)) + (carry >> _U64(32))
+    return high, a * _U64(m)
+
+
+def _philox_first(key0: np.ndarray, key1: np.ndarray) -> np.ndarray:
+    """First 64-bit output of ``np.random.Philox(key=[key0, key1])``, per lane.
+
+    A fresh generator's first ``random_raw`` is word 0 of Philox4x64-10 at
+    counter (1, 0, 0, 0) (Salmon et al., SC'11): ten rounds, the key bumped
+    by the Weyl constants before each round after the first.
+    """
+    c0 = np.ones_like(key0)
+    c1 = c2 = c3 = np.zeros_like(key0)
+    for r in range(10):
+        if r:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo64(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo64(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    return c0
+
+
+def _stream_uniforms(seeds: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """``stream_rng(seeds[i], streams[i]).random()`` for every i, in one pass.
+
+    The key of each pair is ``_stream_key`` on uint64 lanes, its first raw
+    Philox output comes from ``_philox_first`` and is mapped to [0, 1) as
+    ``Generator.random`` maps it, ``(raw >> 11) * 2**-53``.  Lanes run in
+    blocks of ``_DRAW_BLOCK``, which bounds the temporaries.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    streams = np.asarray(streams, dtype=np.uint64)
+    out = np.empty(seeds.shape[0])
+    for lo in range(0, len(out), _DRAW_BLOCK):
+        block = slice(lo, lo + _DRAW_BLOCK)
+        raw = _philox_first(seeds[block], _splitmix64_lanes(streams[block]))
+        out[block] = (raw >> _U64(11)).astype(np.float64) * 2.0**-53
+    return out
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -264,12 +323,21 @@ class NoiseLattice:
         return out
 
     def running_expectation(self, per_node: np.ndarray) -> float:
-        """Probability- and dt-weighted sum over the non-terminal nodes."""
+        """Probability- and dt-weighted sum over the non-terminal nodes.
+
+        A strided ``per_node`` is copied first: the dot product of a view can
+        round differently from that of its contiguous copy.
+        """
         cutoff = self.level_range(self.steps)[0]
-        return self.dt * float(np.dot(self.path_prob[:cutoff], per_node[:cutoff]))
+        per_node = np.ascontiguousarray(per_node[:cutoff])
+        return self.dt * float(np.dot(self.path_prob[:cutoff], per_node))
 
     def terminal_expectation(self, per_leaf: np.ndarray) -> float:
-        """Probability-weighted sum of values given on the terminal level only."""
+        """Probability-weighted sum of values given on the terminal level only.
+
+        Like ``running_expectation``, it copies a strided ``per_leaf`` first.
+        """
+        per_leaf = np.ascontiguousarray(per_leaf)
         return float(np.dot(self.path_prob[self.terminal_slice], per_leaf))
 
     def signature(self) -> tuple:
@@ -398,22 +466,18 @@ def sample_idiosyncratic(law: IdiosyncraticAtoms, count: int, seed: int) -> np.n
     """Draw ``count`` i.i.d. atom indices, one independent stream per draw.
 
     Draw ``i`` is the first ``stream_rng(seed, i).random()`` value: adding or
-    removing other agents, or reordering the loop, never changes it.  One
-    Philox generator serves every draw; it is reset through its documented
-    ``state`` to the stream's key with a zero counter and an empty buffer,
-    and its first 64-bit output is mapped to [0, 1) as ``Generator.random``
-    does, ``(raw >> 11) * 2**-53``.
+    removing other agents, or reordering the loop, never changes it.  The
+    streams are those of ``stream_rng``, computed for all draws in one
+    vectorised pass (``_stream_uniforms``) rather than one generator each.
     """
+    return _draw_atoms(law, np.full(count, int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64),
+                      np.arange(count, dtype=np.uint64))
+
+
+def _draw_atoms(law: IdiosyncraticAtoms, seeds: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """The atom index drawn by each (seed, stream) pair, by inversion of the law's cdf."""
     if law.count == 0:
         raise ValidationError("empty idiosyncratic law")
     cdf = np.cumsum(law.weights)
     cdf[-1] = 1.0
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    state = bitgen.state
-    key = state["state"]["key"]
-    u = np.empty(count)
-    for i in range(count):
-        key[:] = _stream_key(seed, (i,))
-        bitgen.state = state
-        u[i] = (bitgen.random_raw() >> 11) * 2.0**-53
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    return np.searchsorted(cdf, _stream_uniforms(seeds, streams), side="right").astype(np.int64)

@@ -5,6 +5,12 @@ with random positive weights or empirical weights count/N that may be zero,
 on continuous values, on a coarse integer grid that produces ties, or on
 fully degenerate clouds.  The batched breakpoint routine must match the
 scalar sweep of ``coupling_oracle`` column by column, for powers 1 and 2.
+
+The grouped path of the convergence study (one interval structure per sort
+order) must equal the per-column routine byte for byte: on random tables of
+up to 6 atoms, and on the limit fields of models on binary and trinomial
+trees.  For n > 1 the lean assignment loop must equal ``wasserstein2`` of
+the expanded clouds byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketclear import metrics
+from marketclear.mean_field import solve_mfg
 from marketclear.metrics import EmpiricalMeasure, wasserstein1_1d, wasserstein2
+from marketclear.model import Dimensions, DiscreteLaw, make_spec
+from marketclear.scenario import TimeGrid, build_lattice
 
 from coupling_oracle import quantile_coupling_cost
 
@@ -102,3 +111,106 @@ def test_distances_use_the_coupling_and_stay_symmetric(case) -> None:
     scale = max(np.abs(a.atoms).max(), np.abs(b.atoms).max()) ** 2
     assert abs(wasserstein2(a, b) ** 2 - want) <= 1e-12 * scale
 
+
+grouped_cases = st.fixed_dictionaries({
+    "atoms": st.integers(1, 6),
+    "columns": st.integers(1, 40),
+    "values": st.sampled_from(["continuous", "ties", "degenerate"]),
+    "N": st.integers(1, 20),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def empirical_weights(rng, N: int, weights: np.ndarray) -> np.ndarray:
+    """count/N of N draws from ``weights``: zero counts happen."""
+    return rng.multinomial(N, weights) / N
+
+
+@SETTINGS
+@given(grouped_cases)
+def test_grouped_coupling_equals_per_column_coupling(case) -> None:
+    rng = np.random.default_rng(case["seed"])
+    A = case["atoms"]
+    x = draw_values(rng, case["values"], A, case["columns"], float(rng.normal()))
+    ref = draw_weights(rng, "positive", A)
+    emp = empirical_weights(rng, case["N"], ref)
+    active = emp > 0
+    want = metrics._quantile_coupling_cost(x[active], emp[active], x, ref, 2)
+    groups = metrics._OrderGroups(x)
+    assert groups.coupling_costs(emp, ref).tobytes() == want.tobytes()
+    with mock.patch.object(metrics, "_COUPLING_BLOCK", 1):   # one column per block
+        assert groups.coupling_costs(emp, ref).tobytes() == want.tobytes()
+
+
+def test_order_codes_survive_renumbering() -> None:
+    # 40 atoms overflow a plain mixed-radix code after 11 digits
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 3, (40, 12)).astype(float)
+    x = np.concatenate([x, x[:, ::3]], axis=1)   # repeated orders
+    order = np.argsort(x, axis=0, kind="stable")
+    code = metrics._order_codes(order)
+    for i in range(x.shape[1]):
+        for j in range(x.shape[1]):
+            assert (code[i] == code[j]) == np.array_equal(order[:, i], order[:, j])
+
+
+model_cases = st.fixed_dictionaries({
+    "atoms": st.integers(1, 6),
+    "ties": st.booleans(),
+    "branching": st.sampled_from([2, 3]),
+    "steps": st.integers(1, 3),
+    "N": st.integers(1, 12),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(model_cases)
+def test_reference_distances_equal_per_field_coupling(case) -> None:
+    rng = np.random.default_rng(case["seed"])
+    A = case["atoms"]
+    xi = (rng.integers(-1, 2, (A, 1)).astype(float) if case["ties"]
+          else rng.normal(0.0, 1.0, (A, 1)))
+    weights = draw_weights(rng, "positive", A)
+    spec = make_spec(Dimensions(n=1, d0=1, d=0, N=case["N"]), delta=0.3,
+                     xi_law=DiscreteLaw(xi, weights),
+                     c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
+    lat = build_lattice(TimeGrid(1.0, case["steps"]), d0=1, branching=case["branching"])
+    ref = metrics._ReferenceClouds(solve_mfg(spec, lat, check=False))
+    emp = empirical_weights(rng, case["N"], ref.weights)
+    active = emp > 0
+    dist = lambda values: metrics._quantile_coupling_cost(
+        values[active, :, 0], emp[active], values[:, :, 0], ref.weights, 2)
+    tsl = lat.terminal_slice
+    want = {"w2_g": lat.terminal_expectation(dist(ref.g)),
+            "w2_rT": lat.terminal_expectation(dist(ref.r[:, tsl, :])),
+            "int_w2_y": lat.running_expectation(dist(ref.y)),
+            "int_w2_p": lat.running_expectation(dist(ref.p))}
+    assert ref.distances(emp, case["N"]) == want
+
+
+assignment_cases = st.fixed_dictionaries({
+    "atoms": st.integers(1, 4),
+    "n": st.sampled_from([2, 3]),
+    "N": st.sampled_from([7, 12, 16, 4]),
+    "nodes": st.integers(4, 16),
+    "ties": st.booleans(),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(assignment_cases)
+def test_lean_assignment_loop_equals_expanded_clouds(case) -> None:
+    rng = np.random.default_rng(case["seed"])
+    A, N = case["atoms"], case["N"]
+    shape = (A, case["nodes"], case["n"])
+    values = (rng.integers(-1, 2, shape).astype(float) if case["ties"]
+              else rng.normal(0.0, 1.0, shape))
+    ref_counts = 1 + rng.multinomial(N - A, np.full(A, 1.0 / A))   # every atom carried
+    emp_counts = rng.multinomial(N, ref_counts / N)                 # zero counts happen
+    got = metrics._cloud_distance_sq(values, ref_counts / N, emp_counts / N, N)
+    want = [wasserstein2(EmpiricalMeasure(np.repeat(values[:, v], emp_counts, axis=0)),
+                         EmpiricalMeasure(np.repeat(values[:, v], ref_counts, axis=0))) ** 2
+            for v in range(case["nodes"])]
+    assert got.tobytes() == np.array(want).tobytes()

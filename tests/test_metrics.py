@@ -12,7 +12,7 @@ from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (MarketContext, make_population,
                                        solve_full_equilibrium)
 from marketclear.mean_field import solve_mfg
-from marketclear.metrics import (EmpiricalMeasure, _cloud_distance_sq, _ReferenceClouds,
+from marketclear.metrics import (EmpiricalMeasure, _quantile_coupling_cost, _ReferenceClouds,
                                  convergence_study, derive_seed, epsilon_rate,
                                  fit_loglog, price_gap, stability_gap,
                                  wasserstein1_1d, wasserstein2)
@@ -196,7 +196,9 @@ def test_study_rows_match_full_finite_solves() -> None:
         assert row["price_gap"] == pytest.approx(price_gap(eq.price, mf.price_mfg, lat),
                                                  rel=1e-12, abs=1e-14)
         emp_w = np.bincount(draw, minlength=3) / N
-        dist = lambda values: _cloud_distance_sq(values, ref.weights, emp_w, N)
+        active = emp_w > 0
+        dist = lambda values: _quantile_coupling_cost(values[active, :, 0], emp_w[active],
+                                                      values[:, :, 0], ref.weights, 2)
         assert row["w2_g"] == lat.terminal_expectation(dist(ref.g))
         assert row["w2_rT"] == lat.terminal_expectation(dist(ref.r[:, tsl, :]))
         assert row["int_w2_y"] == lat.running_expectation(dist(ref.y))

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from marketclear import scenario
 from marketclear.errors import BudgetError, ValidationError
 from marketclear.model import Dimensions, DiscreteLaw, make_spec
 from marketclear.scenario import (IdiosyncraticAtoms, NodeField, TimeGrid,
@@ -125,7 +128,7 @@ def test_sampling_reproducible_and_stream_stable() -> None:
 @given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 40),
        weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
 def test_sampling_equals_one_stream_generator_per_draw(seed, count, weights) -> None:
-    # the reused, reset Philox draws what a fresh stream generator per agent draws
+    # the vectorised pass draws what a fresh stream generator per agent draws
     w = np.array(weights)
     atoms = IdiosyncraticAtoms(xi=np.zeros((len(w), 1)), ci=np.zeros((len(w), 2, 1)),
                                weights=w / w.sum())
@@ -181,3 +184,43 @@ def test_stream_rng_streams_are_distinct() -> None:
     b = stream_rng(7, 1).random()
     assert a != b
     assert stream_rng(7, 0).random() == a
+
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(keys=st.lists(st.tuples(U64, U64), min_size=1, max_size=16))
+def test_vectorised_philox_equals_numpy_philox(keys) -> None:
+    key0, key1 = (np.array(side, dtype=np.uint64) for side in zip(*keys))
+    want = [np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw() for key in keys]
+    assert scenario._philox_first(key0, key1).tolist() == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=U64, parts=st.lists(U64, min_size=1, max_size=16))
+def test_splitmix_lanes_equal_stream_keys(seed, parts) -> None:
+    lanes = scenario._splitmix64_lanes(np.array(parts, dtype=np.uint64))
+    assert lanes.tolist() == [scenario._stream_key(seed, (part,))[1] for part in parts]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(pairs=st.lists(st.tuples(U64, U64), min_size=0, max_size=12))
+def test_stream_uniforms_equal_stream_generators_across_blocks(pairs) -> None:
+    seeds = np.array([s for s, _ in pairs], dtype=np.uint64)
+    streams = np.array([i for _, i in pairs], dtype=np.uint64)
+    want = [stream_rng(s, i).random() for s, i in pairs]
+    with mock.patch.object(scenario, "_DRAW_BLOCK", 5):
+        assert scenario._stream_uniforms(seeds, streams).tolist() == want
+    assert scenario._stream_uniforms(seeds, streams).tolist() == want
+
+
+@pytest.mark.parametrize("branching", [2, 3])
+def test_expectations_do_not_depend_on_layout(branching) -> None:
+    # a strided column of a stack and its contiguous copy: np.dot of the
+    # view may round differently, the expectations may not
+    lat = build_lattice(TimeGrid(1.0, 5), d0=1, branching=branching)
+    stack = np.random.default_rng(0).normal(size=(lat.num_nodes, 3))
+    column, leaves = stack[:, 1], stack[lat.terminal_slice, 2]
+    assert lat.running_expectation(column) == lat.running_expectation(column.copy())
+    assert lat.terminal_expectation(leaves) == lat.terminal_expectation(leaves.copy())
