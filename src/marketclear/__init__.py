@@ -27,8 +27,6 @@ from .model import (AssumptionReport, CallableMajorCost, CoefficientSpec,
                     check_major_assumptions, check_minor_assumptions, make_spec)
 from .modelfile import load_model, loads_model
 from .optimality import (PerturbationReport, cost_major, cost_mfg, cost_minor,
-                         hamiltonian_mfg, hamiltonian_minor, hamiltonian_system,
-                         minimizer_alpha, minimizer_beta, minimizer_beta_mfg,
                          perturbation_test, perturbation_tests)
 from .runio import write_lattice_csv
 from .scenario import (IdiosyncraticAtoms, NodeField, NoiseLattice, TimeGrid,

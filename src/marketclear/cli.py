@@ -70,48 +70,63 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="marketclear", description=__doc__)
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+def _common(sp):
+    sp.add_argument("--model", required=True, help="model file (text or JSON)")
+    sp.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./marketclear-out)")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="accepted for compatibility; has no effect")
+    sp.add_argument("--force", action="store_true", help="solve even if assumption checks fail")
+    sp.add_argument("--maturity", action="store_true", help="switch the model to maturity mode")
+    sp.add_argument("--config", default=None, help="JSON config supplying the same options")
+    sp.add_argument("--horizon", type=float, default=1.0)
+    sp.add_argument("--steps", type=int, default=8)
+    sp.add_argument("--branching", type=int, default=2)
 
-    def common(sp):
-        sp.add_argument("--model", required=True, help="model file (text or JSON)")
-        sp.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./marketclear-out)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="accepted for compatibility; has no effect")
-        sp.add_argument("--force", action="store_true", help="solve even if assumption checks fail")
-        sp.add_argument("--maturity", action="store_true", help="switch the model to maturity mode")
-        sp.add_argument("--config", default=None, help="JSON config supplying the same options")
-        sp.add_argument("--horizon", type=float, default=1.0)
-        sp.add_argument("--steps", type=int, default=8)
-        sp.add_argument("--branching", type=int, default=2)
 
-    sp = sub.add_parser("check", help="run the standing-assumption checks")
-    common(sp)
-
-    sp = sub.add_parser("solve-n", help="solve the finite-population equilibrium")
-    common(sp)
+def _solve_n_options(sp):
     sp.add_argument("--n-agents", type=int, default=None)
 
-    sp = sub.add_parser("solve-mfg", help="solve the population-limit equilibrium")
-    common(sp)
 
-    sp = sub.add_parser("converge", help="population-size convergence study")
-    common(sp)
+def _converge_options(sp):
     sp.add_argument("--n-list", default="8,16,32,64")
     sp.add_argument("--resamples", type=int, default=64)
 
-    sp = sub.add_parser("verify", help="perturbation checks of the solved optima")
-    common(sp)
+
+def _verify_options(sp):
     sp.add_argument("--level", choices=["minor", "major-N", "major-mfg", "all"],
                     default="all")
     sp.add_argument("--directions", type=int, default=20)
     sp.add_argument("--n-agents", type=int, default=None)
 
-    sp = sub.add_parser("lattice-dump", help="write the scenario tree as CSV")
-    common(sp)
+
+# Each subcommand's help text and its options beyond the common ones.
+_SUBCOMMANDS = {
+    "check": ("run the standing-assumption checks", None),
+    "solve-n": ("solve the finite-population equilibrium", _solve_n_options),
+    "solve-mfg": ("solve the population-limit equilibrium", None),
+    "converge": ("population-size convergence study", _converge_options),
+    "verify": ("perturbation checks of the solved optima", _verify_options),
+    "lattice-dump": ("write the scenario tree as CSV", None),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of ``command`` alone if it is one.
+
+    A command's own parser parses its arguments as the full parser does;
+    building the other subcommands would only cost time.
+    """
+    p = _Parser(prog="marketclear", description=__doc__)
+    p.add_argument("--version", action="version", version=__version__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (text, options) in _SUBCOMMANDS.items():
+        if command in _SUBCOMMANDS and name != command:
+            continue
+        sp = sub.add_parser(name, help=text)
+        _common(sp)
+        if options is not None:
+            options(sp)
     p.commands = sub.choices
     return p
 
@@ -328,7 +343,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     started = time.time()
     try:
-        parser = _build_parser()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser = _build_parser(argv[0] if argv else None)
         args = parser.parse_args(argv)
         cfg = _merge_config(args, parser.commands[args.command])
     except UsageError as exc:

@@ -214,8 +214,14 @@ def _rows(const: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _flow_max(gap: np.ndarray) -> np.ndarray:
-    """Largest |entry| of each flow of a (m, B, ...) array."""
-    return np.max(np.abs(gap), axis=(0,) + tuple(range(2, gap.ndim)), initial=0.0)
+    """Largest |entry| of each flow of a (m, B, ...) array, in any memory layout.
+
+    Each flow is reduced as one flows-first row.  A node-major gap is copied
+    to that layout first: reduced in place, its inner loops would run over
+    the few entries one flow has at one node.
+    """
+    flows = np.abs(gap).swapaxes(0, 1)
+    return np.max(flows.reshape(len(flows), -1), axis=1, initial=0.0)
 
 
 def _noise(system: FbsdeSystem, k: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .finite_market import (MarketContext, _flow_and_price, build_full_system,
 from .mean_field import MfgSolution, solve_mfg
 from .model import ModelSpec
 from .scenario import (NodeField, NoiseLattice, apply_block, sample_idiosyncratic,
-                       _draw_atoms, _splitmix64)
+                       squared_norms, _draw_atoms, _splitmix64)
 
 ATOM_BUDGET = 4096
 AGENT_BUDGET = 4096
@@ -195,7 +195,7 @@ def price_gap(phi_a: NodeField, phi_b: NodeField, lattice: NoiseLattice) -> floa
         if not np.array_equal(f.lattice.path_prob, lattice.path_prob):
             raise ValidationError("price fields live on an incompatible lattice")
     diff = phi_a.values - phi_b.values
-    return lattice.running_expectation(np.einsum("vi,vi->v", diff, diff))
+    return lattice.running_expectation(squared_norms(diff))
 
 
 def fit_loglog(ns, values, exclude=(4,), drop_below=ZERO_GAP):
@@ -423,7 +423,7 @@ def _weight_gap(prices: np.ndarray, dw: np.ndarray, lattice: NoiseLattice) -> fl
     equal weights give exactly 0.
     """
     d = (dw[:, None, None] * prices).sum(axis=0)
-    return lattice.running_expectation(np.einsum("vi,vi->v", d, d))
+    return lattice.running_expectation(squared_norms(d))
 
 
 def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
@@ -588,15 +588,15 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
         dcf = het.cf - hom.cf
         ddf = lattice.apply_levels(dcf, X) + (het.hf - hom.hf)
         dcf_r = lattice.apply_levels(dcf, R)
-        terms["dl"] += running(np.einsum("vi,vi->v", dl, dl)) / N
-        terms["dsig0"] += running(np.einsum("vij,vij->v", dsig, dsig)) / N
-        terms["ddfdx"] += running(np.einsum("vi,vi->v", ddf, ddf)) / N
-        terms["dcf_r"] += running(np.einsum("vi,vi->v", dcf_r, dcf_r)) / N
+        terms["dl"] += running(squared_norms(dl)) / N
+        terms["dsig0"] += running(squared_norms(dsig)) / N
+        terms["ddfdx"] += running(squared_norms(ddf)) / N
+        terms["dcf_r"] += running(squared_norms(dcf_r)) / N
         dcg = het.cg_T - hom.cg_T
         dg = apply_block(dcg, X[tsl]) + (het.hg_T - hom.hg_T)
         dcg_r = apply_block(dcg, R[tsl] + ratio * mean_R_T)
-        terms["dg_terminal"] += terminal(np.einsum("vi,vi->v", dg, dg)) / N
-        terms["dcg_r_terminal"] += terminal(np.einsum("vi,vi->v", dcg_r, dcg_r)) / N
+        terms["dg_terminal"] += terminal(squared_norms(dg)) / N
+        terms["dcg_r_terminal"] += terminal(squared_norms(dcg_r)) / N
 
     emp_w = np.bincount(assignments, minlength=ctx_ho.atoms.count) / N
     return StabilityReport(lhs_hetero=lhs_he, lhs_homogeneous=lhs_ho, delta_terms=terms,

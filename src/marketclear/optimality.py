@@ -1,4 +1,4 @@
-"""Cost functionals, Hamiltonians, and perturbation checks of optimality.
+"""Cost functionals and perturbation checks of optimality.
 
 The solved controls are verified empirically: random adapted directions with
 zero terminal value are added to the candidate optimum over a grid of
@@ -10,13 +10,16 @@ cost change is nonnegative.
 
 The public cost functions (``cost_minor``, ``cost_major``, ``cost_mfg``)
 integrate the position and re-solve the clearing system for the control
-they are given.  The perturbation check solves less: the clearing price is
-an affine function of the major flow (the flow enters the affine clearing
-system only through its forward drift, and the price is read off linearly)
-and a position is an affine function of the trading rate, so along one
-direction both lie on a line.  It solves the base control and each
-direction's end point once and reads every amplitude off that line, which
-is exact up to round-off.
+they are given.  The perturbation check solves and costs less: the clearing
+price is an affine function of the major flow (the flow enters the affine
+clearing system only through its forward drift, and the price is read off
+linearly) and a position is an affine function of the trading rate, so
+along one direction both lie on a line, and the cost, quadratic in the
+control and the responses, is a quadratic in the amplitude.  It solves the
+base control and each direction's end point once, takes the cost at the
+grid's two outer amplitudes on that line, and reads every inner amplitude
+off the quadratic through those two and zero; both steps are exact up to
+round-off.  The public cost functions stay the oracle of the whole chain.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AssumptionViolationError, MarketClearError, UnsupportedModelError,
-                     ValidationError)
+from .errors import MarketClearError, UnsupportedModelError, ValidationError
 from .finite_market import (AgentPopulation, ClearingOperator, EquilibriumSolution,
                             MarketContext, MinorTables, integrate_forward,
                             make_population, solve_full_equilibrium)
 from .mean_field import mean_group, solve_mfg
 from .model import ModelSpec
-from .scenario import NodeField, NoiseLattice, stream_rng
+from .scenario import NodeField, NoiseLattice, squared_norms, stream_rng
 
 DEFAULT_EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
 
@@ -185,7 +187,7 @@ def perturbation_directions(lattice: NoiseLattice, n: int, count: int,
         rng = stream_rng(seed, d)
         eta = rng.standard_normal((lattice.num_nodes, n))
         eta[lattice.terminal_slice] = 0.0
-        norm2 = lattice.running_expectation(np.einsum("vi,vi->v", eta, eta))
+        norm2 = lattice.running_expectation(squared_norms(eta))
         if norm2 <= 0:
             raise ValidationError("degenerate perturbation direction")
         out.append(eta / np.sqrt(norm2))
@@ -270,17 +272,17 @@ def perturbation_tests(spec: ModelSpec, lattice: NoiseLattice, levels,
                        ctx: MarketContext | None = None) -> dict[str, PerturbationReport]:
     """``perturbation_test`` at each of ``levels``, keyed by level.
 
-    The finite levels share one finite solve; each report equals, byte for
-    byte, the one ``perturbation_test`` makes alone.
+    The finite levels share one finite solve and every level the same drawn
+    directions; each report equals, byte for byte, the one
+    ``perturbation_test`` makes alone.
     """
     levels = list(levels)
-    _checked_eps_grid(levels, directions, eps_grid)
+    eps = _checked_eps_grid(levels, directions, eps_grid)
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     eq = (_finite_equilibrium(spec, lattice, ctx, population)
           if any(level in _FINITE_LEVELS for level in levels) else None)
-    return {level: perturbation_test(spec, lattice, level, directions=directions,
-                                     eps_grid=eps_grid, seed=seed, ctx=ctx,
-                                     equilibrium=eq)
+    etas = perturbation_directions(lattice, spec.dims.n, directions, seed)
+    return {level: _perturbation_test(spec, lattice, ctx, level, eps, etas, eq)
             for level in levels}
 
 
@@ -321,25 +323,37 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     control, the clearing price (major levels) and the position, are affine
     in it: the clearing system is an affine FBSDE whose forward drift is
     ``l - b``, and the position integrates the rate.  So the base control
-    ``u`` is solved once, each direction's end point ``u + eta`` once, and
-    every nonzero amplitude reads ``r(eps) = r(u) + eps (r(u + eta) - r(u))``
-    before its cost is taken at the control ``u + eps eta``; this equals a
-    solve at ``u + eps eta`` up to round-off.  The end points are cleared in
-    batches of at most as many directions as the grid has nonzero
-    amplitudes.  A direction fails, and its row of ``delta_j`` and its fit
-    read NaN, iff its end point raises a market or linear-algebra error; a
-    failing batch is solved again one direction at a time.  If the base
-    control fails, the error propagates, as no direction has a line
-    without it.
+    ``u`` is solved once and each direction's end point ``u + eta`` once.
+    The cost is taken at the grid's outer amplitudes ``-m`` and ``+m`` only,
+    at the control ``u +- m eta`` with the responses
+    ``r(u) +- m (r(u + eta) - r(u))``; this equals a solve at ``u +- m eta``
+    up to round-off.  The cost is quadratic in the control and the responses
+    affine, so the cost change along the line is exactly the quadratic
+    ``dJ(eps) = a1 eps + a2 eps^2`` through ``(-m, 0, +m)``:
+    ``a1 = (dJ(m) - dJ(-m)) / 2m`` and ``a2 = (dJ(m) + dJ(-m)) / 2m^2``.
+    The inner amplitudes of the grid read it off.  The end points are
+    cleared in batches of at most as many directions as the grid has
+    nonzero amplitudes, and the outer pairs are costed in stacks of at most
+    as many flows.  A direction fails, and its row of ``delta_j`` and its
+    fit read NaN, iff its end point raises a market or linear-algebra error;
+    a failing batch is solved again one direction at a time.  If the base
+    control fails, the error propagates, as no direction has a line without
+    it.
     """
     eps = _checked_eps_grid([level], directions, eps_grid)
     if equilibrium is not None and population is not None:
         raise ValidationError("give a population or its equilibrium, not both")
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    n = spec.dims.n
     if level in _FINITE_LEVELS and equilibrium is None:
         equilibrium = _finite_equilibrium(spec, lattice, ctx, population)
+    etas = perturbation_directions(lattice, spec.dims.n, directions, seed)
+    return _perturbation_test(spec, lattice, ctx, level, eps, etas, equilibrium)
 
+
+def _perturbation_test(spec: ModelSpec, lattice: NoiseLattice, ctx: MarketContext,
+                       level: str, eps: np.ndarray, etas: list[np.ndarray],
+                       equilibrium: EquilibriumSolution | None) -> PerturbationReport:
+    """``perturbation_test`` of a checked grid ``eps`` along drawn directions ``etas``."""
     control = lambda ctrls: ctrls
     if level == "minor":
         eq = equilibrium
@@ -369,25 +383,47 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
         def costs(b, phi, x0):
             return _major_costs(spec, ctx, lattice, b, phi, x0)
 
+    directions = len(etas)
     base = control(base_ctrl[None])
     base_resp = respond(base)
     base_j = costs(base, *base_resp)[0]
-    etas = perturbation_directions(lattice, n, directions, seed)
     nonzero = eps != 0.0
-    amps = eps[nonzero, None, None]
+    m = eps[-1]
+    outer = np.array([-m, m])[:, None, None]
+    inner = nonzero & (np.abs(eps) != m)
+    inner_eps = eps[inner]
+    batch = int(nonzero.sum())
+
+    def outer_pairs(lo: int) -> tuple[list, list, np.ndarray]:
+        """Clear the batch of directions from ``lo``; cost each solved one at -m and +m.
+
+        Returns the failed and the solved directions and the (2, solved) cost
+        changes.  The outer pairs are costed in stacks of at most ``batch``
+        flows, as many as a clearing solve takes.  Every array of the batch
+        is freed on return, before the next solve.
+        """
+        ends = _responses(respond, control(base_ctrl + np.stack(etas[lo:lo + batch])))
+        lost = [d for d, end in enumerate(ends, start=lo) if end is None]
+        solved = [(d, end) for d, end in enumerate(ends, start=lo) if end is not None]
+        pairs = [np.empty((2, 0))]
+        for c in range(0, len(solved), batch // 2):
+            stack = solved[c:c + batch // 2]
+            ctrls = np.concatenate([base_ctrl + outer * etas[d] for d, _ in stack])
+            lines = [np.concatenate([r0 + outer * (end[i] - r0) for _, end in stack])
+                     for i, r0 in enumerate(base_resp)]
+            pairs.append((costs(control(ctrls), *lines) - base_j).reshape(-1, 2).T)
+        return lost, [d for d, _ in solved], np.concatenate(pairs, axis=1)
+
     dj = np.zeros((directions, len(eps)))
     failed = []
-    batch = int(nonzero.sum())
     for lo in range(0, directions, batch) if batch else ():
-        ends = _responses(respond, control(base_ctrl + np.stack(etas[lo:lo + batch])))
-        for d, end in enumerate(ends, start=lo):
-            if end is None:
-                dj[d, :] = np.nan
-                failed.append(d)
-                continue
-            line = (r0 + amps * (r1 - r0) for r0, r1 in zip(base_resp, end))
-            dj[d, nonzero] = costs(control(base_ctrl + amps * etas[d]), *line) - base_j
-        del ends, end  # views of the batch's end points, freed before the next solve
+        lost, rows, (dj_minus, dj_plus) = outer_pairs(lo)
+        failed += lost
+        a1 = (dj_plus - dj_minus) / (2 * m)
+        a2 = (dj_plus + dj_minus) / (2 * m**2)
+        dj[rows, 0], dj[rows, -1] = dj_minus, dj_plus
+        dj[np.ix_(rows, inner)] = inner_eps * a1[:, None] + inner_eps**2 * a2[:, None]
+    dj[failed] = np.nan
     fits = np.full((directions, 3), np.nan)
     ok = [d for d in range(directions) if d not in failed]
     if ok:
@@ -395,116 +431,3 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     return PerturbationReport(level=level, eps_grid=[float(e) for e in eps],
                               directions=directions, delta_j=dj,
                               quadratic_fit=fits, failed=failed)
-
-
-# -- Hamiltonians and their minimizers ---------------------------------------
-
-
-def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        raise AssumptionViolationError(f"{what} is singular")
-
-
-def minimizer_alpha(y, price, lam):
-    """Pointwise optimal minor trading rate -lam^{-1}(y + price)."""
-    scalar = np.ndim(y) == 0
-    y, price = np.atleast_1d(np.asarray(y, dtype=float)), np.atleast_1d(
-        np.asarray(price, dtype=float))
-    out = -_solve_spd(np.atleast_2d(np.asarray(lam, dtype=float)), y + price,
-                      "minor fee matrix")
-    return float(out[0]) if scalar else out
-
-
-def minimizer_beta(p0, mean_y, mean_p, lam0, lam, N: int = 1):
-    """Optimal unnormalized major flow N (lam0+2 lam)^{-1}(-p0 + m(y) + m(p))."""
-    scalar = np.ndim(p0) == 0
-    p0, mean_y, mean_p = (np.atleast_1d(np.asarray(a, dtype=float))
-                          for a in (p0, mean_y, mean_p))
-    combo = np.atleast_2d(np.asarray(lam0, dtype=float)) + 2.0 * np.atleast_2d(
-        np.asarray(lam, dtype=float))
-    out = N * _solve_spd(combo, -p0 + mean_y + mean_p, "lam0 + 2 lam")
-    return float(out[0]) if scalar else out
-
-
-def minimizer_beta_mfg(p0, ybar, pbar, lam0, lam) -> np.ndarray:
-    """Optimal per-capita major flow in the population limit."""
-    return minimizer_beta(p0, ybar, pbar, lam0, lam, N=1)
-
-
-def hamiltonian_minor(y, alpha, price, lam, l=None, fbar: float = 0.0) -> float:
-    """Reduced minor Hamiltonian <y, a + l> + <phi, a> + .5<a, lam a> + fbar."""
-    y, alpha, price = (np.atleast_1d(np.asarray(a, dtype=float))
-                       for a in (y, alpha, price))
-    lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    l = np.zeros_like(y) if l is None else np.atleast_1d(np.asarray(l, dtype=float))
-    return float(y @ (alpha + l) + price @ alpha + 0.5 * alpha @ lam @ alpha + fbar)
-
-
-def hamiltonian_system(spec: ModelSpec, t: float, x0, xs, ys, p0, ps, rs, beta,
-                       c0=None, cis=None) -> float:
-    """Finite-population system Hamiltonian at one evaluation point.
-
-    States are unnormalized (x0 is the raw major position); ``xs, ys, ps, rs``
-    list one n-vector per minor agent.
-    """
-    n = spec.dims.n
-    N = len(xs)
-    c0 = np.zeros(n) if c0 is None else np.asarray(c0, dtype=float)
-    cis = [np.zeros(n)] * N if cis is None else cis
-    lam = spec.lambda_minor.eval_point(t, c0, cis[0]).reshape(n, n)
-    lam0 = spec.lambda_major.eval_point(t, c0, cis[0]).reshape(n, n)
-    lam_inv = np.linalg.inv(lam)
-    beta = np.asarray(beta, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    mean_y = sum(np.asarray(y, dtype=float) for y in ys) / N
-    l0N = N * spec.major_flow.l0.eval_point(t, c0, None)
-    total = float(p0 @ (beta + l0N))
-    for i in range(N):
-        bundle = spec.bundle(i)
-        xi, yi, pi, ri = (np.asarray(a, dtype=float) for a in (xs[i], ys[i], ps[i], rs[i]))
-        li = bundle.l.eval_point(t, c0, cis[i])
-        drift = -lam_inv @ (yi - mean_y) - beta / N + li
-        total += float(pi @ drift)
-        grad = bundle.cf.eval_point(t, c0, cis[i]).reshape(n, n) @ xi \
-            + bundle.hf.eval_point(t, c0, cis[i])
-        total += float(ri @ (-grad))
-    total += float(beta @ (-mean_y + lam @ beta / N))
-    total += 0.5 * float(beta @ lam0 @ beta) / N
-    if spec.major_cost.affine:
-        xn = x0 / N
-        total += N * (0.5 * float(xn @ spec.major_cost.c0f @ xn)
-                      + float(spec.major_cost.h0f.eval_point(t, c0, None) @ xn))
-    else:
-        raise UnsupportedModelError("system Hamiltonian needs the quadratic major cost")
-    return total
-
-
-def hamiltonian_mfg(spec: ModelSpec, t: float, x0, x1, y1, ybar, p0, p1, pbar, r1,
-                    beta, c0=None, ci=None) -> float:
-    """Population-limit Hamiltonian at one evaluation point (per-capita units)."""
-    n = spec.dims.n
-    c0 = np.zeros(n) if c0 is None else np.asarray(c0, dtype=float)
-    ci = np.zeros(n) if ci is None else np.asarray(ci, dtype=float)
-    bundle = spec.minor[0]
-    lam = spec.lambda_minor.eval_point(t, c0, ci).reshape(n, n)
-    lam0 = spec.lambda_major.eval_point(t, c0, ci).reshape(n, n)
-    lam_inv = np.linalg.inv(lam)
-    x0, x1, y1, ybar, p0, p1, pbar, r1, beta = (
-        np.atleast_1d(np.asarray(a, dtype=float))
-        for a in (x0, x1, y1, ybar, p0, p1, pbar, r1, beta))
-    total = float(p0 @ (beta + spec.major_flow.l0.eval_point(t, c0, None)))
-    total += float(p1 @ (-lam_inv @ (y1 - ybar) + bundle.l.eval_point(t, c0, ci)))
-    total += float(pbar @ (-beta))
-    grad = bundle.cf.eval_point(t, c0, ci).reshape(n, n) @ x1 + bundle.hf.eval_point(t, c0, ci)
-    total += float(r1 @ (-grad))
-    total += float(beta @ (-ybar + lam @ beta))
-    total += 0.5 * float(beta @ lam0 @ beta)
-    if spec.major_cost.affine:
-        total += 0.5 * float(x0 @ spec.major_cost.c0f @ x0) \
-            + float(spec.major_cost.h0f.eval_point(t, c0, None) @ x0)
-    else:
-        raise UnsupportedModelError("population-limit Hamiltonian needs the quadratic major cost")
-    return total

@@ -126,6 +126,17 @@ def apply_block(mat: np.ndarray, values: np.ndarray, out: np.ndarray | None = No
     return res.swapaxes(0, -2)
 
 
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of an (m, ...) array, over its trailing axes.
+
+    A strided ``x`` is copied first: ``einsum`` can round a row of a view
+    with three or more components differently from the same row of its copy.
+    """
+    x = np.ascontiguousarray(x)
+    axes = "ijk"[:x.ndim - 1]
+    return np.einsum(f"v{axes},v{axes}->v", x, x)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k*T/K on [0, T]."""

@@ -126,6 +126,42 @@ def test_unknown_flag_is_usage_error(good_model, tmp_path) -> None:
     assert run(["check", "--model", good_model, "--bogus"]) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "solve-n", "solve-mfg", "converge", "verify",
+                                     "lattice-dump"])
+def test_one_command_parser_parses_as_the_full_parser(command, capsys) -> None:
+    # main builds the named command's parser alone; its help, defaults,
+    # types and usage errors are those of the full parser's
+    from marketclear.cli import UsageError, _build_parser
+    full, alone = _build_parser(), _build_parser(command)
+    assert list(alone.commands) == [command]
+    a, b = full.commands[command], alone.commands[command]
+    assert (a.format_help(), a.defaults, a.types) == (b.format_help(), b.defaults, b.types)
+    for argv in ([command, "--model", "m", "--steps", "3"], [command, "--steps", "x"],
+                 [command, "--model", "m", "--bogus"]):
+        results = []
+        for parser in (full, alone):
+            try:
+                results.append(vars(parser.parse_args(argv)))
+            except UsageError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], argv
+    for parser in (full, alone):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+    help_full, help_alone = capsys.readouterr().out.split("usage: ")[1:]
+    assert help_full == help_alone
+
+
+def test_unknown_command_and_top_level_flags_use_the_full_parser(capsys) -> None:
+    from marketclear.cli import _build_parser
+    assert list(_build_parser("--help").commands) == list(_build_parser().commands)
+    assert run(["bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out.strip() == marketclear.__version__
+
+
 @pytest.mark.parametrize("args", [
     ["converge", "--n-list", "0,8,16"],
     ["converge", "--n-list", "8,16,x"],

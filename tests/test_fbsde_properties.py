@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sweep_oracle
@@ -156,3 +156,21 @@ def test_wrong_shaped_table_is_refused(case, name) -> None:
     wrong[name] = np.zeros((lat.num_nodes + 4,) + wrong[name].shape[1:])
     with pytest.raises(ValidationError, match=name):
         make_system(lat, {k: wrong[k] for k in blocks}, {k: wrong[k] for k in constants})
+
+
+@SETTINGS
+@given(st.integers(0, 40), st.integers(1, 6), st.sampled_from([(), (1,), (4,), (2, 3)]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example(0, 1, (4,), False, 0)
+@example(0, 6, (4,), True, 0)
+@example(729, 1, (4,), False, 1)
+@example(729, 6, (4,), False, 2)
+def test_flow_max_reads_every_layout(m, B, tail, flows_first, seed) -> None:
+    # node-major (C-ordered) and flows-first (m, B, ...) gaps both give each
+    # flow's own max |entry|, 0 for no nodes
+    from marketclear.fbsde import _flow_max
+    values = np.random.default_rng(seed).standard_normal((B, m) + tail)
+    gap = (np.moveaxis(values, 0, 1) if flows_first
+           else np.ascontiguousarray(np.moveaxis(values, 0, 1)))
+    want = [np.max(np.abs(values[b]), initial=0.0) for b in range(B)]
+    assert np.array_equal(_flow_max(gap), want)

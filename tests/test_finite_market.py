@@ -60,7 +60,7 @@ def test_noiseless_clearing_price_near_closed_form() -> None:
 
 
 def test_best_response_alpha_formula() -> None:
-    from marketclear.optimality import minimizer_alpha
+    from hamiltonian_oracle import minimizer_alpha
     assert minimizer_alpha(1.0, 1.0, 1.0) == pytest.approx(-2.0)
     assert minimizer_alpha(1.0, 1.0, 2.0) == pytest.approx(-1.0)
 
@@ -126,9 +126,30 @@ def test_zero_model_equilibrium_is_zero() -> None:
 
 
 def test_flow_rule_direct_substitution() -> None:
-    from marketclear.optimality import minimizer_beta
+    from hamiltonian_oracle import minimizer_beta
     beta = minimizer_beta(p0=1.0, mean_y=3.0, mean_p=2.0, lam0=2.0, lam=1.0, N=2)
     assert beta == pytest.approx(2.0)
+
+
+def test_solved_equilibrium_obeys_the_oracle_minimizers() -> None:
+    # the builders encode the pointwise minimizers as blocks; at every
+    # interior node the solved rates and flow equal the oracle's minimizers
+    # of the Hamiltonians at the solved pre-driver states
+    from hamiltonian_oracle import minimizer_alpha, minimizer_beta
+    spec = scalar_market_spec(delta=0.4, N=3)
+    lat = tree(3)
+    eq = solve_full_equilibrium(spec, lat)
+    sol, pop = eq.solution, eq.population
+    lam, lam0 = spec.lambda_minor.value, spec.lambda_major.value
+    weights = [grp.count / pop.N for grp in pop.groups]
+    mean_y = sum(w * sol.pre(f"Y{g}") for g, w in enumerate(weights))
+    mean_p = sum(w * sol.pre(f"P{g}") for g, w in enumerate(weights))
+    for v in range(lat.level_range(lat.steps)[0]):
+        beta = minimizer_beta(sol.pre("p0")[v], mean_y[v], mean_p[v], lam0, lam, N=pop.N)
+        assert beta == pytest.approx(eq.beta_hat.values[v], rel=1e-12, abs=1e-12)
+        for g in range(pop.size):
+            alpha = minimizer_alpha(sol.pre(f"Y{g}")[v], eq.price.values[v], lam)
+            assert alpha == pytest.approx(eq.alpha_hat[g][v], rel=1e-12, abs=1e-12)
 
 
 # -- symmetry ---------------------------------------------------------------------

@@ -49,10 +49,10 @@ GOLDEN = {
         "summary.json": "cfd1bf9e8a0053d8f2e4036ff9869a2290ccf78112aaf4ffc78815d2efb92363",
     },
     ("benchmark.model", "verify"): {
-        "perturbation_major-N.csv": "c067718814c9316ad868beb6968165c4407be8ca64b03203bffc8fd52d9a1cb6",
-        "perturbation_major-mfg.csv": "491aa195b67e2d626fdb3508126c9d293e3c7a5643df8a96ef81c2d142cf0675",
-        "perturbation_minor.csv": "da822cccd62bb4f3c101202514ec0be3f3fcfe17f904ebd01de2d4f615272a31",
-        "summary.json": "ed1b849995389839ebf665550b589a72eda49e0773d496c1dddfb72a7eaa8810",
+        "perturbation_major-N.csv": "551cee4f6a54e0339a51b0ec9dccd8c161249a1affa791b1349e4bfb10e6fe32",
+        "perturbation_major-mfg.csv": "c7527e3dd1fce42dd90f52de5dfcb620e358432f797247f13392b2da5e0b34db",
+        "perturbation_minor.csv": "af539819f97d30126cf5d3647be64411f1587777fa27784b85e88bf21204f881",
+        "summary.json": "6e57fabfb52396de0f166882fb43fa4fdc2b585dcc648a28c523ccf280d78509",
     },
     ("benchmark.model", "lattice-dump"): LATTICE,
     ("maturity.model", "solve-n"): {
@@ -68,10 +68,10 @@ GOLDEN = {
         "summary.json": "b5889069076497be7cb822a2b0f5a8b488827b94cbfc76ea35b1157c7df5dda7",
     },
     ("maturity.model", "verify"): {
-        "perturbation_major-N.csv": "7d531feccfa75903a07b23bde801fb121797ae7fb79a596a62fc056de960d1e0",
-        "perturbation_major-mfg.csv": "3c6aa0a51c512dc3e5c2f7d139be8d139844f9f439e2ca831b22a14294e86595",
-        "perturbation_minor.csv": "37a3255006b8c16652a0c9ff64d5f393433fa0d0bdc887e5a30d746b359637bf",
-        "summary.json": "74f1619527f33d6bf34477463e2a95bf81789efb31af394bb4be12374156d03e",
+        "perturbation_major-N.csv": "358002dfdb3fe1403eb7c6591ccd6ad722f79ec3e8c1dd78167adcb8e0f598f9",
+        "perturbation_major-mfg.csv": "c694097e70f2d7bafea8ada56854e39649545749ad4c2bff6e4d2838571d020d",
+        "perturbation_minor.csv": "44b82ee362bb27c4b777cb1033b751af45645d9ea4bd0906e7d0344d5314e269",
+        "summary.json": "253be1619caddbebc8c5442ae870695bed7ea8f3e8354e3f1addaf1b3d937e5d",
     },
     ("maturity.model", "lattice-dump"): LATTICE,
     ("two_assets.json", "solve-n"): {
@@ -87,10 +87,10 @@ GOLDEN = {
         "summary.json": "eea683ca7916411c4d1efe39b5f86b48abe8cdeec703c231f31aa44346f66e9e",
     },
     ("two_assets.json", "verify"): {
-        "perturbation_major-N.csv": "1d7ea102b83034e6814a601376562a5c5c00c6085bd99886f4844d6946cc346d",
-        "perturbation_major-mfg.csv": "558104c50a38a8ff2397ad8919ad33a019287b4feb1b5d2529d99eba34852ff0",
-        "perturbation_minor.csv": "59a546b91225eb84acd9800bb74d7491adf5b510cbb843cb0368a68f7e4250a2",
-        "summary.json": "8ad47ad238ea3c668adb9219ae869208f48ea64e89238a38ed46826a404067d5",
+        "perturbation_major-N.csv": "cc8300045bd95ff006ec98a8d877e3c2dc251db577e2ac94542b27710c6bfb8e",
+        "perturbation_major-mfg.csv": "9516b68a31ec7973a17bfd6c2abfe05317e13a1ab6827b55e03cc48d524c525e",
+        "perturbation_minor.csv": "3a23ce2354a576b418f5b89b938cd158b67e640e9de5bc7c83585b0bef40a5a3",
+        "summary.json": "f4ded4761bdca59df919279834fb48afb9ec60350fc2231ebdea630fb7b36239",
     },
     ("two_assets.json", "lattice-dump"): LATTICE,
 }

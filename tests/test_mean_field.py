@@ -109,7 +109,7 @@ def test_zero_model_limit_is_zero(small_tree) -> None:
 
 
 def test_flow_rule_direct_substitution() -> None:
-    from marketclear.optimality import minimizer_beta_mfg
+    from hamiltonian_oracle import minimizer_beta_mfg
     beta = minimizer_beta_mfg(p0=0.0, ybar=2.0, pbar=2.0, lam0=2.0, lam=1.0)
     assert beta == pytest.approx(1.0)
     # induced price -ybar + lam * beta

@@ -10,13 +10,13 @@ from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        make_population, solve_full_equilibrium)
 from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
 from marketclear.optimality import (DEFAULT_EPS_GRID, LEVELS, cost_major, cost_minor,
-                                    hamiltonian_mfg, hamiltonian_minor,
-                                    hamiltonian_system, minimizer_alpha,
-                                    minimizer_beta, perturbation_directions,
-                                    perturbation_test, perturbation_tests)
+                                    perturbation_directions, perturbation_test,
+                                    perturbation_tests)
 from marketclear.scenario import TimeGrid, build_lattice, constant_field
 
 from conftest import homogeneous_study_spec, noiseless_unit_spec, scalar_market_spec
+from hamiltonian_oracle import (hamiltonian_mfg, hamiltonian_minor, hamiltonian_system,
+                                minimizer_alpha, minimizer_beta)
 
 
 def tree(K=4, T=1.0):
@@ -229,6 +229,28 @@ def test_clearing_batches_stay_within_the_amplitude_count(monkeypatch) -> None:
         flows = [f for o, f in calls if o is op]
         assert len(flows) <= 1 + math.ceil(directions / amplitudes)
         assert sum(flows) == 1 + directions
+
+
+def test_costs_are_taken_at_the_outer_amplitudes_only(monkeypatch) -> None:
+    # each level costs its base once and every direction at -m and +m, in
+    # stacks of at most as many flows as the grid has nonzero amplitudes
+    import marketclear.optimality as optimality
+    stacks = []
+    for name in ("_minor_costs", "_major_costs"):
+        real = getattr(optimality, name)
+
+        def spy(*args, _real=real):
+            out = _real(*args)
+            stacks.append(len(out))
+            return out
+
+        monkeypatch.setattr(optimality, name, spy)
+    directions = 13
+    amplitudes = sum(e != 0.0 for e in DEFAULT_EPS_GRID)
+    perturbation_tests(scalar_market_spec(delta=0.3, N=3), tree(3), LEVELS,
+                       directions=directions, seed=4)
+    assert max(stacks) <= amplitudes
+    assert sum(stacks) == len(LEVELS) * (1 + 2 * directions)
 
 
 def failing_batches(monkeypatch, exc, fail=lambda call: call > 1):

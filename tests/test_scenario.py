@@ -224,3 +224,16 @@ def test_expectations_do_not_depend_on_layout(branching) -> None:
     column, leaves = stack[:, 1], stack[lat.terminal_slice, 2]
     assert lat.running_expectation(column) == lat.running_expectation(column.copy())
     assert lat.terminal_expectation(leaves) == lat.terminal_expectation(leaves.copy())
+
+
+def test_squared_norms_do_not_depend_on_layout() -> None:
+    # einsum on a strided view of 3 components rounds some rows apart from
+    # its contiguous copy; the helper copies first, so both give one set of bytes
+    x = np.random.default_rng(3).standard_normal((1000, 6))
+    view = x[:, ::2]
+    copy = np.ascontiguousarray(view)
+    assert scenario.squared_norms(view).tobytes() == scenario.squared_norms(copy).tobytes()
+    assert np.array_equal(scenario.squared_norms(copy), np.einsum("vi,vi->v", copy, copy))
+    y = np.random.default_rng(4).standard_normal((1000, 3, 4))[:, :, ::2]
+    assert (scenario.squared_norms(y).tobytes()
+            == scenario.squared_norms(np.ascontiguousarray(y)).tobytes())
