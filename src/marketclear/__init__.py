@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (AssumptionViolationError, BudgetError, MarketClearError,
                      SolverError, UnsupportedModelError, ValidationError)
-from .fbsde import (FbsdeSystem, NodeSolution, SolveDiagnostics, residual,
-                    solve_direct, solve_picard)
+from .fbsde import (FamilySolution, FbsdeSystem, NodeSolution, SolveDiagnostics,
+                    residual, solve_direct)
 from .finite_market import (AgentGroup, AgentPopulation, ClearingOperator,
                             EquilibriumSolution, MarketContext, clearing_residual,
                             make_population, minor_best_response,

@@ -19,29 +19,26 @@ clearing identity and the optimality checks hold to round-off.
 
 A family of sibling systems (same blocks, new constants) is one system:
 every constant carries a flow axis right after its node axis, and a single
-system is the family of one.  Two solution paths.  An affine system is solved
-exactly by a backward sweep of its affine decoupling field
+system is the family of one.  There is one solution path.  An affine
+system is solved exactly by a backward sweep of its affine decoupling field
 u_B(v) = P_k u_F(v) + p(v), the discrete four-step scheme for linear FBSDEs:
 one matrix pass from the leaves computes one P per level, and a vector pass
 then carries every flow's constants back and recovers its states forward,
 each level block applied as one GEMM per flow over the level's nodes
-(``DirectSolver``).  The general case uses a damped fixed-point iteration of
-forward/backward sweeps (``solve_picard``).
+(``DirectSolver``).  A non-affine major cost is solved by a sequence of
+such affine solves on one matrix pass (``finite_market``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetError, SolverError, ValidationError
 from .scenario import NoiseLattice, apply_block
 
-DEFAULT_DAMPING = 0.5
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 500
 # cap on what a DirectSolver stores for one solve, in bytes
 FACTOR_BUDGET_BYTES = 2 * 2**30
 # absolute gate on every equation row of a direct solve, per flow
@@ -65,9 +62,7 @@ class FbsdeSystem:
         bb (I|1, B|1, mb)                      on the I non-terminal nodes
         g (L|1, B|1, mb)                       on the L leaves
 
-    Every shape is checked here (``ValidationError``).  For non-affine models
-    ``driver_fn(k, u_F)`` and ``terminal_fn(u_F)`` override the affine
-    backward parts (fixed-point path only, B = 1); ``affine`` must then be False.
+    Every shape is checked here (``ValidationError``).
     """
 
     lattice: NoiseLattice
@@ -81,9 +76,6 @@ class FbsdeSystem:
     S: np.ndarray
     bb: np.ndarray
     g: np.ndarray
-    affine: bool = True
-    driver_fn: Callable | None = None
-    terminal_fn: Callable | None = None
 
     def __post_init__(self):
         lat = self.lattice
@@ -174,11 +166,9 @@ class NodeSolution:
         """
         lat = self.system.lattice
         dev = np.zeros_like(self.backward)
-        for k in range(lat.steps):
-            lo, hi = lat.level_range(k)
-            clo, chi = lat.level_range(k + 1)
-            dev[clo:chi] = (self.backward[clo:chi]
-                            - lat.repeat_to_children(self.backward_pre[lo:hi]))
+        # the children of nodes 0..I-1 are nodes 1..N-1, in layout order
+        I = lat.level_range(lat.steps)[0]
+        dev[1:] = self.backward[1:] - lat.repeat_to_children(self.backward_pre[:I])
         return dev
 
     def z_projection(self, name: str) -> np.ndarray:
@@ -239,63 +229,48 @@ def _step(system: FbsdeSystem, k: int, uf: np.ndarray, ubt: np.ndarray,
     return np.add(lat.repeat_to_children(uf + lat.dt * drift), noise, out=out)
 
 
-def _driver(system: FbsdeSystem, k: int, uf) -> np.ndarray:
-    """The backward driver on level k, a function of the forward states."""
-    if system.driver_fn is not None:  # non-affine systems are solved alone
-        return system.driver_fn(k, uf[:, 0])[:, None]
-    lo, hi = system.lattice.level_range(k)
-    return apply_block(system.Bbf[k], uf) + _rows(system.bb, lo, hi)
-
-
-def _forward_sweep(system: FbsdeSystem, ub: np.ndarray) -> np.ndarray:
-    lat = system.lattice
-    uf = np.zeros((lat.num_nodes, 1, system.mf))
-    uf[0] = system.initial[0]
-    for k in range(lat.steps):
-        lo, hi = lat.level_range(k)
-        clo, chi = lat.level_range(k + 1)
-        ubt = lat.cond_expect(ub[clo:chi], k)
-        uf[clo:chi] = _step(system, k, uf[lo:hi], ubt, _noise(system, k))
-    return uf
-
-
-def _backward_sweep(system: FbsdeSystem, uf: np.ndarray) -> np.ndarray:
-    lat = system.lattice
-    ub = np.zeros((lat.num_nodes, 1, system.mb))
-    tsl = lat.terminal_slice
-    if system.terminal_fn is not None:
-        ub[tsl] = system.terminal_fn(uf[tsl, 0])[:, None]
-    else:
-        ub[tsl] = apply_block(system.G, uf[tsl]) + system.g
-    for k in range(lat.steps - 1, -1, -1):
-        lo, hi = lat.level_range(k)
-        clo, chi = lat.level_range(k + 1)
-        ubt = lat.cond_expect(ub[clo:chi], k)
-        ub[lo:hi] = ubt + lat.dt * _driver(system, k, uf[lo:hi])
-    return ub
-
-
 def _pre(lat: NoiseLattice, ub: np.ndarray) -> np.ndarray:
     """The pre-driver values uB~ of backward states (the terminal values at the leaves)."""
     pre = np.zeros_like(ub)
-    pre[lat.terminal_slice] = ub[lat.terminal_slice]
-    for k in range(lat.steps):
-        lo, hi = lat.level_range(k)
-        clo, chi = lat.level_range(k + 1)
-        pre[lo:hi] = lat.cond_expect(ub[clo:chi], k)
+    I = lat.level_range(lat.steps)[0]
+    pre[I:] = ub[I:]
+    lat.tree_cond_expect(ub, out=pre[:I])
     return pre
 
 
-def _flow_solution(system: FbsdeSystem, b: int, uf, ub, pre,
-                   diagnostics: SolveDiagnostics) -> NodeSolution:
-    """Flow ``b`` of stacked states as a solution with contiguous (nodes, dim) arrays.
+@dataclass
+class FamilySolution(Sequence):
+    """Every flow of a solved family, its states stacked as (nodes, B, dim) arrays.
 
-    States stored flows-first give views; any other layout is copied.
+    The stacks are flows-first in memory.  Indexing gives flow b's
+    ``NodeSolution``, whose arrays are contiguous views of the stacks.
     """
-    flow = lambda a: np.ascontiguousarray(a[:, b])
-    return NodeSolution(system=system, forward=flow(uf), backward=flow(ub),
-                        backward_pre=flow(pre),
-                        diagnostics=diagnostics, flow=b)
+
+    system: FbsdeSystem
+    forward: np.ndarray
+    backward: np.ndarray
+    backward_pre: np.ndarray
+    diagnostics: list
+
+    def __post_init__(self):
+        flow = lambda a, b: np.ascontiguousarray(a[:, b])
+        self._flows = [NodeSolution(system=self.system, forward=flow(self.forward, b),
+                                    backward=flow(self.backward, b),
+                                    backward_pre=flow(self.backward_pre, b),
+                                    diagnostics=diag, flow=b)
+                       for b, diag in enumerate(self.diagnostics)]
+
+    @classmethod
+    def of(cls, sol: NodeSolution) -> "FamilySolution":
+        """A single solution as the family of one, on views of its arrays."""
+        return cls(sol.system, sol.forward[:, None], sol.backward[:, None],
+                   sol.backward_pre[:, None], [sol.diagnostics])
+
+    def __len__(self) -> int:
+        return len(self._flows)
+
+    def __getitem__(self, b):
+        return self._flows[b]
 
 
 # -- residual ---------------------------------------------------------------
@@ -314,13 +289,11 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
         clo, chi = lat.level_range(k + 1)
         ubt = pre[lo:hi]
         fwd_gap = uf[clo:chi] - _step(system, k, uf[lo:hi], ubt, _noise(system, k))
-        bwd_gap = ub[lo:hi] - ubt - lat.dt * _driver(system, k, uf[lo:hi])
+        bwd_gap = ub[lo:hi] - ubt - lat.dt * (apply_block(system.Bbf[k], uf[lo:hi])
+                                               + _rows(system.bb, lo, hi))
         worst = np.maximum(worst, np.maximum(_flow_max(fwd_gap), _flow_max(bwd_gap)))
     tsl = lat.terminal_slice
-    if system.terminal_fn is not None:
-        term_gap = ub[tsl] - system.terminal_fn(uf[tsl, 0])[:, None]
-    else:
-        term_gap = ub[tsl] - apply_block(system.G, uf[tsl]) - system.g
+    term_gap = ub[tsl] - apply_block(system.G, uf[tsl]) - system.g
     terminal_mismatch = _flow_max(term_gap)
     return np.maximum(worst, terminal_mismatch), terminal_mismatch
 
@@ -389,8 +362,6 @@ class DirectSolver:
     """
 
     def __init__(self, system: FbsdeSystem):
-        if not system.affine:
-            raise SolverError("direct solve requires an affine system")
         self.system = system
         lat = system.lattice
         dt = lat.dt
@@ -413,13 +384,13 @@ class DirectSolver:
             self._levels[k] = _LevelFactors(E=E, Q=Q)
             self._P[k] = P
 
-    def solve(self, **constants) -> list[NodeSolution]:
+    def solve(self, **constants) -> FamilySolution:
         """Solve every flow of the system by one vector pass on the shared matrix pass.
 
         ``constants`` replaces any of the system's ``initial``, ``af``,
         ``S``, ``bb`` and ``g`` (a sibling family, of any number of flows);
-        the blocks stay the solver's own.  Returns one solution per flow, in
-        order.
+        the blocks stay the solver's own.  Returns the solved family, one
+        solution per flow, in order.
 
         Every flow's states are checked to be finite and every equation row
         of every flow is recomputed (``_equation_gaps``) against the absolute
@@ -471,68 +442,21 @@ class DirectSolver:
                 f"{int(np.flatnonzero(~finite)[0])} (near-singular level system)")
         pre = _pre(lat, ub)
         worst, terminal_mismatch = _equation_gaps(system, uf, ub, pre)
-        sols = [_flow_solution(system, b, uf, ub, pre, SolveDiagnostics(
-                    "direct", 1, float(worst[b]), float(terminal_mismatch[b]),
-                    bool(worst[b] <= DIRECT_RESIDUAL_GATE)))
-                for b in range(B)]
-        for b, sol in enumerate(sols):
-            if not sol.diagnostics.converged:
+        family = FamilySolution(system, uf, ub, pre, [SolveDiagnostics(
+            "direct", 1, float(worst[b]), float(terminal_mismatch[b]),
+            bool(worst[b] <= DIRECT_RESIDUAL_GATE)) for b in range(B)])
+        for b, diagnostics in enumerate(family.diagnostics):
+            if not diagnostics.converged:
                 raise SolverError(
                     f"direct solve residual {worst[b]:.3e} in flow {b} exceeds "
                     f"{DIRECT_RESIDUAL_GATE:g}; the discrete system is ill-conditioned",
-                    sol.diagnostics)
-        return sols
-
-
-def _require_single(system: FbsdeSystem) -> None:
-    if system.flows != 1:
-        raise ValidationError(f"a family of {system.flows} systems is solved by "
-                              f"DirectSolver(system).solve(), not one at a time")
+                    diagnostics)
+        return family
 
 
 def solve_direct(system: FbsdeSystem) -> NodeSolution:
     """Exact solve of a single affine system by one decoupling-field sweep."""
-    _require_single(system)
+    if system.flows != 1:
+        raise ValidationError(f"a family of {system.flows} systems is solved by "
+                              f"DirectSolver(system).solve(), not one at a time")
     return DirectSolver(system).solve()[0]
-
-
-def solve_picard(system: FbsdeSystem, damping: float = DEFAULT_DAMPING,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> NodeSolution:
-    """Damped alternation of forward and backward sweeps on a single system.
-
-    Stops when the successive-iterate max-norm distance drops below ``tol``;
-    a final plain sweep restores the exact sweep relations before packaging.
-    """
-    if not 0.0 < damping <= 1.0:
-        raise ValidationError("damping must lie in (0, 1]")
-    if tol <= 0 or max_iter < 1:
-        raise ValidationError("tol must be positive and max_iter at least 1")
-    _require_single(system)
-    lat = system.lattice
-    ub = np.zeros((lat.num_nodes, 1, system.mb))
-    uf = _forward_sweep(system, ub)
-    dist = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        uf_new = _forward_sweep(system, ub)
-        ub_new = _backward_sweep(system, uf_new)
-        uf_next = damping * uf_new + (1.0 - damping) * uf
-        ub_next = damping * ub_new + (1.0 - damping) * ub
-        dist = max(float(np.max(np.abs(uf_next - uf), initial=0.0)),
-                   float(np.max(np.abs(ub_next - ub), initial=0.0)))
-        uf, ub = uf_next, ub_next
-        if dist <= tol:
-            break
-    converged = dist <= tol
-    if not converged:
-        raise SolverError(
-            f"fixed-point iteration did not converge in {max_iter} sweeps "
-            f"(last step {dist:.3e}); shorten the horizon/step or check the "
-            f"monotonicity margins",
-            SolveDiagnostics("picard", iterations, dist, np.nan, False))
-    uf = _forward_sweep(system, ub)
-    ub = _backward_sweep(system, uf)
-    sol = _flow_solution(system, 0, uf, ub, _pre(lat, ub),
-                         SolveDiagnostics("picard", iterations, dist, 0.0, True))
-    sol.diagnostics = residual(system, sol)
-    return sol

@@ -9,13 +9,13 @@ satisfy identical equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
-from .errors import AssumptionViolationError, UnsupportedModelError, ValidationError
-from .fbsde import (DirectSolver, FbsdeSystem, NodeSolution, check_factor_budget,
-                    solve_direct, solve_picard, sweep_floats)
-from .model import ModelSpec, check_all_assumptions
+from .errors import AssumptionViolationError, SolverError, ValidationError
+from .fbsde import (DIRECT_RESIDUAL_GATE, DirectSolver, FamilySolution, FbsdeSystem,
+                    NodeSolution, check_factor_budget, residual, solve_direct, sweep_floats)
+from .model import ModelSpec, check_all_assumptions, secant_curvatures
 from .scenario import (ExogenousFields, IdiosyncraticAtoms, NodeField,
                        NoiseLattice, apply_block, evaluate_exogenous,
                        idiosyncratic_atoms, level_table, sample_idiosyncratic)
@@ -245,6 +245,10 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
               -/+ kron(I - 1 w^T, lam^{-1})   on the X/Y and R/P blocks.
 
     Groups whose tables carry a flow axis (``stack_tables``) make a family.
+
+    A ``CallableMajorCost`` gets its affine twin: curvatures cbar I and
+    gbar I from ``secant_curvatures`` and zero intercepts, which
+    ``_solve_full_system`` then sets from its iterates.
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
@@ -261,7 +265,12 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     # the X_g / Y_g and R_g / P_g states share their offsets
     XY, RP, top = slice(n, (1 + G) * n), slice((1 + G) * n, mf), slice(0, n)
 
-    affine_cost = spec.major_cost.affine
+    cost = spec.major_cost
+    if cost.affine:
+        c0f, c0g, h0f, h0g = cost.c0f, cost.c0g, ctx.h0f[:I], ctx.h0g_T
+    else:
+        cbar, gbar = secant_curvatures(spec)
+        c0f, c0g, h0f, h0g = cbar * np.eye(n), gbar * np.eye(n), np.zeros((I, n)), np.zeros((L, n))
 
     signs = np.concatenate([[1.0], -np.ones(G), np.ones(G)])
     means = np.concatenate([[-1.0], w, w])
@@ -274,15 +283,13 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     Bbf = np.zeros((K, mb, mf))
     Bbf[:, XY, XY] = _block_diag(cf)
     Bbf[:, RP, RP] = _block_diag(-cf)
-    if affine_cost:
-        Bbf[:, top, top] = spec.major_cost.c0f
+    Bbf[:, top, top] = c0f
 
     zero = np.zeros((I, G * n))
     af = _columns([ctx.l0[:I], *(t.l[:I] for t in tabs), zero])
     S = _columns([ctx.s0[:I], *(t.sig0[:I] for t in tabs), np.zeros((I, G * n, lat.d0))],
                  (lat.d0,))
-    bb = _columns([ctx.h0f[:I] if affine_cost else np.zeros((I, n)),
-                   *(t.hf[:I] for t in tabs), zero])
+    bb = _columns([h0f, *(t.hf[:I] for t in tabs), zero])
     initial = _columns([spec.chi0[None], *(t.xi[None] for t in tabs), np.zeros((1, G * n))])
 
     Gm = np.zeros((mb, mf))
@@ -291,40 +298,16 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
         gv = _columns([c0T, np.tile(c0T, G), np.zeros((L, G * n))])
     else:
         ratio = spec.delta / (1.0 - spec.delta)
-        if affine_cost:
-            Gm[top, top] = spec.major_cost.c0g
+        Gm[top, top] = c0g
         Gm[XY, XY], g_XY = _terminal_coupling(tabs, w, ratio)
         cg = np.stack([t.cg_T for t in tabs])
         own = np.eye(G) + ratio * w[None, :]
         Gm[RP, RP] -= (own[:, None, :, None] * cg[:, :, None, :]).reshape(G * n, G * n)
-        gv = _columns([ctx.h0g_T if affine_cost else np.zeros((L, n)), g_XY,
-                       np.zeros((L, G * n))])
-
-    driver_fn = terminal_fn = None
-    if not affine_cost:
-        def driver_fn(k, uf):
-            sl = lat.level_slice(k)
-            m = sl.stop - sl.start
-            base = apply_block(Bbf[k], uf) + bb[sl, 0]
-            t = k * lat.dt
-            x0 = uf[:, top]
-            grad = np.stack([spec.major_cost.dfdx(t, x0[i], ctx.exo.c0[sl][i])
-                             for i in range(m)])
-            base[:, top] = grad
-            return base
-
-        def terminal_fn(ufK):
-            out = apply_block(Gm, ufK) + gv[:, 0]
-            x0 = ufK[:, top]
-            out[:, top] = np.stack([
-                spec.major_cost.dgdx(x0[i], ctx.exo.c0[tsl][i])
-                for i in range(x0.shape[0])])
-            return out
+        gv = _columns([h0g, g_XY, np.zeros((L, G * n))])
 
     return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
                        Afb=Afb, Bbf=Bbf, G=Gm,
-                       initial=initial, af=af, S=S, bb=bb, g=gv,
-                       affine=affine_cost, driver_fn=driver_fn, terminal_fn=terminal_fn)
+                       initial=initial, af=af, S=S, bb=bb, g=gv)
 
 
 def _minor_system(ctx: MarketContext, tabs: list[MinorTables], Afb: np.ndarray,
@@ -441,39 +424,43 @@ class EquilibriumSolution:
         return "p0" in self.solution.system.backward_slices
 
 
-def _group_means(sols: list[NodeSolution], w: np.ndarray, prefix: str, pre: bool = False,
+def _group_means(family: FamilySolution, w: np.ndarray, prefix: str, pre: bool = False,
                  rows: slice = slice(None)) -> np.ndarray:
-    """sum_g w_g field_g over the agent groups, on ``rows``, for a family: (nodes, B, n)."""
+    """sum_g w_g field_g over the agent groups, on ``rows``, for a family: (nodes, B, n).
+
+    The groups' fields are read from the family's stacked states.
+    """
+    states = family.backward_pre if pre else family.backward
+    slices = family.system.backward_slices
     acc = None
     for g in range(len(w)):
-        name = f"{prefix}{g}"
-        vals = np.stack([(s.pre(name) if pre else s.field(name))[rows] for s in sols], axis=1)
+        vals = states[rows, :, slices[f"{prefix}{g}"]]
         acc = w[g] * vals if acc is None else acc + w[g] * vals
     return acc
 
 
-def _price_from_clearing(ctx: MarketContext, w: np.ndarray, sols: list[NodeSolution],
+def _price_from_clearing(ctx: MarketContext, w: np.ndarray, family: FamilySolution,
                          beta_norm: np.ndarray) -> np.ndarray:
     """Clearing prices of a family's B solutions under its (nodes, B, n) flows: (nodes, B, n)."""
     lat = ctx.lattice
     phi = lat.apply_levels(ctx.exo.lam, beta_norm)
-    phi -= _group_means(sols, w, "Y", pre=True)
+    phi -= _group_means(family, w, "Y", pre=True)
     tsl = lat.terminal_slice
-    phi[tsl] = -_group_means(sols, w, "Y", rows=tsl)
+    phi[tsl] = -_group_means(family, w, "Y", rows=tsl)
     return phi
 
 
-def _flow_and_price(ctx: MarketContext, w: np.ndarray, sols: list[NodeSolution]):
+def _flow_and_price(ctx: MarketContext, w: np.ndarray, family: FamilySolution):
     """Per-capita optimal flows b and clearing prices of a solved full family, (nodes, B, n) each.
 
     See ``solve_full_equilibrium`` for the read-off formulas.
     """
-    mean_y_pre = _group_means(sols, w, "Y", pre=True)
-    mean_p_pre = _group_means(sols, w, "P", pre=True)
-    p0_pre = np.stack([s.pre("p0") for s in sols], axis=1)
+    mean_y_pre = _group_means(family, w, "Y", pre=True)
+    mean_p_pre = _group_means(family, w, "P", pre=True)
+    p0_pre = family.backward_pre[:, :, family.system.backward_slices["p0"]]
     b = ctx.lattice.apply_levels(ctx.exo.v0bar, -p0_pre + mean_y_pre + mean_p_pre)
     b[ctx.lattice.terminal_slice] = 0.0
-    return b, _price_from_clearing(ctx, w, sols, b)
+    return b, _price_from_clearing(ctx, w, family, b)
 
 
 def _alpha_hats(ctx: MarketContext, pop: AgentPopulation, sol: NodeSolution,
@@ -527,13 +514,67 @@ def _run_checks(spec, force, minor_only=False):
     return report
 
 
-def _solve_system(system: FbsdeSystem, method: str, **solver_kw) -> NodeSolution:
-    if method == "direct":
-        if not system.affine:
-            raise UnsupportedModelError(
-                "general (non-affine) major cost gradients need method='picard'")
-        return solve_direct(system)
-    return solve_picard(system, **solver_kw)
+# successive step of the major position below which the affine iteration may stop
+STEP_TOL = 1e-10
+
+
+def _major_intercepts(ctx: MarketContext, system: FbsdeSystem, sol: NodeSolution) -> dict:
+    """A callable cost's affine twin's p0-row constants at the major position x0 of ``sol``.
+
+    ``bb`` reads dfdx(t, x0, c0) - cbar x0 on the non-terminal nodes and,
+    outside maturity mode (major terminal row -c0), ``g`` dgdx(x0, c0) - gbar x0.
+    """
+    spec, lat = ctx.spec, ctx.lattice
+    cost = spec.major_cost
+    row, col = system.backward_slices["p0"], system.forward_slices["x0"]
+    x0, c0 = sol.field("x0"), ctx.exo.c0
+    bb = system.bb.copy()
+    for k in range(lat.steps):
+        lo, hi = lat.level_range(k)
+        grads = np.stack([cost.dfdx(k * lat.dt, x0[v], c0[v]) for v in range(lo, hi)])
+        bb[lo:hi, 0, row] = grads - apply_block(system.Bbf[k, row, col], x0[lo:hi])
+    if spec.maturity_mode:
+        return {"bb": bb}
+    g = system.g.copy()
+    tsl = lat.terminal_slice
+    grads = np.stack([cost.dgdx(x, c) for x, c in zip(x0[tsl], c0[tsl])])
+    g[:, 0, row] = grads - apply_block(system.G[row, col], x0[tsl])
+    return {"bb": bb, "g": g}
+
+
+def _solve_full_system(ctx: MarketContext, system: FbsdeSystem) -> FamilySolution:
+    """Solve a full market system of one flow (``build_full_system``).
+
+    A callable major cost is solved on its affine twin by exact affine
+    solves (one vector pass each, one shared matrix pass), each with the
+    intercepts of the last solve's major position: a fixed point solves the
+    callable cost's equations; the twin's curvatures only set the rate.  It
+    stops once x0 moves by at most ``STEP_TOL`` and those equations hold to
+    ``DIRECT_RESIDUAL_GATE`` (the diagnostics report them and count the
+    solves), and raises ``SolverError`` as soon as the step stops shrinking.
+    """
+    if ctx.spec.major_cost.affine:
+        return FamilySolution.of(solve_direct(system))
+    solver = DirectSolver(system)
+    family = solver.solve()
+    solves, last = 1, np.inf
+    while True:
+        intercepts = _major_intercepts(ctx, system, family[0])
+        if last <= STEP_TOL:
+            diagnostics = residual(replace(system, **intercepts), family[0])
+            if diagnostics.max_equation_residual <= DIRECT_RESIDUAL_GATE:
+                break
+        nxt = solver.solve(**intercepts)
+        solves += 1
+        step = float(np.max(np.abs(nxt[0].field("x0") - family[0].field("x0"))))
+        if step >= last:
+            raise SolverError(
+                f"the affine iteration of the callable major cost stopped contracting "
+                f"at solve {solves} (step {step:.3e} after {last:.3e}); the cost's "
+                f"curvature range is too wide", nxt.diagnostics[0])
+        family, last = nxt, step
+    family[0].diagnostics = family.diagnostics[0] = replace(diagnostics, iterations=solves)
+    return family
 
 
 def _validate_beta(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField):
@@ -547,8 +588,7 @@ def _validate_beta(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField):
 
 def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
                         population: AgentPopulation | None = None, *,
-                        ctx: MarketContext | None = None, method: str = "direct",
-                        **solver_kw):
+                        ctx: MarketContext | None = None):
     """Per-agent optimal responses to an exogenous adapted price field.
 
     Returns the solved node system together with the trading rates
@@ -557,7 +597,7 @@ def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     pop = population if population is not None else make_population(spec, ctx.atoms)
     system = build_best_response_system(ctx, ctx.group_tables(pop), price.values)
-    sol = _solve_system(system, method, **solver_kw)
+    sol = solve_direct(system)
     alpha = _alpha_hats(ctx, pop, sol, price.values)
     return BestResponse(spec=spec, lattice=lattice, population=pop, solution=sol,
                         price=price, alpha_hat=alpha)
@@ -578,9 +618,8 @@ class BestResponse:
 
 def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField,
                          population: AgentPopulation | None = None, *,
-                         ctx: MarketContext | None = None, method: str = "direct",
-                         check: bool = True, force: bool = False,
-                         **solver_kw) -> EquilibriumSolution:
+                         ctx: MarketContext | None = None,
+                         check: bool = True, force: bool = False) -> EquilibriumSolution:
     """Clear the market for a given major flow (no major optimization).
 
     ``beta`` is the unnormalized flow of the major trader; the induced price
@@ -593,8 +632,8 @@ def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField
         _run_checks(spec, force, minor_only=True)
     beta_norm = beta.values / pop.N
     system = build_clearing_system(ctx, ctx.group_tables(pop), pop.weights, beta_norm)
-    sol = _solve_system(system, method, **solver_kw)
-    phi = _price_from_clearing(ctx, pop.weights, [sol], beta_norm[:, None])[:, 0]
+    sol = solve_direct(system)
+    phi = _price_from_clearing(ctx, pop.weights, FamilySolution.of(sol), beta_norm[:, None])[:, 0]
     alpha = _alpha_hats(ctx, pop, sol, phi)
     eq = EquilibriumSolution(
         spec=spec, lattice=lattice, population=pop, solution=sol,
@@ -609,9 +648,8 @@ def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField
 
 def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
                            population: AgentPopulation | None = None, *,
-                           ctx: MarketContext | None = None, method: str = "direct",
-                           check: bool = True, force: bool = False,
-                           **solver_kw) -> EquilibriumSolution:
+                           ctx: MarketContext | None = None,
+                           check: bool = True, force: bool = False) -> EquilibriumSolution:
     """Solve the coupled market with the major trader's flow chosen optimally.
 
     The optimal flow and the clearing price are read off the solved node
@@ -624,9 +662,9 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
     pop = population if population is not None else make_population(spec, ctx.atoms)
     if check:
         _run_checks(spec, force)
-    sol = _solve_system(build_full_system(ctx, ctx.group_tables(pop), pop.weights),
-                        method, **solver_kw)
-    b, phi = _flow_and_price(ctx, pop.weights, [sol])
+    family = _solve_full_system(ctx, build_full_system(ctx, ctx.group_tables(pop), pop.weights))
+    sol = family[0]
+    b, phi = _flow_and_price(ctx, pop.weights, family)
     b, phi = b[:, 0], phi[:, 0]
     alpha = _alpha_hats(ctx, pop, sol, phi)
     eq = EquilibriumSolution(
@@ -661,12 +699,12 @@ class ClearingOperator:
         self._solver = DirectSolver(build_clearing_system(
             ctx, tabs, w, np.zeros((lat.num_nodes, ctx.spec.dims.n))))
 
-    def solve(self, beta_norms: np.ndarray) -> tuple[list[NodeSolution], np.ndarray]:
+    def solve(self, beta_norms: np.ndarray) -> tuple[FamilySolution, np.ndarray]:
         """Clear a (B, nodes, n) stack of per-capita flows in one vector pass.
 
         Returns the B solved clearing systems and the (B, nodes, n) stack of
         induced prices.  If any flow fails, the ``SolverError`` names it.
         """
-        sols = self._solver.solve(af=_minus_flow(self._solver.system.af, beta_norms))
-        phi = _price_from_clearing(self.ctx, self.w, sols, np.moveaxis(beta_norms, 0, 1))
-        return sols, np.moveaxis(phi, 1, 0)
+        family = self._solver.solve(af=_minus_flow(self._solver.system.af, beta_norms))
+        phi = _price_from_clearing(self.ctx, self.w, family, np.moveaxis(beta_norms, 0, 1))
+        return family, np.moveaxis(phi, 1, 0)

@@ -20,9 +20,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import UnsupportedModelError, ValidationError
-from .fbsde import DirectSolver, FbsdeSystem, NodeSolution
+from .fbsde import DirectSolver, FamilySolution, FbsdeSystem, NodeSolution
 from .finite_market import (MarketContext, MinorTables, _flow_and_price, _run_checks,
-                            _solve_system, build_full_system, stack_tables)
+                            _solve_full_system, build_full_system, stack_tables)
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, apply_block
 
@@ -112,7 +112,7 @@ class MfgSolution:
     lattice: NoiseLattice
     ctx: MarketContext
     solution: NodeSolution                 # full system of the mean group
-    deviations: list[NodeSolution]         # one per (xi, ci) atom
+    deviations: FamilySolution             # one flow per (xi, ci) atom
     beta_hat: NodeField                    # per-capita flow, zero on terminal nodes
     price_mfg: NodeField
 
@@ -152,9 +152,16 @@ class MfgSolution:
         return np.stack(out)
 
 
+def _solve_means(ctx: MarketContext) -> tuple[NodeSolution, np.ndarray, np.ndarray]:
+    """The mean system solved, with its flow b and price phi, (nodes, n) each."""
+    family = _solve_full_system(ctx, reduce_conditional_means(ctx.spec, ctx.lattice, ctx))
+    b, phi = _flow_and_price(ctx, np.ones(1), family)
+    return family[0], b[:, 0], phi[:, 0]
+
+
 def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
-              ctx: MarketContext | None = None, method: str = "direct",
-              check: bool = True, force: bool = False, **solver_kw) -> MfgSolution:
+              ctx: MarketContext | None = None,
+              check: bool = True, force: bool = False) -> MfgSolution:
     """Solve the population-limit equilibrium: means first, then atom deviations.
 
     The flow and the price are those of the full market system on the mean
@@ -168,11 +175,9 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     if check:
         _run_checks(spec, force)
-    sol = _solve_system(reduce_conditional_means(spec, lattice, ctx), method, **solver_kw)
-    (mean,), w = mean_group(ctx)
+    sol, b, phi = _solve_means(ctx)
+    (mean,), _ = mean_group(ctx)
     devs = DirectSolver(build_deviation_system(ctx, range(ctx.atoms.count), mean)).solve()
-    b, phi = _flow_and_price(ctx, w, [sol])
-    b, phi = b[:, 0], phi[:, 0]
     return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=sol,
                        deviations=devs,
                        beta_hat=NodeField(lattice, b),

@@ -442,6 +442,8 @@ def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
     """
     if not spec.homogeneous:
         raise UnsupportedModelError("the convergence study needs a homogeneous population")
+    if not spec.major_cost.affine:  # atom prices mix linearly for an affine cost only
+        raise UnsupportedModelError("the convergence study needs a quadratic major cost")
     n_list = [int(N) for N in n_list]
     if not n_list or min(n_list) < 1:
         raise ValidationError("population sizes must be at least 1")

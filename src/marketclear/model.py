@@ -222,7 +222,12 @@ class QuadraticMajorCost:
 
 @dataclass
 class CallableMajorCost:
-    """General convex cost gradients; solvable by the damped fixed-point path only."""
+    """General convex cost gradients d_x fbar0 = dfdx(t, x, c0), d_x g0 = dgdx(x, c0).
+
+    The market with such a cost is solved by a sequence of exact affine
+    solves of its affine twin, whose curvatures ``secant_curvatures`` reads
+    off the gradients (``finite_market.build_full_system``).
+    """
 
     dfdx: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     dgdx: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -460,10 +465,10 @@ def check_minor_assumptions(spec: ModelSpec, candidate_c: np.ndarray | None = No
     return rep
 
 
-def _secant_floor(grad, n: int, box: float = 1.0):
-    """Estimate a convexity floor of a gradient field by randomized secants."""
+def _secant_range(grad, n: int, box: float = 1.0):
+    """Smallest and largest randomized secant ratios of a gradient, and the smallest's pair."""
     rng = stream_rng(SECANT_SEED, 0)
-    worst, witness = np.inf, None
+    worst, most, witness = np.inf, -np.inf, None
     for _ in range(SECANT_PAIRS):
         x = rng.uniform(-box, box, size=n)
         xp = rng.uniform(-box, box, size=n)
@@ -473,7 +478,22 @@ def _secant_floor(grad, n: int, box: float = 1.0):
         ratio = float(np.dot(grad(xp) - grad(x), xp - x)) / gap2
         if ratio < worst:
             worst, witness = ratio, (x, xp)
-    return worst, witness
+        most = max(most, ratio)
+    return worst, most, witness
+
+
+def secant_curvatures(spec: ModelSpec) -> list[float]:
+    """Curvatures (m + L)/2 of a callable major cost's running and terminal gradients.
+
+    m and L are each gradient's smallest and largest secant ratios, sampled
+    as ``check_major_assumptions`` samples them (t = 0, the first probe's c0).
+    """
+    cost, c0 = spec.major_cost, default_sample_points(spec)[0][1]
+    ranges = [_secant_range(grad, spec.dims.n)[:2] for grad in
+              (lambda x: cost.dfdx(0.0, x, c0), lambda x: cost.dgdx(x, c0))]
+    if not np.isfinite(ranges).all():
+        raise UnsupportedModelError("the callable major cost gives no finite secant ratios")
+    return [0.5 * (lo + hi) for lo, hi in ranges]
 
 
 def check_major_assumptions(spec: ModelSpec, sample_points: Sequence | None = None,
@@ -513,8 +533,8 @@ def check_major_assumptions(spec: ModelSpec, sample_points: Sequence | None = No
         rep.gamma0_g = _min_eig(cost.c0g)
     else:
         c0_anchor = points[0][1]
-        gf, wf = _secant_floor(lambda x: cost.dfdx(0.0, x, c0_anchor), n, secant_box)
-        gg, wg = _secant_floor(lambda x: cost.dgdx(x, c0_anchor), n, secant_box)
+        gf, _, wf = _secant_range(lambda x: cost.dfdx(0.0, x, c0_anchor), n, secant_box)
+        gg, _, wg = _secant_range(lambda x: cost.dgdx(x, c0_anchor), n, secant_box)
         if not np.isfinite(gf) or not np.isfinite(gg):
             rep.inconclusive.append("major_v: secant sampling degenerate, convexity not estimated")
             rep.gamma0_f = rep.gamma0_g = None

@@ -32,7 +32,7 @@ from .errors import MarketClearError, UnsupportedModelError, ValidationError
 from .finite_market import (AgentPopulation, ClearingOperator, EquilibriumSolution,
                             MarketContext, MinorTables, integrate_forward,
                             make_population, solve_full_equilibrium)
-from .mean_field import mean_group, solve_mfg
+from .mean_field import _solve_means, mean_group
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, squared_norms, stream_rng
 
@@ -373,8 +373,7 @@ def _perturbation_test(spec: ModelSpec, lattice: NoiseLattice, ctx: MarketContex
             op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
             control = lambda ctrls: ctrls / pop.N
         else:
-            mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
-            base_ctrl = mf.beta_hat.values
+            base_ctrl = _solve_means(ctx)[1]  # the limit's deviations are not needed
             op = ClearingOperator(ctx, *mean_group(ctx))
 
         def respond(b):

@@ -214,7 +214,8 @@ class NoiseLattice:
         self.branching = branching
         self.fanout = fanout
         self.num_nodes = total
-        self._level_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        starts = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        self._levels = list(zip(starts[:-1], starts[1:]))  # (lo, hi) per level, as ints
 
         dt = grid.dt
         if branching == 2:
@@ -263,7 +264,7 @@ class NoiseLattice:
         return self.grid.dt
 
     def level_range(self, k: int) -> tuple[int, int]:
-        return int(self._level_start[k]), int(self._level_start[k + 1])
+        return self._levels[k]
 
     def level_slice(self, k: int) -> slice:
         lo, hi = self.level_range(k)
@@ -288,13 +289,21 @@ class NoiseLattice:
         in layout order, so a node's result depends neither on the worker nor
         on the trailing shape of the array it sits in.
         """
-        m = self.nodes_at(k)
+        return self._children_mean(child_values, self.nodes_at(k))
+
+    def tree_cond_expect(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``cond_expect`` of every non-terminal node at once, bit for bit, from all nodes.
+
+        The children of nodes 0..I-1 are nodes 1..N-1 in layout order: one
+        reshape.  The result is written to ``out`` if given.
+        """
+        return self._children_mean(values[1:], self.level_range(self.steps)[0], out)
+
+    def _children_mean(self, child_values: np.ndarray, m: int, out=None) -> np.ndarray:
         vals = child_values.reshape((m, self.fanout) + child_values.shape[1:])
-        w = self.child_probs.reshape((1, self.fanout) + (1,) * (vals.ndim - 2))
-        weighted = vals * w
-        out = weighted[:, 0]
+        out = np.multiply(vals[:, 0], self.child_probs[0], out=out)
         for j in range(1, self.fanout):
-            out = out + weighted[:, j]
+            out += vals[:, j] * self.child_probs[j]
         return out
 
     def repeat_to_children(self, parent_values: np.ndarray) -> np.ndarray:

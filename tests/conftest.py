@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from marketclear.model import Dimensions, DiscreteLaw, make_spec
+from marketclear.model import CallableMajorCost, Dimensions, DiscreteLaw, make_spec
 from marketclear.scenario import TimeGrid, build_lattice
 
 
@@ -23,6 +25,14 @@ def scalar_market_spec(delta=0.4, N=2, xi_atoms=((0.5,), (1.5,)), lam=1.3, lam0=
         xi_law=DiscreteLaw(atoms, weights),
         c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]),
         chi0=[0.3])
+
+
+def callable_twin(spec):
+    """The spec with its quadratic major cost given as callable gradients."""
+    cost, zero = spec.major_cost, np.zeros(spec.dims.n)
+    return replace(spec, major_cost=CallableMajorCost(
+        dfdx=lambda t, x, c0: cost.c0f @ x + cost.h0f.eval_point(t, c0, zero),
+        dgdx=lambda x, c0: cost.c0g @ x + cost.h0g.eval_point(0.0, c0, zero)))
 
 
 def homogeneous_study_spec(N=8, delta=0.3):

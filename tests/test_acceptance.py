@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from marketclear.cli import main as cli_main
-from marketclear.fbsde import solve_direct, solve_picard
+from marketclear.fbsde import solve_direct
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_full_equilibrium,
                                        solve_minor_clearing)
@@ -23,7 +23,7 @@ from marketclear.mean_field import solve_mfg
 from marketclear.scenario import (TimeGrid, build_lattice, constant_field,
                                   stream_rng)
 
-from conftest import homogeneous_study_spec, noiseless_unit_spec
+from conftest import callable_twin, homogeneous_study_spec, noiseless_unit_spec
 
 EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
 
@@ -97,11 +97,13 @@ def test_criterion_01_market_clearing() -> None:
 def test_criterion_02_oracle_equivalence() -> None:
     worst = 0.0
     for (n, N, K) in lq_cases():
-        _, _, _, _, system, direct, _ = solved_case(n, N, K)
-        picard = solve_picard(system)
+        spec, lattice, _, pop, _, direct, _ = solved_case(n, N, K)
+        twin = callable_twin(spec)
+        iterated = solve_full_equilibrium(twin, lattice, pop, ctx=MarketContext(twin, lattice),
+                                          check=False).solution
         worst = max(worst,
-                    float(np.max(np.abs(direct.forward - picard.forward))),
-                    float(np.max(np.abs(direct.backward - picard.backward))))
+                    float(np.max(np.abs(direct.forward - iterated.forward))),
+                    float(np.max(np.abs(direct.backward - iterated.backward))))
     # independently assembled dense oracle on the 2-step scalar two-agent market
     from tiny_tree_oracle import TinyTreeOracle
     from test_finite_market import ORACLE_PARAMS, oracle_spec
@@ -111,8 +113,8 @@ def test_criterion_02_oracle_equivalence() -> None:
     ctx = MarketContext(spec, lattice)
     pop = make_population(spec, ctx.atoms, assignments=[0, 1])
     oracle_worst = 0.0
-    for method in ("direct", "picard"):
-        eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, method=method)
+    for model in (spec, callable_twin(spec)):
+        eq = solve_full_equilibrium(model, lattice, pop, ctx=MarketContext(model, lattice))
         checks = [
             (oracle["x0"], eq.major_field("x0")[:, 0]),
             (oracle["p0"], eq.major_field("p0")[:, 0]),
@@ -131,7 +133,7 @@ def test_criterion_02_oracle_equivalence() -> None:
             oracle_worst = max(oracle_worst, float(np.max(np.abs(want - got))))
     gate("criterion 02 oracle equivalence",
          worst <= 1e-8 and oracle_worst <= 1e-8,
-         f"picard-direct {worst:.3e}, oracle {oracle_worst:.3e}")
+         f"callable twin-direct {worst:.3e}, oracle {oracle_worst:.3e}")
 
 
 def closed_form_errors(K: int):

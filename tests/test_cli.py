@@ -464,6 +464,18 @@ def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded() -> None:
     assert _run_probe(probe) == "[]"
 
 
+def test_solve_and_converge_runs_leave_numpy_random_unloaded(good_model, tmp_path) -> None:
+    # stream_rng's generators are built on first use (the verify directions),
+    # so solving and the convergence study never import numpy.random
+    probe = ("import sys, marketclear.cli as cli; args = sys.argv[1:]; cut = args.index('--then'); "
+             "codes = [cli.main(a) for a in (args[:cut], args[cut + 1:])]; "
+             "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    solve = ["solve-n", "--model", good_model, "--out", tmp_path / "s", "--steps", 3]
+    converge = ["converge", "--model", good_model, "--out", tmp_path / "c", "--steps", 3,
+                "--n-list", "8,16,32", "--resamples", 24, "--seed", 7]
+    assert _run_probe(probe, *solve, "--then", *converge) == "[0, 0] []"
+
+
 def test_only_node_sized_writers_load_orjson(good_model, tmp_path) -> None:
     # the column formatter imports orjson on first use; importing the CLI and
     # the study commands (which write tens of values through repr) must not

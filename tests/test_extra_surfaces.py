@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from marketclear.errors import BudgetError, UnsupportedModelError
+from marketclear.errors import BudgetError, SolverError, UnsupportedModelError
 from marketclear.finite_market import (MarketContext, make_population,
                                        solve_full_equilibrium)
 from marketclear.mean_field import solve_mfg
@@ -33,7 +35,7 @@ def test_two_dimensional_common_noise_solves_and_clears() -> None:
 
 def test_callable_major_cost_matches_affine_twin() -> None:
     # a callable gradient encoding the same affine law must reproduce the
-    # direct affine solve through the fixed-point path
+    # direct affine solve through the affine iteration, at every horizon
     dims = Dimensions(1, 1, 0, 2)
     c0f, h0f, c0g, h0g = 0.9, 0.15, 1.1, 0.05
     affine = make_spec(dims, delta=0.3,
@@ -46,40 +48,60 @@ def test_callable_major_cost_matches_affine_twin() -> None:
                             dfdx=lambda t, x, c0: c0f * x + h0f,
                             dgdx=lambda x, c0: c0g * x + h0g),
                         xi_law=affine.xi_law, c0_law=affine.c0_law)
-    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    ctx_a, ctx_w = MarketContext(affine, lat), MarketContext(wrapped, lat)
-    pop_a = make_population(affine, ctx_a.atoms, assignments=[0, 1])
-    pop_w = make_population(wrapped, ctx_w.atoms, assignments=[0, 1])
-    eq_a = solve_full_equilibrium(affine, lat, pop_a, ctx=ctx_a)
-    eq_w = solve_full_equilibrium(wrapped, lat, pop_w, ctx=ctx_w, method="picard",
-                                  check=False)
-    assert np.max(np.abs(eq_a.price.values - eq_w.price.values)) <= 1e-8
-    assert np.max(np.abs(eq_a.beta_hat.values - eq_w.beta_hat.values)) <= 1e-8
+    for T in (1.0, 2.0, 4.0, 8.0):
+        lat = build_lattice(TimeGrid(T, 3), d0=1)
+        ctx_a, ctx_w = MarketContext(affine, lat), MarketContext(wrapped, lat)
+        pop_a = make_population(affine, ctx_a.atoms, assignments=[0, 1])
+        pop_w = make_population(wrapped, ctx_w.atoms, assignments=[0, 1])
+        eq_a = solve_full_equilibrium(affine, lat, pop_a, ctx=ctx_a)
+        eq_w = solve_full_equilibrium(wrapped, lat, pop_w, ctx=ctx_w, check=False)
+        assert np.max(np.abs(eq_a.price.values - eq_w.price.values)) <= 1e-8, T
+        assert np.max(np.abs(eq_a.beta_hat.values - eq_w.beta_hat.values)) <= 1e-8, T
 
 
-def test_callable_major_cost_requires_fixed_point_path() -> None:
-    dims = Dimensions(1, 1, 0, 1)
-    spec = make_spec(dims, major_cost=CallableMajorCost(
-        dfdx=lambda t, x, c0: x + 0.1 * np.tanh(x),
-        dgdx=lambda x, c0: x))
-    lat = build_lattice(TimeGrid(1.0, 2), d0=1)
-    with pytest.raises(UnsupportedModelError):
-        solve_full_equilibrium(spec, lat, check=False)
-    eq = solve_full_equilibrium(spec, lat, method="picard", check=False)
-    assert eq.diagnostics.converged
-
-
-def test_nonlinear_limit_solves_by_fixed_point() -> None:
-    dims = Dimensions(1, 1, 0, 4)
-    spec = make_spec(dims, delta=0.2,
+def tanh_spec():
+    """The x + 0.1 tanh x running gradient, a quadratic terminal cost, two atoms."""
+    return make_spec(Dimensions(1, 1, 0, 4), delta=0.2,
                      major_cost=CallableMajorCost(
                          dfdx=lambda t, x, c0: x + 0.1 * np.tanh(x),
                          dgdx=lambda x, c0: x),
                      xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])),
                      c0_law=("constant", [0.1]))
+
+
+def test_callable_major_cost_solves_at_long_horizons() -> None:
+    spec = tanh_spec()
+    for T in (1.0, 2.0, 4.0, 8.0):
+        lat = build_lattice(TimeGrid(T, 6), d0=1)
+        ctx = MarketContext(spec, lat)
+        pop = make_population(spec, ctx.atoms, assignments=[0, 1, 0, 1])
+        eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+        mf = solve_mfg(spec, lat, ctx=ctx)
+        for diagnostics in (eq.diagnostics, mf.diagnostics):
+            assert diagnostics.converged, T
+            assert diagnostics.max_equation_residual <= 1e-10, T
+            assert 2 <= diagnostics.iterations <= 20, T
+        assert eq.clearing_residual <= 1e-10, T
+
+
+def test_nonlinear_limit_solves_by_fixed_point() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    mf = solve_mfg(spec, lat, method="picard", check=False)
+    mf = solve_mfg(tanh_spec(), lat, check=False)
     assert mf.diagnostics.converged
+
+
+def test_non_contracting_callable_cost_raises_before_overflow() -> None:
+    # secant curvatures in about [-8, 10]: at this horizon the step grows
+    spec = make_spec(Dimensions(1, 1, 0, 2), delta=0.2,
+                     major_cost=CallableMajorCost(
+                         dfdx=lambda t, x, c0: x + 3.0 * np.sin(3.0 * x) + 0.5,
+                         dgdx=lambda x, c0: x),
+                     xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])))
+    lat = build_lattice(TimeGrid(4.0, 6), d0=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="stopped contracting"):
+            solve_full_equilibrium(spec, lat, check=False)
 
 
 def test_time_dependent_fee_schedule() -> None:

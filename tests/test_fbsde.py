@@ -7,8 +7,7 @@ import pytest
 
 from marketclear import fbsde
 from marketclear.errors import BudgetError, SolverError, ValidationError
-from marketclear.fbsde import (DirectSolver, FbsdeSystem, residual, solve_direct,
-                               solve_picard)
+from marketclear.fbsde import DirectSolver, FbsdeSystem, residual, solve_direct
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_minor_clearing)
 from marketclear.scenario import TimeGrid, build_lattice, constant_field
@@ -196,50 +195,6 @@ def test_family_is_not_solved_one_system_at_a_time() -> None:
     with pytest.raises(ValidationError, match="family of 2"):
         solve_direct(pair)
     assert len(DirectSolver(pair).solve()) == 2
-
-
-# -- fixed-point solve -----------------------------------------------------------
-
-
-def test_picard_matches_direct_on_affine_benchmark() -> None:
-    spec = scalar_market_spec(delta=0.4)
-    lat = build_lattice(TimeGrid(1.0, 4), d0=1)
-    system = full_system(spec, lat, assignments=[0, 1])
-    direct = solve_direct(system)
-    picard = solve_picard(system)
-    gap = max(np.max(np.abs(direct.forward - picard.forward)),
-              np.max(np.abs(direct.backward - picard.backward)))
-    assert gap <= 1e-8
-
-
-def test_picard_zero_model_converges_immediately() -> None:
-    from marketclear.model import Dimensions, DiscreteLaw, make_spec
-    zero = make_spec(Dimensions(1, 1, 0, 1), delta=0.0,
-                     xi_law=DiscreteLaw.point([0.0]))
-    lat = build_lattice(TimeGrid(1.0, 2), d0=1)
-    sol = solve_picard(full_system(zero, lat))
-    assert sol.diagnostics.iterations == 1
-    assert np.max(np.abs(sol.backward)) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_damping_does_not_move_the_fixed_point() -> None:
-    # horizon short enough that the undamped sweep map contracts
-    spec = scalar_market_spec(delta=0.3)
-    lat = build_lattice(TimeGrid(0.5, 3), d0=1)
-    system = full_system(spec, lat, assignments=[0, 1])
-    full = solve_picard(system, damping=1.0)
-    half = solve_picard(system, damping=0.5)
-    gap = max(np.max(np.abs(full.forward - half.forward)),
-              np.max(np.abs(full.backward - half.backward)))
-    assert gap <= 1e-8
-
-
-def test_picard_nonconvergence_raises() -> None:
-    spec = scalar_market_spec()
-    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    system = full_system(spec, lat, assignments=[0, 1])
-    with pytest.raises(SolverError):
-        solve_picard(system, max_iter=1)
 
 
 # -- martingale structure ---------------------------------------------------------

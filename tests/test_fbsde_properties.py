@@ -174,3 +174,42 @@ def test_flow_max_reads_every_layout(m, B, tail, flows_first, seed) -> None:
            else np.ascontiguousarray(np.moveaxis(values, 0, 1)))
     want = [np.max(np.abs(values[b]), initial=0.0) for b in range(B)]
     assert np.array_equal(_flow_max(gap), want)
+
+
+def level_cond_expect(lat, child_values, k):
+    """``cond_expect`` as one weighted temporary summed child by child, level by level."""
+    vals = child_values.reshape((lat.nodes_at(k), lat.fanout) + child_values.shape[1:])
+    weighted = vals * lat.child_probs.reshape((1, lat.fanout) + (1,) * (vals.ndim - 2))
+    out = weighted[:, 0]
+    for j in range(1, lat.fanout):
+        out = out + weighted[:, j]
+    return out
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3]), st.integers(0, 2), st.integers(1, 4), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_whole_tree_pre_driver_pass_matches_the_level_loop(branching, d0, K, B, dim,
+                                                           seed) -> None:
+    # uB~ and the martingale increments by one whole-tree reshape equal their
+    # level-by-level forms bit for bit, on flows-first (nodes, B, dim) states
+    from types import SimpleNamespace
+
+    from marketclear.fbsde import NodeSolution, _pre
+    lat = build_lattice(TimeGrid(1.0, K), d0=d0, branching=branching)
+    assume(lat.num_nodes <= MAX_NODES)
+    ub = np.random.default_rng(seed).standard_normal((B, lat.num_nodes, dim)).transpose(1, 0, 2)
+    pre = np.zeros_like(ub)
+    dev = np.zeros_like(ub)
+    pre[lat.terminal_slice] = ub[lat.terminal_slice]
+    for k in range(lat.steps):
+        lo, hi = lat.level_range(k)
+        clo, chi = lat.level_range(k + 1)
+        pre[lo:hi] = level_cond_expect(lat, ub[clo:chi], k)
+        assert np.array_equal(lat.cond_expect(ub[clo:chi], k), pre[lo:hi])
+        dev[clo:chi] = ub[clo:chi] - lat.repeat_to_children(pre[lo:hi])
+    assert np.array_equal(_pre(lat, ub), pre)
+    for b in range(B):
+        sol = NodeSolution(system=SimpleNamespace(lattice=lat), forward=None,
+                           backward=ub[:, b], backward_pre=pre[:, b], diagnostics=None)
+        assert np.array_equal(sol.deviations, dev[:, b])

@@ -15,7 +15,8 @@ from marketclear.model import (Dimensions, DiscreteLaw, MinorBundle,
                                QuadraticMajorCost, make_spec)
 from marketclear.scenario import NodeField, TimeGrid, build_lattice, constant_field
 
-from conftest import homogeneous_study_spec, noiseless_unit_spec, scalar_market_spec
+from conftest import (callable_twin, homogeneous_study_spec, noiseless_unit_spec,
+                      scalar_market_spec)
 from tiny_tree_oracle import TinyTreeOracle
 
 
@@ -282,8 +283,9 @@ def test_engine_matches_tiny_tree_oracle() -> None:
     lat = build_lattice(TimeGrid(1.0, 2), d0=1)
     ctx = MarketContext(spec, lat)
     pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    for method in ("direct", "picard"):
-        eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, method=method)
+    # the quadratic cost by one direct solve, its callable twin by the affine iteration
+    for model in (spec, callable_twin(spec)):
+        eq = solve_full_equilibrium(model, lat, pop, ctx=MarketContext(model, lat))
         pairs = [
             (oracle["x0"], eq.major_field("x0")[:, 0]),
             (oracle["p0"], eq.major_field("p0")[:, 0]),

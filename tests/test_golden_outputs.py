@@ -5,8 +5,9 @@ writes must hash to the recorded sha256.  The hashes pin the exact bytes, so
 a change that moves any summation order, any rounding or any formatting
 fails here; a deliberate change of the numbers must record new hashes and
 say why.  ``tools/outdiff.py`` shows where two output trees differ.  The CLI
-runs the direct solver only, so one more hash pins the fixed-point (Picard)
-path's states and prices on a model with a non-affine major cost.
+models all have quadratic major costs, so one more hash (``PICARD``, named
+for the fixed-point sweeps it first pinned) pins the states and prices of
+the affine iteration on a model with a non-affine major cost.
 """
 
 from __future__ import annotations
@@ -108,11 +109,11 @@ def test_outputs_match_the_recorded_hashes(model, command, tmp_path) -> None:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-PICARD = "995da5fbc9b59c4f06b940d3b498f3334bd1a0f9bde26d88160f04fd4428baf6"
+PICARD = "69cb7ae609cecf3e9a96052a081a235e2ce474d3fc57ba03a41930e5fd1789e4"
 
 
 def test_picard_path_matches_the_recorded_hash() -> None:
-    # the non-affine model of test_extra_surfaces' fixed-point test
+    # the non-affine model of test_extra_surfaces' limit test
     spec = make_spec(Dimensions(1, 1, 0, 4), delta=0.2,
                      major_cost=CallableMajorCost(
                          dfdx=lambda t, x, c0: x + 0.1 * np.tanh(x),
@@ -120,8 +121,8 @@ def test_picard_path_matches_the_recorded_hash() -> None:
                      xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])),
                      c0_law=("constant", [0.1]))
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    eq = solve_full_equilibrium(spec, lat, method="picard", check=False)
-    mf = solve_mfg(spec, lat, method="picard", check=False)
+    eq = solve_full_equilibrium(spec, lat, check=False)
+    mf = solve_mfg(spec, lat, check=False)
     digest = hashlib.sha256()
     for arr in (eq.solution.forward, eq.solution.backward, eq.price.values,
                 mf.solution.forward, mf.solution.backward, mf.price_mfg.values):
