@@ -15,9 +15,9 @@ from .fbsde import (FamilySolution, FbsdeSystem, NodeSolution, SolveDiagnostics,
                     residual, solve_direct)
 from .finite_market import (AgentGroup, AgentPopulation, ClearingOperator,
                             EquilibriumSolution, MarketContext, clearing_residual,
-                            make_population, minor_best_response,
+                            cost_classes, make_population, minor_best_response,
                             solve_full_equilibrium, solve_minor_clearing)
-from .mean_field import MfgSolution, reduce_conditional_means, solve_mfg
+from .mean_field import MfgSolution, limit_classes, solve_mfg
 from .metrics import (ConvergenceReport, EmpiricalMeasure, StabilityReport,
                       convergence_study, epsilon_rate, price_gap, stability_gap,
                       wasserstein1_1d, wasserstein2)

@@ -226,20 +226,10 @@ def _checked_solve(cfg, solve):
     return EXIT_OK, spec, lattice, result
 
 
-def _n_agents(cfg, spec) -> int:
-    """``--n-agents`` if given, else the model's N."""
-    N = cfg.get("n_agents")
-    if N is None:
-        return spec.dims.N
-    if int(N) < 1:
-        raise UsageError(f"--n-agents must be at least 1, got {N}")
-    return int(N)
-
-
 def cmd_solve_n(cfg) -> int:
     def solve(spec, lattice):
         ctx = MarketContext(spec, lattice)
-        pop = make_population(spec, ctx.atoms, N=_n_agents(cfg, spec), seed=cfg["seed"])
+        pop = make_population(spec, ctx.atoms, N=cfg.get("n_agents"), seed=cfg["seed"])
         return solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
 
     code, spec, lattice, eq = _checked_solve(cfg, solve)
@@ -300,7 +290,7 @@ def cmd_verify(cfg) -> int:
 
     def solve(spec, lattice):
         ctx = MarketContext(spec, lattice)
-        pop = make_population(spec, ctx.atoms, N=_n_agents(cfg, spec), seed=cfg["seed"])
+        pop = make_population(spec, ctx.atoms, N=cfg.get("n_agents"), seed=cfg["seed"])
         return perturbation_tests(spec, lattice, levels,
                                   directions=int(cfg.get("directions", 20)),
                                   seed=cfg["seed"], population=pop, ctx=ctx)

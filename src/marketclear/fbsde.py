@@ -260,12 +260,6 @@ class FamilySolution(Sequence):
                                     diagnostics=diag, flow=b)
                        for b, diag in enumerate(self.diagnostics)]
 
-    @classmethod
-    def of(cls, sol: NodeSolution) -> "FamilySolution":
-        """A single solution as the family of one, on views of its arrays."""
-        return cls(sol.system, sol.forward[:, None], sol.backward[:, None],
-                   sol.backward_pre[:, None], [sol.diagnostics])
-
     def __len__(self) -> int:
         return len(self._flows)
 

@@ -5,6 +5,14 @@ major flow is b = beta/N, so the population-size limit needs no rescaling.
 Identical minor agents are collapsed into weighted groups; the collapse is
 exact because agents with the same coefficients and the same atom draw
 satisfy identical equations.
+
+A coupled market is solved on cost classes, the groups with equal cf and cg
+(``cost_classes``).  Groups couple only through the price, the major flow
+and the terminal map's mean term, which read group means only, so the class
+means solve the coupled system of the classes.  A group's deviation from its
+class mean has no price or flow term (``build_deviation_system``), so each
+class's groups are one family; their R/P deviations have no source and
+vanish.  The population limit (``mean_field``) is the same path on the atoms.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ import numpy as np
 
 from .errors import AssumptionViolationError, SolverError, ValidationError
 from .fbsde import (DIRECT_RESIDUAL_GATE, DirectSolver, FamilySolution, FbsdeSystem,
-                    NodeSolution, check_factor_budget, residual, solve_direct, sweep_floats)
+                    NodeSolution, SolveDiagnostics, check_factor_budget, residual,
+                    solve_direct, sweep_floats)
 from .model import ModelSpec, check_all_assumptions, secant_curvatures
 from .scenario import (ExogenousFields, IdiosyncraticAtoms, NodeField,
                        NoiseLattice, apply_block, evaluate_exogenous,
@@ -59,23 +68,23 @@ def make_population(spec: ModelSpec, atoms: IdiosyncraticAtoms, N: int | None = 
     group per agent since their coefficient bundles differ.
     """
     N = N if N is not None else spec.dims.N
+    if N < 1:
+        raise ValidationError(f"a market needs at least one agent, got {N}")
+    if not spec.homogeneous and N != len(spec.minor):
+        raise ValidationError(
+            f"the model gives each of its {len(spec.minor)} agents its own coefficient "
+            f"bundle, so its market has {len(spec.minor)} agents, not {N}")
     if assignments is None:
         assignments = sample_idiosyncratic(atoms, N, seed)
     assignments = np.asarray(assignments, dtype=np.int64)
     if len(assignments) != N:
         raise ValidationError("one atom assignment per agent is required")
     if spec.homogeneous:
-        order = []
-        counts: dict[int, int] = {}
-        for a in assignments:
-            a = int(a)
-            if a not in counts:
-                order.append(a)
-                counts[a] = 0
-            counts[a] += 1
-        groups = [AgentGroup(0, a, counts[a]) for a in order]
-        index = {a: i for i, a in enumerate(order)}
-        agent_group = np.array([index[int(a)] for a in assignments], dtype=np.int64)
+        drawn, first, inverse, counts = np.unique(assignments, return_index=True,
+                                                  return_inverse=True, return_counts=True)
+        order = np.argsort(first)  # groups in order of first appearance
+        groups = [AgentGroup(0, int(drawn[i]), int(counts[i])) for i in order]
+        agent_group = np.argsort(order)[inverse].astype(np.int64)
     else:
         groups = [AgentGroup(i, int(assignments[i]), 1) for i in range(N)]
         agent_group = np.arange(N, dtype=np.int64)
@@ -128,6 +137,8 @@ class MarketContext:
 
     def _eval_levels(self, coefficient, atom_index, shape) -> np.ndarray:
         lat, n = self.lattice, self.spec.dims.n
+        if coefficient.kind != "affine":  # one value per level, whatever the node and atom
+            return level_table(lat, coefficient)[lat.level_of]
         out = np.zeros((lat.num_nodes,) + shape)
         for k in range(lat.steps + 1):
             sl = lat.level_slice(k)
@@ -217,18 +228,46 @@ def _columns(parts: list, trailing: tuple = ()) -> np.ndarray:
 
 
 def stack_tables(tabs: list[MinorTables]) -> MinorTables:
-    """One group's tables across B flows, one flow per entry of ``tabs``.
+    """One group's tables across B flows, one flow per entry of ``tabs``, for a family.
 
-    The node tables (``l``, ``sig0``, ``hf``, ``hg_T``) gain a flow axis
-    after the node axis and ``xi`` becomes (B, n); the matrix tables ``cf``
-    and ``cg_T`` are the first entry's, so the entries must share them, as
-    every atom of one coefficient bundle does.  The system builders take
-    such a group and build one system per flow, as one family.
+    The node tables gain a flow axis after the node axis and ``xi`` becomes
+    (B, n); ``cf`` and ``cg_T`` are the first entry's, so the entries must
+    share them, as the groups of one cost class do.
     """
     stack = lambda pick: np.stack([pick(t) for t in tabs], axis=1)
     return MinorTables(l=stack(lambda t: t.l), sig0=stack(lambda t: t.sig0), cf=tabs[0].cf,
                        hf=stack(lambda t: t.hf), cg_T=tabs[0].cg_T,
                        hg_T=stack(lambda t: t.hg_T), xi=np.stack([t.xi for t in tabs]))
+
+
+@dataclass
+class CostClasses:
+    """Agent groups partitioned into cost classes: groups with equal cf tables and cg_T."""
+
+    groups: list[MinorTables]
+    tables: list[MinorTables]      # per class: the weight-averaged tables of its groups
+    weights: np.ndarray            # per class: its population weight
+    members: list[list[int]]       # per class: its groups, in population order
+    place: list[tuple[int, int]]   # per group: its class and its index among the members
+
+
+def cost_classes(tabs: list[MinorTables], w: np.ndarray) -> CostClasses:
+    """The cost classes of groups with tables ``tabs`` and population weights ``w``, in order."""
+    index: dict[bytes, list[int]] = {}
+    for g, t in enumerate(tabs):
+        index.setdefault(t.cf.tobytes() + t.cg_T.tobytes(), []).append(g)
+    members = list(index.values())
+    place = sorted((g, (c, j)) for c, group in enumerate(members) for j, g in enumerate(group))
+    tables, weights = [], np.array([w[group].sum() for group in members])
+    for group, W in zip(members, weights):
+        v = w[group] / W
+        mix = lambda pick: sum(v[i] * pick(tabs[g]) for i, g in enumerate(group))
+        tables.append(tabs[group[0]] if len(group) == 1 else replace(  # one group: its own
+            tabs[group[0]], l=mix(lambda t: t.l), sig0=mix(lambda t: t.sig0),
+            hf=mix(lambda t: t.hf), hg_T=mix(lambda t: t.hg_T),
+            xi=(v[:, None] * np.stack([tabs[g].xi for g in group])).sum(axis=0)))
+    return CostClasses(groups=tabs, tables=tables, weights=weights, members=members,
+                       place=[cj for _, cj in place])
 
 
 def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
@@ -386,17 +425,71 @@ def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
                          terminal)
 
 
+def build_deviation_system(ctx: MarketContext, tabs: list[MinorTables],
+                           mean: MinorTables) -> FbsdeSystem:
+    """Deviations (dx, dy) = (X_g - Xbar, Y_g - Ybar) of one class's groups, one flow each.
+
+    The drift is -lam^{-1} dy~ + dl and the terminal map cg dx + dhg (zero in
+    maturity mode), d marking a coefficient's deviation from ``mean``'s.  The
+    blocks (-lam^{-1}, cf, cg) are the class's, so the groups are one family.
+    """
+    spec, lat = ctx.spec, ctx.lattice
+    n, K = spec.dims.n, lat.steps
+    I = lat.level_range(K)[0]
+    tab = stack_tables(tabs)
+    if spec.maturity_mode:
+        G, g = np.zeros((n, n)), np.zeros((1, 1, n))
+    else:
+        G, g = tab.cg_T, tab.hg_T - mean.hg_T[:, None]
+    return FbsdeSystem(lattice=lat, forward_slices={"dx": slice(0, n)},
+                       backward_slices={"dy": slice(0, n)},
+                       Afb=-ctx.exo.lam_inv[:K], Bbf=tab.cf[:K], G=G,
+                       initial=(tab.xi - mean.xi)[None],
+                       af=tab.l[:I] - mean.l[:I, None], S=tab.sig0[:I] - mean.sig0[:I, None],
+                       bb=tab.hf[:I] - mean.hf[:I, None], g=g)
+
+
 # -- solution containers ----------------------------------------------------
+
+
+def solve_deviations(ctx: MarketContext, classes: CostClasses) -> list[FamilySolution | None]:
+    """Per class: its groups' solved deviation family, or None for a class of one group."""
+    return [DirectSolver(build_deviation_system(ctx, [classes.groups[g] for g in group],
+                                                classes.tables[c])).solve()
+            if len(group) > 1 else None
+            for c, group in enumerate(classes.members)]
+
+
+def class_member_field(solution: NodeSolution, deviations: list, c: int, j: int,
+                       name: str, pre: bool) -> np.ndarray:
+    """Field X, Y, R or P (``pre``: its pre-driver values) of member j of class c.
+
+    That is the class mean plus the member's deviation, which vanishes for R/P.
+    """
+    read = NodeSolution.pre if pre else NodeSolution.field
+    mean = read(solution, f"{name}{c}")
+    if deviations[c] is None or name not in ("X", "Y"):
+        return mean
+    return mean + read(deviations[c][j], "d" + name.lower())
+
+
+def worst_diagnostics(solution: NodeSolution, deviations: list) -> SolveDiagnostics:
+    """The class solve's diagnostics, its residuals the worst of it and every deviation family."""
+    every = [solution.diagnostics] + [d for f in deviations if f for d in f.diagnostics]
+    return replace(solution.diagnostics, **{key: max(getattr(d, key) for d in every) for key in
+                                            ("max_equation_residual", "terminal_mismatch")})
 
 
 @dataclass
 class EquilibriumSolution:
-    """Solved market: node fields, controls, the clearing price, diagnostics."""
+    """Solved market: the cost classes' system and deviations, controls, price, diagnostics."""
 
     spec: ModelSpec
     lattice: NoiseLattice
     population: AgentPopulation
     solution: NodeSolution
+    classes: CostClasses
+    deviations: list[FamilySolution | None]
     price: NodeField
     beta_hat: NodeField          # unnormalized major flow N*b, zero on terminal nodes
     beta_norm: NodeField         # per-capita flow b
@@ -405,11 +498,18 @@ class EquilibriumSolution:
     x0: np.ndarray | None = None  # normalized major position when not part of the system
 
     @property
-    def diagnostics(self):
-        return self.solution.diagnostics
+    def diagnostics(self) -> SolveDiagnostics:
+        return worst_diagnostics(self.solution, self.deviations)
 
     def group_field(self, name: str, g: int) -> np.ndarray:
-        return self.solution.field(f"{name}{g}")
+        """Group g's field X, Y, R or P."""
+        return class_member_field(self.solution, self.deviations, *self.classes.place[g],
+                                  name, False)
+
+    def group_pre(self, name: str, g: int) -> np.ndarray:
+        """Group g's pre-driver values of Y or P (the values themselves on the leaves)."""
+        return class_member_field(self.solution, self.deviations, *self.classes.place[g],
+                                  name, True)
 
     def major_field(self, name: str) -> np.ndarray:
         if name == "x0" and self.x0 is not None:
@@ -426,10 +526,7 @@ class EquilibriumSolution:
 
 def _group_means(family: FamilySolution, w: np.ndarray, prefix: str, pre: bool = False,
                  rows: slice = slice(None)) -> np.ndarray:
-    """sum_g w_g field_g over the agent groups, on ``rows``, for a family: (nodes, B, n).
-
-    The groups' fields are read from the family's stacked states.
-    """
+    """sum_g w_g field_g over the family's agent groups, on ``rows``: (nodes, B, n)."""
     states = family.backward_pre if pre else family.backward
     slices = family.system.backward_slices
     acc = None
@@ -463,16 +560,10 @@ def _flow_and_price(ctx: MarketContext, w: np.ndarray, family: FamilySolution):
     return b, _price_from_clearing(ctx, w, family, b)
 
 
-def _alpha_hats(ctx: MarketContext, pop: AgentPopulation, sol: NodeSolution,
+def _alpha_hats(ctx: MarketContext, ypres: list[np.ndarray],
                 phi: np.ndarray) -> list[np.ndarray]:
-    lat = ctx.lattice
-    out = []
-    for g in range(pop.size):
-        ypre = sol.pre(f"Y{g}").copy()
-        tsl = lat.terminal_slice
-        ypre[tsl] = sol.field(f"Y{g}")[tsl]
-        out.append(-lat.apply_levels(ctx.exo.lam_inv, ypre + phi))
-    return out
+    """alpha_g = -lam^{-1}(Y~_g + phi) per group from its pre-driver Y (Y on the leaves)."""
+    return [-ctx.lattice.apply_levels(ctx.exo.lam_inv, ypre + phi) for ypre in ypres]
 
 
 def clearing_residual(solution: EquilibriumSolution) -> float:
@@ -554,7 +645,7 @@ def _solve_full_system(ctx: MarketContext, system: FbsdeSystem) -> FamilySolutio
     solves), and raises ``SolverError`` as soon as the step stops shrinking.
     """
     if ctx.spec.major_cost.affine:
-        return FamilySolution.of(solve_direct(system))
+        return DirectSolver(system).solve()
     solver = DirectSolver(system)
     family = solver.solve()
     solves, last = 1, np.inf
@@ -598,7 +689,7 @@ def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField
     pop = population if population is not None else make_population(spec, ctx.atoms)
     system = build_best_response_system(ctx, ctx.group_tables(pop), price.values)
     sol = solve_direct(system)
-    alpha = _alpha_hats(ctx, pop, sol, price.values)
+    alpha = _alpha_hats(ctx, [sol.pre(f"Y{g}") for g in range(pop.size)], price.values)
     return BestResponse(spec=spec, lattice=lattice, population=pop, solution=sol,
                         price=price, alpha_hat=alpha)
 
@@ -616,6 +707,20 @@ class BestResponse:
         return self.solution.field(f"{name}{g}")
 
 
+def _equilibrium(ctx: MarketContext, pop: AgentPopulation, classes: CostClasses,
+                 sol: NodeSolution, phi: np.ndarray, beta: np.ndarray,
+                 beta_norm: np.ndarray, x0: np.ndarray | None) -> EquilibriumSolution:
+    """The market solved on its classes' solution ``sol``: deviations, rates, residual."""
+    eq = EquilibriumSolution(
+        spec=ctx.spec, lattice=ctx.lattice, population=pop, solution=sol, classes=classes,
+        deviations=solve_deviations(ctx, classes), price=NodeField(ctx.lattice, phi),
+        beta_hat=NodeField(ctx.lattice, beta), beta_norm=NodeField(ctx.lattice, beta_norm),
+        alpha_hat=[], clearing_residual=0.0, x0=x0)
+    eq.alpha_hat = _alpha_hats(ctx, [eq.group_pre("Y", g) for g in range(pop.size)], phi)
+    eq.clearing_residual = clearing_residual(eq)
+    return eq
+
+
 def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField,
                          population: AgentPopulation | None = None, *,
                          ctx: MarketContext | None = None,
@@ -631,19 +736,18 @@ def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField
     if check:
         _run_checks(spec, force, minor_only=True)
     beta_norm = beta.values / pop.N
-    system = build_clearing_system(ctx, ctx.group_tables(pop), pop.weights, beta_norm)
-    sol = solve_direct(system)
-    phi = _price_from_clearing(ctx, pop.weights, FamilySolution.of(sol), beta_norm[:, None])[:, 0]
-    alpha = _alpha_hats(ctx, pop, sol, phi)
-    eq = EquilibriumSolution(
-        spec=spec, lattice=lattice, population=pop, solution=sol,
-        price=NodeField(lattice, phi),
-        beta_hat=NodeField(lattice, beta.values.copy()),
-        beta_norm=NodeField(lattice, beta_norm.copy()),
-        alpha_hat=alpha, clearing_residual=0.0,
-        x0=integrate_forward(lattice, spec.chi0, beta_norm + ctx.l0, ctx.s0))
-    eq.clearing_residual = clearing_residual(eq)
-    return eq
+    classes = cost_classes(ctx.group_tables(pop), pop.weights)
+    (sol,), (phi,) = ClearingOperator(ctx, classes.tables, classes.weights).solve(beta_norm[None])
+    return _equilibrium(ctx, pop, classes, sol, phi, beta.values.copy(), beta_norm,
+                        integrate_forward(lattice, spec.chi0, beta_norm + ctx.l0, ctx.s0))
+
+
+def solve_class_system(ctx: MarketContext,
+                       classes: CostClasses) -> tuple[FamilySolution, np.ndarray, np.ndarray]:
+    """The cost classes' coupled system solved, with its (nodes, n) flow b and price phi."""
+    family = _solve_full_system(ctx, build_full_system(ctx, classes.tables, classes.weights))
+    b, phi = _flow_and_price(ctx, classes.weights, family)
+    return family, b[:, 0], phi[:, 0]
 
 
 def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
@@ -653,7 +757,8 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
     """Solve the coupled market with the major trader's flow chosen optimally.
 
     The optimal flow and the clearing price are read off the solved node
-    fields through the pre-driver conditional expectations:
+    fields of the cost classes through the pre-driver conditional
+    expectations (m, the mean over the groups, is that over the classes):
 
         b   = V0bar (-p0~ + m(Y~) + m(P~)),     beta = N b,  beta(T) = 0
         phi = -m(Y~) + lam b                     (and -m(Y) at the horizon).
@@ -662,30 +767,20 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
     pop = population if population is not None else make_population(spec, ctx.atoms)
     if check:
         _run_checks(spec, force)
-    family = _solve_full_system(ctx, build_full_system(ctx, ctx.group_tables(pop), pop.weights))
-    sol = family[0]
-    b, phi = _flow_and_price(ctx, pop.weights, family)
-    b, phi = b[:, 0], phi[:, 0]
-    alpha = _alpha_hats(ctx, pop, sol, phi)
-    eq = EquilibriumSolution(
-        spec=spec, lattice=lattice, population=pop, solution=sol,
-        price=NodeField(lattice, phi),
-        beta_hat=NodeField(lattice, pop.N * b),
-        beta_norm=NodeField(lattice, b),
-        alpha_hat=alpha, clearing_residual=0.0)
-    eq.clearing_residual = clearing_residual(eq)
-    return eq
+    classes = cost_classes(ctx.group_tables(pop), pop.weights)
+    family, b, phi = solve_class_system(ctx, classes)
+    return _equilibrium(ctx, pop, classes, family[0], phi, pop.N * b, b, None)
 
 
 class ClearingOperator:
     """Re-solves the minor clearing system across candidate major flows.
 
     The groups are given by their coefficient tables and population weights,
-    as for ``build_clearing_system``.  The flow enters the clearing system
-    only through its forward drift ``af = l - b``, so the system at zero
-    flow, whose drift is ``l``, gives every flow's blocks and other
-    constants, and the solver's matrix pass.  ``solve`` forms the drifts of
-    a whole stack of flows in one broadcast and clears them in one batched
+    as for ``build_clearing_system``; a market's cost classes give its prices
+    at the least cost.  The flow enters the clearing system only through its
+    forward drift ``af = l - b``, so the system at zero flow gives every
+    flow's blocks, other constants and matrix pass.  ``solve`` forms the
+    drifts of a stack of flows in one broadcast and clears them in one batched
     vector pass (residual check included, per flow).
     """
 

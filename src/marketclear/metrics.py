@@ -259,9 +259,9 @@ class ConvergenceReport:
 class _ReferenceClouds:
     """Per-node atom values of the limit fields used on both distance sides.
 
-    For scalar securities the node columns of all four fields are grouped
-    once, by sort order (``_OrderGroups``), and every empirical weighting
-    reuses the grouping.
+    For scalar securities the node columns of both fields are grouped once,
+    by sort order (``_OrderGroups``), and every empirical weighting reuses
+    the grouping.
     """
 
     def __init__(self, mf: MfgSolution):
@@ -270,30 +270,27 @@ class _ReferenceClouds:
         self.lattice = mf.lattice
         self.weights = atoms.weights
         self.y = np.stack([mf.atom_field("y", a) for a in range(A)])   # (A, nodes, n)
-        self.p = np.stack([mf.atom_field("p", a) for a in range(A)])
-        self.r = np.stack([mf.atom_field("r", a) for a in range(A)])
         self.g = mf.terminal_gain_samples()                            # (A, leaves, n)
-        # the clouds of w2_g, w2_rT, int_w2_y and int_w2_p
-        self._clouds = (self.g, self.r[:, self.lattice.terminal_slice], self.y, self.p)
+        # the clouds of w2_g and int_w2_y; every atom carries the same flow
+        # costates r and p (``MfgSolution.atom_field``), so w2_rT and int_w2_p
+        # compare two weightings of one value and are exactly zero
+        self._clouds = (self.g, self.y)
         self._groups = None
         if self.y.shape[2] == 1:
-            self._groups = _OrderGroups(np.concatenate([c[:, :, 0] for c in self._clouds],
-                                                       axis=1))
-            self._splits = np.cumsum([c.shape[1] for c in self._clouds])[:-1]
+            self._groups = _OrderGroups(np.concatenate([self.g[:, :, 0], self.y[:, :, 0]], axis=1))
 
     def distances(self, emp_weights: np.ndarray, N: int) -> dict:
         """The four empirical-vs-limit W2^2 terms of the stability bound."""
         lat = self.lattice
         if self._groups is None:
-            g, rT, y, p = (_cloud_distance_sq(c, self.weights, emp_weights, N)
-                           for c in self._clouds)
+            g, y = (_cloud_distance_sq(c, self.weights, emp_weights, N) for c in self._clouds)
         else:
             costs = self._groups.coupling_costs(emp_weights, self.weights)
-            g, rT, y, p = np.split(costs, self._splits)
+            g, y = np.split(costs, [self.g.shape[1]])
         return {"w2_g": lat.terminal_expectation(g),
-                "w2_rT": lat.terminal_expectation(rT),
+                "w2_rT": 0.0,
                 "int_w2_y": lat.running_expectation(y),
-                "int_w2_p": lat.running_expectation(p)}
+                "int_w2_p": 0.0}
 
 
 def _order_codes(order: np.ndarray) -> np.ndarray:
@@ -401,13 +398,11 @@ def _cloud_distance_sq(values: np.ndarray, ref_weights: np.ndarray,
 def _atom_prices(ctx: MarketContext) -> np.ndarray:
     """Population-limit price of each atom's point law: (A, nodes, n).
 
-    Atom a's system is the mean system carrying a's own tables.  Under the
-    closure condition the A systems share every matrix block, so they are
-    one family (``stack_tables``): one matrix pass and one batched vector
-    pass solve them all.  The mean system's
-    constants are affine in the atom weights, so the price of any law on
-    these atoms is the weight-average of these prices; a homogeneous finite
-    market clears at the price of its empirical law.
+    Atom a's system is the class system carrying a's own tables; the atoms
+    share its blocks, so the A systems are one family (``stack_tables``).
+    The class system's constants are affine in the atom weights, so the
+    price of any law on these atoms (a homogeneous finite market's is that
+    of its empirical law) is the weight-average of these prices.
     """
     w = np.ones(1)
     group = stack_tables([ctx.minor_tables(0, a) for a in range(ctx.atoms.count)])

@@ -231,10 +231,19 @@ class CallableMajorCost:
 
     dfdx: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     dgdx: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    _secants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def affine(self) -> bool:
         return False
+
+    def secant_ranges(self, c0: np.ndarray, n: int, box: float) -> tuple:
+        """``_secant_range`` of both gradients (running at t = 0) at ``c0``, sampled once."""
+        key = (self.dfdx, self.dgdx, np.asarray(c0, dtype=float).tobytes(), n, box)
+        if key not in self._secants:
+            self._secants[key] = (_secant_range(lambda x: self.dfdx(0.0, x, c0), n, box),
+                                  _secant_range(lambda x: self.dgdx(x, c0), n, box))
+        return self._secants[key]
 
 
 @dataclass
@@ -488,9 +497,8 @@ def secant_curvatures(spec: ModelSpec) -> list[float]:
     m and L are each gradient's smallest and largest secant ratios, sampled
     as ``check_major_assumptions`` samples them (t = 0, the first probe's c0).
     """
-    cost, c0 = spec.major_cost, default_sample_points(spec)[0][1]
-    ranges = [_secant_range(grad, spec.dims.n)[:2] for grad in
-              (lambda x: cost.dfdx(0.0, x, c0), lambda x: cost.dgdx(x, c0))]
+    c0 = default_sample_points(spec)[0][1]
+    ranges = [r[:2] for r in spec.major_cost.secant_ranges(c0, spec.dims.n, 1.0)]
     if not np.isfinite(ranges).all():
         raise UnsupportedModelError("the callable major cost gives no finite secant ratios")
     return [0.5 * (lo + hi) for lo, hi in ranges]
@@ -532,9 +540,7 @@ def check_major_assumptions(spec: ModelSpec, sample_points: Sequence | None = No
         rep.gamma0_f = _min_eig(cost.c0f)
         rep.gamma0_g = _min_eig(cost.c0g)
     else:
-        c0_anchor = points[0][1]
-        gf, _, wf = _secant_range(lambda x: cost.dfdx(0.0, x, c0_anchor), n, secant_box)
-        gg, _, wg = _secant_range(lambda x: cost.dgdx(x, c0_anchor), n, secant_box)
+        (gf, _, wf), (gg, _, wg) = cost.secant_ranges(points[0][1], n, secant_box)
         if not np.isfinite(gf) or not np.isfinite(gg):
             rep.inconclusive.append("major_v: secant sampling degenerate, convexity not estimated")
             rep.gamma0_f = rep.gamma0_g = None

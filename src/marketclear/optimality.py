@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import MarketClearError, UnsupportedModelError, ValidationError
 from .finite_market import (AgentPopulation, ClearingOperator, EquilibriumSolution,
-                            MarketContext, MinorTables, integrate_forward,
-                            make_population, solve_full_equilibrium)
-from .mean_field import _solve_means, mean_group
+                            MarketContext, MinorTables, cost_classes, integrate_forward,
+                            make_population, solve_class_system, solve_full_equilibrium)
+from .mean_field import limit_classes
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, squared_norms, stream_rng
 
@@ -151,15 +151,17 @@ def cost_major(spec: ModelSpec, lattice: NoiseLattice, population: AgentPopulati
                ctx: MarketContext | None = None) -> float:
     """Major trader's expected cost in per-capita units, price feedback inside.
 
-    The minor clearing system is re-solved under ``beta`` and the induced
-    price enters the running cost <b, phi(b)> + .5 <b, lam0 b> + fbar0(x0).
+    The minor clearing system of the population's cost classes is re-solved
+    under ``beta`` and the induced price enters the running cost
+    <b, phi(b)> + .5 <b, lam0 b> + fbar0(x0).
     """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    op = operator if operator is not None else ClearingOperator(
-        ctx, ctx.group_tables(population), population.weights)
+    if operator is None:
+        classes = cost_classes(ctx.group_tables(population), population.weights)
+        operator = ClearingOperator(ctx, classes.tables, classes.weights)
     b = beta.values[None] / population.N
     return float(_major_costs(spec, ctx, lattice, b,
-                              *_major_response(spec, ctx, lattice, op, b))[0])
+                              *_major_response(spec, ctx, lattice, operator, b))[0])
 
 
 def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
@@ -167,13 +169,15 @@ def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
              ctx: MarketContext | None = None) -> float:
     """Population-limit major cost for a per-capita flow, clearing re-solved.
 
-    The clearing feedback is that of the mean group (``mean_group``).
+    The clearing feedback is that of the limit's cost class (``limit_classes``).
     """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    op = operator if operator is not None else ClearingOperator(ctx, *mean_group(ctx))
+    if operator is None:
+        classes = limit_classes(ctx)
+        operator = ClearingOperator(ctx, classes.tables, classes.weights)
     b = beta.values[None]
     return float(_major_costs(spec, ctx, lattice, b,
-                              *_major_response(spec, ctx, lattice, op, b))[0])
+                              *_major_response(spec, ctx, lattice, operator, b))[0])
 
 
 # -- perturbation verification ----------------------------------------------
@@ -357,9 +361,7 @@ def _perturbation_test(spec: ModelSpec, lattice: NoiseLattice, ctx: MarketContex
     control = lambda ctrls: ctrls
     if level == "minor":
         eq = equilibrium
-        grp = eq.population.groups[0]
-        base_ctrl = eq.alpha_hat[0]
-        tab = ctx.minor_tables(grp.bundle_index, grp.atom_index)
+        base_ctrl, tab = eq.alpha_hat[0], eq.classes.groups[0]
 
         def respond(alphas):
             return (_positions(lattice, tab.xi, alphas, tab.l, tab.sig0),)
@@ -368,13 +370,13 @@ def _perturbation_test(spec: ModelSpec, lattice: NoiseLattice, ctx: MarketContex
             return _minor_costs(spec, ctx, lattice, eq.price.values, alphas, x, tab)
     else:
         if level == "major-N":
-            pop = equilibrium.population
+            pop, classes = equilibrium.population, equilibrium.classes
             base_ctrl = equilibrium.beta_hat.values
-            op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
             control = lambda ctrls: ctrls / pop.N
         else:
-            base_ctrl = _solve_means(ctx)[1]  # the limit's deviations are not needed
-            op = ClearingOperator(ctx, *mean_group(ctx))
+            classes = limit_classes(ctx)
+            base_ctrl = solve_class_system(ctx, classes)[1]  # no deviations needed
+        op = ClearingOperator(ctx, classes.tables, classes.weights)
 
         def respond(b):
             return _major_response(spec, ctx, lattice, op, b)

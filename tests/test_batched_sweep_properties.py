@@ -4,8 +4,8 @@ Every corner of n in {1, 2}, d0 in {0, 1, 2}, a binary or trinomial tree, a
 batch of B in {1, 2, 6} flows and a family kind runs, with maturity on or
 off, the depth and the model drawn by hypothesis.  The kinds are the
 clearing system for a stack of random major flows, the per-atom deviation
-systems of the population limit, or the full market system whose groups
-draw different atoms per flow (``stack_tables``).  The model's drift, cost
+systems of the population limit's cost class, or the full market system
+whose groups draw different atoms per flow (``stack_tables``).  The model's drift, cost
 gradients and terminal gains depend on the atoms' idiosyncratic values and
 on the common news, so the flows of a family differ in every constant.
 Every flow of one ``DirectSolver.solve`` call must equal
@@ -24,8 +24,8 @@ import sweep_oracle as oracle
 from marketclear.errors import SolverError
 from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (ClearingOperator, MarketContext, build_clearing_system,
-                                       build_full_system, stack_tables)
-from marketclear.mean_field import build_deviation_system, mean_group
+                                       build_deviation_system, build_full_system, stack_tables)
+from marketclear.mean_field import limit_classes
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MajorFlow,
                                MinorBundle, QuadraticMajorCost, make_spec)
 from marketclear.scenario import TimeGrid, build_lattice
@@ -97,8 +97,9 @@ def family(case):
         flows[:, lat.terminal_slice] = 0.0
         system = build_clearing_system(ctx, tabs, w / w.sum(), flows)
     elif case["kind"] == "deviation":
-        (mean,), _ = mean_group(ctx)
-        system = build_deviation_system(ctx, [int(a) for a in rng.integers(A, size=B)], mean)
+        mean = limit_classes(ctx).tables[0]
+        system = build_deviation_system(
+            ctx, [ctx.minor_tables(0, int(a)) for a in rng.integers(A, size=B)], mean)
     else:
         w = rng.uniform(0.2, 1.0, 2)
         atoms = rng.integers(A, size=(B, 2))

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import block_oracle as oracle
 from marketclear.finite_market import (MarketContext, build_best_response_system,
-                                       build_clearing_system, build_full_system)
-from marketclear.mean_field import build_deviation_system
+                                       build_clearing_system, build_deviation_system,
+                                       build_full_system)
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MinorBundle,
                                QuadraticMajorCost, make_spec)
 from marketclear.scenario import TimeGrid, build_lattice
@@ -100,6 +100,6 @@ def test_builder_blocks_equal_the_per_group_oracle(case) -> None:
                   lambda k: oracle.best_response_level(ctx, tabs, k),
                   lambda: oracle.best_response_terminal(ctx, tabs, price))
     tab = ctx.minor_tables(0, 1)
-    assert_blocks(build_deviation_system(ctx, [1]),
+    assert_blocks(build_deviation_system(ctx, [tab], ctx.minor_tables(0, 0)),
                   lambda k: oracle.deviation_level(ctx, tab, k),
                   lambda: (oracle.deviation_terminal(ctx, tab), None))

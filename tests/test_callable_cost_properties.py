@@ -69,3 +69,18 @@ def test_callable_cost_solves_to_its_twin_or_its_own_rows(n, T, K, maturity, a, 
         assert np.max(np.abs(eq.price.values - twin.price.values)) <= 1e-8
         assert np.max(np.abs(eq.beta_hat.values - twin.beta_hat.values)) <= 1e-8
         assert np.max(np.abs(eq.solution.forward - twin.solution.forward)) <= 1e-8
+
+
+def test_secant_pairs_are_sampled_once_per_solve(monkeypatch) -> None:
+    # the assumption checks and the affine twin's curvatures read one sample
+    # of each gradient's secant pairs
+    from marketclear import model
+    calls, real = [], model._secant_range
+    monkeypatch.setattr(model, "_secant_range",
+                        lambda *args: calls.append(1) or real(*args))
+    spec = market(1, False, CallableMajorCost(dfdx=lambda t, x, c0: x + 0.1 * np.tanh(x),
+                                              dgdx=lambda x, c0: x))
+    lat = build_lattice(TimeGrid(1.0, 2), d0=1)
+    eq = solve_full_equilibrium(spec, lat, check=True)
+    assert eq.diagnostics.converged
+    assert len(calls) == 2

@@ -179,6 +179,19 @@ def test_bad_sizes_are_usage_errors(good_model, tmp_path, capsys, args) -> None:
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve-n", "verify"])
+@pytest.mark.parametrize("agents", [3, 10])
+def test_agent_count_of_a_heterogeneous_model_is_fixed(tmp_path, capsys, command,
+                                                       agents) -> None:
+    # one coefficient bundle per agent: the model's 4 agents are its market
+    out = tmp_path / "out"
+    assert run([command, "--model", SHIPPED / "heterogeneous.json", "--out", out,
+                "--steps", 2, "--n-agents", agents]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f"4 agents, not {agents}" in err
+    assert not out.exists()
+
+
 def test_solve_n_writes_outputs(good_model, tmp_path, capsys) -> None:
     out = tmp_path / "out"
     code = run(["solve-n", "--model", good_model, "--out", out,

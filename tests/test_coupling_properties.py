@@ -176,16 +176,18 @@ def test_reference_distances_equal_per_field_coupling(case) -> None:
                      xi_law=DiscreteLaw(xi, weights),
                      c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
     lat = build_lattice(TimeGrid(1.0, case["steps"]), d0=1, branching=case["branching"])
-    ref = metrics._ReferenceClouds(solve_mfg(spec, lat, check=False))
+    mf = solve_mfg(spec, lat, check=False)
+    ref = metrics._ReferenceClouds(mf)
+    flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(A)])
     emp = empirical_weights(rng, case["N"], ref.weights)
     active = emp > 0
     dist = lambda values: metrics._quantile_coupling_cost(
         values[active, :, 0], emp[active], values[:, :, 0], ref.weights, 2)
     tsl = lat.terminal_slice
     want = {"w2_g": lat.terminal_expectation(dist(ref.g)),
-            "w2_rT": lat.terminal_expectation(dist(ref.r[:, tsl, :])),
+            "w2_rT": lat.terminal_expectation(dist(flow("r")[:, tsl, :])),
             "int_w2_y": lat.running_expectation(dist(ref.y)),
-            "int_w2_p": lat.running_expectation(dist(ref.p))}
+            "int_w2_p": lat.running_expectation(dist(flow("p")))}
     assert ref.distances(emp, case["N"]) == want
 
 

@@ -3,9 +3,10 @@
 When the minor cost gradients do not depend on the idiosyncratic state, the
 finite market of N agents whose atom counts are ``counts`` clears at the
 price of the population limit whose law puts weight ``counts/N`` on the same
-atoms, and the major trader's per-capita flows agree.  The two sides run
-independent solver paths: ``solve_full_equilibrium`` builds one block per
-agent group, ``solve_mfg`` one mean group plus per-atom deviation systems.
+atoms, and the major trader's per-capita flows agree.  Both sides solve the
+one cost class of the atoms, with the count weights of the agent groups and
+with the law weights; ``test_cost_class_properties`` holds that path to the
+coupled system of the groups.
 The same price is also the count-weighted average of the atom prices that
 the convergence study uses as its basis.
 

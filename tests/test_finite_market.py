@@ -6,8 +6,8 @@ import pytest
 from marketclear.errors import AssumptionViolationError, BudgetError, ValidationError
 from marketclear.fbsde import solve_direct
 from marketclear.finite_market import (ClearingOperator, MarketContext,
-                                       build_clearing_system,
-                                       clearing_residual, make_population,
+                                       build_clearing_system, clearing_residual,
+                                       cost_classes, make_population,
                                        minor_best_response,
                                        solve_full_equilibrium,
                                        solve_minor_clearing)
@@ -111,7 +111,7 @@ def test_clearing_residual_responds_linearly_to_price_shift() -> None:
     eq.alpha_hat[:] = [
         -np.matmul(ctx.exo.lam_inv[lat.level_of], (np.where(
             (np.arange(lat.num_nodes) >= lat.level_range(lat.steps)[0])[:, None],
-            eq.solution.field(f"Y{g}"), eq.solution.pre(f"Y{g}"))
+            eq.group_field("Y", g), eq.group_pre("Y", g))
             + eq.price.values)[..., None])[..., 0]
         for g in range(pop.size)]
     assert clearing_residual(eq) == pytest.approx(2 * lam_inv, abs=1e-9)
@@ -143,13 +143,13 @@ def test_solved_equilibrium_obeys_the_oracle_minimizers() -> None:
     sol, pop = eq.solution, eq.population
     lam, lam0 = spec.lambda_minor.value, spec.lambda_major.value
     weights = [grp.count / pop.N for grp in pop.groups]
-    mean_y = sum(w * sol.pre(f"Y{g}") for g, w in enumerate(weights))
-    mean_p = sum(w * sol.pre(f"P{g}") for g, w in enumerate(weights))
+    mean_y = sum(w * eq.group_pre("Y", g) for g, w in enumerate(weights))
+    mean_p = sum(w * eq.group_pre("P", g) for g, w in enumerate(weights))
     for v in range(lat.level_range(lat.steps)[0]):
         beta = minimizer_beta(sol.pre("p0")[v], mean_y[v], mean_p[v], lam0, lam, N=pop.N)
         assert beta == pytest.approx(eq.beta_hat.values[v], rel=1e-12, abs=1e-12)
         for g in range(pop.size):
-            alpha = minimizer_alpha(sol.pre(f"Y{g}")[v], eq.price.values[v], lam)
+            alpha = minimizer_alpha(eq.group_pre("Y", g)[v], eq.price.values[v], lam)
             assert alpha == pytest.approx(eq.alpha_hat[g][v], rel=1e-12, abs=1e-12)
 
 
@@ -351,7 +351,8 @@ def test_clearing_operator_batch_equals_fresh_minor_clearing() -> None:
     lat = tree(3)
     ctx = MarketContext(spec, lat)
     pop = make_population(spec, ctx.atoms, assignments=[1, 0, 1, 1, 0])
-    op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
+    classes = cost_classes(ctx.group_tables(pop), pop.weights)
+    op = ClearingOperator(ctx, classes.tables, classes.weights)
     betas = np.random.default_rng(5).normal(size=(3, lat.num_nodes, 1))
     betas[:, lat.terminal_slice] = 0.0
     sols, phis = op.solve(betas / pop.N)
@@ -409,3 +410,21 @@ def test_group_collapse_matches_ungrouped_per_agent_solve() -> None:
         for name in ("X", "Y", "R", "P"):
             assert np.max(np.abs(eq_h.group_field(name, gh)
                                  - eq_s.group_field(name, gs))) <= 1e-11
+
+
+def test_homogeneous_groups_solve_one_class_system() -> None:
+    # eight groups of one cost class: the coupled system holds the major and
+    # the class means only, and the groups are one deviation family
+    dims = Dimensions(1, 1, 0, 8)
+    spec = make_spec(dims, delta=0.3, xi_law=DiscreteLaw(np.linspace(0.0, 2.0, 8)[:, None],
+                                                         np.full(8, 1 / 8)),
+                     c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
+    lat = tree(3)
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, assignments=np.arange(8))
+    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    assert pop.size == 8
+    assert eq.solution.system.mf == eq.solution.system.mb == 3 * dims.n
+    (family,) = eq.deviations
+    assert len(family) == 8
+    assert eq.clearing_residual <= 1e-12

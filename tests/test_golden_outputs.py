@@ -1,5 +1,7 @@
-"""Byte identity of the CLI outputs of the three shipped models.
+"""Byte identity of the CLI outputs of the shipped models.
 
+The three homogeneous models run every command; ``heterogeneous.json``, one
+coefficient bundle (and so one cost class) per agent, runs ``solve-n``.
 Each command runs at ``--steps 3`` and every CSV and ``summary.json`` it
 writes must hash to the recorded sha256.  The hashes pin the exact bytes, so
 a change that moves any summation order, any rounding or any formatting
@@ -38,8 +40,8 @@ LATTICE = {"lattice.csv": "07795c834eaa797c992c1475408f03c0aa9ea4401706ed1cc3497
 
 GOLDEN = {
     ("benchmark.model", "solve-n"): {
-        "equilibrium.csv": "3de633210a746b6182da39b251c5455cde3920860fb67a1621c50f67c1ad65ee",
-        "summary.json": "a3f6e2031dbe35bcfaa560e4fdb3301c075367e43ea9e2408526309bed8b835e",
+        "equilibrium.csv": "4d93be55371f7702803edfede827db30d1dc81aa95c4e22a6b5e57dcd33a6539",
+        "summary.json": "8616893e50e646d14b9218056a1516eec50279b1d8473d5364d3ad00dbd16b0f",
     },
     ("benchmark.model", "solve-mfg"): {
         "equilibrium_mfg.csv": "953238dba2f598dc9c228fce28a4aa6d234ac0e1a188847177ff8f380e51cc44",
@@ -50,15 +52,15 @@ GOLDEN = {
         "summary.json": "cfd1bf9e8a0053d8f2e4036ff9869a2290ccf78112aaf4ffc78815d2efb92363",
     },
     ("benchmark.model", "verify"): {
-        "perturbation_major-N.csv": "551cee4f6a54e0339a51b0ec9dccd8c161249a1affa791b1349e4bfb10e6fe32",
+        "perturbation_major-N.csv": "7ce2f7f4670ad9164166c190e604ccf7cd7c430c8f79079625f7704d36b9c8a9",
         "perturbation_major-mfg.csv": "c7527e3dd1fce42dd90f52de5dfcb620e358432f797247f13392b2da5e0b34db",
-        "perturbation_minor.csv": "af539819f97d30126cf5d3647be64411f1587777fa27784b85e88bf21204f881",
-        "summary.json": "6e57fabfb52396de0f166882fb43fa4fdc2b585dcc648a28c523ccf280d78509",
+        "perturbation_minor.csv": "56080e18cb6ee792b7d517f50c0ef82b0be1222d6826604d946126ee82f0a2b2",
+        "summary.json": "ad3f0b388b387baf1d479c9988e5c96a709908e83af598842dc4bf4c2fcf4cec",
     },
     ("benchmark.model", "lattice-dump"): LATTICE,
     ("maturity.model", "solve-n"): {
-        "equilibrium.csv": "b816d56549a3d3688cfebc0cb5508653968024280c4aa821114159eea3493950",
-        "summary.json": "f786235a91d833181da09b823b644eee898a8f9f541b835a7ef179d44952b7d5",
+        "equilibrium.csv": "28c0b68e8215812039f53dbd475f5c6231b958e6939bca4cbbcdc74f828ba26e",
+        "summary.json": "54f9c3ceaa2e398adf35281689390001312f937e9628dd5d1b26dd79526d043e",
     },
     ("maturity.model", "solve-mfg"): {
         "equilibrium_mfg.csv": "709be96f7bbccc0c1f3b23579a1960483bdd2b13c07d88c105aa700deb2e30bf",
@@ -69,15 +71,15 @@ GOLDEN = {
         "summary.json": "b5889069076497be7cb822a2b0f5a8b488827b94cbfc76ea35b1157c7df5dda7",
     },
     ("maturity.model", "verify"): {
-        "perturbation_major-N.csv": "358002dfdb3fe1403eb7c6591ccd6ad722f79ec3e8c1dd78167adcb8e0f598f9",
+        "perturbation_major-N.csv": "0903a8ff968645fd205766a747035a1a1b28fa07f80128690a515cdbbeee04c0",
         "perturbation_major-mfg.csv": "c694097e70f2d7bafea8ada56854e39649545749ad4c2bff6e4d2838571d020d",
-        "perturbation_minor.csv": "44b82ee362bb27c4b777cb1033b751af45645d9ea4bd0906e7d0344d5314e269",
-        "summary.json": "253be1619caddbebc8c5442ae870695bed7ea8f3e8354e3f1addaf1b3d937e5d",
+        "perturbation_minor.csv": "308f00f1cfae8f2a4d6e5b52c127b63c805a8706865a398994c62d4d0cf13cce",
+        "summary.json": "318401e3822525c46ab6163f62896d92cd69ae9d943d07f95d76b0b079b3f93c",
     },
     ("maturity.model", "lattice-dump"): LATTICE,
     ("two_assets.json", "solve-n"): {
-        "equilibrium.csv": "303503934e31b46b3736fc1be1a49fbc332d5b14e992a2c95999c37a4bea94c8",
-        "summary.json": "0460cede429e18012e609dde8bcd2366009d763e26ffc249a1c03d884f286fe0",
+        "equilibrium.csv": "ec239a1c962c9c82e5ce3765e4b95bffd33c8210cb5de33e7558825b497e17eb",
+        "summary.json": "46e8d3dc6581f22135b217e20e7093022903839a1d75f8ce959e3fe0dd294fd9",
     },
     ("two_assets.json", "solve-mfg"): {
         "equilibrium_mfg.csv": "03685b91604106261001dcdb3efb99549da63e836f21f1c734b5545eb0b68e28",
@@ -88,12 +90,17 @@ GOLDEN = {
         "summary.json": "eea683ca7916411c4d1efe39b5f86b48abe8cdeec703c231f31aa44346f66e9e",
     },
     ("two_assets.json", "verify"): {
-        "perturbation_major-N.csv": "cc8300045bd95ff006ec98a8d877e3c2dc251db577e2ac94542b27710c6bfb8e",
+        "perturbation_major-N.csv": "7ff5b2875c8f5dbfe9d508cab9312fa74aadf7c346985f176f8de2c280057607",
         "perturbation_major-mfg.csv": "9516b68a31ec7973a17bfd6c2abfe05317e13a1ab6827b55e03cc48d524c525e",
-        "perturbation_minor.csv": "3a23ce2354a576b418f5b89b938cd158b67e640e9de5bc7c83585b0bef40a5a3",
-        "summary.json": "f4ded4761bdca59df919279834fb48afb9ec60350fc2231ebdea630fb7b36239",
+        "perturbation_minor.csv": "e1861f1362af38aab16dd8b66c3d047c8fb6fb5bcd1c9330a7068de00070f655",
+        "summary.json": "da840f3d9048946ad26818669919e9d5f3fdaf68b7cee47b6069c7400f09c4d1",
     },
     ("two_assets.json", "lattice-dump"): LATTICE,
+    # every agent its own cost class: the class system is the group system
+    ("heterogeneous.json", "solve-n"): {
+        "equilibrium.csv": "05af093b67d00644b04d621b55570f3b06b256f5f219b0327e39eabbfa6f7b2d",
+        "summary.json": "30920cd6e1bd92ab7b885ef9bf791f253e357059e3dfbd7457bf8b46667b2c71",
+    },
 }
 
 
@@ -109,7 +116,7 @@ def test_outputs_match_the_recorded_hashes(model, command, tmp_path) -> None:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-PICARD = "69cb7ae609cecf3e9a96052a081a235e2ce474d3fc57ba03a41930e5fd1789e4"
+PICARD = "58e15c132f2474f90711baf5e4726e075eb8ee0ce4b681dd742217ca78eeb080"
 
 
 def test_picard_path_matches_the_recorded_hash() -> None:
@@ -123,8 +130,15 @@ def test_picard_path_matches_the_recorded_hash() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     eq = solve_full_equilibrium(spec, lat, check=False)
     mf = solve_mfg(spec, lat, check=False)
+    # the finite market's states in the layout of its coupled group system:
+    # forward (x0, X_g, R_g), backward (p0, Y_g, P_g)
+    groups = range(eq.population.size)
+    layout = [np.concatenate([eq.major_field(major)]
+                             + [eq.group_field(a, g) for g in groups]
+                             + [eq.group_field(b, g) for g in groups], axis=1)
+              for major, a, b in (("x0", "X", "R"), ("p0", "Y", "P"))]
     digest = hashlib.sha256()
-    for arr in (eq.solution.forward, eq.solution.backward, eq.price.values,
+    for arr in (*layout, eq.price.values,
                 mf.solution.forward, mf.solution.backward, mf.price_mfg.values):
         digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     assert digest.hexdigest() == PICARD

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from marketclear.errors import UnsupportedModelError, ValidationError
-from marketclear.finite_market import (ClearingOperator, MarketContext, make_population,
-                                       solve_full_equilibrium)
-from marketclear.mean_field import mean_group, reduce_conditional_means, solve_mfg
+from marketclear.finite_market import (ClearingOperator, MarketContext, build_full_system,
+                                       make_population, solve_full_equilibrium)
+from marketclear.mean_field import limit_classes, solve_mfg
 from marketclear.metrics import price_gap
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw,
                                MinorBundle, make_spec)
@@ -19,12 +19,19 @@ def tree(K=4, T=1.0):
     return build_lattice(TimeGrid(T, K), d0=1)
 
 
+def limit_system(spec, lat):
+    """The mean system: the full system of the limit's one cost class."""
+    ctx = MarketContext(spec, lat)
+    classes = limit_classes(ctx)
+    return build_full_system(ctx, classes.tables, classes.weights)
+
+
 def test_reduced_system_has_six_blocks() -> None:
     # the mean system is the full system of one group: (x0, xbar, rbar) and
     # (p0, ybar, pbar) sit in the slices of group 0
     spec = homogeneous_study_spec()
     lat = tree(2)
-    system = reduce_conditional_means(spec, lat)
+    system = limit_system(spec, lat)
     assert system.mf == 3 and system.mb == 3
     assert set(system.forward_slices) == {"x0", "X0", "R0"}
     assert set(system.backward_slices) == {"p0", "Y0", "P0"}
@@ -67,7 +74,7 @@ def test_unit_population_equivalence_with_two_atoms() -> None:
 def test_zero_discount_terminal_mean_has_no_amplification() -> None:
     spec = homogeneous_study_spec(delta=0.0)
     lat = tree(2)
-    system = reduce_conditional_means(spec, lat)
+    system = limit_system(spec, lat)
     ysl = system.backward_slices["Y0"]
     xsl = system.forward_slices["X0"]
     assert np.allclose(system.G[ysl, xsl], 1.0)
@@ -176,7 +183,7 @@ def test_maturity_override_blocks(small_tree) -> None:
     # the maturity terminal map of the mean system pins the backward means
     # to (p0, ybar, pbar)(T) = (-c0, -c0, 0) with no feedback on x
     spec = maturity_spec(("constant", [5.0]))
-    system = reduce_conditional_means(spec, small_tree)
+    system = limit_system(spec, small_tree)
     G, g = system.G, system.g[:, 0]
     assert np.all(G == 0.0)
     assert np.allclose(g[:, system.backward_slices["p0"]], -5.0)
@@ -187,7 +194,8 @@ def test_maturity_override_blocks(small_tree) -> None:
 def test_mean_clearing_operator_matches_full_limit(small_tree) -> None:
     spec = homogeneous_study_spec()
     mf = solve_mfg(spec, small_tree)
-    op = ClearingOperator(mf.ctx, *mean_group(mf.ctx))
+    classes = limit_classes(mf.ctx)
+    op = ClearingOperator(mf.ctx, classes.tables, classes.weights)
     (sol,), (phi,) = op.solve(mf.beta_hat.values[None])
     assert np.max(np.abs(phi - mf.price_mfg.values)) <= 1e-11
     assert np.max(np.abs(sol.field("Y0") - mf.common_field("ybar"))) <= 1e-11

@@ -187,6 +187,7 @@ def test_study_rows_match_full_finite_solves() -> None:
     report = convergence_study(spec, lat, [2, 5, 10], resamples=4, seed=1, ctx=ctx)
     mf = solve_mfg(spec, lat, ctx=ctx, check=False)
     ref = _ReferenceClouds(mf)
+    flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(ctx.atoms.count)])
     tsl = lat.terminal_slice
     for row in report.rows:
         N = row["N"]
@@ -200,9 +201,9 @@ def test_study_rows_match_full_finite_solves() -> None:
         dist = lambda values: _quantile_coupling_cost(values[active, :, 0], emp_w[active],
                                                       values[:, :, 0], ref.weights, 2)
         assert row["w2_g"] == lat.terminal_expectation(dist(ref.g))
-        assert row["w2_rT"] == lat.terminal_expectation(dist(ref.r[:, tsl, :]))
+        assert row["w2_rT"] == lat.terminal_expectation(dist(flow("r")[:, tsl, :]))
         assert row["int_w2_y"] == lat.running_expectation(dist(ref.y))
-        assert row["int_w2_p"] == lat.running_expectation(dist(ref.p))
+        assert row["int_w2_p"] == lat.running_expectation(dist(flow("p")))
         assert row["epsilon_N"] == epsilon_rate(N, 1)
 
 

@@ -192,7 +192,7 @@ def test_bad_requests_fail_before_any_solve(monkeypatch, kwargs, match) -> None:
         raise AssertionError("solved a request that is invalid")
 
     monkeypatch.setattr(optimality, "solve_full_equilibrium", no_solve)
-    monkeypatch.setattr(optimality, "_solve_means", no_solve)
+    monkeypatch.setattr(optimality, "solve_class_system", no_solve)
     args = {"levels": LEVELS, **kwargs}
     with pytest.raises(ValidationError, match=match):
         perturbation_tests(scalar_market_spec(), tree(2), **args)
