@@ -13,9 +13,9 @@ from .errors import (AssumptionViolationError, BudgetError, MarketClearError,
                      SolverError, UnsupportedModelError, ValidationError)
 from .fbsde import (FamilySolution, FbsdeSystem, NodeSolution, SolveDiagnostics,
                     residual, solve_direct)
-from .finite_market import (AgentGroup, AgentPopulation, ClearingOperator,
-                            EquilibriumSolution, MarketContext, clearing_residual,
-                            cost_classes, make_population, minor_best_response,
+from .finite_market import (AgentGroup, AgentPopulation, BestResponse, ClassSolution,
+                            ClearingOperator, EquilibriumSolution, MarketContext,
+                            clearing_residual, cost_classes, make_population, minor_best_response,
                             solve_full_equilibrium, solve_minor_clearing)
 from .mean_field import MfgSolution, limit_classes, solve_mfg
 from .metrics import (ConvergenceReport, EmpiricalMeasure, StabilityReport,

@@ -132,7 +132,7 @@ def _build_parser(command: str | None = None) -> _Parser:
 
 
 def _read_config(path: str, types: dict) -> dict:
-    """A --config file: a JSON object whose options have their flags' value types."""
+    """A --config file: a JSON object of the command's options, typed as their flags."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
@@ -143,8 +143,10 @@ def _read_config(path: str, types: dict) -> dict:
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
     for key, value in config.items():
-        want = types.get(key)
-        if want is None or value is None:
+        if key not in types:
+            raise UsageError(f"config file option {key!r} is not an option of this command")
+        want = types[key]
+        if value is None:
             continue
         ok = (int, float) if want is float else want
         if isinstance(value, bool) != (want is bool) or not isinstance(value, ok):

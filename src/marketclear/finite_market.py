@@ -1,4 +1,4 @@
-"""Finite-population market systems: best response, clearing, full equilibrium.
+"""Finite-population markets on cost classes: best response, clearing, full equilibrium.
 
 Internally every quantity is normalized: the major state is x0 = X0/N and the
 major flow is b = beta/N, so the population-size limit needs no rescaling.
@@ -6,13 +6,15 @@ Identical minor agents are collapsed into weighted groups; the collapse is
 exact because agents with the same coefficients and the same atom draw
 satisfy identical equations.
 
-A coupled market is solved on cost classes, the groups with equal cf and cg
+Every market is solved on cost classes, the groups with equal cf and cg
 (``cost_classes``).  Groups couple only through the price, the major flow
 and the terminal map's mean term, which read group means only, so the class
-means solve the coupled system of the classes.  A group's deviation from its
-class mean has no price or flow term (``build_deviation_system``), so each
-class's groups are one family; their R/P deviations have no source and
-vanish.  The population limit (``mean_field``) is the same path on the atoms.
+means solve the system of the classes: the coupled one, or the best response
+to a given price.  A group's deviation from its class mean has no price or
+flow term (``build_deviation_system``), so each class's groups are one
+family; their R/P deviations have no source and vanish.  ``ClassSolution``
+reads a group's fields off the class solve and its family.  The population
+limit (``mean_field``) is the same path on the atoms.
 """
 
 from __future__ import annotations
@@ -408,7 +410,7 @@ def _minus_flow(l: np.ndarray, beta_norm: np.ndarray) -> np.ndarray:
 
 def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
                                price: np.ndarray) -> FbsdeSystem:
-    """Independent per-group best responses to an exogenous adapted price field."""
+    """Independent best responses of groups or cost classes to an adapted price field."""
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
     G = len(tabs)
@@ -460,56 +462,56 @@ def solve_deviations(ctx: MarketContext, classes: CostClasses) -> list[FamilySol
             for c, group in enumerate(classes.members)]
 
 
-def class_member_field(solution: NodeSolution, deviations: list, c: int, j: int,
-                       name: str, pre: bool) -> np.ndarray:
-    """Field X, Y, R or P (``pre``: its pre-driver values) of member j of class c.
-
-    That is the class mean plus the member's deviation, which vanishes for R/P.
-    """
-    read = NodeSolution.pre if pre else NodeSolution.field
-    mean = read(solution, f"{name}{c}")
-    if deviations[c] is None or name not in ("X", "Y"):
-        return mean
-    return mean + read(deviations[c][j], "d" + name.lower())
-
-
-def worst_diagnostics(solution: NodeSolution, deviations: list) -> SolveDiagnostics:
-    """The class solve's diagnostics, its residuals the worst of it and every deviation family."""
-    every = [solution.diagnostics] + [d for f in deviations if f for d in f.diagnostics]
-    return replace(solution.diagnostics, **{key: max(getattr(d, key) for d in every) for key in
-                                            ("max_equation_residual", "terminal_mismatch")})
-
-
 @dataclass
-class EquilibriumSolution:
-    """Solved market: the cost classes' system and deviations, controls, price, diagnostics."""
+class ClassSolution:
+    """A market solved on cost classes: the classes' system and their deviation families.
+
+    A group's X and Y are its class's mean plus its deviation; its R and P
+    are the class's, their deviations having no source.
+    """
 
     spec: ModelSpec
     lattice: NoiseLattice
-    population: AgentPopulation
-    solution: NodeSolution
+    solution: NodeSolution                   # system of the cost classes
     classes: CostClasses
-    deviations: list[FamilySolution | None]
+    deviations: list[FamilySolution | None]  # per class, as ``solve_deviations``
+
+    @property
+    def diagnostics(self) -> SolveDiagnostics:
+        """The class solve's diagnostics, its residuals the worst of it and every family."""
+        every = [self.solution.diagnostics] + [d for f in self.deviations if f
+                                               for d in f.diagnostics]
+        return replace(self.solution.diagnostics, **{
+            key: max(getattr(d, key) for d in every)
+            for key in ("max_equation_residual", "terminal_mismatch")})
+
+    def group_field(self, name: str, g: int) -> np.ndarray:
+        """Group g's field X, Y, R or P."""
+        return self._member(NodeSolution.field, name, g)
+
+    def group_pre(self, name: str, g: int) -> np.ndarray:
+        """Group g's pre-driver values of Y or P (the values themselves on the leaves)."""
+        return self._member(NodeSolution.pre, name, g)
+
+    def _member(self, read, name: str, g: int) -> np.ndarray:
+        c, j = self.classes.place[g]
+        mean = read(self.solution, f"{name}{c}")
+        if self.deviations[c] is None or name not in ("X", "Y"):
+            return mean
+        return mean + read(self.deviations[c][j], "d" + name.lower())
+
+
+@dataclass
+class EquilibriumSolution(ClassSolution):
+    """Solved market: the cost classes' solve, controls and price."""
+
+    population: AgentPopulation
     price: NodeField
     beta_hat: NodeField          # unnormalized major flow N*b, zero on terminal nodes
     beta_norm: NodeField         # per-capita flow b
     alpha_hat: list[np.ndarray]  # one (num_nodes, n) array per agent group
     clearing_residual: float
     x0: np.ndarray | None = None  # normalized major position when not part of the system
-
-    @property
-    def diagnostics(self) -> SolveDiagnostics:
-        return worst_diagnostics(self.solution, self.deviations)
-
-    def group_field(self, name: str, g: int) -> np.ndarray:
-        """Group g's field X, Y, R or P."""
-        return class_member_field(self.solution, self.deviations, *self.classes.place[g],
-                                  name, False)
-
-    def group_pre(self, name: str, g: int) -> np.ndarray:
-        """Group g's pre-driver values of Y or P (the values themselves on the leaves)."""
-        return class_member_field(self.solution, self.deviations, *self.classes.place[g],
-                                  name, True)
 
     def major_field(self, name: str) -> np.ndarray:
         if name == "x0" and self.x0 is not None:
@@ -677,34 +679,37 @@ def _validate_beta(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField):
             raise ValidationError("beta must vanish on terminal nodes (no last-instant flow)")
 
 
+@dataclass
+class BestResponse(ClassSolution):
+    """Price-taking responses: the cost classes' solve, the price and the trading rates."""
+
+    population: AgentPopulation
+    price: NodeField
+    alpha_hat: list[np.ndarray]  # one (num_nodes, n) array per agent group
+
+
 def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
                         population: AgentPopulation | None = None, *,
-                        ctx: MarketContext | None = None):
+                        ctx: MarketContext | None = None) -> BestResponse:
     """Per-agent optimal responses to an exogenous adapted price field.
 
-    Returns the solved node system together with the trading rates
+    The class means respond to the price and each class's groups deviate from
+    their mean as in every market (the price enters every group alike, so
+    the deviations do not see it); the trading rates are
     alpha_g = -lam^{-1}(Y~_g + price).
     """
+    if price.values.shape != (lattice.num_nodes, spec.dims.n):
+        raise ValidationError("the price must be an n-vector node field on this lattice")
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     pop = population if population is not None else make_population(spec, ctx.atoms)
-    system = build_best_response_system(ctx, ctx.group_tables(pop), price.values)
-    sol = solve_direct(system)
-    alpha = _alpha_hats(ctx, [sol.pre(f"Y{g}") for g in range(pop.size)], price.values)
-    return BestResponse(spec=spec, lattice=lattice, population=pop, solution=sol,
-                        price=price, alpha_hat=alpha)
-
-
-@dataclass
-class BestResponse:
-    spec: ModelSpec
-    lattice: NoiseLattice
-    population: AgentPopulation
-    solution: NodeSolution
-    price: NodeField
-    alpha_hat: list[np.ndarray]
-
-    def group_field(self, name: str, g: int) -> np.ndarray:
-        return self.solution.field(f"{name}{g}")
+    classes = cost_classes(ctx.group_tables(pop), pop.weights)
+    br = BestResponse(
+        spec=spec, lattice=lattice, population=pop, classes=classes,
+        solution=solve_direct(build_best_response_system(ctx, classes.tables, price.values)),
+        deviations=solve_deviations(ctx, classes), price=price, alpha_hat=[])
+    br.alpha_hat = _alpha_hats(ctx, [br.group_pre("Y", g) for g in range(pop.size)],
+                               price.values)
+    return br
 
 
 def _equilibrium(ctx: MarketContext, pop: AgentPopulation, classes: CostClasses,

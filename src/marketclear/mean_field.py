@@ -6,7 +6,9 @@ weighted by their law weights.  The atoms share cf and cg, so they form one
 class: its means (x0, xbar, rbar, p0, ybar, pbar) solve the coupled system of
 one group carrying the atom-averaged tables, and the per-atom deviations are
 its deviation family.  The flow costates (rbar, pbar) have no idiosyncratic
-source, so the per-atom flow fields equal the means.
+source, so the per-atom flow fields equal the means.  ``MfgSolution`` reads
+the atoms through ``ClassSolution``, the container of every market solved on
+cost classes.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedModelError, ValidationError
-from .fbsde import FamilySolution, NodeSolution
-from .finite_market import (CostClasses, MarketContext, _run_checks, class_member_field,
-                            cost_classes, solve_class_system, solve_deviations,
-                            worst_diagnostics)
+from .finite_market import (ClassSolution, CostClasses, MarketContext, _run_checks,
+                            cost_classes, solve_class_system, solve_deviations)
 from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, apply_block
 
@@ -39,20 +39,12 @@ _MEAN_FIELDS = {"x0": "x0", "p0": "p0", "xbar": "X0", "ybar": "Y0",
 
 
 @dataclass
-class MfgSolution:
-    """Mean-field equilibrium: common mean fields plus per-atom deviations."""
+class MfgSolution(ClassSolution):
+    """Mean-field equilibrium on the limit's one cost class, whose groups are the atoms."""
 
-    spec: ModelSpec
-    lattice: NoiseLattice
     ctx: MarketContext
-    solution: NodeSolution                 # system of the one cost class
-    deviations: FamilySolution | None      # one flow per (xi, ci) atom; None for one atom
     beta_hat: NodeField                    # per-capita flow, zero on terminal nodes
     price_mfg: NodeField
-
-    @property
-    def diagnostics(self):
-        return worst_diagnostics(self.solution, [self.deviations])
 
     @property
     def atom_weights(self) -> np.ndarray:
@@ -66,14 +58,13 @@ class MfgSolution:
         """Per-atom field: mean plus deviation for x/y, the mean itself for r/p."""
         if name not in ("x", "y", "r", "p"):
             raise ValidationError(f"unknown per-atom field {name!r}")
-        return class_member_field(self.solution, [self.deviations], 0, a, name.upper(), False)
+        return self.group_field(name.upper(), a)
 
     def terminal_gain_samples(self) -> np.ndarray:
         """Per-atom terminal cost gradients cg x_T + hg on each leaf: (A, mK, n)."""
         tsl = self.lattice.terminal_slice
-        tabs = [self.ctx.minor_tables(0, a) for a in range(self.ctx.atoms.count)]
         return np.stack([apply_block(t.cg_T, self.atom_field("x", a)[tsl]) + t.hg_T
-                         for a, t in enumerate(tabs)])
+                         for a, t in enumerate(self.classes.groups)])
 
 
 def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
@@ -94,8 +85,7 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
         _run_checks(spec, force)
     classes = limit_classes(ctx)
     family, b, phi = solve_class_system(ctx, classes)
-    (deviations,) = solve_deviations(ctx, classes)
     return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=family[0],
-                       deviations=deviations,
+                       classes=classes, deviations=solve_deviations(ctx, classes),
                        beta_hat=NodeField(lattice, b),
                        price_mfg=NodeField(lattice, phi))

@@ -2,8 +2,9 @@
 
 Text files hold sections [dimensions], [constants], [minor], [major],
 [noise], [laws]; values are whitespace- or comma-separated numbers read
-row-major into the shape each key requires.  Unknown sections and keys, and
-numbers that are not finite, are rejected.  A file whose first non-space
+row-major into the shape each key requires.  Unknown sections and keys,
+numbers that are not finite and entries that do not take their key's form
+are rejected, naming the section and key.  A file whose first non-space
 character is '{' is parsed as JSON with the same section/key schema; JSON
 additionally accepts a list of minor bundles (heterogeneous agents) and
 structured coefficient payloads {"kind": "time"|"affine", ...}.
@@ -85,7 +86,7 @@ def _check_json_keys(doc: dict):
     if unknown:
         raise ValidationError(f"unknown sections: {sorted(unknown)}")
     for name, body in doc.items():
-        entries = body if isinstance(body, list) else [body]
+        entries = body if isinstance(body, list) and name == "minor" else [body]
         for entry in entries:
             if not isinstance(entry, dict):
                 raise ValidationError(f"section {name!r} must hold key/value pairs")
@@ -109,107 +110,106 @@ def _coeff_from(value, shape, name):
     return coeff(np.asarray(value, dtype=float), shape, name)
 
 
-def _affine_or_const(section: dict, base_key: str, shape, name):
-    """Build a vector coefficient from base/[_c0]/[_ci] keys of a text section."""
-    base = section.get(base_key, 0.0)
-    c0_mat = section.get(base_key + "_c0")
-    ci_mat = section.get(base_key + "_ci")
-    if c0_mat is None and ci_mat is None:
-        return coeff(np.asarray(base, dtype=float), shape, name)
-    m, n = shape[0], shape[0]
-    return CoefficientSpec(
-        "affine", shape, const=np.asarray(base, dtype=float),
-        c0_mat=None if c0_mat is None else np.asarray(c0_mat, dtype=float).reshape(m, n),
-        ci_mat=None if ci_mat is None else np.asarray(ci_mat, dtype=float).reshape(m, n),
-        name=name)
+class _Section:
+    """One section's entries, each read into the form its key requires.
+
+    An entry that cannot take that form (a string for a number, a wrong
+    number of values, a payload missing an entry) is a ``ValidationError``
+    naming the section and the key.
+    """
+
+    def __init__(self, name: str, entries: dict):
+        self.name, self.entries = name, entries
+
+    def read(self, key: str, default, convert):
+        try:
+            return convert(self.entries.get(key, default))
+        except ValidationError as exc:  # a coefficient's own check, which names the key
+            raise ValidationError(f"[{self.name}] {exc}") from None
+        except (ValueError, TypeError, KeyError) as exc:
+            detail = f"missing entry {exc}" if isinstance(exc, KeyError) else exc
+            raise ValidationError(f"[{self.name}] {key}: {detail}") from None
+
+    def number(self, key: str, default, kind):
+        return self.read(key, default, lambda v: kind(np.ravel(v)[0]))
+
+    def array(self, key: str, default, shape: tuple) -> np.ndarray:
+        return self.read(key, default, lambda v: np.asarray(v, dtype=float).reshape(shape))
+
+    def coefficient(self, key: str, default, shape: tuple) -> CoefficientSpec:
+        return self.read(key, default, lambda v: _coeff_from(v, shape, key))
+
+    def affine(self, key: str, shape: tuple) -> CoefficientSpec:
+        """A vector coefficient: the key's constant plus its optional _c0 and _ci loadings."""
+        m = shape[0]
+        loading = lambda v: None if v is None else np.asarray(v, dtype=float).reshape(m, m)
+        c0_mat, ci_mat = (self.read(key + part, None, loading) for part in ("_c0", "_ci"))
+        if c0_mat is None and ci_mat is None:
+            return self.read(key, 0.0, lambda v: coeff(np.asarray(v, dtype=float), shape, key))
+        return self.read(key, 0.0, lambda v: CoefficientSpec(
+            "affine", shape, const=np.asarray(v, dtype=float), c0_mat=c0_mat, ci_mat=ci_mat,
+            name=key))
 
 
-def _build_bundle(section: dict, dims: Dimensions) -> MinorBundle:
-    n, d0, d = dims.n, dims.d0, dims.d
+def _build_bundle(section: _Section, dims: Dimensions) -> MinorBundle:
+    n = dims.n
     return MinorBundle(
-        l=_affine_or_const(section, "l", (n,), "l"),
-        sigma0=_coeff_from(section.get("sigma0", 0.0), (n, d0), "sigma0"),
-        sigma=_coeff_from(section.get("sigma", 0.0), (n, d), "sigma"),
-        cf=_coeff_from(section.get("cf", 1.0), (n, n), "cf"),
-        hf=_affine_or_const(section, "hf", (n,), "hf"),
-        cg=_coeff_from(section.get("cg", 1.0), (n, n), "cg"),
-        hg=_affine_or_const(section, "hg", (n,), "hg"),
-    )
+        l=section.affine("l", (n,)), hf=section.affine("hf", (n,)), hg=section.affine("hg", (n,)),
+        sigma0=section.coefficient("sigma0", 0.0, (n, dims.d0)),
+        sigma=section.coefficient("sigma", 0.0, (n, dims.d)),
+        cf=section.coefficient("cf", 1.0, (n, n)), cg=section.coefficient("cg", 1.0, (n, n)))
 
 
 def _build_spec(doc: dict) -> ModelSpec:
-    for required in ("dimensions",):
-        if required not in doc:
-            raise ValidationError(f"model file is missing the [{required}] section")
-    dims_sec = doc["dimensions"]
-    try:
-        dims = Dimensions(n=int(np.ravel(dims_sec["n"])[0]),
-                          d0=int(np.ravel(dims_sec["d0"])[0]),
-                          d=int(np.ravel(dims_sec.get("d", 0))[0]),
-                          N=int(np.ravel(dims_sec["N"])[0]))
-    except KeyError as exc:
-        raise ValidationError(f"[dimensions] is missing {exc}")
+    if "dimensions" not in doc:
+        raise ValidationError("model file is missing the [dimensions] section")
+    section = lambda name: _Section(name, doc.get(name, {}))
+    dims_sec = section("dimensions")
+    if missing := [key for key in ("n", "d0", "N") if key not in dims_sec.entries]:
+        raise ValidationError(f"[dimensions] is missing {missing[0]!r}")
+    dims = Dimensions(**{key: dims_sec.number(key, 0, int) for key in ("n", "d0", "d", "N")})
     n = dims.n
 
-    consts = doc.get("constants", {})
-    delta = float(np.ravel(consts.get("delta", 0.0))[0])
-    chi0 = np.asarray(consts.get("chi0", np.zeros(n)), dtype=float).reshape(n)
-    lam = _coeff_from(consts.get("lambda", 1.0), (n, n), "lambda")
-    lam0 = _coeff_from(consts.get("lambda0", 1.0), (n, n), "lambda0")
-    maturity = bool(consts.get("maturity", False))
+    consts = section("constants")
+    delta = consts.number("delta", 0.0, float)
+    chi0 = consts.array("chi0", np.zeros(n), (n,))
+    lam = consts.coefficient("lambda", 1.0, (n, n))
+    lam0 = consts.coefficient("lambda0", 1.0, (n, n))
+    maturity = consts.read("maturity", False, bool)
 
     minor_doc = doc.get("minor", {})
-    bundles = [_build_bundle(b, dims) for b in
+    bundles = [_build_bundle(_Section("minor", b), dims) for b in
                (minor_doc if isinstance(minor_doc, list) else [minor_doc])]
 
-    major_doc = doc.get("major", {})
-    flow = MajorFlow(l0=_coeff_from(major_doc.get("l0", 0.0), (n,), "l0"),
-                     s0=_coeff_from(major_doc.get("s0", 0.0), (n, dims.d0), "s0"))
-    cost = QuadraticMajorCost(
-        c0f=_as_square(major_doc.get("c0f", 1.0), n, "c0f"),
-        h0f=_affine_or_const(major_doc, "h0f", (n,), "h0f"),
-        c0g=_as_square(major_doc.get("c0g", 1.0), n, "c0g"),
-        h0g=_affine_or_const(major_doc, "h0g", (n,), "h0g"))
+    major = section("major")
+    flow = MajorFlow(l0=major.coefficient("l0", 0.0, (n,)),
+                     s0=major.coefficient("s0", 0.0, (n, dims.d0)))
+    square = lambda key: major.read(key, 1.0, lambda v: coeff(v, (n, n), key).value)
+    cost = QuadraticMajorCost(c0f=square("c0f"), h0f=major.affine("h0f", (n,)),
+                              c0g=square("c0g"), h0g=major.affine("h0g", (n,)))
 
-    noise = doc.get("noise", {})
-    kind = noise.get("c0", "constant")
-    if isinstance(kind, np.ndarray):
-        raise ValidationError("noise.c0 must be 'constant' or 'gaussian_walk'")
+    noise = section("noise")
+    kind = noise.entries.get("c0", "constant")
     if kind == "constant":
-        c0_law = ("constant", np.asarray(noise.get("c0_value", np.zeros(n)),
-                                         dtype=float).reshape(n))
+        c0_law = ("constant", noise.array("c0_value", np.zeros(n), (n,)))
     elif kind == "gaussian_walk":
-        c0_law = ("gaussian_walk",
-                  np.asarray(noise.get("c0_start", np.zeros(n)), dtype=float).reshape(n),
-                  np.asarray(noise.get("c0_drift", np.zeros(n)), dtype=float).reshape(n),
-                  np.asarray(noise.get("c0_loading", np.zeros((n, dims.d0))),
-                             dtype=float).reshape(n, dims.d0))
+        c0_law = ("gaussian_walk", noise.array("c0_start", np.zeros(n), (n,)),
+                  noise.array("c0_drift", np.zeros(n), (n,)),
+                  noise.array("c0_loading", np.zeros((n, dims.d0)), (n, dims.d0)))
     else:
         raise ValidationError(f"unknown c0 law {kind!r}")
 
-    laws = doc.get("laws", {})
-    xi_atoms = np.asarray(laws.get("xi_atoms", np.zeros(n)), dtype=float).reshape(-1, n)
-    xi_weights = np.asarray(laws.get("xi_weights", np.ones(len(xi_atoms)) / len(xi_atoms)),
-                            dtype=float).reshape(-1)
-    xi_law = DiscreteLaw(xi_atoms, xi_weights)
-    ci_law = None
-    if "ci_atoms" in laws:
-        ci_atoms = np.asarray(laws["ci_atoms"], dtype=float).reshape(-1, n)
-        ci_weights = np.asarray(laws.get("ci_weights", np.ones(len(ci_atoms)) / len(ci_atoms)),
-                                dtype=float).reshape(-1)
-        ci_law = DiscreteLaw(ci_atoms, ci_weights)
+    laws = section("laws")
+
+    def law(name: str) -> DiscreteLaw:
+        atoms = laws.array(f"{name}_atoms", np.zeros(n), (-1, n))
+        return DiscreteLaw(atoms, laws.array(f"{name}_weights",
+                                             np.ones(len(atoms)) / len(atoms), (-1,)))
 
     return ModelSpec(dims=dims, delta=delta, lambda_minor=lam, lambda_major=lam0,
                      minor=bundles, major_flow=flow, major_cost=cost, chi0=chi0,
-                     xi_law=xi_law, ci_law=ci_law, c0_law=c0_law,
-                     maturity_mode=maturity)
-
-
-def _as_square(value, n, name):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape == ():
-        return float(arr) * np.eye(n)
-    return arr.reshape(n, n)
+                     xi_law=law("xi"), ci_law=law("ci") if "ci_atoms" in laws.entries else None,
+                     c0_law=c0_law, maturity_mode=maturity)
 
 
 def loads_model(text: str) -> ModelSpec:

@@ -384,7 +384,8 @@ def test_config_file_overrides_defaults_and_flags_override_it(good_model, tmp_pa
 
 
 @pytest.mark.parametrize("text", ['{"steps": 3,', '[3]', '{"steps": "3"}', '{"steps": 2.5}',
-                                  '{"force": 1}', '{"horizon": true}', '{"out": 7}'])
+                                  '{"force": 1}', '{"horizon": true}', '{"out": 7}',
+                                  '{"step": 3}'])
 def test_malformed_config_file_is_usage_error(good_model, tmp_path, capsys, text) -> None:
     cfg = tmp_path / "run.json"
     cfg.write_text(text)
@@ -408,6 +409,32 @@ def test_non_finite_model_number_is_usage_error(tmp_path, capsys, model, old, to
     out = tmp_path / "out"
     assert run(["solve-n", "--model", path, "--out", out, "--steps", 3]) == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _two_assets_with(section, key, value) -> str:
+    doc = json.loads((SHIPPED / "two_assets.json").read_text())
+    doc[section][key] = value
+    return json.dumps(doc)
+
+
+TWO_ASSET_TEXT = "[dimensions]\nn = 2\nd0 = 1\nd = 0\nN = 2\n"
+
+
+@pytest.mark.parametrize("text, entry", [
+    (TWO_ASSET_TEXT + "[major]\nc0f = 1 2 3\n", "[major] c0f"),
+    (TWO_ASSET_TEXT + "[constants]\nchi0 = 1 2 3\n", "[constants] chi0"),
+    (_two_assets_with("dimensions", "n", "two"), "[dimensions] n"),
+    (_two_assets_with("minor", "cf", "abc"), "[minor] cf"),
+    (_two_assets_with("constants", "lambda", {"kind": "time", "times": [0.0]}),
+     "[constants] lambda: missing entry 'values'"),
+], ids=["text-c0f", "text-chi0", "json-n", "json-cf", "json-lambda"])
+def test_malformed_model_entry_is_usage_error(tmp_path, capsys, text, entry) -> None:
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run(["check", "--model", path, "--out", out]) == 1
+    assert f"usage error: {entry}" in capsys.readouterr().err
     assert not out.exists()
 
 

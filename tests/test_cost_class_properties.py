@@ -1,4 +1,4 @@
-"""Property test: the cost-class path equals the coupled group system.
+"""Property tests: the cost-class path equals the system of all groups.
 
 ``solve_full_equilibrium`` solves a market on its cost classes (the groups
 with equal cf and cg): the class means solve the coupled system of the
@@ -15,6 +15,11 @@ unequal atom multiplicities (C = 1).  n in {1, 2}, binary or trinomial
 trees, maturity mode and a callable major cost are drawn too.  Every field
 of the major and of every group, the price and the flow must agree within
 a tolerance that scales with the solution's magnitude.
+
+``minor_best_response`` solves the price-taking market on the same classes:
+the class means respond to the price and each class's groups deviate from
+their mean.  Its oracle is ``build_best_response_system`` on the group
+tables, one block-diagonal system of every group, under a random price.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketclear.fbsde import DirectSolver
-from marketclear.finite_market import (MarketContext, _flow_and_price, _solve_full_system,
+from marketclear.fbsde import DirectSolver, solve_direct
+from marketclear.finite_market import (MarketContext, _alpha_hats, _flow_and_price,
+                                       _solve_full_system, build_best_response_system,
                                        build_full_system, make_population,
-                                       solve_full_equilibrium)
+                                       minor_best_response, solve_full_equilibrium)
 from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions, DiscreteLaw,
                                MinorBundle, QuadraticMajorCost, make_spec)
-from marketclear.scenario import TimeGrid, build_lattice
+from marketclear.scenario import NodeField, TimeGrid, build_lattice
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
@@ -125,3 +131,26 @@ def test_class_path_equals_the_coupled_group_system(homogeneous, case) -> None:
     for want, got in pairs:
         assert np.max(np.abs(want - got)) <= tol
     assert eq.clearing_residual <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+@SETTINGS
+@given(cases)
+def test_best_response_on_classes_equals_the_group_system(homogeneous, case) -> None:
+    case = dict(case, homogeneous=homogeneous)
+    spec, lat, ctx, pop = random_market(case)
+    n = spec.dims.n
+    price = np.random.default_rng(case["seed"] + 1).uniform(-1, 1, (lat.num_nodes, n))
+    oracle = solve_direct(build_best_response_system(ctx, ctx.group_tables(pop), price))
+    br = minor_best_response(spec, lat, NodeField(lat, price), pop, ctx=ctx)
+    # no system wider than the classes: C n forward states, n per deviation family
+    assert br.solution.system.mf == len(br.classes.members) * n
+    assert all(f.system.mf == n for f in br.deviations if f is not None)
+    wants = {name: [oracle.field(f"{name}{g}") for g in range(pop.size)] for name in "XY"}
+    wants["alpha"] = _alpha_hats(ctx, [oracle.pre(f"Y{g}") for g in range(pop.size)], price)
+    for name, want in wants.items():
+        got = br.alpha_hat if name == "alpha" else [br.group_field(name, g)
+                                                    for g in range(pop.size)]
+        scale = max(float(np.max(np.abs(w))) for w in want)
+        for w, v in zip(want, got):
+            assert np.max(np.abs(w - v)) <= 1e-12 * scale

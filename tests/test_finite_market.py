@@ -76,16 +76,54 @@ def test_zero_model_best_response_is_idle() -> None:
     assert np.allclose(br.group_field("X", 0), 1.0)
 
 
+def two_class_spec():
+    """Four agents in two cost classes of two, the members of a class differing in l and hf."""
+    dims = Dimensions(n=1, d0=1, d=0, N=4)
+    bundles = [MinorBundle.build(dims, cf=cf, cg=cg, l=l, hf=hf, sigma0=[[0.2]])
+               for cf, cg, l, hf in ((1.0, 0.5, 0.1, 0.0), (1.6, 0.8, -0.2, 0.3),
+                                     (1.0, 0.5, 0.4, -0.1), (1.6, 0.8, 0.0, 0.2))]
+    return make_spec(dims, delta=0.4, lam=1.3, lam0=0.7, minor=bundles, chi0=[0.3],
+                     xi_law=DiscreteLaw(np.array([[0.5], [1.5]]), np.array([0.5, 0.5])),
+                     c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
+
+
 def test_price_taker_consistency_round_trip() -> None:
-    spec = scalar_market_spec(delta=0.4)
+    # one homogeneous class of two atoms; two heterogeneous classes of two agents each
     lat = tree(4)
+    for spec, assignments, classes in ((scalar_market_spec(delta=0.4), [0, 1], [[0, 1]]),
+                                       (two_class_spec(), [0, 1, 1, 0], [[0, 2], [1, 3]])):
+        ctx = MarketContext(spec, lat)
+        pop = make_population(spec, ctx.atoms, assignments=assignments)
+        eq = solve_minor_clearing(spec, lat, constant_field(lat, np.zeros(1)), pop, ctx=ctx)
+        br = minor_best_response(spec, lat, eq.price, pop, ctx=ctx)
+        assert br.classes.members == classes
+        for g in range(pop.size):
+            assert np.max(np.abs(br.group_field("Y", g) - eq.group_field("Y", g))) <= 1e-9
+            assert np.max(np.abs(br.alpha_hat[g] - eq.alpha_hat[g])) <= 1e-9
+
+
+def test_homogeneous_best_response_is_one_class_system() -> None:
+    # eight one-atom groups: one n-state class system and one family of eight flows
+    dims = Dimensions(n=1, d0=1, d=0, N=8)
+    spec = make_spec(dims, delta=0.3, c0_law=("constant", [0.1]),
+                     xi_law=DiscreteLaw(np.linspace(0.0, 2.0, 8)[:, None], np.full(8, 1 / 8)))
+    lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    eq = solve_minor_clearing(spec, lat, constant_field(lat, np.zeros(1)), pop, ctx=ctx)
-    br = minor_best_response(spec, lat, eq.price, pop, ctx=ctx)
-    for g in range(2):
-        assert np.max(np.abs(br.group_field("Y", g) - eq.group_field("Y", g))) <= 1e-9
-        assert np.max(np.abs(br.alpha_hat[g] - eq.alpha_hat[g])) <= 1e-9
+    pop = make_population(spec, ctx.atoms, assignments=np.arange(8))
+    price = NodeField(lat, np.random.default_rng(3).uniform(-1, 1, (lat.num_nodes, 1)))
+    br = minor_best_response(spec, lat, price, pop, ctx=ctx)
+    assert br.solution.system.mf == br.solution.system.mb == dims.n
+    (family,) = br.deviations
+    assert len(family) == 8 and family.system.mf == dims.n
+
+
+@pytest.mark.parametrize("shape", [(2,), ()])
+def test_best_response_refuses_a_price_of_another_shape(shape) -> None:
+    spec = scalar_market_spec()
+    lat = tree(2)
+    price = NodeField(lat, np.zeros((lat.num_nodes,) + shape))
+    with pytest.raises(ValidationError, match="price must be an n-vector node field"):
+        minor_best_response(spec, lat, price)
 
 
 # -- clearing ----------------------------------------------------------------------
