@@ -9,8 +9,8 @@ conditional expectations on the lattice are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import UnsupportedModelError, ValidationError
 from .scenario import stream_rng
 
 SECANT_PAIRS = 256
+SECANT_BOX = 1.0  # secant pairs are drawn uniformly on [-SECANT_BOX, SECANT_BOX]^n
 SECANT_SEED = 20210312
 
 
@@ -237,12 +238,12 @@ class CallableMajorCost:
     def affine(self) -> bool:
         return False
 
-    def secant_ranges(self, c0: np.ndarray, n: int, box: float) -> tuple:
+    def secant_ranges(self, c0: np.ndarray, n: int) -> tuple:
         """``_secant_range`` of both gradients (running at t = 0) at ``c0``, sampled once."""
-        key = (self.dfdx, self.dgdx, np.asarray(c0, dtype=float).tobytes(), n, box)
+        key = (self.dfdx, self.dgdx, np.asarray(c0, dtype=float).tobytes(), n)
         if key not in self._secants:
-            self._secants[key] = (_secant_range(lambda x: self.dfdx(0.0, x, c0), n, box),
-                                  _secant_range(lambda x: self.dgdx(x, c0), n, box))
+            self._secants[key] = (_secant_range(lambda x: self.dfdx(0.0, x, c0), n),
+                                  _secant_range(lambda x: self.dgdx(x, c0), n))
         return self._secants[key]
 
 
@@ -277,14 +278,17 @@ class ModelSpec:
         if self.c0_law[0] not in ("constant", "gaussian_walk"):
             raise ValidationError(f"unsupported c0 law {self.c0_law[0]!r}")
         # time-only matrix coefficients make every system block one per time level
-        matrices = [("lambda", self.lambda_minor), ("lambda0", self.lambda_major)] + [
-            (f"minor bundle {i}: {name}", getattr(b, name))
-            for i, b in enumerate(self.minor) for name in ("cf", "cg")]
-        for name, c in matrices:
+        for name, c in self.matrix_coefficients():
             if c.kind not in ("constant", "time") or c.shape != (n, n):
                 raise ValidationError(
                     f"{name}: a matrix coefficient must be constant or time-dependent "
                     f"with shape ({n}, {n})")
+
+    def matrix_coefficients(self) -> list[tuple[str, CoefficientSpec]]:
+        """The fee matrices and every bundle's cost curvatures, each with its name."""
+        return [("lambda", self.lambda_minor), ("lambda0", self.lambda_major)] + [
+            (f"minor bundle {i}: {name}", getattr(b, name))
+            for i, b in enumerate(self.minor) for name in ("cf", "cg")]
 
     @property
     def homogeneous(self) -> bool:
@@ -356,96 +360,54 @@ class AssumptionReport:
     def all_passed(self) -> bool:
         return all(self.passed.values())
 
-    def merge(self, other: "AssumptionReport") -> "AssumptionReport":
-        out = AssumptionReport()
-        out.passed = {**self.passed, **other.passed}
-        for name in ("gamma_f", "gamma_g", "gamma0_f", "gamma0_g", "a_const",
-                     "lambda_bounds", "combo_bounds"):
-            setattr(out, name, getattr(self, name) if getattr(self, name) is not None
-                    else getattr(other, name))
-        out.skipped = self.skipped + other.skipped
-        out.inconclusive = self.inconclusive + other.inconclusive
-        out.failures = self.failures + other.failures
-        return out
-
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "all_passed": self.all_passed,
-            "gamma_f": self.gamma_f, "gamma_g": self.gamma_g,
-            "gamma0_f": self.gamma0_f, "gamma0_g": self.gamma0_g,
-            "a_const": self.a_const,
-            "lambda_bounds": self.lambda_bounds, "combo_bounds": self.combo_bounds,
-            "beta1": self.beta1, "mu1": self.mu1,
-            "gamma0_f_scaled": self.gamma0_f_scaled,
-            "gamma0_g_scaled": self.gamma0_g_scaled,
-            "skipped": self.skipped, "inconclusive": self.inconclusive,
-            "failures": self.failures,
-        }
+        return {**asdict(self), "all_passed": self.all_passed}
 
 
-def _min_eig(mat: np.ndarray) -> float:
-    sym = 0.5 * (mat + mat.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+def _breakpoints(spec: ModelSpec) -> np.ndarray:
+    """t = 0 and every positive breakpoint of the matrix coefficients' time tables.
 
-
-def _max_eig(mat: np.ndarray) -> float:
-    sym = 0.5 * (mat + mat.T)
-    return float(np.linalg.eigvalsh(sym)[-1])
-
-
-def _op_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def default_sample_points(spec: ModelSpec, times: Sequence[float] | None = None) -> list:
-    """(t, c0, ci) probes covering the grid times, c0 anchor, and all ci atoms."""
-    n = spec.dims.n
-    times = list(times) if times is not None else [0.0, 1.0]
-    c0s = [np.asarray(spec.c0_law[1], dtype=float).reshape(n)] if spec.c0_law[0] == "constant" \
-        else [np.asarray(spec.c0_law[1], dtype=float).reshape(n), np.zeros(n)]
-    cis = [np.zeros(n)] if spec.ci_law is None else [a for a in spec.ci_law.atoms]
-    return [(t, c0, ci) for t in times for c0 in c0s for ci in cis]
-
-
-def check_minor_assumptions(spec: ModelSpec, candidate_c: np.ndarray | None = None,
-                            sample_points: Sequence | None = None) -> AssumptionReport:
-    """Check the minor-side clauses with numerical content on the given probes.
-
-    Reports the fee-matrix eigenvalue bounds, the convexity floors of the
-    running and terminal cost curvatures, and the terminal-coupling constant
-    a = delta/(1-delta) * max ||candidate - cg||; the terminal-coupling clause
-    requires a < gamma_g.
+    The matrix coefficients are constant or piecewise constant in time, so
+    their values at these times are every value they take.
     """
-    points = list(sample_points) if sample_points is not None else default_sample_points(spec)
-    if not points:
-        raise ValidationError("sample_points must be non-empty")
-    rep = AssumptionReport()
-    n = spec.dims.n
+    tables = [c.times for _, c in spec.matrix_coefficients() if c.kind == "time"]
+    # a set: a plain np.unique imports numpy.ma (numpy 2.4), about 1 MB of peak memory
+    return np.array(sorted({0.0, *(float(t) for times in tables for t in times if t > 0)}))
 
-    lam_lo, lam_hi = np.inf, -np.inf
-    for (t, c0, ci) in points:
-        lam = spec.lambda_minor.eval_point(t, c0, ci).reshape(n, n)
-        lam_lo = min(lam_lo, _min_eig(lam))
-        lam_hi = max(lam_hi, _max_eig(lam))
-    rep.lambda_bounds = (lam_lo, lam_hi)
+
+def _values(coefficient: CoefficientSpec, times: np.ndarray) -> np.ndarray:
+    return np.stack([coefficient.value_at_time(t) for t in times])
+
+
+def _bundle_values(spec: ModelSpec, name: str, times: np.ndarray) -> np.ndarray:
+    """One bundle coefficient's values at ``times``: (bundles, times, n, n)."""
+    return np.stack([_values(getattr(b, name), times) for b in spec.minor])
+
+
+def _eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric parts of a stack of matrices."""
+    return np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+
+
+def _floor(eigs: np.ndarray) -> tuple[float, tuple]:
+    """The smallest of a stack's ascending eigenvalues and the index of its matrix."""
+    where = np.unravel_index(eigs[..., 0].argmin(), eigs.shape[:-1])
+    return float(eigs[where][0]), where
+
+
+def _minor_clauses(rep: AssumptionReport, spec: ModelSpec, candidate_c) -> AssumptionReport:
+    times = _breakpoints(spec)
+    lam = _eigenvalues(_values(spec.lambda_minor, times))
+    lam_lo, (k,) = _floor(lam)
+    rep.lambda_bounds = (lam_lo, float(lam[:, -1].max()))
     rep.passed["minor_A_i"] = lam_lo > 0.0
     if lam_lo <= 0.0:
-        rep.failures.append(f"lambda loses positive definiteness (min eigenvalue {lam_lo:.3e})")
+        rep.failures.append(
+            f"lambda not positive definite at t={times[k]:g} (min eigenvalue {lam_lo:.3e})")
 
-    cg_values = []
-    gamma_f, gamma_g = np.inf, np.inf
-    gf_witness = gg_witness = None
-    for bundle in spec.minor:
-        for (t, c0, ci) in points:
-            ef = _min_eig(bundle.cf.eval_point(t, c0, ci).reshape(n, n))
-            cg = bundle.cg.eval_point(t, c0, ci).reshape(n, n)
-            eg = _min_eig(cg)
-            cg_values.append(cg)
-            if ef < gamma_f:
-                gamma_f, gf_witness = ef, (t, c0, ci)
-            if eg < gamma_g:
-                gamma_g, gg_witness = eg, (t, c0, ci)
+    cg = _bundle_values(spec, "cg", times)
+    gamma_f, (bf, kf) = _floor(_eigenvalues(_bundle_values(spec, "cf", times)))
+    gamma_g, (bg, kg) = _floor(_eigenvalues(cg))
     rep.gamma_f, rep.gamma_g = gamma_f, gamma_g
 
     if spec.maturity_mode:
@@ -454,15 +416,17 @@ def check_minor_assumptions(spec: ModelSpec, candidate_c: np.ndarray | None = No
     else:
         rep.passed["minor_A_iv"] = gamma_f > 0.0 and gamma_g > 0.0
     if gamma_f <= 0.0:
-        rep.failures.append(f"cf not strictly convex at {gf_witness} (min eigenvalue {gamma_f:.3e})")
+        rep.failures.append(f"minor bundle {bf}: cf not strictly convex at t={times[kf]:g} "
+                            f"(min eigenvalue {gamma_f:.3e})")
     if not spec.maturity_mode and gamma_g <= 0.0:
-        rep.failures.append(f"cg not strictly convex at {gg_witness} (min eigenvalue {gamma_g:.3e})")
+        rep.failures.append(f"minor bundle {bg}: cg not strictly convex at t={times[kg]:g} "
+                            f"(min eigenvalue {gamma_g:.3e})")
 
-    if candidate_c is None:
-        candidate_c = np.mean(cg_values, axis=0)
-    candidate_c = _shaped(candidate_c, (n, n), "candidate_c")
-    factor = spec.delta / (1.0 - spec.delta)
-    rep.a_const = factor * max(_op_norm(candidate_c - cg) for cg in cg_values)
+    n = spec.dims.n
+    candidate_c = _shaped(cg.mean(axis=(0, 1)) if candidate_c is None else candidate_c,
+                          (n, n), "candidate_c")
+    gaps = np.linalg.norm(candidate_c - cg, ord=2, axis=(-2, -1))
+    rep.a_const = spec.delta / (1.0 - spec.delta) * float(gaps.max())
     if spec.maturity_mode:
         rep.passed["minor_B"] = True
         rep.skipped.append("minor_B (maturity mode: weak terminal monotonicity suffices)")
@@ -474,13 +438,28 @@ def check_minor_assumptions(spec: ModelSpec, candidate_c: np.ndarray | None = No
     return rep
 
 
-def _secant_range(grad, n: int, box: float = 1.0):
+def check_minor_assumptions(spec: ModelSpec,
+                            candidate_c: np.ndarray | None = None) -> AssumptionReport:
+    """Check the minor-side clauses on every value the matrix coefficients take.
+
+    The values are those at t = 0 and at every positive breakpoint of the
+    model's time tables.  Reports the fee-matrix eigenvalue bounds, the
+    convexity floors of every bundle's running and terminal cost curvatures,
+    and the terminal-coupling constant a = delta/(1-delta) * max ||candidate - cg||
+    (candidate defaults to the mean of cg over bundles and breakpoints); the
+    terminal-coupling clause requires a < gamma_g.  A failure names the bundle
+    and the time of the offending value.
+    """
+    return _minor_clauses(AssumptionReport(), spec, candidate_c)
+
+
+def _secant_range(grad, n: int):
     """Smallest and largest randomized secant ratios of a gradient, and the smallest's pair."""
     rng = stream_rng(SECANT_SEED, 0)
     worst, most, witness = np.inf, -np.inf, None
     for _ in range(SECANT_PAIRS):
-        x = rng.uniform(-box, box, size=n)
-        xp = rng.uniform(-box, box, size=n)
+        x = rng.uniform(-SECANT_BOX, SECANT_BOX, size=n)
+        xp = rng.uniform(-SECANT_BOX, SECANT_BOX, size=n)
         gap2 = float(np.dot(xp - x, xp - x))
         if gap2 < 1e-12:
             continue
@@ -491,59 +470,45 @@ def _secant_range(grad, n: int, box: float = 1.0):
     return worst, most, witness
 
 
+def _secant_ranges(spec: ModelSpec) -> tuple:
+    """A callable major cost's secant ranges, at t = 0 and the c0 law's anchor."""
+    n = spec.dims.n
+    c0 = np.asarray(spec.c0_law[1], dtype=float).reshape(n)
+    return spec.major_cost.secant_ranges(c0, n)
+
+
 def secant_curvatures(spec: ModelSpec) -> list[float]:
     """Curvatures (m + L)/2 of a callable major cost's running and terminal gradients.
 
-    m and L are each gradient's smallest and largest secant ratios, sampled
-    as ``check_major_assumptions`` samples them (t = 0, the first probe's c0).
+    m and L are each gradient's smallest and largest secant ratios, the
+    sample ``check_major_assumptions`` reads (t = 0, the c0 law's anchor).
     """
-    c0 = default_sample_points(spec)[0][1]
-    ranges = [r[:2] for r in spec.major_cost.secant_ranges(c0, spec.dims.n, 1.0)]
+    ranges = [r[:2] for r in _secant_ranges(spec)]
     if not np.isfinite(ranges).all():
         raise UnsupportedModelError("the callable major cost gives no finite secant ratios")
     return [0.5 * (lo + hi) for lo, hi in ranges]
 
 
-def check_major_assumptions(spec: ModelSpec, sample_points: Sequence | None = None,
-                            secant_box: float = 1.0) -> AssumptionReport:
-    """Check the major-side clauses: combined fee bounds and cost convexity.
-
-    For affine cost gradients the convexity constants are exact eigenvalue
-    floors; for callables they are estimated by randomized secants (a negative
-    secant is a disproof; a degenerate sample is reported inconclusive).
-    """
-    points = list(sample_points) if sample_points is not None else default_sample_points(spec)
-    if not points:
-        raise ValidationError("sample_points must be non-empty")
-    rep = AssumptionReport()
-    n = spec.dims.n
-
-    lo, hi = np.inf, -np.inf
-    witness = None
-    for (t, c0, ci) in points:
-        lam = spec.lambda_minor.eval_point(t, c0, ci).reshape(n, n)
-        lam0 = spec.lambda_major.eval_point(t, c0, ci).reshape(n, n)
-        combo = lam0 + 2.0 * lam
-        emin = _min_eig(combo)
-        if emin < lo:
-            lo, witness = emin, (t, c0, ci)
-        hi = max(hi, _max_eig(combo))
-    rep.combo_bounds = (lo, hi)
+def _major_clauses(rep: AssumptionReport, spec: ModelSpec) -> AssumptionReport:
+    times = _breakpoints(spec)
+    combo = _eigenvalues(_values(spec.lambda_major, times)
+                         + 2.0 * _values(spec.lambda_minor, times))
+    lo, (k,) = _floor(combo)
+    rep.combo_bounds = (lo, float(combo[:, -1].max()))
     rep.passed["major_i"] = lo > 0.0
     if lo <= 0.0:
         rep.failures.append(
-            f"lambda0 + 2*lambda not positive definite at {witness} (min eigenvalue {lo:.3e})")
+            f"lambda0 + 2*lambda not positive definite at t={times[k]:g} (min eigenvalue {lo:.3e})")
 
     cost = spec.major_cost
     secant_witness = None
     if cost.affine:
-        rep.gamma0_f = _min_eig(cost.c0f)
-        rep.gamma0_g = _min_eig(cost.c0g)
+        rep.gamma0_f, rep.gamma0_g = (
+            float(e) for e in _eigenvalues(np.stack([cost.c0f, cost.c0g]))[:, 0])
     else:
-        (gf, _, wf), (gg, _, wg) = cost.secant_ranges(points[0][1], n, secant_box)
+        (gf, _, wf), (gg, _, wg) = _secant_ranges(spec)
         if not np.isfinite(gf) or not np.isfinite(gg):
             rep.inconclusive.append("major_v: secant sampling degenerate, convexity not estimated")
-            rep.gamma0_f = rep.gamma0_g = None
             rep.passed["major_v"] = True
             return rep
         rep.gamma0_f, rep.gamma0_g = gf, gg
@@ -566,10 +531,22 @@ def check_major_assumptions(spec: ModelSpec, sample_points: Sequence | None = No
     return rep
 
 
-def check_all_assumptions(spec: ModelSpec, candidate_c=None, sample_points=None) -> AssumptionReport:
-    """Minor and major checks merged, with the monotonicity margins beta1, mu1."""
-    rep = check_minor_assumptions(spec, candidate_c, sample_points).merge(
-        check_major_assumptions(spec, sample_points))
+def check_major_assumptions(spec: ModelSpec) -> AssumptionReport:
+    """Check the major-side clauses: combined fee bounds and cost convexity.
+
+    The combined fee matrix lambda0 + 2 lambda is checked on every value it
+    takes (t = 0 and every positive breakpoint of the time tables), and a
+    failure names the time.  For affine cost gradients the convexity
+    constants are exact eigenvalue floors; for callables they are estimated
+    by randomized secants at t = 0 and the c0 law's anchor (a negative secant
+    is a disproof; a degenerate sample is reported inconclusive).
+    """
+    return _major_clauses(AssumptionReport(), spec)
+
+
+def check_all_assumptions(spec: ModelSpec, candidate_c=None) -> AssumptionReport:
+    """Minor and major checks in one report, with the monotonicity margins beta1, mu1."""
+    rep = _major_clauses(check_minor_assumptions(spec, candidate_c), spec)
     N = spec.dims.N
     if rep.gamma0_f is not None:
         rep.gamma0_f_scaled = rep.gamma0_f / N

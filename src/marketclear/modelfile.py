@@ -110,6 +110,13 @@ def _coeff_from(value, shape, name):
     return coeff(np.asarray(value, dtype=float), shape, name)
 
 
+def _boolean(value) -> bool:
+    """A JSON boolean (the text format reads ``true``/``false`` into one); nothing else."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 class _Section:
     """One section's entries, each read into the form its key requires.
 
@@ -131,7 +138,14 @@ class _Section:
             raise ValidationError(f"[{self.name}] {key}: {detail}") from None
 
     def number(self, key: str, default, kind):
-        return self.read(key, default, lambda v: kind(np.ravel(v)[0]))
+        """One number of ``kind``; an int must be integral (8.0 reads as 8, 8.7 is refused)."""
+        def one(value):
+            flat = np.ravel(value)
+            if flat.size != 1 or flat.dtype.kind not in "iuf" or kind(flat[0]) != flat[0]:
+                raise ValueError(f"expected one {'integral ' * (kind is int)}number, "
+                                 f"got {flat.tolist()}")
+            return kind(flat[0])
+        return self.read(key, default, one)
 
     def array(self, key: str, default, shape: tuple) -> np.ndarray:
         return self.read(key, default, lambda v: np.asarray(v, dtype=float).reshape(shape))
@@ -175,7 +189,7 @@ def _build_spec(doc: dict) -> ModelSpec:
     chi0 = consts.array("chi0", np.zeros(n), (n,))
     lam = consts.coefficient("lambda", 1.0, (n, n))
     lam0 = consts.coefficient("lambda0", 1.0, (n, n))
-    maturity = consts.read("maturity", False, bool)
+    maturity = consts.read("maturity", False, _boolean)
 
     minor_doc = doc.get("minor", {})
     bundles = [_build_bundle(_Section("minor", b), dims) for b in

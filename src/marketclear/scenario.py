@@ -384,16 +384,6 @@ class NodeField:
                 f"node field has {self.values.shape[0]} values for "
                 f"{self.lattice.num_nodes} nodes")
 
-    @property
-    def item_shape(self) -> tuple:
-        return self.values.shape[1:]
-
-    def at_level(self, k: int) -> np.ndarray:
-        return self.values[self.lattice.level_slice(k)]
-
-    def root(self) -> np.ndarray:
-        return self.values[0]
-
 
 def constant_field(lattice: NoiseLattice, value) -> NodeField:
     value = np.asarray(value, dtype=float)

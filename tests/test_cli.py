@@ -117,6 +117,25 @@ def test_check_fails_on_spread_curvatures(tmp_path) -> None:
     assert any("gamma_g" in msg for msg in report["failures"])
 
 
+def test_check_sees_a_cost_curvature_between_grid_times(tmp_path) -> None:
+    # cf = -3 only on [0.3, 0.6): no default grid time and neither t = 0 nor t = 1
+    doc = {
+        "dimensions": {"n": 1, "d0": 1, "d": 0, "N": 2},
+        "constants": {"delta": 0.3},
+        "minor": {"cf": {"kind": "time", "times": [0.0, 0.3, 0.6],
+                         "values": [[[1.0]], [[-3.0]], [[1.0]]]}},
+        "laws": {"xi_atoms": [[1.0]], "xi_weights": [1.0]},
+    }
+    model = tmp_path / "dip.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["check", "--model", model, "--out", out]) == 2
+    report = json.loads((out / "assumptions.json").read_text())
+    assert not report["passed"]["minor_A_iv"]
+    assert report["gamma_f"] == -3.0
+    assert any("minor bundle 0" in msg and "t=0.3" in msg for msg in report["failures"])
+
+
 def test_missing_model_is_usage_error(tmp_path) -> None:
     assert run(["check", "--model", tmp_path / "absent.model",
                 "--out", tmp_path / "out"]) == 1
@@ -428,7 +447,13 @@ TWO_ASSET_TEXT = "[dimensions]\nn = 2\nd0 = 1\nd = 0\nN = 2\n"
     (_two_assets_with("minor", "cf", "abc"), "[minor] cf"),
     (_two_assets_with("constants", "lambda", {"kind": "time", "times": [0.0]}),
      "[constants] lambda: missing entry 'values'"),
-], ids=["text-c0f", "text-chi0", "json-n", "json-cf", "json-lambda"])
+    (TWO_ASSET_TEXT.replace("N = 2", "N = 8.7"), "[dimensions] N: expected one integral number"),
+    (_two_assets_with("dimensions", "n", [2, 3]), "[dimensions] n: expected one integral number"),
+    (_two_assets_with("constants", "maturity", "false"),
+     "[constants] maturity: expected true or false"),
+    (_two_assets_with("constants", "maturity", 1), "[constants] maturity: expected true or false"),
+], ids=["text-c0f", "text-chi0", "json-n", "json-cf", "json-lambda", "text-N-fraction",
+        "json-n-list", "json-maturity-string", "json-maturity-number"])
 def test_malformed_model_entry_is_usage_error(tmp_path, capsys, text, entry) -> None:
     path = tmp_path / "bad.model"
     path.write_text(text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,25 +20,19 @@ def unit_dims(N=1):
     return Dimensions(n=1, d0=1, d=0, N=N)
 
 
-def points():
-    return [(0.0, np.zeros(1), np.zeros(1)), (1.0, np.zeros(1), np.zeros(1))]
-
-
 # -- terminal-coupling constant and the minor clauses ------------------------
 
 
 def test_zero_discount_forces_zero_coupling_constant() -> None:
     spec = make_spec(unit_dims(), delta=0.0)
-    rep = check_minor_assumptions(spec, candidate_c=np.array([[5.0]]),
-                                  sample_points=points())
+    rep = check_minor_assumptions(spec, candidate_c=np.array([[5.0]]))
     assert rep.a_const == 0.0
     assert rep.passed["minor_B"]
 
 
 def test_exact_candidate_cancels_coupling() -> None:
     spec = make_spec(unit_dims(), delta=0.5, minor=MinorBundle.build(unit_dims(), cg=1.0))
-    rep = check_minor_assumptions(spec, candidate_c=np.array([[1.0]]),
-                                  sample_points=points())
+    rep = check_minor_assumptions(spec, candidate_c=np.array([[1.0]]))
     assert rep.a_const == 0.0
     assert rep.gamma_g == pytest.approx(1.0)
     assert rep.passed["minor_B"]
@@ -45,8 +40,7 @@ def test_exact_candidate_cancels_coupling() -> None:
 
 def test_large_discount_with_bad_candidate_fails() -> None:
     spec = make_spec(unit_dims(), delta=0.9, minor=MinorBundle.build(unit_dims(), cg=1.0))
-    rep = check_minor_assumptions(spec, candidate_c=np.array([[0.0]]),
-                                  sample_points=points())
+    rep = check_minor_assumptions(spec, candidate_c=np.array([[0.0]]))
     assert rep.a_const == pytest.approx(9.0)
     assert not rep.passed["minor_B"]
     assert any("gamma_g" in msg for msg in rep.failures)
@@ -54,7 +48,7 @@ def test_large_discount_with_bad_candidate_fails() -> None:
 
 def test_default_candidate_is_mean_of_terminal_curvatures() -> None:
     spec = make_spec(unit_dims(), delta=0.5)
-    rep = check_minor_assumptions(spec, sample_points=points())
+    rep = check_minor_assumptions(spec)
     # cg constant 1.0, so the averaged candidate cancels exactly
     assert rep.a_const == pytest.approx(0.0)
 
@@ -63,8 +57,7 @@ def test_coupling_constant_monotone_in_discount() -> None:
     values = []
     for delta in (0.0, 0.2, 0.4, 0.6, 0.8):
         spec = make_spec(unit_dims(), delta=delta)
-        rep = check_minor_assumptions(spec, candidate_c=np.array([[0.5]]),
-                                      sample_points=points())
+        rep = check_minor_assumptions(spec, candidate_c=np.array([[0.5]]))
         values.append(rep.a_const)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -86,7 +79,7 @@ def test_malformed_coefficient_names_offender() -> None:
 
 def test_combined_fee_bound_passes() -> None:
     spec = make_spec(unit_dims(), lam=1.0, lam0=2.0)
-    rep = check_major_assumptions(spec, sample_points=points())
+    rep = check_major_assumptions(spec)
     assert rep.passed["major_i"]
     assert rep.combo_bounds[0] == pytest.approx(4.0)
     assert rep.combo_bounds[1] == pytest.approx(4.0)
@@ -95,21 +88,21 @@ def test_combined_fee_bound_passes() -> None:
 def test_identity_terminal_gradient_unit_convexity() -> None:
     spec = make_spec(unit_dims(),
                      major_cost=QuadraticMajorCost.build(unit_dims(), c0g=1.0))
-    rep = check_major_assumptions(spec, sample_points=points())
+    rep = check_major_assumptions(spec)
     assert rep.gamma0_g == pytest.approx(1.0)
 
 
 def test_concave_callable_running_cost_fails_clause_v() -> None:
     cost = CallableMajorCost(dfdx=lambda t, x, c0: -x, dgdx=lambda x, c0: x)
     spec = make_spec(unit_dims(), major_cost=cost)
-    rep = check_major_assumptions(spec, sample_points=points())
+    rep = check_major_assumptions(spec)
     assert rep.gamma0_f <= -1.0 + 1e-9
     assert not rep.passed["major_v"]
 
 
 def test_singular_combined_fee_fails_with_witness() -> None:
     spec = make_spec(unit_dims(), lam=1.0, lam0=-2.0)
-    rep = check_major_assumptions(spec, sample_points=points())
+    rep = check_major_assumptions(spec)
     assert not rep.passed["major_i"]
     assert rep.failures
 
@@ -262,6 +255,37 @@ def test_heterogeneous_bundles_via_json() -> None:
     spec = loads_model(json.dumps(doc))
     assert not spec.homogeneous
     assert spec.bundle(1).cf.value[0, 0] == 2.0
+
+
+def _two_assets(section, key, value) -> str:
+    doc = json.loads((Path(__file__).resolve().parent.parent / "models" / "two_assets.json")
+                     .read_text())
+    doc[section][key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    *(("constants", "maturity", v, "expected true or false") for v in ("false", "true", 1, None)),
+    *(("dimensions", k, v, "expected one integral number")
+      for k, v in (("N", 8.7), ("n", [2, 3]), ("d0", "1"), ("N", True))),
+])
+def test_json_entry_of_another_form_is_refused(section, key, value, message) -> None:
+    with pytest.raises(ValidationError, match=rf"\[{section}\] {key}: {message}"):
+        loads_model(_two_assets(section, key, value))
+
+
+def test_json_maturity_boolean_loads() -> None:
+    assert loads_model(_two_assets("constants", "maturity", True)).maturity_mode is True
+    assert loads_model(_two_assets("constants", "maturity", False)).maturity_mode is False
+
+
+def test_text_dimensions_must_be_integral() -> None:
+    with pytest.raises(ValidationError, match=r"\[dimensions\] N: expected one integral"):
+        loads_model(TEXT_MODEL.replace("N = 2", "N = 8.7"))
+    with pytest.raises(ValidationError, match=r"\[dimensions\] n: expected one integral"):
+        loads_model(TEXT_MODEL.replace("n = 1", "n = 1 2"))
+    assert loads_model(TEXT_MODEL.replace("N = 2", "N = 8.0")).dims.N == 8
+    assert loads_model(_two_assets("dimensions", "N", 4.0)).dims.N == 4
 
 
 def test_law_weights_validated() -> None:
