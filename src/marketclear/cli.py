@@ -344,13 +344,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         code = _COMMANDS[cfg["command"]](cfg)
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationError as exc:
+    except (FileNotFoundError, UsageError, ValidationError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssumptionViolationError as exc:

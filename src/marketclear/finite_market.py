@@ -100,8 +100,11 @@ def make_population(spec: ModelSpec, atoms: IdiosyncraticAtoms, N: int | None = 
 class MinorTables:
     """One group's coefficients: vectors per node, matrices per time level.
 
-    ``stack_tables`` makes the tables of a group across several flows: its
-    node tables carry a flow axis after the node axis and ``xi`` is (B, n).
+    ``cg_T`` and ``hg_T`` are the terminal cost's curvature and gradient
+    offset on the leaves as ``MarketContext`` decides them: zero and -c0(T)
+    in maturity mode.  ``stack_tables`` makes the tables of a group across
+    several flows: its node tables carry a flow axis after the node axis and
+    ``xi`` is (B, n).
     """
 
     l: np.ndarray       # (num_nodes, n)
@@ -114,7 +117,21 @@ class MinorTables:
 
 
 class MarketContext:
-    """Model coefficients materialized on one lattice, cached per (bundle, atom)."""
+    """Model coefficients materialized on one lattice, cached per (bundle, atom).
+
+    The terminal regime and the major cost's form are decided here, once;
+    the system builders and the cost functionals read these tables only.
+
+    - ``delta`` is the terminal price discount of the minor terminal costs.
+    - ``c0f`` and ``c0g`` are the major cost's running and terminal
+      curvatures, ``h0f`` (nodes, n) and ``h0g_T`` (leaves, n) its gradient
+      offsets.  A ``CallableMajorCost`` holds its affine twin: curvatures
+      ``secant_curvatures`` times I and zero offsets, which the solve of the
+      full market sets from its iterates.
+    - In maturity mode every security pays c0(T) at the horizon, so every
+      terminal cost is -<c0(T), x_T>: ``delta``, ``c0g`` and every group's
+      ``cg_T`` are zero, and ``h0g_T`` and every group's ``hg_T`` are -c0(T).
+    """
 
     def __init__(self, spec: ModelSpec, lattice: NoiseLattice,
                  atoms: IdiosyncraticAtoms | None = None,
@@ -126,16 +143,22 @@ class MarketContext:
         self.exo = exo if exo is not None else evaluate_exogenous(lattice, spec)
         self._minor_cache: dict[tuple[int, int], MinorTables] = {}
         n, d0 = spec.dims.n, lattice.d0
+        tsl = lattice.terminal_slice
         self.l0 = self._eval_levels(spec.major_flow.l0, None, (n,))
         self.s0 = self._eval_levels(spec.major_flow.s0, None, (n, d0))
-        if spec.major_cost.affine:
-            self.h0f = self._eval_levels(spec.major_cost.h0f, None, (n,))
-            tsl = lattice.terminal_slice
-            self.h0g_T = spec.major_cost.h0g.eval_nodes(lattice.grid.horizon,
-                                                        self.exo.c0[tsl], np.zeros(n))
+        cost = spec.major_cost
+        if cost.affine:
+            self.c0f, self.c0g = cost.c0f, cost.c0g
+            self.h0f = self._eval_levels(cost.h0f, None, (n,))
+            self.h0g_T = cost.h0g.eval_nodes(lattice.grid.horizon, self.exo.c0[tsl], np.zeros(n))
         else:
-            self.h0f = None
-            self.h0g_T = None
+            cbar, gbar = secant_curvatures(spec)
+            self.c0f, self.c0g = cbar * np.eye(n), gbar * np.eye(n)
+            self.h0f = np.zeros((lattice.num_nodes, n))
+            self.h0g_T = np.zeros((lattice.nodes_at(lattice.steps), n))
+        self.delta = spec.delta
+        if spec.maturity_mode:
+            self.delta, self.c0g, self.h0g_T = 0.0, np.zeros((n, n)), -self.exo.c0[tsl]
 
     def _eval_levels(self, coefficient, atom_index, shape) -> np.ndarray:
         lat, n = self.lattice, self.spec.dims.n
@@ -156,18 +179,18 @@ class MarketContext:
             spec, lat = self.spec, self.lattice
             n, d0 = spec.dims.n, lat.d0
             b = spec.minor[bundle_index]
-            tsl = lat.terminal_slice
             T = lat.grid.horizon
-            ci_T = self.atoms.ci[atom_index, lat.steps]
+            if spec.maturity_mode:  # every group shares the major's -c0(T)
+                cg_T, hg_T = np.zeros((n, n)), self.h0g_T
+            else:
+                cg_T = np.array(b.cg.value_at_time(T), dtype=float)
+                hg_T = b.hg.eval_nodes(T, self.exo.c0[lat.terminal_slice],
+                                       self.atoms.ci[atom_index, lat.steps]).reshape(-1, n)
             self._minor_cache[key] = MinorTables(
                 l=self._eval_levels(b.l, atom_index, (n,)),
                 sig0=self._eval_levels(b.sigma0, atom_index, (n, d0)),
-                cf=level_table(lat, b.cf),
-                hf=self._eval_levels(b.hf, atom_index, (n,)),
-                cg_T=np.array(b.cg.value_at_time(T), dtype=float),
-                hg_T=b.hg.eval_nodes(T, self.exo.c0[tsl], ci_T).reshape(-1, n),
-                xi=self.atoms.xi[atom_index],
-            )
+                cf=level_table(lat, b.cf), hf=self._eval_levels(b.hf, atom_index, (n,)),
+                cg_T=cg_T, hg_T=hg_T, xi=self.atoms.xi[atom_index])
         return self._minor_cache[key]
 
     def group_tables(self, pop: AgentPopulation) -> list[MinorTables]:
@@ -203,8 +226,8 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
 def _terminal_coupling(tabs: list[MinorTables], w: np.ndarray, ratio: float):
     """The clearing terminal map of the Y_g rows: cg_g X_g + ratio m(cg X) + hg_g + ratio m(hg).
 
-    Returns its (G n, G n) block on the X columns and its constants on the
-    leaves, (L, B|1, G n).
+    ``ratio`` is delta / (1 - delta).  Returns the map's (G n, G n) block on
+    the X columns and its constants on the leaves, (L, B|1, G n).
     """
     G = len(tabs)
     cg = np.stack([t.cg_T for t in tabs])
@@ -263,7 +286,13 @@ def cost_classes(tabs: list[MinorTables], w: np.ndarray) -> CostClasses:
     tables, weights = [], np.array([w[group].sum() for group in members])
     for group, W in zip(members, weights):
         v = w[group] / W
-        mix = lambda pick: sum(v[i] * pick(tabs[g]) for i, g in enumerate(group))
+
+        def mix(pick):
+            parts = [pick(tabs[g]) for g in group]
+            if all(p is parts[0] for p in parts):  # one table shared by all: kept exactly
+                return parts[0]
+            return sum(v[i] * p for i, p in enumerate(parts))
+
         tables.append(tabs[group[0]] if len(group) == 1 else replace(  # one group: its own
             tabs[group[0]], l=mix(lambda t: t.l), sig0=mix(lambda t: t.sig0),
             hf=mix(lambda t: t.hf), hg_T=mix(lambda t: t.hg_T),
@@ -286,17 +315,15 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
               -/+ kron(I - 1 w^T, lam^{-1})   on the X/Y and R/P blocks.
 
     Groups whose tables carry a flow axis (``stack_tables``) make a family.
-
-    A ``CallableMajorCost`` gets its affine twin: curvatures cbar I and
-    gbar I from ``secant_curvatures`` and zero intercepts, which
-    ``_solve_full_system`` then sets from its iterates.
+    The major cost's rows read ``ctx``'s tables (a ``CallableMajorCost``'s
+    affine twin, whose intercepts ``_solve_full_system`` sets from its
+    iterates).
     """
     spec, lat = ctx.spec, ctx.lattice
     n = spec.dims.n
     G = len(tabs)
     K = lat.steps
-    I, tsl = lat.level_range(K)[0], lat.terminal_slice
-    L = lat.nodes_at(K)
+    I, L = lat.level_range(K)[0], lat.nodes_at(K)
 
     fsl = _slices([("x0", n)] + [(f"X{g}", n) for g in range(G)]
                   + [(f"R{g}", n) for g in range(G)])
@@ -305,13 +332,6 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     mf = mb = (1 + 2 * G) * n
     # the X_g / Y_g and R_g / P_g states share their offsets
     XY, RP, top = slice(n, (1 + G) * n), slice((1 + G) * n, mf), slice(0, n)
-
-    cost = spec.major_cost
-    if cost.affine:
-        c0f, c0g, h0f, h0g = cost.c0f, cost.c0g, ctx.h0f[:I], ctx.h0g_T
-    else:
-        cbar, gbar = secant_curvatures(spec)
-        c0f, c0g, h0f, h0g = cbar * np.eye(n), gbar * np.eye(n), np.zeros((I, n)), np.zeros((L, n))
 
     signs = np.concatenate([[1.0], -np.ones(G), np.ones(G)])
     means = np.concatenate([[-1.0], w, w])
@@ -324,27 +344,23 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
     Bbf = np.zeros((K, mb, mf))
     Bbf[:, XY, XY] = _block_diag(cf)
     Bbf[:, RP, RP] = _block_diag(-cf)
-    Bbf[:, top, top] = c0f
+    Bbf[:, top, top] = ctx.c0f
 
     zero = np.zeros((I, G * n))
     af = _columns([ctx.l0[:I], *(t.l[:I] for t in tabs), zero])
     S = _columns([ctx.s0[:I], *(t.sig0[:I] for t in tabs), np.zeros((I, G * n, lat.d0))],
                  (lat.d0,))
-    bb = _columns([h0f, *(t.hf[:I] for t in tabs), zero])
+    bb = _columns([ctx.h0f[:I], *(t.hf[:I] for t in tabs), zero])
     initial = _columns([spec.chi0[None], *(t.xi[None] for t in tabs), np.zeros((1, G * n))])
 
+    ratio = ctx.delta / (1.0 - ctx.delta)
     Gm = np.zeros((mb, mf))
-    if spec.maturity_mode:
-        c0T = -ctx.exo.c0[tsl]
-        gv = _columns([c0T, np.tile(c0T, G), np.zeros((L, G * n))])
-    else:
-        ratio = spec.delta / (1.0 - spec.delta)
-        Gm[top, top] = c0g
-        Gm[XY, XY], g_XY = _terminal_coupling(tabs, w, ratio)
-        cg = np.stack([t.cg_T for t in tabs])
-        own = np.eye(G) + ratio * w[None, :]
-        Gm[RP, RP] -= (own[:, None, :, None] * cg[:, :, None, :]).reshape(G * n, G * n)
-        gv = _columns([h0g, g_XY, np.zeros((L, G * n))])
+    Gm[top, top] = ctx.c0g
+    Gm[XY, XY], g_XY = _terminal_coupling(tabs, w, ratio)
+    cg = np.stack([t.cg_T for t in tabs])
+    own = np.eye(G) + ratio * w[None, :]
+    Gm[RP, RP] -= (own[:, None, :, None] * cg[:, :, None, :]).reshape(G * n, G * n)
+    gv = _columns([ctx.h0g_T, g_XY, np.zeros((L, G * n))])
 
     return FbsdeSystem(lattice=lat, forward_slices=fsl, backward_slices=bsl,
                        Afb=Afb, Bbf=Bbf, G=Gm,
@@ -352,22 +368,18 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
 
 
 def _minor_system(ctx: MarketContext, tabs: list[MinorTables], Afb: np.ndarray,
-                  af: np.ndarray, terminal) -> FbsdeSystem:
+                  af: np.ndarray, Gm: np.ndarray, gv: np.ndarray) -> FbsdeSystem:
     """A system of the groups' minor states (X_g forward, Y_g backward).
 
     ``Afb`` holds the fee blocks per level, ``af`` the forward drift on the
-    non-terminal nodes and ``terminal()`` the terminal map outside maturity
-    mode, where Y_g(T) = -c0(T); the running cost blocks cf_g sit on the Bbf
-    diagonal.
+    non-terminal nodes, and ``Gm`` (G n, G n) and ``gv`` (leaves, B|1, G n)
+    the terminal map Y(T) = Gm X(T) + gv; the running cost blocks cf_g sit
+    on the Bbf diagonal.
     """
     lat, n = ctx.lattice, ctx.spec.dims.n
     G = len(tabs)
     K = lat.steps
     I = lat.level_range(K)[0]
-    if ctx.spec.maturity_mode:
-        Gm, gv = np.zeros((G * n, G * n)), np.tile(-ctx.exo.c0[lat.terminal_slice], G)[:, None]
-    else:
-        Gm, gv = terminal()
     return FbsdeSystem(lattice=lat, forward_slices=_slices([(f"X{g}", n) for g in range(G)]),
                        backward_slices=_slices([(f"Y{g}", n) for g in range(G)]),
                        Afb=Afb, Bbf=_block_diag(np.stack([t.cf[:K] for t in tabs], axis=1)),
@@ -385,14 +397,13 @@ def build_clearing_system(ctx: MarketContext, tabs: list[MinorTables], w: np.nda
     l_g - b, so the flows share every block (and hence one solver matrix
     pass).  The fee block is kron(I - 1 w^T, -lam^{-1}).
     """
-    spec, lat = ctx.spec, ctx.lattice
+    lat = ctx.lattice
     G = len(tabs)
     I = lat.level_range(lat.steps)[0]
     Afb = _kron(np.eye(G) - w[None, :], -ctx.exo.lam_inv[:lat.steps])
-
     l = _columns([t.l[:I] for t in tabs])
     return _minor_system(ctx, tabs, Afb, _minus_flow(l, beta_norm),
-                         lambda: _terminal_coupling(tabs, w, spec.delta / (1.0 - spec.delta)))
+                         *_terminal_coupling(tabs, w, ctx.delta / (1.0 - ctx.delta)))
 
 
 def _minus_flow(l: np.ndarray, beta_norm: np.ndarray) -> np.ndarray:
@@ -411,44 +422,36 @@ def _minus_flow(l: np.ndarray, beta_norm: np.ndarray) -> np.ndarray:
 def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
                                price: np.ndarray) -> FbsdeSystem:
     """Independent best responses of groups or cost classes to an adapted price field."""
-    spec, lat = ctx.spec, ctx.lattice
-    n = spec.dims.n
+    lat = ctx.lattice
+    n = ctx.spec.dims.n
     G = len(tabs)
     K = lat.steps
     I, tsl = lat.level_range(K)[0], lat.terminal_slice
     Afb = _block_diag(np.broadcast_to(-ctx.exo.lam_inv[:K, None], (K, G, n, n)))
     lam_phi = lat.apply_levels(ctx.exo.lam_inv, price)
-
-    def terminal():
-        return (_block_diag(np.stack([t.cg_T for t in tabs])),
-                _columns([t.hg_T - spec.delta * price[tsl] for t in tabs]))
-
     return _minor_system(ctx, tabs, Afb, _columns([t.l[:I] - lam_phi[:I] for t in tabs]),
-                         terminal)
+                         _block_diag(np.stack([t.cg_T for t in tabs])),
+                         _columns([t.hg_T - ctx.delta * price[tsl] for t in tabs]))
 
 
 def build_deviation_system(ctx: MarketContext, tabs: list[MinorTables],
                            mean: MinorTables) -> FbsdeSystem:
     """Deviations (dx, dy) = (X_g - Xbar, Y_g - Ybar) of one class's groups, one flow each.
 
-    The drift is -lam^{-1} dy~ + dl and the terminal map cg dx + dhg (zero in
-    maturity mode), d marking a coefficient's deviation from ``mean``'s.  The
-    blocks (-lam^{-1}, cf, cg) are the class's, so the groups are one family.
+    The drift is -lam^{-1} dy~ + dl and the terminal map cg dx + dhg, d
+    marking a coefficient's deviation from ``mean``'s.  The blocks
+    (-lam^{-1}, cf, cg) are the class's, so the groups are one family.
     """
-    spec, lat = ctx.spec, ctx.lattice
-    n, K = spec.dims.n, lat.steps
+    lat, n = ctx.lattice, ctx.spec.dims.n
+    K = lat.steps
     I = lat.level_range(K)[0]
     tab = stack_tables(tabs)
-    if spec.maturity_mode:
-        G, g = np.zeros((n, n)), np.zeros((1, 1, n))
-    else:
-        G, g = tab.cg_T, tab.hg_T - mean.hg_T[:, None]
     return FbsdeSystem(lattice=lat, forward_slices={"dx": slice(0, n)},
                        backward_slices={"dy": slice(0, n)},
-                       Afb=-ctx.exo.lam_inv[:K], Bbf=tab.cf[:K], G=G,
+                       Afb=-ctx.exo.lam_inv[:K], Bbf=tab.cf[:K], G=tab.cg_T,
                        initial=(tab.xi - mean.xi)[None],
                        af=tab.l[:I] - mean.l[:I, None], S=tab.sig0[:I] - mean.sig0[:I, None],
-                       bb=tab.hf[:I] - mean.hf[:I, None], g=g)
+                       bb=tab.hf[:I] - mean.hf[:I, None], g=tab.hg_T - mean.hg_T[:, None])
 
 
 # -- solution containers ----------------------------------------------------
@@ -517,10 +520,6 @@ class EquilibriumSolution(ClassSolution):
         if name == "x0" and self.x0 is not None:
             return self.x0
         return self.solution.field(name)
-
-    def major_position_raw(self) -> np.ndarray:
-        """Unnormalized major position N * x0."""
-        return self.population.N * self.major_field("x0")
 
     def has_major(self) -> bool:
         return "p0" in self.solution.system.backward_slices

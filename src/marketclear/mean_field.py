@@ -46,10 +46,6 @@ class MfgSolution(ClassSolution):
     beta_hat: NodeField                    # per-capita flow, zero on terminal nodes
     price_mfg: NodeField
 
-    @property
-    def atom_weights(self) -> np.ndarray:
-        return self.ctx.atoms.weights
-
     def common_field(self, name: str) -> np.ndarray:
         """A mean field by its population-limit name (x0, p0, xbar, ybar, pbar, rbar)."""
         return self.solution.field(_MEAN_FIELDS[name])
@@ -61,7 +57,11 @@ class MfgSolution(ClassSolution):
         return self.group_field(name.upper(), a)
 
     def terminal_gain_samples(self) -> np.ndarray:
-        """Per-atom terminal cost gradients cg x_T + hg on each leaf: (A, mK, n)."""
+        """Per-atom terminal cost gradients cg x_T + hg on each leaf: (A, mK, n).
+
+        The gradients read the atoms' terminal tables (``MarketContext``): in
+        maturity mode every atom's is -c0(T).
+        """
         tsl = self.lattice.terminal_slice
         return np.stack([apply_block(t.cg_T, self.atom_field("x", a)[tsl]) + t.hg_T
                          for a, t in enumerate(self.classes.groups)])

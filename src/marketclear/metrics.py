@@ -544,7 +544,9 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
 
     Both populations share the same atom draws.  The coefficient-difference
     terms are integrated along the homogeneous equilibrium, matching the
-    stability bound's right-hand side structure.
+    stability bound's right-hand side structure.  The terminal terms read
+    the markets' terminal tables, so in maturity mode, where every terminal
+    cost is -<c0(T), x_T>, they are zero.
     """
     if hetero_spec.dims != homo_spec.dims:
         raise ValidationError("specs must share dimensions")
@@ -564,7 +566,7 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
     lhs_he = price_gap(eq_he.price, mf.price_mfg, lattice)
     lhs_ho = price_gap(eq_ho.price, mf.price_mfg, lattice)
 
-    ratio = homo_spec.delta / (1.0 - homo_spec.delta)
+    ratio = ctx_ho.delta / (1.0 - ctx_ho.delta)
     tsl = lattice.terminal_slice
     terms = {"dl": 0.0, "dsig0": 0.0, "ddfdx": 0.0, "dcf_r": 0.0,
              "dg_terminal": 0.0, "dcg_r_terminal": 0.0}

@@ -64,6 +64,9 @@ class CoefficientSpec:
                 raise ValidationError(f"{name}: time table has wrong shape")
             if len(self.times) == 0 or self.times[0] > 0:
                 raise ValidationError(f"{name}: time table must start at t=0")
+            if not np.isfinite(self.times).all() or np.any(np.diff(self.times) <= 0):
+                raise ValidationError(
+                    f"{name}: time table times must be finite and strictly increasing")
         elif kind == "affine":
             if len(self.shape) != 1:
                 raise ValidationError(f"{name}: affine form is for vector coefficients only")
@@ -227,7 +230,7 @@ class CallableMajorCost:
 
     The market with such a cost is solved by a sequence of exact affine
     solves of its affine twin, whose curvatures ``secant_curvatures`` reads
-    off the gradients (``finite_market.build_full_system``).
+    off the gradients (``finite_market.MarketContext``).
     """
 
     dfdx: Callable[[float, np.ndarray, np.ndarray], np.ndarray]

@@ -76,9 +76,8 @@ def _positions(lattice: NoiseLattice, x0, rates: np.ndarray, offset: np.ndarray,
                                           loading))
 
 
-def _minor_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
-                 price: np.ndarray, alphas: np.ndarray, x: np.ndarray,
-                 tab: MinorTables) -> np.ndarray:
+def _minor_costs(ctx: MarketContext, lattice: NoiseLattice, price: np.ndarray,
+                 alphas: np.ndarray, x: np.ndarray, tab: MinorTables) -> np.ndarray:
     """``cost_minor`` of a (B, nodes, n) stack of trading rates and their positions ``x``."""
     lat = lattice
     running = (_dot(price, alphas)
@@ -87,12 +86,9 @@ def _minor_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
                + _dot(tab.hf, x))
     tsl = lat.terminal_slice
     xT = x[:, tsl]
-    if spec.maturity_mode:
-        terminal = -_dot(ctx.exo.c0[tsl], xT)
-    else:
-        terminal = (-spec.delta * _dot(price[tsl], xT)
-                    + _quad(xT, tab.cg_T)
-                    + _dot(tab.hg_T, xT))
+    terminal = (-ctx.delta * _dot(price[tsl], xT)
+                + _quad(xT, tab.cg_T)
+                + _dot(tab.hg_T, xT))
     return _expected_costs(lat, running, terminal)
 
 
@@ -102,14 +98,15 @@ def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
     """Expected cost of one minor agent trading at rate ``alpha`` against ``price``.
 
     Running cost <phi, a> + .5 <a, lam a> + .5 <x, cf x> + <hf, x>; terminal
-    cost -delta <phi_T, x> + .5 <x, cg x> + <hg, x>, or -<c0_T, x> when the
-    securities mature.  The position is integrated forward under ``alpha``.
+    cost -delta <phi_T, x> + .5 <x, cg x> + <hg, x>, which ``MarketContext``
+    makes -<c0_T, x> when the securities mature.  The position is integrated
+    forward under ``alpha``.
     """
     ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     tab = ctx.minor_tables(bundle_index, atom_index)
     alphas = np.asarray(alpha, dtype=float)[None]
     x = _positions(lattice, tab.xi, alphas, tab.l, tab.sig0)
-    return float(_minor_costs(spec, ctx, lattice, price.values, alphas, x, tab)[0])
+    return float(_minor_costs(ctx, lattice, price.values, alphas, x, tab)[0])
 
 
 def _major_response(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
@@ -125,24 +122,20 @@ def _major_response(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
     return phi, _positions(lattice, spec.chi0, b, ctx.l0, ctx.s0)
 
 
-def _major_costs(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
-                 b: np.ndarray, phi: np.ndarray, x0: np.ndarray) -> np.ndarray:
+def _major_costs(ctx: MarketContext, lattice: NoiseLattice, b: np.ndarray,
+                 phi: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Normalized major costs of a (B, nodes, n) stack of per-capita flows.
 
     ``phi`` and ``x0`` are each flow's induced prices and major positions
     (``_major_response``); the price enters the flow's running cost.
     """
     lat = lattice
-    fbar = _quad(x0, spec.major_cost.c0f) + _dot(ctx.h0f, x0)
+    fbar = _quad(x0, ctx.c0f) + _dot(ctx.h0f, x0)
     running = (_dot(b, phi)
                + _quad(b, ctx.exo.lam0[lat.level_of])
                + fbar)
-    tsl = lat.terminal_slice
-    xT = x0[:, tsl]
-    if spec.maturity_mode:
-        terminal = -_dot(ctx.exo.c0[tsl], xT)
-    else:
-        terminal = _quad(xT, spec.major_cost.c0g) + _dot(ctx.h0g_T, xT)
+    xT = x0[:, lat.terminal_slice]
+    terminal = _quad(xT, ctx.c0g) + _dot(ctx.h0g_T, xT)
     return _expected_costs(lat, running, terminal)
 
 
@@ -160,7 +153,7 @@ def cost_major(spec: ModelSpec, lattice: NoiseLattice, population: AgentPopulati
         classes = cost_classes(ctx.group_tables(population), population.weights)
         operator = ClearingOperator(ctx, classes.tables, classes.weights)
     b = beta.values[None] / population.N
-    return float(_major_costs(spec, ctx, lattice, b,
+    return float(_major_costs(ctx, lattice, b,
                               *_major_response(spec, ctx, lattice, operator, b))[0])
 
 
@@ -176,7 +169,7 @@ def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
         classes = limit_classes(ctx)
         operator = ClearingOperator(ctx, classes.tables, classes.weights)
     b = beta.values[None]
-    return float(_major_costs(spec, ctx, lattice, b,
+    return float(_major_costs(ctx, lattice, b,
                               *_major_response(spec, ctx, lattice, operator, b))[0])
 
 
@@ -367,7 +360,7 @@ def _perturbation_test(spec: ModelSpec, lattice: NoiseLattice, ctx: MarketContex
             return (_positions(lattice, tab.xi, alphas, tab.l, tab.sig0),)
 
         def costs(alphas, x):
-            return _minor_costs(spec, ctx, lattice, eq.price.values, alphas, x, tab)
+            return _minor_costs(ctx, lattice, eq.price.values, alphas, x, tab)
     else:
         if level == "major-N":
             pop, classes = equilibrium.population, equilibrium.classes
@@ -382,7 +375,7 @@ def _perturbation_test(spec: ModelSpec, lattice: NoiseLattice, ctx: MarketContex
             return _major_response(spec, ctx, lattice, op, b)
 
         def costs(b, phi, x0):
-            return _major_costs(spec, ctx, lattice, b, phi, x0)
+            return _major_costs(ctx, lattice, b, phi, x0)
 
     directions = len(etas)
     base = control(base_ctrl[None])

@@ -447,12 +447,16 @@ TWO_ASSET_TEXT = "[dimensions]\nn = 2\nd0 = 1\nd = 0\nN = 2\n"
     (_two_assets_with("minor", "cf", "abc"), "[minor] cf"),
     (_two_assets_with("constants", "lambda", {"kind": "time", "times": [0.0]}),
      "[constants] lambda: missing entry 'values'"),
+    (_two_assets_with("constants", "lambda", {"kind": "time", "times": [0.0, 0.6, 0.3],
+                                              "values": [[[1.0, 0.0], [0.0, 1.0]]] * 3}),
+     "[constants] lambda: time table times must be finite and strictly increasing"),
     (TWO_ASSET_TEXT.replace("N = 2", "N = 8.7"), "[dimensions] N: expected one integral number"),
     (_two_assets_with("dimensions", "n", [2, 3]), "[dimensions] n: expected one integral number"),
     (_two_assets_with("constants", "maturity", "false"),
      "[constants] maturity: expected true or false"),
     (_two_assets_with("constants", "maturity", 1), "[constants] maturity: expected true or false"),
-], ids=["text-c0f", "text-chi0", "json-n", "json-cf", "json-lambda", "text-N-fraction",
+], ids=["text-c0f", "text-chi0", "json-n", "json-cf", "json-lambda",
+        "json-lambda-unordered-times", "text-N-fraction",
         "json-n-list", "json-maturity-string", "json-maturity-number"])
 def test_malformed_model_entry_is_usage_error(tmp_path, capsys, text, entry) -> None:
     path = tmp_path / "bad.model"

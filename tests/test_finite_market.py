@@ -11,8 +11,10 @@ from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        minor_best_response,
                                        solve_full_equilibrium,
                                        solve_minor_clearing)
-from marketclear.model import (Dimensions, DiscreteLaw, MinorBundle,
+from marketclear.mean_field import solve_mfg
+from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MinorBundle,
                                QuadraticMajorCost, make_spec)
+from marketclear.optimality import cost_major, cost_minor
 from marketclear.scenario import NodeField, TimeGrid, build_lattice, constant_field
 
 from conftest import (callable_twin, homogeneous_study_spec, noiseless_unit_spec,
@@ -256,6 +258,24 @@ def test_maturity_terminal_price_equals_payoff(c0_law) -> None:
         assert np.max(np.abs(eq.group_field("P", g)[tsl])) <= 1e-12
 
 
+def test_maturity_terminal_values_are_exact_for_any_class_weights() -> None:
+    # class weights 1/7, 2/7 and 4/7: the groups share the payoff table, so
+    # their class mean and every deviation's terminal constant are exact
+    dims = Dimensions(1, 1, 0, 7)
+    spec = make_spec(dims, delta=0.37, maturity_mode=True,
+                     xi_law=DiscreteLaw(np.array([[0.5], [1.5], [2.0]]), np.ones(3) / 3),
+                     minor=MinorBundle.build(dims, cg=0.0),
+                     c0_law=("gaussian_walk", [0.4], [0.2], [[0.5]]))
+    lat = tree(6)
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, assignments=[0, 1, 1, 2, 2, 2, 2])
+    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+    tsl = lat.terminal_slice
+    assert np.array_equal(eq.price.values[tsl], ctx.exo.c0[tsl])
+    for g in range(pop.size):
+        assert np.array_equal(eq.group_field("Y", g)[tsl], -ctx.exo.c0[tsl])
+
+
 def test_maturity_results_independent_of_discount() -> None:
     vals = []
     for delta in (0.1, 0.7):
@@ -268,6 +288,53 @@ def test_maturity_results_independent_of_discount() -> None:
         eq = solve_full_equilibrium(spec, lat)
         vals.append(eq.price.values.copy())
     assert np.allclose(vals[0], vals[1], atol=1e-12)
+
+
+def _solved_fields(spec, lat):
+    """Every field, price and cost of the market's four solves, by name."""
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, assignments=[0, 1, 1, 0])
+    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+    mf = solve_mfg(spec, lat, ctx=ctx, check=False)
+    cl = solve_minor_clearing(spec, lat, eq.beta_hat, pop, ctx=ctx, check=False)
+    br = minor_best_response(spec, lat, eq.price, pop, ctx=ctx)
+    out = {"price": eq.price.values, "beta": eq.beta_hat.values, "x0": eq.major_field("x0"),
+           "p0": eq.major_field("p0"), "price_mfg": mf.price_mfg.values,
+           "beta_mfg": mf.beta_hat.values, "price_clearing": cl.price.values,
+           "cost_minor": cost_minor(spec, lat, eq.price, eq.alpha_hat[0], ctx=ctx),
+           "cost_major": cost_major(spec, lat, pop, eq.beta_hat, ctx=ctx)}
+    for g in range(pop.size):
+        out |= {f"eq {name}{g}": eq.group_field(name, g) for name in "XYRP"}
+        out |= {f"clearing {name}{g}": cl.group_field(name, g) for name in "XY"}
+        out |= {f"best response {name}{g}": br.group_field(name, g) for name in "XY"}
+        out[f"alpha{g}"] = eq.alpha_hat[g]
+    for a in range(ctx.atoms.count):
+        out |= {f"mfg {name}{a}": mf.atom_field(name, a) for name in "xyrp"}
+    return out
+
+
+def test_maturity_mode_is_its_terminal_data() -> None:
+    # at maturity every terminal cost is -<c0(T), x_T>: the normal terminal
+    # form with delta = 0, cg = c0g = 0 and hg = h0g = -c0.  The twin's groups
+    # carry equal hg tables of their own, whose class mean is exact for the
+    # equal weights used here.
+    dims = Dimensions(2, 1, 0, 4)
+    cf = [[1.1, 0.1], [0.1, 0.9]]
+    payoff = CoefficientSpec("affine", (2,), c0_mat=-np.eye(2), name="payoff")
+    common = dict(xi_law=DiscreteLaw(np.array([[0.5, -0.2], [1.5, 0.3]]), np.array([0.5, 0.5])),
+                  c0_law=("gaussian_walk", [0.4, 0.1], [0.2, 0.0], [[0.5], [0.3]]),
+                  lam0=[[0.8, -0.1], [-0.1, 0.9]])
+    mature = make_spec(dims, delta=0.37, maturity_mode=True,
+                       minor=MinorBundle.build(dims, cf=cf, cg=0.8, hg=0.3, l=0.1),
+                       major_cost=QuadraticMajorCost.build(dims, c0g=1.2, h0g=0.2), **common)
+    twin = make_spec(dims, delta=0.0,
+                     minor=MinorBundle.build(dims, cf=cf, cg=0.0, hg=payoff, l=0.1),
+                     major_cost=QuadraticMajorCost.build(dims, c0g=0.0, h0g=payoff), **common)
+    lat = tree(4)
+    got, want = _solved_fields(mature, lat), _solved_fields(twin, lat)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
 
 
 # -- guards ------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The three homogeneous models run every command; ``heterogeneous.json``, one
 coefficient bundle (and so one cost class) per agent, runs ``solve-n``.
-Each command runs at ``--steps 3`` and every CSV and ``summary.json`` it
-writes must hash to the recorded sha256.  The hashes pin the exact bytes, so
+Each command runs at ``--steps 3`` with its ``COMMANDS`` arguments and any
+flags a ``GOLDEN`` key carries after the model and the command, and every
+CSV and ``summary.json`` it writes must hash to the recorded sha256.  The hashes pin the exact bytes, so
 a change that moves any summation order, any rounding or any formatting
 fails here; a deliberate change of the numbers must record new hashes and
 say why.  ``tools/outdiff.py`` shows where two output trees differ.  The CLI
@@ -101,18 +102,26 @@ GOLDEN = {
         "equilibrium.csv": "05af093b67d00644b04d621b55570f3b06b256f5f219b0327e39eabbfa6f7b2d",
         "summary.json": "30920cd6e1bd92ab7b885ef9bf791f253e357059e3dfbd7457bf8b46667b2c71",
     },
+    # maturity mode on a model with terminal curvature (cg = 1): every atom's
+    # terminal gradient is -c0, so the w2_g column is zero
+    ("benchmark.model", "converge", "--maturity"): {
+        "convergence.csv": "8879dc2ae424fb8f804adfadf70577ab5642d64687d56ac5717e8e2948662f8f",
+        "summary.json": "f4f6f97324ed97703b99aa82d8b717e43835894bb780a6f66fe2703786855ea6",
+    },
 }
 
 
-@pytest.mark.parametrize("model, command", sorted(GOLDEN))
-def test_outputs_match_the_recorded_hashes(model, command, tmp_path) -> None:
+@pytest.mark.parametrize("key", sorted(GOLDEN),
+                         ids=lambda key: "-".join(part.lstrip("-") for part in key))
+def test_outputs_match_the_recorded_hashes(key, tmp_path) -> None:
+    model, command, *flags = key
     out = tmp_path / "out"
     argv = [command, "--model", str(MODELS / model), "--out", str(out), "--steps", "3",
-            *COMMANDS[command]]
+            *COMMANDS[command], *flags]
     assert main(argv) == 0
     written = {p.name for p in out.iterdir() if p.suffix == ".csv" or p.name == "summary.json"}
-    assert written == set(GOLDEN[model, command])
-    for name, digest in GOLDEN[model, command].items():
+    assert written == set(GOLDEN[key])
+    for name, digest in GOLDEN[key].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 

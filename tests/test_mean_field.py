@@ -84,7 +84,7 @@ def test_zero_discount_terminal_mean_has_no_amplification() -> None:
 def test_deviation_fields_average_to_zero(small_tree) -> None:
     spec = homogeneous_study_spec()
     mf = solve_mfg(spec, small_tree)
-    w = mf.atom_weights
+    w = mf.ctx.atoms.weights
     (family,) = mf.deviations  # the limit's one class: one flow per atom
     dx = sum(w[a] * family[a].field("dx") for a in range(len(w)))
     dy = sum(w[a] * family[a].field("dy") for a in range(len(w)))
@@ -95,7 +95,7 @@ def test_deviation_fields_average_to_zero(small_tree) -> None:
 def test_atom_reconstruction_matches_means(small_tree) -> None:
     spec = homogeneous_study_spec()
     mf = solve_mfg(spec, small_tree)
-    w = mf.atom_weights
+    w = mf.ctx.atoms.weights
     for name, mean in (("x", "xbar"), ("y", "ybar")):
         recon = sum(w[a] * mf.atom_field(name, a) for a in range(len(w)))
         assert np.max(np.abs(recon - mf.common_field(mean))) <= 1e-10

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +18,15 @@ from marketclear.metrics import (EmpiricalMeasure, _quantile_coupling_cost, _Ref
                                  convergence_study, derive_seed, epsilon_rate,
                                  fit_loglog, price_gap, stability_gap,
                                  wasserstein1_1d, wasserstein2)
-from marketclear.model import (CallableMajorCost, Dimensions, DiscreteLaw, MinorBundle,
-                               make_spec)
+from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions, DiscreteLaw,
+                               MinorBundle, make_spec)
+from marketclear.modelfile import load_model
 from marketclear.scenario import (TimeGrid, build_lattice, constant_field,
                                   sample_idiosyncratic)
 
 from conftest import homogeneous_study_spec
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def cloud(points):
@@ -253,6 +258,18 @@ def test_study_solves_the_atom_basis_once(monkeypatch) -> None:
     assert len(batches[-1]) == 3
 
 
+def test_maturity_study_has_no_terminal_distance() -> None:
+    # at maturity every atom's terminal gradient is -c0, whatever cg: w2_g is
+    # zero and every row equals that of the same model without curvature
+    spec = replace(load_model(MODELS / "benchmark.model"), maturity_mode=True)
+    flat = replace(spec, minor=[replace(spec.minor[0],
+                                        cg=CoefficientSpec.constant(0.0, (1, 1), "cg"))])
+    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
+    report = convergence_study(spec, lat, [8, 16, 32], 6, seed=0)
+    assert [row["w2_g"] for row in report.rows] == [0.0] * len(report.rows)
+    assert report.rows == convergence_study(flat, lat, [8, 16, 32], 6, seed=0).rows
+
+
 def test_study_needs_an_affine_major_cost() -> None:
     dims = Dimensions(1, 1, 0, 4)
     spec = make_spec(dims, major_cost=CallableMajorCost(
@@ -291,6 +308,22 @@ def test_zero_heterogeneity_gives_identical_prices() -> None:
     report = stability_gap(hetero, base, lat, seed=2)
     assert report.lhs_hetero == pytest.approx(report.lhs_homogeneous, abs=1e-12)
     assert report.delta_total == pytest.approx(0.0, abs=1e-14)
+
+
+def test_maturity_stability_has_no_terminal_terms() -> None:
+    # bundles that differ only in cg: at maturity no terminal cost sees cg, so
+    # the terminal terms vanish and both markets are one cost class alike
+    base = replace(homogeneous_study_spec(N=4), maturity_mode=True,
+                   c0_law=("gaussian_walk", [0.4], [0.2], [[0.5]]))
+    hetero = make_spec(base.dims, delta=base.delta, maturity_mode=True,
+                       minor=[MinorBundle.build(base.dims, cg=cg) for cg in (0.6, 0.9, 1.2, 1.5)],
+                       xi_law=base.xi_law, c0_law=base.c0_law)
+    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
+    report = stability_gap(hetero, base, lat, seed=2)
+    assert report.delta_terms["dg_terminal"] == 0.0
+    assert report.delta_terms["dcg_r_terminal"] == 0.0
+    assert report.w2_terms["w2_g"] == 0.0
+    assert report.lhs_hetero == report.lhs_homogeneous
 
 
 def test_constant_flow_shift_ingredient_equals_horizon() -> None:

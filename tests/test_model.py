@@ -141,6 +141,17 @@ def test_time_table_is_left_continuous() -> None:
     assert spec.value_at_time(0.9)[0] == 2.0
 
 
+@pytest.mark.parametrize("times", [[0.0, 0.6, 0.3], [0.0, 0.3, 0.3], [0.0, np.nan],
+                                   [0.0, np.inf]],
+                         ids=["unordered", "repeated", "nan", "inf"])
+def test_time_table_times_must_be_finite_and_increasing(times) -> None:
+    # an unordered table would be read wrongly by the left-continuous lookup
+    values = [[[1.0]], [[2.0]], [[-3.0]]][:len(times)]
+    with pytest.raises(ValidationError, match="cf: time table times must be finite and "
+                                              "strictly increasing"):
+        CoefficientSpec("time", (1, 1), times=times, values=values, name="cf")
+
+
 def test_matrix_coefficients_validated_at_the_boundary() -> None:
     dims = Dimensions(2, 1, 0, 2)
     affine = CoefficientSpec("affine", (2,), const=[1.0, 1.0], c0_mat=np.eye(2), name="x")
