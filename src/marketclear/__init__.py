@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (AssumptionViolationError, BudgetError, MarketClearError,
                      SolverError, UnsupportedModelError, ValidationError)
-from .fbsde import (FamilySolution, FbsdeSystem, NodeSolution, SolveDiagnostics,
-                    residual, solve_direct)
+from .fbsde import DirectSolver, FamilySolution, FbsdeSystem, SolveDiagnostics, residual
 from .finite_market import (AgentGroup, AgentPopulation, BestResponse, ClassSolution,
                             ClearingOperator, EquilibriumSolution, MarketContext,
                             clearing_residual, cost_classes, make_population, minor_best_response,

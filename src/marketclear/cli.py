@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -221,7 +221,7 @@ def _checked_solve(cfg, solve):
         diagnostics = getattr(exc, "diagnostics", None)
         payload = {"error": str(exc)}
         if diagnostics is not None:
-            payload["diagnostics"] = diagnostics.to_dict()
+            payload["diagnostics"] = asdict(diagnostics)
         write_json(payload, out / "solver_failure.json")
         print(f"solver failure: {exc}")
         return EXIT_SOLVER, None, None, None

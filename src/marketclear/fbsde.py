@@ -19,7 +19,8 @@ clearing identity and the optimality checks hold to round-off.
 
 A family of sibling systems (same blocks, new constants) is one system:
 every constant carries a flow axis right after its node axis, and a single
-system is the family of one.  There is one solution path.  An affine
+system is the family of one.  There is one solution path and one result,
+``FamilySolution``, whose per-flow diagnostics ``residual`` builds.  An affine
 system is solved exactly by a backward sweep of its affine decoupling field
 u_B(v) = P_k u_F(v) + p(v), the discrete four-step scheme for linear FBSDEs:
 one matrix pass from the leaves computes one P per level, and a vector pass
@@ -32,7 +33,6 @@ such affine solves on one matrix pass (``finite_market``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -122,62 +122,53 @@ class SolveDiagnostics:
     terminal_mismatch: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "max_equation_residual": self.max_equation_residual,
-            "terminal_mismatch": self.terminal_mismatch,
-            "converged": self.converged,
-        }
-
 
 @dataclass
-class NodeSolution:
-    """All forward/backward node values plus the discrete martingale increments.
+class FamilySolution:
+    """Every flow of a solved family, its states stacked as (nodes, B, dim) arrays.
 
-    ``system`` is the solved family and ``flow`` this solution's index in
-    it.  ``backward_pre`` holds uB~ (at terminal nodes it repeats the
-    terminal values); ``deviations`` derives the martingale increments from
-    them on demand.
+    A single system's solution is the family of one.  The stacks are
+    flows-first in memory, so one flow's states are a contiguous view;
+    ``backward_pre`` holds uB~ (at terminal nodes it repeats the terminal
+    values).  The readers take a flow index, the first flow by default.
+    ``diagnostics`` holds one ``SolveDiagnostics`` per flow (``residual``).
     """
 
     system: FbsdeSystem
     forward: np.ndarray
     backward: np.ndarray
     backward_pre: np.ndarray
-    diagnostics: SolveDiagnostics
-    flow: int = 0
+    diagnostics: list[SolveDiagnostics]
 
-    def field(self, name: str) -> np.ndarray:
+    def field(self, name: str, flow: int = 0) -> np.ndarray:
         if name in self.system.forward_slices:
-            return self.forward[:, self.system.forward_slices[name]]
-        return self.backward[:, self.system.backward_slices[name]]
+            return self.forward[:, flow, self.system.forward_slices[name]]
+        return self.backward[:, flow, self.system.backward_slices[name]]
 
-    def pre(self, name: str) -> np.ndarray:
+    def pre(self, name: str, flow: int = 0) -> np.ndarray:
         """Pre-driver conditional expectation of a backward field."""
-        return self.backward_pre[:, self.system.backward_slices[name]]
+        return self.backward_pre[:, flow, self.system.backward_slices[name]]
 
-    @property
-    def deviations(self) -> np.ndarray:
+    def deviations(self, flow: int = 0) -> np.ndarray:
         """Per node, its backward value minus its parent's uB~ (zero at the root).
 
         The probability-weighted sum over siblings vanishes by construction.
         """
         lat = self.system.lattice
-        dev = np.zeros_like(self.backward)
+        ub = self.backward[:, flow]
+        dev = np.zeros_like(ub)
         # the children of nodes 0..I-1 are nodes 1..N-1, in layout order
         I = lat.level_range(lat.steps)[0]
-        dev[1:] = self.backward[1:] - lat.repeat_to_children(self.backward_pre[:I])
+        dev[1:] = ub[1:] - lat.repeat_to_children(self.backward_pre[:I, flow])
         return dev
 
-    def z_projection(self, name: str) -> np.ndarray:
+    def z_projection(self, name: str, flow: int = 0) -> np.ndarray:
         """Discrete martingale-representation diagnostic E[dev dW^T]/dt per node."""
         lat = self.system.lattice
         sl = self.system.backward_slices[name]
         dim = sl.stop - sl.start
         out = np.zeros((lat.num_nodes, dim, lat.d0))
-        deviations = self.deviations[:, sl]
+        deviations = self.deviations(flow)[:, sl]
         for k in range(lat.steps):
             lo, hi = lat.level_range(k)
             clo, chi = lat.level_range(k + 1)
@@ -238,35 +229,6 @@ def _pre(lat: NoiseLattice, ub: np.ndarray) -> np.ndarray:
     return pre
 
 
-@dataclass
-class FamilySolution(Sequence):
-    """Every flow of a solved family, its states stacked as (nodes, B, dim) arrays.
-
-    The stacks are flows-first in memory.  Indexing gives flow b's
-    ``NodeSolution``, whose arrays are contiguous views of the stacks.
-    """
-
-    system: FbsdeSystem
-    forward: np.ndarray
-    backward: np.ndarray
-    backward_pre: np.ndarray
-    diagnostics: list
-
-    def __post_init__(self):
-        flow = lambda a, b: np.ascontiguousarray(a[:, b])
-        self._flows = [NodeSolution(system=self.system, forward=flow(self.forward, b),
-                                    backward=flow(self.backward, b),
-                                    backward_pre=flow(self.backward_pre, b),
-                                    diagnostics=diag, flow=b)
-                       for b, diag in enumerate(self.diagnostics)]
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    def __getitem__(self, b):
-        return self._flows[b]
-
-
 # -- residual ---------------------------------------------------------------
 
 
@@ -292,25 +254,18 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
     return np.maximum(worst, terminal_mismatch), terminal_mismatch
 
 
-def residual(system: FbsdeSystem, solution: NodeSolution) -> SolveDiagnostics:
-    """Recompute every equation row of the solution's flow and report the worst violation."""
-    worst, terminal_mismatch = _equation_gaps(
-        system, solution.forward[:, None], solution.backward[:, None],
-        solution.backward_pre[:, None])
-    b = solution.flow if system.flows > 1 else 0
-    return replace(solution.diagnostics, max_equation_residual=float(worst[b]),
-                   terminal_mismatch=float(terminal_mismatch[b]))
+def residual(system: FbsdeSystem, family: FamilySolution) -> list[SolveDiagnostics]:
+    """Per flow of ``family``, the worst violation of ``system``'s equation rows.
+
+    A flow has converged when its worst row is within ``DIRECT_RESIDUAL_GATE``.
+    """
+    worst, terminal_mismatch = _equation_gaps(system, family.forward, family.backward,
+                                              family.backward_pre)
+    return [SolveDiagnostics("direct", 1, float(w), float(t), bool(w <= DIRECT_RESIDUAL_GATE))
+            for w, t in zip(worst, terminal_mismatch)]
 
 
 # -- direct (decoupling-field) solve ------------------------------------------
-
-
-@dataclass
-class _LevelFactors:
-    """Matrix-pass results of one level, each shared by the level's nodes."""
-
-    E: np.ndarray  # (I - dt Pbar Afb)^-1       (mb, mb)
-    Q: np.ndarray  # E Pbar; uB~ = Q u_F + r    (mb, mf)
 
 
 def sweep_floats(lat: NoiseLattice, mf: int, mb: int, flows: int = 1) -> int:
@@ -361,9 +316,11 @@ class DirectSolver:
         dt = lat.dt
         mf, mb = system.mf, system.mb
         check_factor_budget(sweep_floats(lat, mf, mb))
+        # per level, each shared by the level's nodes: E = (I - dt Pbar Afb)^-1
+        # (mb, mb), Q = E Pbar (mb, mf) with uB~ = Q u_F + r, and P (mb, mf)
         P = system.G
         self._P = [None] * lat.steps + [P]
-        self._levels: list[_LevelFactors] = [None] * lat.steps
+        self._E, self._Q = [None] * lat.steps, [None] * lat.steps
         for k in range(lat.steps - 1, -1, -1):
             # sum_b q_b P over one node's children, reduced as cond_expect does
             Pbar = lat.cond_expect(np.broadcast_to(P, (lat.fanout,) + P.shape), 0)[0]
@@ -375,19 +332,17 @@ class DirectSolver:
                     f"signals violated monotonicity of the discretized model", None)
             Q = E @ Pbar
             P = Q + dt * system.Bbf[k]
-            self._levels[k] = _LevelFactors(E=E, Q=Q)
-            self._P[k] = P
+            self._E[k], self._Q[k], self._P[k] = E, Q, P
 
     def solve(self, **constants) -> FamilySolution:
         """Solve every flow of the system by one vector pass on the shared matrix pass.
 
         ``constants`` replaces any of the system's ``initial``, ``af``,
         ``S``, ``bb`` and ``g`` (a sibling family, of any number of flows);
-        the blocks stay the solver's own.  Returns the solved family, one
-        solution per flow, in order.
+        the blocks stay the solver's own.  Returns the solved family.
 
         Every flow's states are checked to be finite and every equation row
-        of every flow is recomputed (``_equation_gaps``) against the absolute
+        of every flow is recomputed (``residual``) against the absolute
         ``DIRECT_RESIDUAL_GATE``; the first flow that fails raises
         ``SolverError`` naming it.
         """
@@ -407,10 +362,10 @@ class DirectSolver:
         ps, rs, noises = [None] * K + [p], [None] * K, [None] * K
         for k in range(K - 1, -1, -1):
             lo, hi = lat.level_range(k)
-            lv = self._levels[k]
             noise = _noise(system, k)
             pbar = lat.cond_expect(p + apply_block(self._P[k + 1], noise), k)
-            r = apply_block(lv.E, pbar) + dt * apply_block(lv.Q, _rows(system.af, lo, hi))
+            af = _rows(system.af, lo, hi)
+            r = apply_block(self._E[k], pbar) + dt * apply_block(self._Q[k], af)
             p = r + dt * _rows(system.bb, lo, hi)
             ps[k], rs[k], noises[k] = p, r, noise
         # forward pass, written into the states; they are flows-first in
@@ -425,7 +380,7 @@ class DirectSolver:
             ub[lo:hi] += ps[k]
             if k < K:
                 clo, chi = lat.level_range(k + 1)
-                ubt = apply_block(self._levels[k].Q, uf[lo:hi])
+                ubt = apply_block(self._Q[k], uf[lo:hi])
                 ubt += rs[k]
                 _step(system, k, uf[lo:hi], ubt, noises[k], out=uf[clo:chi])
         del ps, rs, noises  # a batch's sweep vectors, freed before the residual's
@@ -434,23 +389,13 @@ class DirectSolver:
             raise SolverError(
                 f"direct solve produced non-finite values in flow "
                 f"{int(np.flatnonzero(~finite)[0])} (near-singular level system)")
-        pre = _pre(lat, ub)
-        worst, terminal_mismatch = _equation_gaps(system, uf, ub, pre)
-        family = FamilySolution(system, uf, ub, pre, [SolveDiagnostics(
-            "direct", 1, float(worst[b]), float(terminal_mismatch[b]),
-            bool(worst[b] <= DIRECT_RESIDUAL_GATE)) for b in range(B)])
+        family = FamilySolution(system, uf, ub, _pre(lat, ub), [])
+        family.diagnostics = residual(system, family)
         for b, diagnostics in enumerate(family.diagnostics):
             if not diagnostics.converged:
                 raise SolverError(
-                    f"direct solve residual {worst[b]:.3e} in flow {b} exceeds "
-                    f"{DIRECT_RESIDUAL_GATE:g}; the discrete system is ill-conditioned",
-                    diagnostics)
+                    f"direct solve residual {diagnostics.max_equation_residual:.3e} in flow "
+                    f"{b} exceeds {DIRECT_RESIDUAL_GATE:g}; the discrete system is "
+                    f"ill-conditioned", diagnostics)
         return family
 
-
-def solve_direct(system: FbsdeSystem) -> NodeSolution:
-    """Exact solve of a single affine system by one decoupling-field sweep."""
-    if system.flows != 1:
-        raise ValidationError(f"a family of {system.flows} systems is solved by "
-                              f"DirectSolver(system).solve(), not one at a time")
-    return DirectSolver(system).solve()[0]

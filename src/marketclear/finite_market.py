@@ -23,13 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AssumptionViolationError, SolverError, ValidationError
-from .fbsde import (DIRECT_RESIDUAL_GATE, DirectSolver, FamilySolution, FbsdeSystem,
-                    NodeSolution, SolveDiagnostics, check_factor_budget, residual,
-                    solve_direct, sweep_floats)
+from .fbsde import (DirectSolver, FamilySolution, FbsdeSystem, SolveDiagnostics,
+                    check_factor_budget, residual, sweep_floats)
 from .model import ModelSpec, check_all_assumptions, secant_curvatures
-from .scenario import (ExogenousFields, IdiosyncraticAtoms, NodeField,
-                       NoiseLattice, apply_block, evaluate_exogenous,
-                       idiosyncratic_atoms, level_table, sample_idiosyncratic)
+from .scenario import (IdiosyncraticAtoms, NodeField, NoiseLattice, apply_block,
+                       evaluate_exogenous, idiosyncratic_atoms, level_table,
+                       sample_idiosyncratic)
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,12 @@ class MarketContext:
       ``cg_T`` are zero, and ``h0g_T`` and every group's ``hg_T`` are -c0(T).
     """
 
-    def __init__(self, spec: ModelSpec, lattice: NoiseLattice,
-                 atoms: IdiosyncraticAtoms | None = None,
-                 exo: ExogenousFields | None = None):
+    def __init__(self, spec: ModelSpec, lattice: NoiseLattice):
         spec.require_no_idiosyncratic_brownian()
         self.spec = spec
         self.lattice = lattice
-        self.atoms = atoms if atoms is not None else idiosyncratic_atoms(spec, lattice.grid)
-        self.exo = exo if exo is not None else evaluate_exogenous(lattice, spec)
+        self.atoms = idiosyncratic_atoms(spec, lattice.grid)
+        self.exo = evaluate_exogenous(lattice, spec)
         self._minor_cache: dict[tuple[int, int], MinorTables] = {}
         n, d0 = spec.dims.n, lattice.d0
         tsl = lattice.terminal_slice
@@ -289,7 +286,7 @@ def cost_classes(tabs: list[MinorTables], w: np.ndarray) -> CostClasses:
 
         def mix(pick):
             parts = [pick(tabs[g]) for g in group]
-            if all(p is parts[0] for p in parts):  # one table shared by all: kept exactly
+            if all(np.array_equal(p, parts[0]) for p in parts[1:]):  # equal: kept exactly
                 return parts[0]
             return sum(v[i] * p for i, p in enumerate(parts))
 
@@ -475,33 +472,33 @@ class ClassSolution:
 
     spec: ModelSpec
     lattice: NoiseLattice
-    solution: NodeSolution                   # system of the cost classes
+    solution: FamilySolution                 # system of the cost classes, one flow
     classes: CostClasses
     deviations: list[FamilySolution | None]  # per class, as ``solve_deviations``
 
     @property
     def diagnostics(self) -> SolveDiagnostics:
         """The class solve's diagnostics, its residuals the worst of it and every family."""
-        every = [self.solution.diagnostics] + [d for f in self.deviations if f
-                                               for d in f.diagnostics]
-        return replace(self.solution.diagnostics, **{
+        every = [d for f in (self.solution, *self.deviations) if f is not None
+                 for d in f.diagnostics]
+        return replace(self.solution.diagnostics[0], **{
             key: max(getattr(d, key) for d in every)
             for key in ("max_equation_residual", "terminal_mismatch")})
 
     def group_field(self, name: str, g: int) -> np.ndarray:
         """Group g's field X, Y, R or P."""
-        return self._member(NodeSolution.field, name, g)
+        return self._member(FamilySolution.field, name, g)
 
     def group_pre(self, name: str, g: int) -> np.ndarray:
         """Group g's pre-driver values of Y or P (the values themselves on the leaves)."""
-        return self._member(NodeSolution.pre, name, g)
+        return self._member(FamilySolution.pre, name, g)
 
     def _member(self, read, name: str, g: int) -> np.ndarray:
         c, j = self.classes.place[g]
         mean = read(self.solution, f"{name}{c}")
         if self.deviations[c] is None or name not in ("X", "Y"):
             return mean
-        return mean + read(self.deviations[c][j], "d" + name.lower())
+        return mean + read(self.deviations[c], "d" + name.lower(), j)
 
 
 @dataclass
@@ -610,7 +607,7 @@ def _run_checks(spec, force, minor_only=False):
 STEP_TOL = 1e-10
 
 
-def _major_intercepts(ctx: MarketContext, system: FbsdeSystem, sol: NodeSolution) -> dict:
+def _major_intercepts(ctx: MarketContext, system: FbsdeSystem, sol: FamilySolution) -> dict:
     """A callable cost's affine twin's p0-row constants at the major position x0 of ``sol``.
 
     ``bb`` reads dfdx(t, x0, c0) - cbar x0 on the non-terminal nodes and,
@@ -651,21 +648,21 @@ def _solve_full_system(ctx: MarketContext, system: FbsdeSystem) -> FamilySolutio
     family = solver.solve()
     solves, last = 1, np.inf
     while True:
-        intercepts = _major_intercepts(ctx, system, family[0])
+        intercepts = _major_intercepts(ctx, system, family)
         if last <= STEP_TOL:
-            diagnostics = residual(replace(system, **intercepts), family[0])
-            if diagnostics.max_equation_residual <= DIRECT_RESIDUAL_GATE:
+            (diagnostics,) = residual(replace(system, **intercepts), family)
+            if diagnostics.converged:
                 break
         nxt = solver.solve(**intercepts)
         solves += 1
-        step = float(np.max(np.abs(nxt[0].field("x0") - family[0].field("x0"))))
+        step = float(np.max(np.abs(nxt.field("x0") - family.field("x0"))))
         if step >= last:
             raise SolverError(
                 f"the affine iteration of the callable major cost stopped contracting "
                 f"at solve {solves} (step {step:.3e} after {last:.3e}); the cost's "
                 f"curvature range is too wide", nxt.diagnostics[0])
         family, last = nxt, step
-    family[0].diagnostics = family.diagnostics[0] = replace(diagnostics, iterations=solves)
+    family.diagnostics = [replace(diagnostics, iterations=solves)]
     return family
 
 
@@ -704,7 +701,8 @@ def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     br = BestResponse(
         spec=spec, lattice=lattice, population=pop, classes=classes,
-        solution=solve_direct(build_best_response_system(ctx, classes.tables, price.values)),
+        solution=DirectSolver(build_best_response_system(ctx, classes.tables,
+                                                         price.values)).solve(),
         deviations=solve_deviations(ctx, classes), price=price, alpha_hat=[])
     br.alpha_hat = _alpha_hats(ctx, [br.group_pre("Y", g) for g in range(pop.size)],
                                price.values)
@@ -712,7 +710,7 @@ def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField
 
 
 def _equilibrium(ctx: MarketContext, pop: AgentPopulation, classes: CostClasses,
-                 sol: NodeSolution, phi: np.ndarray, beta: np.ndarray,
+                 sol: FamilySolution, phi: np.ndarray, beta: np.ndarray,
                  beta_norm: np.ndarray, x0: np.ndarray | None) -> EquilibriumSolution:
     """The market solved on its classes' solution ``sol``: deviations, rates, residual."""
     eq = EquilibriumSolution(
@@ -741,7 +739,7 @@ def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField
         _run_checks(spec, force, minor_only=True)
     beta_norm = beta.values / pop.N
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
-    (sol,), (phi,) = ClearingOperator(ctx, classes.tables, classes.weights).solve(beta_norm[None])
+    sol, (phi,) = ClearingOperator(ctx, classes.tables, classes.weights).solve(beta_norm[None])
     return _equilibrium(ctx, pop, classes, sol, phi, beta.values.copy(), beta_norm,
                         integrate_forward(lattice, spec.chi0, beta_norm + ctx.l0, ctx.s0))
 
@@ -773,7 +771,7 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
         _run_checks(spec, force)
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     family, b, phi = solve_class_system(ctx, classes)
-    return _equilibrium(ctx, pop, classes, family[0], phi, pop.N * b, b, None)
+    return _equilibrium(ctx, pop, classes, family, phi, pop.N * b, b, None)
 
 
 class ClearingOperator:

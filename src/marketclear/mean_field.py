@@ -85,7 +85,7 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
         _run_checks(spec, force)
     classes = limit_classes(ctx)
     family, b, phi = solve_class_system(ctx, classes)
-    return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=family[0],
+    return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=family,
                        classes=classes, deviations=solve_deviations(ctx, classes),
                        beta_hat=NodeField(lattice, b),
                        price_mfg=NodeField(lattice, phi))

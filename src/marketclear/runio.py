@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +139,7 @@ def write_mfg_csv(mf, path) -> None:
 def equilibrium_summary(eq) -> dict:
     return {
         "clearing_residual": eq.clearing_residual,
-        "diagnostics": eq.diagnostics.to_dict(),
+        "diagnostics": asdict(eq.diagnostics),
         "beta_t0": [float(x) for x in eq.beta_hat.values[0]],
         "price_t0": [float(x) for x in eq.price.values[0]],
         "agents": int(eq.population.N),
@@ -148,7 +149,7 @@ def equilibrium_summary(eq) -> dict:
 
 def mfg_summary(mf) -> dict:
     return {
-        "diagnostics": mf.diagnostics.to_dict(),
+        "diagnostics": asdict(mf.diagnostics),
         "beta_t0": [float(x) for x in mf.beta_hat.values[0]],
         "price_t0": [float(x) for x in mf.price_mfg.values[0]],
         "atoms": int(mf.ctx.atoms.count),

@@ -9,7 +9,7 @@ the noise components in order, the solver's arithmetic for a flow solved
 alone.  ``level`` and ``terminal`` read one flow of a family the way a
 single system's level callbacks gave it: the level's (1, p, q) blocks and
 its constants without a flow axis.  The oracle reuses a
-``DirectSolver``'s matrix pass (``_P`` and ``_levels``) and the lattice's
+``DirectSolver``'s matrix pass (``_E``, ``_Q`` and ``_P``) and the lattice's
 ``cond_expect``; everything else is its own, so a batched solve can be
 compared with it flow by flow.
 """
@@ -119,10 +119,9 @@ def solve(solver, system, b: int = 0) -> dict:
     ps, rs, levels, noises = [None] * K + [p], [None] * K, [None] * K, [None] * K
     for k in range(K - 1, -1, -1):
         c = level(system, k, b)
-        lv = solver._levels[k]
         noise = _noise(lat, k, c.S)
         pbar = lat.cond_expect(p + _apply(solver._P[k + 1], noise), k)
-        r = _apply(lv.E, pbar) + dt * _apply(lv.Q, c.af)
+        r = _apply(solver._E[k], pbar) + dt * _apply(solver._Q[k], c.af)
         p = r + dt * c.bb
         ps[k], rs[k], levels[k], noises[k] = p, r, c, noise
     # forward pass
@@ -135,7 +134,7 @@ def solve(solver, system, b: int = 0) -> dict:
         if k < K:
             c = levels[k]
             clo, chi = lat.level_range(k + 1)
-            ubt = _apply(solver._levels[k].Q, uf[lo:hi]) + rs[k]
+            ubt = _apply(solver._Q[k], uf[lo:hi]) + rs[k]
             uf[clo:chi] = _step(lat, uf[lo:hi], ubt, c.Afb, c.af, noises[k])
     pre, dev = _package(system, uf, ub)
     worst, terminal_mismatch = residual(system, uf, ub, b)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from marketclear.cli import main as cli_main
-from marketclear.fbsde import solve_direct
+from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_full_equilibrium,
                                        solve_minor_clearing)
@@ -79,7 +79,7 @@ def solved_case(n, N, K):
         pop = make_population(spec, ctx.atoms, N=N,
                               assignments=[i % 2 for i in range(N)])
         system = build_full_system(ctx, ctx.group_tables(pop), pop.weights)
-        direct = solve_direct(system)
+        direct = DirectSolver(system).solve()
         eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
         _solved[key] = (spec, lattice, ctx, pop, system, direct, eq)
     return _solved[key]

@@ -10,10 +10,13 @@ gradients and terminal gains depend on the atoms' idiosyncratic values and
 on the common news, so the flows of a family differ in every constant.
 Every flow of one ``DirectSolver.solve`` call must equal
 ``sweep_oracle.solve`` exactly: its forward, backward, pre-driver and
-increment arrays and its residuals.
+increment arrays and its residuals.  The solve's diagnostics are those of
+``residual``, and its gate names the flow whose residual fails.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from hypothesis import strategies as st
 
 import sweep_oracle as oracle
 from marketclear.errors import SolverError
-from marketclear.fbsde import DirectSolver
+from marketclear import fbsde
+from marketclear.fbsde import DIRECT_RESIDUAL_GATE, DirectSolver, residual
 from marketclear.finite_market import (ClearingOperator, MarketContext, build_clearing_system,
                                        build_deviation_system, build_full_system, stack_tables)
 from marketclear.mean_field import limit_classes
@@ -114,18 +118,44 @@ def family(case):
 @given(draws)
 def test_batched_solve_equals_the_per_system_oracle(n, d0, branching, B, kind, draw) -> None:
     solver, system = family(dict(draw, n=n, d0=d0, branching=branching, B=B, kind=kind))
-    sols = solver.solve()
-    assert len(sols) == system.flows == B
-    for b, sol in enumerate(sols):
+    solved = solver.solve()
+    assert solved.system is system and len(solved.diagnostics) == system.flows == B
+    for b, diagnostics in enumerate(solved.diagnostics):
         want = oracle.solve(solver, system, b)
-        assert sol.system is system and sol.flow == b
-        for name in ("forward", "backward", "backward_pre", "deviations"):
-            got = getattr(sol, name)
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, want[name]), name
-        assert sol.diagnostics.max_equation_residual == want["max_equation_residual"]
-        assert sol.diagnostics.terminal_mismatch == want["terminal_mismatch"]
-        assert sol.diagnostics.converged
+        got = {"forward": solved.forward[:, b], "backward": solved.backward[:, b],
+               "backward_pre": solved.backward_pre[:, b], "deviations": solved.deviations(b)}
+        for name, values in got.items():
+            assert values.flags.c_contiguous
+            assert np.array_equal(values, want[name]), name
+        assert diagnostics.max_equation_residual == want["max_equation_residual"]
+        assert diagnostics.terminal_mismatch == want["terminal_mismatch"]
+        assert diagnostics.converged
+
+
+@pytest.mark.parametrize("kind", ["clearing", "deviation", "full"])
+@SETTINGS
+@given(draws, st.sampled_from([1, 2, 6]), st.data())
+def test_solve_gates_every_flow_on_its_residual(kind, draw, B, data) -> None:
+    # a solve's diagnostics are residual's, field by field, and a flow whose
+    # residual is pushed over the gate is the flow the error names
+    solver, system = family(dict(draw, n=2, d0=1, branching=2, B=B, kind=kind))
+    solved = solver.solve()
+    assert ([asdict(d) for d in solved.diagnostics]
+            == [asdict(d) for d in residual(system, solved)])
+    bad = data.draw(st.integers(0, B - 1))
+    gaps = fbsde._equation_gaps
+
+    def pushed(*args):
+        worst, terminal_mismatch = gaps(*args)
+        worst[bad] += 2 * DIRECT_RESIDUAL_GATE
+        return worst, terminal_mismatch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbsde, "_equation_gaps", pushed)
+        with pytest.raises(SolverError, match=f"in flow {bad} exceeds") as failure:
+            solver.solve()
+    assert failure.value.diagnostics.max_equation_residual > DIRECT_RESIDUAL_GATE
+    assert not failure.value.diagnostics.converged
 
 
 def test_non_finite_flow_is_named() -> None:
@@ -141,4 +171,4 @@ def test_non_finite_flow_is_named() -> None:
     with pytest.raises(SolverError, match="non-finite values in flow 2"):
         op.solve(flows)
     flows[2, 1, 0] = 0.0
-    assert len(op.solve(flows)[0]) == 3
+    assert len(op.solve(flows)[0].diagnostics) == 3

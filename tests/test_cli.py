@@ -525,11 +525,13 @@ def _run_probe(probe: str, *args) -> str:
 
 
 def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded() -> None:
-    # the assignment solver is imported on first use, so commands that never
-    # need it do not pay for scipy.optimize (which pulls in scipy.sparse)
+    # process start is most of a small CLI run: the assignment solver (scipy,
+    # whose optimize pulls in sparse), the column formatter (orjson) and the
+    # random streams are imported on first use, and numpy.ma never, so
+    # importing the CLI loads none of them
     probe = ("import sys, marketclear.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'sparse'])))")
+             "print(sorted(m for m in sys.modules if any(m == name or m.startswith(name + '.') "
+             "for name in ('scipy', 'orjson', 'numpy.random', 'numpy.ma'))))")
     assert _run_probe(probe) == "[]"
 
 
@@ -547,18 +549,19 @@ def test_solve_and_converge_runs_leave_numpy_random_unloaded(good_model, tmp_pat
 
 def test_only_node_sized_writers_load_orjson(good_model, tmp_path) -> None:
     # the column formatter imports orjson on first use; importing the CLI and
-    # the study commands (which write tens of values through repr) must not
+    # the study commands (which write tens of values through repr) must not,
+    # and no command of this n = 1 model loads scipy
     probe = ("import sys, marketclear.cli as cli; before = 'orjson' in sys.modules; "
              "args = sys.argv[1:]; cut = args.index('--then'); "
              "codes = [cli.main(a) for a in (args[:cut], args[cut + 1:])]; "
-             "print(before, codes, 'orjson' in sys.modules)")
+             "print(before, codes, 'orjson' in sys.modules, 'scipy' in sys.modules)")
     converge = ["converge", "--model", good_model, "--out", tmp_path / "c", "--steps", 3,
                 "--n-list", "8,16,32", "--resamples", 24, "--seed", 7]
     verify = ["verify", "--model", good_model, "--out", tmp_path / "v", "--steps", 3,
               "--n-agents", 2, "--directions", 2]
-    assert _run_probe(probe, *converge, "--then", *verify) == "False [0, 0] False"
+    assert _run_probe(probe, *converge, "--then", *verify) == "False [0, 0] False False"
     solve = ["solve-n", "--model", good_model, "--out", tmp_path / "s", "--steps", 3]
-    assert _run_probe(probe, *solve, "--then", *solve, "--force") == "False [0, 0] True"
+    assert _run_probe(probe, *solve, "--then", *solve, "--force") == "False [0, 0] True False"
 
 
 def test_manifest_versions_leave_scipy_unloaded(good_model, tmp_path) -> None:

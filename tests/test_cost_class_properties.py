@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketclear.fbsde import DirectSolver, solve_direct
+from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (MarketContext, _alpha_hats, _flow_and_price,
                                        _solve_full_system, build_best_response_system,
                                        build_full_system, make_population,
@@ -115,9 +115,8 @@ def test_class_path_equals_the_coupled_group_system(homogeneous, case) -> None:
     case = dict(case, homogeneous=homogeneous)
     spec, lat, ctx, pop = random_market(case)
     system = build_full_system(ctx, ctx.group_tables(pop), pop.weights)
-    family = (_solve_full_system(ctx, system) if case["callable"]
+    oracle = (_solve_full_system(ctx, system) if case["callable"]
               else DirectSolver(system).solve())
-    oracle = family[0]
     eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
     assert eq.solution.system.mf == (1 + 2 * len(eq.classes.members)) * spec.dims.n
     scale = max(1.0, float(np.max(np.abs(oracle.forward))),
@@ -126,7 +125,7 @@ def test_class_path_equals_the_coupled_group_system(homogeneous, case) -> None:
     pairs = [(oracle.field(name), eq.major_field(name)) for name in ("x0", "p0")]
     pairs += [(oracle.field(f"{name}{g}"), eq.group_field(name, g))
               for g in range(pop.size) for name in "XYRP"]
-    b, phi = _flow_and_price(ctx, pop.weights, family)
+    b, phi = _flow_and_price(ctx, pop.weights, oracle)
     pairs += [(b[:, 0], eq.beta_norm.values), (phi[:, 0], eq.price.values)]
     for want, got in pairs:
         assert np.max(np.abs(want - got)) <= tol
@@ -141,7 +140,7 @@ def test_best_response_on_classes_equals_the_group_system(homogeneous, case) -> 
     spec, lat, ctx, pop = random_market(case)
     n = spec.dims.n
     price = np.random.default_rng(case["seed"] + 1).uniform(-1, 1, (lat.num_nodes, n))
-    oracle = solve_direct(build_best_response_system(ctx, ctx.group_tables(pop), price))
+    oracle = DirectSolver(build_best_response_system(ctx, ctx.group_tables(pop), price)).solve()
     br = minor_best_response(spec, lat, NodeField(lat, price), pop, ctx=ctx)
     # no system wider than the classes: C n forward states, n per deviation family
     assert br.solution.system.mf == len(br.classes.members) * n

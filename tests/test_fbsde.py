@@ -7,7 +7,7 @@ import pytest
 
 from marketclear import fbsde
 from marketclear.errors import BudgetError, SolverError, ValidationError
-from marketclear.fbsde import DirectSolver, FbsdeSystem, residual, solve_direct
+from marketclear.fbsde import DirectSolver, FbsdeSystem, residual
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_minor_clearing)
 from marketclear.scenario import TimeGrid, build_lattice, constant_field
@@ -39,23 +39,23 @@ def one_step_system(g_leaves, bb=0.0, horizon=1.0, Afb=0.0, G=0.0):
 def test_cond_expect_martingale_identity() -> None:
     lat = build_lattice(TimeGrid(1.0, 1), d0=1)
     assert lat.cond_expect(np.array([[3.0], [3.0]]), 0)[0, 0] == pytest.approx(3.0)
-    sol = solve_direct(one_step_system([3.0, 3.0]))
-    assert sol.backward[0, 0] == pytest.approx(3.0)
-    assert np.allclose(sol.deviations, 0.0)
+    sol = DirectSolver(one_step_system([3.0, 3.0])).solve()
+    assert sol.field("y")[0, 0] == pytest.approx(3.0)
+    assert np.allclose(sol.deviations(), 0.0)
 
 
 def test_cond_expect_two_point_mean() -> None:
     lat = build_lattice(TimeGrid(1.0, 1), d0=1)
     assert lat.cond_expect(np.array([[2.0], [0.0]]), 0)[0, 0] == pytest.approx(1.0)
-    sol = solve_direct(one_step_system([2.0, 0.0]))
+    sol = DirectSolver(one_step_system([2.0, 0.0])).solve()
     assert sol.pre("y")[0, 0] == pytest.approx(1.0)
-    assert sol.deviations[1:, 0] == pytest.approx([1.0, -1.0])
-    assert lat.cond_expect(sol.deviations[1:], 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert sol.deviations()[1:, 0] == pytest.approx([1.0, -1.0])
+    assert lat.cond_expect(sol.deviations()[1:], 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_direct_driver_contribution() -> None:
-    sol = solve_direct(one_step_system([2.0, 0.0], bb=3.0, horizon=0.1))
-    assert sol.backward[0, 0] == pytest.approx(1.3)
+    sol = DirectSolver(one_step_system([2.0, 0.0], bb=3.0, horizon=0.1)).solve()
+    assert sol.field("y")[0, 0] == pytest.approx(1.3)
 
 
 # -- direct solve ---------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_zero_model_solves_to_zero() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     zero = make_spec(Dimensions(1, 1, 0, 2), delta=0.0,
                      xi_law=DiscreteLaw.point([0.0]), chi0=[0.0])
-    sol = solve_direct(full_system(zero, lat))
+    sol = DirectSolver(full_system(zero, lat)).solve()
     assert np.max(np.abs(sol.forward)) == pytest.approx(0.0, abs=1e-14)
     assert np.max(np.abs(sol.backward)) == pytest.approx(0.0, abs=1e-14)
 
@@ -105,8 +105,8 @@ def test_direct_residual_below_tolerance() -> None:
     spec = scalar_market_spec()
     lat = build_lattice(TimeGrid(1.0, 4), d0=1)
     system = full_system(spec, lat, assignments=[0, 1])
-    sol = solve_direct(system)
-    diag = residual(system, sol)
+    sol = DirectSolver(system).solve()
+    (diag,) = residual(system, sol)
     assert diag.max_equation_residual <= 1e-10
 
 
@@ -116,10 +116,12 @@ def test_residual_detects_tampering() -> None:
                      xi_law=DiscreteLaw.point([0.0]))
     lat = build_lattice(TimeGrid(1.0, 2), d0=1)
     system = full_system(zero, lat)
-    sol = solve_direct(system)
-    assert residual(system, sol).max_equation_residual == pytest.approx(0.0, abs=1e-14)
-    sol.backward[3, system.backward_slices["Y0"]] += 1.0
-    assert residual(system, sol).max_equation_residual >= 0.5
+    sol = DirectSolver(system).solve()
+    (diag,) = residual(system, sol)
+    assert diag.max_equation_residual == pytest.approx(0.0, abs=1e-14)
+    sol.backward[3, 0, system.backward_slices["Y0"]] += 1.0
+    (diag,) = residual(system, sol)
+    assert diag.max_equation_residual >= 0.5 and not diag.converged
 
 
 def test_singular_level_system_raises_solver_error() -> None:
@@ -156,7 +158,7 @@ def test_factor_budget_counts_every_flow_of_a_batch(monkeypatch) -> None:
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES",
                         fbsde.sweep_floats(lat, system.mf, system.mb, 2) * 8)
     solver = DirectSolver(system)
-    assert len(solver.solve(af=np.repeat(system.af, 2, axis=1))) == 2
+    assert len(solver.solve(af=np.repeat(system.af, 2, axis=1)).diagnostics) == 2
     with pytest.raises(BudgetError):
         solver.solve(af=np.repeat(system.af, 3, axis=1))
 
@@ -171,8 +173,8 @@ def test_resolve_reuses_the_matrix_pass(monkeypatch) -> None:
     solver = DirectSolver(system)
     assert len(calls) == lat.steps
     calls.clear()
-    (own,) = solver.solve()
-    (shifted,) = solver.solve(af=system.af + 1.0)
+    own = solver.solve()
+    shifted = solver.solve(af=system.af + 1.0)
     assert calls == []
     assert not np.array_equal(own.forward, shifted.forward)
 
@@ -191,10 +193,11 @@ def test_flow_counts_must_agree() -> None:
 
 def test_family_is_not_solved_one_system_at_a_time() -> None:
     system = one_step_system([0.0, 0.0])
-    pair = replace(system, g=np.zeros((2, 2, 1)))
-    with pytest.raises(ValidationError, match="family of 2"):
-        solve_direct(pair)
-    assert len(DirectSolver(pair).solve()) == 2
+    # one solve returns every flow of the family, each read by its index
+    pair = replace(system, g=np.array([[[0.0], [1.0]], [[0.0], [1.0]]]))
+    family = DirectSolver(pair).solve()
+    assert family.forward.shape[1] == len(family.diagnostics) == 2
+    assert family.field("y", 0)[0, 0] == 0.0 and family.field("y", 1)[0, 0] == 1.0
 
 
 # -- martingale structure ---------------------------------------------------------
@@ -203,11 +206,11 @@ def test_family_is_not_solved_one_system_at_a_time() -> None:
 def test_deviations_have_zero_conditional_mean() -> None:
     spec = scalar_market_spec(delta=0.4)
     lat = build_lattice(TimeGrid(1.0, 4), d0=1)
-    sol = solve_direct(full_system(spec, lat, assignments=[0, 1]))
+    sol = DirectSolver(full_system(spec, lat, assignments=[0, 1])).solve()
     for k in range(1, lat.steps + 1):
         lo, hi = lat.level_range(k)
         m = lat.nodes_at(k - 1)
-        dev = sol.deviations[lo:hi].reshape(m, lat.fanout, -1)
+        dev = sol.deviations()[lo:hi].reshape(m, lat.fanout, -1)
         weighted = (dev * lat.child_probs[None, :, None]).sum(axis=1)
         assert np.max(np.abs(weighted)) <= 1e-12
 

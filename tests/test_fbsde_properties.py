@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import sweep_oracle
 from marketclear.errors import ValidationError
-from marketclear.fbsde import DirectSolver, FbsdeSystem, solve_direct
+from marketclear.fbsde import DirectSolver, FbsdeSystem
 from marketclear.scenario import TimeGrid, build_lattice
 
 MAX_NODES = 100
@@ -126,11 +126,11 @@ def test_sweep_matches_dense_node_by_node_solve(case) -> None:
     lat, rng, blocks = lattice_and_blocks(case)
     system = make_system(lat, blocks, random_constants(rng, lat, case["mf"], case["mb"],
                                                        case["shared"]))
-    sol = solve_direct(system)
+    sol = DirectSolver(system).solve()
     uf, ub = dense_solve(system)
     scale = max(1.0, float(np.max(np.abs(uf))), float(np.max(np.abs(ub))))
-    assert np.max(np.abs(sol.forward - uf)) <= 1e-10 * scale
-    assert np.max(np.abs(sol.backward - ub)) <= 1e-10 * scale
+    assert np.max(np.abs(sol.forward[:, 0] - uf)) <= 1e-10 * scale
+    assert np.max(np.abs(sol.backward[:, 0] - ub)) <= 1e-10 * scale
 
 
 @SETTINGS
@@ -140,8 +140,8 @@ def test_resolve_of_sibling_equals_fresh_solve(case) -> None:
     mf, mb, shared = case["mf"], case["mb"], case["shared"]
     solver = DirectSolver(make_system(lat, blocks, random_constants(rng, lat, mf, mb, shared)))
     sibling = random_constants(rng, lat, mf, mb, shared)
-    (resolved,) = solver.solve(**sibling)
-    fresh = solve_direct(make_system(lat, blocks, sibling))
+    resolved = solver.solve(**sibling)
+    fresh = DirectSolver(make_system(lat, blocks, sibling)).solve()
     assert np.array_equal(resolved.forward, fresh.forward)
     assert np.array_equal(resolved.backward, fresh.backward)
 
@@ -195,7 +195,7 @@ def test_whole_tree_pre_driver_pass_matches_the_level_loop(branching, d0, K, B, 
     # level-by-level forms bit for bit, on flows-first (nodes, B, dim) states
     from types import SimpleNamespace
 
-    from marketclear.fbsde import NodeSolution, _pre
+    from marketclear.fbsde import FamilySolution, _pre
     lat = build_lattice(TimeGrid(1.0, K), d0=d0, branching=branching)
     assume(lat.num_nodes <= MAX_NODES)
     ub = np.random.default_rng(seed).standard_normal((B, lat.num_nodes, dim)).transpose(1, 0, 2)
@@ -209,7 +209,7 @@ def test_whole_tree_pre_driver_pass_matches_the_level_loop(branching, d0, K, B, 
         assert np.array_equal(lat.cond_expect(ub[clo:chi], k), pre[lo:hi])
         dev[clo:chi] = ub[clo:chi] - lat.repeat_to_children(pre[lo:hi])
     assert np.array_equal(_pre(lat, ub), pre)
+    family = FamilySolution(system=SimpleNamespace(lattice=lat), forward=None,
+                            backward=ub, backward_pre=pre, diagnostics=[])
     for b in range(B):
-        sol = NodeSolution(system=SimpleNamespace(lattice=lat), forward=None,
-                           backward=ub[:, b], backward_pre=pre[:, b], diagnostics=None)
-        assert np.array_equal(sol.deviations, dev[:, b])
+        assert np.array_equal(family.deviations(b), dev[:, b])

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from marketclear.errors import AssumptionViolationError, BudgetError, ValidationError
-from marketclear.fbsde import solve_direct
+from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (ClearingOperator, MarketContext,
-                                       build_clearing_system, clearing_residual,
+                                       build_clearing_system, build_deviation_system,
+                                       clearing_residual,
                                        cost_classes, make_population,
                                        minor_best_response,
                                        solve_full_equilibrium,
@@ -116,7 +119,7 @@ def test_homogeneous_best_response_is_one_class_system() -> None:
     br = minor_best_response(spec, lat, price, pop, ctx=ctx)
     assert br.solution.system.mf == br.solution.system.mb == dims.n
     (family,) = br.deviations
-    assert len(family) == 8 and family.system.mf == dims.n
+    assert len(family.diagnostics) == 8 and family.system.mf == dims.n
 
 
 @pytest.mark.parametrize("shape", [(2,), ()])
@@ -276,6 +279,27 @@ def test_maturity_terminal_values_are_exact_for_any_class_weights() -> None:
         assert np.array_equal(eq.group_field("Y", g)[tsl], -ctx.exo.c0[tsl])
 
 
+def test_cost_class_keeps_equal_tables_exactly() -> None:
+    # class weights 1/7, 2/7 and 4/7: the groups hold equal constant tables in
+    # separate arrays, and a re-weighted mean of them would be off by
+    # round-off, so the class mean is each group's table and the deviation
+    # family has no source
+    dims = Dimensions(1, 1, 0, 7)
+    spec = make_spec(dims, xi_law=DiscreteLaw(np.array([[0.0], [1.0], [2.0]]), np.ones(3) / 3),
+                     minor=MinorBundle.build(dims, hf=0.3, l=0.1, sigma0=0.2))
+    lat = tree(4)
+    ctx = MarketContext(spec, lat)
+    pop = make_population(spec, ctx.atoms, assignments=[0, 1, 1, 2, 2, 2, 2])
+    tabs = ctx.group_tables(pop)
+    (mean,) = cost_classes(tabs, pop.weights).tables
+    assert all(t.hf is not tabs[0].hf for t in tabs[1:])
+    for t in tabs:
+        for name in ("l", "sig0", "hf", "hg_T"):
+            assert np.array_equal(getattr(mean, name), getattr(t, name)), name
+    system = build_deviation_system(ctx, tabs, mean)
+    assert not system.bb.any() and not system.af.any() and not system.S.any()
+
+
 def test_maturity_results_independent_of_discount() -> None:
     vals = []
     for delta in (0.1, 0.7):
@@ -417,7 +441,7 @@ def test_clearing_operator_reuses_factorization() -> None:
     op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     b = np.full((lat.num_nodes, 1), 0.25)
     b[lat.terminal_slice] = 0.0
-    (sol_op,), (phi_op,) = op.solve(b[None])
+    sol_op, (phi_op,) = op.solve(b[None])
     eq = solve_minor_clearing(spec, lat, NodeField(lat, 2 * b), pop, ctx=ctx)
     assert np.max(np.abs(phi_op - eq.price.values)) <= 1e-11
     assert np.max(np.abs(sol_op.field("Y0") - eq.group_field("Y", 0))) <= 1e-11
@@ -440,13 +464,12 @@ def test_clearing_operator_bit_equal_to_fresh_solve(spec, K, assignments) -> Non
     rng = np.random.default_rng(11)
     flows = rng.normal(size=(4, lat.num_nodes, spec.dims.n))
     flows[:, lat.terminal_slice] = 0.0
-    sols, _ = op.solve(flows)
-    for b, sol in zip(flows, sols):
-        fresh = solve_direct(build_clearing_system(ctx, tabs, pop.weights, b))
-        assert np.array_equal(sol.forward, fresh.forward)
-        assert np.array_equal(sol.backward, fresh.backward)
-        assert np.array_equal(sol.backward_pre, fresh.backward_pre)
-        assert sol.diagnostics.to_dict() == fresh.diagnostics.to_dict()
+    family, _ = op.solve(flows)
+    for j, b in enumerate(flows):
+        fresh = DirectSolver(build_clearing_system(ctx, tabs, pop.weights, b)).solve()
+        for name in ("forward", "backward", "backward_pre"):
+            assert np.array_equal(getattr(family, name)[:, j], getattr(fresh, name)[:, 0])
+        assert asdict(family.diagnostics[j]) == asdict(fresh.diagnostics[0])
 
 
 def test_clearing_operator_batch_equals_fresh_minor_clearing() -> None:
@@ -460,12 +483,14 @@ def test_clearing_operator_batch_equals_fresh_minor_clearing() -> None:
     op = ClearingOperator(ctx, classes.tables, classes.weights)
     betas = np.random.default_rng(5).normal(size=(3, lat.num_nodes, 1))
     betas[:, lat.terminal_slice] = 0.0
-    sols, phis = op.solve(betas / pop.N)
-    for beta, sol, phi in zip(betas, sols, phis):
+    family, phis = op.solve(betas / pop.N)
+    for j, (beta, phi) in enumerate(zip(betas, phis)):
         eq = solve_minor_clearing(spec, lat, NodeField(lat, beta), pop, ctx=ctx)
-        for name in ("forward", "backward", "backward_pre", "deviations"):
-            assert np.array_equal(getattr(sol, name), getattr(eq.solution, name)), name
-        assert sol.diagnostics.to_dict() == eq.solution.diagnostics.to_dict()
+        for name in ("forward", "backward", "backward_pre"):
+            assert np.array_equal(getattr(family, name)[:, j],
+                                  getattr(eq.solution, name)[:, 0]), name
+        assert np.array_equal(family.deviations(j), eq.solution.deviations())
+        assert asdict(family.diagnostics[j]) == asdict(eq.solution.diagnostics[0])
         assert np.array_equal(phi, eq.price.values)
 
 
@@ -531,5 +556,5 @@ def test_homogeneous_groups_solve_one_class_system() -> None:
     assert pop.size == 8
     assert eq.solution.system.mf == eq.solution.system.mb == 3 * dims.n
     (family,) = eq.deviations
-    assert len(family) == 8
+    assert len(family.diagnostics) == 8
     assert eq.clearing_residual <= 1e-12

@@ -86,8 +86,8 @@ def test_deviation_fields_average_to_zero(small_tree) -> None:
     mf = solve_mfg(spec, small_tree)
     w = mf.ctx.atoms.weights
     (family,) = mf.deviations  # the limit's one class: one flow per atom
-    dx = sum(w[a] * family[a].field("dx") for a in range(len(w)))
-    dy = sum(w[a] * family[a].field("dy") for a in range(len(w)))
+    dx = sum(w[a] * family.field("dx", a) for a in range(len(w)))
+    dy = sum(w[a] * family.field("dy", a) for a in range(len(w)))
     assert np.max(np.abs(dx)) <= 1e-12
     assert np.max(np.abs(dy)) <= 1e-12
 
@@ -197,6 +197,6 @@ def test_mean_clearing_operator_matches_full_limit(small_tree) -> None:
     mf = solve_mfg(spec, small_tree)
     classes = limit_classes(mf.ctx)
     op = ClearingOperator(mf.ctx, classes.tables, classes.weights)
-    (sol,), (phi,) = op.solve(mf.beta_hat.values[None])
+    sol, (phi,) = op.solve(mf.beta_hat.values[None])
     assert np.max(np.abs(phi - mf.price_mfg.values)) <= 1e-11
     assert np.max(np.abs(sol.field("Y0") - mf.common_field("ybar"))) <= 1e-11

@@ -255,7 +255,7 @@ def test_study_solves_the_atom_basis_once(monkeypatch) -> None:
     # the limit's own solves plus one matrix pass and one batch of A = 3 systems
     assert len(passes) - mfg_passes == mfg_passes + 1
     assert len(batches) - mfg_batches == mfg_batches + 1
-    assert len(batches[-1]) == 3
+    assert len(batches[-1].diagnostics) == 3
 
 
 def test_maturity_study_has_no_terminal_distance() -> None:

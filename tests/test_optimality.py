@@ -114,7 +114,7 @@ def test_cost_at_equilibrium_flow_matches_reports() -> None:
     eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
     op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     # the re-solve path must reproduce the coupled solve's own fields
-    (sol,), (phi,) = op.solve(eq.beta_norm.values[None])
+    sol, (phi,) = op.solve(eq.beta_norm.values[None])
     assert np.max(np.abs(phi - eq.price.values)) <= 1e-8
     for g in range(pop.size):
         assert np.max(np.abs(sol.field(f"Y{g}") - eq.group_field("Y", g))) <= 1e-8
