@@ -25,8 +25,7 @@ from .model import (AssumptionReport, CallableMajorCost, CoefficientSpec,
                     QuadraticMajorCost, check_all_assumptions,
                     check_major_assumptions, check_minor_assumptions, make_spec)
 from .modelfile import load_model, loads_model
-from .optimality import (PerturbationReport, cost_major, cost_mfg, cost_minor,
-                         perturbation_test, perturbation_tests)
+from .optimality import PerturbationReport, cost_major, cost_mfg, cost_minor, perturbation_tests
 from .runio import write_lattice_csv
 from .scenario import (IdiosyncraticAtoms, NodeField, NoiseLattice, TimeGrid,
                        build_lattice, constant_field, evaluate_exogenous,

@@ -207,15 +207,19 @@ def cmd_check(cfg) -> int:
 
 
 def _checked_solve(cfg, solve):
+    """Run ``solve`` on the command's market context once its model passes the checks.
+
+    Returns the exit code and the result (None unless the code is ``EXIT_OK``).
+    """
     spec, lattice = _load(cfg)
     report = check_all_assumptions(spec)
     if not report.all_passed and not cfg.get("force"):
         print("assumption checks failed (use --force to attempt a solve anyway):")
         for failure in report.failures:
             print(f"  - {failure}")
-        return EXIT_ASSUMPTIONS, None, None, None
+        return EXIT_ASSUMPTIONS, None
     try:
-        result = solve(spec, lattice)
+        result = solve(MarketContext(spec, lattice))
     except (SolverError, BudgetError) as exc:
         out = _out_dir(cfg)
         diagnostics = getattr(exc, "diagnostics", None)
@@ -224,17 +228,16 @@ def _checked_solve(cfg, solve):
             payload["diagnostics"] = asdict(diagnostics)
         write_json(payload, out / "solver_failure.json")
         print(f"solver failure: {exc}")
-        return EXIT_SOLVER, None, None, None
-    return EXIT_OK, spec, lattice, result
+        return EXIT_SOLVER, None
+    return EXIT_OK, result
 
 
 def cmd_solve_n(cfg) -> int:
-    def solve(spec, lattice):
-        ctx = MarketContext(spec, lattice)
-        pop = make_population(spec, ctx.atoms, N=cfg.get("n_agents"), seed=cfg["seed"])
-        return solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+    def solve(ctx):
+        pop = make_population(ctx, N=cfg.get("n_agents"), seed=cfg["seed"])
+        return solve_full_equilibrium(ctx, pop, check=False)
 
-    code, spec, lattice, eq = _checked_solve(cfg, solve)
+    code, eq = _checked_solve(cfg, solve)
     if code != EXIT_OK:
         return code
     out = _out_dir(cfg)
@@ -246,10 +249,7 @@ def cmd_solve_n(cfg) -> int:
 
 
 def cmd_solve_mfg(cfg) -> int:
-    def solve(spec, lattice):
-        return solve_mfg(spec, lattice, check=False)
-
-    code, spec, lattice, mf = _checked_solve(cfg, solve)
+    code, mf = _checked_solve(cfg, lambda ctx: solve_mfg(ctx, check=False))
     if code != EXIT_OK:
         return code
     out = _out_dir(cfg)
@@ -267,11 +267,10 @@ def cmd_converge(cfg) -> int:
     except ValueError:
         raise UsageError(f"--n-list must be comma-separated integers, got {text!r}") from None
 
-    def solve(spec, lattice):
-        return convergence_study(spec, lattice, n_list, int(cfg.get("resamples", 64)),
-                                 cfg["seed"])
+    def solve(ctx):
+        return convergence_study(ctx, n_list, int(cfg.get("resamples", 64)), cfg["seed"])
 
-    code, spec, lattice, report = _checked_solve(cfg, solve)
+    code, report = _checked_solve(cfg, solve)
     if code != EXIT_OK:
         return code
     out = _out_dir(cfg)
@@ -290,14 +289,12 @@ def cmd_verify(cfg) -> int:
     levels = (["minor", "major-N", "major-mfg"] if cfg.get("level", "all") == "all"
               else [cfg["level"]])
 
-    def solve(spec, lattice):
-        ctx = MarketContext(spec, lattice)
-        pop = make_population(spec, ctx.atoms, N=cfg.get("n_agents"), seed=cfg["seed"])
-        return perturbation_tests(spec, lattice, levels,
-                                  directions=int(cfg.get("directions", 20)),
-                                  seed=cfg["seed"], population=pop, ctx=ctx)
+    def solve(ctx):
+        pop = make_population(ctx, N=cfg.get("n_agents"), seed=cfg["seed"])
+        return perturbation_tests(ctx, levels, directions=int(cfg.get("directions", 20)),
+                                  seed=cfg["seed"], population=pop)
 
-    code, spec, lattice, reports = _checked_solve(cfg, solve)
+    code, reports = _checked_solve(cfg, solve)
     if code != EXIT_OK:
         return code
     out = _out_dir(cfg)

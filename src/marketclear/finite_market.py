@@ -15,6 +15,11 @@ flow term (``build_deviation_system``), so each class's groups are one
 family; their R/P deviations have no source and vanish.  ``ClassSolution``
 reads a group's fields off the class solve and its family.  The population
 limit (``mean_field``) is the same path on the atoms.
+
+A market is one ``MarketContext``: the model's coefficients on one lattice.
+``make_population`` and every solver take it first, and read the model and
+the lattice from it alone; a price or flow handed to a solver must be an
+(nodes, n) field of its lattice (``ValidationError`` otherwise).
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from .errors import AssumptionViolationError, SolverError, ValidationError
 from .fbsde import (DirectSolver, FamilySolution, FbsdeSystem, SolveDiagnostics,
                     check_factor_budget, residual, sweep_floats)
 from .model import ModelSpec, check_all_assumptions, secant_curvatures
-from .scenario import (IdiosyncraticAtoms, NodeField, NoiseLattice, apply_block,
-                       evaluate_exogenous, idiosyncratic_atoms, level_table,
-                       sample_idiosyncratic)
+from .scenario import (NodeField, NoiseLattice, apply_block, evaluate_exogenous,
+                       idiosyncratic_atoms, level_table, sample_idiosyncratic)
 
 
 @dataclass(frozen=True)
@@ -61,13 +65,14 @@ class AgentPopulation:
         return len(self.groups)
 
 
-def make_population(spec: ModelSpec, atoms: IdiosyncraticAtoms, N: int | None = None,
-                    seed: int = 0, assignments: np.ndarray | None = None) -> AgentPopulation:
-    """Draw (or accept) atom assignments and collapse identical agents.
+def make_population(ctx: MarketContext, N: int | None = None, seed: int = 0,
+                    assignments: np.ndarray | None = None) -> AgentPopulation:
+    """Draw (or accept) the agents' atom assignments in ``ctx`` and collapse identical agents.
 
     Homogeneous specs collapse agents by atom; heterogeneous specs keep one
     group per agent since their coefficient bundles differ.
     """
+    spec, A = ctx.spec, ctx.atoms.count
     N = N if N is not None else spec.dims.N
     if N < 1:
         raise ValidationError(f"a market needs at least one agent, got {N}")
@@ -76,10 +81,13 @@ def make_population(spec: ModelSpec, atoms: IdiosyncraticAtoms, N: int | None = 
             f"the model gives each of its {len(spec.minor)} agents its own coefficient "
             f"bundle, so its market has {len(spec.minor)} agents, not {N}")
     if assignments is None:
-        assignments = sample_idiosyncratic(atoms, N, seed)
+        assignments = sample_idiosyncratic(ctx.atoms, N, seed)
     assignments = np.asarray(assignments, dtype=np.int64)
     if len(assignments) != N:
         raise ValidationError("one atom assignment per agent is required")
+    if not 0 <= assignments.min() <= assignments.max() < A:
+        i = int(np.argmax((assignments < 0) | (assignments >= A)))
+        raise ValidationError(f"agent {i} is assigned atom {assignments[i]}, outside [0, {A})")
     if spec.homogeneous:
         drawn, first, inverse, counts = np.unique(assignments, return_index=True,
                                                   return_inverse=True, return_counts=True)
@@ -666,11 +674,27 @@ def _solve_full_system(ctx: MarketContext, system: FbsdeSystem) -> FamilySolutio
     return family
 
 
-def _validate_beta(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField):
-    if beta.values.shape != (lattice.num_nodes, spec.dims.n):
-        raise ValidationError("beta must be an n-vector node field on this lattice")
-    if not spec.maturity_mode:
-        term = beta.values[lattice.terminal_slice]
+def _check_node_field(ctx: MarketContext, name: str, values: np.ndarray,
+                      lattice: NoiseLattice | None = None):
+    """Refuse ``values`` unless they are (nodes, n) on ``ctx``'s lattice.
+
+    ``lattice`` is the one a ``NodeField`` lives on; it must have the
+    signature of ``ctx.lattice``.
+    """
+    lat = ctx.lattice
+    if ((lattice is not None and lattice.signature() != lat.signature())
+            or np.shape(values) != (lat.num_nodes, ctx.spec.dims.n)):
+        raise ValidationError(f"{name} must be an n-vector node field on this lattice")
+
+
+def _validate_beta(ctx: MarketContext, beta: NodeField):
+    """Refuse a major flow that is not a node field of ``ctx`` vanishing on the leaves.
+
+    In maturity mode the flow may take any value on the leaves.
+    """
+    _check_node_field(ctx, "beta", beta.values, beta.lattice)
+    if not ctx.spec.maturity_mode:
+        term = beta.values[ctx.lattice.terminal_slice]
         if np.max(np.abs(term), initial=0.0) > 1e-14:
             raise ValidationError("beta must vanish on terminal nodes (no last-instant flow)")
 
@@ -684,9 +708,8 @@ class BestResponse(ClassSolution):
     alpha_hat: list[np.ndarray]  # one (num_nodes, n) array per agent group
 
 
-def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
-                        population: AgentPopulation | None = None, *,
-                        ctx: MarketContext | None = None) -> BestResponse:
+def minor_best_response(ctx: MarketContext, price: NodeField,
+                        population: AgentPopulation | None = None) -> BestResponse:
     """Per-agent optimal responses to an exogenous adapted price field.
 
     The class means respond to the price and each class's groups deviate from
@@ -694,13 +717,11 @@ def minor_best_response(spec: ModelSpec, lattice: NoiseLattice, price: NodeField
     the deviations do not see it); the trading rates are
     alpha_g = -lam^{-1}(Y~_g + price).
     """
-    if price.values.shape != (lattice.num_nodes, spec.dims.n):
-        raise ValidationError("the price must be an n-vector node field on this lattice")
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    pop = population if population is not None else make_population(spec, ctx.atoms)
+    _check_node_field(ctx, "the price", price.values, price.lattice)
+    pop = population if population is not None else make_population(ctx)
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     br = BestResponse(
-        spec=spec, lattice=lattice, population=pop, classes=classes,
+        spec=ctx.spec, lattice=ctx.lattice, population=pop, classes=classes,
         solution=DirectSolver(build_best_response_system(ctx, classes.tables,
                                                          price.values)).solve(),
         deviations=solve_deviations(ctx, classes), price=price, alpha_hat=[])
@@ -723,25 +744,24 @@ def _equilibrium(ctx: MarketContext, pop: AgentPopulation, classes: CostClasses,
     return eq
 
 
-def solve_minor_clearing(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField,
+def solve_minor_clearing(ctx: MarketContext, beta: NodeField,
                          population: AgentPopulation | None = None, *,
-                         ctx: MarketContext | None = None,
                          check: bool = True, force: bool = False) -> EquilibriumSolution:
     """Clear the market for a given major flow (no major optimization).
 
     ``beta`` is the unnormalized flow of the major trader; the induced price
     is  -m(Y~) + lam * beta/N  on interior nodes and -m(Y) at the horizon.
     """
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    pop = population if population is not None else make_population(spec, ctx.atoms)
-    _validate_beta(spec, lattice, beta)
+    pop = population if population is not None else make_population(ctx)
+    _validate_beta(ctx, beta)
     if check:
-        _run_checks(spec, force, minor_only=True)
+        _run_checks(ctx.spec, force, minor_only=True)
     beta_norm = beta.values / pop.N
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     sol, (phi,) = ClearingOperator(ctx, classes.tables, classes.weights).solve(beta_norm[None])
     return _equilibrium(ctx, pop, classes, sol, phi, beta.values.copy(), beta_norm,
-                        integrate_forward(lattice, spec.chi0, beta_norm + ctx.l0, ctx.s0))
+                        integrate_forward(ctx.lattice, ctx.spec.chi0, beta_norm + ctx.l0,
+                                          ctx.s0))
 
 
 def solve_class_system(ctx: MarketContext,
@@ -752,9 +772,7 @@ def solve_class_system(ctx: MarketContext,
     return family, b[:, 0], phi[:, 0]
 
 
-def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
-                           population: AgentPopulation | None = None, *,
-                           ctx: MarketContext | None = None,
+def solve_full_equilibrium(ctx: MarketContext, population: AgentPopulation | None = None, *,
                            check: bool = True, force: bool = False) -> EquilibriumSolution:
     """Solve the coupled market with the major trader's flow chosen optimally.
 
@@ -765,10 +783,9 @@ def solve_full_equilibrium(spec: ModelSpec, lattice: NoiseLattice,
         b   = V0bar (-p0~ + m(Y~) + m(P~)),     beta = N b,  beta(T) = 0
         phi = -m(Y~) + lam b                     (and -m(Y) at the horizon).
     """
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    pop = population if population is not None else make_population(spec, ctx.atoms)
+    pop = population if population is not None else make_population(ctx)
     if check:
-        _run_checks(spec, force)
+        _run_checks(ctx.spec, force)
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     family, b, phi = solve_class_system(ctx, classes)
     return _equilibrium(ctx, pop, classes, family, phi, pop.N * b, b, None)

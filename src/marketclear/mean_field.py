@@ -8,7 +8,8 @@ one group carrying the atom-averaged tables, and the per-atom deviations are
 its deviation family.  The flow costates (rbar, pbar) have no idiosyncratic
 source, so the per-atom flow fields equal the means.  ``MfgSolution`` reads
 the atoms through ``ClassSolution``, the container of every market solved on
-cost classes.
+cost classes.  ``solve_mfg`` takes the homogeneous market's ``MarketContext``,
+as every finite-market solver does.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 from .errors import UnsupportedModelError, ValidationError
 from .finite_market import (ClassSolution, CostClasses, MarketContext, _run_checks,
                             cost_classes, solve_class_system, solve_deviations)
-from .model import ModelSpec
-from .scenario import NodeField, NoiseLattice, apply_block
+from .scenario import NodeField, apply_block
 
 
 def limit_classes(ctx: MarketContext) -> CostClasses:
@@ -67,9 +67,7 @@ class MfgSolution(ClassSolution):
                          for a, t in enumerate(self.classes.groups)])
 
 
-def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
-              ctx: MarketContext | None = None,
-              check: bool = True, force: bool = False) -> MfgSolution:
+def solve_mfg(ctx: MarketContext, *, check: bool = True, force: bool = False) -> MfgSolution:
     """Solve the population-limit equilibrium: the class means, then the atom deviations.
 
     The flow and the price are those of the class system, common-lattice
@@ -80,12 +78,10 @@ def solve_mfg(spec: ModelSpec, lattice: NoiseLattice, *,
 
     and every idiosyncratic deviation field has atom-weighted mean zero.
     """
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
     if check:
-        _run_checks(spec, force)
+        _run_checks(ctx.spec, force)
     classes = limit_classes(ctx)
     family, b, phi = solve_class_system(ctx, classes)
-    return MfgSolution(spec=spec, lattice=lattice, ctx=ctx, solution=family,
+    return MfgSolution(spec=ctx.spec, lattice=ctx.lattice, ctx=ctx, solution=family,
                        classes=classes, deviations=solve_deviations(ctx, classes),
-                       beta_hat=NodeField(lattice, b),
-                       price_mfg=NodeField(lattice, phi))
+                       beta_hat=NodeField(ctx.lattice, b), price_mfg=NodeField(ctx.lattice, phi))

@@ -15,7 +15,9 @@ weightings of the same atom values at every node, so a node's interval
 structure depends on its values only through their sort order: the nodes
 are sorted and grouped by order once per study, and each count row builds
 one structure per order.  All agents' draws of all rows come from one
-vectorised pass over their Philox streams.
+vectorised pass over their Philox streams.  The study takes the homogeneous
+market's ``MarketContext``; ``stability_gap`` compares two models on one
+lattice and builds both contexts itself.
 """
 
 from __future__ import annotations
@@ -421,10 +423,9 @@ def _weight_gap(prices: np.ndarray, dw: np.ndarray, lattice: NoiseLattice) -> fl
     return lattice.running_expectation(squared_norms(d))
 
 
-def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
-                      resamples: int, seed: int, *,
-                      ctx: MarketContext | None = None) -> ConvergenceReport:
-    """Measure the finite-population price gap and its distance-term bound.
+def convergence_study(ctx: MarketContext, n_list, resamples: int,
+                      seed: int) -> ConvergenceReport:
+    """Measure the finite-population price gap of ``ctx``'s market and its distance-term bound.
 
     For each population size and resample the initial positions are redrawn
     and the squared price gap of the homogeneous finite market to the
@@ -433,8 +434,9 @@ def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
     so its price is the count-weighted average of the atom prices of
     ``_atom_prices``, and the study solves A systems whatever its size.
     ``expected_price_gap`` is the exact multinomial mean of the gap,
-    ``sum_a w_a gap(price_a, price_mfg) / N``.
+    ``sum_a w_a gap(price_a, price_mfg) / N``.  The sizes must be distinct.
     """
+    spec, lattice = ctx.spec, ctx.lattice
     if not spec.homogeneous:
         raise UnsupportedModelError("the convergence study needs a homogeneous population")
     if not spec.major_cost.affine:  # atom prices mix linearly for an affine cost only
@@ -442,12 +444,13 @@ def convergence_study(spec: ModelSpec, lattice: NoiseLattice, n_list,
     n_list = [int(N) for N in n_list]
     if not n_list or min(n_list) < 1:
         raise ValidationError("population sizes must be at least 1")
+    if len(set(n_list)) != len(n_list):
+        raise ValidationError(f"population sizes must be distinct, got {n_list}")
     if resamples < 1:
         raise ValidationError("the study needs at least one resample")
     if max(n_list) > AGENT_BUDGET:
         raise BudgetError(f"population sizes beyond {AGENT_BUDGET} are not supported")
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
+    mf = solve_mfg(ctx, check=False)
     ref = _ReferenceClouds(mf)
     prices = _atom_prices(ctx)
     A = ctx.atoms.count
@@ -557,12 +560,12 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
     N = hetero_spec.dims.N
     if assignments is None:
         assignments = sample_idiosyncratic(ctx_ho.atoms, N, seed)
-    pop_he = make_population(hetero_spec, ctx_he.atoms, N=N, assignments=assignments)
-    pop_ho = make_population(homo_spec, ctx_ho.atoms, N=N, assignments=assignments)
+    pop_he = make_population(ctx_he, N=N, assignments=assignments)
+    pop_ho = make_population(ctx_ho, N=N, assignments=assignments)
 
-    mf = solve_mfg(homo_spec, lattice, ctx=ctx_ho, check=False)
-    eq_he = solve_full_equilibrium(hetero_spec, lattice, pop_he, ctx=ctx_he, check=False)
-    eq_ho = solve_full_equilibrium(homo_spec, lattice, pop_ho, ctx=ctx_ho, check=False)
+    mf = solve_mfg(ctx_ho, check=False)
+    eq_he = solve_full_equilibrium(ctx_he, pop_he, check=False)
+    eq_ho = solve_full_equilibrium(ctx_ho, pop_ho, check=False)
     lhs_he = price_gap(eq_he.price, mf.price_mfg, lattice)
     lhs_ho = price_gap(eq_ho.price, mf.price_mfg, lattice)
 

@@ -9,14 +9,17 @@ functionals the first-order coefficient vanishes to round-off and every
 cost change is nonnegative.
 
 The public cost functions (``cost_minor``, ``cost_major``, ``cost_mfg``)
-integrate the position and re-solve the clearing system for the control
-they are given.  The perturbation check solves and costs less: the clearing
-price is an affine function of the major flow (the flow enters the affine
-clearing system only through its forward drift, and the price is read off
-linearly) and a position is an affine function of the trading rate, so
-along one direction both lie on a line, and the cost, quadratic in the
-control and the responses, is a quadratic in the amplitude.  It solves the
-base control and each direction's end point once, takes the cost at the
+take the market's ``MarketContext`` and a price or control, each an (nodes,
+n) field of its lattice, a major flow vanishing on the leaves outside
+maturity mode (``ValidationError`` otherwise).  They integrate the position
+and re-solve the clearing system for the control they are given.  The
+perturbation check (``perturbation_tests``) solves and costs less: the
+clearing price is an affine function of the major flow (the flow enters the
+affine clearing system only through its forward drift, and the price is
+read off linearly) and a position is an affine function of the trading
+rate, so along one direction both lie on a line, and the cost, quadratic in
+the control and the responses, is a quadratic in the amplitude.  It solves
+the base control and each direction's end point once, takes the cost at the
 grid's two outer amplitudes on that line, and reads every inner amplitude
 off the quadratic through those two and zero; both steps are exact up to
 round-off.  The public cost functions stay the oracle of the whole chain.
@@ -30,10 +33,10 @@ import numpy as np
 
 from .errors import MarketClearError, UnsupportedModelError, ValidationError
 from .finite_market import (AgentPopulation, ClearingOperator, EquilibriumSolution,
-                            MarketContext, MinorTables, cost_classes, integrate_forward,
-                            make_population, solve_class_system, solve_full_equilibrium)
+                            MarketContext, MinorTables, _check_node_field, _validate_beta,
+                            cost_classes, integrate_forward, solve_class_system,
+                            solve_full_equilibrium)
 from .mean_field import limit_classes
-from .model import ModelSpec
 from .scenario import NodeField, NoiseLattice, squared_norms, stream_rng
 
 DEFAULT_EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
@@ -66,20 +69,20 @@ def _flows_first(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, 1, 0))
 
 
-def _positions(lattice: NoiseLattice, x0, rates: np.ndarray, offset: np.ndarray,
+def _positions(ctx: MarketContext, x0, rates: np.ndarray, offset: np.ndarray,
                loading: np.ndarray) -> np.ndarray:
     """(B, nodes, n) positions from ``x0`` under a (B, nodes, n) stack of trading rates.
 
     The drift is ``rates + offset``; the noise loading is shared by the flows.
     """
-    return _flows_first(integrate_forward(lattice, x0, np.moveaxis(rates + offset, 0, 1),
+    return _flows_first(integrate_forward(ctx.lattice, x0, np.moveaxis(rates + offset, 0, 1),
                                           loading))
 
 
-def _minor_costs(ctx: MarketContext, lattice: NoiseLattice, price: np.ndarray,
-                 alphas: np.ndarray, x: np.ndarray, tab: MinorTables) -> np.ndarray:
+def _minor_costs(ctx: MarketContext, price: np.ndarray, alphas: np.ndarray, x: np.ndarray,
+                 tab: MinorTables) -> np.ndarray:
     """``cost_minor`` of a (B, nodes, n) stack of trading rates and their positions ``x``."""
-    lat = lattice
+    lat = ctx.lattice
     running = (_dot(price, alphas)
                + _quad(alphas, ctx.exo.lam[lat.level_of])
                + _quad(x, tab.cf[lat.level_of])
@@ -92,44 +95,45 @@ def _minor_costs(ctx: MarketContext, lattice: NoiseLattice, price: np.ndarray,
     return _expected_costs(lat, running, terminal)
 
 
-def cost_minor(spec: ModelSpec, lattice: NoiseLattice, price: NodeField,
-               alpha: np.ndarray, *, bundle_index: int = 0, atom_index: int = 0,
-               ctx: MarketContext | None = None) -> float:
+def cost_minor(ctx: MarketContext, price: NodeField, alpha: np.ndarray, *,
+               bundle_index: int = 0, atom_index: int = 0) -> float:
     """Expected cost of one minor agent trading at rate ``alpha`` against ``price``.
 
     Running cost <phi, a> + .5 <a, lam a> + .5 <x, cf x> + <hf, x>; terminal
     cost -delta <phi_T, x> + .5 <x, cg x> + <hg, x>, which ``MarketContext``
     makes -<c0_T, x> when the securities mature.  The position is integrated
-    forward under ``alpha``.
+    forward under ``alpha``.  The price and the rate must be (nodes, n)
+    fields of ``ctx.lattice``.
     """
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
+    _check_node_field(ctx, "the price", price.values, price.lattice)
+    _check_node_field(ctx, "alpha", alpha)
     tab = ctx.minor_tables(bundle_index, atom_index)
     alphas = np.asarray(alpha, dtype=float)[None]
-    x = _positions(lattice, tab.xi, alphas, tab.l, tab.sig0)
-    return float(_minor_costs(ctx, lattice, price.values, alphas, x, tab)[0])
+    x = _positions(ctx, tab.xi, alphas, tab.l, tab.sig0)
+    return float(_minor_costs(ctx, price.values, alphas, x, tab)[0])
 
 
-def _major_response(spec: ModelSpec, ctx: MarketContext, lattice: NoiseLattice,
-                    operator: ClearingOperator, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _major_response(ctx: MarketContext, operator: ClearingOperator,
+                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clearing prices and major positions of a (B, nodes, n) stack of per-capita flows.
 
     The flows are cleared in one batched re-solve of ``operator``.
     """
-    if not spec.major_cost.affine:
+    if not ctx.spec.major_cost.affine:
         raise UnsupportedModelError(
             "cost evaluation needs the quadratic major cost primitives")
     _, phi = operator.solve(b)
-    return phi, _positions(lattice, spec.chi0, b, ctx.l0, ctx.s0)
+    return phi, _positions(ctx, ctx.spec.chi0, b, ctx.l0, ctx.s0)
 
 
-def _major_costs(ctx: MarketContext, lattice: NoiseLattice, b: np.ndarray,
-                 phi: np.ndarray, x0: np.ndarray) -> np.ndarray:
+def _major_costs(ctx: MarketContext, b: np.ndarray, phi: np.ndarray,
+                 x0: np.ndarray) -> np.ndarray:
     """Normalized major costs of a (B, nodes, n) stack of per-capita flows.
 
     ``phi`` and ``x0`` are each flow's induced prices and major positions
     (``_major_response``); the price enters the flow's running cost.
     """
-    lat = lattice
+    lat = ctx.lattice
     fbar = _quad(x0, ctx.c0f) + _dot(ctx.h0f, x0)
     running = (_dot(b, phi)
                + _quad(b, ctx.exo.lam0[lat.level_of])
@@ -139,38 +143,36 @@ def _major_costs(ctx: MarketContext, lattice: NoiseLattice, b: np.ndarray,
     return _expected_costs(lat, running, terminal)
 
 
-def cost_major(spec: ModelSpec, lattice: NoiseLattice, population: AgentPopulation,
-               beta: NodeField, *, operator: ClearingOperator | None = None,
-               ctx: MarketContext | None = None) -> float:
+def cost_major(ctx: MarketContext, population: AgentPopulation, beta: NodeField, *,
+               operator: ClearingOperator | None = None) -> float:
     """Major trader's expected cost in per-capita units, price feedback inside.
 
     The minor clearing system of the population's cost classes is re-solved
     under ``beta`` and the induced price enters the running cost
-    <b, phi(b)> + .5 <b, lam0 b> + fbar0(x0).
+    <b, phi(b)> + .5 <b, lam0 b> + fbar0(x0).  ``beta`` is a flow of
+    ``ctx`` as ``solve_minor_clearing`` takes it.
     """
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
+    _validate_beta(ctx, beta)
     if operator is None:
         classes = cost_classes(ctx.group_tables(population), population.weights)
         operator = ClearingOperator(ctx, classes.tables, classes.weights)
     b = beta.values[None] / population.N
-    return float(_major_costs(ctx, lattice, b,
-                              *_major_response(spec, ctx, lattice, operator, b))[0])
+    return float(_major_costs(ctx, b, *_major_response(ctx, operator, b))[0])
 
 
-def cost_mfg(spec: ModelSpec, lattice: NoiseLattice, beta: NodeField, *,
-             operator: ClearingOperator | None = None,
-             ctx: MarketContext | None = None) -> float:
+def cost_mfg(ctx: MarketContext, beta: NodeField, *,
+             operator: ClearingOperator | None = None) -> float:
     """Population-limit major cost for a per-capita flow, clearing re-solved.
 
     The clearing feedback is that of the limit's cost class (``limit_classes``).
+    ``beta`` is a flow of ``ctx`` as ``solve_minor_clearing`` takes it.
     """
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
+    _validate_beta(ctx, beta)
     if operator is None:
         classes = limit_classes(ctx)
         operator = ClearingOperator(ctx, classes.tables, classes.weights)
     b = beta.values[None]
-    return float(_major_costs(ctx, lattice, b,
-                              *_major_response(spec, ctx, lattice, operator, b))[0])
+    return float(_major_costs(ctx, b, *_major_response(ctx, operator, b))[0])
 
 
 # -- perturbation verification ----------------------------------------------
@@ -258,63 +260,20 @@ def _checked_eps_grid(levels, directions: int, eps_grid) -> np.ndarray:
     return eps
 
 
-def _finite_equilibrium(spec, lattice, ctx, population) -> EquilibriumSolution:
-    pop = population if population is not None else make_population(spec, ctx.atoms)
-    return solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+def perturbation_tests(ctx: MarketContext, levels, directions: int = 20,
+                       eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
+                       population: AgentPopulation | None = None) -> dict[str, PerturbationReport]:
+    """Probe the solved optima of ``ctx``'s market along random admissible directions.
 
-
-def perturbation_tests(spec: ModelSpec, lattice: NoiseLattice, levels,
-                       directions: int = 20, eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
-                       population: AgentPopulation | None = None,
-                       ctx: MarketContext | None = None) -> dict[str, PerturbationReport]:
-    """``perturbation_test`` at each of ``levels``, keyed by level.
-
-    The finite levels share one finite solve and every level the same drawn
-    directions; each report equals, byte for byte, the one
-    ``perturbation_test`` makes alone.
-    """
-    levels = list(levels)
-    eps = _checked_eps_grid(levels, directions, eps_grid)
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    eq = (_finite_equilibrium(spec, lattice, ctx, population)
-          if any(level in _FINITE_LEVELS for level in levels) else None)
-    etas = perturbation_directions(lattice, spec.dims.n, directions, seed)
-    return {level: _perturbation_test(spec, lattice, ctx, level, eps, etas, eq)
-            for level in levels}
-
-
-def _responses(respond, ctrls: np.ndarray) -> list:
-    """``respond`` per flow of a (B, nodes, n) stack: one tuple of arrays, or None if it fails.
-
-    The stack is solved as one batch.  If the batch raises a market or
-    linear-algebra error, its flows are solved again one at a time, so that
-    exactly the failing flows read None.
-    """
-    try:
-        out = respond(ctrls)
-    except (MarketClearError, np.linalg.LinAlgError):
-        if len(ctrls) == 1:
-            return [None]
-        return [_responses(respond, c[None])[0] for c in ctrls]
-    return [tuple(r[i] for r in out) for i in range(len(ctrls))]
-
-
-def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
-                      directions: int = 20, eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
-                      population: AgentPopulation | None = None,
-                      ctx: MarketContext | None = None,
-                      equilibrium: EquilibriumSolution | None = None) -> PerturbationReport:
-    """Probe a solved optimum along random admissible directions.
-
-    level:
+    Returns one report per entry of ``levels``, keyed by level:
       "minor"     perturb one agent's trading rate, price held fixed;
       "major-N"   perturb the major flow, finite-population clearing feedback;
       "major-mfg" perturb the major flow in the population limit.
 
-    The finite levels perturb ``equilibrium``, a finite solve
-    (``solve_full_equilibrium``) of the market, or else solve ``population``
-    here; giving both is an error.  The directions are
-    ``perturbation_directions(lattice, n, directions, seed)``.
+    The finite levels share one finite solve (``solve_full_equilibrium``) of
+    ``population``, by default ``make_population(ctx)``, and every level the
+    directions ``perturbation_directions(ctx.lattice, n, directions, seed)``.
+    A level's report does not depend on the other levels asked for.
 
     Each direction is evaluated along its exact line.  The responses to a
     control, the clearing price (major levels) and the position, are affine
@@ -337,30 +296,43 @@ def perturbation_test(spec: ModelSpec, lattice: NoiseLattice, level: str,
     control fails, the error propagates, as no direction has a line without
     it.
     """
-    eps = _checked_eps_grid([level], directions, eps_grid)
-    if equilibrium is not None and population is not None:
-        raise ValidationError("give a population or its equilibrium, not both")
-    ctx = ctx if ctx is not None else MarketContext(spec, lattice)
-    if level in _FINITE_LEVELS and equilibrium is None:
-        equilibrium = _finite_equilibrium(spec, lattice, ctx, population)
-    etas = perturbation_directions(lattice, spec.dims.n, directions, seed)
-    return _perturbation_test(spec, lattice, ctx, level, eps, etas, equilibrium)
+    levels = list(levels)
+    eps = _checked_eps_grid(levels, directions, eps_grid)
+    eq = (solve_full_equilibrium(ctx, population, check=False)
+          if any(level in _FINITE_LEVELS for level in levels) else None)
+    etas = perturbation_directions(ctx.lattice, ctx.spec.dims.n, directions, seed)
+    return {level: _level_report(ctx, level, eps, etas, eq) for level in levels}
 
 
-def _perturbation_test(spec: ModelSpec, lattice: NoiseLattice, ctx: MarketContext,
-                       level: str, eps: np.ndarray, etas: list[np.ndarray],
-                       equilibrium: EquilibriumSolution | None) -> PerturbationReport:
-    """``perturbation_test`` of a checked grid ``eps`` along drawn directions ``etas``."""
+def _responses(respond, ctrls: np.ndarray) -> list:
+    """``respond`` per flow of a (B, nodes, n) stack: one tuple of arrays, or None if it fails.
+
+    The stack is solved as one batch.  If the batch raises a market or
+    linear-algebra error, its flows are solved again one at a time, so that
+    exactly the failing flows read None.
+    """
+    try:
+        out = respond(ctrls)
+    except (MarketClearError, np.linalg.LinAlgError):
+        if len(ctrls) == 1:
+            return [None]
+        return [_responses(respond, c[None])[0] for c in ctrls]
+    return [tuple(r[i] for r in out) for i in range(len(ctrls))]
+
+
+def _level_report(ctx: MarketContext, level: str, eps: np.ndarray, etas: list[np.ndarray],
+                  equilibrium: EquilibriumSolution | None) -> PerturbationReport:
+    """One level of ``perturbation_tests``, on a checked grid ``eps`` along directions ``etas``."""
     control = lambda ctrls: ctrls
     if level == "minor":
         eq = equilibrium
         base_ctrl, tab = eq.alpha_hat[0], eq.classes.groups[0]
 
         def respond(alphas):
-            return (_positions(lattice, tab.xi, alphas, tab.l, tab.sig0),)
+            return (_positions(ctx, tab.xi, alphas, tab.l, tab.sig0),)
 
         def costs(alphas, x):
-            return _minor_costs(ctx, lattice, eq.price.values, alphas, x, tab)
+            return _minor_costs(ctx, eq.price.values, alphas, x, tab)
     else:
         if level == "major-N":
             pop, classes = equilibrium.population, equilibrium.classes
@@ -372,10 +344,10 @@ def _perturbation_test(spec: ModelSpec, lattice: NoiseLattice, ctx: MarketContex
         op = ClearingOperator(ctx, classes.tables, classes.weights)
 
         def respond(b):
-            return _major_response(spec, ctx, lattice, op, b)
+            return _major_response(ctx, op, b)
 
         def costs(b, phi, x0):
-            return _major_costs(ctx, lattice, b, phi, x0)
+            return _major_costs(ctx, b, phi, x0)
 
     directions = len(etas)
     base = control(base_ctrl[None])

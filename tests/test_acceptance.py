@@ -18,7 +18,7 @@ from marketclear.metrics import (EmpiricalMeasure, convergence_study, epsilon_ra
                                  wasserstein1_1d, wasserstein2)
 from marketclear.model import (Dimensions, DiscreteLaw, MajorFlow, MinorBundle,
                                QuadraticMajorCost, make_spec)
-from marketclear.optimality import perturbation_test
+from marketclear.optimality import perturbation_tests
 from marketclear.mean_field import solve_mfg
 from marketclear.scenario import (TimeGrid, build_lattice, constant_field,
                                   stream_rng)
@@ -76,11 +76,10 @@ def solved_case(n, N, K):
         spec = suite_spec(n, N)
         lattice = build_lattice(TimeGrid(1.0, K), d0=1)
         ctx = MarketContext(spec, lattice)
-        pop = make_population(spec, ctx.atoms, N=N,
-                              assignments=[i % 2 for i in range(N)])
+        pop = make_population(ctx, N=N, assignments=[i % 2 for i in range(N)])
         system = build_full_system(ctx, ctx.group_tables(pop), pop.weights)
         direct = DirectSolver(system).solve()
-        eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+        eq = solve_full_equilibrium(ctx, pop, check=False)
         _solved[key] = (spec, lattice, ctx, pop, system, direct, eq)
     return _solved[key]
 
@@ -109,8 +108,7 @@ def test_criterion_02_oracle_equivalence() -> None:
     for (n, N, K) in lq_cases():
         spec, lattice, _, pop, _, direct, _ = solved_case(n, N, K)
         twin = callable_twin(spec)
-        iterated = solve_full_equilibrium(twin, lattice, pop, ctx=MarketContext(twin, lattice),
-                                          check=False)
+        iterated = solve_full_equilibrium(MarketContext(twin, lattice), pop, check=False)
         worst = max(worst, group_state_gap(direct, iterated))
     # independently assembled dense oracle on the 2-step scalar two-agent market
     from tiny_tree_oracle import TinyTreeOracle
@@ -119,10 +117,10 @@ def test_criterion_02_oracle_equivalence() -> None:
     spec = oracle_spec()
     lattice = build_lattice(TimeGrid(1.0, 2), d0=1)
     ctx = MarketContext(spec, lattice)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
+    pop = make_population(ctx, assignments=[0, 1])
     oracle_worst = 0.0
     for model in (spec, callable_twin(spec)):
-        eq = solve_full_equilibrium(model, lattice, pop, ctx=MarketContext(model, lattice))
+        eq = solve_full_equilibrium(MarketContext(model, lattice), pop)
         checks = [
             (oracle["x0"], eq.major_field("x0")[:, 0]),
             (oracle["p0"], eq.major_field("p0")[:, 0]),
@@ -147,7 +145,7 @@ def test_criterion_02_oracle_equivalence() -> None:
 def closed_form_errors(K: int):
     spec = noiseless_unit_spec()
     lattice = build_lattice(TimeGrid(1.0, K), d0=0)
-    eq = solve_minor_clearing(spec, lattice, constant_field(lattice, np.zeros(1)))
+    eq = solve_minor_clearing(MarketContext(spec, lattice), constant_field(lattice, np.zeros(1)))
     t = lattice.level_of * lattice.dt
     y_err = float(np.max(np.abs(eq.group_field("Y", 0)[:, 0] - (2.0 - t))))
     phi_err = float(np.max(np.abs(eq.price.values[:, 0] + (2.0 - t))))
@@ -168,11 +166,11 @@ def test_criterion_04_optimality() -> None:
     spec = homogeneous_study_spec(N=2, delta=0.4)
     lattice = build_lattice(TimeGrid(1.0, 6), d0=1)
     ctx = MarketContext(spec, lattice)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
+    pop = make_population(ctx, assignments=[0, 1])
     worst_dj, worst_grad = np.inf, 0.0
-    for level in ("minor", "major-N", "major-mfg"):
-        rep = perturbation_test(spec, lattice, level, directions=20,
-                                eps_grid=EPS_GRID, seed=101, population=pop, ctx=ctx)
+    reports = perturbation_tests(ctx, ("minor", "major-N", "major-mfg"), directions=20,
+                                 eps_grid=EPS_GRID, seed=101, population=pop)
+    for rep in reports.values():
         assert not rep.failed
         worst_dj = min(worst_dj, rep.min_delta_j)
         worst_grad = max(worst_grad, rep.gradient_norm)
@@ -187,11 +185,11 @@ def test_criterion_05_mean_field_consistency() -> None:
                      c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
     lattice = build_lattice(TimeGrid(1.0, 5), d0=1)
     ctx = MarketContext(spec, lattice)
-    mf = solve_mfg(spec, lattice, ctx=ctx, check=False)
+    mf = solve_mfg(ctx, check=False)
     worst = 0.0
     for N in (1, 2, 4, 8):
-        pop = make_population(spec, ctx.atoms, N=N)
-        eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx, check=False)
+        pop = make_population(ctx, N=N)
+        eq = solve_full_equilibrium(ctx, pop, check=False)
         worst = max(worst, price_gap(eq.price, mf.price_mfg, lattice))
     gate("criterion 05 mean-field consistency",
          worst <= 1e-16 * lattice.grid.horizon,
@@ -201,7 +199,8 @@ def test_criterion_05_mean_field_consistency() -> None:
 def test_criterion_06_convergence_rate() -> None:
     spec = homogeneous_study_spec(N=8, delta=0.3)
     lattice = build_lattice(TimeGrid(1.0, 6), d0=1)
-    report = convergence_study(spec, lattice, [8, 16, 32, 64], resamples=64, seed=2024)
+    report = convergence_study(MarketContext(spec, lattice), [8, 16, 32, 64], resamples=64,
+                               seed=2024)
     rhs_ok = all(report.per_n[N]["mean_rhs"] > 0 for N in report.n_list)
     shape_ok = rhs_ok and report.ratio_spread is not None and report.ratio_spread <= 10.0
     bound_ok = all(report.per_n[N]["mean_price_gap"]
@@ -249,8 +248,8 @@ def test_criterion_08_maturity_mode() -> None:
         spec = _maturity_spec(c0_law)
         lattice = build_lattice(TimeGrid(1.0, 4), d0=1)
         ctx = MarketContext(spec, lattice)
-        pop = make_population(spec, ctx.atoms, assignments=[0, 1, 0, 1])
-        eq = solve_full_equilibrium(spec, lattice, pop, ctx=ctx)
+        pop = make_population(ctx, assignments=[0, 1, 0, 1])
+        eq = solve_full_equilibrium(ctx, pop)
         tsl = lattice.terminal_slice
         c0T = ctx.exo.c0[tsl]
         worst = max(worst, float(np.max(np.abs(eq.price.values[tsl] - c0T))))
@@ -258,7 +257,7 @@ def test_criterion_08_maturity_mode() -> None:
         for g in range(pop.size):
             worst = max(worst, float(np.max(np.abs(eq.group_field("Y", g)[tsl] + c0T))))
             worst = max(worst, float(np.max(np.abs(eq.group_field("P", g)[tsl]))))
-        mf = solve_mfg(spec, lattice, ctx=ctx)
+        mf = solve_mfg(ctx)
         worst = max(worst, float(np.max(np.abs(mf.price_mfg.values[tsl] - c0T))))
     gate("criterion 08 maturity mode", worst <= 1e-12,
          f"max terminal mismatch = {worst:.3e}")
@@ -279,10 +278,10 @@ def test_criterion_09_stability() -> None:
     # zero heterogeneity: node-wise identical prices
     ctx_he = MarketContext(hetero(0.0), lattice)
     ctx_ho = MarketContext(base, lattice)
-    pop_he = make_population(hetero(0.0), ctx_he.atoms, assignments=[0, 0, 0, 0])
-    pop_ho = make_population(base, ctx_ho.atoms, assignments=[0, 0, 0, 0])
-    eq_he = solve_full_equilibrium(hetero(0.0), lattice, pop_he, ctx=ctx_he)
-    eq_ho = solve_full_equilibrium(base, lattice, pop_ho, ctx=ctx_ho)
+    pop_he = make_population(ctx_he, assignments=[0, 0, 0, 0])
+    pop_ho = make_population(ctx_ho, assignments=[0, 0, 0, 0])
+    eq_he = solve_full_equilibrium(ctx_he, pop_he)
+    eq_ho = solve_full_equilibrium(ctx_ho, pop_ho)
     ident = float(np.max(np.abs(eq_he.price.values - eq_ho.price.values)))
 
     lhs = []

@@ -42,8 +42,8 @@ def market(n: int, maturity: bool, major_cost):
 
 def solve(spec, lat):
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    return solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+    pop = make_population(ctx, assignments=[0, 1])
+    return solve_full_equilibrium(ctx, pop, check=False)
 
 
 @SETTINGS
@@ -81,6 +81,6 @@ def test_secant_pairs_are_sampled_once_per_solve(monkeypatch) -> None:
     spec = market(1, False, CallableMajorCost(dfdx=lambda t, x, c0: x + 0.1 * np.tanh(x),
                                               dgdx=lambda x, c0: x))
     lat = build_lattice(TimeGrid(1.0, 2), d0=1)
-    eq = solve_full_equilibrium(spec, lat, check=True)
+    eq = solve_full_equilibrium(MarketContext(spec, lat), check=True)
     assert eq.diagnostics.converged
     assert len(calls) == 2

@@ -184,6 +184,7 @@ def test_unknown_command_and_top_level_flags_use_the_full_parser(capsys) -> None
 @pytest.mark.parametrize("args", [
     ["converge", "--n-list", "0,8,16"],
     ["converge", "--n-list", "8,16,x"],
+    ["converge", "--n-list", "8,8,16,32"],
     ["converge", "--n-list=-4,8,16"],
     ["converge", "--resamples", 0],
     ["converge", "--resamples", -2],

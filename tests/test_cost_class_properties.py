@@ -104,7 +104,7 @@ def random_market(case):
         maturity_mode=case["maturity"])
     lat = build_lattice(TimeGrid(1.0, case["K"]), d0=1, branching=case["branching"])
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=rng.integers(A, size=N))
+    pop = make_population(ctx, assignments=rng.integers(A, size=N))
     return spec, lat, ctx, pop
 
 
@@ -117,7 +117,7 @@ def test_class_path_equals_the_coupled_group_system(homogeneous, case) -> None:
     system = build_full_system(ctx, ctx.group_tables(pop), pop.weights)
     oracle = (_solve_full_system(ctx, system) if case["callable"]
               else DirectSolver(system).solve())
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+    eq = solve_full_equilibrium(ctx, pop, check=False)
     assert eq.solution.system.mf == (1 + 2 * len(eq.classes.members)) * spec.dims.n
     scale = max(1.0, float(np.max(np.abs(oracle.forward))),
                 float(np.max(np.abs(oracle.backward))))
@@ -141,7 +141,7 @@ def test_best_response_on_classes_equals_the_group_system(homogeneous, case) -> 
     n = spec.dims.n
     price = np.random.default_rng(case["seed"] + 1).uniform(-1, 1, (lat.num_nodes, n))
     oracle = DirectSolver(build_best_response_system(ctx, ctx.group_tables(pop), price)).solve()
-    br = minor_best_response(spec, lat, NodeField(lat, price), pop, ctx=ctx)
+    br = minor_best_response(ctx, NodeField(lat, price), pop)
     # no system wider than the classes: C n forward states, n per deviation family
     assert br.solution.system.mf == len(br.classes.members) * n
     assert all(f.system.mf == n for f in br.deviations if f is not None)

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketclear import metrics
+from marketclear.finite_market import MarketContext
 from marketclear.mean_field import solve_mfg
 from marketclear.metrics import EmpiricalMeasure, wasserstein1_1d, wasserstein2
 from marketclear.model import Dimensions, DiscreteLaw, make_spec
@@ -176,7 +177,7 @@ def test_reference_distances_equal_per_field_coupling(case) -> None:
                      xi_law=DiscreteLaw(xi, weights),
                      c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
     lat = build_lattice(TimeGrid(1.0, case["steps"]), d0=1, branching=case["branching"])
-    mf = solve_mfg(spec, lat, check=False)
+    mf = solve_mfg(MarketContext(spec, lat), check=False)
     ref = metrics._ReferenceClouds(mf)
     flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(A)])
     emp = empirical_weights(rng, case["N"], ref.weights)

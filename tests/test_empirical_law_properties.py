@@ -95,11 +95,10 @@ def test_finite_market_on_its_empirical_law_is_the_population_limit(case) -> Non
     spec = random_spec(n, d0, maturity, counts, rng)
     lat = build_lattice(TimeGrid(1.0, K), d0=d0, branching=branching)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms,
-                          assignments=np.repeat(np.arange(len(counts)), counts))
+    pop = make_population(ctx, assignments=np.repeat(np.arange(len(counts)), counts))
     assert np.array_equal(pop.weights, ctx.atoms.weights)
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
-    mf = solve_mfg(spec, lat, ctx=ctx, check=False)
+    eq = solve_full_equilibrium(ctx, pop, check=False)
+    mf = solve_mfg(ctx, check=False)
     assert rel_gap(eq.price.values, mf.price_mfg.values) <= TOL
     assert rel_gap(eq.beta_norm.values, mf.beta_hat.values) <= TOL
     basis = ((counts / counts.sum())[:, None, None] * _atom_prices(ctx)).sum(axis=0)

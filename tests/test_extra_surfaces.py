@@ -27,8 +27,8 @@ def test_two_dimensional_common_noise_solves_and_clears() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=2)
     assert lat.fanout == 4
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    pop = make_population(ctx, assignments=[0, 1])
+    eq = solve_full_equilibrium(ctx, pop)
     assert eq.clearing_residual <= 1e-10
     assert eq.diagnostics.max_equation_residual <= 1e-10
 
@@ -51,10 +51,10 @@ def test_callable_major_cost_matches_affine_twin() -> None:
     for T in (1.0, 2.0, 4.0, 8.0):
         lat = build_lattice(TimeGrid(T, 3), d0=1)
         ctx_a, ctx_w = MarketContext(affine, lat), MarketContext(wrapped, lat)
-        pop_a = make_population(affine, ctx_a.atoms, assignments=[0, 1])
-        pop_w = make_population(wrapped, ctx_w.atoms, assignments=[0, 1])
-        eq_a = solve_full_equilibrium(affine, lat, pop_a, ctx=ctx_a)
-        eq_w = solve_full_equilibrium(wrapped, lat, pop_w, ctx=ctx_w, check=False)
+        pop_a = make_population(ctx_a, assignments=[0, 1])
+        pop_w = make_population(ctx_w, assignments=[0, 1])
+        eq_a = solve_full_equilibrium(ctx_a, pop_a)
+        eq_w = solve_full_equilibrium(ctx_w, pop_w, check=False)
         assert np.max(np.abs(eq_a.price.values - eq_w.price.values)) <= 1e-8, T
         assert np.max(np.abs(eq_a.beta_hat.values - eq_w.beta_hat.values)) <= 1e-8, T
 
@@ -74,9 +74,9 @@ def test_callable_major_cost_solves_at_long_horizons() -> None:
     for T in (1.0, 2.0, 4.0, 8.0):
         lat = build_lattice(TimeGrid(T, 6), d0=1)
         ctx = MarketContext(spec, lat)
-        pop = make_population(spec, ctx.atoms, assignments=[0, 1, 0, 1])
-        eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
-        mf = solve_mfg(spec, lat, ctx=ctx)
+        pop = make_population(ctx, assignments=[0, 1, 0, 1])
+        eq = solve_full_equilibrium(ctx, pop)
+        mf = solve_mfg(ctx)
         for diagnostics in (eq.diagnostics, mf.diagnostics):
             assert diagnostics.converged, T
             assert diagnostics.max_equation_residual <= 1e-10, T
@@ -86,7 +86,7 @@ def test_callable_major_cost_solves_at_long_horizons() -> None:
 
 def test_nonlinear_limit_solves_by_fixed_point() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    mf = solve_mfg(tanh_spec(), lat, check=False)
+    mf = solve_mfg(MarketContext(tanh_spec(), lat), check=False)
     assert mf.diagnostics.converged
 
 
@@ -101,7 +101,7 @@ def test_non_contracting_callable_cost_raises_before_overflow() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="stopped contracting"):
-            solve_full_equilibrium(spec, lat, check=False)
+            solve_full_equilibrium(MarketContext(spec, lat), check=False)
 
 
 def test_time_dependent_fee_schedule() -> None:
@@ -131,9 +131,9 @@ def test_idiosyncratic_process_coupling_exact_at_matching_weights() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     ctx = MarketContext(spec, lat)
     assert ctx.atoms.count == 2
-    mf = solve_mfg(spec, lat, ctx=ctx)
-    pop = make_population(spec, ctx.atoms, N=2, assignments=[0, 1])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    mf = solve_mfg(ctx)
+    pop = make_population(ctx, N=2, assignments=[0, 1])
+    eq = solve_full_equilibrium(ctx, pop)
     assert price_gap(eq.price, mf.price_mfg, lat) <= 1e-20
     for a in range(2):
         assert np.max(np.abs(eq.group_field("Y", a) - mf.atom_field("y", a))) <= 1e-10
@@ -148,7 +148,7 @@ def test_affine_in_news_flow_coefficient_solves() -> None:
                      xi_law=DiscreteLaw(np.array([[0.5], [1.5]]), np.array([0.5, 0.5])),
                      c0_law=("gaussian_walk", [0.2], [0.0], [[0.5]]))
     lat = build_lattice(TimeGrid(1.0, 4), d0=1)
-    eq = solve_full_equilibrium(spec, lat)
+    eq = solve_full_equilibrium(MarketContext(spec, lat))
     assert eq.clearing_residual <= 1e-10
     assert eq.diagnostics.max_equation_residual <= 1e-10
 
@@ -196,7 +196,7 @@ def test_raw_major_position_accessor() -> None:
                      xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])),
                      c0_law=("constant", [0.1]))
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    eq = solve_full_equilibrium(spec, lat)
+    eq = solve_full_equilibrium(MarketContext(spec, lat))
     # the unnormalized major position is N x0, starting at N chi0
     raw = eq.population.N * eq.major_field("x0")
     assert raw[0, 0] == pytest.approx(4 * 0.5)
@@ -210,7 +210,7 @@ def test_trinomial_lattice_equilibrium() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1, branching=3)
     assert lat.fanout == 3
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    pop = make_population(ctx, assignments=[0, 1])
+    eq = solve_full_equilibrium(ctx, pop)
     assert eq.clearing_residual <= 1e-10
     assert eq.diagnostics.max_equation_residual <= 1e-10

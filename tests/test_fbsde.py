@@ -17,7 +17,7 @@ from conftest import noiseless_unit_spec, scalar_market_spec
 
 def full_system(spec, lattice, seed=0, assignments=None):
     ctx = MarketContext(spec, lattice)
-    pop = make_population(spec, ctx.atoms, seed=seed, assignments=assignments)
+    pop = make_population(ctx, seed=seed, assignments=assignments)
     return build_full_system(ctx, ctx.group_tables(pop), pop.weights)
 
 
@@ -74,7 +74,7 @@ def test_zero_model_solves_to_zero() -> None:
 def test_noiseless_closed_form_reproduced_exactly_on_grid() -> None:
     spec = noiseless_unit_spec()
     lat = build_lattice(TimeGrid(1.0, 64), d0=0)
-    eq = solve_minor_clearing(spec, lat, constant_field(lat, np.zeros(1)))
+    eq = solve_minor_clearing(MarketContext(spec, lat), constant_field(lat, np.zeros(1)))
     t = lat.level_of * lat.dt
     y = eq.group_field("Y", 0)[:, 0]
     assert abs(y[0] - 2.0) <= 2e-2
@@ -89,7 +89,7 @@ def price_sup_error(K: int) -> float:
     """
     spec = noiseless_unit_spec()
     lat = build_lattice(TimeGrid(1.0, K), d0=0)
-    eq = solve_minor_clearing(spec, lat, constant_field(lat, np.zeros(1)))
+    eq = solve_minor_clearing(MarketContext(spec, lat), constant_field(lat, np.zeros(1)))
     t = lat.level_of * lat.dt
     return float(np.max(np.abs(eq.price.values[:, 0] + (2.0 - t))))
 
@@ -218,6 +218,6 @@ def test_deviations_have_zero_conditional_mean() -> None:
 def test_z_projection_shape_and_noiseless_zero() -> None:
     spec = noiseless_unit_spec()
     lat = build_lattice(TimeGrid(1.0, 8), d0=0)
-    eq = solve_minor_clearing(spec, lat, constant_field(lat, np.zeros(1)))
+    eq = solve_minor_clearing(MarketContext(spec, lat), constant_field(lat, np.zeros(1)))
     z = eq.solution.z_projection("Y0")
     assert z.shape == (lat.num_nodes, 1, 0)

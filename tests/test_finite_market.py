@@ -47,7 +47,7 @@ def test_terminal_condition_mean_amplification() -> None:
                      xi_law=DiscreteLaw(np.array([[1.0], [3.0]]), np.array([0.5, 0.5])))
     lat = build_lattice(TimeGrid(1.0, 1), d0=0)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
+    pop = make_population(ctx, assignments=[0, 1])
     system = build_clearing_system(ctx, ctx.group_tables(pop), pop.weights,
                                    np.zeros((lat.num_nodes, 1)))
     x_T = np.array([1.0, 3.0])
@@ -58,7 +58,7 @@ def test_terminal_condition_mean_amplification() -> None:
 def test_noiseless_clearing_price_near_closed_form() -> None:
     spec = noiseless_unit_spec()
     lat = build_lattice(TimeGrid(1.0, 64), d0=0)
-    eq = solve_minor_clearing(spec, lat, constant_field(lat, np.zeros(1)))
+    eq = solve_minor_clearing(MarketContext(spec, lat), constant_field(lat, np.zeros(1)))
     assert abs(eq.price.values[0, 0] + 2.0) <= 2e-2
 
 
@@ -76,7 +76,7 @@ def test_zero_model_best_response_is_idle() -> None:
                      xi_law=DiscreteLaw.point([1.0]),
                      minor=MinorBundle.build(Dimensions(1, 1, 0, 1), cf=0.0, cg=0.0))
     lat = tree(3)
-    br = minor_best_response(spec, lat, constant_field(lat, np.zeros(1)))
+    br = minor_best_response(MarketContext(spec, lat), constant_field(lat, np.zeros(1)))
     assert np.max(np.abs(br.alpha_hat[0])) <= 1e-12
     assert np.allclose(br.group_field("X", 0), 1.0)
 
@@ -98,9 +98,9 @@ def test_price_taker_consistency_round_trip() -> None:
     for spec, assignments, classes in ((scalar_market_spec(delta=0.4), [0, 1], [[0, 1]]),
                                        (two_class_spec(), [0, 1, 1, 0], [[0, 2], [1, 3]])):
         ctx = MarketContext(spec, lat)
-        pop = make_population(spec, ctx.atoms, assignments=assignments)
-        eq = solve_minor_clearing(spec, lat, constant_field(lat, np.zeros(1)), pop, ctx=ctx)
-        br = minor_best_response(spec, lat, eq.price, pop, ctx=ctx)
+        pop = make_population(ctx, assignments=assignments)
+        eq = solve_minor_clearing(ctx, constant_field(lat, np.zeros(1)), pop)
+        br = minor_best_response(ctx, eq.price, pop)
         assert br.classes.members == classes
         for g in range(pop.size):
             assert np.max(np.abs(br.group_field("Y", g) - eq.group_field("Y", g))) <= 1e-9
@@ -114,9 +114,9 @@ def test_homogeneous_best_response_is_one_class_system() -> None:
                      xi_law=DiscreteLaw(np.linspace(0.0, 2.0, 8)[:, None], np.full(8, 1 / 8)))
     lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=np.arange(8))
+    pop = make_population(ctx, assignments=np.arange(8))
     price = NodeField(lat, np.random.default_rng(3).uniform(-1, 1, (lat.num_nodes, 1)))
-    br = minor_best_response(spec, lat, price, pop, ctx=ctx)
+    br = minor_best_response(ctx, price, pop)
     assert br.solution.system.mf == br.solution.system.mb == dims.n
     (family,) = br.deviations
     assert len(family.diagnostics) == 8 and family.system.mf == dims.n
@@ -128,7 +128,7 @@ def test_best_response_refuses_a_price_of_another_shape(shape) -> None:
     lat = tree(2)
     price = NodeField(lat, np.zeros((lat.num_nodes,) + shape))
     with pytest.raises(ValidationError, match="price must be an n-vector node field"):
-        minor_best_response(spec, lat, price)
+        minor_best_response(MarketContext(spec, lat), price)
 
 
 # -- clearing ----------------------------------------------------------------------
@@ -138,8 +138,8 @@ def test_clearing_residual_full_equilibrium() -> None:
     spec = scalar_market_spec(delta=0.4, N=2)
     lat = tree(4)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    pop = make_population(ctx, assignments=[0, 1])
+    eq = solve_full_equilibrium(ctx, pop)
     assert eq.clearing_residual <= 1e-10
 
 
@@ -147,8 +147,8 @@ def test_clearing_residual_responds_linearly_to_price_shift() -> None:
     spec = scalar_market_spec(delta=0.4, N=2)
     lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    pop = make_population(ctx, assignments=[0, 1])
+    eq = solve_full_equilibrium(ctx, pop)
     lam_inv = ctx.exo.lam_inv[0, 0, 0]
     eq.price.values[0, 0] += 1.0
     eq.alpha_hat[:] = [
@@ -163,7 +163,7 @@ def test_clearing_residual_responds_linearly_to_price_shift() -> None:
 def test_zero_model_equilibrium_is_zero() -> None:
     spec = make_spec(Dimensions(1, 1, 0, 2), delta=0.0, xi_law=DiscreteLaw.point([0.0]))
     lat = tree(3)
-    eq = solve_full_equilibrium(spec, lat)
+    eq = solve_full_equilibrium(MarketContext(spec, lat))
     assert np.max(np.abs(eq.beta_hat.values)) <= 1e-13
     assert np.max(np.abs(eq.price.values)) <= 1e-13
     assert eq.clearing_residual <= 1e-13
@@ -182,7 +182,7 @@ def test_solved_equilibrium_obeys_the_oracle_minimizers() -> None:
     from hamiltonian_oracle import minimizer_alpha, minimizer_beta
     spec = scalar_market_spec(delta=0.4, N=3)
     lat = tree(3)
-    eq = solve_full_equilibrium(spec, lat)
+    eq = solve_full_equilibrium(MarketContext(spec, lat))
     sol, pop = eq.solution, eq.population
     lam, lam0 = spec.lambda_minor.value, spec.lambda_major.value
     weights = [grp.count / pop.N for grp in pop.groups]
@@ -203,8 +203,8 @@ def test_homogeneous_symmetry_collapses_agents() -> None:
     spec = homogeneous_study_spec(N=4)
     lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop_a = make_population(spec, ctx.atoms, N=4, assignments=[0, 0, 1, 1])
-    eq = solve_full_equilibrium(spec, lat, pop_a, ctx=ctx)
+    pop_a = make_population(ctx, N=4, assignments=[0, 0, 1, 1])
+    eq = solve_full_equilibrium(ctx, pop_a)
     # identical agents share a group; fields of agents in one group coincide
     assert pop_a.size == 2
     assert eq.population.groups[0].count == 2
@@ -221,10 +221,10 @@ def test_permutation_equivariance() -> None:
     swapped = make_spec(dims, minor=bundles[::-1], **base)
     lat = tree(3)
     ctx_a, ctx_b = MarketContext(spec, lat), MarketContext(swapped, lat)
-    pop_a = make_population(spec, ctx_a.atoms, assignments=[0, 1])
-    pop_b = make_population(swapped, ctx_b.atoms, assignments=[1, 0])
-    eq_a = solve_full_equilibrium(spec, lat, pop_a, ctx=ctx_a)
-    eq_b = solve_full_equilibrium(swapped, lat, pop_b, ctx=ctx_b)
+    pop_a = make_population(ctx_a, assignments=[0, 1])
+    pop_b = make_population(ctx_b, assignments=[1, 0])
+    eq_a = solve_full_equilibrium(ctx_a, pop_a)
+    eq_b = solve_full_equilibrium(ctx_b, pop_b)
     for name in ("X", "Y", "R", "P"):
         for g in range(2):
             assert np.allclose(eq_a.group_field(name, g),
@@ -251,8 +251,8 @@ def test_maturity_terminal_price_equals_payoff(c0_law) -> None:
     spec = maturity_spec(c0_law)
     lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    pop = make_population(ctx, assignments=[0, 1])
+    eq = solve_full_equilibrium(ctx, pop)
     tsl = lat.terminal_slice
     assert np.max(np.abs(eq.price.values[tsl] - ctx.exo.c0[tsl])) <= 1e-12
     assert np.max(np.abs(eq.major_field("p0")[tsl] + ctx.exo.c0[tsl])) <= 1e-12
@@ -271,8 +271,8 @@ def test_maturity_terminal_values_are_exact_for_any_class_weights() -> None:
                      c0_law=("gaussian_walk", [0.4], [0.2], [[0.5]]))
     lat = tree(6)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1, 1, 2, 2, 2, 2])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+    pop = make_population(ctx, assignments=[0, 1, 1, 2, 2, 2, 2])
+    eq = solve_full_equilibrium(ctx, pop, check=False)
     tsl = lat.terminal_slice
     assert np.array_equal(eq.price.values[tsl], ctx.exo.c0[tsl])
     for g in range(pop.size):
@@ -289,7 +289,7 @@ def test_cost_class_keeps_equal_tables_exactly() -> None:
                      minor=MinorBundle.build(dims, hf=0.3, l=0.1, sigma0=0.2))
     lat = tree(4)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1, 1, 2, 2, 2, 2])
+    pop = make_population(ctx, assignments=[0, 1, 1, 2, 2, 2, 2])
     tabs = ctx.group_tables(pop)
     (mean,) = cost_classes(tabs, pop.weights).tables
     assert all(t.hf is not tabs[0].hf for t in tabs[1:])
@@ -309,7 +309,7 @@ def test_maturity_results_independent_of_discount() -> None:
                          minor=MinorBundle.build(dims, cg=0.0),
                          c0_law=("constant", [2.0]))
         lat = tree(3)
-        eq = solve_full_equilibrium(spec, lat)
+        eq = solve_full_equilibrium(MarketContext(spec, lat))
         vals.append(eq.price.values.copy())
     assert np.allclose(vals[0], vals[1], atol=1e-12)
 
@@ -317,16 +317,16 @@ def test_maturity_results_independent_of_discount() -> None:
 def _solved_fields(spec, lat):
     """Every field, price and cost of the market's four solves, by name."""
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1, 1, 0])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
-    mf = solve_mfg(spec, lat, ctx=ctx, check=False)
-    cl = solve_minor_clearing(spec, lat, eq.beta_hat, pop, ctx=ctx, check=False)
-    br = minor_best_response(spec, lat, eq.price, pop, ctx=ctx)
+    pop = make_population(ctx, assignments=[0, 1, 1, 0])
+    eq = solve_full_equilibrium(ctx, pop, check=False)
+    mf = solve_mfg(ctx, check=False)
+    cl = solve_minor_clearing(ctx, eq.beta_hat, pop, check=False)
+    br = minor_best_response(ctx, eq.price, pop)
     out = {"price": eq.price.values, "beta": eq.beta_hat.values, "x0": eq.major_field("x0"),
            "p0": eq.major_field("p0"), "price_mfg": mf.price_mfg.values,
            "beta_mfg": mf.beta_hat.values, "price_clearing": cl.price.values,
-           "cost_minor": cost_minor(spec, lat, eq.price, eq.alpha_hat[0], ctx=ctx),
-           "cost_major": cost_major(spec, lat, pop, eq.beta_hat, ctx=ctx)}
+           "cost_minor": cost_minor(ctx, eq.price, eq.alpha_hat[0]),
+           "cost_major": cost_major(ctx, pop, eq.beta_hat)}
     for g in range(pop.size):
         out |= {f"eq {name}{g}": eq.group_field(name, g) for name in "XYRP"}
         out |= {f"clearing {name}{g}": cl.group_field(name, g) for name in "XY"}
@@ -368,7 +368,7 @@ def test_nonzero_terminal_beta_rejected() -> None:
     spec = scalar_market_spec()
     lat = tree(2)
     with pytest.raises(ValidationError):
-        solve_minor_clearing(spec, lat, constant_field(lat, np.ones(1)))
+        solve_minor_clearing(MarketContext(spec, lat), constant_field(lat, np.ones(1)))
 
 
 def test_failing_assumptions_block_solve() -> None:
@@ -379,8 +379,40 @@ def test_failing_assumptions_block_solve() -> None:
                             MinorBundle.build(dims, cg=2.0)])
     lat = tree(2)
     with pytest.raises(AssumptionViolationError):
-        solve_full_equilibrium(spec, lat)
-    solve_full_equilibrium(spec, lat, force=True)
+        solve_full_equilibrium(MarketContext(spec, lat))
+    solve_full_equilibrium(MarketContext(spec, lat), force=True)
+
+
+@pytest.mark.parametrize("past_end", [False, True])
+def test_population_refuses_atoms_outside_the_law(past_end) -> None:
+    # atom -1 would read as the last atom and atom A past the tables' end
+    ctx = MarketContext(homogeneous_study_spec(N=4), tree(2))
+    A = ctx.atoms.count
+    atom = A if past_end else -1
+    with pytest.raises(ValidationError, match=rf"agent 2 is assigned atom {atom}, outside \[0, {A}\)"):
+        make_population(ctx, assignments=[0, 1, atom, 0])
+
+
+# -- one market handle ------------------------------------------------------------
+
+
+MARKET_ENTRY_POINTS = ("make_population", "solve_full_equilibrium", "solve_minor_clearing",
+                       "minor_best_response", "solve_mfg", "cost_minor", "cost_major",
+                       "cost_mfg", "perturbation_tests", "convergence_study")
+
+
+def test_every_entry_point_takes_one_market_context() -> None:
+    # the model and its tree arrive once, as the context built on them
+    import inspect
+    import marketclear
+    for name in MARKET_ENTRY_POINTS:
+        first, *rest = inspect.signature(getattr(marketclear, name)).parameters.values()
+        assert (first.name, first.annotation) == ("ctx", "MarketContext"), name
+        assert not {"spec", "lattice", "ctx"} & {p.name for p in rest}, name
+    for name, fn in inspect.getmembers(marketclear, inspect.isfunction):
+        names = set(inspect.signature(fn).parameters)
+        assert "ctx" not in names or not {"spec", "lattice"} & names, name
+    assert not hasattr(marketclear, "perturbation_test")
 
 
 # -- tiny-tree oracle ---------------------------------------------------------------
@@ -411,10 +443,10 @@ def test_engine_matches_tiny_tree_oracle() -> None:
     spec = oracle_spec()
     lat = build_lattice(TimeGrid(1.0, 2), d0=1)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
+    pop = make_population(ctx, assignments=[0, 1])
     # the quadratic cost by one direct solve, its callable twin by the affine iteration
     for model in (spec, callable_twin(spec)):
-        eq = solve_full_equilibrium(model, lat, pop, ctx=MarketContext(model, lat))
+        eq = solve_full_equilibrium(MarketContext(model, lat), pop)
         pairs = [
             (oracle["x0"], eq.major_field("x0")[:, 0]),
             (oracle["p0"], eq.major_field("p0")[:, 0]),
@@ -437,12 +469,12 @@ def test_clearing_operator_reuses_factorization() -> None:
     spec = scalar_market_spec(delta=0.4)
     lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
+    pop = make_population(ctx, assignments=[0, 1])
     op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     b = np.full((lat.num_nodes, 1), 0.25)
     b[lat.terminal_slice] = 0.0
     sol_op, (phi_op,) = op.solve(b[None])
-    eq = solve_minor_clearing(spec, lat, NodeField(lat, 2 * b), pop, ctx=ctx)
+    eq = solve_minor_clearing(ctx, NodeField(lat, 2 * b), pop)
     assert np.max(np.abs(phi_op - eq.price.values)) <= 1e-11
     assert np.max(np.abs(sol_op.field("Y0") - eq.group_field("Y", 0))) <= 1e-11
 
@@ -458,7 +490,7 @@ def test_clearing_operator_bit_equal_to_fresh_solve(spec, K, assignments) -> Non
     # freshly built system
     lat = tree(K)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, seed=2, assignments=assignments)
+    pop = make_population(ctx, seed=2, assignments=assignments)
     tabs = ctx.group_tables(pop)
     op = ClearingOperator(ctx, tabs, pop.weights)
     rng = np.random.default_rng(11)
@@ -478,14 +510,14 @@ def test_clearing_operator_batch_equals_fresh_minor_clearing() -> None:
     spec = scalar_market_spec(delta=0.3, N=5)
     lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[1, 0, 1, 1, 0])
+    pop = make_population(ctx, assignments=[1, 0, 1, 1, 0])
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     op = ClearingOperator(ctx, classes.tables, classes.weights)
     betas = np.random.default_rng(5).normal(size=(3, lat.num_nodes, 1))
     betas[:, lat.terminal_slice] = 0.0
     family, phis = op.solve(betas / pop.N)
     for j, (beta, phi) in enumerate(zip(betas, phis)):
-        eq = solve_minor_clearing(spec, lat, NodeField(lat, beta), pop, ctx=ctx)
+        eq = solve_minor_clearing(ctx, NodeField(lat, beta), pop)
         for name in ("forward", "backward", "backward_pre"):
             assert np.array_equal(getattr(family, name)[:, j],
                                   getattr(eq.solution, name)[:, 0]), name
@@ -499,7 +531,7 @@ def test_clearing_operator_checks_the_budget_before_building_blocks(monkeypatch)
     spec = scalar_market_spec(delta=0.4)
     lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
+    pop = make_population(ctx, assignments=[0, 1])
     calls, build = [], finite_market.build_clearing_system
     monkeypatch.setattr(finite_market, "build_clearing_system",
                         lambda *args: calls.append(1) or build(*args))
@@ -528,11 +560,11 @@ def test_group_collapse_matches_ungrouped_per_agent_solve() -> None:
     lat = tree(3)
     assignments = [0, 1, 0, 1]
     ctx_h, ctx_s = MarketContext(homo, lat), MarketContext(split, lat)
-    pop_h = make_population(homo, ctx_h.atoms, assignments=assignments)
-    pop_s = make_population(split, ctx_s.atoms, assignments=assignments)
+    pop_h = make_population(ctx_h, assignments=assignments)
+    pop_s = make_population(ctx_s, assignments=assignments)
     assert pop_h.size == 2 and pop_s.size == 4
-    eq_h = solve_full_equilibrium(homo, lat, pop_h, ctx=ctx_h)
-    eq_s = solve_full_equilibrium(split, lat, pop_s, ctx=ctx_s)
+    eq_h = solve_full_equilibrium(ctx_h, pop_h)
+    eq_s = solve_full_equilibrium(ctx_s, pop_s)
     assert np.max(np.abs(eq_h.price.values - eq_s.price.values)) <= 1e-11
     assert np.max(np.abs(eq_h.beta_hat.values - eq_s.beta_hat.values)) <= 1e-11
     for agent in range(4):
@@ -551,8 +583,8 @@ def test_homogeneous_groups_solve_one_class_system() -> None:
                      c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
     lat = tree(3)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=np.arange(8))
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    pop = make_population(ctx, assignments=np.arange(8))
+    eq = solve_full_equilibrium(ctx, pop)
     assert pop.size == 8
     assert eq.solution.system.mf == eq.solution.system.mb == 3 * dims.n
     (family,) = eq.deviations

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from marketclear.cli import main
-from marketclear.finite_market import solve_full_equilibrium
+from marketclear.finite_market import MarketContext, solve_full_equilibrium
 from marketclear.mean_field import solve_mfg
 from marketclear.model import CallableMajorCost, Dimensions, DiscreteLaw, make_spec
 from marketclear.scenario import TimeGrid, build_lattice
@@ -137,8 +137,9 @@ def test_picard_path_matches_the_recorded_hash() -> None:
                      xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])),
                      c0_law=("constant", [0.1]))
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    eq = solve_full_equilibrium(spec, lat, check=False)
-    mf = solve_mfg(spec, lat, check=False)
+    ctx = MarketContext(spec, lat)
+    eq = solve_full_equilibrium(ctx, check=False)
+    mf = solve_mfg(ctx, check=False)
     # the finite market's states in the layout of its coupled group system:
     # forward (x0, X_g, R_g), backward (p0, Y_g, P_g)
     groups = range(eq.population.size)

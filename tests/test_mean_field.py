@@ -42,10 +42,10 @@ def test_point_mass_law_collapses_to_finite_population() -> None:
     spec = make_spec(dims, delta=0.4, xi_law=DiscreteLaw.point([1.0]),
                      c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
     lat = tree(4)
-    mf = solve_mfg(spec, lat)
+    ctx = MarketContext(spec, lat)
+    mf = solve_mfg(ctx)
     for N in (1, 3, 8):
-        eq = solve_full_equilibrium(spec, lat,
-                                    make_population(spec, MarketContext(spec, lat).atoms, N=N))
+        eq = solve_full_equilibrium(ctx, make_population(ctx, N=N))
         assert price_gap(eq.price, mf.price_mfg, lat) <= 1e-16 * lat.grid.horizon
         assert np.max(np.abs(eq.beta_norm.values - mf.beta_hat.values)) <= 1e-12
 
@@ -54,12 +54,12 @@ def test_unit_population_equivalence_with_two_atoms() -> None:
     # N = 1 finite market and the population limit share the same reduced system
     spec = homogeneous_study_spec(N=1)
     lat = tree(3)
-    mf = solve_mfg(spec, lat)
     ctx = MarketContext(spec, lat)
+    mf = solve_mfg(ctx)
     gaps = []
     for a in range(ctx.atoms.count):
-        pop = make_population(spec, ctx.atoms, N=1, assignments=[a])
-        eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+        pop = make_population(ctx, N=1, assignments=[a])
+        eq = solve_full_equilibrium(ctx, pop)
         gaps.append(eq.price.values)
     # the mean of the single-agent prices over atoms is not the limit price,
     # but each degenerate (one-atom) limit equals the matching N=1 market
@@ -67,7 +67,7 @@ def test_unit_population_equivalence_with_two_atoms() -> None:
         one = make_spec(spec.dims, delta=spec.delta,
                         xi_law=DiscreteLaw.point(ctx.atoms.xi[a]),
                         c0_law=spec.c0_law)
-        mf_one = solve_mfg(one, lat)
+        mf_one = solve_mfg(MarketContext(one, lat))
         assert np.max(np.abs(mf_one.price_mfg.values - gaps[a])) <= 1e-11
 
 
@@ -83,7 +83,7 @@ def test_zero_discount_terminal_mean_has_no_amplification() -> None:
 
 def test_deviation_fields_average_to_zero(small_tree) -> None:
     spec = homogeneous_study_spec()
-    mf = solve_mfg(spec, small_tree)
+    mf = solve_mfg(MarketContext(spec, small_tree))
     w = mf.ctx.atoms.weights
     (family,) = mf.deviations  # the limit's one class: one flow per atom
     dx = sum(w[a] * family.field("dx", a) for a in range(len(w)))
@@ -94,7 +94,7 @@ def test_deviation_fields_average_to_zero(small_tree) -> None:
 
 def test_atom_reconstruction_matches_means(small_tree) -> None:
     spec = homogeneous_study_spec()
-    mf = solve_mfg(spec, small_tree)
+    mf = solve_mfg(MarketContext(spec, small_tree))
     w = mf.ctx.atoms.weights
     for name, mean in (("x", "xbar"), ("y", "ybar")):
         recon = sum(w[a] * mf.atom_field(name, a) for a in range(len(w)))
@@ -104,14 +104,14 @@ def test_atom_reconstruction_matches_means(small_tree) -> None:
 def test_flow_and_price_are_common_fields(small_tree) -> None:
     # per-atom flow fields coincide: r and p carry no idiosyncratic source
     spec = homogeneous_study_spec()
-    mf = solve_mfg(spec, small_tree)
+    mf = solve_mfg(MarketContext(spec, small_tree))
     assert np.array_equal(mf.atom_field("r", 0), mf.atom_field("r", 1))
     assert np.array_equal(mf.atom_field("p", 0), mf.atom_field("p", 1))
 
 
 def test_zero_model_limit_is_zero(small_tree) -> None:
     spec = make_spec(Dimensions(1, 1, 0, 4), xi_law=DiscreteLaw.point([0.0]))
-    mf = solve_mfg(spec, small_tree)
+    mf = solve_mfg(MarketContext(spec, small_tree))
     assert np.max(np.abs(mf.price_mfg.values)) <= 1e-13
     assert np.max(np.abs(mf.beta_hat.values)) <= 1e-13
 
@@ -142,7 +142,7 @@ def test_heterogeneous_population_rejected(small_tree) -> None:
     dims = Dimensions(1, 1, 0, 2)
     spec = make_spec(dims, minor=[MinorBundle.build(dims), MinorBundle.build(dims)])
     with pytest.raises(UnsupportedModelError):
-        solve_mfg(spec, small_tree)
+        solve_mfg(MarketContext(spec, small_tree))
 
 
 # -- maturity -----------------------------------------------------------------
@@ -157,14 +157,14 @@ def maturity_spec(c0_law):
 
 
 def test_maturity_constant_payoff_pins_terminal_price(small_tree) -> None:
-    mf = solve_mfg(maturity_spec(("constant", [5.0])), small_tree)
+    mf = solve_mfg(MarketContext(maturity_spec(("constant", [5.0])), small_tree))
     tsl = small_tree.terminal_slice
     assert np.max(np.abs(mf.price_mfg.values[tsl] - 5.0)) <= 1e-12
 
 
 def test_maturity_walk_payoff_matches_nodewise(small_tree) -> None:
     spec = maturity_spec(("gaussian_walk", [0.4], [0.2], [[0.5]]))
-    mf = solve_mfg(spec, small_tree)
+    mf = solve_mfg(MarketContext(spec, small_tree))
     tsl = small_tree.terminal_slice
     assert np.max(np.abs(mf.price_mfg.values[tsl] - mf.ctx.exo.c0[tsl])) <= 1e-12
 
@@ -176,7 +176,7 @@ def test_maturity_discount_is_inert(small_tree) -> None:
         spec = make_spec(dims, delta=delta, maturity_mode=True,
                          minor=MinorBundle.build(dims, cg=0.0),
                          xi_law=DiscreteLaw.point([1.0]), c0_law=("constant", [2.0]))
-        prices.append(solve_mfg(spec, small_tree).price_mfg.values)
+        prices.append(solve_mfg(MarketContext(spec, small_tree)).price_mfg.values)
     assert np.allclose(prices[0], prices[1], atol=1e-12)
 
 
@@ -194,7 +194,7 @@ def test_maturity_override_blocks(small_tree) -> None:
 
 def test_mean_clearing_operator_matches_full_limit(small_tree) -> None:
     spec = homogeneous_study_spec()
-    mf = solve_mfg(spec, small_tree)
+    mf = solve_mfg(MarketContext(spec, small_tree))
     classes = limit_classes(mf.ctx)
     op = ClearingOperator(mf.ctx, classes.tables, classes.weights)
     sol, (phi,) = op.solve(mf.beta_hat.values[None])

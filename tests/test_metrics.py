@@ -146,7 +146,7 @@ def test_point_mass_study_is_degenerate() -> None:
     spec = make_spec(Dimensions(1, 1, 0, 4), delta=0.3, xi_law=DiscreteLaw.point([1.0]),
                      c0_law=("constant", [0.1]))
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    report = convergence_study(spec, lat, [2, 4, 8], resamples=3, seed=5)
+    report = convergence_study(MarketContext(spec, lat), [2, 4, 8], resamples=3, seed=5)
     assert report.degenerate
     assert report.slope is None
 
@@ -154,16 +154,15 @@ def test_point_mass_study_is_degenerate() -> None:
 def test_study_reproducible() -> None:
     spec = homogeneous_study_spec()
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    a = convergence_study(spec, lat, [4, 8], resamples=4, seed=3)
-    b = convergence_study(spec, lat, [4, 8], resamples=4, seed=3)
+    a = convergence_study(MarketContext(spec, lat), [4, 8], resamples=4, seed=3)
+    b = convergence_study(MarketContext(spec, lat), [4, 8], resamples=4, seed=3)
     assert a.rows == b.rows
 
 
 def test_doubling_resamples_shrinks_standard_error() -> None:
-    spec = homogeneous_study_spec()
-    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    small = convergence_study(spec, lat, [8], resamples=64, seed=9)
-    big = convergence_study(spec, lat, [8], resamples=128, seed=9)
+    ctx = MarketContext(homogeneous_study_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
+    small = convergence_study(ctx, [8], resamples=64, seed=9)
+    big = convergence_study(ctx, [8], resamples=128, seed=9)
     ratio = big.per_n[8]["stderr_price_gap"] / small.per_n[8]["stderr_price_gap"]
     assert 0.5 <= ratio <= 1.0
 
@@ -173,7 +172,7 @@ def test_study_requires_homogeneous_population() -> None:
     spec = make_spec(dims, minor=[MinorBundle.build(dims), MinorBundle.build(dims)])
     lat = build_lattice(TimeGrid(1.0, 2), d0=1)
     with pytest.raises(UnsupportedModelError):
-        convergence_study(spec, lat, [2], resamples=1, seed=0)
+        convergence_study(MarketContext(spec, lat), [2], resamples=1, seed=0)
 
 
 def three_atom_spec():
@@ -189,16 +188,16 @@ def test_study_rows_match_full_finite_solves() -> None:
     spec = three_atom_spec()
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     ctx = MarketContext(spec, lat)
-    report = convergence_study(spec, lat, [2, 5, 10], resamples=4, seed=1, ctx=ctx)
-    mf = solve_mfg(spec, lat, ctx=ctx, check=False)
+    report = convergence_study(ctx, [2, 5, 10], resamples=4, seed=1)
+    mf = solve_mfg(ctx, check=False)
     ref = _ReferenceClouds(mf)
     flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(ctx.atoms.count)])
     tsl = lat.terminal_slice
     for row in report.rows:
         N = row["N"]
         draw = sample_idiosyncratic(ctx.atoms, N, derive_seed(1, N, row["resample"]))
-        pop = make_population(spec, ctx.atoms, N=N, assignments=draw)
-        eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+        pop = make_population(ctx, N=N, assignments=draw)
+        eq = solve_full_equilibrium(ctx, pop, check=False)
         assert row["price_gap"] == pytest.approx(price_gap(eq.price, mf.price_mfg, lat),
                                                  rel=1e-12, abs=1e-14)
         emp_w = np.bincount(draw, minlength=3) / N
@@ -217,8 +216,8 @@ def test_expected_gap_is_the_multinomial_mean() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     ctx = MarketContext(spec, lat)
     N = 5
-    report = convergence_study(spec, lat, [N], resamples=1, seed=0, ctx=ctx)
-    mf = solve_mfg(spec, lat, ctx=ctx, check=False)
+    report = convergence_study(ctx, [N], resamples=1, seed=0)
+    mf = solve_mfg(ctx, check=False)
     w = ctx.atoms.weights
     mean = 0.0
     for c0 in range(N + 1):
@@ -226,9 +225,8 @@ def test_expected_gap_is_the_multinomial_mean() -> None:
             counts = np.array([c0, c1, N - c0 - c1])
             prob = factorial(N) * np.prod(w ** counts) / np.prod(
                 [factorial(int(c)) for c in counts])
-            pop = make_population(spec, ctx.atoms, N=N,
-                                  assignments=np.repeat(np.arange(3), counts))
-            eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+            pop = make_population(ctx, N=N, assignments=np.repeat(np.arange(3), counts))
+            eq = solve_full_equilibrium(ctx, pop, check=False)
             mean += prob * price_gap(eq.price, mf.price_mfg, lat)
     assert report.per_n[N]["expected_price_gap"] == pytest.approx(mean, rel=1e-12)
 
@@ -247,11 +245,10 @@ def test_study_solves_the_atom_basis_once(monkeypatch) -> None:
     monkeypatch.setattr(DirectSolver, "solve",
                         lambda self, **constants: batches.append(solve(self, **constants))
                         or batches[-1])
-    spec = three_atom_spec()
-    lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    solve_mfg(spec, lat, check=False)
+    ctx = MarketContext(three_atom_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
+    solve_mfg(ctx, check=False)
     mfg_passes, mfg_batches = len(passes), len(batches)
-    convergence_study(spec, lat, [2, 4, 8, 16], resamples=8, seed=3)
+    convergence_study(ctx, [2, 4, 8, 16], resamples=8, seed=3)
     # the limit's own solves plus one matrix pass and one batch of A = 3 systems
     assert len(passes) - mfg_passes == mfg_passes + 1
     assert len(batches) - mfg_batches == mfg_batches + 1
@@ -265,9 +262,10 @@ def test_maturity_study_has_no_terminal_distance() -> None:
     flat = replace(spec, minor=[replace(spec.minor[0],
                                         cg=CoefficientSpec.constant(0.0, (1, 1), "cg"))])
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    report = convergence_study(spec, lat, [8, 16, 32], 6, seed=0)
+    report = convergence_study(MarketContext(spec, lat), [8, 16, 32], 6, seed=0)
     assert [row["w2_g"] for row in report.rows] == [0.0] * len(report.rows)
-    assert report.rows == convergence_study(flat, lat, [8, 16, 32], 6, seed=0).rows
+    assert report.rows == convergence_study(MarketContext(flat, lat), [8, 16, 32], 6,
+                                            seed=0).rows
 
 
 def test_study_needs_an_affine_major_cost() -> None:
@@ -277,15 +275,15 @@ def test_study_needs_an_affine_major_cost() -> None:
         xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])))
     lat = build_lattice(TimeGrid(1.0, 2), d0=1)
     with pytest.raises(UnsupportedModelError):
-        convergence_study(spec, lat, [2, 4], resamples=2, seed=0)
+        convergence_study(MarketContext(spec, lat), [2, 4], resamples=2, seed=0)
 
 
 @pytest.mark.parametrize("n_list, resamples", [([0, 8], 2), ([-4, 8], 2), ([], 2),
-                                               ([8], 0), ([8], -2)])
+                                               ([8], 0), ([8], -2), ([8, 8, 16, 32], 2)])
 def test_study_rejects_empty_sizes_and_resamples(n_list, resamples) -> None:
-    lat = build_lattice(TimeGrid(1.0, 2), d0=1)
+    ctx = MarketContext(homogeneous_study_spec(), build_lattice(TimeGrid(1.0, 2), d0=1))
     with pytest.raises(ValidationError):
-        convergence_study(homogeneous_study_spec(), lat, n_list, resamples, seed=0)
+        convergence_study(ctx, n_list, resamples, seed=0)
 
 
 # -- stability ----------------------------------------------------------------------

@@ -9,10 +9,9 @@ from marketclear.errors import ValidationError
 from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        make_population, solve_full_equilibrium)
 from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
-from marketclear.optimality import (DEFAULT_EPS_GRID, LEVELS, cost_major, cost_minor,
-                                    perturbation_directions, perturbation_test,
-                                    perturbation_tests)
-from marketclear.scenario import TimeGrid, build_lattice, constant_field
+from marketclear.optimality import (DEFAULT_EPS_GRID, LEVELS, cost_major, cost_mfg, cost_minor,
+                                    perturbation_directions, perturbation_tests)
+from marketclear.scenario import NodeField, TimeGrid, build_lattice, constant_field
 
 from conftest import homogeneous_study_spec, noiseless_unit_spec, scalar_market_spec
 from hamiltonian_oracle import (hamiltonian_mfg, hamiltonian_minor, hamiltonian_system,
@@ -23,6 +22,11 @@ def tree(K=4, T=1.0):
     return build_lattice(TimeGrid(T, K), d0=1)
 
 
+def perturb(ctx, level, **kwargs):
+    """The report of one level of ``perturbation_tests``."""
+    return perturbation_tests(ctx, [level], **kwargs)[level]
+
+
 # -- cost functionals --------------------------------------------------------
 
 
@@ -31,7 +35,7 @@ def test_zero_model_zero_cost() -> None:
     spec = make_spec(dims, xi_law=DiscreteLaw.point([0.0]),
                      minor=MinorBundle.build(dims, cf=0.0, cg=0.0))
     lat = tree(3)
-    J = cost_minor(spec, lat, constant_field(lat, np.zeros(1)),
+    J = cost_minor(MarketContext(spec, lat), constant_field(lat, np.zeros(1)),
                    np.zeros((lat.num_nodes, 1)))
     assert J == pytest.approx(0.0, abs=1e-15)
 
@@ -42,7 +46,7 @@ def test_pure_fee_cost_is_half() -> None:
     spec = make_spec(dims, xi_law=DiscreteLaw.point([0.0]),
                      minor=MinorBundle.build(dims, cf=0.0, cg=0.0))
     lat = tree(4)
-    J = cost_minor(spec, lat, constant_field(lat, np.zeros(1)),
+    J = cost_minor(MarketContext(spec, lat), constant_field(lat, np.zeros(1)),
                    np.ones((lat.num_nodes, 1)))
     assert J == pytest.approx(0.5)
 
@@ -50,13 +54,14 @@ def test_pure_fee_cost_is_half() -> None:
 def test_solved_minor_control_beats_perturbations() -> None:
     spec = noiseless_unit_spec()
     lat = build_lattice(TimeGrid(1.0, 16), d0=0)
-    eq = solve_full_equilibrium(spec, lat)
-    base = cost_minor(spec, lat, eq.price, eq.alpha_hat[0])
+    ctx = MarketContext(spec, lat)
+    eq = solve_full_equilibrium(ctx)
+    base = cost_minor(ctx, eq.price, eq.alpha_hat[0])
     rng = np.random.default_rng(5)
     for trial in range(10):
         eta = rng.standard_normal((lat.num_nodes, 1))
         eta[lat.terminal_slice] = 0.0
-        bumped = cost_minor(spec, lat, eq.price, eq.alpha_hat[0] + 0.1 * eta)
+        bumped = cost_minor(ctx, eq.price, eq.alpha_hat[0] + 0.1 * eta)
         assert bumped > base
 
 
@@ -97,10 +102,10 @@ def test_major_cost_matches_hand_assembly() -> None:
     K = 64
     lat = build_lattice(TimeGrid(1.0, K), d0=0)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms)
+    pop = make_population(ctx)
     beta = constant_field(lat, np.ones(1))
     beta.values[lat.terminal_slice] = 0.0
-    J = cost_major(spec, lat, pop, beta, ctx=ctx)
+    J = cost_major(ctx, pop, beta)
     assert J == pytest.approx(hand_assembled_major_cost(K), abs=1e-12)
     # continuous chain: X = 1-t, Y = (1-t)^2/2, phi = 1 - (1-t)^2/2, J = 4/3
     assert abs(J - 4.0 / 3.0) <= 5e-2
@@ -110,8 +115,8 @@ def test_cost_at_equilibrium_flow_matches_reports() -> None:
     spec = scalar_market_spec(delta=0.4)
     lat = tree(4)
     ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, assignments=[0, 1])
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx)
+    pop = make_population(ctx, assignments=[0, 1])
+    eq = solve_full_equilibrium(ctx, pop)
     op = ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     # the re-solve path must reproduce the coupled solve's own fields
     sol, (phi,) = op.solve(eq.beta_norm.values[None])
@@ -120,13 +125,53 @@ def test_cost_at_equilibrium_flow_matches_reports() -> None:
         assert np.max(np.abs(sol.field(f"Y{g}") - eq.group_field("Y", g))) <= 1e-8
 
 
+def zeros(lat, n=1):
+    return NodeField(lat, np.zeros((lat.num_nodes, n)))
+
+
+def rate(ctx, rows=0, n=1):
+    return np.zeros((ctx.lattice.num_nodes + rows, n))
+
+
+def on_the_leaves(ctx):
+    return NodeField(ctx.lattice, np.ones((ctx.lattice.num_nodes, 1)))
+
+
+# calls of the cost functionals on an n = 1 market over tree(3) with one field
+# that is not an (nodes, n) field of that tree, or a flow that trades at the horizon
+FOREIGN_FIELDS = {
+    "minor, short rate": lambda ctx, pop: cost_minor(ctx, zeros(ctx.lattice), rate(ctx, rows=-1)),
+    "minor, rate of two securities": lambda ctx, pop: cost_minor(ctx, zeros(ctx.lattice),
+                                                                 rate(ctx, n=2)),
+    "minor, price of a deeper tree": lambda ctx, pop: cost_minor(ctx, zeros(tree(4)), rate(ctx)),
+    "minor, price of a longer horizon": lambda ctx, pop: cost_minor(ctx, zeros(tree(3, T=2.0)),
+                                                                    rate(ctx)),
+    "major, flow of two securities": lambda ctx, pop: cost_major(ctx, pop, zeros(ctx.lattice, 2)),
+    "major, flow of a deeper tree": lambda ctx, pop: cost_major(ctx, pop, zeros(tree(4))),
+    "major, flow of a longer horizon": lambda ctx, pop: cost_major(ctx, pop,
+                                                                   zeros(tree(3, T=2.0))),
+    "major, flow on the leaves": lambda ctx, pop: cost_major(ctx, pop, on_the_leaves(ctx)),
+    "mfg, flow of two securities": lambda ctx, pop: cost_mfg(ctx, zeros(ctx.lattice, 2)),
+    "mfg, flow of a deeper tree": lambda ctx, pop: cost_mfg(ctx, zeros(tree(4))),
+    "mfg, flow of a longer horizon": lambda ctx, pop: cost_mfg(ctx, zeros(tree(3, T=2.0))),
+    "mfg, flow on the leaves": lambda ctx, pop: cost_mfg(ctx, on_the_leaves(ctx)),
+}
+
+
+@pytest.mark.parametrize("case", list(FOREIGN_FIELDS))
+def test_cost_functionals_refuse_fields_foreign_to_the_market(case) -> None:
+    ctx = MarketContext(homogeneous_study_spec(N=2, delta=0.4), tree(3))
+    with pytest.raises(ValidationError, match="node field on this lattice|vanish on terminal"):
+        FOREIGN_FIELDS[case](ctx, make_population(ctx))
+
+
 # -- perturbation reports -----------------------------------------------------
 
 
 def test_zero_amplitude_row_is_exactly_zero() -> None:
     spec = scalar_market_spec(delta=0.4)
     lat = tree(3)
-    rep = perturbation_test(spec, lat, "major-N", directions=3, seed=1)
+    rep = perturb(MarketContext(spec, lat), "major-N", directions=3, seed=1)
     zero_col = rep.eps_grid.index(0.0)
     assert np.all(rep.delta_j[:, zero_col] == 0.0)
 
@@ -134,7 +179,7 @@ def test_zero_amplitude_row_is_exactly_zero() -> None:
 def test_quadratic_symmetry_at_stationary_point() -> None:
     spec = scalar_market_spec(delta=0.4)
     lat = tree(3)
-    rep = perturbation_test(spec, lat, "major-N", directions=5, seed=2)
+    rep = perturb(MarketContext(spec, lat), "major-N", directions=5, seed=2)
     eps = np.asarray(rep.eps_grid)
     for j, e in enumerate(eps):
         if e <= 0:
@@ -147,7 +192,7 @@ def test_quadratic_symmetry_at_stationary_point() -> None:
 def test_optimality_gates(level) -> None:
     spec = homogeneous_study_spec(N=2, delta=0.4)
     lat = tree(4)
-    rep = perturbation_test(spec, lat, level, directions=8, seed=3)
+    rep = perturb(MarketContext(spec, lat), level, directions=8, seed=3)
     assert not rep.failed
     assert rep.min_delta_j >= -1e-9
     assert rep.gradient_norm <= 1e-6
@@ -155,29 +200,15 @@ def test_optimality_gates(level) -> None:
 
 
 def test_shared_solve_changes_no_byte() -> None:
-    spec = scalar_market_spec(delta=0.3, N=3)
-    lat = tree(3)
-    ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, seed=1)
-    shared = perturbation_tests(spec, lat, LEVELS, directions=3, seed=4, population=pop,
-                                ctx=ctx)
+    # the levels asked for together report, byte for byte, what each reports alone
+    ctx = MarketContext(scalar_market_spec(delta=0.3, N=3), tree(3))
+    pop = make_population(ctx, seed=1)
+    shared = perturbation_tests(ctx, LEVELS, directions=3, seed=4, population=pop)
     assert list(shared) == list(LEVELS)
     for level in LEVELS:
-        alone = perturbation_test(spec, lat, level, directions=3, seed=4, population=pop,
-                                  ctx=ctx)
+        alone = perturb(ctx, level, directions=3, seed=4, population=pop)
         assert np.array_equal(alone.delta_j, shared[level].delta_j), level
         assert np.array_equal(alone.quadratic_fit, shared[level].quadratic_fit), level
-
-
-def test_population_and_equilibrium_are_exclusive() -> None:
-    spec = scalar_market_spec(delta=0.3, N=3)
-    lat = tree(2)
-    ctx = MarketContext(spec, lat)
-    pop = make_population(spec, ctx.atoms, seed=1)
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
-    with pytest.raises(ValidationError, match="not both"):
-        perturbation_test(spec, lat, "minor", directions=2, population=pop, ctx=ctx,
-                          equilibrium=eq)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -195,16 +226,15 @@ def test_bad_requests_fail_before_any_solve(monkeypatch, kwargs, match) -> None:
     monkeypatch.setattr(optimality, "solve_class_system", no_solve)
     args = {"levels": LEVELS, **kwargs}
     with pytest.raises(ValidationError, match=match):
-        perturbation_tests(scalar_market_spec(), tree(2), **args)
+        perturbation_tests(MarketContext(scalar_market_spec(), tree(2)), **args)
 
 
 def test_eps_grid_validation() -> None:
-    spec = scalar_market_spec()
-    lat = tree(2)
+    ctx = MarketContext(scalar_market_spec(), tree(2))
     with pytest.raises(Exception):
-        perturbation_test(spec, lat, "major-N", eps_grid=(0.0, 0.1))
+        perturb(ctx, "major-N", eps_grid=(0.0, 0.1))
     with pytest.raises(Exception):
-        perturbation_test(spec, lat, "major-N", eps_grid=(-0.1, 0.1))
+        perturb(ctx, "major-N", eps_grid=(-0.1, 0.1))
 
 
 def test_clearing_batches_stay_within_the_amplitude_count(monkeypatch) -> None:
@@ -220,7 +250,7 @@ def test_clearing_batches_stay_within_the_amplitude_count(monkeypatch) -> None:
     monkeypatch.setattr(ClearingOperator, "solve", solve)
     directions = 13
     amplitudes = sum(e != 0.0 for e in DEFAULT_EPS_GRID)
-    perturbation_tests(scalar_market_spec(delta=0.3, N=3), tree(3), LEVELS,
+    perturbation_tests(MarketContext(scalar_market_spec(delta=0.3, N=3), tree(3)), LEVELS,
                        directions=directions, seed=4)
     assert max(flows for _, flows in calls) <= amplitudes
     operators = {op for op, _ in calls}
@@ -247,7 +277,7 @@ def test_costs_are_taken_at_the_outer_amplitudes_only(monkeypatch) -> None:
         monkeypatch.setattr(optimality, name, spy)
     directions = 13
     amplitudes = sum(e != 0.0 for e in DEFAULT_EPS_GRID)
-    perturbation_tests(scalar_market_spec(delta=0.3, N=3), tree(3), LEVELS,
+    perturbation_tests(MarketContext(scalar_market_spec(delta=0.3, N=3), tree(3)), LEVELS,
                        directions=directions, seed=4)
     assert max(stacks) <= amplitudes
     assert sum(stacks) == len(LEVELS) * (1 + 2 * directions)
@@ -274,7 +304,7 @@ def failing_batches(monkeypatch, exc, fail=lambda call: call > 1):
 def test_perturbation_counts_solver_failures_as_failed_directions(monkeypatch) -> None:
     from marketclear.errors import SolverError
     failing_batches(monkeypatch, SolverError("singular"))
-    rep = perturbation_test(scalar_market_spec(), tree(2), "major-N", directions=2, seed=0)
+    rep = perturb(MarketContext(scalar_market_spec(), tree(2)), "major-N", directions=2, seed=0)
     assert rep.failed == [0, 1]
     assert np.all(np.isnan(rep.delta_j)) and np.all(np.isnan(rep.quadratic_fit))
 
@@ -282,10 +312,10 @@ def test_perturbation_counts_solver_failures_as_failed_directions(monkeypatch) -
 def only_failed(monkeypatch, directions, failing, calls) -> None:
     """Failing the clearing solves numbered ``calls`` fails direction ``failing`` alone."""
     from marketclear.errors import SolverError
-    spec, lat = scalar_market_spec(), tree(2)
-    clean = perturbation_test(spec, lat, "major-N", directions=directions, seed=0)
+    ctx = MarketContext(scalar_market_spec(), tree(2))
+    clean = perturb(ctx, "major-N", directions=directions, seed=0)
     failing_batches(monkeypatch, SolverError("flow singular"), fail=lambda call: call in calls)
-    rep = perturbation_test(spec, lat, "major-N", directions=directions, seed=0)
+    rep = perturb(ctx, "major-N", directions=directions, seed=0)
     assert rep.failed == [failing]
     assert np.all(np.isnan(rep.delta_j[failing]))
     assert np.all(np.isnan(rep.quadratic_fit[failing]))
@@ -309,7 +339,7 @@ def test_failure_in_the_middle_of_a_full_batch(monkeypatch) -> None:
 def test_perturbation_propagates_programming_errors(monkeypatch) -> None:
     failing_batches(monkeypatch, TypeError("bad operand"))
     with pytest.raises(TypeError, match="bad operand"):
-        perturbation_test(scalar_market_spec(), tree(2), "major-N", directions=2, seed=0)
+        perturb(MarketContext(scalar_market_spec(), tree(2)), "major-N", directions=2, seed=0)
 
 
 # -- Hamiltonians ---------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property test: the perturbation check along exact lines equals the per-amplitude oracle.
 
-``perturbation_test`` clears the base control and each direction's end point
+``perturbation_tests`` clears the base control and each direction's end point
 once and reads every other amplitude off the line through them.  The public
 cost functions ``cost_minor``, ``cost_major`` and ``cost_mfg`` integrate and
 clear each control afresh; at every control ``u + eps eta`` of the report
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from marketclear.finite_market import make_population, solve_full_equilibrium
 from marketclear.mean_field import solve_mfg
 from marketclear.optimality import (LEVELS, cost_major, cost_mfg, cost_minor,
-                                    perturbation_directions, perturbation_test)
+                                    perturbation_directions, perturbation_tests)
 from marketclear.scenario import NodeField
 
 from test_batched_sweep_properties import random_context
@@ -51,18 +51,17 @@ draws = st.fixed_dictionaries({
 
 def oracle_costs(ctx, level, pop):
     """The base control and the per-call cost of any control at ``level``."""
-    spec, lat = ctx.spec, ctx.lattice
+    lat = ctx.lattice
     if level == "major-mfg":
-        base = solve_mfg(spec, lat, ctx=ctx, check=False).beta_hat.values
-        return base, lambda u: cost_mfg(spec, lat, NodeField(lat, u), ctx=ctx)
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+        base = solve_mfg(ctx, check=False).beta_hat.values
+        return base, lambda u: cost_mfg(ctx, NodeField(lat, u))
+    eq = solve_full_equilibrium(ctx, pop, check=False)
     if level == "major-N":
         return (eq.beta_hat.values,
-                lambda u: cost_major(spec, lat, pop, NodeField(lat, u), ctx=ctx))
+                lambda u: cost_major(ctx, pop, NodeField(lat, u)))
     grp = pop.groups[0]
     return eq.alpha_hat[0], lambda u: cost_minor(
-        spec, lat, eq.price, u, bundle_index=grp.bundle_index, atom_index=grp.atom_index,
-        ctx=ctx)
+        ctx, eq.price, u, bundle_index=grp.bundle_index, atom_index=grp.atom_index)
 
 
 @corners
@@ -74,9 +73,9 @@ def test_line_matches_the_per_amplitude_costs(n, branching, maturity, level, dra
     eps = np.asarray(draw["grid"])
     amplitudes = int(np.count_nonzero(eps))
     directions = draw["batches"] * amplitudes + min(draw["rest"], amplitudes - 1)
-    pop = make_population(ctx.spec, ctx.atoms)
-    rep = perturbation_test(ctx.spec, lat, level, directions=directions, eps_grid=eps,
-                            seed=draw["seed"] % 1000, population=pop, ctx=ctx)
+    pop = make_population(ctx)
+    rep = perturbation_tests(ctx, [level], directions=directions, eps_grid=eps,
+                             seed=draw["seed"] % 1000, population=pop)[level]
     assert not rep.failed
     base, cost = oracle_costs(ctx, level, pop)
     j0 = cost(base)

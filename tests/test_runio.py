@@ -26,7 +26,7 @@ from marketclear.finite_market import MarketContext, make_population, solve_full
 from marketclear.mean_field import solve_mfg
 from marketclear.metrics import convergence_study
 from marketclear.modelfile import load_model
-from marketclear.optimality import perturbation_test
+from marketclear.optimality import perturbation_tests
 from marketclear.scenario import TimeGrid, build_lattice
 
 import csv_oracle
@@ -57,15 +57,15 @@ def assert_same_bytes(tmp_path, write, oracle, obj) -> None:
 @pytest.mark.parametrize("n_agents", [None, 13])
 def test_equilibrium_csv_matches_oracle(shipped, tmp_path, n_agents) -> None:
     spec, lat, ctx = shipped
-    pop = make_population(spec, ctx.atoms, N=n_agents or spec.dims.N, seed=3)
-    eq = solve_full_equilibrium(spec, lat, pop, ctx=ctx, check=False)
+    pop = make_population(ctx, N=n_agents or spec.dims.N, seed=3)
+    eq = solve_full_equilibrium(ctx, pop, check=False)
     assert_same_bytes(tmp_path, runio.write_equilibrium_csv,
                       csv_oracle.write_equilibrium_csv, eq)
 
 
 def test_mfg_csv_matches_oracle(shipped, tmp_path) -> None:
     spec, lat, ctx = shipped
-    mf = solve_mfg(spec, lat, ctx=ctx, check=False)
+    mf = solve_mfg(ctx, check=False)
     assert_same_bytes(tmp_path, runio.write_mfg_csv, csv_oracle.write_mfg_csv, mf)
 
 
@@ -76,7 +76,7 @@ def test_lattice_csv_matches_oracle(shipped, tmp_path) -> None:
 
 def test_convergence_csv_matches_oracle(shipped, tmp_path) -> None:
     spec, lat, ctx = shipped
-    report = convergence_study(spec, lat, [4, 8], 2, 0, ctx=ctx)
+    report = convergence_study(ctx, [4, 8], 2, 0)
     assert_same_bytes(tmp_path, runio.write_convergence_csv,
                       csv_oracle.write_convergence_csv, report)
 
@@ -84,16 +84,15 @@ def test_convergence_csv_matches_oracle(shipped, tmp_path) -> None:
 @pytest.mark.parametrize("level", ["minor", "major-N", "major-mfg"])
 def test_perturbation_csv_matches_oracle(shipped, tmp_path, level) -> None:
     spec, lat, ctx = shipped
-    pop = make_population(spec, ctx.atoms, N=spec.dims.N, seed=0)
-    report = perturbation_test(spec, lat, level, directions=3, seed=0,
-                               population=pop, ctx=ctx)
+    pop = make_population(ctx, N=spec.dims.N, seed=0)
+    report = perturbation_tests(ctx, [level], directions=3, seed=0, population=pop)[level]
     assert_same_bytes(tmp_path, runio.write_perturbation_csv,
                       csv_oracle.write_perturbation_csv, report)
 
 
 def test_perturbation_csv_marks_failed_directions(shipped, tmp_path) -> None:
     spec, lat, ctx = shipped
-    report = perturbation_test(spec, lat, "minor", directions=2, seed=0, ctx=ctx)
+    report = perturbation_tests(ctx, ["minor"], directions=2, seed=0)["minor"]
     report.delta_j[1, ::2] = np.nan
     assert_same_bytes(tmp_path, runio.write_perturbation_csv,
                       csv_oracle.write_perturbation_csv, report)
