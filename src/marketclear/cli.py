@@ -156,10 +156,15 @@ def _read_config(path: str, types: dict) -> dict:
 
 
 def _merge_config(args, command: _Parser) -> dict:
-    """Layer: defaults < --config file < explicit flags (flags always win)."""
+    """Layer: defaults < --config file < explicit flags (flags always win).
+
+    A null config entry keeps the option's default; options whose default
+    is None and that nothing sets are left out.
+    """
     given = vars(args)
     name = given.pop("command")
     config = _read_config(given.pop("config"), command.types) if "config" in given else {}
+    config = {key: value for key, value in config.items() if value is not None}
     merged = {key: value for key, value in {**command.defaults, **config, **given}.items()
               if value is not None and key != "config"}
     merged["command"] = name
@@ -178,10 +183,10 @@ def _out_dir(cfg) -> Path:
 
 def _load(cfg):
     spec = load_model(cfg["model"])
-    if cfg.get("maturity"):
+    if cfg["maturity"]:
         spec = replace(spec, maturity_mode=True)
-    grid = TimeGrid(cfg.get("horizon", 1.0), cfg.get("steps", 8))
-    lattice = build_lattice(grid, spec.dims.d0, cfg.get("branching", 2))
+    grid = TimeGrid(cfg["horizon"], cfg["steps"])
+    lattice = build_lattice(grid, spec.dims.d0, cfg["branching"])
     return spec, lattice
 
 
@@ -213,7 +218,7 @@ def _checked_solve(cfg, solve):
     """
     spec, lattice = _load(cfg)
     report = check_all_assumptions(spec)
-    if not report.all_passed and not cfg.get("force"):
+    if not report.all_passed and not cfg["force"]:
         print("assumption checks failed (use --force to attempt a solve anyway):")
         for failure in report.failures:
             print(f"  - {failure}")
@@ -261,14 +266,14 @@ def cmd_solve_mfg(cfg) -> int:
 
 
 def cmd_converge(cfg) -> int:
-    text = str(cfg.get("n_list", "8,16,32,64"))
+    text = cfg["n_list"]
     try:
         n_list = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise UsageError(f"--n-list must be comma-separated integers, got {text!r}") from None
 
     def solve(ctx):
-        return convergence_study(ctx, n_list, int(cfg.get("resamples", 64)), cfg["seed"])
+        return convergence_study(ctx, n_list, cfg["resamples"], cfg["seed"])
 
     code, report = _checked_solve(cfg, solve)
     if code != EXIT_OK:
@@ -286,12 +291,11 @@ def cmd_converge(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
-    levels = (["minor", "major-N", "major-mfg"] if cfg.get("level", "all") == "all"
-              else [cfg["level"]])
+    levels = ["minor", "major-N", "major-mfg"] if cfg["level"] == "all" else [cfg["level"]]
 
     def solve(ctx):
         pop = make_population(ctx, N=cfg.get("n_agents"), seed=cfg["seed"])
-        return perturbation_tests(ctx, levels, directions=int(cfg.get("directions", 20)),
+        return perturbation_tests(ctx, levels, directions=cfg["directions"],
                                   seed=cfg["seed"], population=pop)
 
     code, reports = _checked_solve(cfg, solve)
@@ -354,7 +358,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        write_manifest(_out_dir(cfg), cfg, cfg.get("seed", 0), started)
+        write_manifest(_out_dir(cfg), cfg, cfg["seed"], started)
     except OSError as exc:
         print(f"warning: could not write {_out_path(cfg) / 'manifest.json'}: {exc}",
               file=sys.stderr)

@@ -13,8 +13,10 @@ means solve the system of the classes: the coupled one, or the best response
 to a given price.  A group's deviation from its class mean has no price or
 flow term (``build_deviation_system``), so each class's groups are one
 family; their R/P deviations have no source and vanish.  ``ClassSolution``
-reads a group's fields off the class solve and its family.  The population
-limit (``mean_field``) is the same path on the atoms.
+holds the class solve, its families and the price, and reads a group's
+fields and the lattice off them.  An equilibrium is the best response to its
+clearing price plus the major flow.  The population limit (``mean_field``)
+is the same path on the atoms.
 
 A market is one ``MarketContext``: the model's coefficients on one lattice.
 ``make_population`` and every solver take it first, and read the model and
@@ -144,7 +146,7 @@ class MarketContext:
         spec.require_no_idiosyncratic_brownian()
         self.spec = spec
         self.lattice = lattice
-        self.atoms = idiosyncratic_atoms(spec, lattice.grid)
+        self.atoms = idiosyncratic_atoms(spec)
         self.exo = evaluate_exogenous(lattice, spec)
         self._minor_cache: dict[tuple[int, int], MinorTables] = {}
         n, d0 = spec.dims.n, lattice.d0
@@ -170,18 +172,22 @@ class MarketContext:
         if coefficient.kind != "affine":  # one value per level, whatever the node and atom
             return level_table(lat, coefficient)[lat.level_of]
         out = np.zeros((lat.num_nodes,) + shape)
+        ci = np.zeros(n) if atom_index is None else self.atoms.ci[atom_index]
         for k in range(lat.steps + 1):
             sl = lat.level_slice(k)
-            ci = (np.zeros(n) if atom_index is None
-                  else self.atoms.ci[atom_index, k])
             vals = coefficient.eval_nodes(k * lat.dt, self.exo.c0[sl], ci)
             out[sl] = vals.reshape((sl.stop - sl.start,) + shape)
         return out
 
     def minor_tables(self, bundle_index: int, atom_index: int) -> MinorTables:
+        """Bundle ``bundle_index``'s tables at atom ``atom_index``; a bad index is refused."""
         key = (bundle_index, atom_index)
         if key not in self._minor_cache:
             spec, lat = self.spec, self.lattice
+            for name, index, count in (("bundle", bundle_index, len(spec.minor)),
+                                       ("atom", atom_index, self.atoms.count)):
+                if not 0 <= index < count:
+                    raise ValidationError(f"{name} index {index} is outside [0, {count})")
             n, d0 = spec.dims.n, lat.d0
             b = spec.minor[bundle_index]
             T = lat.grid.horizon
@@ -190,7 +196,7 @@ class MarketContext:
             else:
                 cg_T = np.array(b.cg.value_at_time(T), dtype=float)
                 hg_T = b.hg.eval_nodes(T, self.exo.c0[lat.terminal_slice],
-                                       self.atoms.ci[atom_index, lat.steps]).reshape(-1, n)
+                                       self.atoms.ci[atom_index]).reshape(-1, n)
             self._minor_cache[key] = MinorTables(
                 l=self._eval_levels(b.l, atom_index, (n,)),
                 sig0=self._eval_levels(b.sigma0, atom_index, (n, d0)),
@@ -472,17 +478,20 @@ def solve_deviations(ctx: MarketContext, classes: CostClasses) -> list[FamilySol
 
 @dataclass
 class ClassSolution:
-    """A market solved on cost classes: the classes' system and their deviation families.
+    """A market solved on cost classes: the classes' system, their deviation families, the price.
 
     A group's X and Y are its class's mean plus its deviation; its R and P
     are the class's, their deviations having no source.
     """
 
-    spec: ModelSpec
-    lattice: NoiseLattice
     solution: FamilySolution                 # system of the cost classes, one flow
     classes: CostClasses
     deviations: list[FamilySolution | None]  # per class, as ``solve_deviations``
+    price: NodeField
+
+    @property
+    def lattice(self) -> NoiseLattice:
+        return self.solution.system.lattice
 
     @property
     def diagnostics(self) -> SolveDiagnostics:
@@ -510,21 +519,24 @@ class ClassSolution:
 
 
 @dataclass
-class EquilibriumSolution(ClassSolution):
-    """Solved market: the cost classes' solve, controls and price."""
+class BestResponse(ClassSolution):
+    """Price-taking responses: the cost classes' solve, the price and the trading rates."""
 
     population: AgentPopulation
-    price: NodeField
+    alpha_hat: list[np.ndarray]  # one (num_nodes, n) array per agent group
+
+
+@dataclass
+class EquilibriumSolution(BestResponse):
+    """Solved market: every group's best response to the clearing price, and the major flow."""
+
     beta_hat: NodeField          # unnormalized major flow N*b, zero on terminal nodes
     beta_norm: NodeField         # per-capita flow b
-    alpha_hat: list[np.ndarray]  # one (num_nodes, n) array per agent group
     clearing_residual: float
-    x0: np.ndarray | None = None  # normalized major position when not part of the system
+    x0: np.ndarray               # normalized major position
 
     def major_field(self, name: str) -> np.ndarray:
-        if name == "x0" and self.x0 is not None:
-            return self.x0
-        return self.solution.field(name)
+        return self.x0 if name == "x0" else self.solution.field(name)
 
     def has_major(self) -> bool:
         return "p0" in self.solution.system.backward_slices
@@ -699,15 +711,6 @@ def _validate_beta(ctx: MarketContext, beta: NodeField):
             raise ValidationError("beta must vanish on terminal nodes (no last-instant flow)")
 
 
-@dataclass
-class BestResponse(ClassSolution):
-    """Price-taking responses: the cost classes' solve, the price and the trading rates."""
-
-    population: AgentPopulation
-    price: NodeField
-    alpha_hat: list[np.ndarray]  # one (num_nodes, n) array per agent group
-
-
 def minor_best_response(ctx: MarketContext, price: NodeField,
                         population: AgentPopulation | None = None) -> BestResponse:
     """Per-agent optimal responses to an exogenous adapted price field.
@@ -721,10 +724,10 @@ def minor_best_response(ctx: MarketContext, price: NodeField,
     pop = population if population is not None else make_population(ctx)
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     br = BestResponse(
-        spec=ctx.spec, lattice=ctx.lattice, population=pop, classes=classes,
         solution=DirectSolver(build_best_response_system(ctx, classes.tables,
                                                          price.values)).solve(),
-        deviations=solve_deviations(ctx, classes), price=price, alpha_hat=[])
+        classes=classes, deviations=solve_deviations(ctx, classes), price=price,
+        population=pop, alpha_hat=[])
     br.alpha_hat = _alpha_hats(ctx, [br.group_pre("Y", g) for g in range(pop.size)],
                                price.values)
     return br
@@ -732,11 +735,11 @@ def minor_best_response(ctx: MarketContext, price: NodeField,
 
 def _equilibrium(ctx: MarketContext, pop: AgentPopulation, classes: CostClasses,
                  sol: FamilySolution, phi: np.ndarray, beta: np.ndarray,
-                 beta_norm: np.ndarray, x0: np.ndarray | None) -> EquilibriumSolution:
+                 beta_norm: np.ndarray, x0: np.ndarray) -> EquilibriumSolution:
     """The market solved on its classes' solution ``sol``: deviations, rates, residual."""
     eq = EquilibriumSolution(
-        spec=ctx.spec, lattice=ctx.lattice, population=pop, solution=sol, classes=classes,
-        deviations=solve_deviations(ctx, classes), price=NodeField(ctx.lattice, phi),
+        solution=sol, classes=classes, deviations=solve_deviations(ctx, classes),
+        price=NodeField(ctx.lattice, phi), population=pop,
         beta_hat=NodeField(ctx.lattice, beta), beta_norm=NodeField(ctx.lattice, beta_norm),
         alpha_hat=[], clearing_residual=0.0, x0=x0)
     eq.alpha_hat = _alpha_hats(ctx, [eq.group_pre("Y", g) for g in range(pop.size)], phi)
@@ -788,7 +791,7 @@ def solve_full_equilibrium(ctx: MarketContext, population: AgentPopulation | Non
         _run_checks(ctx.spec, force)
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     family, b, phi = solve_class_system(ctx, classes)
-    return _equilibrium(ctx, pop, classes, family, phi, pop.N * b, b, None)
+    return _equilibrium(ctx, pop, classes, family, phi, pop.N * b, b, family.field("x0"))
 
 
 class ClearingOperator:

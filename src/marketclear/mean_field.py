@@ -6,10 +6,12 @@ weighted by their law weights.  The atoms share cf and cg, so they form one
 class: its means (x0, xbar, rbar, p0, ybar, pbar) solve the coupled system of
 one group carrying the atom-averaged tables, and the per-atom deviations are
 its deviation family.  The flow costates (rbar, pbar) have no idiosyncratic
-source, so the per-atom flow fields equal the means.  ``MfgSolution`` reads
-the atoms through ``ClassSolution``, the container of every market solved on
-cost classes.  ``solve_mfg`` takes the homogeneous market's ``MarketContext``,
-as every finite-market solver does.
+source, so the per-atom flow fields equal the means.  ``MfgSolution`` is a
+``ClassSolution``, the container of every market solved on cost classes: it
+reads the atoms as its groups and holds the limit price as ``price`` and
+the per-capita major flow as ``beta_norm``, the finite market's names.
+``solve_mfg`` takes the homogeneous market's ``MarketContext``, as every
+finite-market solver does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import UnsupportedModelError, ValidationError
 from .finite_market import (ClassSolution, CostClasses, MarketContext, _run_checks,
                             cost_classes, solve_class_system, solve_deviations)
-from .scenario import NodeField, apply_block
+from .scenario import NodeField
 
 
 def limit_classes(ctx: MarketContext) -> CostClasses:
@@ -42,9 +44,7 @@ _MEAN_FIELDS = {"x0": "x0", "p0": "p0", "xbar": "X0", "ybar": "Y0",
 class MfgSolution(ClassSolution):
     """Mean-field equilibrium on the limit's one cost class, whose groups are the atoms."""
 
-    ctx: MarketContext
-    beta_hat: NodeField                    # per-capita flow, zero on terminal nodes
-    price_mfg: NodeField
+    beta_norm: NodeField                   # per-capita flow, zero on terminal nodes
 
     def common_field(self, name: str) -> np.ndarray:
         """A mean field by its population-limit name (x0, p0, xbar, ybar, pbar, rbar)."""
@@ -55,16 +55,6 @@ class MfgSolution(ClassSolution):
         if name not in ("x", "y", "r", "p"):
             raise ValidationError(f"unknown per-atom field {name!r}")
         return self.group_field(name.upper(), a)
-
-    def terminal_gain_samples(self) -> np.ndarray:
-        """Per-atom terminal cost gradients cg x_T + hg on each leaf: (A, mK, n).
-
-        The gradients read the atoms' terminal tables (``MarketContext``): in
-        maturity mode every atom's is -c0(T).
-        """
-        tsl = self.lattice.terminal_slice
-        return np.stack([apply_block(t.cg_T, self.atom_field("x", a)[tsl]) + t.hg_T
-                         for a, t in enumerate(self.classes.groups)])
 
 
 def solve_mfg(ctx: MarketContext, *, check: bool = True, force: bool = False) -> MfgSolution:
@@ -82,6 +72,5 @@ def solve_mfg(ctx: MarketContext, *, check: bool = True, force: bool = False) ->
         _run_checks(ctx.spec, force)
     classes = limit_classes(ctx)
     family, b, phi = solve_class_system(ctx, classes)
-    return MfgSolution(spec=ctx.spec, lattice=ctx.lattice, ctx=ctx, solution=family,
-                       classes=classes, deviations=solve_deviations(ctx, classes),
-                       beta_hat=NodeField(ctx.lattice, b), price_mfg=NodeField(ctx.lattice, phi))
+    return MfgSolution(solution=family, classes=classes, deviations=solve_deviations(ctx, classes),
+                       price=NodeField(ctx.lattice, phi), beta_norm=NodeField(ctx.lattice, b))

@@ -266,13 +266,15 @@ class _ReferenceClouds:
     the grouping.
     """
 
-    def __init__(self, mf: MfgSolution):
-        atoms = mf.ctx.atoms
-        A = atoms.count
-        self.lattice = mf.lattice
-        self.weights = atoms.weights
-        self.y = np.stack([mf.atom_field("y", a) for a in range(A)])   # (A, nodes, n)
-        self.g = mf.terminal_gain_samples()                            # (A, leaves, n)
+    def __init__(self, ctx: MarketContext, mf: MfgSolution):
+        self.lattice = ctx.lattice
+        self.weights = ctx.atoms.weights
+        tsl = ctx.lattice.terminal_slice
+        self.y = np.stack([mf.atom_field("y", a) for a in range(len(self.weights))])
+        # per-atom terminal cost gradients cg x_T + hg on each leaf, from the atoms'
+        # terminal tables (``MarketContext``): -c0(T) for every atom in maturity mode
+        self.g = np.stack([apply_block(t.cg_T, mf.atom_field("x", a)[tsl]) + t.hg_T
+                           for a, t in enumerate(mf.classes.groups)])    # (A, leaves, n)
         # the clouds of w2_g and int_w2_y; every atom carries the same flow
         # costates r and p (``MfgSolution.atom_field``), so w2_rT and int_w2_p
         # compare two weightings of one value and are exactly zero
@@ -434,7 +436,8 @@ def convergence_study(ctx: MarketContext, n_list, resamples: int,
     so its price is the count-weighted average of the atom prices of
     ``_atom_prices``, and the study solves A systems whatever its size.
     ``expected_price_gap`` is the exact multinomial mean of the gap,
-    ``sum_a w_a gap(price_a, price_mfg) / N``.  The sizes must be distinct.
+    ``sum_a w_a gap(price_a, price) / N``, ``price`` the limit's.  The sizes
+    must be distinct.
     """
     spec, lattice = ctx.spec, ctx.lattice
     if not spec.homogeneous:
@@ -451,11 +454,11 @@ def convergence_study(ctx: MarketContext, n_list, resamples: int,
     if max(n_list) > AGENT_BUDGET:
         raise BudgetError(f"population sizes beyond {AGENT_BUDGET} are not supported")
     mf = solve_mfg(ctx, check=False)
-    ref = _ReferenceClouds(mf)
+    ref = _ReferenceClouds(ctx, mf)
     prices = _atom_prices(ctx)
     A = ctx.atoms.count
     n = spec.dims.n
-    spread = sum(ref.weights[a] * price_gap(NodeField(lattice, prices[a]), mf.price_mfg,
+    spread = sum(ref.weights[a] * price_gap(NodeField(lattice, prices[a]), mf.price,
                                             lattice) for a in range(A))
 
     # row (N, r) draws sample_idiosyncratic(atoms, N, derive_seed(seed, N, r));
@@ -566,8 +569,8 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
     mf = solve_mfg(ctx_ho, check=False)
     eq_he = solve_full_equilibrium(ctx_he, pop_he, check=False)
     eq_ho = solve_full_equilibrium(ctx_ho, pop_ho, check=False)
-    lhs_he = price_gap(eq_he.price, mf.price_mfg, lattice)
-    lhs_ho = price_gap(eq_ho.price, mf.price_mfg, lattice)
+    lhs_he = price_gap(eq_he.price, mf.price, lattice)
+    lhs_ho = price_gap(eq_ho.price, mf.price, lattice)
 
     ratio = ctx_ho.delta / (1.0 - ctx_ho.delta)
     tsl = lattice.terminal_slice
@@ -602,4 +605,4 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
 
     emp_w = np.bincount(assignments, minlength=ctx_ho.atoms.count) / N
     return StabilityReport(lhs_hetero=lhs_he, lhs_homogeneous=lhs_ho, delta_terms=terms,
-                           w2_terms=_ReferenceClouds(mf).distances(emp_w, N))
+                           w2_terms=_ReferenceClouds(ctx_ho, mf).distances(emp_w, N))

@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MarketClearError, UnsupportedModelError, ValidationError
-from .finite_market import (AgentPopulation, ClearingOperator, EquilibriumSolution,
-                            MarketContext, MinorTables, _check_node_field, _validate_beta,
-                            cost_classes, integrate_forward, solve_class_system,
-                            solve_full_equilibrium)
+from .finite_market import (AgentPopulation, ClearingOperator, CostClasses,
+                            EquilibriumSolution, MarketContext, MinorTables, _check_node_field,
+                            _validate_beta, cost_classes, integrate_forward,
+                            solve_class_system, solve_full_equilibrium)
 from .mean_field import limit_classes
 from .scenario import NodeField, NoiseLattice, squared_norms, stream_rng
 
@@ -143,8 +143,15 @@ def _major_costs(ctx: MarketContext, b: np.ndarray, phi: np.ndarray,
     return _expected_costs(lat, running, terminal)
 
 
-def cost_major(ctx: MarketContext, population: AgentPopulation, beta: NodeField, *,
-               operator: ClearingOperator | None = None) -> float:
+def _major_cost(ctx: MarketContext, classes: CostClasses, beta: NodeField, N: int) -> float:
+    """Major cost of ``beta`` per capita of ``N`` agents, cleared on ``classes``."""
+    _validate_beta(ctx, beta)
+    operator = ClearingOperator(ctx, classes.tables, classes.weights)
+    b = beta.values[None] / N
+    return float(_major_costs(ctx, b, *_major_response(ctx, operator, b))[0])
+
+
+def cost_major(ctx: MarketContext, population: AgentPopulation, beta: NodeField) -> float:
     """Major trader's expected cost in per-capita units, price feedback inside.
 
     The minor clearing system of the population's cost classes is re-solved
@@ -152,27 +159,17 @@ def cost_major(ctx: MarketContext, population: AgentPopulation, beta: NodeField,
     <b, phi(b)> + .5 <b, lam0 b> + fbar0(x0).  ``beta`` is a flow of
     ``ctx`` as ``solve_minor_clearing`` takes it.
     """
-    _validate_beta(ctx, beta)
-    if operator is None:
-        classes = cost_classes(ctx.group_tables(population), population.weights)
-        operator = ClearingOperator(ctx, classes.tables, classes.weights)
-    b = beta.values[None] / population.N
-    return float(_major_costs(ctx, b, *_major_response(ctx, operator, b))[0])
+    return _major_cost(ctx, cost_classes(ctx.group_tables(population), population.weights),
+                       beta, population.N)
 
 
-def cost_mfg(ctx: MarketContext, beta: NodeField, *,
-             operator: ClearingOperator | None = None) -> float:
+def cost_mfg(ctx: MarketContext, beta: NodeField) -> float:
     """Population-limit major cost for a per-capita flow, clearing re-solved.
 
     The clearing feedback is that of the limit's cost class (``limit_classes``).
     ``beta`` is a flow of ``ctx`` as ``solve_minor_clearing`` takes it.
     """
-    _validate_beta(ctx, beta)
-    if operator is None:
-        classes = limit_classes(ctx)
-        operator = ClearingOperator(ctx, classes.tables, classes.weights)
-    b = beta.values[None]
-    return float(_major_costs(ctx, b, *_major_response(ctx, operator, b))[0])
+    return _major_cost(ctx, limit_classes(ctx), beta, 1)
 
 
 # -- perturbation verification ----------------------------------------------

@@ -112,9 +112,7 @@ def write_equilibrium_csv(eq, path) -> None:
             if has_major:
                 emit(owner, "R", eq.group_field("R", g))
                 emit(owner, "P", eq.group_field("P", g))
-        x0 = eq.major_field("x0")
-        if x0 is not None:
-            emit("MAJOR", "x0", x0)
+        emit("MAJOR", "x0", eq.x0)
         if has_major:
             emit("MAJOR", "p0", eq.major_field("p0"))
         emit("MAJOR", "beta", eq.beta_hat.values)
@@ -129,11 +127,11 @@ def write_mfg_csv(mf, path) -> None:
         emit = _field_emitter(fh, _node_prefixes(mf.lattice))
         for name in ("x0", "p0", "xbar", "ybar", "pbar", "rbar"):
             emit("MEAN", name, mf.common_field(name))
-        for a in range(mf.ctx.atoms.count):
+        for a in range(len(mf.classes.groups)):
             emit(str(a), "x", mf.atom_field("x", a))
             emit(str(a), "y", mf.atom_field("y", a))
-        emit("MAJOR", "beta", mf.beta_hat.values)
-        emit("PRICE", "phi", mf.price_mfg.values)
+        emit("MAJOR", "beta", mf.beta_norm.values)
+        emit("PRICE", "phi", mf.price.values)
 
 
 def equilibrium_summary(eq) -> dict:
@@ -150,9 +148,9 @@ def equilibrium_summary(eq) -> dict:
 def mfg_summary(mf) -> dict:
     return {
         "diagnostics": asdict(mf.diagnostics),
-        "beta_t0": [float(x) for x in mf.beta_hat.values[0]],
-        "price_t0": [float(x) for x in mf.price_mfg.values[0]],
-        "atoms": int(mf.ctx.atoms.count),
+        "beta_t0": [float(x) for x in mf.beta_norm.values[0]],
+        "price_t0": [float(x) for x in mf.price.values[0]],
+        "atoms": len(mf.classes.groups),
     }
 
 

@@ -161,13 +161,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class IdiosyncraticAtoms:
-    """Finite joint law of (initial position, idiosyncratic process path).
-
-    ``ci`` holds one path per atom, one value per grid time: shape (A, K+1, n).
-    """
+    """Finite joint law of (initial position, idiosyncratic value), constant in time."""
 
     xi: np.ndarray        # (A, n)
-    ci: np.ndarray        # (A, K+1, n)
+    ci: np.ndarray        # (A, n)
     weights: np.ndarray   # (A,)
 
     def __post_init__(self):
@@ -453,7 +450,7 @@ def evaluate_exogenous(lattice: NoiseLattice, spec) -> ExogenousFields:
     return ExogenousFields(c0=c0, lam=lam, lam0=lam0, lam_inv=lam_inv, v0bar=v0bar)
 
 
-def idiosyncratic_atoms(spec, grid: TimeGrid) -> IdiosyncraticAtoms:
+def idiosyncratic_atoms(spec) -> IdiosyncraticAtoms:
     """Joint (xi, ci) atom law: product of the two marginal atom laws."""
     n = spec.dims.n
     xi_atoms = np.atleast_2d(np.asarray(spec.xi_law.atoms, dtype=float))
@@ -468,8 +465,7 @@ def idiosyncratic_atoms(spec, grid: TimeGrid) -> IdiosyncraticAtoms:
     xi = np.repeat(xi_atoms, A2, axis=0)
     ci = np.tile(ci_atoms, (A1, 1))
     w = (xi_w[:, None] * ci_w[None, :]).reshape(-1)
-    ci_paths = np.broadcast_to(ci[:, None, :], (A1 * A2, grid.steps + 1, n)).copy()
-    return IdiosyncraticAtoms(xi=xi, ci=ci_paths, weights=w)
+    return IdiosyncraticAtoms(xi=xi, ci=ci, weights=w)
 
 
 def sample_idiosyncratic(law: IdiosyncraticAtoms, count: int, seed: int) -> np.ndarray:

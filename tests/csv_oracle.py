@@ -67,11 +67,11 @@ def write_mfg_csv(mf, path) -> None:
         emit = field_emitter(w, lat)
         for name in ("x0", "p0", "xbar", "ybar", "pbar", "rbar"):
             emit("MEAN", name, mf.common_field(name))
-        for a in range(mf.ctx.atoms.count):
+        for a in range(len(mf.classes.groups)):
             emit(str(a), "x", mf.atom_field("x", a))
             emit(str(a), "y", mf.atom_field("y", a))
-        emit("MAJOR", "beta", mf.beta_hat.values)
-        emit("PRICE", "phi", mf.price_mfg.values)
+        emit("MAJOR", "beta", mf.beta_norm.values)
+        emit("PRICE", "phi", mf.price.values)
 
 
 def write_convergence_csv(report, path) -> None:

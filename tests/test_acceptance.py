@@ -190,7 +190,7 @@ def test_criterion_05_mean_field_consistency() -> None:
     for N in (1, 2, 4, 8):
         pop = make_population(ctx, N=N)
         eq = solve_full_equilibrium(ctx, pop, check=False)
-        worst = max(worst, price_gap(eq.price, mf.price_mfg, lattice))
+        worst = max(worst, price_gap(eq.price, mf.price, lattice))
     gate("criterion 05 mean-field consistency",
          worst <= 1e-16 * lattice.grid.horizon,
          f"max point-mass price gap = {worst:.3e}")
@@ -258,7 +258,7 @@ def test_criterion_08_maturity_mode() -> None:
             worst = max(worst, float(np.max(np.abs(eq.group_field("Y", g)[tsl] + c0T))))
             worst = max(worst, float(np.max(np.abs(eq.group_field("P", g)[tsl]))))
         mf = solve_mfg(ctx)
-        worst = max(worst, float(np.max(np.abs(mf.price_mfg.values[tsl] - c0T))))
+        worst = max(worst, float(np.max(np.abs(mf.price.values[tsl] - c0T))))
     gate("criterion 08 maturity mode", worst <= 1e-12,
          f"max terminal mismatch = {worst:.3e}")
 

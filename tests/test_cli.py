@@ -403,6 +403,17 @@ def test_config_file_overrides_defaults_and_flags_override_it(good_model, tmp_pa
         assert len((out / "lattice.csv").read_text().splitlines()) == 1 + nodes
 
 
+def test_null_config_entries_keep_the_defaults(good_model, tmp_path) -> None:
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": None, "steps": None, "n_agents": None}))
+    assert run(["solve-n", "--model", good_model, "--out", out, "--config", cfg]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 0
+    assert manifest["config"]["seed"] == 0 and manifest["config"]["steps"] == 8
+    assert "n_agents" not in manifest["config"]
+
+
 @pytest.mark.parametrize("text", ['{"steps": 3,', '[3]', '{"steps": "3"}', '{"steps": 2.5}',
                                   '{"force": 1}', '{"horizon": true}', '{"out": 7}',
                                   '{"step": 3}'])

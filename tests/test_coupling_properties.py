@@ -177,8 +177,9 @@ def test_reference_distances_equal_per_field_coupling(case) -> None:
                      xi_law=DiscreteLaw(xi, weights),
                      c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
     lat = build_lattice(TimeGrid(1.0, case["steps"]), d0=1, branching=case["branching"])
-    mf = solve_mfg(MarketContext(spec, lat), check=False)
-    ref = metrics._ReferenceClouds(mf)
+    ctx = MarketContext(spec, lat)
+    mf = solve_mfg(ctx, check=False)
+    ref = metrics._ReferenceClouds(ctx, mf)
     flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(A)])
     emp = empirical_weights(rng, case["N"], ref.weights)
     active = emp > 0

@@ -134,7 +134,7 @@ def test_idiosyncratic_process_coupling_exact_at_matching_weights() -> None:
     mf = solve_mfg(ctx)
     pop = make_population(ctx, N=2, assignments=[0, 1])
     eq = solve_full_equilibrium(ctx, pop)
-    assert price_gap(eq.price, mf.price_mfg, lat) <= 1e-20
+    assert price_gap(eq.price, mf.price, lat) <= 1e-20
     for a in range(2):
         assert np.max(np.abs(eq.group_field("Y", a) - mf.atom_field("y", a))) <= 1e-10
         assert np.max(np.abs(eq.group_field("X", a) - mf.atom_field("x", a))) <= 1e-10

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        solve_minor_clearing)
 from marketclear.mean_field import solve_mfg
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MinorBundle,
-                               QuadraticMajorCost, make_spec)
+                               ModelSpec, QuadraticMajorCost, make_spec)
 from marketclear.optimality import cost_major, cost_minor
 from marketclear.scenario import NodeField, TimeGrid, build_lattice, constant_field
 
@@ -323,8 +323,8 @@ def _solved_fields(spec, lat):
     cl = solve_minor_clearing(ctx, eq.beta_hat, pop, check=False)
     br = minor_best_response(ctx, eq.price, pop)
     out = {"price": eq.price.values, "beta": eq.beta_hat.values, "x0": eq.major_field("x0"),
-           "p0": eq.major_field("p0"), "price_mfg": mf.price_mfg.values,
-           "beta_mfg": mf.beta_hat.values, "price_clearing": cl.price.values,
+           "p0": eq.major_field("p0"), "price_mfg": mf.price.values,
+           "beta_mfg": mf.beta_norm.values, "price_clearing": cl.price.values,
            "cost_minor": cost_minor(ctx, eq.price, eq.alpha_hat[0]),
            "cost_major": cost_major(ctx, pop, eq.beta_hat)}
     for g in range(pop.size):
@@ -413,6 +413,27 @@ def test_every_entry_point_takes_one_market_context() -> None:
         names = set(inspect.signature(fn).parameters)
         assert "ctx" not in names or not {"spec", "lattice"} & names, name
     assert not hasattr(marketclear, "perturbation_test")
+
+
+def test_every_solved_market_holds_its_price_and_no_copy_of_the_market() -> None:
+    # the model and the tree live in the context; a result reads its tree off its solve
+    ctx = MarketContext(homogeneous_study_spec(N=4, delta=0.4), tree(3))
+    pop = make_population(ctx, assignments=[0, 1, 1, 0])
+    eq = solve_full_equilibrium(ctx, pop, check=False)
+    results = {"full": eq, "limit": solve_mfg(ctx, check=False),
+               "clearing": solve_minor_clearing(ctx, eq.beta_hat, pop, check=False),
+               "best response": minor_best_response(ctx, eq.price, pop)}
+    for name, result in results.items():
+        assert isinstance(result.price, NodeField), name
+        assert result.lattice is ctx.lattice, name
+        for f in fields(result):
+            assert not isinstance(getattr(result, f.name), (ModelSpec, MarketContext)), \
+                (name, f.name)
+    assert np.shares_memory(eq.x0, eq.solution.forward)  # the class solve's own x0
+    assert np.array_equal(eq.x0, eq.solution.field("x0"))
+    clearing = results["clearing"]
+    assert clearing.x0.shape == (ctx.lattice.num_nodes, 1)
+    assert np.array_equal(clearing.major_field("x0"), clearing.x0)
 
 
 # -- tiny-tree oracle ---------------------------------------------------------------

@@ -149,6 +149,6 @@ def test_picard_path_matches_the_recorded_hash() -> None:
               for major, a, b in (("x0", "X", "R"), ("p0", "Y", "P"))]
     digest = hashlib.sha256()
     for arr in (*layout, eq.price.values,
-                mf.solution.forward, mf.solution.backward, mf.price_mfg.values):
+                mf.solution.forward, mf.solution.backward, mf.price.values):
         digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
     assert digest.hexdigest() == PICARD

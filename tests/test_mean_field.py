@@ -46,8 +46,8 @@ def test_point_mass_law_collapses_to_finite_population() -> None:
     mf = solve_mfg(ctx)
     for N in (1, 3, 8):
         eq = solve_full_equilibrium(ctx, make_population(ctx, N=N))
-        assert price_gap(eq.price, mf.price_mfg, lat) <= 1e-16 * lat.grid.horizon
-        assert np.max(np.abs(eq.beta_norm.values - mf.beta_hat.values)) <= 1e-12
+        assert price_gap(eq.price, mf.price, lat) <= 1e-16 * lat.grid.horizon
+        assert np.max(np.abs(eq.beta_norm.values - mf.beta_norm.values)) <= 1e-12
 
 
 def test_unit_population_equivalence_with_two_atoms() -> None:
@@ -68,7 +68,7 @@ def test_unit_population_equivalence_with_two_atoms() -> None:
                         xi_law=DiscreteLaw.point(ctx.atoms.xi[a]),
                         c0_law=spec.c0_law)
         mf_one = solve_mfg(MarketContext(one, lat))
-        assert np.max(np.abs(mf_one.price_mfg.values - gaps[a])) <= 1e-11
+        assert np.max(np.abs(mf_one.price.values - gaps[a])) <= 1e-11
 
 
 def test_zero_discount_terminal_mean_has_no_amplification() -> None:
@@ -83,8 +83,9 @@ def test_zero_discount_terminal_mean_has_no_amplification() -> None:
 
 def test_deviation_fields_average_to_zero(small_tree) -> None:
     spec = homogeneous_study_spec()
-    mf = solve_mfg(MarketContext(spec, small_tree))
-    w = mf.ctx.atoms.weights
+    ctx = MarketContext(spec, small_tree)
+    mf = solve_mfg(ctx)
+    w = ctx.atoms.weights
     (family,) = mf.deviations  # the limit's one class: one flow per atom
     dx = sum(w[a] * family.field("dx", a) for a in range(len(w)))
     dy = sum(w[a] * family.field("dy", a) for a in range(len(w)))
@@ -94,8 +95,9 @@ def test_deviation_fields_average_to_zero(small_tree) -> None:
 
 def test_atom_reconstruction_matches_means(small_tree) -> None:
     spec = homogeneous_study_spec()
-    mf = solve_mfg(MarketContext(spec, small_tree))
-    w = mf.ctx.atoms.weights
+    ctx = MarketContext(spec, small_tree)
+    mf = solve_mfg(ctx)
+    w = ctx.atoms.weights
     for name, mean in (("x", "xbar"), ("y", "ybar")):
         recon = sum(w[a] * mf.atom_field(name, a) for a in range(len(w)))
         assert np.max(np.abs(recon - mf.common_field(mean))) <= 1e-10
@@ -112,8 +114,8 @@ def test_flow_and_price_are_common_fields(small_tree) -> None:
 def test_zero_model_limit_is_zero(small_tree) -> None:
     spec = make_spec(Dimensions(1, 1, 0, 4), xi_law=DiscreteLaw.point([0.0]))
     mf = solve_mfg(MarketContext(spec, small_tree))
-    assert np.max(np.abs(mf.price_mfg.values)) <= 1e-13
-    assert np.max(np.abs(mf.beta_hat.values)) <= 1e-13
+    assert np.max(np.abs(mf.price.values)) <= 1e-13
+    assert np.max(np.abs(mf.beta_norm.values)) <= 1e-13
 
 
 def test_flow_rule_direct_substitution() -> None:
@@ -159,14 +161,15 @@ def maturity_spec(c0_law):
 def test_maturity_constant_payoff_pins_terminal_price(small_tree) -> None:
     mf = solve_mfg(MarketContext(maturity_spec(("constant", [5.0])), small_tree))
     tsl = small_tree.terminal_slice
-    assert np.max(np.abs(mf.price_mfg.values[tsl] - 5.0)) <= 1e-12
+    assert np.max(np.abs(mf.price.values[tsl] - 5.0)) <= 1e-12
 
 
 def test_maturity_walk_payoff_matches_nodewise(small_tree) -> None:
     spec = maturity_spec(("gaussian_walk", [0.4], [0.2], [[0.5]]))
-    mf = solve_mfg(MarketContext(spec, small_tree))
+    ctx = MarketContext(spec, small_tree)
+    mf = solve_mfg(ctx)
     tsl = small_tree.terminal_slice
-    assert np.max(np.abs(mf.price_mfg.values[tsl] - mf.ctx.exo.c0[tsl])) <= 1e-12
+    assert np.max(np.abs(mf.price.values[tsl] - ctx.exo.c0[tsl])) <= 1e-12
 
 
 def test_maturity_discount_is_inert(small_tree) -> None:
@@ -176,7 +179,7 @@ def test_maturity_discount_is_inert(small_tree) -> None:
         spec = make_spec(dims, delta=delta, maturity_mode=True,
                          minor=MinorBundle.build(dims, cg=0.0),
                          xi_law=DiscreteLaw.point([1.0]), c0_law=("constant", [2.0]))
-        prices.append(solve_mfg(MarketContext(spec, small_tree)).price_mfg.values)
+        prices.append(solve_mfg(MarketContext(spec, small_tree)).price.values)
     assert np.allclose(prices[0], prices[1], atol=1e-12)
 
 
@@ -194,9 +197,10 @@ def test_maturity_override_blocks(small_tree) -> None:
 
 def test_mean_clearing_operator_matches_full_limit(small_tree) -> None:
     spec = homogeneous_study_spec()
-    mf = solve_mfg(MarketContext(spec, small_tree))
-    classes = limit_classes(mf.ctx)
-    op = ClearingOperator(mf.ctx, classes.tables, classes.weights)
-    sol, (phi,) = op.solve(mf.beta_hat.values[None])
-    assert np.max(np.abs(phi - mf.price_mfg.values)) <= 1e-11
+    ctx = MarketContext(spec, small_tree)
+    mf = solve_mfg(ctx)
+    classes = limit_classes(ctx)
+    op = ClearingOperator(ctx, classes.tables, classes.weights)
+    sol, (phi,) = op.solve(mf.beta_norm.values[None])
+    assert np.max(np.abs(phi - mf.price.values)) <= 1e-11
     assert np.max(np.abs(sol.field("Y0") - mf.common_field("ybar"))) <= 1e-11

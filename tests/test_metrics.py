@@ -190,7 +190,7 @@ def test_study_rows_match_full_finite_solves() -> None:
     ctx = MarketContext(spec, lat)
     report = convergence_study(ctx, [2, 5, 10], resamples=4, seed=1)
     mf = solve_mfg(ctx, check=False)
-    ref = _ReferenceClouds(mf)
+    ref = _ReferenceClouds(ctx, mf)
     flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(ctx.atoms.count)])
     tsl = lat.terminal_slice
     for row in report.rows:
@@ -198,7 +198,7 @@ def test_study_rows_match_full_finite_solves() -> None:
         draw = sample_idiosyncratic(ctx.atoms, N, derive_seed(1, N, row["resample"]))
         pop = make_population(ctx, N=N, assignments=draw)
         eq = solve_full_equilibrium(ctx, pop, check=False)
-        assert row["price_gap"] == pytest.approx(price_gap(eq.price, mf.price_mfg, lat),
+        assert row["price_gap"] == pytest.approx(price_gap(eq.price, mf.price, lat),
                                                  rel=1e-12, abs=1e-14)
         emp_w = np.bincount(draw, minlength=3) / N
         active = emp_w > 0
@@ -227,7 +227,7 @@ def test_expected_gap_is_the_multinomial_mean() -> None:
                 [factorial(int(c)) for c in counts])
             pop = make_population(ctx, N=N, assignments=np.repeat(np.arange(3), counts))
             eq = solve_full_equilibrium(ctx, pop, check=False)
-            mean += prob * price_gap(eq.price, mf.price_mfg, lat)
+            mean += prob * price_gap(eq.price, mf.price, lat)
     assert report.per_n[N]["expected_price_gap"] == pytest.approx(mean, rel=1e-12)
 
 

@@ -165,6 +165,29 @@ def test_cost_functionals_refuse_fields_foreign_to_the_market(case) -> None:
         FOREIGN_FIELDS[case](ctx, make_population(ctx))
 
 
+def two_bundle_spec():
+    """The two-atom study model with one bundle per agent, the second more curved."""
+    dims = Dimensions(n=1, d0=1, d=0, N=2)
+    spec = homogeneous_study_spec(N=2, delta=0.4)
+    return make_spec(dims, delta=0.4, minor=[MinorBundle.build(dims),
+                                             MinorBundle.build(dims, cf=1.5)],
+                     xi_law=spec.xi_law, c0_law=spec.c0_law)
+
+
+@pytest.mark.parametrize("bundles", [1, 2], ids=["homogeneous", "heterogeneous"])
+@pytest.mark.parametrize("name, value", [("bundle", -1), ("bundle", "count"), ("atom", -1),
+                                         ("atom", "count")])
+def test_cost_minor_refuses_an_index_outside_its_range(bundles, name, value) -> None:
+    spec = homogeneous_study_spec(N=2, delta=0.4) if bundles == 1 else two_bundle_spec()
+    assert len(spec.minor) == bundles
+    ctx = MarketContext(spec, tree(3))
+    if value == "count":  # one past the last bundle or atom
+        value = bundles if name == "bundle" else ctx.atoms.count
+    with pytest.raises(ValidationError, match=f"{name} index {value} is outside"):
+        cost_minor(ctx, zeros(ctx.lattice), rate(ctx), **{f"{name}_index": value})
+    assert not ctx._minor_cache
+
+
 # -- perturbation reports -----------------------------------------------------
 
 

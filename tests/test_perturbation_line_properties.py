@@ -53,7 +53,7 @@ def oracle_costs(ctx, level, pop):
     """The base control and the per-call cost of any control at ``level``."""
     lat = ctx.lattice
     if level == "major-mfg":
-        base = solve_mfg(ctx, check=False).beta_hat.values
+        base = solve_mfg(ctx, check=False).beta_norm.values
         return base, lambda u: cost_mfg(ctx, NodeField(lat, u))
     eq = solve_full_equilibrium(ctx, pop, check=False)
     if level == "major-N":

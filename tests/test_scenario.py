@@ -106,7 +106,7 @@ def test_nonpositive_fee_matrix_rejected() -> None:
 
 
 def test_point_mass_sampling_is_constant() -> None:
-    atoms = IdiosyncraticAtoms(xi=np.array([[1.0]]), ci=np.zeros((1, 3, 1)),
+    atoms = IdiosyncraticAtoms(xi=np.array([[1.0]]), ci=np.zeros((1, 1)),
                                weights=np.array([1.0]))
     idx = sample_idiosyncratic(atoms, 3, seed=123)
     assert list(idx) == [0, 0, 0]
@@ -114,7 +114,7 @@ def test_point_mass_sampling_is_constant() -> None:
 
 def test_sampling_reproducible_and_stream_stable() -> None:
     atoms = IdiosyncraticAtoms(xi=np.array([[0.0], [1.0]]),
-                               ci=np.zeros((2, 3, 1)),
+                               ci=np.zeros((2, 1)),
                                weights=np.array([0.5, 0.5]))
     a = sample_idiosyncratic(atoms, 6, seed=42)
     b = sample_idiosyncratic(atoms, 6, seed=42)
@@ -130,7 +130,7 @@ def test_sampling_reproducible_and_stream_stable() -> None:
 def test_sampling_equals_one_stream_generator_per_draw(seed, count, weights) -> None:
     # the vectorised pass draws what a fresh stream generator per agent draws
     w = np.array(weights)
-    atoms = IdiosyncraticAtoms(xi=np.zeros((len(w), 1)), ci=np.zeros((len(w), 2, 1)),
+    atoms = IdiosyncraticAtoms(xi=np.zeros((len(w), 1)), ci=np.zeros((len(w), 1)),
                                weights=w / w.sum())
     cdf = np.cumsum(atoms.weights)
     cdf[-1] = 1.0
@@ -142,7 +142,7 @@ def test_sampling_equals_one_stream_generator_per_draw(seed, count, weights) -> 
 
 def test_sampling_mean_matches_frozen_regression() -> None:
     atoms = IdiosyncraticAtoms(xi=np.array([[0.0], [1.0]]),
-                               ci=np.zeros((2, 2, 1)),
+                               ci=np.zeros((2, 1)),
                                weights=np.array([0.5, 0.5]))
     idx = sample_idiosyncratic(atoms, 10_000, seed=0)
     mean = atoms.xi[idx, 0].mean()
@@ -154,10 +154,11 @@ def test_joint_atoms_product_law() -> None:
     spec = make_spec(Dimensions(1, 1, 0, 1),
                      xi_law=DiscreteLaw(np.array([[0.0], [1.0]]), np.array([0.25, 0.75])),
                      ci_law=DiscreteLaw(np.array([[5.0]]), np.array([1.0])))
-    atoms = idiosyncratic_atoms(spec, TimeGrid(1.0, 2))
+    atoms = idiosyncratic_atoms(spec)
     assert atoms.count == 2
     assert np.allclose(atoms.weights, [0.25, 0.75])
-    assert np.allclose(atoms.ci[:, :, 0], 5.0)
+    assert atoms.ci.shape == (2, 1)
+    assert np.allclose(atoms.ci, 5.0)
 
 
 def test_node_field_shape_checked() -> None:
