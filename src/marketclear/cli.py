@@ -74,7 +74,7 @@ def _common(sp):
     sp.add_argument("--model", required=True, help="model file (text or JSON)")
     sp.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./marketclear-out)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    sp.add_argument("--threads", type=int, default=None,
                     help="accepted for compatibility; has no effect")
     sp.add_argument("--force", action="store_true", help="solve even if assumption checks fail")
     sp.add_argument("--maturity", action="store_true", help="switch the model to maturity mode")
@@ -138,6 +138,8 @@ def _read_config(path: str, types: dict) -> dict:
         raise UsageError(f"config file not found: {path}")
     try:
         config = json.loads(path.read_text())
+    except OSError as exc:
+        raise UsageError(f"config file {path} cannot be read: {exc.strerror}") from None
     except ValueError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
@@ -181,13 +183,17 @@ def _out_dir(cfg) -> Path:
     return path
 
 
-def _load(cfg):
+def _model(cfg):
+    """The command's model, in maturity mode under --maturity, and its time grid."""
     spec = load_model(cfg["model"])
     if cfg["maturity"]:
         spec = replace(spec, maturity_mode=True)
-    grid = TimeGrid(cfg["horizon"], cfg["steps"])
-    lattice = build_lattice(grid, spec.dims.d0, cfg["branching"])
-    return spec, lattice
+    return spec, TimeGrid(cfg["horizon"], cfg["steps"])
+
+
+def _load(cfg):
+    spec, grid = _model(cfg)
+    return spec, build_lattice(grid, spec.dims.d0, cfg["branching"])
 
 
 def _print_price(eq_summary: dict):
@@ -198,7 +204,7 @@ def _print_price(eq_summary: dict):
 
 
 def cmd_check(cfg) -> int:
-    spec, lattice = _load(cfg)
+    spec, _ = _model(cfg)  # the checks read the model alone: no tree is built
     report = check_all_assumptions(spec)
     out = _out_dir(cfg)
     write_json(report.to_dict(), out / "assumptions.json")
@@ -212,19 +218,20 @@ def cmd_check(cfg) -> int:
 
 
 def _checked_solve(cfg, solve):
-    """Run ``solve`` on the command's market context once its model passes the checks.
+    """Run ``solve`` on the command's market context, which --force builds unchecked.
 
     Returns the exit code and the result (None unless the code is ``EXIT_OK``).
     """
     spec, lattice = _load(cfg)
-    report = check_all_assumptions(spec)
-    if not report.all_passed and not cfg["force"]:
+    try:
+        result = solve(MarketContext(spec, lattice, force=cfg["force"]))
+    except AssumptionViolationError as exc:
+        if exc.report is None:
+            raise
         print("assumption checks failed (use --force to attempt a solve anyway):")
-        for failure in report.failures:
+        for failure in exc.report.failures:
             print(f"  - {failure}")
         return EXIT_ASSUMPTIONS, None
-    try:
-        result = solve(MarketContext(spec, lattice))
     except (SolverError, BudgetError) as exc:
         out = _out_dir(cfg)
         diagnostics = getattr(exc, "diagnostics", None)
@@ -240,7 +247,7 @@ def _checked_solve(cfg, solve):
 def cmd_solve_n(cfg) -> int:
     def solve(ctx):
         pop = make_population(ctx, N=cfg.get("n_agents"), seed=cfg["seed"])
-        return solve_full_equilibrium(ctx, pop, check=False)
+        return solve_full_equilibrium(ctx, pop)
 
     code, eq = _checked_solve(cfg, solve)
     if code != EXIT_OK:
@@ -254,7 +261,7 @@ def cmd_solve_n(cfg) -> int:
 
 
 def cmd_solve_mfg(cfg) -> int:
-    code, mf = _checked_solve(cfg, lambda ctx: solve_mfg(ctx, check=False))
+    code, mf = _checked_solve(cfg, solve_mfg)
     if code != EXIT_OK:
         return code
     out = _out_dir(cfg)

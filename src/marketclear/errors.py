@@ -14,7 +14,11 @@ class UnsupportedModelError(MarketClearError):
 
 
 class AssumptionViolationError(MarketClearError):
-    """A standing assumption fails at an evaluation point (e.g. singular fee matrix)."""
+    """A standing assumption fails; ``report`` is the failing checks' report, or None."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class BudgetError(MarketClearError):

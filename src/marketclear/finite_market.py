@@ -21,7 +21,8 @@ is the same path on the atoms.
 A market is one ``MarketContext``: the model's coefficients on one lattice.
 ``make_population`` and every solver take it first, and read the model and
 the lattice from it alone; a price or flow handed to a solver must be an
-(nodes, n) field of its lattice (``ValidationError`` otherwise).
+(nodes, n) field of its lattice (``ValidationError`` otherwise).  Building
+the context runs the standing-assumption checks, so no solver runs them.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ class MinorTables:
 class MarketContext:
     """Model coefficients materialized on one lattice, cached per (bundle, atom).
 
+    Unless ``force``, building one runs ``check_all_assumptions`` and raises a
+    failure as ``AssumptionViolationError`` with the report as ``report``.
+
     The terminal regime and the major cost's form are decided here, once;
     the system builders and the cost functionals read these tables only.
 
@@ -142,7 +146,12 @@ class MarketContext:
       ``cg_T`` are zero, and ``h0g_T`` and every group's ``hg_T`` are -c0(T).
     """
 
-    def __init__(self, spec: ModelSpec, lattice: NoiseLattice):
+    def __init__(self, spec: ModelSpec, lattice: NoiseLattice, *, force: bool = False):
+        if not force:
+            report = check_all_assumptions(spec)
+            if not report.all_passed:
+                raise AssumptionViolationError(
+                    "standing assumptions fail: " + "; ".join(report.failures), report)
         spec.require_no_idiosyncratic_brownian()
         self.spec = spec
         self.lattice = lattice
@@ -613,16 +622,6 @@ def integrate_forward(lattice: NoiseLattice, x0, drift: np.ndarray,
     return x
 
 
-def _run_checks(spec, force, minor_only=False):
-    from .model import check_minor_assumptions
-    report = (check_minor_assumptions(spec) if minor_only
-              else check_all_assumptions(spec))
-    if not report.all_passed and not force:
-        raise AssumptionViolationError(
-            "standing assumptions fail: " + "; ".join(report.failures))
-    return report
-
-
 # successive step of the major position below which the affine iteration may stop
 STEP_TOL = 1e-10
 
@@ -748,8 +747,7 @@ def _equilibrium(ctx: MarketContext, pop: AgentPopulation, classes: CostClasses,
 
 
 def solve_minor_clearing(ctx: MarketContext, beta: NodeField,
-                         population: AgentPopulation | None = None, *,
-                         check: bool = True, force: bool = False) -> EquilibriumSolution:
+                         population: AgentPopulation | None = None) -> EquilibriumSolution:
     """Clear the market for a given major flow (no major optimization).
 
     ``beta`` is the unnormalized flow of the major trader; the induced price
@@ -757,8 +755,6 @@ def solve_minor_clearing(ctx: MarketContext, beta: NodeField,
     """
     pop = population if population is not None else make_population(ctx)
     _validate_beta(ctx, beta)
-    if check:
-        _run_checks(ctx.spec, force, minor_only=True)
     beta_norm = beta.values / pop.N
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     sol, (phi,) = ClearingOperator(ctx, classes.tables, classes.weights).solve(beta_norm[None])
@@ -775,8 +771,8 @@ def solve_class_system(ctx: MarketContext,
     return family, b[:, 0], phi[:, 0]
 
 
-def solve_full_equilibrium(ctx: MarketContext, population: AgentPopulation | None = None, *,
-                           check: bool = True, force: bool = False) -> EquilibriumSolution:
+def solve_full_equilibrium(ctx: MarketContext,
+                           population: AgentPopulation | None = None) -> EquilibriumSolution:
     """Solve the coupled market with the major trader's flow chosen optimally.
 
     The optimal flow and the clearing price are read off the solved node
@@ -787,8 +783,6 @@ def solve_full_equilibrium(ctx: MarketContext, population: AgentPopulation | Non
         phi = -m(Y~) + lam b                     (and -m(Y) at the horizon).
     """
     pop = population if population is not None else make_population(ctx)
-    if check:
-        _run_checks(ctx.spec, force)
     classes = cost_classes(ctx.group_tables(pop), pop.weights)
     family, b, phi = solve_class_system(ctx, classes)
     return _equilibrium(ctx, pop, classes, family, phi, pop.N * b, b, family.field("x0"))

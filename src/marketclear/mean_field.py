@@ -10,8 +10,8 @@ source, so the per-atom flow fields equal the means.  ``MfgSolution`` is a
 ``ClassSolution``, the container of every market solved on cost classes: it
 reads the atoms as its groups and holds the limit price as ``price`` and
 the per-capita major flow as ``beta_norm``, the finite market's names.
-``solve_mfg`` takes the homogeneous market's ``MarketContext``, as every
-finite-market solver does.
+``solve_mfg`` takes the homogeneous market's ``MarketContext``, the gate of
+the standing assumptions, as every finite-market solver does.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedModelError, ValidationError
-from .finite_market import (ClassSolution, CostClasses, MarketContext, _run_checks,
-                            cost_classes, solve_class_system, solve_deviations)
+from .finite_market import (ClassSolution, CostClasses, MarketContext, cost_classes,
+                            solve_class_system, solve_deviations)
 from .scenario import NodeField
 
 
@@ -57,7 +57,7 @@ class MfgSolution(ClassSolution):
         return self.group_field(name.upper(), a)
 
 
-def solve_mfg(ctx: MarketContext, *, check: bool = True, force: bool = False) -> MfgSolution:
+def solve_mfg(ctx: MarketContext) -> MfgSolution:
     """Solve the population-limit equilibrium: the class means, then the atom deviations.
 
     The flow and the price are those of the class system, common-lattice
@@ -68,8 +68,6 @@ def solve_mfg(ctx: MarketContext, *, check: bool = True, force: bool = False) ->
 
     and every idiosyncratic deviation field has atom-weighted mean zero.
     """
-    if check:
-        _run_checks(ctx.spec, force)
     classes = limit_classes(ctx)
     family, b, phi = solve_class_system(ctx, classes)
     return MfgSolution(solution=family, classes=classes, deviations=solve_deviations(ctx, classes),

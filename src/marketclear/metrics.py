@@ -453,7 +453,7 @@ def convergence_study(ctx: MarketContext, n_list, resamples: int,
         raise ValidationError("the study needs at least one resample")
     if max(n_list) > AGENT_BUDGET:
         raise BudgetError(f"population sizes beyond {AGENT_BUDGET} are not supported")
-    mf = solve_mfg(ctx, check=False)
+    mf = solve_mfg(ctx)
     ref = _ReferenceClouds(ctx, mf)
     prices = _atom_prices(ctx)
     A = ctx.atoms.count
@@ -566,9 +566,9 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
     pop_he = make_population(ctx_he, N=N, assignments=assignments)
     pop_ho = make_population(ctx_ho, N=N, assignments=assignments)
 
-    mf = solve_mfg(ctx_ho, check=False)
-    eq_he = solve_full_equilibrium(ctx_he, pop_he, check=False)
-    eq_ho = solve_full_equilibrium(ctx_ho, pop_ho, check=False)
+    mf = solve_mfg(ctx_ho)
+    eq_he = solve_full_equilibrium(ctx_he, pop_he)
+    eq_ho = solve_full_equilibrium(ctx_ho, pop_ho)
     lhs_he = price_gap(eq_he.price, mf.price, lattice)
     lhs_ho = price_gap(eq_ho.price, mf.price, lattice)
 

@@ -242,4 +242,10 @@ def load_model(path) -> ModelSpec:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model file not found: {path}")
-    return loads_model(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"model file {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(f"model file {path} cannot be read: {exc.strerror}") from None
+    return loads_model(text)

@@ -295,7 +295,7 @@ def perturbation_tests(ctx: MarketContext, levels, directions: int = 20,
     """
     levels = list(levels)
     eps = _checked_eps_grid(levels, directions, eps_grid)
-    eq = (solve_full_equilibrium(ctx, population, check=False)
+    eq = (solve_full_equilibrium(ctx, population)
           if any(level in _FINITE_LEVELS for level in levels) else None)
     etas = perturbation_directions(ctx.lattice, ctx.spec.dims.n, directions, seed)
     return {level: _level_report(ctx, level, eps, etas, eq) for level in levels}

@@ -79,7 +79,7 @@ def solved_case(n, N, K):
         pop = make_population(ctx, N=N, assignments=[i % 2 for i in range(N)])
         system = build_full_system(ctx, ctx.group_tables(pop), pop.weights)
         direct = DirectSolver(system).solve()
-        eq = solve_full_equilibrium(ctx, pop, check=False)
+        eq = solve_full_equilibrium(ctx, pop)
         _solved[key] = (spec, lattice, ctx, pop, system, direct, eq)
     return _solved[key]
 
@@ -108,7 +108,7 @@ def test_criterion_02_oracle_equivalence() -> None:
     for (n, N, K) in lq_cases():
         spec, lattice, _, pop, _, direct, _ = solved_case(n, N, K)
         twin = callable_twin(spec)
-        iterated = solve_full_equilibrium(MarketContext(twin, lattice), pop, check=False)
+        iterated = solve_full_equilibrium(MarketContext(twin, lattice), pop)
         worst = max(worst, group_state_gap(direct, iterated))
     # independently assembled dense oracle on the 2-step scalar two-agent market
     from tiny_tree_oracle import TinyTreeOracle
@@ -185,11 +185,11 @@ def test_criterion_05_mean_field_consistency() -> None:
                      c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
     lattice = build_lattice(TimeGrid(1.0, 5), d0=1)
     ctx = MarketContext(spec, lattice)
-    mf = solve_mfg(ctx, check=False)
+    mf = solve_mfg(ctx)
     worst = 0.0
     for N in (1, 2, 4, 8):
         pop = make_population(ctx, N=N)
-        eq = solve_full_equilibrium(ctx, pop, check=False)
+        eq = solve_full_equilibrium(ctx, pop)
         worst = max(worst, price_gap(eq.price, mf.price, lattice))
     gate("criterion 05 mean-field consistency",
          worst <= 1e-16 * lattice.grid.horizon,

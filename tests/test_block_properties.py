@@ -62,7 +62,7 @@ def random_market(case):
                 rng.uniform(-1, 1, (n, 1))),
         maturity_mode=case["maturity"])
     lat = build_lattice(TimeGrid(1.0, case["K"]), d0=1, branching=case["branching"])
-    ctx = MarketContext(spec, lat)
+    ctx = MarketContext(spec, lat, force=True)  # random blocks: the assumptions may fail
     tabs = [ctx.minor_tables(g, int(rng.integers(2))) for g in range(G)]
     w = rng.uniform(0.1, 1.0, G)
     return ctx, tabs, w / w.sum(), rng

@@ -141,6 +141,46 @@ def test_missing_model_is_usage_error(tmp_path) -> None:
                 "--out", tmp_path / "out"]) == 1
 
 
+@pytest.mark.parametrize("flag, content", [("--model", None),
+                                           ("--model", b"\xff" + GOOD_MODEL.encode()),
+                                           ("--config", None)],
+                         ids=["model-directory", "model-not-utf8", "config-directory"])
+def test_unreadable_model_or_config_is_usage_error(good_model, tmp_path, capsys, flag,
+                                                   content) -> None:
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    given = ["--model", bad] if flag == "--model" else ["--model", good_model, flag, bad]
+    assert run(["check", *given, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(bad) in err
+
+
+def test_check_builds_no_tree(tmp_path) -> None:
+    # the checks read the model alone: a depth no tree could reach is no error
+    out = tmp_path / "out"
+    assert run(["check", "--model", SHIPPED / "benchmark.model", "--out", out,
+                "--steps", 40, "--maturity"]) == 0
+    report = json.loads((out / "assumptions.json").read_text())
+    assert report["all_passed"] and report["skipped"]  # maturity mode skips terminal clauses
+
+
+def test_config_hash_does_not_depend_on_the_host(good_model, tmp_path, monkeypatch) -> None:
+    # --threads has no effect: unset, it stays out of the config, whatever the CPU count
+    out = tmp_path / "out"
+    configs = []
+    for cpus, flags in ((1, []), (8, []), (8, ["--threads", 3])):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert run(["lattice-dump", "--model", good_model, "--out", out, "--steps", 2,
+                    *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        configs.append((manifest["config_hash"], manifest["config"].get("threads")))
+    assert configs[0] == configs[1] and configs[0][1] is None
+    assert configs[2][1] == 3
+
+
 def test_unknown_flag_is_usage_error(good_model, tmp_path) -> None:
     assert run(["check", "--model", good_model, "--bogus"]) == 1
 
@@ -294,13 +334,21 @@ def test_solve_mfg_maturity_terminal_rows(tmp_path) -> None:
     assert {count for _, count in runs} == {15}  # 1 + 2 + 4 + 8 nodes, n = 1
 
 
-def test_solve_blocked_by_failing_assumptions_unless_forced(tmp_path) -> None:
+def test_solve_blocked_by_failing_assumptions_unless_forced(tmp_path, capsys) -> None:
     model = tmp_path / "bad.model"
     model.write_text(BAD_MODEL)
     out = tmp_path / "out"
     assert run(["solve-n", "--model", model, "--out", out, "--steps", 2]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "assumption checks failed (use --force to attempt a solve anyway):"
+    assert printed[1].startswith("  - terminal coupling constant a=")
+    assert (out / "manifest.json").exists()
     assert run(["solve-n", "--model", model, "--out", out, "--steps", 2,
                 "--force"]) == 0
+    # forced past the checks, a fee matrix that is not positive definite still fails
+    model.write_text(GOOD_MODEL.replace("lambda = 1.0", "lambda = -1.0"))
+    assert run(["solve-n", "--model", model, "--out", out, "--steps", 2, "--force"]) == 2
+    assert "assumption violation:" in capsys.readouterr().err
 
 
 def test_converge_degenerate_point_mass(tmp_path, capsys) -> None:

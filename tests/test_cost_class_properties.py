@@ -117,7 +117,7 @@ def test_class_path_equals_the_coupled_group_system(homogeneous, case) -> None:
     system = build_full_system(ctx, ctx.group_tables(pop), pop.weights)
     oracle = (_solve_full_system(ctx, system) if case["callable"]
               else DirectSolver(system).solve())
-    eq = solve_full_equilibrium(ctx, pop, check=False)
+    eq = solve_full_equilibrium(ctx, pop)
     assert eq.solution.system.mf == (1 + 2 * len(eq.classes.members)) * spec.dims.n
     scale = max(1.0, float(np.max(np.abs(oracle.forward))),
                 float(np.max(np.abs(oracle.backward))))

@@ -178,7 +178,7 @@ def test_reference_distances_equal_per_field_coupling(case) -> None:
                      c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
     lat = build_lattice(TimeGrid(1.0, case["steps"]), d0=1, branching=case["branching"])
     ctx = MarketContext(spec, lat)
-    mf = solve_mfg(ctx, check=False)
+    mf = solve_mfg(ctx)
     ref = metrics._ReferenceClouds(ctx, mf)
     flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(A)])
     emp = empirical_weights(rng, case["N"], ref.weights)

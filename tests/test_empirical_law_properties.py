@@ -97,8 +97,8 @@ def test_finite_market_on_its_empirical_law_is_the_population_limit(case) -> Non
     ctx = MarketContext(spec, lat)
     pop = make_population(ctx, assignments=np.repeat(np.arange(len(counts)), counts))
     assert np.array_equal(pop.weights, ctx.atoms.weights)
-    eq = solve_full_equilibrium(ctx, pop, check=False)
-    mf = solve_mfg(ctx, check=False)
+    eq = solve_full_equilibrium(ctx, pop)
+    mf = solve_mfg(ctx)
     assert rel_gap(eq.price.values, mf.price.values) <= TOL
     assert rel_gap(eq.beta_norm.values, mf.beta_norm.values) <= TOL
     basis = ((counts / counts.sum())[:, None, None] * _atom_prices(ctx)).sum(axis=0)

@@ -54,7 +54,7 @@ def test_callable_major_cost_matches_affine_twin() -> None:
         pop_a = make_population(ctx_a, assignments=[0, 1])
         pop_w = make_population(ctx_w, assignments=[0, 1])
         eq_a = solve_full_equilibrium(ctx_a, pop_a)
-        eq_w = solve_full_equilibrium(ctx_w, pop_w, check=False)
+        eq_w = solve_full_equilibrium(ctx_w, pop_w)
         assert np.max(np.abs(eq_a.price.values - eq_w.price.values)) <= 1e-8, T
         assert np.max(np.abs(eq_a.beta_hat.values - eq_w.beta_hat.values)) <= 1e-8, T
 
@@ -86,7 +86,7 @@ def test_callable_major_cost_solves_at_long_horizons() -> None:
 
 def test_nonlinear_limit_solves_by_fixed_point() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    mf = solve_mfg(MarketContext(tanh_spec(), lat), check=False)
+    mf = solve_mfg(MarketContext(tanh_spec(), lat))
     assert mf.diagnostics.converged
 
 
@@ -101,7 +101,7 @@ def test_non_contracting_callable_cost_raises_before_overflow() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="stopped contracting"):
-            solve_full_equilibrium(MarketContext(spec, lat), check=False)
+            solve_full_equilibrium(MarketContext(spec, lat, force=True))
 
 
 def test_time_dependent_fee_schedule() -> None:

@@ -15,9 +15,10 @@ from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        solve_full_equilibrium,
                                        solve_minor_clearing)
 from marketclear.mean_field import solve_mfg
+from marketclear.metrics import convergence_study
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MinorBundle,
                                ModelSpec, QuadraticMajorCost, make_spec)
-from marketclear.optimality import cost_major, cost_minor
+from marketclear.optimality import cost_major, cost_minor, perturbation_tests
 from marketclear.scenario import NodeField, TimeGrid, build_lattice, constant_field
 
 from conftest import (callable_twin, homogeneous_study_spec, noiseless_unit_spec,
@@ -76,7 +77,8 @@ def test_zero_model_best_response_is_idle() -> None:
                      xi_law=DiscreteLaw.point([1.0]),
                      minor=MinorBundle.build(Dimensions(1, 1, 0, 1), cf=0.0, cg=0.0))
     lat = tree(3)
-    br = minor_best_response(MarketContext(spec, lat), constant_field(lat, np.zeros(1)))
+    br = minor_best_response(MarketContext(spec, lat, force=True),  # cf = cg = 0: degenerate
+                             constant_field(lat, np.zeros(1)))
     assert np.max(np.abs(br.alpha_hat[0])) <= 1e-12
     assert np.allclose(br.group_field("X", 0), 1.0)
 
@@ -272,7 +274,7 @@ def test_maturity_terminal_values_are_exact_for_any_class_weights() -> None:
     lat = tree(6)
     ctx = MarketContext(spec, lat)
     pop = make_population(ctx, assignments=[0, 1, 1, 2, 2, 2, 2])
-    eq = solve_full_equilibrium(ctx, pop, check=False)
+    eq = solve_full_equilibrium(ctx, pop)
     tsl = lat.terminal_slice
     assert np.array_equal(eq.price.values[tsl], ctx.exo.c0[tsl])
     for g in range(pop.size):
@@ -315,12 +317,16 @@ def test_maturity_results_independent_of_discount() -> None:
 
 
 def _solved_fields(spec, lat):
-    """Every field, price and cost of the market's four solves, by name."""
-    ctx = MarketContext(spec, lat)
+    """Every field, price and cost of the market's four solves, by name.
+
+    The context is forced: the maturity twin's zero terminal curvatures are
+    outside the assumptions outside maturity mode.
+    """
+    ctx = MarketContext(spec, lat, force=True)
     pop = make_population(ctx, assignments=[0, 1, 1, 0])
-    eq = solve_full_equilibrium(ctx, pop, check=False)
-    mf = solve_mfg(ctx, check=False)
-    cl = solve_minor_clearing(ctx, eq.beta_hat, pop, check=False)
+    eq = solve_full_equilibrium(ctx, pop)
+    mf = solve_mfg(ctx)
+    cl = solve_minor_clearing(ctx, eq.beta_hat, pop)
     br = minor_best_response(ctx, eq.price, pop)
     out = {"price": eq.price.values, "beta": eq.beta_hat.values, "x0": eq.major_field("x0"),
            "p0": eq.major_field("p0"), "price_mfg": mf.price.values,
@@ -372,15 +378,23 @@ def test_nonzero_terminal_beta_rejected() -> None:
 
 
 def test_failing_assumptions_block_solve() -> None:
-    # widely spread terminal curvatures: no constant candidate can cancel them
-    dims = Dimensions(1, 1, 0, 2)
-    spec = make_spec(dims, delta=0.9,
-                     minor=[MinorBundle.build(dims, cg=0.05),
-                            MinorBundle.build(dims, cg=2.0)])
-    lat = tree(2)
-    with pytest.raises(AssumptionViolationError):
-        solve_full_equilibrium(MarketContext(spec, lat))
-    solve_full_equilibrium(MarketContext(spec, lat), force=True)
+    # the context is the gate: a running cost that is not convex is refused
+    # before any entry point can run, and a forced context runs every one,
+    # the studies included
+    dims = Dimensions(1, 1, 0, 4)
+    spec = make_spec(dims, delta=0.3, minor=MinorBundle.build(dims, cf=-0.05),
+                     xi_law=DiscreteLaw(np.array([[0.0], [2.0]]), np.array([0.5, 0.5])),
+                     c0_law=("constant", [0.1]))
+    lat = tree(4)
+    with pytest.raises(AssumptionViolationError) as raised:
+        MarketContext(spec, lat)
+    report = raised.value.report
+    assert not report.all_passed and not report.passed["minor_A_iv"]
+    assert any("cf not strictly convex" in failure for failure in report.failures)
+    ctx = MarketContext(spec, lat, force=True)
+    assert convergence_study(ctx, [8, 16, 32], 2, 0).slope is not None
+    levels = ["minor", "major-N", "major-mfg"]
+    assert list(perturbation_tests(ctx, levels, directions=2, seed=0)) == levels
 
 
 @pytest.mark.parametrize("past_end", [False, True])
@@ -408,20 +422,23 @@ def test_every_entry_point_takes_one_market_context() -> None:
     for name in MARKET_ENTRY_POINTS:
         first, *rest = inspect.signature(getattr(marketclear, name)).parameters.values()
         assert (first.name, first.annotation) == ("ctx", "MarketContext"), name
-        assert not {"spec", "lattice", "ctx"} & {p.name for p in rest}, name
+        assert not {"spec", "lattice", "ctx", "check", "force"} & {p.name for p in rest}, name
     for name, fn in inspect.getmembers(marketclear, inspect.isfunction):
         names = set(inspect.signature(fn).parameters)
         assert "ctx" not in names or not {"spec", "lattice"} & names, name
     assert not hasattr(marketclear, "perturbation_test")
+    # the context is the one gate of the standing assumptions
+    _, _, force = inspect.signature(marketclear.MarketContext).parameters.values()
+    assert (force.name, force.kind, force.default) == ("force", force.KEYWORD_ONLY, False)
 
 
 def test_every_solved_market_holds_its_price_and_no_copy_of_the_market() -> None:
     # the model and the tree live in the context; a result reads its tree off its solve
     ctx = MarketContext(homogeneous_study_spec(N=4, delta=0.4), tree(3))
     pop = make_population(ctx, assignments=[0, 1, 1, 0])
-    eq = solve_full_equilibrium(ctx, pop, check=False)
-    results = {"full": eq, "limit": solve_mfg(ctx, check=False),
-               "clearing": solve_minor_clearing(ctx, eq.beta_hat, pop, check=False),
+    eq = solve_full_equilibrium(ctx, pop)
+    results = {"full": eq, "limit": solve_mfg(ctx),
+               "clearing": solve_minor_clearing(ctx, eq.beta_hat, pop),
                "best response": minor_best_response(ctx, eq.price, pop)}
     for name, result in results.items():
         assert isinstance(result.price, NodeField), name

@@ -138,8 +138,8 @@ def test_picard_path_matches_the_recorded_hash() -> None:
                      c0_law=("constant", [0.1]))
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     ctx = MarketContext(spec, lat)
-    eq = solve_full_equilibrium(ctx, check=False)
-    mf = solve_mfg(ctx, check=False)
+    eq = solve_full_equilibrium(ctx)
+    mf = solve_mfg(ctx)
     # the finite market's states in the layout of its coupled group system:
     # forward (x0, X_g, R_g), backward (p0, Y_g, P_g)
     groups = range(eq.population.size)

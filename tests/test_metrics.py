@@ -189,7 +189,7 @@ def test_study_rows_match_full_finite_solves() -> None:
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
     ctx = MarketContext(spec, lat)
     report = convergence_study(ctx, [2, 5, 10], resamples=4, seed=1)
-    mf = solve_mfg(ctx, check=False)
+    mf = solve_mfg(ctx)
     ref = _ReferenceClouds(ctx, mf)
     flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(ctx.atoms.count)])
     tsl = lat.terminal_slice
@@ -197,7 +197,7 @@ def test_study_rows_match_full_finite_solves() -> None:
         N = row["N"]
         draw = sample_idiosyncratic(ctx.atoms, N, derive_seed(1, N, row["resample"]))
         pop = make_population(ctx, N=N, assignments=draw)
-        eq = solve_full_equilibrium(ctx, pop, check=False)
+        eq = solve_full_equilibrium(ctx, pop)
         assert row["price_gap"] == pytest.approx(price_gap(eq.price, mf.price, lat),
                                                  rel=1e-12, abs=1e-14)
         emp_w = np.bincount(draw, minlength=3) / N
@@ -217,7 +217,7 @@ def test_expected_gap_is_the_multinomial_mean() -> None:
     ctx = MarketContext(spec, lat)
     N = 5
     report = convergence_study(ctx, [N], resamples=1, seed=0)
-    mf = solve_mfg(ctx, check=False)
+    mf = solve_mfg(ctx)
     w = ctx.atoms.weights
     mean = 0.0
     for c0 in range(N + 1):
@@ -226,7 +226,7 @@ def test_expected_gap_is_the_multinomial_mean() -> None:
             prob = factorial(N) * np.prod(w ** counts) / np.prod(
                 [factorial(int(c)) for c in counts])
             pop = make_population(ctx, N=N, assignments=np.repeat(np.arange(3), counts))
-            eq = solve_full_equilibrium(ctx, pop, check=False)
+            eq = solve_full_equilibrium(ctx, pop)
             mean += prob * price_gap(eq.price, mf.price, lat)
     assert report.per_n[N]["expected_price_gap"] == pytest.approx(mean, rel=1e-12)
 
@@ -246,7 +246,7 @@ def test_study_solves_the_atom_basis_once(monkeypatch) -> None:
                         lambda self, **constants: batches.append(solve(self, **constants))
                         or batches[-1])
     ctx = MarketContext(three_atom_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
-    solve_mfg(ctx, check=False)
+    solve_mfg(ctx)
     mfg_passes, mfg_batches = len(passes), len(batches)
     convergence_study(ctx, [2, 4, 8, 16], resamples=8, seed=3)
     # the limit's own solves plus one matrix pass and one batch of A = 3 systems

@@ -35,8 +35,8 @@ def test_zero_model_zero_cost() -> None:
     spec = make_spec(dims, xi_law=DiscreteLaw.point([0.0]),
                      minor=MinorBundle.build(dims, cf=0.0, cg=0.0))
     lat = tree(3)
-    J = cost_minor(MarketContext(spec, lat), constant_field(lat, np.zeros(1)),
-                   np.zeros((lat.num_nodes, 1)))
+    J = cost_minor(MarketContext(spec, lat, force=True),  # cf = cg = 0: degenerate
+                   constant_field(lat, np.zeros(1)), np.zeros((lat.num_nodes, 1)))
     assert J == pytest.approx(0.0, abs=1e-15)
 
 
@@ -46,8 +46,8 @@ def test_pure_fee_cost_is_half() -> None:
     spec = make_spec(dims, xi_law=DiscreteLaw.point([0.0]),
                      minor=MinorBundle.build(dims, cf=0.0, cg=0.0))
     lat = tree(4)
-    J = cost_minor(MarketContext(spec, lat), constant_field(lat, np.zeros(1)),
-                   np.ones((lat.num_nodes, 1)))
+    J = cost_minor(MarketContext(spec, lat, force=True),  # cf = cg = 0: degenerate
+                   constant_field(lat, np.zeros(1)), np.ones((lat.num_nodes, 1)))
     assert J == pytest.approx(0.5)
 
 
@@ -101,7 +101,7 @@ def test_major_cost_matches_hand_assembly() -> None:
                                                          c0g=0.0, h0g=0.0))
     K = 64
     lat = build_lattice(TimeGrid(1.0, K), d0=0)
-    ctx = MarketContext(spec, lat)
+    ctx = MarketContext(spec, lat, force=True)  # c0f = c0g = 0: degenerate
     pop = make_population(ctx)
     beta = constant_field(lat, np.ones(1))
     beta.values[lat.terminal_slice] = 0.0

@@ -53,9 +53,9 @@ def oracle_costs(ctx, level, pop):
     """The base control and the per-call cost of any control at ``level``."""
     lat = ctx.lattice
     if level == "major-mfg":
-        base = solve_mfg(ctx, check=False).beta_norm.values
+        base = solve_mfg(ctx).beta_norm.values
         return base, lambda u: cost_mfg(ctx, NodeField(lat, u))
-    eq = solve_full_equilibrium(ctx, pop, check=False)
+    eq = solve_full_equilibrium(ctx, pop)
     if level == "major-N":
         return (eq.beta_hat.values,
                 lambda u: cost_major(ctx, pop, NodeField(lat, u)))

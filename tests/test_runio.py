@@ -58,14 +58,14 @@ def assert_same_bytes(tmp_path, write, oracle, obj) -> None:
 def test_equilibrium_csv_matches_oracle(shipped, tmp_path, n_agents) -> None:
     spec, lat, ctx = shipped
     pop = make_population(ctx, N=n_agents or spec.dims.N, seed=3)
-    eq = solve_full_equilibrium(ctx, pop, check=False)
+    eq = solve_full_equilibrium(ctx, pop)
     assert_same_bytes(tmp_path, runio.write_equilibrium_csv,
                       csv_oracle.write_equilibrium_csv, eq)
 
 
 def test_mfg_csv_matches_oracle(shipped, tmp_path) -> None:
     spec, lat, ctx = shipped
-    mf = solve_mfg(ctx, check=False)
+    mf = solve_mfg(ctx)
     assert_same_bytes(tmp_path, runio.write_mfg_csv, csv_oracle.write_mfg_csv, mf)
 
 
