@@ -50,12 +50,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Raises ``UsageError`` and keeps option defaults out of the parsed namespace.
 
-    Every option's default and value type go to ``defaults`` and ``types``,
-    so the namespace holds only the options given on the command line.
+    Every option's default, value type and choices go to ``defaults``,
+    ``types`` and ``choices``, so the namespace holds only the options given
+    on the command line and a config file is checked as the flags are.
     """
 
     def __init__(self, *args, **kwargs):
-        self.defaults, self.types = {}, {}
+        self.defaults, self.types, self.choices = {}, {}, {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
@@ -63,6 +64,8 @@ class _Parser(argparse.ArgumentParser):
         if action.option_strings and action.default is not argparse.SUPPRESS:
             self.defaults[action.dest] = action.default
             self.types[action.dest] = bool if action.nargs == 0 else (action.type or str)
+            if action.choices is not None:
+                self.choices[action.dest] = action.choices
             action.default = argparse.SUPPRESS
         return action
 
@@ -81,7 +84,7 @@ def _common(sp):
     sp.add_argument("--config", default=None, help="JSON config supplying the same options")
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--steps", type=int, default=8)
-    sp.add_argument("--branching", type=int, default=2)
+    sp.add_argument("--branching", type=int, choices=(2, 3), default=2)
 
 
 def _solve_n_options(sp):
@@ -131,8 +134,8 @@ def _build_parser(command: str | None = None) -> _Parser:
     return p
 
 
-def _read_config(path: str, types: dict) -> dict:
-    """A --config file: a JSON object of the command's options, typed as their flags."""
+def _read_config(path: str, command: _Parser) -> dict:
+    """A --config file: a JSON object of the command's options, checked as their flags are."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
@@ -145,15 +148,18 @@ def _read_config(path: str, types: dict) -> dict:
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")
     for key, value in config.items():
-        if key not in types:
+        if key not in command.types:
             raise UsageError(f"config file option {key!r} is not an option of this command")
-        want = types[key]
+        want = command.types[key]
         if value is None:
             continue
         ok = (int, float) if want is float else want
         if isinstance(value, bool) != (want is bool) or not isinstance(value, ok):
             raise UsageError(f"config file option {key!r} must be of type {want.__name__}, "
                              f"got {value!r}")
+        if key in command.choices and value not in command.choices[key]:
+            raise UsageError(f"config file option {key!r}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(str, command.choices[key]))})")
     return config
 
 
@@ -165,7 +171,7 @@ def _merge_config(args, command: _Parser) -> dict:
     """
     given = vars(args)
     name = given.pop("command")
-    config = _read_config(given.pop("config"), command.types) if "config" in given else {}
+    config = _read_config(given.pop("config"), command) if "config" in given else {}
     config = {key: value for key, value in config.items() if value is not None}
     merged = {key: value for key, value in {**command.defaults, **config, **given}.items()
               if value is not None and key != "config"}

@@ -162,22 +162,6 @@ class FamilySolution:
         dev[1:] = ub[1:] - lat.repeat_to_children(self.backward_pre[:I, flow])
         return dev
 
-    def z_projection(self, name: str, flow: int = 0) -> np.ndarray:
-        """Discrete martingale-representation diagnostic E[dev dW^T]/dt per node."""
-        lat = self.system.lattice
-        sl = self.system.backward_slices[name]
-        dim = sl.stop - sl.start
-        out = np.zeros((lat.num_nodes, dim, lat.d0))
-        deviations = self.deviations(flow)[:, sl]
-        for k in range(lat.steps):
-            lo, hi = lat.level_range(k)
-            clo, chi = lat.level_range(k + 1)
-            dev = deviations[clo:chi].reshape(hi - lo, lat.fanout, dim)
-            dw = lat.dW[clo:chi].reshape(hi - lo, lat.fanout, lat.d0)
-            w = lat.child_probs[None, :, None, None]
-            out[lo:hi] = (w * dev[..., :, None] * dw[..., None, :]).sum(axis=1) / lat.dt
-        return out
-
 
 # -- sweeps -------------------------------------------------------------------
 #

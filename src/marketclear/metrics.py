@@ -16,8 +16,8 @@ structure depends on its values only through their sort order: the nodes
 are sorted and grouped by order once per study, and each count row builds
 one structure per order.  All agents' draws of all rows come from one
 vectorised pass over their Philox streams.  The study takes the homogeneous
-market's ``MarketContext``; ``stability_gap`` compares two models on one
-lattice and builds both contexts itself.
+market's ``MarketContext``; ``stability_gap`` compares the contexts of two
+models on one lattice.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .fbsde import DirectSolver
 from .finite_market import (MarketContext, _flow_and_price, build_full_system,
                             make_population, solve_full_equilibrium, stack_tables)
 from .mean_field import MfgSolution, solve_mfg
-from .model import ModelSpec
 from .scenario import (NodeField, NoiseLattice, apply_block, sample_idiosyncratic,
                        squared_norms, _draw_atoms, _splitmix64)
 
@@ -543,36 +542,37 @@ class StabilityReport:
                 "w2_terms": self.w2_terms}
 
 
-def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
-                  lattice: NoiseLattice, *, seed: int = 0,
+def stability_gap(ctx: MarketContext, reference: MarketContext, *, seed: int = 0,
                   assignments: np.ndarray | None = None) -> StabilityReport:
-    """Compare the heterogeneous market's price to the homogeneous limit price.
+    """Compare the market of ``ctx`` to the homogeneous limit price of ``reference``.
 
-    Both populations share the same atom draws.  The coefficient-difference
+    The two contexts share dimensions and a lattice (equal ``signature()``)
+    and both populations the same atom draws.  The coefficient-difference
     terms are integrated along the homogeneous equilibrium, matching the
     stability bound's right-hand side structure.  The terminal terms read
     the markets' terminal tables, so in maturity mode, where every terminal
     cost is -<c0(T), x_T>, they are zero.
     """
-    if hetero_spec.dims != homo_spec.dims:
+    spec, lattice = ctx.spec, ctx.lattice
+    if spec.dims != reference.spec.dims:
         raise ValidationError("specs must share dimensions")
-    if not homo_spec.homogeneous:
+    if lattice.signature() != reference.lattice.signature():
+        raise ValidationError("the two markets must share a lattice")
+    if not reference.spec.homogeneous:
         raise ValidationError("the reference spec must be homogeneous")
-    ctx_he = MarketContext(hetero_spec, lattice)
-    ctx_ho = MarketContext(homo_spec, lattice)
-    N = hetero_spec.dims.N
+    N = spec.dims.N
     if assignments is None:
-        assignments = sample_idiosyncratic(ctx_ho.atoms, N, seed)
-    pop_he = make_population(ctx_he, N=N, assignments=assignments)
-    pop_ho = make_population(ctx_ho, N=N, assignments=assignments)
+        assignments = sample_idiosyncratic(reference.atoms, N, seed)
+    pop_he = make_population(ctx, N=N, assignments=assignments)
+    pop_ho = make_population(reference, N=N, assignments=assignments)
 
-    mf = solve_mfg(ctx_ho)
-    eq_he = solve_full_equilibrium(ctx_he, pop_he)
-    eq_ho = solve_full_equilibrium(ctx_ho, pop_ho)
+    mf = solve_mfg(reference)
+    eq_he = solve_full_equilibrium(ctx, pop_he)
+    eq_ho = solve_full_equilibrium(reference, pop_ho)
     lhs_he = price_gap(eq_he.price, mf.price, lattice)
     lhs_ho = price_gap(eq_ho.price, mf.price, lattice)
 
-    ratio = ctx_ho.delta / (1.0 - ctx_ho.delta)
+    ratio = reference.delta / (1.0 - reference.delta)
     tsl = lattice.terminal_slice
     terms = {"dl": 0.0, "dsig0": 0.0, "ddfdx": 0.0, "dcf_r": 0.0,
              "dg_terminal": 0.0, "dcg_r_terminal": 0.0}
@@ -582,9 +582,9 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
                    for g, grp in enumerate(pop_ho.groups)) / N
     for i in range(N):
         a = int(assignments[i])
-        bundle = 0 if hetero_spec.homogeneous else i
-        het = ctx_he.minor_tables(bundle, a)
-        hom = ctx_ho.minor_tables(0, a)
+        bundle = 0 if spec.homogeneous else i
+        het = ctx.minor_tables(bundle, a)
+        hom = reference.minor_tables(0, a)
         g_ho = int(groups_of[i])
         X = eq_ho.group_field("X", g_ho)
         R = eq_ho.group_field("R", g_ho)
@@ -603,6 +603,6 @@ def stability_gap(hetero_spec: ModelSpec, homo_spec: ModelSpec,
         terms["dg_terminal"] += terminal(squared_norms(dg)) / N
         terms["dcg_r_terminal"] += terminal(squared_norms(dcg_r)) / N
 
-    emp_w = np.bincount(assignments, minlength=ctx_ho.atoms.count) / N
+    emp_w = np.bincount(assignments, minlength=reference.atoms.count) / N
     return StabilityReport(lhs_hetero=lhs_he, lhs_homogeneous=lhs_ho, delta_terms=terms,
-                           w2_terms=_ReferenceClouds(ctx_ho, mf).distances(emp_w, N))
+                           w2_terms=_ReferenceClouds(reference, mf).distances(emp_w, N))

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedModelError, ValidationError
-from .scenario import stream_rng
+from .scenario import WEIGHT_TOL, stream_rng
 
 SECANT_PAIRS = 256
 SECANT_BOX = 1.0  # secant pairs are drawn uniformly on [-SECANT_BOX, SECANT_BOX]^n
@@ -153,7 +153,7 @@ class DiscreteLaw:
             raise ValidationError("law atoms and weights disagree in length")
         if len(self.weights) == 0:
             raise ValidationError("law has no atoms")
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
+        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
             raise ValidationError("law weights must be positive and sum to 1")
 
     @classmethod

@@ -4,9 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from marketclear.model import CallableMajorCost, Dimensions, DiscreteLaw, make_spec
 from marketclear.scenario import TimeGrid, build_lattice
+
+# every property test is reproducible: each keeps only its own max_examples
+settings.register_profile("properties", deadline=None, derandomize=True, database=None)
+settings.load_profile("properties")
 
 
 def noiseless_unit_spec():
@@ -27,12 +32,12 @@ def scalar_market_spec(delta=0.4, N=2, xi_atoms=((0.5,), (1.5,)), lam=1.3, lam0=
         chi0=[0.3])
 
 
-def callable_twin(spec):
-    """The spec with its quadratic major cost given as callable gradients."""
+def callable_twin(spec, a=0.0):
+    """The spec with its quadratic major cost as callable gradients, plus ``a tanh(x)``."""
     cost, zero = spec.major_cost, np.zeros(spec.dims.n)
     return replace(spec, major_cost=CallableMajorCost(
-        dfdx=lambda t, x, c0: cost.c0f @ x + cost.h0f.eval_point(t, c0, zero),
-        dgdx=lambda x, c0: cost.c0g @ x + cost.h0g.eval_point(0.0, c0, zero)))
+        dfdx=lambda t, x, c0: cost.c0f @ x + cost.h0f.eval_point(t, c0, zero) + a * np.tanh(x),
+        dgdx=lambda x, c0: cost.c0g @ x + cost.h0g.eval_point(0.0, c0, zero) + a * np.tanh(x)))
 
 
 def homogeneous_study_spec(N=8, delta=0.3):

@@ -287,7 +287,8 @@ def test_criterion_09_stability() -> None:
     lhs = []
     eps_list = [0.02, 0.04, 0.08]
     for eps in eps_list:
-        rep = stability_gap(hetero(eps), base, lattice, assignments=np.zeros(4, int))
+        rep = stability_gap(MarketContext(hetero(eps), lattice), ctx_ho,
+                            assignments=np.zeros(4, int))
         lhs.append(rep.lhs_hetero - rep.lhs_homogeneous)
     slope, *_ = fit_loglog(eps_list, lhs, exclude=())
     gate("criterion 09 stability",

@@ -19,7 +19,7 @@ from marketclear.model import (CoefficientSpec, Dimensions, MinorBundle,
                                check_all_assumptions, make_spec)
 from marketclear.scenario import TimeGrid, build_lattice, level_table
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 breakpoints = st.sets(st.integers(1, 15), max_size=3).map(sorted)
 

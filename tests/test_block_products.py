@@ -89,7 +89,7 @@ forms = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(forms)
 def test_quad_and_dot_agree_with_einsum(case) -> None:
     rng = np.random.default_rng(case["seed"])

@@ -473,6 +473,34 @@ def test_malformed_config_file_is_usage_error(good_model, tmp_path, capsys, text
     assert "usage error: config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, config", [
+    ("check", ["--branching", 5], None), ("check", [], {"branching": 5}),
+    ("lattice-dump", [], {"branching": 1}), ("verify", [], {"level": "major"})],
+    ids=["branching-flag", "branching-config", "branching-config-dump", "level-config"])
+def test_option_outside_its_choices_is_usage_error(good_model, tmp_path, capsys, command,
+                                                   flags, config) -> None:
+    # a config file's value is checked against the flag's choices, as the flag is
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        flags = ["--config", tmp_path / "run.json"]
+    out = tmp_path / "out"
+    assert run([command, "--model", good_model, "--out", out, "--steps", 2, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "invalid choice" in err
+    assert not out.exists()
+
+
+def test_product_of_passing_laws_solves(tmp_path) -> None:
+    # each law sums to 1 + 5.9e-13, their product to 1 + 1.2e-12
+    thirds = " ".join(["0.33333333333353"] * 3)
+    model = tmp_path / "thirds.model"
+    model.write_text(GOOD_MODEL.replace("xi_atoms = 0.0 2.0\nxi_weights = 0.5 0.5", (
+        f"xi_atoms = 0.0 1.0 2.0\nxi_weights = {thirds}\n"
+        f"ci_atoms = 0.0 0.5 1.0\nci_weights = {thirds}")))
+    for command in ("check", "solve-n"):
+        assert run([command, "--model", model, "--out", tmp_path / command, "--steps", 2]) == 0
+
+
 @pytest.mark.parametrize("model, old, token", [
     *(("benchmark.model", "lambda = 1.0", f"lambda = {t}")
       for t in ("nan", "inf", "-Infinity", "1e999")),

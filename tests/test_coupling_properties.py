@@ -25,12 +25,11 @@ from marketclear import metrics
 from marketclear.finite_market import MarketContext
 from marketclear.mean_field import solve_mfg
 from marketclear.metrics import EmpiricalMeasure, wasserstein1_1d, wasserstein2
-from marketclear.model import Dimensions, DiscreteLaw, make_spec
-from marketclear.scenario import TimeGrid, build_lattice
 
 from coupling_oracle import quantile_coupling_cost
+from model_strategy import build, shapes
 
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=200)
 
 cases = st.fixed_dictionaries({
     "atoms_a": st.integers(1, 12),
@@ -155,33 +154,15 @@ def test_order_codes_survive_renumbering() -> None:
             assert (code[i] == code[j]) == np.array_equal(order[:, i], order[:, j])
 
 
-model_cases = st.fixed_dictionaries({
-    "atoms": st.integers(1, 6),
-    "ties": st.booleans(),
-    "branching": st.sampled_from([2, 3]),
-    "steps": st.integers(1, 3),
-    "N": st.integers(1, 12),
-    "seed": st.integers(0, 2**32 - 1),
-})
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(model_cases)
-def test_reference_distances_equal_per_field_coupling(case) -> None:
-    rng = np.random.default_rng(case["seed"])
-    A = case["atoms"]
-    xi = (rng.integers(-1, 2, (A, 1)).astype(float) if case["ties"]
-          else rng.normal(0.0, 1.0, (A, 1)))
-    weights = draw_weights(rng, "positive", A)
-    spec = make_spec(Dimensions(n=1, d0=1, d=0, N=case["N"]), delta=0.3,
-                     xi_law=DiscreteLaw(xi, weights),
-                     c0_law=("gaussian_walk", [0.2], [0.1], [[0.3]]))
-    lat = build_lattice(TimeGrid(1.0, case["steps"]), d0=1, branching=case["branching"])
-    ctx = MarketContext(spec, lat)
+@settings(max_examples=40)
+@given(shapes(n=1, homogeneous=True))
+def test_reference_distances_equal_per_field_coupling(shape) -> None:
+    ctx = MarketContext(*build(shape))
+    lat, A, N = ctx.lattice, ctx.atoms.count, ctx.spec.dims.N
     mf = solve_mfg(ctx)
     ref = metrics._ReferenceClouds(ctx, mf)
     flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(A)])
-    emp = empirical_weights(rng, case["N"], ref.weights)
+    emp = empirical_weights(np.random.default_rng([shape.seed, 1]), N, ref.weights)
     active = emp > 0
     dist = lambda values: metrics._quantile_coupling_cost(
         values[active, :, 0], emp[active], values[:, :, 0], ref.weights, 2)
@@ -190,7 +171,7 @@ def test_reference_distances_equal_per_field_coupling(case) -> None:
             "w2_rT": lat.terminal_expectation(dist(flow("r")[:, tsl, :])),
             "int_w2_y": lat.running_expectation(dist(ref.y)),
             "int_w2_p": lat.running_expectation(dist(flow("p")))}
-    assert ref.distances(emp, case["N"]) == want
+    assert ref.distances(emp, N) == want
 
 
 assignment_cases = st.fixed_dictionaries({
@@ -203,7 +184,7 @@ assignment_cases = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(assignment_cases)
 def test_lean_assignment_loop_equals_expanded_clouds(case) -> None:
     rng = np.random.default_rng(case["seed"])

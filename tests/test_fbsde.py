@@ -213,11 +213,3 @@ def test_deviations_have_zero_conditional_mean() -> None:
         dev = sol.deviations()[lo:hi].reshape(m, lat.fanout, -1)
         weighted = (dev * lat.child_probs[None, :, None]).sum(axis=1)
         assert np.max(np.abs(weighted)) <= 1e-12
-
-
-def test_z_projection_shape_and_noiseless_zero() -> None:
-    spec = noiseless_unit_spec()
-    lat = build_lattice(TimeGrid(1.0, 8), d0=0)
-    eq = solve_minor_clearing(MarketContext(spec, lat), constant_field(lat, np.zeros(1)))
-    z = eq.solution.z_projection("Y0")
-    assert z.shape == (lat.num_nodes, 1, 0)

@@ -22,7 +22,7 @@ from marketclear.fbsde import DirectSolver, FbsdeSystem
 from marketclear.scenario import TimeGrid, build_lattice
 
 MAX_NODES = 100
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 
 def draw(rng, share: bool, m: int, shape: tuple, scale: float) -> np.ndarray:

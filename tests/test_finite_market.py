@@ -15,7 +15,7 @@ from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        solve_full_equilibrium,
                                        solve_minor_clearing)
 from marketclear.mean_field import solve_mfg
-from marketclear.metrics import convergence_study
+from marketclear.metrics import convergence_study, stability_gap
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MinorBundle,
                                ModelSpec, QuadraticMajorCost, make_spec)
 from marketclear.optimality import cost_major, cost_minor, perturbation_tests
@@ -395,6 +395,7 @@ def test_failing_assumptions_block_solve() -> None:
     assert convergence_study(ctx, [8, 16, 32], 2, 0).slope is not None
     levels = ["minor", "major-N", "major-mfg"]
     assert list(perturbation_tests(ctx, levels, directions=2, seed=0)) == levels
+    assert stability_gap(ctx, ctx, seed=0).delta_total == 0.0
 
 
 @pytest.mark.parametrize("past_end", [False, True])
@@ -412,7 +413,7 @@ def test_population_refuses_atoms_outside_the_law(past_end) -> None:
 
 MARKET_ENTRY_POINTS = ("make_population", "solve_full_equilibrium", "solve_minor_clearing",
                        "minor_best_response", "solve_mfg", "cost_minor", "cost_major",
-                       "cost_mfg", "perturbation_tests", "convergence_study")
+                       "cost_mfg", "perturbation_tests", "convergence_study", "stability_gap")
 
 
 def test_every_entry_point_takes_one_market_context() -> None:

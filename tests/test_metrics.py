@@ -303,7 +303,7 @@ def test_zero_heterogeneity_gives_identical_prices() -> None:
     base = homogeneous_study_spec(N=4)
     hetero = hetero_from(base, 0.0, [1.0] * 4)
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    report = stability_gap(hetero, base, lat, seed=2)
+    report = stability_gap(MarketContext(hetero, lat), MarketContext(base, lat), seed=2)
     assert report.lhs_hetero == pytest.approx(report.lhs_homogeneous, abs=1e-12)
     assert report.delta_total == pytest.approx(0.0, abs=1e-14)
 
@@ -317,7 +317,7 @@ def test_maturity_stability_has_no_terminal_terms() -> None:
                        minor=[MinorBundle.build(base.dims, cg=cg) for cg in (0.6, 0.9, 1.2, 1.5)],
                        xi_law=base.xi_law, c0_law=base.c0_law)
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
-    report = stability_gap(hetero, base, lat, seed=2)
+    report = stability_gap(MarketContext(hetero, lat), MarketContext(base, lat), seed=2)
     assert report.delta_terms["dg_terminal"] == 0.0
     assert report.delta_terms["dcg_r_terminal"] == 0.0
     assert report.w2_terms["w2_g"] == 0.0
@@ -331,19 +331,28 @@ def test_constant_flow_shift_ingredient_equals_horizon() -> None:
     hetero = hetero_from(base, 1.0, [1.0, 1.0, 1.0])
     T = 2.0
     lat = build_lattice(TimeGrid(T, 4), d0=1)
-    report = stability_gap(hetero, base, lat, seed=2)
+    report = stability_gap(MarketContext(hetero, lat), MarketContext(base, lat), seed=2)
     assert report.delta_terms["dl"] == pytest.approx(T)
+
+
+def test_stability_gap_refuses_markets_on_different_lattices() -> None:
+    base = homogeneous_study_spec(N=4)
+    with pytest.raises(ValidationError, match="share a lattice"):
+        stability_gap(MarketContext(base, build_lattice(TimeGrid(1.0, 3), d0=1)),
+                      MarketContext(base, build_lattice(TimeGrid(1.0, 2), d0=1)))
 
 
 def test_small_flow_perturbation_is_second_order() -> None:
     base = make_spec(Dimensions(1, 1, 0, 4), delta=0.2, xi_law=DiscreteLaw.point([1.0]),
                      c0_law=("constant", [0.0]))
     lat = build_lattice(TimeGrid(1.0, 3), d0=1)
+    reference = MarketContext(base, lat)
     pattern = [(i + 1) / 4 for i in range(4)]
     eps_list = [0.02, 0.04, 0.08]
     lhs = []
     for eps in eps_list:
-        report = stability_gap(hetero_from(base, eps, pattern), base, lat, seed=2)
+        report = stability_gap(MarketContext(hetero_from(base, eps, pattern), lat), reference,
+                               seed=2)
         lhs.append(report.lhs_hetero - report.lhs_homogeneous)
     slope, *_ = fit_loglog(eps_list, lhs, exclude=())
     assert slope == pytest.approx(2.0, abs=0.2)

@@ -103,7 +103,7 @@ def test_perturbation_csv_marks_failed_directions(shipped, tmp_path) -> None:
 
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
            1e16, -1e16, 9999999999999998.0, 1e-5, 1e-4, -1e-5, 0.1, 1.7976931348623157e308]
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 fields = st.integers(1, 4).flatmap(lambda comps: hnp.arrays(
     np.float64, (15, comps),
