@@ -3,7 +3,9 @@
 Subcommands: check, solve-n, solve-mfg, converge, verify, lattice-dump.
 Exit codes: 0 success, 1 usage error, 2 failed assumptions, 3 solver failure,
 4 acceptance gate not met.  Every command writes a manifest.json with the
-config hash, seed, package versions, and wall time.
+config hash, seed, package versions, and wall time.  The study modules
+(``mean_field``, ``metrics``, ``optimality``) are imported by the commands
+that run them, so the other commands never compile them.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from . import __version__
 from .errors import (AssumptionViolationError, BudgetError, MarketClearError,
                      SolverError, ValidationError)
 from .finite_market import MarketContext, make_population, solve_full_equilibrium
-from .mean_field import solve_mfg
-from .metrics import convergence_study
 from .model import check_all_assumptions
 from .modelfile import load_model
-from .optimality import perturbation_tests
 from .runio import (equilibrium_summary, mfg_summary, write_convergence_csv,
                     write_equilibrium_csv, write_json, write_lattice_csv,
                     write_manifest, write_mfg_csv, write_perturbation_csv)
@@ -267,6 +266,8 @@ def cmd_solve_n(cfg) -> int:
 
 
 def cmd_solve_mfg(cfg) -> int:
+    from .mean_field import solve_mfg
+
     code, mf = _checked_solve(cfg, solve_mfg)
     if code != EXIT_OK:
         return code
@@ -279,6 +280,8 @@ def cmd_solve_mfg(cfg) -> int:
 
 
 def cmd_converge(cfg) -> int:
+    from .metrics import convergence_study
+
     text = cfg["n_list"]
     try:
         n_list = [int(tok) for tok in text.split(",")]
@@ -304,6 +307,8 @@ def cmd_converge(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
+    from .optimality import perturbation_tests
+
     levels = ["minor", "major-N", "major-mfg"] if cfg["level"] == "all" else [cfg["level"]]
 
     def solve(ctx):

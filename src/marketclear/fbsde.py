@@ -149,19 +149,6 @@ class FamilySolution:
         """Pre-driver conditional expectation of a backward field."""
         return self.backward_pre[:, flow, self.system.backward_slices[name]]
 
-    def deviations(self, flow: int = 0) -> np.ndarray:
-        """Per node, its backward value minus its parent's uB~ (zero at the root).
-
-        The probability-weighted sum over siblings vanishes by construction.
-        """
-        lat = self.system.lattice
-        ub = self.backward[:, flow]
-        dev = np.zeros_like(ub)
-        # the children of nodes 0..I-1 are nodes 1..N-1, in layout order
-        I = lat.level_range(lat.steps)[0]
-        dev[1:] = ub[1:] - lat.repeat_to_children(self.backward_pre[:I, flow])
-        return dev
-
 
 # -- sweeps -------------------------------------------------------------------
 #
@@ -181,11 +168,12 @@ def _rows(const: np.ndarray, lo: int, hi: int) -> np.ndarray:
 def _flow_max(gap: np.ndarray) -> np.ndarray:
     """Largest |entry| of each flow of a (m, B, ...) array, in any memory layout.
 
-    Each flow is reduced as one flows-first row.  A node-major gap is copied
-    to that layout first: reduced in place, its inner loops would run over
-    the few entries one flow has at one node.
+    ``gap`` is overwritten by its absolute values.  Each flow is reduced as
+    one flows-first row.  A node-major gap is copied to that layout first:
+    reduced in place, its inner loops would run over the few entries one
+    flow has at one node.
     """
-    flows = np.abs(gap).swapaxes(0, 1)
+    flows = np.abs(gap, out=gap).swapaxes(0, 1)
     return np.max(flows.reshape(len(flows), -1), axis=1, initial=0.0)
 
 
@@ -196,12 +184,12 @@ def _noise(system: FbsdeSystem, k: int) -> np.ndarray:
 
 
 def _step(system: FbsdeSystem, k: int, uf: np.ndarray, ubt: np.ndarray,
-          noise: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward states on the children of level k, written to ``out`` if given."""
-    lat = system.lattice
-    lo, hi = lat.level_range(k)
-    drift = apply_block(system.Afb[k], ubt) + _rows(system.af, lo, hi)
-    return np.add(lat.repeat_to_children(uf + lat.dt * drift), noise, out=out)
+          noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Forward states on the children of level k, written to ``out``."""
+    lo, hi = system.lattice.level_range(k)
+    drift = apply_block(system.Afb[k], ubt)
+    drift += _rows(system.af, lo, hi)
+    return system.lattice.forward_step(uf, drift, noise, out)
 
 
 def _pre(lat: NoiseLattice, ub: np.ndarray) -> np.ndarray:
@@ -220,7 +208,9 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
     """Worst violation per flow of every discrete equation row, and of the terminal rows.
 
     Rows are recomputed from the stacked states and the system's blocks and
-    constants; uB~ is read from ``pre``.
+    constants; uB~ is read from ``pre``.  Each gap is formed in one owned
+    flows-first buffer, by the operations of its rows in their order, and
+    reduced before the next one is formed.
     """
     lat = system.lattice
     worst = _flow_max((uf[0] - system.initial[0])[None])
@@ -228,13 +218,19 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         ubt = pre[lo:hi]
-        fwd_gap = uf[clo:chi] - _step(system, k, uf[lo:hi], ubt, _noise(system, k))
-        bwd_gap = ub[lo:hi] - ubt - lat.dt * (apply_block(system.Bbf[k], uf[lo:hi])
-                                               + _rows(system.bb, lo, hi))
-        worst = np.maximum(worst, np.maximum(_flow_max(fwd_gap), _flow_max(bwd_gap)))
+        gap = np.empty((uf.shape[1], chi - clo, system.mf)).swapaxes(0, 1)
+        _step(system, k, uf[lo:hi], ubt, _noise(system, k), gap)
+        worst = np.maximum(worst, _flow_max(np.subtract(uf[clo:chi], gap, out=gap)))
+        gap = apply_block(system.Bbf[k], uf[lo:hi])
+        gap += _rows(system.bb, lo, hi)
+        gap *= lat.dt
+        worst = np.maximum(worst, _flow_max(np.subtract(ub[lo:hi] - ubt, gap, out=gap)))
+        del gap
     tsl = lat.terminal_slice
-    term_gap = ub[tsl] - apply_block(system.G, uf[tsl]) - system.g
-    terminal_mismatch = _flow_max(term_gap)
+    gap = apply_block(system.G, uf[tsl])
+    np.subtract(ub[tsl], gap, out=gap)
+    gap -= system.g
+    terminal_mismatch = _flow_max(gap)
     return np.maximum(worst, terminal_mismatch), terminal_mismatch
 
 
@@ -362,12 +358,13 @@ class DirectSolver:
             lo, hi = lat.level_range(k)
             apply_block(self._P[k], uf[lo:hi], out=ub[lo:hi])
             ub[lo:hi] += ps[k]
+            ps[k] = None  # a level's sweep vectors are freed once used
             if k < K:
                 clo, chi = lat.level_range(k + 1)
                 ubt = apply_block(self._Q[k], uf[lo:hi])
                 ubt += rs[k]
                 _step(system, k, uf[lo:hi], ubt, noises[k], out=uf[clo:chi])
-        del ps, rs, noises  # a batch's sweep vectors, freed before the residual's
+                rs[k] = noises[k] = None
         finite = np.isfinite(uf).all(axis=(0, 2)) & np.isfinite(ub).all(axis=(0, 2))
         if not finite.all():
             raise SolverError(

@@ -612,13 +612,12 @@ def integrate_forward(lattice: NoiseLattice, x0, drift: np.ndarray,
     """
     x = np.zeros(drift.shape)
     x[0] = x0
+    # the flows share the loading: it gets a flow axis of length 1
+    loading = loading.reshape(loading.shape[:1] + (1,) * (drift.ndim - 2) + loading.shape[1:])
     for k in range(lattice.steps):
         sl = lattice.level_slice(k)
         csl = lattice.level_slice(k + 1)
-        base = lattice.repeat_to_children(x[sl] + lattice.dt * drift[sl])
-        noise = lattice.edge_noise(loading[sl], k)
-        x[csl] = base + noise.reshape(noise.shape[:1] + (1,) * (drift.ndim - 2)
-                                      + noise.shape[1:])
+        lattice.forward_step(x[sl], drift[sl], lattice.edge_noise(loading[sl], k), x[csl])
     return x
 
 

@@ -1,16 +1,17 @@
-"""Wasserstein distances, price gaps, and the population-convergence studies.
+"""Price gaps, the population-convergence and stability studies, and their coupling kernels.
 
-The reference side of every distance is the exact atom law carried by the
-population-limit solution, so only the finite-population empirical side
-fluctuates.  One-dimensional distances use the exact quantile coupling (any
-weights), split in two: the interval structure (sort orders, merged
-cumulative-weight breakpoints, widths and the atom held on each side of
-every interval) and the sum of ``width * |xa - xb| ** power`` in interval
-order.  Multi-dimensional ones use an exact assignment between equal-count
-uniform clouds.  The convergence study prices every row on one basis: a
-homogeneous finite market is the population limit on its empirical law,
-whose price is affine in the atom weights, so the A atom prices, solved
-together once, give every row's price gap.  Its distance terms compare two
+The reference side of every distance term is the exact atom law carried by
+the population-limit solution, so only the finite-population empirical side
+fluctuates.  One kernel per dimension computes the terms.  Scalar securities
+use the exact quantile coupling (any weights), split in two: the interval
+structure (sort orders, merged cumulative-weight breakpoints, widths and the
+atom held on each side of every interval) and the sum of
+``width * |xa - xb| ** power`` in interval order (``_OrderGroups``).  More
+securities use an exact assignment between the two laws expanded into N
+equal-weight atoms (``_cloud_distance_sq``).  The convergence study prices
+every row on one basis: a homogeneous finite market is the population limit
+on its empirical law, whose price is affine in the atom weights, so the A
+atom prices, solved together once, give every row's price gap.  Its distance terms compare two
 weightings of the same atom values at every node, so a node's interval
 structure depends on its values only through their sort order: the nodes
 are sorted and grouped by order once per study, and each count row builds
@@ -22,7 +23,7 @@ models on one lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .mean_field import MfgSolution, solve_mfg
 from .scenario import (NodeField, NoiseLattice, apply_block, sample_idiosyncratic,
                        squared_norms, _draw_atoms, _splitmix64)
 
-ATOM_BUDGET = 4096
 AGENT_BUDGET = 4096
 ZERO_GAP = 1e-14
 _COUPLING_BLOCK = 1 << 16  # work-array elements per block of coupled columns
@@ -45,60 +45,6 @@ def derive_seed(seed: int, *parts: int) -> int:
     for p in parts:
         x = _splitmix64(x ^ (int(p) & 0xFFFFFFFFFFFFFFFF))
     return x
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Finite atom cloud; uniform weights unless given."""
-
-    atoms: np.ndarray
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        if self.atoms.shape[0] > ATOM_BUDGET:
-            raise BudgetError(f"at most {ATOM_BUDGET} atoms are supported")
-        if self.weights is None:
-            m = self.atoms.shape[0]
-            self.weights = np.full(m, 1.0 / m)
-        else:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if len(self.weights) != self.atoms.shape[0]:
-                raise ValidationError("weights and atoms disagree in length")
-            if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
-                raise ValidationError("weights must be positive and sum to 1")
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
-
-    @property
-    def uniform(self) -> bool:
-        m = self.atoms.shape[0]
-        return bool(np.allclose(self.weights, 1.0 / m, rtol=0.0, atol=1e-15))
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.atoms
-
-
-def _quantile_coupling_cost(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray,
-                            wb: np.ndarray, power: int) -> np.ndarray:
-    """Exact cost of the monotone coupling of two 1-d discrete laws, per column.
-
-    ``xa`` (Aa, m) and ``xb`` (Ab, m) hold m pairs of atom clouds weighted by
-    ``wa`` (Aa,) and ``wb`` (Ab,).  Each column gets its own interval
-    structure.  Columns are processed in blocks that keep the (Aa + Ab,
-    columns) work arrays near ``_COUPLING_BLOCK`` elements.
-    """
-    Aa, m = xa.shape
-    out = np.empty(m)
-    block = max(1, _COUPLING_BLOCK // (Aa + xb.shape[0]))
-    for lo in range(0, m, block):
-        cols = slice(lo, lo + block)
-        widths, ja, jb = _interval_structure(xa[:, cols], wa, xb[:, cols], wb)
-        out[cols] = _interval_sum(widths, np.take_along_axis(xa[:, cols], ja, axis=0),
-                                  np.take_along_axis(xb[:, cols], jb, axis=0), power)
-    return out
 
 
 def _interval_structure(xa, wa, xb, wb):
@@ -141,45 +87,6 @@ def _interval_sum(widths, xa, xb, power):
     return acc
 
 
-def _canonical_order(a: EmpiricalMeasure, b: EmpiricalMeasure):
-    """Fixed argument order so the distance is exactly symmetric in floats."""
-    ka = (a.atoms.shape[0], a.atoms.tobytes(), a.weights.tobytes())
-    kb = (b.atoms.shape[0], b.atoms.tobytes(), b.weights.tobytes())
-    return (a, b) if ka <= kb else (b, a)
-
-
-def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Exact quadratic transport distance between finite atom clouds.
-
-    One-dimensional clouds use the quantile coupling (any weights, any
-    counts); higher dimensions use an exact assignment and require uniform
-    clouds of equal size.
-    """
-    if a.dim != b.dim:
-        raise ValidationError("clouds live in different dimensions")
-    a, b = _canonical_order(a, b)
-    if a.dim == 1:
-        return float(np.sqrt(_quantile_coupling_cost(
-            a.atoms, a.weights, b.atoms, b.weights, 2)[0]))
-    if not (a.uniform and b.uniform):
-        raise UnsupportedModelError("weighted clouds are supported in one dimension only")
-    if a.atoms.shape[0] != b.atoms.shape[0]:
-        raise UnsupportedModelError("assignment path needs equal atom counts")
-    from scipy.optimize import linear_sum_assignment  # slow import, n > 1 only
-
-    diff = a.atoms[:, None, :] - b.atoms[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].mean()))
-
-
-def wasserstein1_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """First-order transport distance, one-dimensional clouds only."""
-    if a.dim != 1 or b.dim != 1:
-        raise UnsupportedModelError("first-order distance is provided in one dimension only")
-    return float(_quantile_coupling_cost(a.atoms, a.weights, b.atoms, b.weights, 1)[0])
-
-
 def epsilon_rate(N: int, n: int) -> float:
     """Empirical-measure convergence rate N^(-2/max(n,4)) with the N=4 log factor."""
     if N < 1 or n < 1:
@@ -207,16 +114,11 @@ def fit_loglog(ns, values, exclude=(4,), drop_below=ZERO_GAP):
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     design = np.stack([np.ones_like(x), x], axis=1)
-    coef, res, *_ = np.linalg.lstsq(design, y, rcond=None)
-    dof = len(x) - 2
-    if dof > 0:
-        resid = y - design @ coef
-        s2 = float(resid @ resid) / dof
-        cov = s2 * np.linalg.inv(design.T @ design)
-        stderr = float(np.sqrt(cov[1, 1]))
-    else:
-        stderr = 0.0
-    return float(coef[1]), float(coef[0]), stderr, [p[0] for p in pts]
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    s2 = float(resid @ resid) / (len(x) - 2)  # at least one degree of freedom
+    cov = s2 * np.linalg.inv(design.T @ design)
+    return float(coef[1]), float(coef[0]), float(np.sqrt(cov[1, 1])), [p[0] for p in pts]
 
 
 # -- convergence study -------------------------------------------------------
@@ -241,20 +143,9 @@ class ConvergenceReport:
     degenerate: bool
 
     def to_summary(self) -> dict:
-        return {
-            "n_list": self.n_list,
-            "resamples": self.resamples,
-            "seed": self.seed,
-            "per_n": {str(k): v for k, v in self.per_n.items()},
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "slope_stderr": self.slope_stderr,
-            "fitted_ns": self.fitted_ns,
-            "excluded_ns": self.excluded_ns,
-            "fitted_constant": self.fitted_constant,
-            "ratio_spread": self.ratio_spread,
-            "degenerate": self.degenerate,
-        }
+        """Every field but the rows, the ``per_n`` keys as text."""
+        summary = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        return {**summary, "per_n": {str(k): v for k, v in self.per_n.items()}}
 
 
 class _ReferenceClouds:
@@ -340,7 +231,8 @@ class _OrderGroups:
         Atoms of zero weight in ``wa`` are left out of its side.  Each group
         runs ``_interval_structure`` once, then ``_interval_sum`` over its
         columns in blocks of about ``_COUPLING_BLOCK`` work elements; every
-        cost equals that of ``_quantile_coupling_cost`` on its own column.
+        cost equals that of the per-column coupling on its own column
+        (``_quantile_coupling_cost`` of the tests' ``coupling_oracle``).
         """
         active = np.flatnonzero(wa > 0)
         reps = self.representatives
@@ -367,8 +259,8 @@ def _cloud_distance_sq(values: np.ndarray, ref_weights: np.ndarray,
     when the weights are multiples of 1/scale.  Every node's A x A costs come
     from one ``einsum`` per block of nodes; a node's assignment problem is
     those costs expanded by the two clouds' atom indices, in the argument
-    order ``wasserstein2`` would use, so each term equals ``wasserstein2`` of
-    the expanded clouds, squared.
+    order the tests' ``coupling_oracle.wasserstein2`` would use, so each term
+    equals that oracle's distance of the expanded clouds, squared.
     """
     A, m, n = values.shape
     emp_counts = np.round(emp_weights * scale).astype(int)
@@ -533,13 +425,6 @@ class StabilityReport:
     @property
     def delta_total(self) -> float:
         return float(sum(self.delta_terms.values()))
-
-    def to_dict(self) -> dict:
-        return {"lhs_hetero": self.lhs_hetero,
-                "lhs_homogeneous": self.lhs_homogeneous,
-                "delta_terms": self.delta_terms,
-                "delta_total": self.delta_total,
-                "w2_terms": self.w2_terms}
 
 
 def stability_gap(ctx: MarketContext, reference: MarketContext, *, seed: int = 0,

@@ -92,16 +92,6 @@ class CoefficientSpec:
             return self.values[max(idx, 0)]
         raise ValidationError(f"{self.name}: affine coefficient needs (c0, ci) to evaluate")
 
-    def eval_point(self, t: float, c0: np.ndarray, ci: np.ndarray) -> np.ndarray:
-        if self.kind in ("constant", "time"):
-            return self.value_at_time(t)
-        out = self.const.copy()
-        if self.c0_mat is not None:
-            out = out + self.c0_mat @ np.asarray(c0, dtype=float)
-        if self.ci_mat is not None:
-            out = out + self.ci_mat @ np.asarray(ci, dtype=float)
-        return out
-
     def eval_nodes(self, t: float, c0_nodes: np.ndarray, ci: np.ndarray) -> np.ndarray:
         """Evaluate on a level: c0_nodes has shape (m, n), result (m, *shape)."""
         m = c0_nodes.shape[0]
@@ -296,9 +286,6 @@ class ModelSpec:
     @property
     def homogeneous(self) -> bool:
         return len(self.minor) == 1
-
-    def bundle(self, i: int) -> MinorBundle:
-        return self.minor[0] if self.homogeneous else self.minor[i]
 
     def require_no_idiosyncratic_brownian(self):
         for i, b in enumerate(self.minor):

@@ -155,10 +155,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.steps
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
-
 
 @dataclass(frozen=True)
 class IdiosyncraticAtoms:
@@ -311,8 +307,20 @@ class NoiseLattice:
             out += vals[:, j] * self.child_probs[j]
         return out
 
-    def repeat_to_children(self, parent_values: np.ndarray) -> np.ndarray:
-        return np.repeat(parent_values, self.fanout, axis=0)
+    def forward_step(self, x: np.ndarray, drift: np.ndarray, noise: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+        """``x + dt * drift`` on a level's m nodes, plus ``noise`` on their m * fanout children.
+
+        ``noise`` and ``out`` are viewed as (m, fanout, ...) by splitting their
+        first axis, which never copies, so the node values are broadcast to
+        their children, not repeated.  Returns ``out``.
+        """
+        base = self.dt * drift
+        base += x
+        split = (len(base), self.fanout)
+        np.add(base[:, None], noise.reshape(split + noise.shape[1:]),
+               out=out.reshape(split + out.shape[1:]))
+        return out
 
     def edge_noise(self, loading: np.ndarray, k: int) -> np.ndarray:
         """``loading(v) dW`` on every child edge of level ``k``, in child layout.
@@ -388,12 +396,6 @@ class NodeField:
             raise ValidationError(
                 f"node field has {self.values.shape[0]} values for "
                 f"{self.lattice.num_nodes} nodes")
-
-
-def constant_field(lattice: NoiseLattice, value) -> NodeField:
-    value = np.asarray(value, dtype=float)
-    vals = np.broadcast_to(value, (lattice.num_nodes,) + value.shape).copy()
-    return NodeField(lattice, vals)
 
 
 # -- exogenous processes --------------------------------------------------

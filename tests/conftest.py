@@ -7,11 +7,35 @@ import pytest
 from hypothesis import settings
 
 from marketclear.model import CallableMajorCost, Dimensions, DiscreteLaw, make_spec
-from marketclear.scenario import TimeGrid, build_lattice
+from marketclear.scenario import NodeField, TimeGrid, build_lattice
+
+from hamiltonian_oracle import eval_point
 
 # every property test is reproducible: each keeps only its own max_examples
 settings.register_profile("properties", deadline=None, derandomize=True, database=None)
 settings.load_profile("properties")
+
+
+def constant_field(lattice, value) -> NodeField:
+    """The field equal to ``value`` on every node of ``lattice``."""
+    value = np.asarray(value, dtype=float)
+    vals = np.broadcast_to(value, (lattice.num_nodes,) + value.shape).copy()
+    return NodeField(lattice, vals)
+
+
+def deviations(family, flow: int = 0) -> np.ndarray:
+    """Per node of a solved family's flow, its backward value minus its parent's uB~.
+
+    It is zero at the root, and its probability-weighted sum over siblings
+    vanishes by construction.
+    """
+    lat = family.system.lattice
+    ub = family.backward[:, flow]
+    dev = np.zeros_like(ub)
+    # the children of nodes 0..I-1 are nodes 1..N-1, in layout order
+    I = lat.level_range(lat.steps)[0]
+    dev[1:] = ub[1:] - np.repeat(family.backward_pre[:I, flow], lat.fanout, axis=0)
+    return dev
 
 
 def noiseless_unit_spec():
@@ -36,8 +60,8 @@ def callable_twin(spec, a=0.0):
     """The spec with its quadratic major cost as callable gradients, plus ``a tanh(x)``."""
     cost, zero = spec.major_cost, np.zeros(spec.dims.n)
     return replace(spec, major_cost=CallableMajorCost(
-        dfdx=lambda t, x, c0: cost.c0f @ x + cost.h0f.eval_point(t, c0, zero) + a * np.tanh(x),
-        dgdx=lambda x, c0: cost.c0g @ x + cost.h0g.eval_point(0.0, c0, zero) + a * np.tanh(x)))
+        dfdx=lambda t, x, c0: cost.c0f @ x + eval_point(cost.h0f, t, c0, zero) + a * np.tanh(x),
+        dgdx=lambda x, c0: cost.c0g @ x + eval_point(cost.h0g, 0.0, c0, zero) + a * np.tanh(x)))
 
 
 def homogeneous_study_spec(N=8, delta=0.3):

@@ -13,7 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from marketclear.errors import AssumptionViolationError, UnsupportedModelError
-from marketclear.model import ModelSpec
+from marketclear.model import CoefficientSpec, MinorBundle, ModelSpec
+
+
+def eval_point(coefficient: CoefficientSpec, t: float, c0, ci) -> np.ndarray:
+    """A coefficient's value at one point (t, c0, ci); the engine evaluates whole levels."""
+    if coefficient.kind in ("constant", "time"):
+        return coefficient.value_at_time(t)
+    out = coefficient.const.copy()
+    if coefficient.c0_mat is not None:
+        out = out + coefficient.c0_mat @ np.asarray(c0, dtype=float)
+    if coefficient.ci_mat is not None:
+        out = out + coefficient.ci_mat @ np.asarray(ci, dtype=float)
+    return out
+
+
+def agent_bundle(spec: ModelSpec, i: int) -> MinorBundle:
+    """Agent i's minor bundle: the shared one of a homogeneous spec."""
+    return spec.minor[0] if spec.homogeneous else spec.minor[i]
 
 
 def _solve_spd(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -69,30 +86,30 @@ def hamiltonian_system(spec: ModelSpec, t: float, x0, xs, ys, p0, ps, rs, beta,
     N = len(xs)
     c0 = np.zeros(n) if c0 is None else np.asarray(c0, dtype=float)
     cis = [np.zeros(n)] * N if cis is None else cis
-    lam = spec.lambda_minor.eval_point(t, c0, cis[0]).reshape(n, n)
-    lam0 = spec.lambda_major.eval_point(t, c0, cis[0]).reshape(n, n)
+    lam = eval_point(spec.lambda_minor, t, c0, cis[0]).reshape(n, n)
+    lam0 = eval_point(spec.lambda_major, t, c0, cis[0]).reshape(n, n)
     lam_inv = np.linalg.inv(lam)
     beta = np.asarray(beta, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     mean_y = sum(np.asarray(y, dtype=float) for y in ys) / N
-    l0N = N * spec.major_flow.l0.eval_point(t, c0, None)
+    l0N = N * eval_point(spec.major_flow.l0, t, c0, None)
     total = float(p0 @ (beta + l0N))
     for i in range(N):
-        bundle = spec.bundle(i)
+        bundle = agent_bundle(spec, i)
         xi, yi, pi, ri = (np.asarray(a, dtype=float) for a in (xs[i], ys[i], ps[i], rs[i]))
-        li = bundle.l.eval_point(t, c0, cis[i])
+        li = eval_point(bundle.l, t, c0, cis[i])
         drift = -lam_inv @ (yi - mean_y) - beta / N + li
         total += float(pi @ drift)
-        grad = bundle.cf.eval_point(t, c0, cis[i]).reshape(n, n) @ xi \
-            + bundle.hf.eval_point(t, c0, cis[i])
+        grad = eval_point(bundle.cf, t, c0, cis[i]).reshape(n, n) @ xi \
+            + eval_point(bundle.hf, t, c0, cis[i])
         total += float(ri @ (-grad))
     total += float(beta @ (-mean_y + lam @ beta / N))
     total += 0.5 * float(beta @ lam0 @ beta) / N
     if spec.major_cost.affine:
         xn = x0 / N
         total += N * (0.5 * float(xn @ spec.major_cost.c0f @ xn)
-                      + float(spec.major_cost.h0f.eval_point(t, c0, None) @ xn))
+                      + float(eval_point(spec.major_cost.h0f, t, c0, None) @ xn))
     else:
         raise UnsupportedModelError("system Hamiltonian needs the quadratic major cost")
     return total
@@ -105,22 +122,22 @@ def hamiltonian_mfg(spec: ModelSpec, t: float, x0, x1, y1, ybar, p0, p1, pbar, r
     c0 = np.zeros(n) if c0 is None else np.asarray(c0, dtype=float)
     ci = np.zeros(n) if ci is None else np.asarray(ci, dtype=float)
     bundle = spec.minor[0]
-    lam = spec.lambda_minor.eval_point(t, c0, ci).reshape(n, n)
-    lam0 = spec.lambda_major.eval_point(t, c0, ci).reshape(n, n)
+    lam = eval_point(spec.lambda_minor, t, c0, ci).reshape(n, n)
+    lam0 = eval_point(spec.lambda_major, t, c0, ci).reshape(n, n)
     lam_inv = np.linalg.inv(lam)
     x0, x1, y1, ybar, p0, p1, pbar, r1, beta = (
         np.atleast_1d(np.asarray(a, dtype=float))
         for a in (x0, x1, y1, ybar, p0, p1, pbar, r1, beta))
-    total = float(p0 @ (beta + spec.major_flow.l0.eval_point(t, c0, None)))
-    total += float(p1 @ (-lam_inv @ (y1 - ybar) + bundle.l.eval_point(t, c0, ci)))
+    total = float(p0 @ (beta + eval_point(spec.major_flow.l0, t, c0, None)))
+    total += float(p1 @ (-lam_inv @ (y1 - ybar) + eval_point(bundle.l, t, c0, ci)))
     total += float(pbar @ (-beta))
-    grad = bundle.cf.eval_point(t, c0, ci).reshape(n, n) @ x1 + bundle.hf.eval_point(t, c0, ci)
+    grad = eval_point(bundle.cf, t, c0, ci).reshape(n, n) @ x1 + eval_point(bundle.hf, t, c0, ci)
     total += float(r1 @ (-grad))
     total += float(beta @ (-ybar + lam @ beta))
     total += 0.5 * float(beta @ lam0 @ beta)
     if spec.major_cost.affine:
         total += 0.5 * float(x0 @ spec.major_cost.c0f @ x0) \
-            + float(spec.major_cost.h0f.eval_point(t, c0, None) @ x0)
+            + float(eval_point(spec.major_cost.h0f, t, c0, None) @ x0)
     else:
         raise UnsupportedModelError("population-limit Hamiltonian needs the quadratic major cost")
     return total

@@ -66,7 +66,7 @@ def _noise(lat, k: int, S: np.ndarray) -> np.ndarray:
 def _step(lat, uf, ubt, Afb, af, noise):
     """Forward states on the children of one level."""
     drift = _apply(Afb, ubt) + af
-    return lat.repeat_to_children(uf + lat.dt * drift) + noise
+    return np.repeat(uf + lat.dt * drift, lat.fanout, axis=0) + noise
 
 
 def _driver(c, uf):
@@ -83,7 +83,7 @@ def _package(system, uf, ub):
         lo, hi = lat.level_range(k)
         clo, chi = lat.level_range(k + 1)
         pre[lo:hi] = lat.cond_expect(ub[clo:chi], k)
-        dev[clo:chi] = ub[clo:chi] - lat.repeat_to_children(pre[lo:hi])
+        dev[clo:chi] = ub[clo:chi] - np.repeat(pre[lo:hi], lat.fanout, axis=0)
     return pre, dev
 
 

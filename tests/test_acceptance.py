@@ -13,17 +13,17 @@ from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_full_equilibrium,
                                        solve_minor_clearing)
-from marketclear.metrics import (EmpiricalMeasure, convergence_study, epsilon_rate,
-                                 fit_loglog, price_gap, stability_gap,
-                                 wasserstein1_1d, wasserstein2)
+from marketclear.metrics import (convergence_study, epsilon_rate, fit_loglog, price_gap,
+                                 stability_gap)
 from marketclear.model import (Dimensions, DiscreteLaw, MajorFlow, MinorBundle,
                                QuadraticMajorCost, make_spec)
 from marketclear.optimality import perturbation_tests
 from marketclear.mean_field import solve_mfg
-from marketclear.scenario import (TimeGrid, build_lattice, constant_field,
-                                  stream_rng)
+from marketclear.scenario import TimeGrid, build_lattice, stream_rng
 
-from conftest import callable_twin, homogeneous_study_spec, noiseless_unit_spec
+from conftest import (callable_twin, constant_field, homogeneous_study_spec,
+                      noiseless_unit_spec)
+from coupling_oracle import EmpiricalMeasure, wasserstein1_1d, wasserstein2
 
 EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
 

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sweep_oracle as oracle
+from conftest import deviations
 from marketclear.errors import SolverError
 from marketclear import fbsde
 from marketclear.fbsde import DIRECT_RESIDUAL_GATE, DirectSolver, residual
@@ -82,7 +83,7 @@ def test_batched_solve_equals_the_per_system_oracle(n, d0, branching, B, kind, d
     for b, diagnostics in enumerate(solved.diagnostics):
         want = oracle.solve(solver, system, b)
         got = {"forward": solved.forward[:, b], "backward": solved.backward[:, b],
-               "backward_pre": solved.backward_pre[:, b], "deviations": solved.deviations(b)}
+               "backward_pre": solved.backward_pre[:, b], "deviations": deviations(solved, b)}
         for name, values in got.items():
             assert values.flags.c_contiguous
             assert np.array_equal(values, want[name]), name

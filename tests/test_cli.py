@@ -623,6 +623,18 @@ def test_cli_import_leaves_scipy_optimize_and_sparse_unloaded() -> None:
     assert _run_probe(probe) == "[]"
 
 
+def test_cli_import_and_solve_leave_the_study_modules_unloaded(good_model, tmp_path) -> None:
+    # the package resolves its exports on first access and each study module
+    # is imported by the command that runs it, so neither importing the CLI
+    # nor a solve-n run compiles them
+    studies = ("marketclear.mean_field", "marketclear.metrics", "marketclear.optimality")
+    probe = ("import sys, marketclear.cli as cli; studies = sys.argv[1].split(','); "
+             "loaded = lambda: sorted(m for m in studies if m in sys.modules); "
+             "before = loaded(); code = cli.main(sys.argv[2:]); print(before, code, loaded())")
+    solve = ["solve-n", "--model", good_model, "--out", tmp_path / "s", "--steps", 3]
+    assert _run_probe(probe, ",".join(studies), *solve) == "[] 0 []"
+
+
 def test_solve_and_converge_runs_leave_numpy_random_unloaded(good_model, tmp_path) -> None:
     # stream_rng's generators are built on first use (the verify directions),
     # so solving and the convergence study never import numpy.random

@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 from marketclear import metrics
 from marketclear.finite_market import MarketContext
 from marketclear.mean_field import solve_mfg
-from marketclear.metrics import EmpiricalMeasure, wasserstein1_1d, wasserstein2
 
-from coupling_oracle import quantile_coupling_cost
+from coupling_oracle import (EmpiricalMeasure, _quantile_coupling_cost, quantile_coupling_cost,
+                             wasserstein1_1d, wasserstein2)
 from model_strategy import build, shapes
 
 SETTINGS = settings(max_examples=200)
@@ -74,7 +74,7 @@ def draw_case(case):
 def test_batched_coupling_matches_scalar_sweep(case) -> None:
     xa, wa, xb, wb = draw_case(case)
     p = case["power"]
-    got = metrics._quantile_coupling_cost(xa, wa, xb, wb, p)
+    got = _quantile_coupling_cost(xa, wa, xb, wb, p)
     assert got.shape == (xa.shape[1],)
     for v in range(xa.shape[1]):
         want = quantile_coupling_cost(xa[:, v], wa, xb[:, v], wb, p)
@@ -89,10 +89,10 @@ def test_batched_coupling_matches_scalar_sweep(case) -> None:
 def test_column_cost_independent_of_blocking(case) -> None:
     xa, wa, xb, wb = draw_case(case)
     p = case["power"]
-    together = metrics._quantile_coupling_cost(xa, wa, xb, wb, p)
+    together = _quantile_coupling_cost(xa, wa, xb, wb, p)
     with mock.patch.object(metrics, "_COUPLING_BLOCK", 1):   # one column per block
-        blocked = metrics._quantile_coupling_cost(xa, wa, xb, wb, p)
-    alone = [metrics._quantile_coupling_cost(xa[:, v:v + 1], wa, xb[:, v:v + 1], wb, p)[0]
+        blocked = _quantile_coupling_cost(xa, wa, xb, wb, p)
+    alone = [_quantile_coupling_cost(xa[:, v:v + 1], wa, xb[:, v:v + 1], wb, p)[0]
              for v in range(xa.shape[1])]
     assert np.array_equal(blocked, together)
     assert np.array_equal(alone, together)
@@ -135,7 +135,7 @@ def test_grouped_coupling_equals_per_column_coupling(case) -> None:
     ref = draw_weights(rng, "positive", A)
     emp = empirical_weights(rng, case["N"], ref)
     active = emp > 0
-    want = metrics._quantile_coupling_cost(x[active], emp[active], x, ref, 2)
+    want = _quantile_coupling_cost(x[active], emp[active], x, ref, 2)
     groups = metrics._OrderGroups(x)
     assert groups.coupling_costs(emp, ref).tobytes() == want.tobytes()
     with mock.patch.object(metrics, "_COUPLING_BLOCK", 1):   # one column per block
@@ -164,7 +164,7 @@ def test_reference_distances_equal_per_field_coupling(shape) -> None:
     flow = lambda name: np.stack([mf.atom_field(name, a) for a in range(A)])
     emp = empirical_weights(np.random.default_rng([shape.seed, 1]), N, ref.weights)
     active = emp > 0
-    dist = lambda values: metrics._quantile_coupling_cost(
+    dist = lambda values: _quantile_coupling_cost(
         values[active, :, 0], emp[active], values[:, :, 0], ref.weights, 2)
     tsl = lat.terminal_slice
     want = {"w2_g": lat.terminal_expectation(dist(ref.g)),

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from marketclear.errors import BudgetError, SolverError, UnsupportedModelError
+import marketclear
+from marketclear.errors import SolverError, UnsupportedModelError
 from marketclear.finite_market import (MarketContext, make_population,
                                        solve_full_equilibrium)
 from marketclear.mean_field import solve_mfg
-from marketclear.metrics import EmpiricalMeasure, price_gap
+from marketclear.metrics import price_gap
 from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions,
                                DiscreteLaw, MinorBundle, QuadraticMajorCost,
                                make_spec)
@@ -153,11 +154,6 @@ def test_affine_in_news_flow_coefficient_solves() -> None:
     assert eq.diagnostics.max_equation_residual <= 1e-10
 
 
-def test_atom_budget_enforced() -> None:
-    with pytest.raises(BudgetError):
-        EmpiricalMeasure(np.zeros((5000, 1)))
-
-
 def test_converge_gate_exit_code(tmp_path) -> None:
     from marketclear.cli import main
     model = tmp_path / "m.model"
@@ -214,3 +210,33 @@ def test_trinomial_lattice_equilibrium() -> None:
     eq = solve_full_equilibrium(ctx, pop)
     assert eq.clearing_residual <= 1e-10
     assert eq.diagnostics.max_equation_residual <= 1e-10
+
+
+EXPORTS = [
+    "AgentGroup", "AgentPopulation", "AssumptionReport", "AssumptionViolationError",
+    "BestResponse", "BudgetError", "CallableMajorCost", "ClassSolution", "ClearingOperator",
+    "CoefficientSpec", "ConvergenceReport", "Dimensions", "DirectSolver", "DiscreteLaw",
+    "EquilibriumSolution", "FamilySolution", "FbsdeSystem", "IdiosyncraticAtoms", "MajorFlow",
+    "MarketClearError", "MarketContext", "MfgSolution", "MinorBundle", "ModelSpec", "NodeField",
+    "NoiseLattice", "PerturbationReport", "QuadraticMajorCost", "SolveDiagnostics",
+    "SolverError", "StabilityReport", "TimeGrid", "UnsupportedModelError", "ValidationError",
+    "build_lattice", "check_all_assumptions", "check_major_assumptions",
+    "check_minor_assumptions", "clearing_residual", "convergence_study", "cost_classes",
+    "cost_major", "cost_mfg", "cost_minor", "epsilon_rate", "evaluate_exogenous",
+    "idiosyncratic_atoms", "limit_classes", "load_model", "loads_model", "make_population",
+    "make_spec", "minor_best_response", "perturbation_tests", "price_gap", "residual",
+    "sample_idiosyncratic", "solve_full_equilibrium", "solve_mfg", "solve_minor_clearing",
+    "stability_gap", "stream_rng", "write_lattice_csv",
+]
+
+
+def test_exported_names_are_pinned() -> None:
+    # adding or dropping an export is a reviewed change of this list
+    assert len(EXPORTS) == 63
+    assert sorted(marketclear.__all__) == EXPORTS
+    assert [n for n in dir(marketclear) if not n.startswith("_")] == EXPORTS
+    for name in EXPORTS:
+        value = getattr(marketclear, name)
+        assert value.__module__.startswith("marketclear.") and value.__name__ == name
+    with pytest.raises(AttributeError):
+        marketclear.EmpiricalMeasure

@@ -10,9 +10,9 @@ from marketclear.errors import BudgetError, SolverError, ValidationError
 from marketclear.fbsde import DirectSolver, FbsdeSystem, residual
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_minor_clearing)
-from marketclear.scenario import TimeGrid, build_lattice, constant_field
+from marketclear.scenario import TimeGrid, build_lattice
 
-from conftest import noiseless_unit_spec, scalar_market_spec
+from conftest import constant_field, deviations, noiseless_unit_spec, scalar_market_spec
 
 
 def full_system(spec, lattice, seed=0, assignments=None):
@@ -41,7 +41,7 @@ def test_cond_expect_martingale_identity() -> None:
     assert lat.cond_expect(np.array([[3.0], [3.0]]), 0)[0, 0] == pytest.approx(3.0)
     sol = DirectSolver(one_step_system([3.0, 3.0])).solve()
     assert sol.field("y")[0, 0] == pytest.approx(3.0)
-    assert np.allclose(sol.deviations(), 0.0)
+    assert np.allclose(deviations(sol), 0.0)
 
 
 def test_cond_expect_two_point_mean() -> None:
@@ -49,8 +49,8 @@ def test_cond_expect_two_point_mean() -> None:
     assert lat.cond_expect(np.array([[2.0], [0.0]]), 0)[0, 0] == pytest.approx(1.0)
     sol = DirectSolver(one_step_system([2.0, 0.0])).solve()
     assert sol.pre("y")[0, 0] == pytest.approx(1.0)
-    assert sol.deviations()[1:, 0] == pytest.approx([1.0, -1.0])
-    assert lat.cond_expect(sol.deviations()[1:], 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert deviations(sol)[1:, 0] == pytest.approx([1.0, -1.0])
+    assert lat.cond_expect(deviations(sol)[1:], 0)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_direct_driver_contribution() -> None:
@@ -210,6 +210,6 @@ def test_deviations_have_zero_conditional_mean() -> None:
     for k in range(1, lat.steps + 1):
         lo, hi = lat.level_range(k)
         m = lat.nodes_at(k - 1)
-        dev = sol.deviations()[lo:hi].reshape(m, lat.fanout, -1)
+        dev = deviations(sol)[lo:hi].reshape(m, lat.fanout, -1)
         weighted = (dev * lat.child_probs[None, :, None]).sum(axis=1)
         assert np.max(np.abs(weighted)) <= 1e-12

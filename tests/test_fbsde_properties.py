@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sweep_oracle
+from conftest import deviations
 from marketclear.errors import ValidationError
 from marketclear.fbsde import DirectSolver, FbsdeSystem
 from marketclear.scenario import TimeGrid, build_lattice
@@ -207,9 +208,9 @@ def test_whole_tree_pre_driver_pass_matches_the_level_loop(branching, d0, K, B, 
         clo, chi = lat.level_range(k + 1)
         pre[lo:hi] = level_cond_expect(lat, ub[clo:chi], k)
         assert np.array_equal(lat.cond_expect(ub[clo:chi], k), pre[lo:hi])
-        dev[clo:chi] = ub[clo:chi] - lat.repeat_to_children(pre[lo:hi])
+        dev[clo:chi] = ub[clo:chi] - np.repeat(pre[lo:hi], lat.fanout, axis=0)
     assert np.array_equal(_pre(lat, ub), pre)
     family = FamilySolution(system=SimpleNamespace(lattice=lat), forward=None,
                             backward=ub, backward_pre=pre, diagnostics=[])
     for b in range(B):
-        assert np.array_equal(family.deviations(b), dev[:, b])
+        assert np.array_equal(deviations(family, b), dev[:, b])

@@ -19,10 +19,10 @@ from marketclear.metrics import convergence_study, stability_gap
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MinorBundle,
                                ModelSpec, QuadraticMajorCost, make_spec)
 from marketclear.optimality import cost_major, cost_minor, perturbation_tests
-from marketclear.scenario import NodeField, TimeGrid, build_lattice, constant_field
+from marketclear.scenario import NodeField, TimeGrid, build_lattice
 
-from conftest import (callable_twin, homogeneous_study_spec, noiseless_unit_spec,
-                      scalar_market_spec)
+from conftest import (callable_twin, constant_field, deviations, homogeneous_study_spec,
+                      noiseless_unit_spec, scalar_market_spec)
 from tiny_tree_oracle import TinyTreeOracle
 
 
@@ -560,7 +560,7 @@ def test_clearing_operator_batch_equals_fresh_minor_clearing() -> None:
         for name in ("forward", "backward", "backward_pre"):
             assert np.array_equal(getattr(family, name)[:, j],
                                   getattr(eq.solution, name)[:, 0]), name
-        assert np.array_equal(family.deviations(j), eq.solution.deviations())
+        assert np.array_equal(deviations(family, j), deviations(eq.solution))
         assert asdict(family.diagnostics[j]) == asdict(eq.solution.diagnostics[0])
         assert np.array_equal(phi, eq.price.values)
 

@@ -14,17 +14,16 @@ from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (MarketContext, make_population,
                                        solve_full_equilibrium)
 from marketclear.mean_field import solve_mfg
-from marketclear.metrics import (EmpiricalMeasure, _quantile_coupling_cost, _ReferenceClouds,
-                                 convergence_study, derive_seed, epsilon_rate,
-                                 fit_loglog, price_gap, stability_gap,
-                                 wasserstein1_1d, wasserstein2)
+from marketclear.metrics import (_ReferenceClouds, convergence_study, derive_seed,
+                                 epsilon_rate, fit_loglog, price_gap, stability_gap)
 from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions, DiscreteLaw,
                                MinorBundle, make_spec)
 from marketclear.modelfile import load_model
-from marketclear.scenario import (TimeGrid, build_lattice, constant_field,
-                                  sample_idiosyncratic)
+from marketclear.scenario import TimeGrid, build_lattice, sample_idiosyncratic
 
-from conftest import homogeneous_study_spec
+from conftest import constant_field, homogeneous_study_spec
+from coupling_oracle import (EmpiricalMeasure, _quantile_coupling_cost, wasserstein1_1d,
+                             wasserstein2)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 

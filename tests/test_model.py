@@ -14,6 +14,7 @@ from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions,
 from marketclear.modelfile import loads_model
 
 from conftest import scalar_market_spec
+from hamiltonian_oracle import agent_bundle, eval_point
 
 
 def unit_dims(N=1):
@@ -130,7 +131,7 @@ def test_affine_coefficient_evaluates_both_channels() -> None:
     spec = CoefficientSpec("affine", (2,), const=[1.0, 0.0],
                            c0_mat=[[1.0, 0.0], [0.0, 0.0]],
                            ci_mat=[[0.0, 0.0], [0.0, 2.0]])
-    out = spec.eval_point(0.0, np.array([3.0, 9.0]), np.array([0.0, 1.5]))
+    out = eval_point(spec, 0.0, np.array([3.0, 9.0]), np.array([0.0, 1.5]))
     assert out == pytest.approx([4.0, 3.0])
 
 
@@ -265,7 +266,7 @@ def test_heterogeneous_bundles_via_json() -> None:
     }
     spec = loads_model(json.dumps(doc))
     assert not spec.homogeneous
-    assert spec.bundle(1).cf.value[0, 0] == 2.0
+    assert agent_bundle(spec, 1).cf.value[0, 0] == 2.0
 
 
 def _two_assets(section, key, value) -> str:

@@ -11,9 +11,10 @@ from marketclear.finite_market import (ClearingOperator, MarketContext,
 from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
 from marketclear.optimality import (DEFAULT_EPS_GRID, LEVELS, cost_major, cost_mfg, cost_minor,
                                     perturbation_directions, perturbation_tests)
-from marketclear.scenario import NodeField, TimeGrid, build_lattice, constant_field
+from marketclear.scenario import NodeField, TimeGrid, build_lattice
 
-from conftest import homogeneous_study_spec, noiseless_unit_spec, scalar_market_spec
+from conftest import (constant_field, homogeneous_study_spec, noiseless_unit_spec,
+                      scalar_market_spec)
 from hamiltonian_oracle import (hamiltonian_mfg, hamiltonian_minor, hamiltonian_system,
                                 minimizer_alpha, minimizer_beta)
 

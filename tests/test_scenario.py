@@ -11,10 +11,11 @@ from marketclear import scenario
 from marketclear.errors import BudgetError, ValidationError
 from marketclear.model import Dimensions, DiscreteLaw, make_spec
 from marketclear.scenario import (IdiosyncraticAtoms, NodeField, TimeGrid,
-                                  build_lattice, constant_field,
-                                  evaluate_exogenous, idiosyncratic_atoms,
+                                  build_lattice, evaluate_exogenous, idiosyncratic_atoms,
                                   sample_idiosyncratic, stream_rng)
 from marketclear.runio import write_lattice_csv
+
+from conftest import constant_field
 
 # frozen draw statistics for the shipped generator (seed 0, two equal atoms)
 FROZEN_MEAN_10K = 0.5003
