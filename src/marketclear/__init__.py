@@ -25,8 +25,7 @@ _EXPORTS = {  # the exported names, by the module that defines them
                 "price_gap", "stability_gap"),
     "model": ("AssumptionReport", "CallableMajorCost", "CoefficientSpec", "Dimensions",
               "DiscreteLaw", "MajorFlow", "MinorBundle", "ModelSpec", "QuadraticMajorCost",
-              "check_all_assumptions", "check_major_assumptions", "check_minor_assumptions",
-              "make_spec"),
+              "check_all_assumptions", "make_spec"),
     "modelfile": ("load_model", "loads_model"),
     "optimality": ("PerturbationReport", "cost_major", "cost_mfg", "cost_minor",
                    "perturbation_tests"),

@@ -10,7 +10,7 @@ for every node v of level k, where uB~(v) denotes the conditional expectation
 of the next-level backward values (the "pre-driver" value).  Afb and Bbf are
 level tables, one matrix per level, as the model's matrix coefficients depend
 on time only, and G is one matrix; the constants (af, S, bb, g) are given per
-node or shared.  Drifts read backward states only, through uB~, and drivers
+node.  Drifts read backward states only, through uB~, and drivers
 forward states only (trading rates are affine in the adjoints, drivers are
 cost gradients in the positions), so there are no forward-on-forward or
 backward-on-backward blocks.  This is the exact first-order-condition
@@ -54,13 +54,13 @@ class FbsdeSystem:
     The matrix blocks are two level tables, ``Afb`` (K, mf, mb), the
     forward drift's read of uB~, and ``Bbf`` (K, mb, mf), the backward
     driver's read of u_F, plus the terminal matrix ``G`` (mb, mf).  The
-    constants are node arrays with a flow axis right after the node axis;
-    either axis has length 1 where the value is shared:
+    constants are node arrays with a flow axis right after the node axis,
+    which has length 1 where the flows share the value:
 
         initial (1, B|1, mf)                   on the root
-        af (I|1, B|1, mf), S (I|1, B|1, mf, d0),
-        bb (I|1, B|1, mb)                      on the I non-terminal nodes
-        g (L|1, B|1, mb)                       on the L leaves
+        af (I, B|1, mf), S (I, B|1, mf, d0),
+        bb (I, B|1, mb)                        on the I non-terminal nodes
+        g (L, B|1, mb)                         on the L leaves
 
     Every shape is checked here (``ValidationError``).
     """
@@ -87,9 +87,9 @@ class FbsdeSystem:
         I, L = lat.level_range(K)[0], lat.nodes_at(K)
         expected = {
             "Afb": ((K,), (mf,), (mb,)), "Bbf": ((K,), (mb,), (mf,)), "G": ((mb,), (mf,)),
-            "initial": ((1,), (B, 1), (mf,)), "af": ((I, 1), (B, 1), (mf,)),
-            "S": ((I, 1), (B, 1), (mf,), (lat.d0,)), "bb": ((I, 1), (B, 1), (mb,)),
-            "g": ((L, 1), (B, 1), (mb,)),
+            "initial": ((1,), (B, 1), (mf,)), "af": ((I,), (B, 1), (mf,)),
+            "S": ((I,), (B, 1), (mf,), (lat.d0,)), "bb": ((I,), (B, 1), (mb,)),
+            "g": ((L,), (B, 1), (mb,)),
         }
         for name, axes in expected.items():
             shape = np.shape(getattr(self, name))
@@ -160,11 +160,6 @@ class FamilySolution:
 # its flows solved alone, byte for byte.
 
 
-def _rows(const: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Nodes lo:hi of a node array, or the whole array if it is shared by every node."""
-    return const if const.shape[0] == 1 else const[lo:hi]
-
-
 def _flow_max(gap: np.ndarray) -> np.ndarray:
     """Largest |entry| of each flow of a (m, B, ...) array, in any memory layout.
 
@@ -180,7 +175,7 @@ def _flow_max(gap: np.ndarray) -> np.ndarray:
 def _noise(system: FbsdeSystem, k: int) -> np.ndarray:
     """S(v) dW on every child edge of level k, in child layout."""
     lo, hi = system.lattice.level_range(k)
-    return system.lattice.edge_noise(_rows(system.S, lo, hi), k)
+    return system.lattice.edge_noise(system.S[lo:hi], k)
 
 
 def _step(system: FbsdeSystem, k: int, uf: np.ndarray, ubt: np.ndarray,
@@ -188,7 +183,7 @@ def _step(system: FbsdeSystem, k: int, uf: np.ndarray, ubt: np.ndarray,
     """Forward states on the children of level k, written to ``out``."""
     lo, hi = system.lattice.level_range(k)
     drift = apply_block(system.Afb[k], ubt)
-    drift += _rows(system.af, lo, hi)
+    drift += system.af[lo:hi]
     return system.lattice.forward_step(uf, drift, noise, out)
 
 
@@ -222,7 +217,7 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
         _step(system, k, uf[lo:hi], ubt, _noise(system, k), gap)
         worst = np.maximum(worst, _flow_max(np.subtract(uf[clo:chi], gap, out=gap)))
         gap = apply_block(system.Bbf[k], uf[lo:hi])
-        gap += _rows(system.bb, lo, hi)
+        gap += system.bb[lo:hi]
         gap *= lat.dt
         worst = np.maximum(worst, _flow_max(np.subtract(ub[lo:hi] - ubt, gap, out=gap)))
         del gap
@@ -344,9 +339,8 @@ class DirectSolver:
             lo, hi = lat.level_range(k)
             noise = _noise(system, k)
             pbar = lat.cond_expect(p + apply_block(self._P[k + 1], noise), k)
-            af = _rows(system.af, lo, hi)
-            r = apply_block(self._E[k], pbar) + dt * apply_block(self._Q[k], af)
-            p = r + dt * _rows(system.bb, lo, hi)
+            r = apply_block(self._E[k], pbar) + dt * apply_block(self._Q[k], system.af[lo:hi])
+            p = r + dt * system.bb[lo:hi]
             ps[k], rs[k], noises[k] = p, r, noise
         # forward pass, written into the states; they are flows-first in
         # memory, so that each flow's solution (and its uB~, laid out

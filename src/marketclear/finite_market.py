@@ -72,8 +72,10 @@ def make_population(ctx: MarketContext, N: int | None = None, seed: int = 0,
                     assignments: np.ndarray | None = None) -> AgentPopulation:
     """Draw (or accept) the agents' atom assignments in ``ctx`` and collapse identical agents.
 
-    Homogeneous specs collapse agents by atom; heterogeneous specs keep one
-    group per agent since their coefficient bundles differ.
+    Agents with the same bundle and atom form one group, the groups in order
+    of first appearance; a homogeneous model's agents share bundle 0, while a
+    heterogeneous model's agent i has bundle i, so each of its agents is a
+    group of one.
     """
     spec, A = ctx.spec, ctx.atoms.count
     N = N if N is not None else spec.dims.N
@@ -91,15 +93,12 @@ def make_population(ctx: MarketContext, N: int | None = None, seed: int = 0,
     if not 0 <= assignments.min() <= assignments.max() < A:
         i = int(np.argmax((assignments < 0) | (assignments >= A)))
         raise ValidationError(f"agent {i} is assigned atom {assignments[i]}, outside [0, {A})")
-    if spec.homogeneous:
-        drawn, first, inverse, counts = np.unique(assignments, return_index=True,
-                                                  return_inverse=True, return_counts=True)
-        order = np.argsort(first)  # groups in order of first appearance
-        groups = [AgentGroup(0, int(drawn[i]), int(counts[i])) for i in order]
-        agent_group = np.argsort(order)[inverse].astype(np.int64)
-    else:
-        groups = [AgentGroup(i, int(assignments[i]), 1) for i in range(N)]
-        agent_group = np.arange(N, dtype=np.int64)
+    bundles = [0] * N if spec.homogeneous else range(N)
+    group_of: dict[tuple[int, int], int] = {}  # (bundle, atom) -> group, by first appearance
+    agent_group = np.array([group_of.setdefault(key, len(group_of))
+                            for key in zip(bundles, assignments.tolist())], dtype=np.int64)
+    counts = np.bincount(agent_group)
+    groups = [AgentGroup(b, a, int(c)) for (b, a), c in zip(group_of, counts)]
     return AgentPopulation(groups=groups, agent_group=agent_group)
 
 
@@ -129,8 +128,10 @@ class MinorTables:
 class MarketContext:
     """Model coefficients materialized on one lattice, cached per (bundle, atom).
 
-    Unless ``force``, building one runs ``check_all_assumptions`` and raises a
-    failure as ``AssumptionViolationError`` with the report as ``report``.
+    A lattice with another number d0 of common noise components than the
+    model's is refused (``ValidationError``).  Unless ``force``, building one
+    runs ``check_all_assumptions`` and raises a failure as
+    ``AssumptionViolationError`` with the report as ``report``.
 
     The terminal regime and the major cost's form are decided here, once;
     the system builders and the cost functionals read these tables only.
@@ -147,12 +148,14 @@ class MarketContext:
     """
 
     def __init__(self, spec: ModelSpec, lattice: NoiseLattice, *, force: bool = False):
+        if lattice.d0 != spec.dims.d0:
+            raise ValidationError(
+                f"lattice d0 = {lattice.d0} is not the model's d0 = {spec.dims.d0}")
         if not force:
             report = check_all_assumptions(spec)
             if not report.all_passed:
                 raise AssumptionViolationError(
                     "standing assumptions fail: " + "; ".join(report.failures), report)
-        spec.require_no_idiosyncratic_brownian()
         self.spec = spec
         self.lattice = lattice
         self.atoms = idiosyncratic_atoms(spec)

@@ -106,19 +106,22 @@ def price_gap(phi_a: NodeField, phi_b: NodeField, lattice: NoiseLattice) -> floa
     return lattice.running_expectation(squared_norms(diff))
 
 
-def fit_loglog(ns, values, exclude=(4,), drop_below=ZERO_GAP):
-    """OLS slope of log(values) on log(ns); returns (slope, intercept, stderr, used_ns)."""
-    pts = [(N, v) for N, v in zip(ns, values) if N not in exclude and v > drop_below]
-    if len(pts) < 3:
-        return None, None, None, [N for N, _ in pts]
-    x = np.log([p[0] for p in pts])
-    y = np.log([p[1] for p in pts])
+def fit_loglog(ns, values):
+    """OLS slope of log(values) on log(ns); returns (slope, intercept, stderr, used_ns).
+
+    Every point is used, so every value must be positive; below three points
+    there is no fit and the slope, intercept and stderr are None.
+    """
+    if len(ns) < 3:
+        return None, None, None, list(ns)
+    x = np.log(ns)
+    y = np.log(values)
     design = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     s2 = float(resid @ resid) / (len(x) - 2)  # at least one degree of freedom
     cov = s2 * np.linalg.inv(design.T @ design)
-    return float(coef[1]), float(coef[0]), float(np.sqrt(cov[1, 1])), [p[0] for p in pts]
+    return float(coef[1]), float(coef[0]), float(np.sqrt(cov[1, 1])), list(ns)
 
 
 # -- convergence study -------------------------------------------------------
@@ -392,7 +395,10 @@ def convergence_study(ctx: MarketContext, n_list, resamples: int,
     slope = intercept = stderr = None
     fitted_ns: list[int] = []
     if not degenerate:
-        slope, intercept, stderr, fitted_ns = fit_loglog(n_list, mean_gaps)
+        # N = 4 is too small for the rate, and a zero gap has no logarithm
+        fit = [(N, g) for N, g in zip(n_list, mean_gaps) if N != 4 and g > ZERO_GAP]
+        slope, intercept, stderr, fitted_ns = fit_loglog([N for N, _ in fit],
+                                                         [g for _, g in fit])
     ratios = [per_n[N]["mean_price_gap"] / per_n[N]["mean_rhs"]
               for N in n_list
               if per_n[N]["mean_price_gap"] > ZERO_GAP and per_n[N]["mean_rhs"] > 0]

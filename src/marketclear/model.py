@@ -47,7 +47,8 @@ class CoefficientSpec:
     -----
     constant : fixed array of the declared shape.
     time     : piecewise-constant-in-time table (left-continuous).
-    affine   : vector value  const + c0_mat @ c0 + ci_mat @ ci.
+    affine   : vector value  const + c0_mat @ c0 + ci_mat @ ci, where c0 and ci
+               are vectors of the coefficient's length.
     """
 
     def __init__(self, kind: str, shape: tuple, *, value=None, times=None,
@@ -75,7 +76,7 @@ class CoefficientSpec:
             self.c0_mat = None if c0_mat is None else np.asarray(c0_mat, dtype=float)
             self.ci_mat = None if ci_mat is None else np.asarray(ci_mat, dtype=float)
             for mat, label in ((self.c0_mat, "c0"), (self.ci_mat, "ci")):
-                if mat is not None and (mat.ndim != 2 or mat.shape[0] != m):
+                if mat is not None and mat.shape != (m, m):
                     raise ValidationError(f"{name}: affine {label} loading has wrong shape")
         else:
             raise ValidationError(f"{name}: unknown coefficient kind {kind!r}")
@@ -268,14 +269,39 @@ class ModelSpec:
             raise ValidationError("xi law atoms must be n-vectors")
         if self.ci_law is not None and self.ci_law.atoms.shape[1] != n:
             raise ValidationError("ci law atoms must be n-vectors")
-        if self.c0_law[0] not in ("constant", "gaussian_walk"):
-            raise ValidationError(f"unsupported c0 law {self.c0_law[0]!r}")
+        kind, *law = self.c0_law
+        entries = {"constant": ("value",), "gaussian_walk": ("start", "drift", "loading")}
+        if kind not in entries or len(law) != len(entries[kind]):
+            raise ValidationError(f"unsupported c0 law {kind!r} with {len(law)} entries")
+        try:
+            self.c0_law = (kind, *(np.asarray(v, dtype=float) for v in law))
+        except (TypeError, ValueError):
+            raise ValidationError(f"c0 law {kind!r}: entries must be arrays of numbers") from None
         # time-only matrix coefficients make every system block one per time level
         for name, c in self.matrix_coefficients():
             if c.kind not in ("constant", "time") or c.shape != (n, n):
                 raise ValidationError(
                     f"{name}: a matrix coefficient must be constant or time-dependent "
                     f"with shape ({n}, {n})")
+        # every other coefficient, of any kind, and every c0 law entry has its shape
+        d0, d = self.dims.d0, self.dims.d
+        shapes = {"l": (n,), "sigma0": (n, d0), "sigma": (n, d), "hf": (n,), "hg": (n,),
+                  "l0": (n,), "s0": (n, d0), "c0f": (n, n), "h0f": (n,), "c0g": (n, n),
+                  "h0g": (n,), "value": (n,), "start": (n,), "drift": (n,), "loading": (n, d0)}
+        parts = [(f"minor bundle {i}: ", vars(b)) for i, b in enumerate(self.minor)]
+        parts += [("", vars(self.major_flow)), ("", vars(self.major_cost)),
+                  ("c0 law ", dict(zip(entries[kind], self.c0_law[1:])))]
+        for label, part in parts:
+            for name, value in part.items():
+                shape = value.shape if isinstance(value, CoefficientSpec) else np.shape(value)
+                if name in shapes and shape != shapes[name]:
+                    raise ValidationError(
+                        f"{label}{name}: expected shape {shapes[name]}, got {shape}")
+        # the lattice carries common noise only: idiosyncratic randomness rides on atoms
+        for i, b in enumerate(self.minor):
+            if b.sigma.kind != "constant" or np.any(b.sigma.value != 0.0):
+                raise UnsupportedModelError(f"minor bundle {i}: sigma must be the zero constant; "
+                                            f"carry idiosyncratic randomness by atoms")
 
     def matrix_coefficients(self) -> list[tuple[str, CoefficientSpec]]:
         """The fee matrices and every bundle's cost curvatures, each with its name."""
@@ -286,17 +312,6 @@ class ModelSpec:
     @property
     def homogeneous(self) -> bool:
         return len(self.minor) == 1
-
-    def require_no_idiosyncratic_brownian(self):
-        for i, b in enumerate(self.minor):
-            sig = b.sigma
-            if sig.kind == "constant" and np.any(sig.value != 0.0):
-                raise UnsupportedModelError(
-                    f"minor bundle {i}: nonzero idiosyncratic Brownian loading is outside "
-                    f"the lattice-solvable class; carry idiosyncratic randomness by atoms")
-            if sig.kind != "constant":
-                raise UnsupportedModelError(
-                    f"minor bundle {i}: sigma must be the zero constant on the lattice path")
 
 
 def make_spec(dims: Dimensions, *, delta=0.0, lam=1.0, lam0=1.0, minor=None,
@@ -315,7 +330,7 @@ def make_spec(dims: Dimensions, *, delta=0.0, lam=1.0, lam0=1.0, minor=None,
         minor=list(minor),
         major_flow=major_flow if major_flow is not None else MajorFlow.build(dims),
         major_cost=major_cost if major_cost is not None else QuadraticMajorCost.build(dims),
-        chi0=np.broadcast_to(np.asarray(chi0, dtype=float), (n,)).copy(),
+        chi0=chi0,
         xi_law=xi_law if xi_law is not None else DiscreteLaw.point(np.zeros(n)),
         ci_law=ci_law,
         c0_law=c0_law if c0_law is not None else ("constant", np.zeros(n)),
@@ -385,7 +400,18 @@ def _floor(eigs: np.ndarray) -> tuple[float, tuple]:
     return float(eigs[where][0]), where
 
 
-def _minor_clauses(rep: AssumptionReport, spec: ModelSpec, candidate_c) -> AssumptionReport:
+def _minor_clauses(spec: ModelSpec) -> AssumptionReport:
+    """Check the minor-side clauses on every value the matrix coefficients take.
+
+    The values are those at t = 0 and at every positive breakpoint of the
+    model's time tables.  Reports the fee-matrix eigenvalue bounds, the
+    convexity floors of every bundle's running and terminal cost curvatures,
+    and the terminal-coupling constant a = delta/(1-delta) * max ||c - cg||,
+    its witness c the mean of cg over bundles and breakpoints; the
+    terminal-coupling clause requires a < gamma_g.  A failure names the bundle
+    and the time of the offending value.
+    """
+    rep = AssumptionReport()
     times = _breakpoints(spec)
     lam = _eigenvalues(_values(spec.lambda_minor, times))
     lam_lo, (k,) = _floor(lam)
@@ -412,10 +438,7 @@ def _minor_clauses(rep: AssumptionReport, spec: ModelSpec, candidate_c) -> Assum
         rep.failures.append(f"minor bundle {bg}: cg not strictly convex at t={times[kg]:g} "
                             f"(min eigenvalue {gamma_g:.3e})")
 
-    n = spec.dims.n
-    candidate_c = _shaped(cg.mean(axis=(0, 1)) if candidate_c is None else candidate_c,
-                          (n, n), "candidate_c")
-    gaps = np.linalg.norm(candidate_c - cg, ord=2, axis=(-2, -1))
+    gaps = np.linalg.norm(cg.mean(axis=(0, 1)) - cg, ord=2, axis=(-2, -1))
     rep.a_const = spec.delta / (1.0 - spec.delta) * float(gaps.max())
     if spec.maturity_mode:
         rep.passed["minor_B"] = True
@@ -426,21 +449,6 @@ def _minor_clauses(rep: AssumptionReport, spec: ModelSpec, candidate_c) -> Assum
             rep.failures.append(
                 f"terminal coupling constant a={rep.a_const:.6g} is not below gamma_g={gamma_g:.6g}")
     return rep
-
-
-def check_minor_assumptions(spec: ModelSpec,
-                            candidate_c: np.ndarray | None = None) -> AssumptionReport:
-    """Check the minor-side clauses on every value the matrix coefficients take.
-
-    The values are those at t = 0 and at every positive breakpoint of the
-    model's time tables.  Reports the fee-matrix eigenvalue bounds, the
-    convexity floors of every bundle's running and terminal cost curvatures,
-    and the terminal-coupling constant a = delta/(1-delta) * max ||candidate - cg||
-    (candidate defaults to the mean of cg over bundles and breakpoints); the
-    terminal-coupling clause requires a < gamma_g.  A failure names the bundle
-    and the time of the offending value.
-    """
-    return _minor_clauses(AssumptionReport(), spec, candidate_c)
 
 
 def _secant_range(grad, n: int):
@@ -460,26 +468,29 @@ def _secant_range(grad, n: int):
     return worst, most, witness
 
 
-def _secant_ranges(spec: ModelSpec) -> tuple:
-    """A callable major cost's secant ranges, at t = 0 and the c0 law's anchor."""
-    n = spec.dims.n
-    c0 = np.asarray(spec.c0_law[1], dtype=float).reshape(n)
-    return spec.major_cost.secant_ranges(c0, n)
-
-
 def secant_curvatures(spec: ModelSpec) -> list[float]:
     """Curvatures (m + L)/2 of a callable major cost's running and terminal gradients.
 
     m and L are each gradient's smallest and largest secant ratios, the
-    sample ``check_major_assumptions`` reads (t = 0, the c0 law's anchor).
+    sample the major clauses of ``check_all_assumptions`` read (t = 0, the c0
+    law's anchor).
     """
-    ranges = [r[:2] for r in _secant_ranges(spec)]
+    ranges = [r[:2] for r in spec.major_cost.secant_ranges(spec.c0_law[1], spec.dims.n)]
     if not np.isfinite(ranges).all():
         raise UnsupportedModelError("the callable major cost gives no finite secant ratios")
     return [0.5 * (lo + hi) for lo, hi in ranges]
 
 
 def _major_clauses(rep: AssumptionReport, spec: ModelSpec) -> AssumptionReport:
+    """Check the major-side clauses: combined fee bounds and cost convexity.
+
+    The combined fee matrix lambda0 + 2 lambda is checked on every value it
+    takes (t = 0 and every positive breakpoint of the time tables), and a
+    failure names the time.  For affine cost gradients the convexity
+    constants are exact eigenvalue floors; for callables they are estimated
+    by randomized secants at t = 0 and the c0 law's anchor (a negative secant
+    is a disproof; a degenerate sample is reported inconclusive).
+    """
     times = _breakpoints(spec)
     combo = _eigenvalues(_values(spec.lambda_major, times)
                          + 2.0 * _values(spec.lambda_minor, times))
@@ -496,7 +507,7 @@ def _major_clauses(rep: AssumptionReport, spec: ModelSpec) -> AssumptionReport:
         rep.gamma0_f, rep.gamma0_g = (
             float(e) for e in _eigenvalues(np.stack([cost.c0f, cost.c0g]))[:, 0])
     else:
-        (gf, _, wf), (gg, _, wg) = _secant_ranges(spec)
+        (gf, _, wf), (gg, _, wg) = cost.secant_ranges(spec.c0_law[1], spec.dims.n)
         if not np.isfinite(gf) or not np.isfinite(gg):
             rep.inconclusive.append("major_v: secant sampling degenerate, convexity not estimated")
             rep.passed["major_v"] = True
@@ -521,22 +532,9 @@ def _major_clauses(rep: AssumptionReport, spec: ModelSpec) -> AssumptionReport:
     return rep
 
 
-def check_major_assumptions(spec: ModelSpec) -> AssumptionReport:
-    """Check the major-side clauses: combined fee bounds and cost convexity.
-
-    The combined fee matrix lambda0 + 2 lambda is checked on every value it
-    takes (t = 0 and every positive breakpoint of the time tables), and a
-    failure names the time.  For affine cost gradients the convexity
-    constants are exact eigenvalue floors; for callables they are estimated
-    by randomized secants at t = 0 and the c0 law's anchor (a negative secant
-    is a disproof; a degenerate sample is reported inconclusive).
-    """
-    return _major_clauses(AssumptionReport(), spec)
-
-
-def check_all_assumptions(spec: ModelSpec, candidate_c=None) -> AssumptionReport:
+def check_all_assumptions(spec: ModelSpec) -> AssumptionReport:
     """Minor and major checks in one report, with the monotonicity margins beta1, mu1."""
-    rep = _major_clauses(check_minor_assumptions(spec, candidate_c), spec)
+    rep = _major_clauses(_minor_clauses(spec), spec)
     N = spec.dims.N
     if rep.gamma0_f is not None:
         rep.gamma0_f_scaled = rep.gamma0_f / N

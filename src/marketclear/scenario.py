@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AssumptionViolationError, BudgetError, ValidationError
 
-DEFAULT_NODE_BUDGET = 2**20
+NODE_BUDGET = 2**20  # cap on a lattice's node count
 WEIGHT_TOL = 1e-12  # how far a law's weights may sum from 1
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -195,8 +195,7 @@ class NoiseLattice:
     path_prob : product of edge probabilities along the node's history.
     """
 
-    def __init__(self, grid: TimeGrid, d0: int, branching: int = 2,
-                 node_budget: int = DEFAULT_NODE_BUDGET):
+    def __init__(self, grid: TimeGrid, d0: int, branching: int = 2):
         if branching not in (2, 3):
             raise ValidationError("branching must be 2 or 3")
         if d0 < 0:
@@ -205,10 +204,9 @@ class NoiseLattice:
         fanout = branching**d0
         counts = [fanout**k for k in range(K + 1)]
         total = int(sum(counts))
-        if total > node_budget:
+        if total > NODE_BUDGET:
             raise BudgetError(
-                f"lattice needs {total} nodes, budget is {node_budget}; "
-                f"lower K/branching or raise the budget")
+                f"lattice needs {total} nodes, budget is {NODE_BUDGET}; lower K/branching")
 
         self.grid = grid
         self.d0 = d0
@@ -325,8 +323,8 @@ class NoiseLattice:
     def edge_noise(self, loading: np.ndarray, k: int) -> np.ndarray:
         """``loading(v) dW`` on every child edge of level ``k``, in child layout.
 
-        ``loading`` is (m|1, ..., d0) on the level's m nodes, or shared by
-        them; the result is (m * fanout, ...).  Every parent's children carry
+        ``loading`` is (m, ..., d0) on the level's m nodes; the result is
+        (m * fanout, ...).  Every parent's children carry
         the rows of ``child_dw``, so the product is d0 elementwise terms,
         added in component order.
         """
@@ -339,8 +337,6 @@ class NoiseLattice:
         out = S[..., 0] * dw[..., 0]
         for c in range(1, d0):
             out = out + S[..., c] * dw[..., c]
-        if out.shape[0] != m:  # a loading shared by the level's nodes
-            out = np.broadcast_to(out, (m,) + out.shape[1:])
         return out.reshape((-1,) + trail)
 
     def apply_levels(self, table: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -377,10 +373,9 @@ class NoiseLattice:
         return (self.grid.horizon, self.grid.steps, self.d0, self.branching)
 
 
-def build_lattice(grid: TimeGrid, d0: int, branching: int = 2,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> NoiseLattice:
+def build_lattice(grid: TimeGrid, d0: int, branching: int = 2) -> NoiseLattice:
     """Build the common-noise tree with exact two- or three-point increments."""
-    return NoiseLattice(grid, d0, branching, node_budget)
+    return NoiseLattice(grid, d0, branching)
 
 
 @dataclass
@@ -422,26 +417,19 @@ def evaluate_exogenous(lattice: NoiseLattice, spec) -> ExogenousFields:
     """Materialize c0 on every node of the tree and the fee matrices per level.
 
     The c0 law is either constant or a Gaussian walk driven by the common
-    increments; the fee matrices are constant or deterministic in time, so
+    increments (its entries are float arrays of their shapes, as ``ModelSpec``
+    makes them); the fee matrices are constant or deterministic in time, so
     one matrix per time level serves all of its nodes.
     """
-    n = spec.dims.n
-    c0 = np.zeros((lattice.num_nodes, n))
-    law = spec.c0_law
-    if law[0] == "constant":
-        c0[:] = np.asarray(law[1], dtype=float)
-    elif law[0] == "gaussian_walk":
-        start = np.asarray(law[1], dtype=float)
-        drift = np.asarray(law[2], dtype=float)
-        loading = np.asarray(law[3], dtype=float).reshape(n, lattice.d0)
-        c0[0] = start
+    kind, start, *walk = spec.c0_law
+    c0 = np.tile(start, (lattice.num_nodes, 1))
+    if kind == "gaussian_walk":
+        drift, loading = walk
         dt = lattice.dt
         for k in range(1, lattice.steps + 1):
             lo, hi = lattice.level_range(k)
             par = lattice.parent[lo:hi]
             c0[lo:hi] = c0[par] + drift * dt + lattice.dW[lo:hi] @ loading.T
-    else:
-        raise ValidationError(f"unsupported c0 law kind {law[0]!r}")
 
     lam = level_table(lattice, spec.lambda_minor)
     lam0 = level_table(lattice, spec.lambda_major)
@@ -462,15 +450,11 @@ def evaluate_exogenous(lattice: NoiseLattice, spec) -> ExogenousFields:
 
 def idiosyncratic_atoms(spec) -> IdiosyncraticAtoms:
     """Joint (xi, ci) atom law: product of the two marginal atom laws."""
-    n = spec.dims.n
-    xi_atoms = np.atleast_2d(np.asarray(spec.xi_law.atoms, dtype=float))
-    xi_w = np.asarray(spec.xi_law.weights, dtype=float)
+    xi_atoms, xi_w = spec.xi_law.atoms, spec.xi_law.weights
     if spec.ci_law is None:
-        ci_atoms = np.zeros((1, n))
-        ci_w = np.ones(1)
+        ci_atoms, ci_w = np.zeros((1, spec.dims.n)), np.ones(1)
     else:
-        ci_atoms = np.atleast_2d(np.asarray(spec.ci_law.atoms, dtype=float))
-        ci_w = np.asarray(spec.ci_law.weights, dtype=float)
+        ci_atoms, ci_w = spec.ci_law.atoms, spec.ci_law.weights
     A1, A2 = len(xi_w), len(ci_w)
     xi = np.repeat(xi_atoms, A2, axis=0)
     ci = np.tile(ci_atoms, (A1, 1))

@@ -27,15 +27,15 @@ def _flow(const: np.ndarray, b: int) -> np.ndarray:
 
 
 def level(system, k: int, b: int = 0) -> SimpleNamespace:
-    """Flow ``b``'s level-k blocks, (1, p, q), and constants, (m|1, ...)."""
+    """Flow ``b``'s level-k blocks, (1, p, q), and constants, (m, ...)."""
     lo, hi = system.lattice.level_range(k)
-    const = lambda a: _flow(a if a.shape[0] == 1 else a[lo:hi], b)
+    const = lambda a: _flow(a[lo:hi], b)
     return SimpleNamespace(Afb=system.Afb[k:k + 1], Bbf=system.Bbf[k:k + 1],
                            af=const(system.af), S=const(system.S), bb=const(system.bb))
 
 
 def terminal(system, b: int = 0) -> tuple:
-    """Flow ``b``'s terminal map: G (1, mb, mf) and g (mK|1, mb)."""
+    """Flow ``b``'s terminal map: G (1, mb, mf) and g (mK, mb)."""
     return system.G[None], _flow(system.g, b)
 
 
@@ -52,8 +52,7 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def _noise(lat, k: int, S: np.ndarray) -> np.ndarray:
     """S(v) dW on every child edge of level k, in child layout, summed over dW's components."""
     clo, chi = lat.level_range(k + 1)
-    m = lat.nodes_at(k)
-    S_child = np.repeat(np.broadcast_to(S, (m,) + S.shape[1:]), lat.fanout, axis=0)
+    S_child = np.repeat(S, lat.fanout, axis=0)
     dW = lat.dW[clo:chi]
     if lat.d0 == 0:
         return np.zeros(S_child.shape[:-1])

@@ -290,7 +290,7 @@ def test_criterion_09_stability() -> None:
         rep = stability_gap(MarketContext(hetero(eps), lattice), ctx_ho,
                             assignments=np.zeros(4, int))
         lhs.append(rep.lhs_hetero - rep.lhs_homogeneous)
-    slope, *_ = fit_loglog(eps_list, lhs, exclude=())
+    slope, *_ = fit_loglog(eps_list, lhs)
     gate("criterion 09 stability",
          ident <= 1e-12 and slope is not None and abs(slope - 2.0) <= 0.2,
          f"zero-heterogeneity mismatch = {ident:.3e}, perturbation slope = {slope:.3f}")

@@ -66,18 +66,17 @@ def test_level_tables_and_noise_per_flow(d0, branching) -> None:
     bound = 2 * gamma(q) * np.matmul(np.abs(table[lat.level_of])[:, None],
                                      np.abs(values)[..., None])[..., 0]
     assert np.all(np.abs(got - old) <= bound)
-    # S(v) dW on the child edges of the last level, loading per node or shared
+    # S(v) dW on the child edges of the last level, one loading per node
     k = lat.steps - 1
     clo, chi = lat.level_range(k + 1)
-    for rows in (lat.nodes_at(k), 1):
-        S = rng.standard_normal((rows, B, q, d0))
-        noise = lat.edge_noise(S, k)
-        assert noise.shape == (chi - clo, B, q)
-        S_child = np.repeat(np.broadcast_to(S, (lat.nodes_at(k), B, q, d0)), lat.fanout, axis=0)
-        dW = lat.dW[clo:chi, None, :, None]
-        old = np.matmul(S_child, dW)[..., 0]
-        bound = 2 * gamma(max(d0, 1)) * np.matmul(np.abs(S_child), np.abs(dW))[..., 0]
-        assert np.all(np.abs(noise - old) <= bound)
+    S = rng.standard_normal((lat.nodes_at(k), B, q, d0))
+    noise = lat.edge_noise(S, k)
+    assert noise.shape == (chi - clo, B, q)
+    S_child = np.repeat(S, lat.fanout, axis=0)
+    dW = lat.dW[clo:chi, None, :, None]
+    old = np.matmul(S_child, dW)[..., 0]
+    bound = 2 * gamma(max(d0, 1)) * np.matmul(np.abs(S_child), np.abs(dW))[..., 0]
+    assert np.all(np.abs(noise - old) <= bound)
 
 
 forms = st.fixed_dictionaries({

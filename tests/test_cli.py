@@ -678,3 +678,18 @@ def test_manifest_versions_leave_scipy_unloaded(good_model, tmp_path) -> None:
     assert sorted(versions) == ["marketclear", "numpy"]
     versions = json.loads((tmp_path / "s" / "manifest.json").read_text())["versions"]
     assert sorted(versions) == ["marketclear", "numpy", "orjson"]
+
+
+@pytest.mark.parametrize("command", ["check", "solve-n"])
+def test_idiosyncratic_loading_is_refused_by_every_command(tmp_path, capsys, command) -> None:
+    # benchmark.model with d = 1 and sigma = 0.5: refused where the model is built
+    text = (SHIPPED / "benchmark.model").read_text()
+    text = text.replace("d = 0", "d = 1").replace("sigma0 = 0.0", "sigma0 = 0.0\nsigma = 0.5")
+    model = tmp_path / "sigma.model"
+    model.write_text(text)
+    code = main([command, "--model", str(model), "--out", str(tmp_path / "out"),
+                 "--steps", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "minor bundle 0: sigma must be the zero constant" in err
+    assert not (tmp_path / "out" / "assumptions.json").exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import numpy as np
@@ -176,14 +177,13 @@ xi_weights = 0.5 0.5
 
 
 def test_idiosyncratic_brownian_loading_rejected() -> None:
+    # the model is refused where it is built, so no entry point can take it
     dims = Dimensions(1, 1, 1, 2)
-    spec = make_spec(dims, minor=MinorBundle.build(dims, sigma=[[0.5]]))
-    lat = build_lattice(TimeGrid(1.0, 2), d0=1)
     with pytest.raises(UnsupportedModelError):
-        MarketContext(spec, lat)
+        make_spec(dims, minor=MinorBundle.build(dims, sigma=[[0.5]]))
     # zero loading with d > 0 stays inside the solvable class
     ok = make_spec(dims, minor=MinorBundle.build(dims, sigma=[[0.0]]))
-    MarketContext(ok, lat)
+    MarketContext(ok, build_lattice(TimeGrid(1.0, 2), d0=1))
 
 
 def test_raw_major_position_accessor() -> None:
@@ -220,19 +220,100 @@ EXPORTS = [
     "MarketClearError", "MarketContext", "MfgSolution", "MinorBundle", "ModelSpec", "NodeField",
     "NoiseLattice", "PerturbationReport", "QuadraticMajorCost", "SolveDiagnostics",
     "SolverError", "StabilityReport", "TimeGrid", "UnsupportedModelError", "ValidationError",
-    "build_lattice", "check_all_assumptions", "check_major_assumptions",
-    "check_minor_assumptions", "clearing_residual", "convergence_study", "cost_classes",
-    "cost_major", "cost_mfg", "cost_minor", "epsilon_rate", "evaluate_exogenous",
-    "idiosyncratic_atoms", "limit_classes", "load_model", "loads_model", "make_population",
-    "make_spec", "minor_best_response", "perturbation_tests", "price_gap", "residual",
-    "sample_idiosyncratic", "solve_full_equilibrium", "solve_mfg", "solve_minor_clearing",
-    "stability_gap", "stream_rng", "write_lattice_csv",
+    "build_lattice", "check_all_assumptions", "clearing_residual", "convergence_study",
+    "cost_classes", "cost_major", "cost_mfg", "cost_minor", "epsilon_rate",
+    "evaluate_exogenous", "idiosyncratic_atoms", "limit_classes", "load_model", "loads_model",
+    "make_population", "make_spec", "minor_best_response", "perturbation_tests", "price_gap",
+    "residual", "sample_idiosyncratic", "solve_full_equilibrium", "solve_mfg",
+    "solve_minor_clearing", "stability_gap", "stream_rng", "write_lattice_csv",
 ]
+
+# the parameter names of every exported callable, in order; None for an error type
+# that takes the arguments of ``Exception``
+PARAMETERS = {
+    "AgentGroup": ("bundle_index", "atom_index", "count"),
+    "AgentPopulation": ("groups", "agent_group"),
+    "AssumptionReport": (
+        "passed", "gamma_f", "gamma_g", "gamma0_f", "gamma0_g", "a_const", "lambda_bounds",
+        "combo_bounds", "beta1", "mu1", "gamma0_f_scaled", "gamma0_g_scaled", "skipped",
+        "inconclusive", "failures"),
+    "AssumptionViolationError": ("message", "report"),
+    "BestResponse": ("solution", "classes", "deviations", "price", "population", "alpha_hat"),
+    "BudgetError": None,
+    "CallableMajorCost": ("dfdx", "dgdx"),
+    "ClassSolution": ("solution", "classes", "deviations", "price"),
+    "ClearingOperator": ("ctx", "tabs", "w"),
+    "CoefficientSpec": (
+        "kind", "shape", "value", "times", "values", "const", "c0_mat", "ci_mat", "name"),
+    "ConvergenceReport": (
+        "n_list", "resamples", "seed", "rows", "per_n", "slope", "intercept", "slope_stderr",
+        "fitted_ns", "excluded_ns", "fitted_constant", "ratio_spread", "degenerate"),
+    "Dimensions": ("n", "d0", "d", "N"),
+    "DirectSolver": ("system",),
+    "DiscreteLaw": ("atoms", "weights"),
+    "EquilibriumSolution": (
+        "solution", "classes", "deviations", "price", "population", "alpha_hat", "beta_hat",
+        "beta_norm", "clearing_residual", "x0"),
+    "FamilySolution": ("system", "forward", "backward", "backward_pre", "diagnostics"),
+    "FbsdeSystem": (
+        "lattice", "forward_slices", "backward_slices", "Afb", "Bbf", "G", "initial", "af", "S",
+        "bb", "g"),
+    "IdiosyncraticAtoms": ("xi", "ci", "weights"),
+    "MajorFlow": ("l0", "s0"),
+    "MarketClearError": None,
+    "MarketContext": ("spec", "lattice", "force"),
+    "MfgSolution": ("solution", "classes", "deviations", "price", "beta_norm"),
+    "MinorBundle": ("l", "sigma0", "sigma", "cf", "hf", "cg", "hg"),
+    "ModelSpec": (
+        "dims", "delta", "lambda_minor", "lambda_major", "minor", "major_flow", "major_cost",
+        "chi0", "xi_law", "ci_law", "c0_law", "maturity_mode"),
+    "NodeField": ("lattice", "values"),
+    "NoiseLattice": ("grid", "d0", "branching"),
+    "PerturbationReport": (
+        "level", "eps_grid", "directions", "delta_j", "quadratic_fit", "failed"),
+    "QuadraticMajorCost": ("c0f", "h0f", "c0g", "h0g"),
+    "SolveDiagnostics": (
+        "method", "iterations", "max_equation_residual", "terminal_mismatch", "converged"),
+    "SolverError": ("message", "diagnostics"),
+    "StabilityReport": ("lhs_hetero", "lhs_homogeneous", "delta_terms", "w2_terms"),
+    "TimeGrid": ("horizon", "steps"),
+    "UnsupportedModelError": None,
+    "ValidationError": None,
+    "build_lattice": ("grid", "d0", "branching"),
+    "check_all_assumptions": ("spec",),
+    "clearing_residual": ("solution",),
+    "convergence_study": ("ctx", "n_list", "resamples", "seed"),
+    "cost_classes": ("tabs", "w"),
+    "cost_major": ("ctx", "population", "beta"),
+    "cost_mfg": ("ctx", "beta"),
+    "cost_minor": ("ctx", "price", "alpha", "bundle_index", "atom_index"),
+    "epsilon_rate": ("N", "n"),
+    "evaluate_exogenous": ("lattice", "spec"),
+    "idiosyncratic_atoms": ("spec",),
+    "limit_classes": ("ctx",),
+    "load_model": ("path",),
+    "loads_model": ("text",),
+    "make_population": ("ctx", "N", "seed", "assignments"),
+    "make_spec": (
+        "dims", "delta", "lam", "lam0", "minor", "major_flow", "major_cost", "chi0", "xi_law",
+        "ci_law", "c0_law", "maturity_mode"),
+    "minor_best_response": ("ctx", "price", "population"),
+    "perturbation_tests": ("ctx", "levels", "directions", "eps_grid", "seed", "population"),
+    "price_gap": ("phi_a", "phi_b", "lattice"),
+    "residual": ("system", "family"),
+    "sample_idiosyncratic": ("law", "count", "seed"),
+    "solve_full_equilibrium": ("ctx", "population"),
+    "solve_mfg": ("ctx",),
+    "solve_minor_clearing": ("ctx", "beta", "population"),
+    "stability_gap": ("ctx", "reference", "seed", "assignments"),
+    "stream_rng": ("seed", "stream"),
+    "write_lattice_csv": ("lattice", "path"),
+}
 
 
 def test_exported_names_are_pinned() -> None:
     # adding or dropping an export is a reviewed change of this list
-    assert len(EXPORTS) == 63
+    assert len(EXPORTS) == 61
     assert sorted(marketclear.__all__) == EXPORTS
     assert [n for n in dir(marketclear) if not n.startswith("_")] == EXPORTS
     for name in EXPORTS:
@@ -240,3 +321,16 @@ def test_exported_names_are_pinned() -> None:
         assert value.__module__.startswith("marketclear.") and value.__name__ == name
     with pytest.raises(AttributeError):
         marketclear.EmpiricalMeasure
+
+
+def test_settable_parameters_are_pinned() -> None:
+    # adding a keyword or an argument to an exported callable is a reviewed change
+    # of ``PARAMETERS``
+    assert sorted(PARAMETERS) == EXPORTS
+    for name, params in PARAMETERS.items():
+        value = getattr(marketclear, name)
+        if params is None:
+            with pytest.raises(ValueError):
+                inspect.signature(value)
+        else:
+            assert tuple(inspect.signature(value).parameters) == params, name

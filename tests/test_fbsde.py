@@ -191,6 +191,16 @@ def test_flow_counts_must_agree() -> None:
         replace(system, af=np.zeros((1, 2, 1)), g=np.zeros((2, 3, 1)))
 
 
+@pytest.mark.parametrize("name", ["af", "S", "bb", "g"])
+def test_constants_are_given_per_node(name) -> None:
+    # a constant shared by a level's nodes has no form: its node axis has every node
+    system = full_system(scalar_market_spec(), build_lattice(TimeGrid(1.0, 2), d0=1))
+    value = getattr(system, name)
+    assert value.shape[0] > 1
+    with pytest.raises(ValidationError, match=name):
+        replace(system, **{name: value[:1]})
+
+
 def test_family_is_not_solved_one_system_at_a_time() -> None:
     system = one_step_system([0.0, 0.0])
     # one solve returns every flow of the family, each read by its index

@@ -2,7 +2,7 @@
 
 Each example draws a lattice (binary or trinomial, d0 in {0,1,2}, K <= 3),
 state dimensions mf, mb in {1,2,3}, level tables of matrix blocks, and
-constants that are either shared by every node or given per node.  The sweep
+constants given per node.  The sweep
 must agree with a dense solve of the node-by-node equations written out
 below, and a re-solve with a sibling's constants (same blocks) must equal a
 fresh solve of that sibling.  A table or a constant of the wrong shape is
@@ -26,10 +26,6 @@ MAX_NODES = 100
 SETTINGS = settings(max_examples=60)
 
 
-def draw(rng, share: bool, m: int, shape: tuple, scale: float) -> np.ndarray:
-    return rng.uniform(-scale, scale, ((1 if share else m),) + shape)
-
-
 def random_blocks(rng, lat, mf, mb) -> dict:
     K = lat.steps
     return {"Afb": rng.uniform(-0.2, 0.2, (K, mf, mb)),
@@ -37,13 +33,13 @@ def random_blocks(rng, lat, mf, mb) -> dict:
             "G": rng.uniform(-0.5, 0.5, (mb, mf))}
 
 
-def random_constants(rng, lat, mf, mb, shared) -> dict:
+def random_constants(rng, lat, mf, mb) -> dict:
     """One system's constants, node axis first and a flow axis of length 1."""
     I = lat.level_range(lat.steps)[0]
-    return {"af": draw(rng, shared["af"], I, (1, mf), 1.0),
-            "S": draw(rng, shared["S"], I, (1, mf, lat.d0), 1.0),
-            "bb": draw(rng, shared["bb"], I, (1, mb), 1.0),
-            "g": draw(rng, shared["g"], lat.nodes_at(lat.steps), (1, mb), 1.0),
+    return {"af": rng.uniform(-1.0, 1.0, (I, 1, mf)),
+            "S": rng.uniform(-1.0, 1.0, (I, 1, mf, lat.d0)),
+            "bb": rng.uniform(-1.0, 1.0, (I, 1, mb)),
+            "g": rng.uniform(-1.0, 1.0, (lat.nodes_at(lat.steps), 1, mb)),
             "initial": rng.uniform(-1.0, 1.0, (1, 1, mf))}
 
 
@@ -74,33 +70,29 @@ def dense_solve(system: FbsdeSystem):
         c = sweep_oracle.level(system, k)
         lo, hi = lat.level_range(k)
         for v in range(lo, hi):
-            def at(arr):
-                return arr[0] if arr.shape[0] == 1 else arr[v - lo]
             kids = np.flatnonzero(lat.parent == v)
             # u_B(v) = sum_j q_j u_B(c_j) + dt (Bbf u_F(v) + bb)
             A[bwd(v), bwd(v)] += np.eye(mb)
-            A[bwd(v), fwd(v)] -= dt * at(c.Bbf)
+            A[bwd(v), fwd(v)] -= dt * c.Bbf[0]
             for j in kids:
                 A[bwd(v), bwd(j)] -= lat.edge_prob[j] * np.eye(mb)
-            rhs[bwd(v)] = dt * at(c.bb)
+            rhs[bwd(v)] = dt * c.bb[v - lo]
             # u_F(c) = u_F(v) + dt (Afb sum_j q_j u_B(c_j) + af) + S dW(c)
             for child in kids:
                 A[fwd(child), fwd(child)] += np.eye(mf)
                 A[fwd(child), fwd(v)] -= np.eye(mf)
                 for j in kids:
-                    A[fwd(child), bwd(j)] -= dt * lat.edge_prob[j] * at(c.Afb)
-                rhs[fwd(child)] = dt * at(c.af) + at(c.S) @ lat.dW[child]
+                    A[fwd(child), bwd(j)] -= dt * lat.edge_prob[j] * c.Afb[0]
+                rhs[fwd(child)] = dt * c.af[v - lo] + c.S[v - lo] @ lat.dW[child]
     G, g = sweep_oracle.terminal(system)
     lo, hi = lat.level_range(lat.steps)
     for v in range(lo, hi):
         A[bwd(v), bwd(v)] += np.eye(mb)
         A[bwd(v), fwd(v)] -= G[0]
-        rhs[bwd(v)] = g[0] if g.shape[0] == 1 else g[v - lo]
+        rhs[bwd(v)] = g[v - lo]
     x = np.linalg.solve(A, rhs).reshape(lat.num_nodes, M)
     return x[:, :mf], x[:, mf:]
 
-
-CONSTANT_NAMES = ("af", "S", "bb", "g")
 
 cases = st.fixed_dictionaries({
     "mf": st.integers(1, 3),
@@ -108,7 +100,6 @@ cases = st.fixed_dictionaries({
     "d0": st.integers(0, 2),
     "branching": st.sampled_from([2, 3]),
     "K": st.integers(1, 3),
-    "shared": st.fixed_dictionaries({name: st.booleans() for name in CONSTANT_NAMES}),
     "seed": st.integers(0, 2**32 - 1),
 })
 
@@ -125,8 +116,7 @@ def lattice_and_blocks(case):
 @given(cases)
 def test_sweep_matches_dense_node_by_node_solve(case) -> None:
     lat, rng, blocks = lattice_and_blocks(case)
-    system = make_system(lat, blocks, random_constants(rng, lat, case["mf"], case["mb"],
-                                                       case["shared"]))
+    system = make_system(lat, blocks, random_constants(rng, lat, case["mf"], case["mb"]))
     sol = DirectSolver(system).solve()
     uf, ub = dense_solve(system)
     scale = max(1.0, float(np.max(np.abs(uf))), float(np.max(np.abs(ub))))
@@ -138,9 +128,9 @@ def test_sweep_matches_dense_node_by_node_solve(case) -> None:
 @given(cases)
 def test_resolve_of_sibling_equals_fresh_solve(case) -> None:
     lat, rng, blocks = lattice_and_blocks(case)
-    mf, mb, shared = case["mf"], case["mb"], case["shared"]
-    solver = DirectSolver(make_system(lat, blocks, random_constants(rng, lat, mf, mb, shared)))
-    sibling = random_constants(rng, lat, mf, mb, shared)
+    mf, mb = case["mf"], case["mb"]
+    solver = DirectSolver(make_system(lat, blocks, random_constants(rng, lat, mf, mb)))
+    sibling = random_constants(rng, lat, mf, mb)
     resolved = solver.solve(**sibling)
     fresh = DirectSolver(make_system(lat, blocks, sibling)).solve()
     assert np.array_equal(resolved.forward, fresh.forward)
@@ -152,7 +142,7 @@ def test_resolve_of_sibling_equals_fresh_solve(case) -> None:
 def test_wrong_shaped_table_is_refused(case, name) -> None:
     # a leading axis longer than any level, node or state count of the case
     lat, rng, blocks = lattice_and_blocks(case)
-    constants = random_constants(rng, lat, case["mf"], case["mb"], case["shared"])
+    constants = random_constants(rng, lat, case["mf"], case["mb"])
     wrong = {**blocks, **constants}
     wrong[name] = np.zeros((lat.num_nodes + 4,) + wrong[name].shape[1:])
     with pytest.raises(ValidationError, match=name):

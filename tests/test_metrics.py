@@ -133,9 +133,15 @@ def test_fit_loglog_recovers_power_law() -> None:
     slope, intercept, stderr, used = fit_loglog(ns, vals)
     assert slope == pytest.approx(-0.5, abs=1e-12)
     assert used == ns
-    # N = 4 stays out of fits
-    slope4, *_ = fit_loglog([4] + ns, [100.0] + vals)
-    assert slope4 == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_study_keeps_n4_out_of_its_fit() -> None:
+    # N = 4 stays out of fits: the study drops it before it fits the others
+    ctx = MarketContext(homogeneous_study_spec(), build_lattice(TimeGrid(1.0, 3), d0=1))
+    report = convergence_study(ctx, [4, 8, 16, 32], resamples=4, seed=3)
+    assert report.fitted_ns == [8, 16, 32] and report.excluded_ns == [4]
+    slope, *_ = fit_loglog([8, 16, 32], [report.per_n[N]["mean_price_gap"] for N in (8, 16, 32)])
+    assert report.slope == slope
 
 
 # -- convergence study --------------------------------------------------------------
@@ -353,5 +359,5 @@ def test_small_flow_perturbation_is_second_order() -> None:
         report = stability_gap(MarketContext(hetero_from(base, eps, pattern), lat), reference,
                                seed=2)
         lhs.append(report.lhs_hetero - report.lhs_homogeneous)
-    slope, *_ = fit_loglog(eps_list, lhs, exclude=())
+    slope, *_ = fit_loglog(eps_list, lhs)
     assert slope == pytest.approx(2.0, abs=0.2)

@@ -5,12 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketclear.errors import ValidationError
+from marketclear.finite_market import MarketContext
 from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions,
-                               DiscreteLaw, MinorBundle, QuadraticMajorCost,
-                               check_all_assumptions, check_major_assumptions,
-                               check_minor_assumptions, make_spec)
+                               DiscreteLaw, MajorFlow, MinorBundle, QuadraticMajorCost,
+                               check_all_assumptions, make_spec)
+from marketclear.scenario import TimeGrid, build_lattice
 from marketclear.modelfile import loads_model
 
 from conftest import scalar_market_spec
@@ -21,27 +24,37 @@ def unit_dims(N=1):
     return Dimensions(n=1, d0=1, d=0, N=N)
 
 
+def two_bundles(delta, cg):
+    """A two-agent scalar model whose agents' terminal curvatures are ``cg``."""
+    dims = unit_dims(N=2)
+    return make_spec(dims, delta=delta, minor=[MinorBundle.build(dims, cg=c) for c in cg])
+
+
 # -- terminal-coupling constant and the minor clauses ------------------------
+#
+# The witness c of the terminal-coupling clause is the mean of the cg values,
+# so the pinned constants a = delta/(1-delta) max ||c - cg|| come from models
+# whose spread of cg gives them.
 
 
 def test_zero_discount_forces_zero_coupling_constant() -> None:
-    spec = make_spec(unit_dims(), delta=0.0)
-    rep = check_minor_assumptions(spec, candidate_c=np.array([[5.0]]))
+    # the cg values 1 and 9 sit 4 away from their mean 5
+    rep = check_all_assumptions(two_bundles(0.0, (1.0, 9.0)))
     assert rep.a_const == 0.0
     assert rep.passed["minor_B"]
 
 
 def test_exact_candidate_cancels_coupling() -> None:
     spec = make_spec(unit_dims(), delta=0.5, minor=MinorBundle.build(unit_dims(), cg=1.0))
-    rep = check_minor_assumptions(spec, candidate_c=np.array([[1.0]]))
+    rep = check_all_assumptions(spec)
     assert rep.a_const == 0.0
     assert rep.gamma_g == pytest.approx(1.0)
     assert rep.passed["minor_B"]
 
 
 def test_large_discount_with_bad_candidate_fails() -> None:
-    spec = make_spec(unit_dims(), delta=0.9, minor=MinorBundle.build(unit_dims(), cg=1.0))
-    rep = check_minor_assumptions(spec, candidate_c=np.array([[0.0]]))
+    # the cg values 1 and 3 sit 1 away from their mean 2: a = 9 * 1
+    rep = check_all_assumptions(two_bundles(0.9, (1.0, 3.0)))
     assert rep.a_const == pytest.approx(9.0)
     assert not rep.passed["minor_B"]
     assert any("gamma_g" in msg for msg in rep.failures)
@@ -49,7 +62,7 @@ def test_large_discount_with_bad_candidate_fails() -> None:
 
 def test_default_candidate_is_mean_of_terminal_curvatures() -> None:
     spec = make_spec(unit_dims(), delta=0.5)
-    rep = check_minor_assumptions(spec)
+    rep = check_all_assumptions(spec)
     # cg constant 1.0, so the averaged candidate cancels exactly
     assert rep.a_const == pytest.approx(0.0)
 
@@ -57,8 +70,7 @@ def test_default_candidate_is_mean_of_terminal_curvatures() -> None:
 def test_coupling_constant_monotone_in_discount() -> None:
     values = []
     for delta in (0.0, 0.2, 0.4, 0.6, 0.8):
-        spec = make_spec(unit_dims(), delta=delta)
-        rep = check_minor_assumptions(spec, candidate_c=np.array([[0.5]]))
+        rep = check_all_assumptions(two_bundles(delta, (0.5, 1.5)))
         values.append(rep.a_const)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -80,7 +92,7 @@ def test_malformed_coefficient_names_offender() -> None:
 
 def test_combined_fee_bound_passes() -> None:
     spec = make_spec(unit_dims(), lam=1.0, lam0=2.0)
-    rep = check_major_assumptions(spec)
+    rep = check_all_assumptions(spec)
     assert rep.passed["major_i"]
     assert rep.combo_bounds[0] == pytest.approx(4.0)
     assert rep.combo_bounds[1] == pytest.approx(4.0)
@@ -89,21 +101,21 @@ def test_combined_fee_bound_passes() -> None:
 def test_identity_terminal_gradient_unit_convexity() -> None:
     spec = make_spec(unit_dims(),
                      major_cost=QuadraticMajorCost.build(unit_dims(), c0g=1.0))
-    rep = check_major_assumptions(spec)
+    rep = check_all_assumptions(spec)
     assert rep.gamma0_g == pytest.approx(1.0)
 
 
 def test_concave_callable_running_cost_fails_clause_v() -> None:
     cost = CallableMajorCost(dfdx=lambda t, x, c0: -x, dgdx=lambda x, c0: x)
     spec = make_spec(unit_dims(), major_cost=cost)
-    rep = check_major_assumptions(spec)
+    rep = check_all_assumptions(spec)
     assert rep.gamma0_f <= -1.0 + 1e-9
     assert not rep.passed["major_v"]
 
 
 def test_singular_combined_fee_fails_with_witness() -> None:
     spec = make_spec(unit_dims(), lam=1.0, lam0=-2.0)
-    rep = check_major_assumptions(spec)
+    rep = check_all_assumptions(spec)
     assert not rep.passed["major_i"]
     assert rep.failures
 
@@ -303,3 +315,90 @@ def test_text_dimensions_must_be_integral() -> None:
 def test_law_weights_validated() -> None:
     with pytest.raises(ValidationError):
         DiscreteLaw(np.array([[0.0], [1.0]]), np.array([0.7, 0.7]))
+
+
+# -- shapes are checked where the model is built ------------------------------
+
+# every coefficient and c0-law entry that is not a fee or cost-curvature
+# matrix, with its shape in the dimensions n, d0 and d
+ENTRIES = {"l": ("n",), "sigma0": ("n", "d0"), "sigma": ("n", "d"), "hf": ("n",),
+           "hg": ("n",), "l0": ("n",), "s0": ("n", "d0"), "h0f": ("n",), "h0g": ("n",),
+           "c0f": ("n", "n"), "c0g": ("n", "n"), "c0_value": ("n",), "c0_start": ("n",),
+           "c0_drift": ("n",), "c0_loading": ("n", "d0")}
+VECTORS = ("l", "hf", "hg", "h0f", "h0g")
+
+
+def spec_with(dims, entries: dict):
+    """``make_spec`` on ``dims`` with the given entries, each a raw array or a coefficient."""
+    minor = {k: entries[k] for k in ("l", "sigma0", "sigma", "hf", "hg") if k in entries}
+    major = {k: entries[k] for k in ("c0f", "h0f", "c0g", "h0g") if k in entries}
+    if "c0_value" in entries:
+        c0_law = ("constant", entries["c0_value"])
+    else:
+        c0_law = ("gaussian_walk", *(entries.get(k, np.zeros(shape)) for k, shape in (
+            ("c0_start", (dims.n,)), ("c0_drift", (dims.n,)),
+            ("c0_loading", (dims.n, dims.d0)))))
+    return make_spec(dims, minor=MinorBundle.build(dims, **minor),
+                     major_flow=MajorFlow.build(dims, **{k: entries[k] for k in ("l0", "s0")
+                                                         if k in entries}),
+                     major_cost=QuadraticMajorCost(**{
+                         "c0f": np.eye(dims.n), "h0f": CoefficientSpec.constant(0.0, (dims.n,)),
+                         "c0g": np.eye(dims.n), "h0g": CoefficientSpec.constant(0.0, (dims.n,)),
+                         **major}),
+                     c0_law=c0_law)
+
+
+@settings(derandomize=True, max_examples=120)
+@given(st.integers(1, 2), st.integers(0, 2), st.integers(0, 1), st.sampled_from(sorted(ENTRIES)),
+       st.data())
+def test_a_malformed_entry_is_refused_at_build(n, d0, d, name, data) -> None:
+    # one entry with a wrong n, d0 or d is a ValidationError where the model is
+    # built, never a numpy error later; the well-formed model builds and its
+    # context materializes
+    dims = Dimensions(n, d0, d, 2)
+    sizes = {"n": n, "d0": d0, "d": d}
+    shape = tuple(sizes[a] for a in ENTRIES[name])
+    wrong = data.draw(st.sampled_from(sorted(set(ENTRIES[name]))), label="wrong axis")
+    bad = tuple(size + (axis == wrong) for axis, size in zip(ENTRIES[name], shape))
+    affine = name in VECTORS and data.draw(st.booleans(), label="affine")
+    loading = data.draw(st.booleans(), label="wrong loading") if affine else False
+
+    def entry(shape, loading_cols):
+        if name in ("c0f", "c0g"):
+            return np.eye(*shape)
+        if name.startswith("c0_"):
+            return np.full(shape, 0.5)
+        if affine:
+            return CoefficientSpec("affine", shape, const=np.full(shape, 0.1),
+                                   c0_mat=np.full(shape + (loading_cols,), 0.1), name=name)
+        return CoefficientSpec.constant(0.0 if name == "sigma" else 0.2, shape, name)
+
+    good = spec_with(dims, {name: entry(shape, n)})
+    MarketContext(good, build_lattice(TimeGrid(1.0, 1), d0=d0), force=True)
+    message = f"c0 law {name[3:]}" if name.startswith("c0_") else name
+    with pytest.raises(ValidationError, match=message):
+        spec_with(dims, {name: entry(shape, n + 1) if loading else entry(bad, n)})
+
+
+def test_c0_law_entries_take_their_shapes() -> None:
+    dims = unit_dims()
+    spec = make_spec(dims, c0_law=("gaussian_walk", [0.1], [0.0], [[0.3]]))
+    assert all(isinstance(e, np.ndarray) and e.dtype == float for e in spec.c0_law[1:])
+    with pytest.raises(ValidationError, match="c0 law"):
+        make_spec(dims, c0_law=("gaussian_walk", [0.0], [0.0], [1.0, 2.0, 3.0]))
+    with pytest.raises(ValidationError, match="c0 law"):
+        make_spec(dims, c0_law=("gaussian_walk", [0.0], [0.0], [[1.0], [2.0, 3.0]]))
+
+
+def test_bundle_of_another_noise_dimension_is_refused() -> None:
+    # a bundle built for d0 = 2 inside a d0 = 1 model
+    other = Dimensions(1, 2, 0, 1)
+    with pytest.raises(ValidationError, match="sigma0"):
+        make_spec(unit_dims(), minor=MinorBundle.build(other, sigma0=[[0.1, 0.2]]))
+
+
+@pytest.mark.parametrize("d0", [0, 2])
+def test_context_refuses_a_lattice_of_another_noise_dimension(d0) -> None:
+    spec = make_spec(unit_dims(), c0_law=("gaussian_walk", [0.1], [0.0], [[0.3]]))
+    with pytest.raises(ValidationError, match=f"lattice d0 = {d0} .* d0 = 1"):
+        MarketContext(spec, build_lattice(TimeGrid(1.0, 2), d0=d0))

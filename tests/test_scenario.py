@@ -58,9 +58,10 @@ def test_level_probabilities_sum_to_one() -> None:
         assert total == pytest.approx(1.0, abs=1e-14)
 
 
-def test_node_budget_enforced() -> None:
-    with pytest.raises(BudgetError):
-        build_lattice(TimeGrid(1.0, 12), d0=2, branching=2, node_budget=1000)
+def test_node_budget_enforced(monkeypatch) -> None:
+    monkeypatch.setattr(scenario, "NODE_BUDGET", 1000)
+    with pytest.raises(BudgetError, match="budget is 1000; lower K/branching$"):
+        build_lattice(TimeGrid(1.0, 12), d0=2, branching=2)
 
 
 def test_noiseless_chain() -> None:
