@@ -1,11 +1,11 @@
 """Command-line experiment runner.
 
 Subcommands: check, solve-n, solve-mfg, converge, verify, lattice-dump.
-Exit codes: 0 success, 1 usage error, 2 failed assumptions, 3 solver failure,
-4 acceptance gate not met.  Every command writes a manifest.json with the
-config hash, seed, package versions, and wall time.  The study modules
-(``mean_field``, ``metrics``, ``optimality``) are imported by the commands
-that run them, so the other commands never compile them.
+Exit codes: 0 success, 1 usage error, 2 failed assumptions, 3 solver failure
+or an exceeded size budget, 4 acceptance gate not met.  Every command writes
+a manifest.json with the config hash, seed, package versions, and wall time.
+The study modules (``mean_field``, ``metrics``, ``optimality``) are imported
+by the commands that run them, so the other commands never compile them.
 """
 
 from __future__ import annotations
@@ -226,9 +226,10 @@ def _checked_solve(cfg, solve):
     """Run ``solve`` on the command's market context, which --force builds unchecked.
 
     Returns the exit code and the result (None unless the code is ``EXIT_OK``).
+    A tree or a solve over its size budget is a solver failure.
     """
-    spec, lattice = _load(cfg)
     try:
+        spec, lattice = _load(cfg)
         result = solve(MarketContext(spec, lattice, force=cfg["force"]))
     except AssumptionViolationError as exc:
         if exc.report is None:
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
     except AssumptionViolationError as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTIONS
-    except SolverError as exc:
+    except (SolverError, BudgetError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except MarketClearError as exc:

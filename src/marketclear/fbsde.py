@@ -128,16 +128,16 @@ class FamilySolution:
     """Every flow of a solved family, its states stacked as (nodes, B, dim) arrays.
 
     A single system's solution is the family of one.  The stacks are
-    flows-first in memory, so one flow's states are a contiguous view;
-    ``backward_pre`` holds uB~ (at terminal nodes it repeats the terminal
-    values).  The readers take a flow index, the first flow by default.
-    ``diagnostics`` holds one ``SolveDiagnostics`` per flow (``residual``).
+    flows-first in memory, so one flow's states are a contiguous view.  The
+    pre-driver values uB~ are a function of ``backward`` (``_pre``), formed
+    where they are read and not stored.  The readers take a flow index, the
+    first flow by default.  ``diagnostics`` holds one ``SolveDiagnostics``
+    per flow (``residual``).
     """
 
     system: FbsdeSystem
     forward: np.ndarray
     backward: np.ndarray
-    backward_pre: np.ndarray
     diagnostics: list[SolveDiagnostics]
 
     def field(self, name: str, flow: int = 0) -> np.ndarray:
@@ -146,8 +146,9 @@ class FamilySolution:
         return self.backward[:, flow, self.system.backward_slices[name]]
 
     def pre(self, name: str, flow: int = 0) -> np.ndarray:
-        """Pre-driver conditional expectation of a backward field."""
-        return self.backward_pre[:, flow, self.system.backward_slices[name]]
+        """Pre-driver values uB~ of a backward field (the field itself on the leaves)."""
+        return _pre(self.system.lattice,
+                    self.backward[:, flow, self.system.backward_slices[name]])
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -172,10 +173,10 @@ def _flow_max(gap: np.ndarray) -> np.ndarray:
     return np.max(flows.reshape(len(flows), -1), axis=1, initial=0.0)
 
 
-def _noise(system: FbsdeSystem, k: int) -> np.ndarray:
-    """S(v) dW on every child edge of level k, in child layout."""
+def _noise(system: FbsdeSystem, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """S(v) dW on every child edge of level k, in child layout, written to ``out`` if given."""
     lo, hi = system.lattice.level_range(k)
-    return system.lattice.edge_noise(system.S[lo:hi], k)
+    return system.lattice.edge_noise(system.S[lo:hi], k, out)
 
 
 def _step(system: FbsdeSystem, k: int, uf: np.ndarray, ubt: np.ndarray,
@@ -205,7 +206,8 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
     Rows are recomputed from the stacked states and the system's blocks and
     constants; uB~ is read from ``pre``.  Each gap is formed in one owned
     flows-first buffer, by the operations of its rows in their order, and
-    reduced before the next one is formed.
+    reduced before the next one is formed; a level's S dW is written into
+    its forward gap, which the step then adds onto in place.
     """
     lat = system.lattice
     worst = _flow_max((uf[0] - system.initial[0])[None])
@@ -214,7 +216,7 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
         clo, chi = lat.level_range(k + 1)
         ubt = pre[lo:hi]
         gap = np.empty((uf.shape[1], chi - clo, system.mf)).swapaxes(0, 1)
-        _step(system, k, uf[lo:hi], ubt, _noise(system, k), gap)
+        _step(system, k, uf[lo:hi], ubt, _noise(system, k, out=gap), gap)
         worst = np.maximum(worst, _flow_max(np.subtract(uf[clo:chi], gap, out=gap)))
         gap = apply_block(system.Bbf[k], uf[lo:hi])
         gap += system.bb[lo:hi]
@@ -232,10 +234,11 @@ def _equation_gaps(system: FbsdeSystem, uf, ub, pre) -> tuple:
 def residual(system: FbsdeSystem, family: FamilySolution) -> list[SolveDiagnostics]:
     """Per flow of ``family``, the worst violation of ``system``'s equation rows.
 
-    A flow has converged when its worst row is within ``DIRECT_RESIDUAL_GATE``.
+    The family's uB~ is formed once, as a temporary of the check.  A flow
+    has converged when its worst row is within ``DIRECT_RESIDUAL_GATE``.
     """
     worst, terminal_mismatch = _equation_gaps(system, family.forward, family.backward,
-                                              family.backward_pre)
+                                              _pre(system.lattice, family.backward))
     return [SolveDiagnostics("direct", 1, float(w), float(t), bool(w <= DIRECT_RESIDUAL_GATE))
             for w, t in zip(worst, terminal_mismatch)]
 
@@ -247,7 +250,8 @@ def sweep_floats(lat: NoiseLattice, mf: int, mb: int, flows: int = 1) -> int:
     """Float64s a ``DirectSolver`` keeps for one solve of ``flows`` sibling systems.
 
     Per level E, Q, P and the system's Afb and Bbf; per node and flow p, r,
-    the system's af, S dW and the solution's u_F, u_B and uB~.
+    the system's af, S dW, the solution's u_F and u_B, and the uB~ that the
+    residual forms as a temporary.
     """
     return lat.steps * (mb * mb + 4 * mb * mf) + flows * lat.num_nodes * (3 * mf + 4 * mb)
 
@@ -343,8 +347,7 @@ class DirectSolver:
             p = r + dt * system.bb[lo:hi]
             ps[k], rs[k], noises[k] = p, r, noise
         # forward pass, written into the states; they are flows-first in
-        # memory, so that each flow's solution (and its uB~, laid out
-        # alike) is a contiguous view
+        # memory, so that each flow's solution is a contiguous view
         uf = np.zeros((B, lat.num_nodes, mf)).transpose(1, 0, 2)
         ub = np.zeros((B, lat.num_nodes, mb)).transpose(1, 0, 2)
         uf[0] = system.initial[0]
@@ -364,7 +367,7 @@ class DirectSolver:
             raise SolverError(
                 f"direct solve produced non-finite values in flow "
                 f"{int(np.flatnonzero(~finite)[0])} (near-singular level system)")
-        family = FamilySolution(system, uf, ub, _pre(lat, ub), [])
+        family = FamilySolution(system, uf, ub, [])
         family.diagnostics = residual(system, family)
         for b, diagnostics in enumerate(family.diagnostics):
             if not diagnostics.converged:

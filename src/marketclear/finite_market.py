@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AssumptionViolationError, SolverError, ValidationError
-from .fbsde import (DirectSolver, FamilySolution, FbsdeSystem, SolveDiagnostics,
+from .fbsde import (DirectSolver, FamilySolution, FbsdeSystem, SolveDiagnostics, _pre,
                     check_factor_budget, residual, sweep_floats)
 from .model import ModelSpec, check_all_assumptions, secant_curvatures
 from .scenario import (NodeField, NoiseLattice, apply_block, evaluate_exogenous,
@@ -554,40 +554,43 @@ class EquilibriumSolution(BestResponse):
         return "p0" in self.solution.system.backward_slices
 
 
-def _group_means(family: FamilySolution, w: np.ndarray, prefix: str, pre: bool = False,
-                 rows: slice = slice(None)) -> np.ndarray:
-    """sum_g w_g field_g over the family's agent groups, on ``rows``: (nodes, B, n)."""
-    states = family.backward_pre if pre else family.backward
-    slices = family.system.backward_slices
+def _group_means(states: np.ndarray, slices: dict, w: np.ndarray, prefix: str) -> np.ndarray:
+    """sum_g w_g field_g over the agent groups of a (nodes, B, m) state stack: (nodes, B, n)."""
     acc = None
     for g in range(len(w)):
-        vals = states[rows, :, slices[f"{prefix}{g}"]]
+        vals = states[:, :, slices[f"{prefix}{g}"]]
         acc = w[g] * vals if acc is None else acc + w[g] * vals
     return acc
 
 
-def _price_from_clearing(ctx: MarketContext, w: np.ndarray, family: FamilySolution,
+def _price_from_clearing(ctx: MarketContext, mean_y_pre: np.ndarray,
                          beta_norm: np.ndarray) -> np.ndarray:
-    """Clearing prices of a family's B solutions under its (nodes, B, n) flows: (nodes, B, n)."""
+    """Clearing prices under (nodes, B, n) flows from the groups' m(Y~): (nodes, B, n).
+
+    On the leaves uB~ is the leaf values, so the horizon price -m(Y) is read
+    off ``mean_y_pre`` too.
+    """
     lat = ctx.lattice
     phi = lat.apply_levels(ctx.exo.lam, beta_norm)
-    phi -= _group_means(family, w, "Y", pre=True)
+    phi -= mean_y_pre
     tsl = lat.terminal_slice
-    phi[tsl] = -_group_means(family, w, "Y", rows=tsl)
+    phi[tsl] = -mean_y_pre[tsl]
     return phi
 
 
 def _flow_and_price(ctx: MarketContext, w: np.ndarray, family: FamilySolution):
     """Per-capita optimal flows b and clearing prices of a solved full family, (nodes, B, n) each.
 
-    See ``solve_full_equilibrium`` for the read-off formulas.
+    See ``solve_full_equilibrium`` for the read-off formulas; the family's
+    uB~ is formed once, for both.
     """
-    mean_y_pre = _group_means(family, w, "Y", pre=True)
-    mean_p_pre = _group_means(family, w, "P", pre=True)
-    p0_pre = family.backward_pre[:, :, family.system.backward_slices["p0"]]
-    b = ctx.lattice.apply_levels(ctx.exo.v0bar, -p0_pre + mean_y_pre + mean_p_pre)
+    pre, slices = _pre(ctx.lattice, family.backward), family.system.backward_slices
+    mean_y_pre = _group_means(pre, slices, w, "Y")
+    mean_p_pre = _group_means(pre, slices, w, "P")
+    b = ctx.lattice.apply_levels(ctx.exo.v0bar,
+                                 -pre[:, :, slices["p0"]] + mean_y_pre + mean_p_pre)
     b[ctx.lattice.terminal_slice] = 0.0
-    return b, _price_from_clearing(ctx, w, family, b)
+    return b, _price_from_clearing(ctx, mean_y_pre, b)
 
 
 def _alpha_hats(ctx: MarketContext, ypres: list[np.ndarray],
@@ -819,5 +822,7 @@ class ClearingOperator:
         induced prices.  If any flow fails, the ``SolverError`` names it.
         """
         family = self._solver.solve(af=_minus_flow(self._solver.system.af, beta_norms))
-        phi = _price_from_clearing(self.ctx, self.w, family, np.moveaxis(beta_norms, 0, 1))
+        mean_y_pre = _group_means(_pre(self.ctx.lattice, family.backward),
+                                  family.system.backward_slices, self.w, "Y")
+        phi = _price_from_clearing(self.ctx, mean_y_pre, np.moveaxis(beta_norms, 0, 1))
         return family, np.moveaxis(phi, 1, 0)

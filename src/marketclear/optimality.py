@@ -39,7 +39,8 @@ from .finite_market import (AgentPopulation, ClearingOperator, CostClasses,
 from .mean_field import limit_classes
 from .scenario import NodeField, NoiseLattice, squared_norms, stream_rng
 
-DEFAULT_EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
+# the perturbation amplitudes: sorted, with 0 and each nonzero amplitude in a +/- pair
+EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,24 +242,16 @@ LEVELS = ("minor", "major-N", "major-mfg")
 _FINITE_LEVELS = ("minor", "major-N")
 
 
-def _checked_eps_grid(levels, directions: int, eps_grid) -> np.ndarray:
-    """The sorted amplitude grid of a valid request; raises before any solve."""
+def _check_request(levels, directions: int) -> None:
+    """Refuse unknown levels or a direction count below one, before any solve."""
     for level in levels:
         if level not in LEVELS:
             raise ValidationError(f"unknown perturbation level {level!r}")
     if directions < 1:
         raise ValidationError("at least one perturbation direction is required")
-    eps = np.asarray(sorted(set(float(e) for e in eps_grid)))
-    if 0.0 not in eps:
-        raise ValidationError("eps grid must include 0")
-    for e in eps:
-        if e != 0.0 and -e not in eps:
-            raise ValidationError("eps grid must come in +/- pairs")
-    return eps
 
 
-def perturbation_tests(ctx: MarketContext, levels, directions: int = 20,
-                       eps_grid=DEFAULT_EPS_GRID, seed: int = 0,
+def perturbation_tests(ctx: MarketContext, levels, directions: int = 20, seed: int = 0,
                        population: AgentPopulation | None = None) -> dict[str, PerturbationReport]:
     """Probe the solved optima of ``ctx``'s market along random admissible directions.
 
@@ -272,11 +265,12 @@ def perturbation_tests(ctx: MarketContext, levels, directions: int = 20,
     directions ``perturbation_directions(ctx.lattice, n, directions, seed)``.
     A level's report does not depend on the other levels asked for.
 
-    Each direction is evaluated along its exact line.  The responses to a
-    control, the clearing price (major levels) and the position, are affine
-    in it: the clearing system is an affine FBSDE whose forward drift is
-    ``l - b``, and the position integrates the rate.  So the base control
-    ``u`` is solved once and each direction's end point ``u + eta`` once.
+    Each direction is evaluated at the amplitudes ``EPS_GRID``, along its
+    exact line.  The responses to a control, the clearing price (major
+    levels) and the position, are affine in it: the clearing system is an
+    affine FBSDE whose forward drift is ``l - b``, and the position
+    integrates the rate.  So the base control ``u`` is solved once and each
+    direction's end point ``u + eta`` once.
     The cost is taken at the grid's outer amplitudes ``-m`` and ``+m`` only,
     at the control ``u +- m eta`` with the responses
     ``r(u) +- m (r(u + eta) - r(u))``; this equals a solve at ``u +- m eta``
@@ -294,11 +288,11 @@ def perturbation_tests(ctx: MarketContext, levels, directions: int = 20,
     it.
     """
     levels = list(levels)
-    eps = _checked_eps_grid(levels, directions, eps_grid)
+    _check_request(levels, directions)
     eq = (solve_full_equilibrium(ctx, population)
           if any(level in _FINITE_LEVELS for level in levels) else None)
     etas = perturbation_directions(ctx.lattice, ctx.spec.dims.n, directions, seed)
-    return {level: _level_report(ctx, level, eps, etas, eq) for level in levels}
+    return {level: _level_report(ctx, level, etas, eq) for level in levels}
 
 
 def _responses(respond, ctrls: np.ndarray) -> list:
@@ -317,9 +311,9 @@ def _responses(respond, ctrls: np.ndarray) -> list:
     return [tuple(r[i] for r in out) for i in range(len(ctrls))]
 
 
-def _level_report(ctx: MarketContext, level: str, eps: np.ndarray, etas: list[np.ndarray],
+def _level_report(ctx: MarketContext, level: str, etas: list[np.ndarray],
                   equilibrium: EquilibriumSolution | None) -> PerturbationReport:
-    """One level of ``perturbation_tests``, on a checked grid ``eps`` along directions ``etas``."""
+    """One level of ``perturbation_tests``, on ``EPS_GRID`` along directions ``etas``."""
     control = lambda ctrls: ctrls
     if level == "minor":
         eq = equilibrium
@@ -350,6 +344,7 @@ def _level_report(ctx: MarketContext, level: str, eps: np.ndarray, etas: list[np
     base = control(base_ctrl[None])
     base_resp = respond(base)
     base_j = costs(base, *base_resp)[0]
+    eps = np.asarray(EPS_GRID)
     nonzero = eps != 0.0
     m = eps[-1]
     outer = np.array([-m, m])[:, None, None]

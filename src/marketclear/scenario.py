@@ -191,7 +191,8 @@ class NoiseLattice:
     ----------
     dW : (num_nodes, d0) increment of the common Brownian motion on the edge
         into each node (zeros for the root).
-    edge_prob : probability of the edge into each node (1 for the root).
+    child_dw, child_probs : the increments and probabilities of the
+        ``fanout`` edges below any node, in child layout order.
     path_prob : product of edge probabilities along the node's history.
     """
 
@@ -234,7 +235,6 @@ class NoiseLattice:
         self.child_probs = child_p
 
         self.dW = np.zeros((total, d0))
-        self.edge_prob = np.ones(total)
         self.path_prob = np.ones(total)
         self.parent = np.full(total, -1, dtype=np.int64)
         self.level_of = np.zeros(total, dtype=np.int64)
@@ -247,7 +247,6 @@ class NoiseLattice:
             m = phi - plo
             self.parent[lo:hi] = np.repeat(np.arange(plo, phi), fanout)
             self.dW[lo:hi] = np.tile(child_dw, (m, 1))
-            self.edge_prob[lo:hi] = np.tile(child_p, m)
             # fixed-order accumulation keeps path probabilities reproducible
             self.path_prob[lo:hi] = (self.path_prob[plo:phi, None] *
                                      np.tile(child_p, (m, 1))).reshape(-1)
@@ -320,24 +319,30 @@ class NoiseLattice:
                out=out.reshape(split + out.shape[1:]))
         return out
 
-    def edge_noise(self, loading: np.ndarray, k: int) -> np.ndarray:
+    def edge_noise(self, loading: np.ndarray, k: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
         """``loading(v) dW`` on every child edge of level ``k``, in child layout.
 
         ``loading`` is (m, ..., d0) on the level's m nodes; the result is
-        (m * fanout, ...).  Every parent's children carry
-        the rows of ``child_dw``, so the product is d0 elementwise terms,
-        added in component order.
+        (m * fanout, ...), written to ``out`` if given, whose trailing axes
+        the loading's may broadcast to.  Every parent's children carry the
+        rows of ``child_dw``, so the product is d0 elementwise terms, added
+        in component order.
         """
         m, d0 = self.nodes_at(k), self.d0
         trail = loading.shape[1:-1]
+        if out is None:
+            out = np.empty((m * self.fanout,) + trail)
         if d0 == 0:
-            return np.zeros((m,) + trail)
+            out[...] = 0.0
+            return out
         dw = self.child_dw.reshape((1, self.fanout) + (1,) * len(trail) + (d0,))
         S = loading[:, None]
-        out = S[..., 0] * dw[..., 0]
+        split = out.reshape((m, self.fanout) + out.shape[1:])
+        np.multiply(S[..., 0], dw[..., 0], out=split)
         for c in range(1, d0):
-            out = out + S[..., c] * dw[..., c]
-        return out.reshape((-1,) + trail)
+            split += S[..., c] * dw[..., c]
+        return out
 
     def apply_levels(self, table: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``table[k] @ values(v)`` on every node v of every level k.

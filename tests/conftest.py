@@ -33,8 +33,7 @@ def deviations(family, flow: int = 0) -> np.ndarray:
     ub = family.backward[:, flow]
     dev = np.zeros_like(ub)
     # the children of nodes 0..I-1 are nodes 1..N-1, in layout order
-    I = lat.level_range(lat.steps)[0]
-    dev[1:] = ub[1:] - np.repeat(family.backward_pre[:I, flow], lat.fanout, axis=0)
+    dev[1:] = ub[1:] - np.repeat(lat.tree_cond_expect(ub), lat.fanout, axis=0)
     return dev
 
 

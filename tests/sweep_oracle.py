@@ -137,5 +137,5 @@ def solve(solver, system, b: int = 0) -> dict:
             uf[clo:chi] = _step(lat, uf[lo:hi], ubt, c.Afb, c.af, noises[k])
     pre, dev = _package(system, uf, ub)
     worst, terminal_mismatch = residual(system, uf, ub, b)
-    return {"forward": uf, "backward": ub, "backward_pre": pre, "deviations": dev,
+    return {"forward": uf, "backward": ub, "pre": pre, "deviations": dev,
             "max_equation_residual": worst, "terminal_mismatch": terminal_mismatch}

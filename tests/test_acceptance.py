@@ -25,9 +25,6 @@ from conftest import (callable_twin, constant_field, homogeneous_study_spec,
                       noiseless_unit_spec)
 from coupling_oracle import EmpiricalMeasure, wasserstein1_1d, wasserstein2
 
-EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
-
-
 def gate(label: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
@@ -169,7 +166,7 @@ def test_criterion_04_optimality() -> None:
     pop = make_population(ctx, assignments=[0, 1])
     worst_dj, worst_grad = np.inf, 0.0
     reports = perturbation_tests(ctx, ("minor", "major-N", "major-mfg"), directions=20,
-                                 eps_grid=EPS_GRID, seed=101, population=pop)
+                                 seed=101, population=pop)
     for rep in reports.values():
         assert not rep.failed
         worst_dj = min(worst_dj, rep.min_delta_j)

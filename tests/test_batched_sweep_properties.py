@@ -10,9 +10,10 @@ full market system whose groups draw different atoms per flow
 depend on the atoms' idiosyncratic values and on the common news
 (``varied``), so the flows of a family differ in every constant.
 Every flow of one ``DirectSolver.solve`` call must equal
-``sweep_oracle.solve`` exactly: its forward, backward, pre-driver and
-increment arrays and its residuals.  The solve's diagnostics are those of
-``residual``, and its gate names the flow whose residual fails.
+``sweep_oracle.solve`` exactly: its forward, backward and increment
+arrays, the pre-driver values of each of its backward fields
+(``FamilySolution.pre``) and its residuals.  The solve's diagnostics are
+those of ``residual``, and its gate names the flow whose residual fails.
 """
 
 from __future__ import annotations
@@ -83,10 +84,12 @@ def test_batched_solve_equals_the_per_system_oracle(n, d0, branching, B, kind, d
     for b, diagnostics in enumerate(solved.diagnostics):
         want = oracle.solve(solver, system, b)
         got = {"forward": solved.forward[:, b], "backward": solved.backward[:, b],
-               "backward_pre": solved.backward_pre[:, b], "deviations": deviations(solved, b)}
+               "deviations": deviations(solved, b)}
         for name, values in got.items():
             assert values.flags.c_contiguous
             assert np.array_equal(values, want[name]), name
+        for name, sl in system.backward_slices.items():
+            assert np.array_equal(solved.pre(name, b), want["pre"][:, sl]), name
         assert diagnostics.max_equation_residual == want["max_equation_residual"]
         assert diagnostics.terminal_mismatch == want["terminal_mismatch"]
         assert diagnostics.converged

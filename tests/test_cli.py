@@ -593,6 +593,21 @@ def test_factor_budget_is_a_solver_failure(good_model, tmp_path, monkeypatch) ->
     assert not (out / "equilibrium.csv").exists()
 
 
+def test_node_budget_is_a_solver_failure(good_model, tmp_path, monkeypatch, capsys) -> None:
+    # a tree over its node budget ends a run as the sweep's budget does
+    from marketclear import scenario
+    monkeypatch.setattr(scenario, "NODE_BUDGET", 14)
+    out = tmp_path / "out"
+    assert run(["solve-n", "--model", good_model, "--out", out, "--steps", 3]) == 3
+    failure = json.loads((out / "solver_failure.json").read_text())
+    assert "lattice needs 15 nodes, budget is 14" in failure["error"]
+    assert not (out / "equilibrium.csv").exists()
+    dump = tmp_path / "dump"
+    assert run(["lattice-dump", "--model", good_model, "--out", dump, "--steps", 3]) == 3
+    assert "solver failure: lattice needs 15 nodes" in capsys.readouterr().err
+    assert not (dump / "lattice.csv").exists()
+
+
 def test_shipped_models_drive_the_cli(tmp_path) -> None:
     assert run(["check", "--model", SHIPPED / "benchmark.model",
                 "--out", tmp_path / "a"]) == 0

@@ -254,7 +254,7 @@ PARAMETERS = {
     "EquilibriumSolution": (
         "solution", "classes", "deviations", "price", "population", "alpha_hat", "beta_hat",
         "beta_norm", "clearing_residual", "x0"),
-    "FamilySolution": ("system", "forward", "backward", "backward_pre", "diagnostics"),
+    "FamilySolution": ("system", "forward", "backward", "diagnostics"),
     "FbsdeSystem": (
         "lattice", "forward_slices", "backward_slices", "Afb", "Bbf", "G", "initial", "af", "S",
         "bb", "g"),
@@ -298,7 +298,7 @@ PARAMETERS = {
         "dims", "delta", "lam", "lam0", "minor", "major_flow", "major_cost", "chi0", "xi_law",
         "ci_law", "c0_law", "maturity_mode"),
     "minor_best_response": ("ctx", "price", "population"),
-    "perturbation_tests": ("ctx", "levels", "directions", "eps_grid", "seed", "population"),
+    "perturbation_tests": ("ctx", "levels", "directions", "seed", "population"),
     "price_gap": ("phi_a", "phi_b", "lattice"),
     "residual": ("system", "family"),
     "sample_idiosyncratic": ("law", "count", "seed"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,22 @@ def test_family_is_not_solved_one_system_at_a_time() -> None:
     family = DirectSolver(pair).solve()
     assert family.forward.shape[1] == len(family.diagnostics) == 2
     assert family.field("y", 0)[0, 0] == 0.0 and family.field("y", 1)[0, 0] == 1.0
+
+
+def test_solved_family_retains_its_two_state_stacks_only() -> None:
+    # the solver's factors and sweep vectors and the residual's uB~ are freed
+    # on return: what a solve leaves allocated is its forward and backward
+    # states, plus a few small objects
+    system = full_system(scalar_market_spec(), build_lattice(TimeGrid(1.0, 10), d0=1))
+    DirectSolver(system).solve()  # first calls may cache module state; not counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        family = DirectSolver(system).solve()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.05 * (family.forward.nbytes + family.backward.nbytes)
 
 
 # -- martingale structure ---------------------------------------------------------

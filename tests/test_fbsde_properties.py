@@ -64,6 +64,10 @@ def dense_solve(system: FbsdeSystem):
     def bwd(v):
         return slice(v * M + mf, (v + 1) * M)
 
+    def edge_prob(j):
+        # node j > 0 is child (j - 1) mod fanout of its parent, in layout order
+        return lat.child_probs[(j - 1) % lat.fanout]
+
     A[fwd(0), fwd(0)] = np.eye(mf)
     rhs[fwd(0)] = sweep_oracle.initial(system)
     for k in range(lat.steps):
@@ -75,14 +79,14 @@ def dense_solve(system: FbsdeSystem):
             A[bwd(v), bwd(v)] += np.eye(mb)
             A[bwd(v), fwd(v)] -= dt * c.Bbf[0]
             for j in kids:
-                A[bwd(v), bwd(j)] -= lat.edge_prob[j] * np.eye(mb)
+                A[bwd(v), bwd(j)] -= edge_prob(j) * np.eye(mb)
             rhs[bwd(v)] = dt * c.bb[v - lo]
             # u_F(c) = u_F(v) + dt (Afb sum_j q_j u_B(c_j) + af) + S dW(c)
             for child in kids:
                 A[fwd(child), fwd(child)] += np.eye(mf)
                 A[fwd(child), fwd(v)] -= np.eye(mf)
                 for j in kids:
-                    A[fwd(child), bwd(j)] -= dt * lat.edge_prob[j] * c.Afb[0]
+                    A[fwd(child), bwd(j)] -= dt * edge_prob(j) * c.Afb[0]
                 rhs[fwd(child)] = dt * c.af[v - lo] + c.S[v - lo] @ lat.dW[child]
     G, g = sweep_oracle.terminal(system)
     lo, hi = lat.level_range(lat.steps)
@@ -200,7 +204,11 @@ def test_whole_tree_pre_driver_pass_matches_the_level_loop(branching, d0, K, B, 
         assert np.array_equal(lat.cond_expect(ub[clo:chi], k), pre[lo:hi])
         dev[clo:chi] = ub[clo:chi] - np.repeat(pre[lo:hi], lat.fanout, axis=0)
     assert np.array_equal(_pre(lat, ub), pre)
-    family = FamilySolution(system=SimpleNamespace(lattice=lat), forward=None,
-                            backward=ub, backward_pre=pre, diagnostics=[])
+    # one field of one flow forms its uB~ alone, bit for bit as the whole tree's
+    slices = {"head": slice(0, 1), "tail": slice(1, dim)}
+    family = FamilySolution(system=SimpleNamespace(lattice=lat, backward_slices=slices),
+                            forward=None, backward=ub, diagnostics=[])
     for b in range(B):
+        for name, sl in slices.items():
+            assert np.array_equal(family.pre(name, b), pre[:, b, sl]), name
         assert np.array_equal(deviations(family, b), dev[:, b])

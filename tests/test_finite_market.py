@@ -538,8 +538,10 @@ def test_clearing_operator_bit_equal_to_fresh_solve(spec, K, assignments) -> Non
     family, _ = op.solve(flows)
     for j, b in enumerate(flows):
         fresh = DirectSolver(build_clearing_system(ctx, tabs, pop.weights, b)).solve()
-        for name in ("forward", "backward", "backward_pre"):
+        for name in ("forward", "backward"):
             assert np.array_equal(getattr(family, name)[:, j], getattr(fresh, name)[:, 0])
+        for name in family.system.backward_slices:
+            assert np.array_equal(family.pre(name, j), fresh.pre(name)), name
         assert asdict(family.diagnostics[j]) == asdict(fresh.diagnostics[0])
 
 
@@ -557,9 +559,11 @@ def test_clearing_operator_batch_equals_fresh_minor_clearing() -> None:
     family, phis = op.solve(betas / pop.N)
     for j, (beta, phi) in enumerate(zip(betas, phis)):
         eq = solve_minor_clearing(ctx, NodeField(lat, beta), pop)
-        for name in ("forward", "backward", "backward_pre"):
+        for name in ("forward", "backward"):
             assert np.array_equal(getattr(family, name)[:, j],
                                   getattr(eq.solution, name)[:, 0]), name
+        for name in family.system.backward_slices:
+            assert np.array_equal(family.pre(name, j), eq.solution.pre(name)), name
         assert np.array_equal(deviations(family, j), deviations(eq.solution))
         assert asdict(family.diagnostics[j]) == asdict(eq.solution.diagnostics[0])
         assert np.array_equal(phi, eq.price.values)

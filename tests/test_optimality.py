@@ -9,7 +9,7 @@ from marketclear.errors import ValidationError
 from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        make_population, solve_full_equilibrium)
 from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
-from marketclear.optimality import (DEFAULT_EPS_GRID, LEVELS, cost_major, cost_mfg, cost_minor,
+from marketclear.optimality import (EPS_GRID, LEVELS, cost_major, cost_mfg, cost_minor,
                                     perturbation_directions, perturbation_tests)
 from marketclear.scenario import NodeField, TimeGrid, build_lattice
 
@@ -237,7 +237,6 @@ def test_shared_solve_changes_no_byte() -> None:
 
 @pytest.mark.parametrize("kwargs, match", [
     ({"directions": 0}, "at least one"),
-    ({"eps_grid": (0.0, 0.1)}, "must come in"),
     ({"levels": ["minor", "major"]}, "unknown perturbation level"),
 ])
 def test_bad_requests_fail_before_any_solve(monkeypatch, kwargs, match) -> None:
@@ -253,14 +252,6 @@ def test_bad_requests_fail_before_any_solve(monkeypatch, kwargs, match) -> None:
         perturbation_tests(MarketContext(scalar_market_spec(), tree(2)), **args)
 
 
-def test_eps_grid_validation() -> None:
-    ctx = MarketContext(scalar_market_spec(), tree(2))
-    with pytest.raises(Exception):
-        perturb(ctx, "major-N", eps_grid=(0.0, 0.1))
-    with pytest.raises(Exception):
-        perturb(ctx, "major-N", eps_grid=(-0.1, 0.1))
-
-
 def test_clearing_batches_stay_within_the_amplitude_count(monkeypatch) -> None:
     # every clearing solve of a perturbation check takes at most as many flows
     # as the grid has nonzero amplitudes, and a major level makes at most
@@ -273,7 +264,7 @@ def test_clearing_batches_stay_within_the_amplitude_count(monkeypatch) -> None:
 
     monkeypatch.setattr(ClearingOperator, "solve", solve)
     directions = 13
-    amplitudes = sum(e != 0.0 for e in DEFAULT_EPS_GRID)
+    amplitudes = sum(e != 0.0 for e in EPS_GRID)
     perturbation_tests(MarketContext(scalar_market_spec(delta=0.3, N=3), tree(3)), LEVELS,
                        directions=directions, seed=4)
     assert max(flows for _, flows in calls) <= amplitudes
@@ -300,7 +291,7 @@ def test_costs_are_taken_at_the_outer_amplitudes_only(monkeypatch) -> None:
 
         monkeypatch.setattr(optimality, name, spy)
     directions = 13
-    amplitudes = sum(e != 0.0 for e in DEFAULT_EPS_GRID)
+    amplitudes = sum(e != 0.0 for e in EPS_GRID)
     perturbation_tests(MarketContext(scalar_market_spec(delta=0.3, N=3), tree(3)), LEVELS,
                        directions=directions, seed=4)
     assert max(stacks) <= amplitudes

@@ -8,9 +8,9 @@ they must give the same cost change.  Every corner of n in {1, 2}, a binary
 or trinomial tree, maturity on or off and the three levels runs; hypothesis
 draws d0 and a homogeneous model (the limit's level needs one) with a
 quadratic major cost (the costs read its primitives) whose constants differ
-between atoms (``model_strategy``, ``varied``), the eps grid and a direction
-count that is not a multiple of the grid's nonzero amplitudes, so the last
-batch of end points is a partial one.
+between atoms (``model_strategy``, ``varied``), the directions' seed and a
+direction count that is not a multiple of the nonzero amplitudes of
+``EPS_GRID``, so the last batch of end points is a partial one.
 
 The two evaluations differ only in round-off: the line adds ``eps`` times a
 difference of two solved fields where the oracle solves the field itself.
@@ -28,15 +28,13 @@ from hypothesis import strategies as st
 
 from marketclear.finite_market import MarketContext, make_population, solve_full_equilibrium
 from marketclear.mean_field import solve_mfg
-from marketclear.optimality import (LEVELS, cost_major, cost_mfg, cost_minor,
+from marketclear.optimality import (EPS_GRID, LEVELS, cost_major, cost_mfg, cost_minor,
                                     perturbation_directions, perturbation_tests)
 from marketclear.scenario import NodeField
 
 from model_strategy import build, shapes
 
 SETTINGS = settings(max_examples=3)
-GRIDS = ((-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2), (-0.3, -0.1, 0.0, 0.1, 0.3),
-         (-0.1, 0.0, 0.1))
 
 corners = pytest.mark.parametrize("n, branching, maturity, level", [
     (n, branching, maturity, level)
@@ -44,7 +42,6 @@ corners = pytest.mark.parametrize("n, branching, maturity, level", [
     for level in LEVELS])
 draws = st.fixed_dictionaries({
     "seed": st.integers(0, 999),
-    "grid": st.sampled_from(GRIDS),
     "batches": st.integers(0, 1),
     "rest": st.integers(1, 5),
 })
@@ -73,12 +70,12 @@ def test_line_matches_the_per_amplitude_costs(n, branching, maturity, level, dra
                                                 homogeneous=True, major="quadratic",
                                                 varied=True))))
     lat = ctx.lattice
-    eps = np.asarray(draw["grid"])
+    eps = np.asarray(EPS_GRID)
     amplitudes = int(np.count_nonzero(eps))
     directions = draw["batches"] * amplitudes + min(draw["rest"], amplitudes - 1)
     pop = make_population(ctx)
-    rep = perturbation_tests(ctx, [level], directions=directions, eps_grid=eps,
-                             seed=draw["seed"], population=pop)[level]
+    rep = perturbation_tests(ctx, [level], directions=directions, seed=draw["seed"],
+                             population=pop)[level]
     assert not rep.failed
     base, cost = oracle_costs(ctx, level, pop)
     j0 = cost(base)

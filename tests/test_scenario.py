@@ -31,7 +31,7 @@ def test_binary_tree_node_count_k2() -> None:
 def test_two_point_increments_match_brownian_moments() -> None:
     lat = build_lattice(TimeGrid(1.0, 1), d0=1, branching=2)
     dw = lat.dW[lat.level_slice(1)][:, 0]
-    p = lat.edge_prob[lat.level_slice(1)]
+    p = lat.child_probs  # level 1 holds the root's children, in child order
     assert set(np.round(dw, 12)) == {1.0, -1.0}
     assert p @ dw == pytest.approx(0.0, abs=1e-15)
     assert p @ dw**2 == pytest.approx(lat.dt, abs=1e-15)
@@ -40,7 +40,7 @@ def test_two_point_increments_match_brownian_moments() -> None:
 def test_three_point_increments_match_brownian_moments() -> None:
     lat = build_lattice(TimeGrid(2.0, 4), d0=1, branching=3)
     dw = lat.dW[lat.level_slice(1)][:, 0]
-    p = lat.edge_prob[lat.level_slice(1)]
+    p = lat.child_probs  # level 1 holds the root's children, in child order
     assert p @ dw == pytest.approx(0.0, abs=1e-15)
     assert p @ dw**2 == pytest.approx(lat.dt, abs=1e-14)
 

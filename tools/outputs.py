@@ -4,12 +4,14 @@
 
 Runs every command (check, solve-n, solve-mfg, converge, verify and
 lattice-dump) on the four shipped models at small sizes, plain and with the
-``--maturity`` and ``--branching 3`` variants, and then the benchmark's
-seed-1 command lines, which ``perfbench/workloads.py`` generates (it is only
-read).  Every command runs in a fresh interpreter on the package in this
-checkout's ``src/`` and writes into ``OUT/<name>/``; its command line (with
-``OUT`` for the output root), exit code, standard output and standard error
-go to ``OUT/<name>/console.txt``.
+``--maturity`` and ``--branching 3`` variants, ``solve-n`` and
+``lattice-dump`` on a tree over the node budget, which end as solver
+failures, and then the benchmark's seed-1 command lines, which
+``perfbench/workloads.py`` generates (it is only read).  Every command
+runs in a fresh interpreter on the package in this checkout's ``src/`` and
+writes into ``OUT/<name>/``; its command line (with ``OUT`` for the output
+root), exit code, standard output and standard error go to
+``OUT/<name>/console.txt``.
 
 Two such trees compared by ``tools/outdiff.py`` check every command's bytes:
 the same checkout run under two ``PYTHONHASHSEED`` values checks determinism
@@ -36,6 +38,8 @@ COMMANDS = {
     "lattice-dump": ["--steps", "3"],
 }
 VARIANTS = {"plain": [], "maturity": ["--maturity"], "branching3": ["--branching", "3"]}
+# 2^26 - 1 nodes on the benchmark model's binary tree, over scenario.NODE_BUDGET
+OVER_BUDGET = {"solve-n": ["--steps", "25"], "lattice-dump": ["--steps", "25"]}
 BENCH_SEED = 1
 
 
@@ -48,6 +52,10 @@ def _runs(out: Path) -> list[tuple[str, list[str]]]:
                 name = f"{Path(model).stem}-{command}-{variant}"
                 runs.append((name, [command, "--model", f"models/{model}", *sizes, *flags,
                                     "--out", str(out / name)]))
+    for command, sizes in OVER_BUDGET.items():
+        name = f"benchmark-{command}-over-budget"
+        runs.append((name, [command, "--model", "models/benchmark.model", *sizes,
+                            "--out", str(out / name)]))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
