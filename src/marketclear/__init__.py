@@ -1,9 +1,8 @@
 """Market-clearing equilibrium prices with one major and many minor traders.
 
 The engine solves the coupled forward-backward systems of the market exactly
-on discrete scenario trees: minor best responses, the clearing system for a
-given major flow, the fully coupled major-optimal equilibrium, and its
-population limit.  Companion modules measure transport-distance convergence
+on discrete scenario trees: the clearing system for a given major flow, the
+fully coupled major-optimal equilibrium, and its population limit.  Companion modules measure transport-distance convergence
 to the limit and verify optimality by control perturbation.  Each export is
 resolved on first access (PEP 562), so only the modules in use are compiled.
 """
@@ -16,19 +15,17 @@ _EXPORTS = {  # the exported names, by the module that defines them
     "errors": ("AssumptionViolationError", "BudgetError", "MarketClearError", "SolverError",
                "UnsupportedModelError", "ValidationError"),
     "fbsde": ("DirectSolver", "FamilySolution", "FbsdeSystem", "SolveDiagnostics", "residual"),
-    "finite_market": ("AgentGroup", "AgentPopulation", "BestResponse", "ClassSolution",
-                      "ClearingOperator", "EquilibriumSolution", "MarketContext",
-                      "clearing_residual", "cost_classes", "make_population",
-                      "minor_best_response", "solve_full_equilibrium", "solve_minor_clearing"),
-    "mean_field": ("MfgSolution", "limit_classes", "solve_mfg"),
+    "finite_market": ("AgentGroup", "AgentPopulation", "ClassSolution", "ClearingOperator",
+                      "EquilibriumSolution", "MarketContext", "MfgSolution", "clearing_residual",
+                      "cost_classes", "limit_classes", "make_population",
+                      "solve_full_equilibrium", "solve_mfg", "solve_minor_clearing"),
     "metrics": ("ConvergenceReport", "StabilityReport", "convergence_study", "epsilon_rate",
                 "price_gap", "stability_gap"),
     "model": ("AssumptionReport", "CallableMajorCost", "CoefficientSpec", "Dimensions",
               "DiscreteLaw", "MajorFlow", "MinorBundle", "ModelSpec", "QuadraticMajorCost",
               "check_all_assumptions", "make_spec"),
     "modelfile": ("load_model", "loads_model"),
-    "optimality": ("PerturbationReport", "cost_major", "cost_mfg", "cost_minor",
-                   "perturbation_tests"),
+    "optimality": ("PerturbationReport", "perturbation_tests"),
     "runio": ("write_lattice_csv",),
     "scenario": ("IdiosyncraticAtoms", "NodeField", "NoiseLattice", "TimeGrid", "build_lattice",
                  "evaluate_exogenous", "idiosyncratic_atoms", "sample_idiosyncratic",

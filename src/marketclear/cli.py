@@ -4,8 +4,8 @@ Subcommands: check, solve-n, solve-mfg, converge, verify, lattice-dump.
 Exit codes: 0 success, 1 usage error, 2 failed assumptions, 3 solver failure
 or an exceeded size budget, 4 acceptance gate not met.  Every command writes
 a manifest.json with the config hash, seed, package versions, and wall time.
-The study modules (``mean_field``, ``metrics``, ``optimality``) are imported
-by the commands that run them, so the other commands never compile them.
+The study modules (``metrics``, ``optimality``) are imported by the commands
+that run them, so the other commands never compile them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .errors import (AssumptionViolationError, BudgetError, MarketClearError,
                      SolverError, ValidationError)
-from .finite_market import MarketContext, make_population, solve_full_equilibrium
+from .finite_market import MarketContext, make_population, solve_full_equilibrium, solve_mfg
 from .model import check_all_assumptions
 from .modelfile import load_model
 from .runio import (equilibrium_summary, mfg_summary, write_convergence_csv,
@@ -267,8 +267,6 @@ def cmd_solve_n(cfg) -> int:
 
 
 def cmd_solve_mfg(cfg) -> int:
-    from .mean_field import solve_mfg
-
     code, mf = _checked_solve(cfg, solve_mfg)
     if code != EXIT_OK:
         return code

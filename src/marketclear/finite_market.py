@@ -1,4 +1,4 @@
-"""Finite-population markets on cost classes: best response, clearing, full equilibrium.
+"""Finite-population markets on cost classes: clearing, full equilibrium, population limit.
 
 Internally every quantity is normalized: the major state is x0 = X0/N and the
 major flow is b = beta/N, so the population-size limit needs no rescaling.
@@ -9,20 +9,20 @@ satisfy identical equations.
 Every market is solved on cost classes, the groups with equal cf and cg
 (``cost_classes``).  Groups couple only through the price, the major flow
 and the terminal map's mean term, which read group means only, so the class
-means solve the system of the classes: the coupled one, or the best response
-to a given price.  A group's deviation from its class mean has no price or
-flow term (``build_deviation_system``), so each class's groups are one
-family; their R/P deviations have no source and vanish.  ``ClassSolution``
-holds the class solve, its families and the price, and reads a group's
-fields and the lattice off them.  An equilibrium is the best response to its
-clearing price plus the major flow.  The population limit (``mean_field``)
-is the same path on the atoms.
+means solve the system of the classes: the coupled one, or the clearing
+system under a given major flow.  A group's deviation from its class mean
+has no price or flow term (``build_deviation_system``), so each class's
+groups are one family; their R/P deviations have no source and vanish.
+``ClassSolution`` holds the class solve, its families and the price, and
+reads a group's fields and the lattice off them.  An equilibrium is every
+group's best response to its clearing price plus the major flow.  The
+population limit (``solve_mfg``) is the same path on the atoms of the law.
 
 A market is one ``MarketContext``: the model's coefficients on one lattice.
 ``make_population`` and every solver take it first, and read the model and
-the lattice from it alone; a price or flow handed to a solver must be an
-(nodes, n) field of its lattice (``ValidationError`` otherwise).  Building
-the context runs the standing-assumption checks, so no solver runs them.
+the lattice from it alone; a flow handed to a solver must be an (nodes, n)
+field of its lattice (``ValidationError`` otherwise).  Building the context
+runs the standing-assumption checks, so no solver runs them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import numpy as np
 
-from .errors import AssumptionViolationError, SolverError, ValidationError
+from .errors import AssumptionViolationError, SolverError, UnsupportedModelError, ValidationError
 from .fbsde import (DirectSolver, FamilySolution, FbsdeSystem, SolveDiagnostics, _pre,
                     check_factor_budget, residual, sweep_floats)
 from .model import ModelSpec, check_all_assumptions, secant_curvatures
@@ -390,43 +390,30 @@ def build_full_system(ctx: MarketContext, tabs: list[MinorTables],
                        initial=initial, af=af, S=S, bb=bb, g=gv)
 
 
-def _minor_system(ctx: MarketContext, tabs: list[MinorTables], Afb: np.ndarray,
-                  af: np.ndarray, Gm: np.ndarray, gv: np.ndarray) -> FbsdeSystem:
-    """A system of the groups' minor states (X_g forward, Y_g backward).
+def build_clearing_system(ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray,
+                          beta_norm: np.ndarray) -> FbsdeSystem:
+    """The minor-clearing system with a given per-capita major flow b = beta/N.
 
-    ``Afb`` holds the fee blocks per level, ``af`` the forward drift on the
-    non-terminal nodes, and ``Gm`` (G n, G n) and ``gv`` (leaves, B|1, G n)
-    the terminal map Y(T) = Gm X(T) + gv; the running cost blocks cf_g sit
-    on the Bbf diagonal.
+    States per node: X_g forward and Y_g backward for each group g.
+    ``beta_norm`` is one (nodes, n) flow or a (B, nodes, n) stack, which
+    makes a family of B systems.  The flow enters only the forward drift
+    l_g - b, so the flows share every block (and hence one solver matrix
+    pass).  The fee block is kron(I - 1 w^T, -lam^{-1}); the running cost
+    blocks cf_g sit on the Bbf diagonal.
     """
     lat, n = ctx.lattice, ctx.spec.dims.n
     G = len(tabs)
     K = lat.steps
     I = lat.level_range(K)[0]
+    Gm, gv = _terminal_coupling(tabs, w, ctx.delta / (1.0 - ctx.delta))
     return FbsdeSystem(lattice=lat, forward_slices=_slices([(f"X{g}", n) for g in range(G)]),
                        backward_slices=_slices([(f"Y{g}", n) for g in range(G)]),
-                       Afb=Afb, Bbf=_block_diag(np.stack([t.cf[:K] for t in tabs], axis=1)),
-                       G=Gm, initial=_columns([t.xi[None] for t in tabs]), af=af,
+                       Afb=_kron(np.eye(G) - w[None, :], -ctx.exo.lam_inv[:K]),
+                       Bbf=_block_diag(np.stack([t.cf[:K] for t in tabs], axis=1)),
+                       G=Gm, initial=_columns([t.xi[None] for t in tabs]),
+                       af=_minus_flow(_columns([t.l[:I] for t in tabs]), beta_norm),
                        S=_columns([t.sig0[:I] for t in tabs], (lat.d0,)),
                        bb=_columns([t.hf[:I] for t in tabs]), g=gv)
-
-
-def build_clearing_system(ctx: MarketContext, tabs: list[MinorTables], w: np.ndarray,
-                          beta_norm: np.ndarray) -> FbsdeSystem:
-    """The minor-clearing system with a given per-capita major flow b = beta/N.
-
-    ``beta_norm`` is one (nodes, n) flow or a (B, nodes, n) stack, which
-    makes a family of B systems.  The flow enters only the forward drift
-    l_g - b, so the flows share every block (and hence one solver matrix
-    pass).  The fee block is kron(I - 1 w^T, -lam^{-1}).
-    """
-    lat = ctx.lattice
-    G = len(tabs)
-    I = lat.level_range(lat.steps)[0]
-    Afb = _kron(np.eye(G) - w[None, :], -ctx.exo.lam_inv[:lat.steps])
-    l = _columns([t.l[:I] for t in tabs])
-    return _minor_system(ctx, tabs, Afb, _minus_flow(l, beta_norm),
-                         *_terminal_coupling(tabs, w, ctx.delta / (1.0 - ctx.delta)))
 
 
 def _minus_flow(l: np.ndarray, beta_norm: np.ndarray) -> np.ndarray:
@@ -440,21 +427,6 @@ def _minus_flow(l: np.ndarray, beta_norm: np.ndarray) -> np.ndarray:
     n = beta_norm.shape[-1]
     b = np.moveaxis(beta_norm.reshape((-1,) + beta_norm.shape[-2:])[:, :I], 0, 1)
     return (l.reshape(I, 1, Gn // n, n) - b[:, :, None, :]).reshape(I, b.shape[1], Gn)
-
-
-def build_best_response_system(ctx: MarketContext, tabs: list[MinorTables],
-                               price: np.ndarray) -> FbsdeSystem:
-    """Independent best responses of groups or cost classes to an adapted price field."""
-    lat = ctx.lattice
-    n = ctx.spec.dims.n
-    G = len(tabs)
-    K = lat.steps
-    I, tsl = lat.level_range(K)[0], lat.terminal_slice
-    Afb = _block_diag(np.broadcast_to(-ctx.exo.lam_inv[:K, None], (K, G, n, n)))
-    lam_phi = lat.apply_levels(ctx.exo.lam_inv, price)
-    return _minor_system(ctx, tabs, Afb, _columns([t.l[:I] - lam_phi[:I] for t in tabs]),
-                         _block_diag(np.stack([t.cg_T for t in tabs])),
-                         _columns([t.hg_T - ctx.delta * price[tsl] for t in tabs]))
 
 
 def build_deviation_system(ctx: MarketContext, tabs: list[MinorTables],
@@ -516,32 +488,31 @@ class ClassSolution:
 
     def group_field(self, name: str, g: int) -> np.ndarray:
         """Group g's field X, Y, R or P."""
-        return self._member(FamilySolution.field, name, g)
-
-    def group_pre(self, name: str, g: int) -> np.ndarray:
-        """Group g's pre-driver values of Y or P (the values themselves on the leaves)."""
-        return self._member(FamilySolution.pre, name, g)
-
-    def _member(self, read, name: str, g: int) -> np.ndarray:
         c, j = self.classes.place[g]
-        mean = read(self.solution, f"{name}{c}")
+        mean = self.solution.field(f"{name}{c}")
         if self.deviations[c] is None or name not in ("X", "Y"):
             return mean
-        return mean + read(self.deviations[c], "d" + name.lower(), j)
+        return mean + self.deviations[c].field("d" + name.lower(), j)
+
+    def group_pres(self, name: str) -> list[np.ndarray]:
+        """Every group's pre-driver values of Y or P (the values themselves on the leaves).
+
+        Each class mean's uB~ is formed once, and each deviation family's
+        once over its flows.
+        """
+        means = [self.solution.pre(f"{name}{c}") for c in range(len(self.deviations))]
+        devs = [None if f is None or name != "Y" else _pre(self.lattice, f.backward)
+                for f in self.deviations]
+        return [means[c] if devs[c] is None else means[c] + devs[c][:, j]
+                for c, j in self.classes.place]
 
 
 @dataclass
-class BestResponse(ClassSolution):
-    """Price-taking responses: the cost classes' solve, the price and the trading rates."""
+class EquilibriumSolution(ClassSolution):
+    """Solved market: every group's best response to the clearing price, and the major flow."""
 
     population: AgentPopulation
     alpha_hat: list[np.ndarray]  # one (num_nodes, n) array per agent group
-
-
-@dataclass
-class EquilibriumSolution(BestResponse):
-    """Solved market: every group's best response to the clearing price, and the major flow."""
-
     beta_hat: NodeField          # unnormalized major flow N*b, zero on terminal nodes
     beta_norm: NodeField         # per-capita flow b
     clearing_residual: float
@@ -715,28 +686,6 @@ def _validate_beta(ctx: MarketContext, beta: NodeField):
             raise ValidationError("beta must vanish on terminal nodes (no last-instant flow)")
 
 
-def minor_best_response(ctx: MarketContext, price: NodeField,
-                        population: AgentPopulation | None = None) -> BestResponse:
-    """Per-agent optimal responses to an exogenous adapted price field.
-
-    The class means respond to the price and each class's groups deviate from
-    their mean as in every market (the price enters every group alike, so
-    the deviations do not see it); the trading rates are
-    alpha_g = -lam^{-1}(Y~_g + price).
-    """
-    _check_node_field(ctx, "the price", price.values, price.lattice)
-    pop = population if population is not None else make_population(ctx)
-    classes = cost_classes(ctx.group_tables(pop), pop.weights)
-    br = BestResponse(
-        solution=DirectSolver(build_best_response_system(ctx, classes.tables,
-                                                         price.values)).solve(),
-        classes=classes, deviations=solve_deviations(ctx, classes), price=price,
-        population=pop, alpha_hat=[])
-    br.alpha_hat = _alpha_hats(ctx, [br.group_pre("Y", g) for g in range(pop.size)],
-                               price.values)
-    return br
-
-
 def _equilibrium(ctx: MarketContext, pop: AgentPopulation, classes: CostClasses,
                  sol: FamilySolution, phi: np.ndarray, beta: np.ndarray,
                  beta_norm: np.ndarray, x0: np.ndarray) -> EquilibriumSolution:
@@ -746,7 +695,7 @@ def _equilibrium(ctx: MarketContext, pop: AgentPopulation, classes: CostClasses,
         price=NodeField(ctx.lattice, phi), population=pop,
         beta_hat=NodeField(ctx.lattice, beta), beta_norm=NodeField(ctx.lattice, beta_norm),
         alpha_hat=[], clearing_residual=0.0, x0=x0)
-    eq.alpha_hat = _alpha_hats(ctx, [eq.group_pre("Y", g) for g in range(pop.size)], phi)
+    eq.alpha_hat = _alpha_hats(ctx, eq.group_pres("Y"), phi)
     eq.clearing_residual = clearing_residual(eq)
     return eq
 
@@ -826,3 +775,54 @@ class ClearingOperator:
                                   family.system.backward_slices, self.w, "Y")
         phi = _price_from_clearing(self.ctx, mean_y_pre, np.moveaxis(beta_norms, 0, 1))
         return family, np.moveaxis(phi, 1, 0)
+
+
+# -- population limit -------------------------------------------------------
+
+
+def limit_classes(ctx: MarketContext) -> CostClasses:
+    """The limit's one cost class, every atom a group; the means close for one bundle only."""
+    if not ctx.spec.homogeneous:
+        raise UnsupportedModelError("the population limit needs a homogeneous market: "
+                                    "one coefficient bundle shared by every agent")
+    return cost_classes([ctx.minor_tables(0, a) for a in range(ctx.atoms.count)],
+                        ctx.atoms.weights)
+
+
+# population-limit names of the mean group's fields in the class system
+_MEAN_FIELDS = {"x0": "x0", "p0": "p0", "xbar": "X0", "ybar": "Y0", "pbar": "P0", "rbar": "R0"}
+
+
+@dataclass
+class MfgSolution(ClassSolution):
+    """Mean-field equilibrium on the limit's one cost class, whose groups are the atoms."""
+
+    beta_norm: NodeField                   # per-capita flow, zero on terminal nodes
+
+    def common_field(self, name: str) -> np.ndarray:
+        """A mean field by its population-limit name (x0, p0, xbar, ybar, pbar, rbar)."""
+        return self.solution.field(_MEAN_FIELDS[name])
+
+    def atom_field(self, name: str, a: int) -> np.ndarray:
+        """Per-atom field: mean plus deviation for x/y, the mean itself for r/p."""
+        if name not in ("x", "y", "r", "p"):
+            raise ValidationError(f"unknown per-atom field {name!r}")
+        return self.group_field(name.upper(), a)
+
+
+def solve_mfg(ctx: MarketContext) -> MfgSolution:
+    """Solve the population-limit equilibrium: the class means, then the atom deviations.
+
+    The atoms share cf and cg, so they form one class (``limit_classes``),
+    weighted by their law weights.  The flow and the price are those of the
+    class system, common-lattice fields
+
+        b   = V0bar (-p0~ + ybar~ + pbar~),        b(T) = 0
+        phi = -ybar~ + lam b                        (and -ybar at the horizon),
+
+    and every idiosyncratic deviation field has atom-weighted mean zero.
+    """
+    classes = limit_classes(ctx)
+    family, b, phi = solve_class_system(ctx, classes)
+    return MfgSolution(solution=family, classes=classes, deviations=solve_deviations(ctx, classes),
+                       price=NodeField(ctx.lattice, phi), beta_norm=NodeField(ctx.lattice, b))

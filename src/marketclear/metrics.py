@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import BudgetError, UnsupportedModelError, ValidationError
 from .fbsde import DirectSolver
-from .finite_market import (MarketContext, _flow_and_price, build_full_system,
-                            make_population, solve_full_equilibrium, stack_tables)
-from .mean_field import MfgSolution, solve_mfg
+from .finite_market import (MarketContext, MfgSolution, _flow_and_price, build_full_system,
+                            make_population, solve_full_equilibrium, solve_mfg, stack_tables)
 from .scenario import (NodeField, NoiseLattice, apply_block, sample_idiosyncratic,
                        squared_norms, _draw_atoms, _splitmix64)
 

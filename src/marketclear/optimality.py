@@ -1,4 +1,4 @@
-"""Cost functionals and perturbation checks of optimality.
+"""Perturbation checks of optimality and the batched cost functionals they read.
 
 The solved controls are verified empirically: random adapted directions with
 zero terminal value are added to the candidate optimum over a grid of
@@ -8,21 +8,16 @@ cost change are reported.  At a true optimum of these quadratic discrete
 functionals the first-order coefficient vanishes to round-off and every
 cost change is nonnegative.
 
-The public cost functions (``cost_minor``, ``cost_major``, ``cost_mfg``)
-take the market's ``MarketContext`` and a price or control, each an (nodes,
-n) field of its lattice, a major flow vanishing on the leaves outside
-maturity mode (``ValidationError`` otherwise).  They integrate the position
-and re-solve the clearing system for the control they are given.  The
-perturbation check (``perturbation_tests``) solves and costs less: the
-clearing price is an affine function of the major flow (the flow enters the
-affine clearing system only through its forward drift, and the price is
-read off linearly) and a position is an affine function of the trading
-rate, so along one direction both lie on a line, and the cost, quadratic in
-the control and the responses, is a quadratic in the amplitude.  It solves
-the base control and each direction's end point once, takes the cost at the
+The check (``perturbation_tests``) solves and costs little: the clearing
+price is an affine function of the major flow (the flow enters the affine
+clearing system only through its forward drift, and the price is read off
+linearly) and a position is an affine function of the trading rate, so
+along one direction both lie on a line, and the cost, quadratic in the
+control and the responses, is a quadratic in the amplitude.  It solves the
+base control and each direction's end point once, takes the cost at the
 grid's two outer amplitudes on that line, and reads every inner amplitude
 off the quadratic through those two and zero; both steps are exact up to
-round-off.  The public cost functions stay the oracle of the whole chain.
+round-off.
 """
 
 from __future__ import annotations
@@ -33,11 +28,9 @@ import numpy as np
 
 from .errors import MarketClearError, UnsupportedModelError, ValidationError
 from .finite_market import (AgentPopulation, ClearingOperator, CostClasses,
-                            EquilibriumSolution, MarketContext, MinorTables, _check_node_field,
-                            _validate_beta, cost_classes, integrate_forward,
-                            solve_class_system, solve_full_equilibrium)
-from .mean_field import limit_classes
-from .scenario import NodeField, NoiseLattice, squared_norms, stream_rng
+                            EquilibriumSolution, MarketContext, MinorTables, integrate_forward,
+                            limit_classes, solve_class_system, solve_full_equilibrium)
+from .scenario import NoiseLattice, squared_norms, stream_rng
 
 # the perturbation amplitudes: sorted, with 0 and each nonzero amplitude in a +/- pair
 EPS_GRID = (-0.2, -0.1, -0.05, 0.0, 0.05, 0.1, 0.2)
@@ -82,7 +75,12 @@ def _positions(ctx: MarketContext, x0, rates: np.ndarray, offset: np.ndarray,
 
 def _minor_costs(ctx: MarketContext, price: np.ndarray, alphas: np.ndarray, x: np.ndarray,
                  tab: MinorTables) -> np.ndarray:
-    """``cost_minor`` of a (B, nodes, n) stack of trading rates and their positions ``x``."""
+    """Expected minor costs of a (B, nodes, n) stack of trading rates and their positions ``x``.
+
+    Running cost <phi, a> + .5 <a, lam a> + .5 <x, cf x> + <hf, x>; terminal
+    cost -delta <phi_T, x> + .5 <x, cg x> + <hg, x>, which ``MarketContext``
+    makes -<c0_T, x> when the securities mature.
+    """
     lat = ctx.lattice
     running = (_dot(price, alphas)
                + _quad(alphas, ctx.exo.lam[lat.level_of])
@@ -94,24 +92,6 @@ def _minor_costs(ctx: MarketContext, price: np.ndarray, alphas: np.ndarray, x: n
                 + _quad(xT, tab.cg_T)
                 + _dot(tab.hg_T, xT))
     return _expected_costs(lat, running, terminal)
-
-
-def cost_minor(ctx: MarketContext, price: NodeField, alpha: np.ndarray, *,
-               bundle_index: int = 0, atom_index: int = 0) -> float:
-    """Expected cost of one minor agent trading at rate ``alpha`` against ``price``.
-
-    Running cost <phi, a> + .5 <a, lam a> + .5 <x, cf x> + <hf, x>; terminal
-    cost -delta <phi_T, x> + .5 <x, cg x> + <hg, x>, which ``MarketContext``
-    makes -<c0_T, x> when the securities mature.  The position is integrated
-    forward under ``alpha``.  The price and the rate must be (nodes, n)
-    fields of ``ctx.lattice``.
-    """
-    _check_node_field(ctx, "the price", price.values, price.lattice)
-    _check_node_field(ctx, "alpha", alpha)
-    tab = ctx.minor_tables(bundle_index, atom_index)
-    alphas = np.asarray(alpha, dtype=float)[None]
-    x = _positions(ctx, tab.xi, alphas, tab.l, tab.sig0)
-    return float(_minor_costs(ctx, price.values, alphas, x, tab)[0])
 
 
 def _major_response(ctx: MarketContext, operator: ClearingOperator,
@@ -132,7 +112,8 @@ def _major_costs(ctx: MarketContext, b: np.ndarray, phi: np.ndarray,
     """Normalized major costs of a (B, nodes, n) stack of per-capita flows.
 
     ``phi`` and ``x0`` are each flow's induced prices and major positions
-    (``_major_response``); the price enters the flow's running cost.
+    (``_major_response``); the price enters the flow's running cost
+    <b, phi(b)> + .5 <b, lam0 b> + fbar0(x0).
     """
     lat = ctx.lattice
     fbar = _quad(x0, ctx.c0f) + _dot(ctx.h0f, x0)
@@ -142,35 +123,6 @@ def _major_costs(ctx: MarketContext, b: np.ndarray, phi: np.ndarray,
     xT = x0[:, lat.terminal_slice]
     terminal = _quad(xT, ctx.c0g) + _dot(ctx.h0g_T, xT)
     return _expected_costs(lat, running, terminal)
-
-
-def _major_cost(ctx: MarketContext, classes: CostClasses, beta: NodeField, N: int) -> float:
-    """Major cost of ``beta`` per capita of ``N`` agents, cleared on ``classes``."""
-    _validate_beta(ctx, beta)
-    operator = ClearingOperator(ctx, classes.tables, classes.weights)
-    b = beta.values[None] / N
-    return float(_major_costs(ctx, b, *_major_response(ctx, operator, b))[0])
-
-
-def cost_major(ctx: MarketContext, population: AgentPopulation, beta: NodeField) -> float:
-    """Major trader's expected cost in per-capita units, price feedback inside.
-
-    The minor clearing system of the population's cost classes is re-solved
-    under ``beta`` and the induced price enters the running cost
-    <b, phi(b)> + .5 <b, lam0 b> + fbar0(x0).  ``beta`` is a flow of
-    ``ctx`` as ``solve_minor_clearing`` takes it.
-    """
-    return _major_cost(ctx, cost_classes(ctx.group_tables(population), population.weights),
-                       beta, population.N)
-
-
-def cost_mfg(ctx: MarketContext, beta: NodeField) -> float:
-    """Population-limit major cost for a per-capita flow, clearing re-solved.
-
-    The clearing feedback is that of the limit's cost class (``limit_classes``).
-    ``beta`` is a flow of ``ctx`` as ``solve_minor_clearing`` takes it.
-    """
-    return _major_cost(ctx, limit_classes(ctx), beta, 1)
 
 
 # -- perturbation verification ----------------------------------------------
@@ -263,7 +215,9 @@ def perturbation_tests(ctx: MarketContext, levels, directions: int = 20, seed: i
     The finite levels share one finite solve (``solve_full_equilibrium``) of
     ``population``, by default ``make_population(ctx)``, and every level the
     directions ``perturbation_directions(ctx.lattice, n, directions, seed)``.
-    A level's report does not depend on the other levels asked for.
+    A level's report does not depend on the other levels asked for.  An
+    unknown level, no direction, or "major-mfg" on a market with no
+    population limit (``limit_classes``) is refused before any solve.
 
     Each direction is evaluated at the amplitudes ``EPS_GRID``, along its
     exact line.  The responses to a control, the clearing price (major
@@ -289,10 +243,11 @@ def perturbation_tests(ctx: MarketContext, levels, directions: int = 20, seed: i
     """
     levels = list(levels)
     _check_request(levels, directions)
+    limit = limit_classes(ctx) if "major-mfg" in levels else None
     eq = (solve_full_equilibrium(ctx, population)
           if any(level in _FINITE_LEVELS for level in levels) else None)
     etas = perturbation_directions(ctx.lattice, ctx.spec.dims.n, directions, seed)
-    return {level: _level_report(ctx, level, etas, eq) for level in levels}
+    return {level: _level_report(ctx, level, etas, eq, limit) for level in levels}
 
 
 def _responses(respond, ctrls: np.ndarray) -> list:
@@ -312,8 +267,12 @@ def _responses(respond, ctrls: np.ndarray) -> list:
 
 
 def _level_report(ctx: MarketContext, level: str, etas: list[np.ndarray],
-                  equilibrium: EquilibriumSolution | None) -> PerturbationReport:
-    """One level of ``perturbation_tests``, on ``EPS_GRID`` along directions ``etas``."""
+                  equilibrium: EquilibriumSolution | None,
+                  limit: CostClasses | None) -> PerturbationReport:
+    """One level of ``perturbation_tests``, on ``EPS_GRID`` along directions ``etas``.
+
+    The finite levels read ``equilibrium``, the limit's level its classes ``limit``.
+    """
     control = lambda ctrls: ctrls
     if level == "minor":
         eq = equilibrium
@@ -330,7 +289,7 @@ def _level_report(ctx: MarketContext, level: str, etas: list[np.ndarray],
             base_ctrl = equilibrium.beta_hat.values
             control = lambda ctrls: ctrls / pop.N
         else:
-            classes = limit_classes(ctx)
+            classes = limit
             base_ctrl = solve_class_system(ctx, classes)[1]  # no deviations needed
         op = ClearingOperator(ctx, classes.tables, classes.weights)
 

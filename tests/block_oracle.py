@@ -4,7 +4,7 @@ Each function fills one level's blocks (or the terminal map) entry block by
 entry block, looping over agent groups and reading the per-level tables
 ``ctx.exo.lam_inv[k]``, ``ctx.exo.v0bar[k]``, ``tab.cf[k]`` and ``tab.cg_T``.
 It shares no arithmetic with the Kronecker-built blocks of
-``marketclear.finite_market`` and ``marketclear.mean_field``, so the two can
+``marketclear.finite_market`` and ``best_response_oracle``, so the two can
 be compared entry for entry.  Layouts follow the builders: the full system
 orders its states (x0, X_0..X_{G-1}, R_0..R_{G-1}) forward and
 (p0, Y_0.., P_0..) backward; the minor systems hold X_g and Y_g only.

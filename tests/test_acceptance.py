@@ -12,13 +12,12 @@ from marketclear.cli import main as cli_main
 from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (MarketContext, build_full_system,
                                        make_population, solve_full_equilibrium,
-                                       solve_minor_clearing)
+                                       solve_mfg, solve_minor_clearing)
 from marketclear.metrics import (convergence_study, epsilon_rate, fit_loglog, price_gap,
                                  stability_gap)
 from marketclear.model import (Dimensions, DiscreteLaw, MajorFlow, MinorBundle,
                                QuadraticMajorCost, make_spec)
 from marketclear.optimality import perturbation_tests
-from marketclear.mean_field import solve_mfg
 from marketclear.scenario import TimeGrid, build_lattice, stream_rng
 
 from conftest import (callable_twin, constant_field, homogeneous_study_spec,

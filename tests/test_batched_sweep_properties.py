@@ -31,8 +31,8 @@ from marketclear.errors import SolverError
 from marketclear import fbsde
 from marketclear.fbsde import DIRECT_RESIDUAL_GATE, DirectSolver, residual
 from marketclear.finite_market import (ClearingOperator, MarketContext, build_clearing_system,
-                                       build_deviation_system, build_full_system, stack_tables)
-from marketclear.mean_field import limit_classes
+                                       build_deviation_system, build_full_system, limit_classes,
+                                       stack_tables)
 from model_strategy import Shape, build, shapes
 
 SETTINGS = settings(max_examples=3)

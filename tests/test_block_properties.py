@@ -17,9 +17,10 @@ import numpy as np
 from hypothesis import given, settings
 
 import block_oracle as oracle
-from marketclear.finite_market import (MarketContext, build_best_response_system,
-                                       build_clearing_system, build_deviation_system,
-                                       build_full_system, make_population)
+from best_response_oracle import build_best_response_system
+from marketclear.finite_market import (MarketContext, build_clearing_system,
+                                       build_deviation_system, build_full_system,
+                                       make_population)
 from model_strategy import build, shapes
 
 SETTINGS = settings(max_examples=40)

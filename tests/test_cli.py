@@ -642,7 +642,7 @@ def test_cli_import_and_solve_leave_the_study_modules_unloaded(good_model, tmp_p
     # the package resolves its exports on first access and each study module
     # is imported by the command that runs it, so neither importing the CLI
     # nor a solve-n run compiles them
-    studies = ("marketclear.mean_field", "marketclear.metrics", "marketclear.optimality")
+    studies = ("marketclear.metrics", "marketclear.optimality")
     probe = ("import sys, marketclear.cli as cli; studies = sys.argv[1].split(','); "
              "loaded = lambda: sorted(m for m in studies if m in sys.modules); "
              "before = loaded(); code = cli.main(sys.argv[2:]); print(before, code, loaded())")

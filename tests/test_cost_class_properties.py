@@ -16,10 +16,11 @@ tree, maturity mode and a callable major cost are drawn too.  Every field
 of the major and of every group, the price and the flow must agree within
 a tolerance that scales with the solution's magnitude.
 
-``minor_best_response`` solves the price-taking market on the same classes:
-the class means respond to the price and each class's groups deviate from
-their mean.  Its oracle is ``build_best_response_system`` on the group
-tables, one block-diagonal system of every group, under a random price.
+``minor_best_response`` (``best_response_oracle``) solves the price-taking
+market on the same classes: the class means respond to the price and each
+class's groups deviate from their mean.  Its oracle is
+``build_best_response_system`` on the group tables, one block-diagonal
+system of every group, under a random price.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from best_response_oracle import build_best_response_system, minor_best_response
 from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (MarketContext, _alpha_hats, _flow_and_price,
-                                       _solve_full_system, build_best_response_system,
-                                       build_full_system, make_population,
-                                       minor_best_response, solve_full_equilibrium)
+                                       _solve_full_system, build_full_system, make_population,
+                                       solve_full_equilibrium)
 from marketclear.scenario import NodeField
 from model_strategy import build, shapes
 

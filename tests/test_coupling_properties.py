@@ -22,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketclear import metrics
-from marketclear.finite_market import MarketContext
-from marketclear.mean_field import solve_mfg
+from marketclear.finite_market import MarketContext, solve_mfg
 
 from coupling_oracle import (EmpiricalMeasure, _quantile_coupling_cost, quantile_coupling_cost,
                              wasserstein1_1d, wasserstein2)

@@ -22,8 +22,7 @@ import numpy as np
 from hypothesis import given, settings
 
 from marketclear.finite_market import (MarketContext, make_population,
-                                       solve_full_equilibrium)
-from marketclear.mean_field import solve_mfg
+                                       solve_full_equilibrium, solve_mfg)
 from marketclear.metrics import _atom_prices
 from model_strategy import build, shapes
 

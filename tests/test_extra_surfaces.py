@@ -9,8 +9,7 @@ import pytest
 import marketclear
 from marketclear.errors import SolverError, UnsupportedModelError
 from marketclear.finite_market import (MarketContext, make_population,
-                                       solve_full_equilibrium)
-from marketclear.mean_field import solve_mfg
+                                       solve_full_equilibrium, solve_mfg)
 from marketclear.metrics import price_gap
 from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions,
                                DiscreteLaw, MinorBundle, QuadraticMajorCost,
@@ -214,16 +213,16 @@ def test_trinomial_lattice_equilibrium() -> None:
 
 EXPORTS = [
     "AgentGroup", "AgentPopulation", "AssumptionReport", "AssumptionViolationError",
-    "BestResponse", "BudgetError", "CallableMajorCost", "ClassSolution", "ClearingOperator",
+    "BudgetError", "CallableMajorCost", "ClassSolution", "ClearingOperator",
     "CoefficientSpec", "ConvergenceReport", "Dimensions", "DirectSolver", "DiscreteLaw",
     "EquilibriumSolution", "FamilySolution", "FbsdeSystem", "IdiosyncraticAtoms", "MajorFlow",
     "MarketClearError", "MarketContext", "MfgSolution", "MinorBundle", "ModelSpec", "NodeField",
     "NoiseLattice", "PerturbationReport", "QuadraticMajorCost", "SolveDiagnostics",
     "SolverError", "StabilityReport", "TimeGrid", "UnsupportedModelError", "ValidationError",
     "build_lattice", "check_all_assumptions", "clearing_residual", "convergence_study",
-    "cost_classes", "cost_major", "cost_mfg", "cost_minor", "epsilon_rate",
+    "cost_classes", "epsilon_rate",
     "evaluate_exogenous", "idiosyncratic_atoms", "limit_classes", "load_model", "loads_model",
-    "make_population", "make_spec", "minor_best_response", "perturbation_tests", "price_gap",
+    "make_population", "make_spec", "perturbation_tests", "price_gap",
     "residual", "sample_idiosyncratic", "solve_full_equilibrium", "solve_mfg",
     "solve_minor_clearing", "stability_gap", "stream_rng", "write_lattice_csv",
 ]
@@ -238,7 +237,6 @@ PARAMETERS = {
         "combo_bounds", "beta1", "mu1", "gamma0_f_scaled", "gamma0_g_scaled", "skipped",
         "inconclusive", "failures"),
     "AssumptionViolationError": ("message", "report"),
-    "BestResponse": ("solution", "classes", "deviations", "price", "population", "alpha_hat"),
     "BudgetError": None,
     "CallableMajorCost": ("dfdx", "dgdx"),
     "ClassSolution": ("solution", "classes", "deviations", "price"),
@@ -284,9 +282,6 @@ PARAMETERS = {
     "clearing_residual": ("solution",),
     "convergence_study": ("ctx", "n_list", "resamples", "seed"),
     "cost_classes": ("tabs", "w"),
-    "cost_major": ("ctx", "population", "beta"),
-    "cost_mfg": ("ctx", "beta"),
-    "cost_minor": ("ctx", "price", "alpha", "bundle_index", "atom_index"),
     "epsilon_rate": ("N", "n"),
     "evaluate_exogenous": ("lattice", "spec"),
     "idiosyncratic_atoms": ("spec",),
@@ -297,7 +292,6 @@ PARAMETERS = {
     "make_spec": (
         "dims", "delta", "lam", "lam0", "minor", "major_flow", "major_cost", "chi0", "xi_law",
         "ci_law", "c0_law", "maturity_mode"),
-    "minor_best_response": ("ctx", "price", "population"),
     "perturbation_tests": ("ctx", "levels", "directions", "seed", "population"),
     "price_gap": ("phi_a", "phi_b", "lattice"),
     "residual": ("system", "family"),
@@ -313,7 +307,7 @@ PARAMETERS = {
 
 def test_exported_names_are_pinned() -> None:
     # adding or dropping an export is a reviewed change of this list
-    assert len(EXPORTS) == 61
+    assert len(EXPORTS) == 56
     assert sorted(marketclear.__all__) == EXPORTS
     assert [n for n in dir(marketclear) if not n.startswith("_")] == EXPORTS
     for name in EXPORTS:

@@ -11,18 +11,18 @@ from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        build_clearing_system, build_deviation_system,
                                        clearing_residual,
                                        cost_classes, make_population,
-                                       minor_best_response,
-                                       solve_full_equilibrium,
+                                       solve_full_equilibrium, solve_mfg,
                                        solve_minor_clearing)
-from marketclear.mean_field import solve_mfg
 from marketclear.metrics import convergence_study, stability_gap
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw, MinorBundle,
                                ModelSpec, QuadraticMajorCost, make_spec)
-from marketclear.optimality import cost_major, cost_minor, perturbation_tests
+from marketclear.optimality import perturbation_tests
 from marketclear.scenario import NodeField, TimeGrid, build_lattice
 
+from best_response_oracle import minor_best_response
 from conftest import (callable_twin, constant_field, deviations, homogeneous_study_spec,
                       noiseless_unit_spec, scalar_market_spec)
+from cost_oracle import cost_major, cost_minor
 from tiny_tree_oracle import TinyTreeOracle
 
 
@@ -156,7 +156,7 @@ def test_clearing_residual_responds_linearly_to_price_shift() -> None:
     eq.alpha_hat[:] = [
         -np.matmul(ctx.exo.lam_inv[lat.level_of], (np.where(
             (np.arange(lat.num_nodes) >= lat.level_range(lat.steps)[0])[:, None],
-            eq.group_field("Y", g), eq.group_pre("Y", g))
+            eq.group_field("Y", g), eq.group_pres("Y")[g])
             + eq.price.values)[..., None])[..., 0]
         for g in range(pop.size)]
     assert clearing_residual(eq) == pytest.approx(2 * lam_inv, abs=1e-9)
@@ -188,13 +188,13 @@ def test_solved_equilibrium_obeys_the_oracle_minimizers() -> None:
     sol, pop = eq.solution, eq.population
     lam, lam0 = spec.lambda_minor.value, spec.lambda_major.value
     weights = [grp.count / pop.N for grp in pop.groups]
-    mean_y = sum(w * eq.group_pre("Y", g) for g, w in enumerate(weights))
-    mean_p = sum(w * eq.group_pre("P", g) for g, w in enumerate(weights))
+    mean_y = sum(w * pre for w, pre in zip(weights, eq.group_pres("Y")))
+    mean_p = sum(w * pre for w, pre in zip(weights, eq.group_pres("P")))
     for v in range(lat.level_range(lat.steps)[0]):
         beta = minimizer_beta(sol.pre("p0")[v], mean_y[v], mean_p[v], lam0, lam, N=pop.N)
         assert beta == pytest.approx(eq.beta_hat.values[v], rel=1e-12, abs=1e-12)
         for g in range(pop.size):
-            alpha = minimizer_alpha(eq.group_pre("Y", g)[v], eq.price.values[v], lam)
+            alpha = minimizer_alpha(eq.group_pres("Y")[g][v], eq.price.values[v], lam)
             assert alpha == pytest.approx(eq.alpha_hat[g][v], rel=1e-12, abs=1e-12)
 
 
@@ -412,8 +412,7 @@ def test_population_refuses_atoms_outside_the_law(past_end) -> None:
 
 
 MARKET_ENTRY_POINTS = ("make_population", "solve_full_equilibrium", "solve_minor_clearing",
-                       "minor_best_response", "solve_mfg", "cost_minor", "cost_major",
-                       "cost_mfg", "perturbation_tests", "convergence_study", "stability_gap")
+                       "solve_mfg", "perturbation_tests", "convergence_study", "stability_gap")
 
 
 def test_every_entry_point_takes_one_market_context() -> None:
@@ -589,6 +588,25 @@ def test_clearing_operator_checks_the_budget_before_building_blocks(monkeypatch)
     monkeypatch.setattr(fbsde, "FACTOR_BUDGET_BYTES", need)
     ClearingOperator(ctx, ctx.group_tables(pop), pop.weights)
     assert calls == [1]
+
+
+def test_rates_form_each_class_and_family_pre_driver_values_once(monkeypatch) -> None:
+    # a one-class market of four groups forms uB~ five times: in the class
+    # solve's residual, the flow and price read-off and the deviation family's
+    # residual, then once for the class mean's rates and once for the family's
+    from marketclear import fbsde, finite_market
+    dims = Dimensions(n=1, d0=1, d=0, N=4)
+    spec = make_spec(dims, delta=0.3, c0_law=("constant", [0.1]),
+                     xi_law=DiscreteLaw(np.linspace(0.0, 1.5, 4)[:, None], np.full(4, 0.25)))
+    ctx = MarketContext(spec, tree(3))
+    pop = make_population(ctx, assignments=[0, 1, 2, 3])
+    calls, real = [], fbsde._pre
+    counted = lambda *args: calls.append(1) or real(*args)
+    monkeypatch.setattr(fbsde, "_pre", counted)
+    monkeypatch.setattr(finite_market, "_pre", counted)
+    eq = solve_full_equilibrium(ctx, pop)
+    assert eq.classes.members == [[0, 1, 2, 3]]
+    assert len(calls) == 5
 
 
 def test_group_collapse_matches_ungrouped_per_agent_solve() -> None:

@@ -22,8 +22,7 @@ import numpy as np
 import pytest
 
 from marketclear.cli import main
-from marketclear.finite_market import MarketContext, solve_full_equilibrium
-from marketclear.mean_field import solve_mfg
+from marketclear.finite_market import MarketContext, solve_full_equilibrium, solve_mfg
 from marketclear.model import CallableMajorCost, Dimensions, DiscreteLaw, make_spec
 from marketclear.scenario import TimeGrid, build_lattice
 

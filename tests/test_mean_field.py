@@ -5,8 +5,8 @@ import pytest
 
 from marketclear.errors import UnsupportedModelError, ValidationError
 from marketclear.finite_market import (ClearingOperator, MarketContext, build_full_system,
-                                       make_population, solve_full_equilibrium)
-from marketclear.mean_field import limit_classes, solve_mfg
+                                       limit_classes, make_population, solve_full_equilibrium,
+                                       solve_mfg)
 from marketclear.metrics import price_gap
 from marketclear.model import (CoefficientSpec, Dimensions, DiscreteLaw,
                                MinorBundle, make_spec)

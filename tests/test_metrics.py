@@ -12,8 +12,7 @@ import marketclear.metrics as metrics
 from marketclear.errors import UnsupportedModelError, ValidationError
 from marketclear.fbsde import DirectSolver
 from marketclear.finite_market import (MarketContext, make_population,
-                                       solve_full_equilibrium)
-from marketclear.mean_field import solve_mfg
+                                       solve_full_equilibrium, solve_mfg)
 from marketclear.metrics import (_ReferenceClouds, convergence_study, derive_seed,
                                  epsilon_rate, fit_loglog, price_gap, stability_gap)
 from marketclear.model import (CallableMajorCost, CoefficientSpec, Dimensions, DiscreteLaw,

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from marketclear.errors import ValidationError
+from marketclear.errors import UnsupportedModelError, ValidationError
 from marketclear.finite_market import (ClearingOperator, MarketContext,
                                        make_population, solve_full_equilibrium)
 from marketclear.model import Dimensions, DiscreteLaw, MinorBundle, make_spec
-from marketclear.optimality import (EPS_GRID, LEVELS, cost_major, cost_mfg, cost_minor,
-                                    perturbation_directions, perturbation_tests)
+from marketclear.optimality import EPS_GRID, LEVELS, perturbation_directions, perturbation_tests
 from marketclear.scenario import NodeField, TimeGrid, build_lattice
 
 from conftest import (constant_field, homogeneous_study_spec, noiseless_unit_spec,
                       scalar_market_spec)
+from cost_oracle import cost_major, cost_mfg, cost_minor
 from hamiltonian_oracle import (hamiltonian_mfg, hamiltonian_minor, hamiltonian_system,
                                 minimizer_alpha, minimizer_beta)
 
@@ -235,11 +235,16 @@ def test_shared_solve_changes_no_byte() -> None:
         assert np.array_equal(alone.quadratic_fit, shared[level].quadratic_fit), level
 
 
-@pytest.mark.parametrize("kwargs, match", [
-    ({"directions": 0}, "at least one"),
-    ({"levels": ["minor", "major"]}, "unknown perturbation level"),
-])
-def test_bad_requests_fail_before_any_solve(monkeypatch, kwargs, match) -> None:
+@pytest.mark.parametrize("market, kwargs, error, match", [
+    ("homogeneous", {"directions": 0}, ValidationError, "at least one"),
+    ("homogeneous", {"levels": ["minor", "major"]}, ValidationError,
+     "unknown perturbation level"),
+    ("heterogeneous", {}, UnsupportedModelError,
+     "population limit needs a homogeneous market: one coefficient bundle"),
+], ids=["no direction", "unknown level", "no population limit"])
+def test_bad_requests_fail_before_any_solve(monkeypatch, market, kwargs, error, match) -> None:
+    # a heterogeneous market has no population limit, so "major-mfg" on it
+    # is refused before the finite levels solve
     import marketclear.optimality as optimality
 
     def no_solve(*args, **kw):
@@ -248,8 +253,9 @@ def test_bad_requests_fail_before_any_solve(monkeypatch, kwargs, match) -> None:
     monkeypatch.setattr(optimality, "solve_full_equilibrium", no_solve)
     monkeypatch.setattr(optimality, "solve_class_system", no_solve)
     args = {"levels": LEVELS, **kwargs}
-    with pytest.raises(ValidationError, match=match):
-        perturbation_tests(MarketContext(scalar_market_spec(), tree(2)), **args)
+    spec = scalar_market_spec() if market == "homogeneous" else two_bundle_spec()
+    with pytest.raises(error, match=match):
+        perturbation_tests(MarketContext(spec, tree(2)), **args)
 
 
 def test_clearing_batches_stay_within_the_amplitude_count(monkeypatch) -> None:

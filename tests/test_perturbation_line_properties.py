@@ -1,9 +1,9 @@
 """Property test: the perturbation check along exact lines equals the per-amplitude oracle.
 
 ``perturbation_tests`` clears the base control and each direction's end point
-once and reads every other amplitude off the line through them.  The public
-cost functions ``cost_minor``, ``cost_major`` and ``cost_mfg`` integrate and
-clear each control afresh; at every control ``u + eps eta`` of the report
+once and reads every other amplitude off the line through them.  The per-call
+cost functions of ``cost_oracle`` (``cost_minor``, ``cost_major`` and
+``cost_mfg``) integrate and clear each control afresh; at every control ``u + eps eta`` of the report
 they must give the same cost change.  Every corner of n in {1, 2}, a binary
 or trinomial tree, maturity on or off and the three levels runs; hypothesis
 draws d0 and a homogeneous model (the limit's level needs one) with a
@@ -26,12 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketclear.finite_market import MarketContext, make_population, solve_full_equilibrium
-from marketclear.mean_field import solve_mfg
-from marketclear.optimality import (EPS_GRID, LEVELS, cost_major, cost_mfg, cost_minor,
-                                    perturbation_directions, perturbation_tests)
+from marketclear.finite_market import (MarketContext, make_population, solve_full_equilibrium,
+                                       solve_mfg)
+from marketclear.optimality import EPS_GRID, LEVELS, perturbation_directions, perturbation_tests
 from marketclear.scenario import NodeField
 
+from cost_oracle import cost_major, cost_mfg, cost_minor
 from model_strategy import build, shapes
 
 SETTINGS = settings(max_examples=3)

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from marketclear import runio
-from marketclear.finite_market import MarketContext, make_population, solve_full_equilibrium
-from marketclear.mean_field import solve_mfg
+from marketclear.finite_market import (MarketContext, make_population, solve_full_equilibrium,
+                                       solve_mfg)
 from marketclear.metrics import convergence_study
 from marketclear.modelfile import load_model
 from marketclear.optimality import perturbation_tests

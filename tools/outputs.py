@@ -4,10 +4,12 @@
 
 Runs every command (check, solve-n, solve-mfg, converge, verify and
 lattice-dump) on the four shipped models at small sizes, plain and with the
-``--maturity`` and ``--branching 3`` variants, ``solve-n`` and
-``lattice-dump`` on a tree over the node budget, which end as solver
-failures, and then the benchmark's seed-1 command lines, which
-``perfbench/workloads.py`` generates (it is only read).  Every command
+``--maturity`` and ``--branching 3`` variants, ``verify`` on the
+heterogeneous model at each of its finite levels (``--level all`` ends at
+the refusal of its population limit), ``solve-n`` and ``lattice-dump`` on a
+tree over the node budget, which end as solver failures, and then the
+benchmark's seed-1 command lines, which ``perfbench/workloads.py``
+generates (it is only read).  Every command
 runs in a fresh interpreter on the package in this checkout's ``src/`` and
 writes into ``OUT/<name>/``; its command line (with ``OUT`` for the output
 root), exit code, standard output and standard error go to
@@ -40,6 +42,8 @@ COMMANDS = {
 VARIANTS = {"plain": [], "maturity": ["--maturity"], "branching3": ["--branching", "3"]}
 # 2^26 - 1 nodes on the benchmark model's binary tree, over scenario.NODE_BUDGET
 OVER_BUDGET = {"solve-n": ["--steps", "25"], "lattice-dump": ["--steps", "25"]}
+# the perturbation levels of a market with one bundle per agent, which has no population limit
+FINITE_LEVELS = ("minor", "major-N")
 BENCH_SEED = 1
 
 
@@ -52,6 +56,10 @@ def _runs(out: Path) -> list[tuple[str, list[str]]]:
                 name = f"{Path(model).stem}-{command}-{variant}"
                 runs.append((name, [command, "--model", f"models/{model}", *sizes, *flags,
                                     "--out", str(out / name)]))
+    for level in FINITE_LEVELS:
+        name = f"heterogeneous-verify-{level}"
+        runs.append((name, ["verify", "--model", "models/heterogeneous.json", *COMMANDS["verify"],
+                            "--level", level, "--out", str(out / name)]))
     for command, sizes in OVER_BUDGET.items():
         name = f"benchmark-{command}-over-budget"
         runs.append((name, [command, "--model", "models/benchmark.model", *sizes,
